@@ -11,7 +11,8 @@ Implementations:
 * :func:`run_single_gpu` — whole multiply on one GPU (efficiency base);
 * :func:`run_gas` — one MPI process per GPU, push/pull around kernels;
 * :func:`run_dcgn` — GPU kernels rotate blocks *from inside the kernel*
-  with the fused ``sendrecv_replace`` of :class:`GpuCommApi`;
+  with the fused :meth:`~repro.dcgn.api.Endpoint.sendrecv_replace`,
+  issued slot-first through ``ctx.comm``;
 * :func:`run_mpi` — pure MPI ranks, and the **flagship consumer of
   derived communicators**: with ``subcomms=True`` every rank splits
   COMM_WORLD into its row and column communicator

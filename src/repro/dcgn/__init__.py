@@ -1,5 +1,12 @@
 """DCGN — Distributed Computing on GPU Networks (the paper's system).
 
+CPU threads and GPU slots are peer virtual ranks that make the same
+calls.  Every operation is defined once in :data:`~.api.OPS`; an
+:class:`Endpoint` (one rank's view of one group — the world is group 0)
+issues it over one of two transports: a CPU thread's work-queue
+enqueue with sleep-polling, or a GPU slot's mailbox post with PCIe
+polling by the host's GPU-kernel thread.
+
 Quick tour::
 
     from repro.sim import Simulator
@@ -12,11 +19,11 @@ Quick tour::
     rt = DcgnRuntime(cluster, cfg)
 
     def cpu_kernel(ctx):
-        ...  # ctx.send / ctx.recv / ctx.barrier / ...
+        ...  # ctx.send / ctx.recv / ctx.barrier / ctx.group("g") / ...
         yield from ctx.barrier()
 
     def gpu_kernel(ctx):
-        comm = ctx.comm  # GpuCommApi: slot-indexed dcgn::gpu::* calls
+        comm = ctx.comm  # GpuCommApi: slot-first dcgn::gpu::* calls
         yield from comm.barrier(slot=0)
 
     rt.launch_cpu(cpu_kernel)
@@ -24,9 +31,9 @@ Quick tour::
     report = rt.run()
 """
 
+from .api import CpuKernelContext, Endpoint, GpuCommApi, RequestHandle
 from .comm_thread import CommThread
 from .config import CollectiveTuning, DcgnConfig, NodeConfig
-from .cpu_api import CpuGroupComm, CpuKernelContext, DcgnRequestHandle
 from .errors import (
     CollectiveMismatch,
     CommViolation,
@@ -34,7 +41,6 @@ from .errors import (
     DcgnError,
     DcgnTimeout,
 )
-from .gpu_api import GpuCommApi, GpuGroupComm, GpuRequestHandle
 from .groups import DcgnGroup, GroupTable, WORLD_GID
 from .mpi_compat import DcgnMpiAdapter
 from .gpu_thread import GpuKernelThread
@@ -62,12 +68,10 @@ __all__ = [
     "AdaptiveBurstPolicy",
     "CommThread",
     "GpuKernelThread",
+    "Endpoint",
+    "RequestHandle",
     "CpuKernelContext",
-    "CpuGroupComm",
-    "DcgnRequestHandle",
     "GpuCommApi",
-    "GpuGroupComm",
-    "GpuRequestHandle",
     "DcgnGroup",
     "GroupTable",
     "WORLD_GID",

@@ -505,7 +505,7 @@ class CommThread:
         if seq is None:
             raise DcgnError(f"collective {req!r} missing coll_seq")
         gid = int(req.extra.get("gid", WORLD_GID))
-        if gid != WORLD_GID and req.src_vrank not in self.groups.group(gid):
+        if req.src_vrank not in self.groups.group(gid):
             raise CollectiveMismatch(
                 f"vrank {req.src_vrank} issued a collective on group "
                 f"{gid} it does not belong to"
@@ -598,11 +598,7 @@ class CommThread:
         """
         self._bump(f"coll.{state.kind}")
         info = self.groups.info(state.gid)
-        mpi = (
-            self.mpi
-            if state.gid == WORLD_GID
-            else info.ctx_for(self.node.node_id)
-        )
+        mpi = info.ctx_for(self.node.node_id)
         if state.kind == "barrier":
             self._spawn_completer(state, mpi.ibarrier(), None)
         elif state.kind == "bcast":
@@ -688,12 +684,9 @@ class CommThread:
     def _exec_reduce(
         self, state: _CollState, info, mpi
     ) -> Generator[Event, Any, None]:
+        # Kernel-side issue already validated the op name (and refused
+        # "replace", which only one-sided accumulate may use).
         op = ReduceOp(state.op_name or "sum")
-        if op is ReduceOp.REPLACE:
-            raise CollectiveMismatch(
-                "ReduceOp.REPLACE is only valid for one-sided "
-                "accumulate, not reduce/allreduce"
-            )
         root_vrank = state.root
         contributions = sorted(state.entries, key=lambda e: e.src_vrank)
         level: List[np.ndarray] = []
@@ -768,9 +761,6 @@ class CommThread:
                         req.complete(CommStatus(source=-1, nbytes=0))
 
             self._spawn_completer(state, mreq, finish_reduce)
-
-    def _local_vranks_in_order(self) -> List[int]:
-        return self.rankmap.local_ranks(self.node.node_id)
 
     def _exec_gather(
         self, state: _CollState, info, mpi

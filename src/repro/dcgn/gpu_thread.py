@@ -24,7 +24,7 @@ of §5.2 that make GPU-sourced messaging expensive.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Generator, List, Optional
+from typing import Any, Dict, Generator, List, Optional, Tuple
 
 import numpy as np
 
@@ -36,11 +36,10 @@ from ..sim.core import Event, Simulator, us
 from ..sim.primitives import AnyOf
 from ..sim.sync import Signal
 from .comm_thread import CommThread
-from .errors import DcgnError
-from .gpu_api import GpuCommApi
+from .api import GpuCommApi
 from .polling import PollPolicy, make_policy
-from .ranks import ANY, RankMap
-from .requests import CommRequest, CommStatus
+from .ranks import RankMap
+from .requests import CommRequest
 
 __all__ = ["GpuKernelThread"]
 
@@ -48,9 +47,10 @@ __all__ = ["GpuKernelThread"]
 _FLAG_BYTES = 8
 
 
-@dataclass
+@dataclass(eq=False)
 class _Inflight:
-    """A harvested mailbox request awaiting comm-thread completion."""
+    """A harvested mailbox request awaiting comm-thread completion
+    (compared by identity: its request carries payload arrays)."""
 
     mbox: SlotMailboxes
     mreq: MailboxRequest
@@ -88,8 +88,9 @@ class GpuKernelThread:
         self._mailboxes: List[SlotMailboxes] = []
         self._handles: List[KernelHandle] = []
         self._inflight: List[_Inflight] = []
-        #: Per-slot collective sequence counters (persist across launches).
-        self._coll_counters: Dict[int, int] = {}
+        #: (gid, vrank) → next collective sequence number of this GPU's
+        #: slots (persists across launches).
+        self.coll_seqs: Dict[Tuple[int, int], int] = {}
         self._shutdown = False
         #: Fired when the comm thread completes one of our in-flight
         #: requests (paper §3.2.2: the comm thread "signals CPU- and
@@ -134,16 +135,7 @@ class GpuKernelThread:
         self._mailboxes.append(mbox)
 
         def comm_factory(block_ctx: BlockContext) -> GpuCommApi:
-            return GpuCommApi(
-                block_ctx,
-                mbox,
-                self.rankmap,
-                node_id=self.device.node_id,
-                gpu_index=self.gpu_index,
-                coll_counters=self._coll_counters,
-                groups=self.comm.groups,
-                windows=self.comm.windows,
-            )
+            return GpuCommApi(block_ctx, mbox, self)
 
         yield self.sim.timeout(us(self.device.params.kernel_launch_us))
         handle = launch_kernel(
@@ -287,207 +279,31 @@ class GpuKernelThread:
             self.empty_polls += 1
         return found
 
-    def _vrank(self, slot: int) -> int:
-        return self.rankmap.slot_rank(
-            self.device.node_id, self.gpu_index, slot
-        )
-
-    def _check_window_dtype(self, args: dict, dbuf) -> None:
-        """Device-buffer dtype must match the window's — a mismatch
-        would silently truncate/cast through the byte-count math."""
-        if self.comm.windows is None:
-            raise DcgnError("this job declares no windows")
-        window = self.comm.windows.by_name(str(args["win"]))
-        if dbuf is None or dbuf.data.dtype != window.dtype:
-            got = "no buffer" if dbuf is None else str(dbuf.data.dtype)
-            raise DcgnError(
-                f"window {window.name!r} expects dtype {window.dtype}, "
-                f"kernel posted {got}"
-            )
-
-    @staticmethod
-    def _coll_extra(args: dict, **extra) -> dict:
-        """Collective request extras (slot-group id passes through)."""
-        out = {"coll_seq": int(args["coll_seq"]), **extra}
-        if "gid" in args:
-            out["gid"] = int(args["gid"])
-        return out
-
     def _ingest(
         self, mbox: SlotMailboxes, mreq: MailboxRequest
     ) -> Generator[Event, Any, None]:
-        """Translate a mailbox request into a comm-thread request."""
-        vrank = self._vrank(mreq.slot)
-        op = mreq.op
-        args = mreq.args
-        dbuf: Optional[DeviceBuffer] = args.get("buf")
-        nbytes = int(args.get("nbytes", 0))
-        needs_payload_read = op == "send" or (
-            op == "bcast" and args.get("root") == vrank
-        ) or op in ("allreduce", "gather", "rma_put", "rma_acc")
-        data: Optional[np.ndarray] = None
-        if needs_payload_read:
-            if dbuf is None:
-                raise DcgnError(f"{op} request without device buffer")
+        """Relay a posted request: charge the PCIe payload read,
+        snapshot the payload, enqueue for the comm thread."""
+        plan = mreq.args["plan"]
+        creq = plan.req
+        if plan.payload is not None:
             if not self.params.dcgn.future_gpu_direct:
-                yield from self.device.pcie.read(nbytes)
+                yield from self.device.pcie.read(plan.payload_nbytes)
             # else: future hardware — the GPU pushes payload bytes
             # straight toward the NIC; no host-bounce PCIe charge.
             # Typed snapshot so reductions see real dtypes.
-            flat = dbuf.data.reshape(-1)
-            count = nbytes // dbuf.data.itemsize
-            data = flat[:count].copy()
-        elif op == "scatter" and args.get("root") == vrank:
-            # Scatter root: the *full* send buffer travels to the host.
-            sbuf: Optional[DeviceBuffer] = args.get("sbuf")
-            if sbuf is None:
-                raise DcgnError("scatter root request without send buffer")
-            if not self.params.dcgn.future_gpu_direct:
-                yield from self.device.pcie.read(sbuf.nbytes)
-            data = sbuf.data.reshape(-1).copy()
-        done = self.sim.event(name=f"{self.name}.creq")
-        if op == "send":
-            creq = CommRequest(
-                op="send",
-                src_vrank=vrank,
-                peer=int(args["dest"]),
-                nbytes=nbytes,
-                data=data,
-                done=done,
-            )
-            writeback = None
-        elif op == "recv":
-            creq = CommRequest(
-                op="recv",
-                src_vrank=vrank,
-                peer=int(args["source"]),
-                nbytes=nbytes,
-                done=done,
-            )
-            writeback = dbuf
-        elif op == "barrier":
-            creq = CommRequest(
-                op="barrier",
-                src_vrank=vrank,
-                done=done,
-                extra=self._coll_extra(args),
-            )
-            writeback = None
-        elif op == "bcast":
-            root = int(args["root"])
-            creq = CommRequest(
-                op="bcast",
-                src_vrank=vrank,
-                root=root,
-                nbytes=nbytes,
-                data=data,
-                done=done,
-                extra=self._coll_extra(args),
-            )
-            writeback = dbuf if root != vrank else None
-        elif op == "allreduce":
-            creq = CommRequest(
-                op="allreduce",
-                src_vrank=vrank,
-                nbytes=nbytes,
-                data=data,
-                done=done,
-                extra=self._coll_extra(
-                    args, reduce_op=args.get("reduce_op", "sum")
-                ),
-            )
-            writeback = dbuf
-        elif op == "gather":
-            root = int(args["root"])
-            creq = CommRequest(
-                op="gather",
-                src_vrank=vrank,
-                root=root,
-                nbytes=nbytes,
-                data=data,
-                done=done,
-                extra=self._coll_extra(args, chunk=nbytes),
-            )
-            writeback = args.get("rbuf") if root == vrank else None
-        elif op == "scatter":
-            root = int(args["root"])
-            creq = CommRequest(
-                op="scatter",
-                src_vrank=vrank,
-                root=root,
-                nbytes=nbytes,
-                data=data,
-                done=done,
-                extra=self._coll_extra(args, chunk=nbytes),
-            )
-            writeback = dbuf
-        elif op == "rma_put":
-            self._check_window_dtype(args, dbuf)
-            creq = CommRequest(
-                op="rma_put",
-                src_vrank=vrank,
-                peer=int(args["dest"]),
-                nbytes=nbytes,
-                data=data,
-                done=done,
-                extra={
-                    "win": str(args["win"]),
-                    "offset": int(args.get("offset", 0)),
-                },
-            )
-            writeback = None
-        elif op == "rma_acc":
-            self._check_window_dtype(args, dbuf)
-            creq = CommRequest(
-                op="rma_accumulate",
-                src_vrank=vrank,
-                peer=int(args["dest"]),
-                nbytes=nbytes,
-                data=data,
-                done=done,
-                extra={
-                    "win": str(args["win"]),
-                    "offset": int(args.get("offset", 0)),
-                    "reduce_op": str(args.get("reduce_op", "sum")),
-                },
-            )
-            writeback = None
-        elif op == "rma_get":
-            self._check_window_dtype(args, dbuf)
-            creq = CommRequest(
-                op="rma_get",
-                src_vrank=vrank,
-                peer=int(args["source"]),
-                nbytes=nbytes,
-                done=done,
-                extra={
-                    "win": str(args["win"]),
-                    "offset": int(args.get("offset", 0)),
-                },
-            )
-            writeback = dbuf
-        elif op == "split":
-            creq = CommRequest(
-                op="split",
-                src_vrank=vrank,
-                done=done,
-                extra={
-                    "coll_seq": int(args["coll_seq"]),
-                    "color": int(args.get("color", -1)),
-                    "key": int(args.get("key", 0)),
-                },
-            )
-            writeback = None
-        else:
-            raise DcgnError(f"unknown GPU mailbox op {op!r}")
+            flat = plan.payload.data.reshape(-1)
+            creq.data = flat[: plan.payload_nbytes // flat.itemsize].copy()
+        creq.done = self.sim.event(name=f"{self.name}.creq")
         creq.stamp("posted", mreq.posted_at)
         creq.stamp("harvested", self.sim.now)
-        self._inflight.append(_Inflight(mbox, mreq, creq, writeback))
-        done.add_callback(lambda _e: self._completion_sig.fire())
+        self._inflight.append(_Inflight(mbox, mreq, creq, plan.result))
+        creq.done.add_callback(lambda _e: self._completion_sig.fire())
         yield from self.comm.enqueue_from_gpu_thread(creq)
         creq.stamp("enqueued", self.sim.now)
         self.sim.trace(
-            "gpu_thread.relay", thread=self.name, op=op, vrank=vrank
+            "gpu_thread.relay", thread=self.name, op=creq.op,
+            vrank=creq.src_vrank,
         )
 
     def _complete(self, entry: _Inflight) -> Generator[Event, Any, None]:
@@ -516,12 +332,7 @@ class GpuKernelThread:
         self.sim.trace(
             "gpu_thread.writeback", thread=self.name, op=creq.op
         )
-        # Splits resolve to the group descriptor (None = opted out)
-        # rather than a wire status.
-        result = (
-            creq.extra.get("group") if creq.op == "split" else creq.status
-        )
-        entry.mbox.complete(entry.mreq, result=result)
+        entry.mbox.complete(entry.mreq, result=creq.status)
 
     def _prune(self) -> None:
         self._handles = [h for h in self._handles if not h.finished]

@@ -14,11 +14,15 @@ Groups come from two places:
 
 * **declared** — ``DcgnConfig(slot_groups={...})`` names groups up
   front; kernels fetch them by name (``ctx.group("row0")`` /
-  ``ctx.comm.group(slot, "row0")``);
+  ``ctx.comm.group("row0")``);
 * **split** — kernels call the collective ``split(color, key)``
   (CPU: ``ctx.split``, GPU: ``ctx.comm.split``), the comm threads
   exchange the color/key pairs over the node communicator, and every
   color becomes a fresh group — ``MPI_Comm_split`` at the slot level.
+
+The world itself is group 0 (:data:`WORLD_GID`, named ``"world"``,
+backed by the node communicator): kernels address it exactly like any
+other group, with one collective-sequence counter per group and rank.
 
 The :class:`GroupTable` is shared by all of a job's comm threads;
 whichever thread first sees a complete split registers the groups (all

@@ -6,7 +6,7 @@ of a few find-and-replaces was minimal by comparison."  This adapter
 makes the claim literal for CPU kernels: it exposes the *simulated MPI*
 context's call signatures (``send(buf, dest, tag)``, ``recv(buf, source,
 tag)``, ``bcast(buf, root)``, …) on top of a DCGN
-:class:`~repro.dcgn.cpu_api.CpuKernelContext`, so a program written
+:class:`~repro.dcgn.api.CpuKernelContext`, so a program written
 against :class:`repro.mpi.MpiContext` runs under DCGN unchanged.
 
 Semantic differences (documented, checked):
@@ -28,7 +28,7 @@ import numpy as np
 
 from ..mpi.status import ANY_SOURCE, ANY_TAG, Status
 from ..sim.core import Event
-from .cpu_api import CpuKernelContext
+from .api import CpuKernelContext
 from .errors import CommViolation
 from .ranks import ANY
 from .requests import CommStatus

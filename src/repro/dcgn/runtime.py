@@ -23,7 +23,7 @@ from ..sim.core import Event, Process, Simulator
 from ..sim.sync import Signal
 from .comm_thread import CommThread
 from .config import DcgnConfig
-from .cpu_api import CpuKernelContext
+from .api import CpuKernelContext
 from .errors import DcgnConfigError, DcgnTimeout
 from .gpu_thread import GpuKernelThread
 from .groups import DcgnGroup, GroupTable
@@ -146,12 +146,7 @@ class DcgnRuntime:
         info = self.rankmap.info(vrank)
         if not self.rankmap.is_cpu(vrank):
             raise DcgnConfigError(f"vrank {vrank} is not a CPU rank")
-        return CpuKernelContext(
-            self.sim,
-            vrank,
-            self.comm_threads[info.node],
-            self.rankmap,
-        )
+        return CpuKernelContext(self.comm_threads[info.node], vrank)
 
     # -- launching ---------------------------------------------------------
     def launch_cpu(

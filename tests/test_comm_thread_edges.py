@@ -143,10 +143,10 @@ class TestCollectiveMismatches:
                 yield from ctx.barrier()
             else:
                 # Issue two barrier requests with the SAME sequence
-                # number by resetting the counter (simulating a buggy
-                # user thread reusing a context).
+                # number by resetting the world (group 0) counter
+                # (simulating a buggy user thread reusing a context).
                 yield from ctx.barrier()
-                ctx._coll_seq = 0
+                ctx._transport.coll_seqs[(0, ctx.vrank)] = 0
                 yield from ctx.barrier()
 
         rt.launch_cpu(kernel)

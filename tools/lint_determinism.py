@@ -57,6 +57,8 @@ from typing import Iterator, List, NamedTuple
 #: and bench/ are driver-level (their RNG use is seeded experiment
 #: input, checked by review rather than lint).
 DEFAULT_PATHS = [
+    "src/repro/apps",
+    "src/repro/bench",
     "src/repro/sim",
     "src/repro/mpi",
     "src/repro/dcgn",
