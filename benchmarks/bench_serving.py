@@ -116,7 +116,7 @@ def _uplink_stats(sched, span):
     from repro.obs import link_report
 
     rows = link_report(
-        sched.cluster.interconnect, wall_s=span, include_idle=True
+        sched.cluster.topology, wall_s=span, include_idle=True
     )
     ups = [
         r for r in rows
@@ -138,7 +138,7 @@ def run_point(shape, policy, load, rate_hz, verify):
     sim, sched = _build(shape, policy)
     # Book analytic wire legs onto the routed channels so the link
     # report can attribute the placement gap to pod-uplink demand.
-    sched.cluster.interconnect.accounting = True
+    sched.cluster.topology.accounting = True
     services = []
     for i in range(shape["n_services"]):
         svc = TileService(sim, _tile_cfg(), name=f"svc{i}")

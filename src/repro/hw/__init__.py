@@ -1,7 +1,6 @@
 """Hardware cost models for the simulated GPU cluster."""
 
 from .cluster import Cluster, build_cluster
-from .interconnect import Interconnect
 from .memory import HostBuffer, MemcpyEngine, as_bytes_view, nbytes_of
 from .node import Node
 from .params import (
@@ -45,7 +44,6 @@ __all__ = [
     "paper_cluster",
     "single_node",
     "PcieLink",
-    "Interconnect",
     "Topology",
     "FabricProfile",
     "FlatSwitch",

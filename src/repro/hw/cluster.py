@@ -1,4 +1,4 @@
-"""Cluster assembly: nodes + GPUs + interconnect on one simulator."""
+"""Cluster assembly: nodes + GPUs + fabric topology on one simulator."""
 
 from __future__ import annotations
 
@@ -6,9 +6,9 @@ from typing import List
 
 from ..sim.core import Simulator
 from ..sim.rng import RngStreams
-from .interconnect import Interconnect
 from .node import Node
 from .params import ClusterSpec
+from .topology import Topology, make_topology
 
 __all__ = ["Cluster", "build_cluster"]
 
@@ -21,13 +21,14 @@ class Cluster:
         sim: Simulator,
         spec: ClusterSpec,
         nodes: List[Node],
-        interconnect: Interconnect,
+        topology: Topology,
         rng: RngStreams,
     ) -> None:
         self.sim = sim
         self.spec = spec
         self.nodes = nodes
-        self.interconnect = interconnect
+        #: The inter-node fabric (plus per-node shared-memory channels).
+        self.topology = topology
         self.rng = rng
 
     @property
@@ -77,7 +78,5 @@ def build_cluster(sim: Simulator, spec: ClusterSpec) -> Cluster:
                 )
             )
         nodes.append(node)
-    interconnect = Interconnect(
-        sim, spec.nodes, spec.params.ib, topology=spec.topology
-    )
-    return Cluster(sim, spec, nodes, interconnect, rng)
+    topology = make_topology(sim, spec.nodes, spec.params.ib, spec.topology)
+    return Cluster(sim, spec, nodes, topology, rng)

@@ -2,13 +2,12 @@
 
 ``make_topology`` builds a :class:`Topology` from a declarative
 :class:`~repro.hw.params.TopologySpec`; the registry maps spec kinds to
-classes so new fabrics plug in without touching the interconnect or
-cluster assembly.
+classes so new fabrics plug in without touching cluster assembly.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict
+from typing import Callable, Dict, Optional
 
 from ...sim.core import Simulator
 from ..params import IbParams, TopologySpec
@@ -62,9 +61,15 @@ TOPOLOGIES: Dict[str, Callable[..., Topology]] = {
 
 
 def make_topology(
-    sim: Simulator, n_nodes: int, params: IbParams, spec: TopologySpec
+    sim: Simulator,
+    n_nodes: int,
+    params: IbParams,
+    spec: Optional[TopologySpec] = None,
 ) -> Topology:
-    """Instantiate the topology a :class:`TopologySpec` describes."""
+    """Instantiate the topology a :class:`TopologySpec` describes
+    (``None``: the paper's flat switch)."""
+    if spec is None:
+        spec = TopologySpec()
     try:
         factory = TOPOLOGIES[spec.kind]
     except KeyError:

@@ -8,28 +8,46 @@ transfer through the channel path its shape dictates, so contention
 appears wherever the real fabric would contend (a shared fat-tree
 uplink, a striped rail set, a multi-hop torus path).
 
-Two consumer-facing views:
+Each topology writes its path exactly once, as :meth:`Topology.route`.
+Every other view is derived from that one route:
 
-* the *dynamic* view — ``transfer`` / ``wire_time`` — drives the
-  simulation (the :class:`~repro.hw.interconnect.Interconnect` facade
-  delegates here);
-* the *static* view — ``profile`` / ``locality_group`` — feeds the
-  collective auto-tuner (:mod:`repro.mpi.algorithms.autotune`), which
-  sweeps an analytic cost model over the profile to derive per-cluster
-  selection thresholds instead of hardcoded constants.
+* ``transfer`` walks it on the simulator (exact backend);
+* ``wire_time`` sums it without queueing (uncontended time);
+* ``account`` books it onto the channels without simulating it (the
+  link report of the analytic backends);
+* ``wire_cost`` interns ``wire_time`` for the fast-path pricers and
+  books the leg when accounting is on.
+
+The *static* view — ``profile`` / ``locality_group`` — feeds the
+collective auto-tuner (:mod:`repro.mpi.algorithms.autotune`), which
+sweeps an analytic cost model over the profile to derive per-cluster
+selection thresholds instead of hardcoded constants.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Any, Generator, List
+from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from ...sim.core import Event, Simulator, us
+from ...sim.primitives import AllOf
 from ...sim.resources import BandwidthChannel
 from ..params import IbParams
 
-__all__ = ["FabricProfile", "Topology"]
+__all__ = ["FabricProfile", "Leg", "Route", "Topology"]
+
+#: One stage of a route: ``(channel, nbytes, seconds)``.  A leg with
+#: ``nbytes`` set serializes that payload through ``channel``
+#: (``seconds`` is None: the channel's own latency + size/bandwidth); a
+#: leg with ``nbytes`` None holds ``channel`` for ``seconds`` (the
+#: receiver's latency-only ejection half); a leg without a channel is
+#: pure forwarding delay (torus routers).
+Leg = Tuple[Optional[BandwidthChannel], Optional[int], Optional[float]]
+
+#: A routed transfer: lanes that run in parallel (rail stripes), each a
+#: sequence of legs walked in order.  Single-path fabrics have one lane.
+Route = Tuple[Tuple[Leg, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -80,6 +98,9 @@ class Topology(ABC):
     """
 
     kind: str = "?"
+    #: Whether an exact transfer runs its lanes as parallel processes
+    #: (rail striping); single-path fabrics walk their one lane inline.
+    striped: bool = False
 
     def __init__(self, sim: Simulator, n_nodes: int, params: IbParams) -> None:
         if n_nodes < 1:
@@ -87,12 +108,17 @@ class Topology(ABC):
         self.sim = sim
         self.n_nodes = n_nodes
         self.params = params
+        #: Half the wire latency: what each NIC side (and each extra
+        #: switch traversal) charges.
+        self._half_lat = us(params.lat_us) / 2.0
         #: When True, analytic backends charge their priced transfers
-        #: onto the routed channel path via :meth:`account`, so the
+        #: onto the routed channel path (see :meth:`wire_cost`), so the
         #: link-utilization report works even when nothing simulates
-        #: channel occupancy.  Off by default (one extra branch per
-        #: priced wire leg when on).
+        #: channel occupancy.  Off by default.
         self.accounting = False
+        #: Interned uncontended wire times: (src, dst, nbytes) → s.  The
+        #: one cache both fast-path pricers (collectives and RMA) share.
+        self._wire_cache: Dict[Tuple[int, int, int], float] = {}
         self._shm: List[BandwidthChannel] = [
             BandwidthChannel(
                 sim,
@@ -103,50 +129,119 @@ class Topology(ABC):
             for i in range(n_nodes)
         ]
 
-    # -- dynamic view ------------------------------------------------------
     def _check(self, node: int) -> None:
         if not (0 <= node < self.n_nodes):
             raise ValueError(f"node {node} out of range [0,{self.n_nodes})")
 
+    # -- the one path definition -------------------------------------------
+    def route(self, src: int, dst: int, nbytes: int) -> Route:
+        """The channel path ``nbytes`` take from node ``src`` to ``dst``.
+
+        Intra-node transfers use the shared-memory channel; inter-node
+        transfers follow the subclass's :meth:`_route`.  Every dynamic
+        view (``transfer``, ``wire_time``, ``account``) walks this.
+        """
+        self._check(src)
+        self._check(dst)
+        if nbytes < 0:
+            raise ValueError(f"negative transfer size {nbytes}")
+        if src == dst:
+            return (((self._shm[src], nbytes, None),),)
+        return self._route(src, dst, nbytes)
+
+    @abstractmethod
+    def _route(self, src: int, dst: int, nbytes: int) -> Route:
+        """Inter-node path (``src != dst``, all arguments validated)."""
+
+    # -- derived views -------------------------------------------------------
     def transfer(
         self, src: int, dst: int, nbytes: int
     ) -> Generator[Event, Any, float]:
         """Move ``nbytes`` from node ``src`` to node ``dst``.
 
-        Returns the elapsed transfer time.  Intra-node transfers use the
-        shared-memory channel; inter-node transfers follow the
-        topology's routed channel path.
+        Walks the route on the simulator, queueing FIFO on every channel
+        it holds; returns the elapsed transfer time.
         """
-        self._check(src)
-        self._check(dst)
+        lanes = self.route(src, dst, nbytes)
         t0 = self.sim.now
-        if src == dst:
-            yield from self._shm[src].transfer(nbytes)
-            return self.sim.now - t0
-        yield from self._route(src, dst, nbytes)
+        if self.striped and src != dst:
+            procs = [
+                self.sim.process(
+                    self._walk(lane), name=f"{lane[0][0].name}({src}->{dst})"
+                )
+                for lane in lanes
+            ]
+            yield AllOf(self.sim, procs)
+        else:
+            yield from self._walk(lanes[0])
         return self.sim.now - t0
 
-    @abstractmethod
-    def _route(
-        self, src: int, dst: int, nbytes: int
-    ) -> Generator[Event, Any, None]:
-        """Inter-node path (``src != dst``, both validated)."""
+    def _walk(self, lane: Tuple[Leg, ...]) -> Generator[Event, Any, None]:
+        for ch, nbytes, seconds in lane:
+            if ch is None:
+                yield self.sim.timeout(seconds)
+            elif nbytes is None:
+                yield from ch.occupy(seconds)
+            else:
+                yield from ch.transfer(nbytes)
 
     def wire_time(self, src: int, dst: int, nbytes: int) -> float:
-        """Uncontended end-to-end transfer time."""
-        self._check(src)
-        self._check(dst)
-        if src == dst:
-            return self._shm[src].transfer_time(nbytes)
-        return self._wire_time_internode(src, dst, nbytes)
+        """Uncontended end-to-end transfer time: the slowest lane's sum
+        of leg times."""
+        best = 0.0
+        for lane in self.route(src, dst, nbytes):
+            t = 0.0
+            for ch, n, seconds in lane:
+                t += ch.transfer_time(n) if seconds is None else seconds
+            if t > best:
+                best = t
+        return best
 
-    @abstractmethod
-    def _wire_time_internode(self, src: int, dst: int, nbytes: int) -> float:
-        """Uncontended inter-node time (``src != dst``, both validated)."""
+    def account(self, src: int, dst: int, nbytes: int) -> None:
+        """Charge one priced transfer onto the routed channel path.
 
-    @abstractmethod
-    def nic_utilization(self, node: int) -> float:
-        """Busy-seconds of the node's injection path (for reports)."""
+        The analytic backends never occupy channels — they price wire
+        legs with :meth:`wire_cost` and commit completions directly —
+        so without this hook a fast-path run reports an idle fabric.
+        ``account`` books the *uncontended* service demand (bytes and
+        busy seconds, no queueing) onto exactly the channels
+        :meth:`transfer` would have held, and counts ``chan_bytes``
+        per payload leg as the exact channels do.  Demand booked this
+        way can exceed the wall clock on an oversubscribed link: that
+        over-commit is the congestion signal the report exists to show.
+        Timing-passive — never called from the exact path, never
+        affects simulated time.
+        """
+        stats = self.sim.stats
+        for lane in self.route(src, dst, nbytes):
+            for ch, n, seconds in lane:
+                if ch is None:
+                    continue
+                if seconds is None:
+                    ch.bytes_moved += n
+                    ch.busy_s += ch.transfer_time(n)
+                    stats.chan_bytes += n
+                else:
+                    ch.busy_s += seconds
+
+    def wire_cost(self, src: int, dst: int, nbytes: int) -> float:
+        """Interned :meth:`wire_time` of one priced leg.
+
+        The fast-path backends price every wire leg through here: hits
+        and misses surface as ``sim.stats.wire_cost_hits`` /
+        ``wire_cost_misses``, and with :attr:`accounting` on the leg is
+        also booked onto its channels (:meth:`account`).
+        """
+        if self.accounting:
+            self.account(src, dst, nbytes)
+        key = (src, dst, nbytes)
+        cost = self._wire_cache.get(key)
+        if cost is None:
+            self.sim.stats.wire_cost_misses += 1
+            cost = self._wire_cache[key] = self.wire_time(src, dst, nbytes)
+        else:
+            self.sim.stats.wire_cost_hits += 1
+        return cost
 
     # -- observability -----------------------------------------------------
     def channels(self) -> List[BandwidthChannel]:
@@ -161,33 +256,6 @@ class Topology(ABC):
     def _fabric_channels(self) -> List[BandwidthChannel]:
         """Subclass hook: the inter-node channels, in report order."""
         return []
-
-    def account(self, src: int, dst: int, nbytes: int) -> None:
-        """Charge one priced transfer onto the routed channel path.
-
-        The analytic backends never occupy channels — they price wire
-        legs with :meth:`wire_time` and commit completions directly —
-        so without this hook a fast-path run reports an idle fabric.
-        ``account`` books the *uncontended* service demand (bytes and
-        busy seconds, no queueing) onto exactly the channels
-        :meth:`transfer` would have traversed.  Demand booked this way
-        can exceed the wall clock on an oversubscribed link: that
-        over-commit is the congestion signal the report exists to show.
-        Timing-passive — never called from the exact path, never
-        affects simulated time.
-        """
-        self._check(src)
-        self._check(dst)
-        self.sim.stats.chan_bytes += nbytes
-        if src == dst:
-            ch = self._shm[src]
-            ch.bytes_moved += nbytes
-            ch.busy_s += ch.transfer_time(nbytes)
-            return
-        self._account_route(src, dst, nbytes)
-
-    def _account_route(self, src: int, dst: int, nbytes: int) -> None:
-        """Subclass hook: book ``nbytes`` on the inter-node path."""
 
     # -- static view (autotune-facing) -------------------------------------
     def locality_group(self, node: int) -> int:

@@ -21,12 +21,12 @@ even at 1:1 — use the flat topology for the paper's testbed.
 from __future__ import annotations
 
 import math
-from typing import Any, Generator, List
+from typing import List
 
-from ...sim.core import Event, Simulator, us
+from ...sim.core import Simulator, us
 from ...sim.resources import BandwidthChannel
 from ..params import IbParams
-from .base import FabricProfile, Topology
+from .base import FabricProfile, Route
 from .flat import FlatSwitch
 
 __all__ = ["FatTree"]
@@ -78,24 +78,20 @@ class FatTree(FlatSwitch):
     def pod(self, node: int) -> int:
         return node // self.pod_size
 
-    def _route(
-        self, src: int, dst: int, nbytes: int
-    ) -> Generator[Event, Any, None]:
-        yield from self._tx[src].transfer(nbytes)
-        if self.pod(src) != self.pod(dst):
-            # Spine traversal: store-and-forward through the sending
-            # pod's shared uplink, then through the destination pod's
-            # down-link — oversubscription bites in both directions.
-            yield from self._up[self.pod(src)].transfer(nbytes)
-            yield from self._down[self.pod(dst)].transfer(nbytes)
-        yield from self._rx[dst].occupy(us(self.params.lat_us) / 2.0)
-
-    def _wire_time_internode(self, src: int, dst: int, nbytes: int) -> float:
-        t = self._tx[src].transfer_time(nbytes) + us(self.params.lat_us) / 2.0
-        if self.pod(src) != self.pod(dst):
-            t += self._up[self.pod(src)].transfer_time(nbytes)
-            t += self._down[self.pod(dst)].transfer_time(nbytes)
-        return t
+    def _route(self, src: int, dst: int, nbytes: int) -> Route:
+        up = src // self.pod_size
+        down = dst // self.pod_size
+        if up == down:
+            return super()._route(src, dst, nbytes)
+        # Spine traversal: store-and-forward through the sending pod's
+        # shared uplink, then through the destination pod's down-link —
+        # oversubscription bites in both directions.
+        return ((
+            (self._tx[src], nbytes, None),
+            (self._up[up], nbytes, None),
+            (self._down[down], nbytes, None),
+            self._ejects[dst],
+        ),)
 
     def locality_group(self, node: int) -> int:
         self._check(node)
@@ -103,13 +99,6 @@ class FatTree(FlatSwitch):
 
     def _fabric_channels(self) -> List[BandwidthChannel]:
         return super()._fabric_channels() + list(self._up) + list(self._down)
-
-    def _account_route(self, src: int, dst: int, nbytes: int) -> None:
-        super()._account_route(src, dst, nbytes)
-        if self.pod(src) != self.pod(dst):
-            for ch in (self._up[self.pod(src)], self._down[self.pod(dst)]):
-                ch.bytes_moved += nbytes
-                ch.busy_s += ch.transfer_time(nbytes)
 
     def profile(self) -> FabricProfile:
         beta = 1.0 / (self.params.bw_GBps * 1e9)

@@ -3,18 +3,18 @@
 Inter-node transfers occupy the sender's NIC injection channel and the
 receiver's NIC ejection channel; the fabric itself is non-blocking (a
 reasonable model for a small IB switch).  This reproduces the seed
-``Interconnect`` behaviour bit-for-bit — same channels, same charge
-sequence — so every calibrated timing is unchanged.
+interconnect bit-for-bit — same channels, same charge sequence — so
+every calibrated timing is unchanged.
 """
 
 from __future__ import annotations
 
-from typing import Any, Generator, List
+from typing import List
 
-from ...sim.core import Event, Simulator, us
+from ...sim.core import Simulator, us
 from ...sim.resources import BandwidthChannel
 from ..params import IbParams
-from .base import FabricProfile, Topology
+from .base import FabricProfile, Leg, Route, Topology
 
 __all__ = ["FlatSwitch"]
 
@@ -44,33 +44,19 @@ class FlatSwitch(Topology):
             )
             for i in range(n_nodes)
         ]
+        #: Per-node ejection legs: the receiver NIC adds its latency
+        #: half; bandwidth was already paid at injection (cut-through),
+        #: so this is latency-only occupancy.
+        self._ejects: List[Leg] = [
+            (rx, None, self._half_lat) for rx in self._rx
+        ]
 
-    def _route(
-        self, src: int, dst: int, nbytes: int
-    ) -> Generator[Event, Any, None]:
-        # Injection: sender NIC occupies for latency/2 + size/bw.
-        yield from self._tx[src].transfer(nbytes)
-        # Ejection: receiver side adds its latency half; bandwidth was
-        # already paid (cut-through) so this is latency-only occupancy.
-        yield from self._rx[dst].occupy(us(self.params.lat_us) / 2.0)
-
-    def _wire_time_internode(self, src: int, dst: int, nbytes: int) -> float:
-        return (
-            self._tx[src].transfer_time(nbytes) + us(self.params.lat_us) / 2.0
-        )
-
-    def nic_utilization(self, node: int) -> float:
-        self._check(node)
-        return self._tx[node].busy_s
+    def _route(self, src: int, dst: int, nbytes: int) -> Route:
+        # Injection: the sender NIC serializes for latency/2 + size/bw.
+        return (((self._tx[src], nbytes, None), self._ejects[dst]),)
 
     def _fabric_channels(self) -> List[BandwidthChannel]:
         return list(self._tx) + list(self._rx)
-
-    def _account_route(self, src: int, dst: int, nbytes: int) -> None:
-        tx = self._tx[src]
-        tx.bytes_moved += nbytes
-        tx.busy_s += tx.transfer_time(nbytes)
-        self._rx[dst].busy_s += us(self.params.lat_us) / 2.0
 
     def profile(self) -> FabricProfile:
         beta = 1.0 / (self.params.bw_GBps * 1e9)

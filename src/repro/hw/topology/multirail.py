@@ -12,13 +12,12 @@ exactly the contention a real rail-striped MPI sees.
 
 from __future__ import annotations
 
-from typing import Any, Generator, List
+from typing import List
 
-from ...sim.core import Event, Simulator, us
-from ...sim.primitives import AllOf
+from ...sim.core import Simulator, us
 from ...sim.resources import BandwidthChannel
 from ..params import IbParams
-from .base import FabricProfile, Topology
+from .base import FabricProfile, Route, Topology
 
 __all__ = ["MultiRail"]
 
@@ -27,6 +26,7 @@ class MultiRail(Topology):
     """``rails`` parallel NIC pairs per node, payloads striped across all."""
 
     kind = "multirail"
+    striped = True
 
     def __init__(
         self,
@@ -64,57 +64,25 @@ class MultiRail(Topology):
             for i in range(n_nodes)
         ]
 
-    def _route(
-        self, src: int, dst: int, nbytes: int
-    ) -> Generator[Event, Any, None]:
+    def _route(self, src: int, dst: int, nbytes: int) -> Route:
         bounds = [(r * nbytes) // self.rails for r in range(self.rails + 1)]
-        half_lat = us(self.params.lat_us) / 2.0
-
-        def rail_leg(rail: int, slice_bytes: int):
-            yield from self._tx[src][rail].transfer(slice_bytes)
-            yield from self._rx[dst][rail].occupy(half_lat)
-
-        procs = []
+        lanes = []
         for r in range(self.rails):
             slice_bytes = bounds[r + 1] - bounds[r]
             # Rail 0 always runs so 0-byte control messages still pay
             # one wire latency; empty trailing slices are skipped.
             if slice_bytes == 0 and r > 0:
                 continue
-            procs.append(
-                self.sim.process(
-                    rail_leg(r, slice_bytes), name=f"rail{r}({src}->{dst})"
-                )
-            )
-        yield AllOf(self.sim, procs)
-
-    def _wire_time_internode(self, src: int, dst: int, nbytes: int) -> float:
-        widest = (nbytes + self.rails - 1) // self.rails
-        return (
-            self._tx[src][0].transfer_time(widest)
-            + us(self.params.lat_us) / 2.0
-        )
-
-    def nic_utilization(self, node: int) -> float:
-        self._check(node)
-        return sum(ch.busy_s for ch in self._tx[node])
+            lanes.append((
+                (self._tx[src][r], slice_bytes, None),
+                (self._rx[dst][r], None, self._half_lat),
+            ))
+        return tuple(lanes)
 
     def _fabric_channels(self) -> List[BandwidthChannel]:
         return [ch for node in self._tx for ch in node] + [
             ch for node in self._rx for ch in node
         ]
-
-    def _account_route(self, src: int, dst: int, nbytes: int) -> None:
-        bounds = [(r * nbytes) // self.rails for r in range(self.rails + 1)]
-        half_lat = us(self.params.lat_us) / 2.0
-        for r in range(self.rails):
-            slice_bytes = bounds[r + 1] - bounds[r]
-            if slice_bytes == 0 and r > 0:
-                continue
-            tx = self._tx[src][r]
-            tx.bytes_moved += slice_bytes
-            tx.busy_s += tx.transfer_time(slice_bytes)
-            self._rx[dst][r].busy_s += half_lat
 
     def profile(self) -> FabricProfile:
         beta = 1.0 / (self.rails * self.params.bw_GBps * 1e9)

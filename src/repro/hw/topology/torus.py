@@ -10,11 +10,9 @@ the torus a pure latency-shape study against the flat switch.
 
 from __future__ import annotations
 
-from typing import Any, Generator
-
-from ...sim.core import Event, Simulator, us
+from ...sim.core import Simulator, us
 from ..params import IbParams
-from .base import FabricProfile
+from .base import FabricProfile, Route
 from .flat import FlatSwitch
 
 __all__ = ["Torus2D"]
@@ -72,26 +70,17 @@ class Torus2D(FlatSwitch):
         hy = abs(sy - dy)
         return min(hx, self.nx - hx) + min(hy, self.ny - hy)
 
-    def _forward_lat_s(self, src: int, dst: int) -> float:
+    def _route(self, src: int, dst: int, nbytes: int) -> Route:
         # Each intermediate router adds half a wire latency (the same
         # charge the flat model levies per switch traversal).
-        return (self.hops(src, dst) - 1) * us(self.params.lat_us) / 2.0
-
-    def _route(
-        self, src: int, dst: int, nbytes: int
-    ) -> Generator[Event, Any, None]:
-        yield from self._tx[src].transfer(nbytes)
-        extra = self._forward_lat_s(src, dst)
+        extra = (self.hops(src, dst) - 1) * us(self.params.lat_us) / 2.0
         if extra > 0.0:
-            yield self.sim.timeout(extra)
-        yield from self._rx[dst].occupy(us(self.params.lat_us) / 2.0)
-
-    def _wire_time_internode(self, src: int, dst: int, nbytes: int) -> float:
-        return (
-            self._tx[src].transfer_time(nbytes)
-            + self._forward_lat_s(src, dst)
-            + us(self.params.lat_us) / 2.0
-        )
+            return ((
+                (self._tx[src], nbytes, None),
+                (None, None, extra),
+                self._ejects[dst],
+            ),)
+        return super()._route(src, dst, nbytes)
 
     def _mean_hops(self) -> float:
         """Average hop count over distinct node pairs (closed form)."""

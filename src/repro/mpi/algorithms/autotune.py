@@ -584,7 +584,7 @@ def autotune_tuning(
     resulting profile, so every communicator over the same sub-fabric
     shape shares one derivation.
     """
-    topo = cluster.interconnect.topology
+    topo = cluster.topology
     prof = (
         topo.profile() if nodes is None else subfabric_profile(topo, nodes)
     )

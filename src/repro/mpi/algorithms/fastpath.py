@@ -26,9 +26,9 @@ schedules (same builders, same selector decisions, same tag claims, same
    priced with the protocol shape of ``_send_impl``/``_recv_impl`` —
    eager (``sw`` + one wire trip, receive finishing at
    ``max(recv_ready + sw, send_finish)``) or rendezvous (RTS → CTS →
-   payload, both sides finishing together).  Per-message wire times are
-   interned in a ``(src_node, dst_node, nbytes)`` cache (hits/misses
-   surface as ``sim.stats.wire_cost_hits``/``wire_cost_misses``).
+   payload, both sides finishing together).  Per-message wire times come
+   from the topology's interned ``wire_cost`` (hits/misses surface as
+   ``sim.stats.wire_cost_hits``/``wire_cost_misses``).
    Because the resolution follows dependencies, not round labels,
    transfers in different rounds overlap exactly as the spawned wire
    processes of the exact engine do — non-power-of-two binomial trees,
@@ -170,15 +170,15 @@ class FastPathEngine(ScheduleEngine):
         super().__init__(comm)
         self._claims = [0] * comm.size
         self._instances: Dict[int, _Instance] = {}
-        #: Interned wire times: (src_node, dst_node, nbytes) → seconds.
-        self._wire_cache: Dict[Tuple[int, int, int], float] = {}
         #: Interned completion offsets for data-free schedules
         #: (``Schedule.intern_key``): (key, relative arrivals) →
-        #: (per-rank ``fin - base``, n_rounds, span skeleton or None).
-        #: Critical-path resolution is time-translation-invariant, so
-        #: a repeat instance with the same arrival skew prices
-        #: identically; the skeleton (built on the first traced
-        #: resolve) lets traced cache hits replay the span tree too.
+        #: (per-rank ``fin - base``, n_rounds, span skeleton or None,
+        #: priced wire legs or None).  Critical-path resolution is
+        #: time-translation-invariant, so a repeat instance with the
+        #: same arrival skew prices identically; the skeleton (built on
+        #: the first traced resolve) lets traced cache hits replay the
+        #: span tree too, and the legs (kept on the first resolve with
+        #: fabric accounting on) let them book their link traffic.
         self._fin_cache: Dict[Tuple, Tuple] = {}
         #: Skip the dataflow interpreter: price timings only, leave
         #: receive buffers untouched (see module doc).
@@ -233,22 +233,6 @@ class FastPathEngine(ScheduleEngine):
         finally:
             self.active -= 1
 
-    # -- pricing ------------------------------------------------------------
-    def _wt(self, src_node: int, dst_node: int, nbytes: int) -> float:
-        """Interned uncontended wire time for one transfer leg."""
-        key = (src_node, dst_node, nbytes)
-        cost = self._wire_cache.get(key)
-        stats = self.comm.sim.stats
-        if cost is None:
-            stats.wire_cost_misses += 1
-            cost = self.comm.cluster.interconnect.wire_time(
-                src_node, dst_node, nbytes
-            )
-            self._wire_cache[key] = cost
-        else:
-            stats.wire_cost_hits += 1
-        return cost
-
     # -- completion ---------------------------------------------------------
     def _complete(self, inst: _Instance) -> None:
         """Interpret the dataflow (exact data), resolve the per-step
@@ -258,6 +242,7 @@ class FastPathEngine(ScheduleEngine):
         sim = comm.sim
         stats = sim.stats
         size = comm.size
+        topo = comm.cluster.topology
         # With a recorder enabled, skip the interned-offsets shortcut so
         # every instance resolves (and emits) its full span tree.  The
         # resolution is deterministic and translation-invariant, so the
@@ -286,17 +271,24 @@ class FastPathEngine(ScheduleEngine):
             base = inst.arrivals[0]
             ckey = (ikey, tuple(a - base for a in inst.arrivals))
             cached = self._fin_cache.get(ckey)
-            if cached is not None and spans is not None and cached[2] is None:
-                # First traced pass resolves in full so the span
-                # skeleton gets built and cached for later hits.
+            if cached is not None and (
+                (spans is not None and cached[2] is None)
+                or (topo.accounting and cached[3] is None)
+            ):
+                # First traced (or accounted) pass resolves in full so
+                # the span skeleton (or the priced wire legs) gets
+                # built and cached for later hits.
                 cached = None
             if cached is not None:
-                offsets, n_rounds, skel = cached
+                offsets, n_rounds, skel, legs = cached
                 stats.fastpath_sched_cache_hits += 1
                 stats.fastpath_collectives += 1
                 stats.fastpath_rounds += n_rounds
                 if spans is not None:
                     self._replay_spans(inst, base, offsets, skel, spans)
+                if topo.accounting:
+                    for leg in legs:
+                        topo.account(*leg)
                 batch = EventBatch(sim, name="fastpath")
                 now = sim.now
                 for r in range(size):
@@ -332,7 +324,10 @@ class FastPathEngine(ScheduleEngine):
         else:
             self._interpret(inst, send_bytes)
 
-        fins, fin_detail = self._resolve_times(inst, send_bytes, recv_bytes)
+        legs = [] if ikey is not None and topo.accounting else None
+        fins, fin_detail = self._resolve_times(
+            inst, send_bytes, recv_bytes, legs
+        )
 
         n_rounds = max(
             (inst.scheds[r].n_rounds for r in range(size)), default=0
@@ -344,7 +339,7 @@ class FastPathEngine(ScheduleEngine):
             skel = self._record_spans(inst, fins, fin_detail, ikey, spans)
         if ikey is not None:
             self._fin_cache[ckey] = (
-                [f - base for f in fins], int(n_rounds), skel
+                [f - base for f in fins], int(n_rounds), skel, legs
             )
 
         batch = EventBatch(sim, name="fastpath")
@@ -507,6 +502,7 @@ class FastPathEngine(ScheduleEngine):
         inst: _Instance,
         send_bytes: List[Dict[int, int]],
         recv_bytes: List[Dict[int, int]],
+        legs: Optional[List[Tuple[int, int, int]]] = None,
     ) -> Tuple[List[float], List[List[Optional[float]]]]:
         """Per-step critical-path resolution over all ranks' DAGs.
 
@@ -529,10 +525,12 @@ class FastPathEngine(ScheduleEngine):
         its steps) and the full per-step finish matrix (observability —
         the span recorder derives round boundaries from it).
 
-        When the topology's ``accounting`` flag is on, every priced
-        wire leg is additionally booked onto the routed channel path
-        (:meth:`Topology.account`), so the link-utilization report sees
-        analytic traffic the pricer never simulates.
+        Every wire leg is priced by :meth:`Topology.wire_cost`, which
+        also books it onto the routed channel path when the topology's
+        ``accounting`` flag is on, so the link-utilization report sees
+        analytic traffic the pricer never simulates.  ``legs``, when
+        given, collects every priced ``(src, dst, nbytes)`` so interned
+        instances can book the same legs again on a cache hit.
         """
         from ..communicator import HEADER_BYTES
 
@@ -541,16 +539,13 @@ class FastPathEngine(ScheduleEngine):
         sw = us(ib.sw_overhead_us)
         eager_max = ib.eager_threshold
         size = comm.size
-        interconnect = comm.cluster.interconnect
-        if interconnect.accounting:
-            acct = interconnect.account
-            _wt = self._wt
+        wt = comm.cluster.topology.wire_cost
+        if legs is not None:
+            wire_cost = wt
 
             def wt(src: int, dst: int, n: int) -> float:
-                acct(src, dst, n)
-                return _wt(src, dst, n)
-        else:
-            wt = self._wt
+                legs.append((src, dst, n))
+                return wire_cost(src, dst, n)
 
         steps_of = [inst.scheds[r].steps for r in range(size)]
 

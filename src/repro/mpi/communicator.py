@@ -264,7 +264,7 @@ class Communicator:
         off (a contiguous ring touches each domain boundary once, so
         the flat ring is already near-optimal).
         """
-        topo = self.cluster.interconnect.topology
+        topo = self.cluster.topology
         domains = [topo.locality_group(n) for n in self.placement]
         by_domain: Dict[int, List[int]] = {}
         for rank, dom in enumerate(domains):
@@ -468,7 +468,7 @@ class Communicator:
         if kind == COMM_TYPE_NODE:
             return list(self.placement)
         if kind == COMM_TYPE_LOCALITY:
-            topo = self.cluster.interconnect.topology
+            topo = self.cluster.topology
             return [topo.locality_group(n) for n in self.placement]
         raise MpiError(
             f"unknown split_type kind {kind!r}; use COMM_TYPE_NODE or "
@@ -660,7 +660,7 @@ class Communicator:
     def _wire(
         self, src_rank: int, dst_rank: int, nbytes: int
     ) -> Generator[Event, Any, float]:
-        t = yield from self.cluster.interconnect.transfer(
+        t = yield from self.cluster.topology.transfer(
             self.placement[src_rank], self.placement[dst_rank], nbytes
         )
         return t

@@ -55,7 +55,8 @@ or ``"pricing"``, host-window operations stop spawning per-op wire
 processes: each op is priced at issue time against per-node *cursors*
 (the origin's NIC injection path and the target's staging channel, the
 two serialization points of the exact model), with every wire leg's
-end-to-end time interned in a ``(src, dst, nbytes)`` cache
+end-to-end time taken from the topology's interned ``wire_cost`` — the
+cache the collective fast path shares
 (``sim.stats.wire_cost_hits``/``wire_cost_misses``).  The resulting
 epoch is a per-(origin, target) batch of finish times committed at the
 synchronization point — ``fence``/``complete``/``unlock``/``flush``
@@ -214,7 +215,7 @@ class Window:
         self._an = comm.backend != "exact"
         self._price_only = comm.backend == "pricing"
         if self._an:
-            prof = comm.cluster.interconnect.topology.profile()
+            prof = comm.cluster.topology.profile()
             #: NIC injection-path occupancy model: alpha/2 + nbytes*beta
             #: — the tx channel's exact hold time on the modeled fabrics
             #: (the latency's other half rides the receiver's ejection
@@ -232,8 +233,10 @@ class Window:
             self._an_fins: List[Dict[int, float]] = [
                 dict() for _ in range(size)
             ]
-            #: Interned end-to-end wire times (src, dst, nbytes) → s.
-            self._wt_cache: Dict[Tuple[int, int, int], float] = {}
+            #: Every priced leg, request and response alike: the
+            #: topology's interned wire time, booked onto the link
+            #: report when accounting is on.
+            self._wt = comm.cluster.topology.wire_cost
             self._an_max_fin = 0.0
         comm._windows.append(self)
         comm._count("win_create")
@@ -449,21 +452,6 @@ class Window:
         the exact per-op path (PCIe contention)."""
         return self._an and self._device[target] is None
 
-    def _wt(self, src_node: int, dst_node: int, nbytes: int) -> float:
-        """Interned uncontended end-to-end wire time of one leg."""
-        key = (src_node, dst_node, nbytes)
-        cost = self._wt_cache.get(key)
-        stats = self.sim.stats
-        if cost is None:
-            stats.wire_cost_misses += 1
-            cost = self.comm.cluster.interconnect.wire_time(
-                src_node, dst_node, nbytes
-            )
-            self._wt_cache[key] = cost
-        else:
-            stats.wire_cost_hits += 1
-        return cost
-
     def _leg(self, src_node: int, dst_node: int, nbytes: int,
              t: float) -> float:
         """One wire leg starting no earlier than ``t``: serializes on
@@ -471,9 +459,6 @@ class Window:
         if src_node == dst_node:
             # Same-node leg rides the staging channel outright.
             return self._bounce_leg(src_node, nbytes, t)
-        interconnect = self.comm.cluster.interconnect
-        if interconnect.accounting:
-            interconnect.account(src_node, dst_node, nbytes)
         free = self._tx_free.get(src_node, 0.0)
         s = t if t >= free else free
         self._tx_free[src_node] = s + self._alpha_inj + nbytes * self._beta
@@ -481,9 +466,6 @@ class Window:
 
     def _bounce_leg(self, node: int, nbytes: int, t: float) -> float:
         """Target-host staging copy: serializes on the shm channel."""
-        interconnect = self.comm.cluster.interconnect
-        if interconnect.accounting:
-            interconnect.account(node, node, nbytes)
         free = self._shm_free.get(node, 0.0)
         s = t if t >= free else free
         fin = s + self._wt(node, node, nbytes)

@@ -29,8 +29,8 @@ def link_report(
     """One row per fabric channel: name, bytes, busy_s, busy_frac.
 
     ``topology`` is anything with ``channels()`` (a
-    :class:`~repro.hw.topology.base.Topology` or an
-    :class:`~repro.hw.interconnect.Interconnect`).  ``wall_s`` scales
+    :class:`~repro.hw.topology.base.Topology`, e.g.
+    ``cluster.topology``).  ``wall_s`` scales
     busy time to a fraction; ``None`` leaves ``busy_frac`` at 0.0.
     Idle channels (no bytes, no busy time) are dropped unless
     ``include_idle`` — a 256-node fat-tree has hundreds of channels and

@@ -201,7 +201,7 @@ class ClusterScheduler:
         self.policy = policy
         self.place_delay_us = place_delay_us
         self.launch_us_per_node = launch_us_per_node
-        self.topology = cluster.interconnect.topology
+        self.topology = cluster.topology
         #: The shared fabric: one rank per node, world ids == node ids.
         self.fabric = Communicator(
             cluster,

@@ -39,8 +39,9 @@ Counter glossary
     whose sender donated a private payload).
 ``wire_cost_hits`` / ``wire_cost_misses``
     Interned-wire-cost cache hits vs. analytic cost-model evaluations
-    in the fast-path backends (collectives and RMA pricing share the
-    cache) — the hit rate is the fast path's memoization health.
+    in the fast-path backends (``Topology.wire_cost``: one cache per
+    cluster topology, shared by collective and RMA pricing) — the hit
+    rate is the fast path's memoization health.
 ``fastpath_rma_ops``
     One-sided operations priced analytically instead of simulated.
 ``serve_jobs`` / ``serve_backfills`` / ``serve_requests``

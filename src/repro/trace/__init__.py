@@ -32,14 +32,14 @@ class TraceRun:
         app: str,
         recorder: Any,
         sim: Any,
-        interconnect: Any,
+        topology: Any,
         wall_s: float,
         info: Dict[str, Any],
     ) -> None:
         self.app = app
         self.recorder = recorder
         self.sim = sim
-        self.interconnect = interconnect
+        self.topology = topology
         self.wall_s = wall_s
         self.info = info
 
@@ -71,13 +71,13 @@ def _run_jacobi(nodes: int, backend: str, maxlen: Optional[int]) -> TraceRun:
         sim, paper_cluster(nodes=nodes, gpus_per_node=0)
     )
     rec = sim.attach_spans(SpanRecorder(maxlen=maxlen))
-    cluster.interconnect.accounting = True
+    cluster.topology.accounting = True
     cfg = JacobiConfig(p=max(2, nodes), iters=4, cols=256)
     result = run_mpi(
         cluster, cfg, backend="nonblocking", exec_backend=backend
     )
     return TraceRun(
-        "jacobi", rec, sim, cluster.interconnect, sim.now,
+        "jacobi", rec, sim, cluster.topology, sim.now,
         {
             "ranks": cfg.p,
             "iters": cfg.iters,
@@ -98,7 +98,7 @@ def _run_dcgn(nodes: int, backend: str, maxlen: Optional[int]) -> TraceRun:
         sim, paper_cluster(nodes=nodes, gpus_per_node=2)
     )
     rec = sim.attach_spans(SpanRecorder(maxlen=maxlen))
-    cluster.interconnect.accounting = True
+    cluster.topology.accounting = True
     cfg = JacobiConfig(p=2 * nodes, iters=3, cols=128)
     result = run_dcgn(cluster, cfg, backend=backend)
     # The runtime watchdog horizon leaves hours of teardown poll ticks
@@ -110,7 +110,7 @@ def _run_dcgn(nodes: int, backend: str, maxlen: Optional[int]) -> TraceRun:
     )
     rec.trim(app_end)
     return TraceRun(
-        "dcgn", rec, sim, cluster.interconnect, rec.wall(),
+        "dcgn", rec, sim, cluster.topology, rec.wall(),
         {
             "ranks": cfg.p,
             "iters": cfg.iters,
@@ -143,7 +143,7 @@ def _run_serve(nodes: int, backend: str, maxlen: Optional[int]) -> TraceRun:
         ),
     )
     rec = sim.attach_spans(SpanRecorder(maxlen=maxlen))
-    cluster.interconnect.accounting = True
+    cluster.topology.accounting = True
     sched = ClusterScheduler(cluster, policy="packed", backend=backend)
     svc = TileService(
         sim,
@@ -167,7 +167,7 @@ def _run_serve(nodes: int, backend: str, maxlen: Optional[int]) -> TraceRun:
     )
     sched.release()
     return TraceRun(
-        "serve", rec, sim, cluster.interconnect, sim.now,
+        "serve", rec, sim, cluster.topology, sim.now,
         {
             "nodes": nodes,
             "pod_size": pod,

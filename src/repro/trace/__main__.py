@@ -53,7 +53,7 @@ def _report(run, top: Optional[int], links: bool) -> None:
         print("\nlink utilization:")
         print(
             format_link_report(
-                link_report(run.interconnect, wall_s=run.wall_s),
+                link_report(run.topology, wall_s=run.wall_s),
                 top=top,
             )
         )

@@ -8,8 +8,8 @@ from repro.hw import (
     MB,
     ClusterSpec,
     HostBuffer,
+    FlatSwitch,
     HWParams,
-    Interconnect,
     MemcpyEngine,
     PcieLink,
     build_cluster,
@@ -189,7 +189,7 @@ class TestInterconnect:
     def _net(self, n=4, **kw):
         sim = Simulator()
         params = IbParams(**kw) if kw else IbParams()
-        return sim, Interconnect(sim, n, params)
+        return sim, FlatSwitch(sim, n, params)
 
     def test_internode_latency(self):
         sim, net = self._net(lat_us=2.0, bw_GBps=1.0)

@@ -197,7 +197,7 @@ class TestLinks:
         record = {}
         job.start(lambda ctx: _stencilish(ctx, record))
         job.run()
-        rows = link_report(cluster.interconnect, wall_s=sim.now)
+        rows = link_report(cluster.topology, wall_s=sim.now)
         assert rows, "exact transfers must book channel bytes"
         assert (
             sum(r["bytes"] for r in rows) == sim.stats.chan_bytes
@@ -217,16 +217,19 @@ class TestLinks:
             ),
         )
         cluster = build_cluster(sim, spec)
-        cluster.interconnect.accounting = True
+        cluster.topology.accounting = True
         # Cross-pod traffic: node 0 -> node 5 crosses two pod uplinks.
-        cluster.interconnect.account(0, 5, 10_000)
-        rows = {r["name"]: r for r in link_report(cluster.interconnect)}
+        cluster.topology.account(0, 5, 10_000)
+        rows = {r["name"]: r for r in link_report(cluster.topology)}
         assert rows["pod0.up"]["bytes"] == 10_000
         assert rows["pod1.down"]["bytes"] == 10_000
-        assert sim.stats.chan_bytes == 10_000
+        # Three payload legs (tx, up, down), counted as the exact
+        # channels count them: the report sums to chan_bytes.
+        assert sim.stats.chan_bytes == 30_000
+        assert sum(r["bytes"] for r in rows.values()) == sim.stats.chan_bytes
         # Same-pod traffic never touches the uplinks.
-        cluster.interconnect.account(0, 1, 500)
-        rows = {r["name"]: r for r in link_report(cluster.interconnect)}
+        cluster.topology.account(0, 1, 500)
+        rows = {r["name"]: r for r in link_report(cluster.topology)}
         assert rows["pod0.up"]["bytes"] == 10_000
 
 

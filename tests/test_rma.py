@@ -136,7 +136,7 @@ class TestFence:
         n_elems = (1 << 20) // 8
         sim, cluster, job = make_job(2)
         win = Window.allocate(job.comm, n_elems)
-        wire = cluster.interconnect.wire_time(0, 1, 1 << 20)
+        wire = cluster.topology.wire_time(0, 1, 1 << 20)
         marks = {}
 
         def prog(ctx):

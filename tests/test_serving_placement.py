@@ -25,7 +25,7 @@ def topo(kind="fattree", nodes=16, **kw):
     spec = ClusterSpec(
         nodes=nodes, gpus_per_node=0, topology=TopologySpec(kind=kind, **kw)
     )
-    return build_cluster(sim, spec).interconnect.topology
+    return build_cluster(sim, spec).topology
 
 
 @pytest.fixture(scope="module")

@@ -59,8 +59,8 @@ def timed_transfer(topo_builder, n, src, dst, nbytes):
 
 class TestTopologyCosts:
     def test_flat_switch_matches_seed_formula(self):
-        """The refactored FlatSwitch must charge exactly what the seed
-        Interconnect charged: tx latency/2 + size/bw, + rx latency/2."""
+        """The FlatSwitch must charge exactly what the seed interconnect
+        charged: tx latency/2 + size/bw, + rx latency/2."""
         params = IbParams(lat_us=2.0, bw_GBps=1.0)
         t = timed_transfer(
             lambda s, n, p: FlatSwitch(s, n, params), 4, 0, 1, 10**6
@@ -504,6 +504,6 @@ class TestAutotune:
         """derive_tuning is a pure function of (profile, ib)."""
         sim = Simulator()
         cluster = build_cluster(sim, ClusterSpec(nodes=4, gpus_per_node=0))
-        prof = cluster.interconnect.topology.profile()
+        prof = cluster.topology.profile()
         ib = cluster.spec.params.ib
         assert derive_tuning(prof, ib) == derive_tuning(prof, ib)
