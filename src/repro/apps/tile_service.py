@@ -193,13 +193,15 @@ class TileService:
         lo = ctx.rank * share
         chunk = flat[lo : lo + share]
         send[: len(chunk)] = chunk
-        recv = [np.zeros(share, dtype=np.int32) for _ in range(P)]
+        # One flat gather buffer, handed over as adjacent per-rank
+        # views: recursive doubling then receives every round straight
+        # into place (no pack/unpack), and the strip needs no concat.
+        gathered = np.zeros(share * P, dtype=np.int32)
+        recv = [gathered[i * share : (i + 1) * share] for i in range(P)]
         yield from ctx.allgather(send, recv)
         if ctx.rank != 0:
             return None
-        return np.concatenate(recv)[:words].reshape(
-            tile.strip_height, tile.width
-        )
+        return gathered[:words].reshape(tile.strip_height, tile.width)
 
     # -- verification --------------------------------------------------------
     def verify(self) -> None:

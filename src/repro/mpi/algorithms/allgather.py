@@ -148,6 +148,9 @@ def build_allgather_recursive_doubling(
     block = arrays[0].nbytes if arrays[0] is not None else 0
     span = _contiguous_span(arrays, block)
     if span is not None:
+        # The span path has no pack/unpack steps: a different DAG for
+        # the same dispatch key.
+        sched.layout = ("span",)
         mask = 1
         rnd = 0
         while mask < size:

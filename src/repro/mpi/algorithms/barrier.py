@@ -21,10 +21,6 @@ def build_barrier_dissemination(ctx) -> Schedule:
     sched = Schedule()
     tag = next_tag(ctx)
     size, rank = ctx.size, ctx.rank
-    # The DAG is a pure function of size (0-byte wire steps only), so
-    # the fast-path engine can intern its resolved completion offsets
-    # across repeat barriers — the fence-per-iteration hot path.
-    sched.intern_key = ("barrier_dissemination", size)
     if size == 1:
         sched.overhead()
         return sched

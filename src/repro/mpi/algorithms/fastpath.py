@@ -13,33 +13,54 @@ schedules (same builders, same selector decisions, same tag claims, same
    legally complete before the last rank shows up).  Each rank's issue
    time is recorded at deposit, so skewed arrivals propagate into the
    timing exactly as they do in the exact engine.
-2. **Interpret** — the per-rank DAGs run as a deterministic dataflow:
-   computes run inline, sends deliver payloads straight into matched
-   receive buffers (rank-0-first round-robin, one step per rank per
-   cycle; per-key FIFO message queues mirror the matcher's
-   non-overtaking order).  Data results are therefore *bit-identical* to
-   the exact simulator.
-3. **Price** — completion times come from a per-step critical-path
-   resolution over the very same DAGs: the k-th send on a
-   ``(comm, src, dst, tag)`` key pairs with the k-th receive (the
-   matcher is non-overtaking per key), and each paired wire step is
-   priced with the protocol shape of ``_send_impl``/``_recv_impl`` —
-   eager (``sw`` + one wire trip, receive finishing at
-   ``max(recv_ready + sw, send_finish)``) or rendezvous (RTS → CTS →
-   payload, both sides finishing together).  Per-message wire times come
-   from the topology's interned ``wire_cost`` (hits/misses surface as
-   ``sim.stats.wire_cost_hits``/``wire_cost_misses``).
-   Because the resolution follows dependencies, not round labels,
-   transfers in different rounds overlap exactly as the spawned wire
-   processes of the exact engine do — non-power-of-two binomial trees,
-   whose straggler subtrees fire early, price tight instead of paying a
-   per-round barrier.  What the model still ignores is channel
-   *contention* (concurrent transfers sharing a NIC or spine link
-   serialize in the exact engine, never here) — enforced within
-   tolerance at P ≤ 16 by ``tests/test_fastpath.py``.
+2. **Compile** — the per-rank DAGs compile to a buffer-free
+   :class:`Plan`, worked out from structure alone:
+
+   * the *replay order*: the dataflow interpreter's step sequence
+     (rank-0-first round-robin: every ready receive is posted before
+     each rank runs one other ready step per cycle; per-key FIFO
+     message queues mirror the matcher's non-overtaking order), with
+     each send's decision to deliver straight into a posted receive or
+     to queue;
+   * the *pricing tape*: the per-step critical path in topological
+     order.  The k-th send on a ``(comm, src, dst, tag)`` key pairs with
+     the k-th receive, and each pair is priced with the protocol shape
+     of ``_send_impl``/``_recv_impl`` — eager (``sw`` + one wire trip,
+     receive finishing at ``max(recv_ready + sw, send_finish)``) or
+     rendezvous (RTS → CTS → payload, both sides finishing together).
+     Every tape node is ``(max of earlier nodes + a) + b`` with wire
+     costs interned from the topology's ``wire_cost`` (hits/misses
+     surface as ``sim.stats.wire_cost_hits``/``wire_cost_misses``),
+     and the plan keeps the priced wire legs to book when fabric
+     accounting is on.
+
+   Because the tape follows dependencies, not round labels, transfers in
+   different rounds overlap exactly as the spawned wire processes of the
+   exact engine do — non-power-of-two binomial trees, whose straggler
+   subtrees fire early, price tight instead of paying a per-round
+   barrier.  What the model still ignores is channel *contention*
+   (concurrent transfers sharing a NIC or spine link serialize in the
+   exact engine, never here) — enforced within tolerance at P ≤ 16 by
+   ``tests/test_fastpath.py``.
+3. **Replay** — every call, first or repeat, replays the order against
+   its own buffers (the same ``_deliver``/adopt/copy calls the matcher
+   makes, so data results are *bit-identical* to the exact simulator)
+   and runs the tape on its own arrival times.  The tape uses only
+   ``+`` with constants and ``max``, so it is exact for *any* arrival
+   skew: a replayed plan yields the very floats a fresh compile does.
+   A large retained tape runs as numpy levels (:meth:`Plan.levelize`),
+   the same operations in a dependency-respecting order.
 4. **Commit** — all per-rank completions go through one
    :class:`~repro.sim.batch.EventBatch`, so 1024 rank completions cost
    a handful of heap operations instead of thousands.
+
+Plans are interned per communicator under the structural key the
+dispatch layer stamps on each schedule (``Schedule.plan_key``: op,
+algorithm, root, size, dtype, plus any buffer-layout fact the builder
+adds); the dissemination barrier defers its DAG build entirely and is
+keyed ``("barrier", size)``.  A plan is kept from its key's second
+sighting, within :data:`PLAN_STEP_BUDGET`.  A hit is checked, not
+trusted: per-rank step counts and every send size must match the plan.
 
 What stays exact: point-to-point (``send``/``recv``/``isend``/...),
 ``gather``/``scatter`` (linear, not schedule-based), and host-memory
@@ -47,33 +68,68 @@ RMA epochs take their own analytic path in :mod:`repro.mpi.rma` — only
 schedule-compiled collectives take *this* one.  Selection thresholds,
 being driven by the same tuning, match the exact backend exactly.
 
-**Pricing-only mode** (``backend="pricing"``): skips the dataflow
-interpretation entirely and resolves times straight off the step lists
-— same critical-path model, bit-identical simulated times, but receive
-buffers are left untouched (compute steps never run).  This is the
-sweep mode: a 1024-rank collective costs one pass over the steps, which
-is what makes the ``BENCH_scale.json`` sweeps interactive.  Never use
-it when the program consumes the data it communicates.
+**Pricing-only mode** (``backend="pricing"``): skips the replay and
+runs only the tape — same critical-path model, bit-identical simulated
+times, but receive buffers are left untouched (compute steps never
+run).  This is the sweep mode that makes the ``BENCH_scale.json``
+sweeps interactive.  Never use it when the program consumes the data
+it communicates.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Any, Dict, Generator, List, Optional, Tuple
+from typing import Any, Dict, Generator, List, Optional, Set, Tuple
+
+import numpy as np
 
 from ...hw.memory import nbytes_of
 from ...sim.batch import EventBatch
 from ...sim.core import Event, us
+from ..communicator import HEADER_BYTES, Communicator
 from ..datatypes import AdoptBuf, payload_array
 from ..errors import MpiError
-from .schedule import ScheduleEngine, Schedule, _Step, _round_name
+from .schedule import ScheduleEngine, Schedule, _round_name
 
-__all__ = ["FastPathEngine"]
+__all__ = ["FastPathEngine", "Plan", "PLAN_STEP_BUDGET"]
 
 _SEND = "send"
 _RECV = "recv"
 _COMPUTE = "compute"
 _OVERHEAD = "overhead"
+
+# Replay ops are ``code, rank, step idx, g`` (four ints each, stored flat
+# in ``Plan.order``); ``g`` is a global step id (the rank's offset plus
+# the step index).
+_RUN = 0      # run a compute step
+_PARK = 1     # post the receive buffer of step g for a later send
+_TAKE = 2     # receive the message send g queued
+_DIRECT = 3   # deliver straight into the posted receive g
+_QUEUE = 4    # queue the message of send g for a later receive
+
+_NO_MSG = (None, 0)
+
+#: Schedule steps the retained plans of one communicator may hold in
+#: total; shapes past it compile on every call instead.
+PLAN_STEP_BUDGET = 1 << 16
+
+#: Retained tapes of at least this many nodes run as numpy levels (all
+#: nodes of one dependency depth and fan-in at once).  Replaying a
+#: 1024-rank barrier (31,744 nodes) takes 0.33 ms as levels and 11 ms
+#: as the Python loop; a 128-rank one (2,816 nodes) 0.07 ms and 0.9 ms.
+#: Below this size the loop takes under ~1.5 ms, and the levels' index
+#: arrays cost more memory than their speed saves: levelizing the
+#: ~250-node plans of 16-rank services raised the peak RSS of a
+#: 256-node serving run by ~4 MB without raising its throughput.
+_LEVELS_MIN_NODES = 4096
+
+
+def _build_barrier(ctx) -> Schedule:
+    from .barrier import build_barrier_dissemination
+
+    sched = build_barrier_dissemination(ctx)
+    sched.meta = {"op": "barrier", "algo": "dissemination", "nbytes": 0}
+    return sched
 
 
 class _Instance:
@@ -81,8 +137,8 @@ class _Instance:
     arrival."""
 
     __slots__ = (
-        "ctxs", "scheds", "dones", "arrivals", "arrived",
-        "lazy_key", "lazy_builder",
+        "ctxs", "scheds", "dones", "arrivals", "arrived", "key",
+        "lazy_builder",
     )
 
     def __init__(self, size: int) -> None:
@@ -91,10 +147,10 @@ class _Instance:
         self.dones: List[Optional[Event]] = [None] * size
         self.arrivals: List[float] = [0.0] * size
         self.arrived = 0
+        #: The plan key every rank stamped alike (``None``: not interned).
+        self.key: Optional[Tuple] = None
         #: Set when deposits defer their DAG build (``execute_barrier``):
-        #: the intern key stands in for the schedules, and the builder
-        #: materializes them only on a fin-cache miss.
-        self.lazy_key: Optional[Tuple] = None
+        #: the builder materializes the schedules only on a plan miss.
         self.lazy_builder: Optional[Any] = None
 
     def deposit(self, rank: int, ctx, sched: Optional[Schedule],
@@ -154,6 +210,121 @@ class _RankState:
                 self._push(j)
 
 
+class Plan:
+    """One compiled collective shape (see the module doc).
+
+    Holds ints, floats, tuples and numpy index arrays only — never a
+    payload, a closure or a context — so a retained plan keeps nothing
+    of the calls it served alive.  Tape slots ``0..P-1`` hold the ranks'
+    arrival times; tape node ``k`` writes slot ``P + k``.
+    """
+
+    __slots__ = (
+        "key", "counts", "lo", "rank_rounds", "n_rounds", "meta", "order",
+        "sent", "wire_sizes", "tape_ins", "tape_a", "tape_b", "levels",
+        "legs", "step_ins", "step_fin", "step_round", "rank_fin",
+        "__weakref__",
+    )
+
+    def __init__(self, key: Optional[Tuple], scheds: List[Schedule]) -> None:
+        self.key = key
+        #: Per-rank step counts (checked on every hit) and offsets:
+        #: step ``i`` of rank ``r`` has global id ``lo[r] + i``.
+        self.counts = tuple(len(s.steps) for s in scheds)
+        lo = [0]
+        for n in self.counts:
+            lo.append(lo[-1] + n)
+        self.lo = lo
+        self.rank_rounds = [s.n_rounds for s in scheds]
+        self.n_rounds = max(self.rank_rounds, default=0)
+        self.meta = next((s.meta for s in scheds if s.meta), None)
+        #: Replay ops, flat: ``code, rank, step idx, g`` per op.
+        self.order: List[int] = []
+        #: Analytic backend: the sizes the replayed sends must repeat.
+        self.sent: List[int] = []
+        #: Pricing backend: every wire step's resolved buffer size.
+        self.wire_sizes: Optional[List[int]] = None
+        #: Per node, in topological order: its input slots and the
+        #: constants ``a``, ``b`` (kept apart: ``(t + a) + b`` rounds
+        #: differently from ``t + (a + b)``).
+        self.tape_ins: List[Tuple[int, ...]] = []
+        self.tape_a: List[float] = []
+        self.tape_b: List[float] = []
+        #: ``(n slots, groups)``: the tape by dependency depth (large
+        #: retained plans; the node lists are dropped then).
+        self.levels: Optional[Tuple[int, List[Tuple]]] = None
+        #: ``(src node, dst node, nbytes)`` per priced wire leg.
+        self.legs: List[Tuple[int, int, int]] = []
+        #: Per global step: ready-time input slots, finish slot, round.
+        self.step_ins: List[Optional[Tuple[int, ...]]] = []
+        self.step_fin: List[int] = []
+        self.step_round = [st.round for s in scheds for st in s.steps]
+        #: Per rank: the slot of its completion time.
+        self.rank_fin: List[int] = []
+
+    @property
+    def n_steps(self) -> int:
+        return self.lo[-1]
+
+    def run_tape(
+        self, arrivals: List[float], every_slot: bool
+    ) -> Tuple[List[float], Optional[List[float]]]:
+        """The ranks' completion times for these arrival times, plus
+        every slot's value when ``every_slot`` (span recording)."""
+        if self.levels is None:
+            V = list(arrivals)
+            push = V.append
+            get = V.__getitem__
+            for ins, a, b in zip(self.tape_ins, self.tape_a, self.tape_b):
+                if len(ins) == 1:
+                    push((V[ins[0]] + a) + b)
+                else:
+                    push((max(map(get, ins)) + a) + b)
+            return [V[s] for s in self.rank_fin], V
+        n_slots, groups = self.levels
+        v = np.empty(n_slots)
+        v[: len(arrivals)] = arrivals
+        for outs, cols, a, b in groups:
+            t = v[cols[0]]
+            for col in cols[1:]:
+                np.maximum(t, v[col], out=t)
+            t += a
+            t += b
+            v[outs] = t
+        fins = v[self.rank_fin].tolist()
+        return fins, (v.tolist() if every_slot else None)
+
+    def levelize(self) -> None:
+        """Group the tape by (dependency depth, fan-in) so a replay
+        costs a few numpy calls per group instead of one Python step
+        per node; nodes of one depth never feed each other."""
+        P = len(self.counts)
+        depth = [0] * P
+        at = depth.__getitem__
+        groups: Dict[Tuple[int, int], Tuple[List, List, List, List]] = {}
+        nodes = zip(self.tape_ins, self.tape_a, self.tape_b)
+        for k, (ins, a, b) in enumerate(nodes):
+            d = 1 + max(map(at, ins))
+            depth.append(d)
+            grp = groups.get((d, len(ins)))
+            if grp is None:
+                grp = groups[d, len(ins)] = ([], [], [], [])
+            grp[0].append(P + k)
+            grp[1].append(ins)
+            grp[2].append(a)
+            grp[3].append(b)
+        levels = []
+        for dw in sorted(groups):
+            outs, ins, a, b = groups[dw]
+            # One contiguous index row per input position.
+            cols = np.array(ins, dtype=np.intp).T.copy()
+            levels.append((np.array(outs, dtype=np.intp), cols,
+                           np.array(a), np.array(b)))
+        self.levels = (len(depth), levels)
+        self.rank_fin = np.array(self.rank_fin, dtype=np.intp)
+        self.tape_ins = self.tape_a = self.tape_b = []
+
+
 class FastPathEngine(ScheduleEngine):
     """Prices whole collective schedules analytically (see module doc).
 
@@ -170,18 +341,13 @@ class FastPathEngine(ScheduleEngine):
         super().__init__(comm)
         self._claims = [0] * comm.size
         self._instances: Dict[int, _Instance] = {}
-        #: Interned completion offsets for data-free schedules
-        #: (``Schedule.intern_key``): (key, relative arrivals) →
-        #: (per-rank ``fin - base``, n_rounds, span skeleton or None,
-        #: priced wire legs or None).  Critical-path resolution is
-        #: time-translation-invariant, so a repeat instance with the
-        #: same arrival skew prices identically; the skeleton (built on
-        #: the first traced resolve) lets traced cache hits replay the
-        #: span tree too, and the legs (kept on the first resolve with
-        #: fabric accounting on) let them book their link traffic.
-        self._fin_cache: Dict[Tuple, Tuple] = {}
-        #: Skip the dataflow interpreter: price timings only, leave
-        #: receive buffers untouched (see module doc).
+        #: Retained plans by key, the keys sighted once so far, and the
+        #: schedule steps the retained plans hold.
+        self._plans: Dict[Tuple, Plan] = {}
+        self._seen: Set[Tuple] = set()
+        self._plan_steps = 0
+        #: Skip the replay: price timings only, leave receive buffers
+        #: untouched (see module doc).
         self.price_only = price_only
 
     # -- entry points -------------------------------------------------------
@@ -191,29 +357,24 @@ class FastPathEngine(ScheduleEngine):
         self.comm._ensure_alive()
         seq = self._claims[ctx.rank]
         self._claims[ctx.rank] += 1
-        return self._run(ctx, sched, seq)
+        return self._run(ctx, sched, seq, sched.plan_key)
 
     def execute_barrier(
         self, ctx
     ) -> Generator[Event, Any, None]:
         """Barrier with a deferred DAG build: the dissemination
-        schedule is a pure function of size and moves no data, so when
-        this instance's arrival skew is already interned nobody ever
-        builds it (a Jacobi run fences every iteration)."""
-        from .barrier import build_barrier_dissemination
-
+        schedule is a pure function of size and moves no data, so once
+        its plan is retained nobody ever builds it again (a Jacobi run
+        fences every iteration)."""
         self.comm._ensure_alive()
         seq = self._claims[ctx.rank]
         self._claims[ctx.rank] += 1
-        return self._run(
-            ctx, None, seq,
-            lazy_key=("barrier_dissemination", ctx.size),
-            lazy_builder=build_barrier_dissemination,
-        )
+        return self._run(ctx, None, seq, ("barrier", ctx.size),
+                         _build_barrier)
 
     def _run(
         self, ctx, sched: Optional[Schedule], seq: int,
-        lazy_key: Optional[Tuple] = None, lazy_builder=None,
+        key: Optional[Tuple], lazy_builder=None,
     ) -> Generator[Event, Any, None]:
         self.active += 1
         try:
@@ -223,8 +384,11 @@ class FastPathEngine(ScheduleEngine):
                 self._instances[seq] = inst
             done = ctx.sim.event(name=f"fastpath(r{ctx.rank}#{seq})")
             inst.deposit(ctx.rank, ctx, sched, done)
-            if lazy_key is not None:
-                inst.lazy_key = lazy_key
+            if inst.arrived == 1:
+                inst.key = key
+            elif inst.key != key:
+                inst.key = None
+            if lazy_builder is not None:
                 inst.lazy_builder = lazy_builder
             if inst.arrived == self.comm.size:
                 del self._instances[seq]
@@ -235,112 +399,62 @@ class FastPathEngine(ScheduleEngine):
 
     # -- completion ---------------------------------------------------------
     def _complete(self, inst: _Instance) -> None:
-        """Interpret the dataflow (exact data), resolve the per-step
-        critical path (analytic time), and batch-commit the per-rank
-        completions."""
+        """Look up or compile the instance's plan, replay its order on
+        this call's buffers, run its tape on this call's arrivals, and
+        batch-commit the per-rank completions."""
         comm = self.comm
         sim = comm.sim
         stats = sim.stats
         size = comm.size
         topo = comm.cluster.topology
-        # With a recorder enabled, skip the interned-offsets shortcut so
-        # every instance resolves (and emits) its full span tree.  The
-        # resolution is deterministic and translation-invariant, so the
-        # committed completion times are bit-identical either way — only
-        # the cache-hit counters differ under tracing.
         spans = sim.spans
         if spans is not None and not spans.enabled:
             spans = None
-
-        # Data-free schedules (intern_key set by the builder, identical
-        # across ranks, or a deferred-build barrier) skip interpretation
-        # outright — there is no payload to move — and intern their
-        # resolved completion offsets keyed by arrival skew, so the
-        # fence-per-iteration hot path resolves (and, when deferred,
-        # builds) its dissemination DAG once, not once per epoch.
-        ikey = inst.lazy_key
-        if ikey is None and inst.scheds[0] is not None:
-            ikey = inst.scheds[0].intern_key
-            if ikey is not None:
-                for r in range(1, size):
-                    sched_r = inst.scheds[r]
-                    if sched_r is None or sched_r.intern_key != ikey:
-                        ikey = None
-                        break
-        if ikey is not None:
-            base = inst.arrivals[0]
-            ckey = (ikey, tuple(a - base for a in inst.arrivals))
-            cached = self._fin_cache.get(ckey)
-            if cached is not None and (
-                (spans is not None and cached[2] is None)
-                or (topo.accounting and cached[3] is None)
-            ):
-                # First traced (or accounted) pass resolves in full so
-                # the span skeleton (or the priced wire legs) gets
-                # built and cached for later hits.
-                cached = None
-            if cached is not None:
-                offsets, n_rounds, skel, legs = cached
-                stats.fastpath_sched_cache_hits += 1
-                stats.fastpath_collectives += 1
-                stats.fastpath_rounds += n_rounds
-                if spans is not None:
-                    self._replay_spans(inst, base, offsets, skel, spans)
-                if topo.accounting:
-                    for leg in legs:
-                        topo.account(*leg)
-                batch = EventBatch(sim, name="fastpath")
-                now = sim.now
-                for r in range(size):
-                    batch.add(max(base + offsets[r], now),
-                              inst.dones[r], None)
-                batch.commit()
-                return
+        scheds = inst.scheds
+        key = inst.key
+        plan = self._plans.get(key) if key is not None else None
+        fresh = plan is None
+        if fresh:
             if inst.lazy_builder is not None:
                 for r in range(size):
-                    if inst.scheds[r] is None:
-                        inst.scheds[r] = inst.lazy_builder(inst.ctxs[r])
+                    if scheds[r] is None:
+                        scheds[r] = inst.lazy_builder(inst.ctxs[r])
+            plan = Plan(key, scheds)
+            if not self.price_only:
+                self._compile_order(plan, inst)
+        elif inst.lazy_builder is None and plan.counts != tuple(
+            len(s.steps) for s in scheds
+        ):
+            raise self._mismatch(plan, "per-rank step counts")
 
-        #: Per-rank map of send-step idx → resolved payload size; the
-        #: paired receive is priced with the *send's* size, exactly as
-        #: the wire message carries it.
-        send_bytes: List[Dict[int, int]] = [dict() for _ in range(size)]
-        recv_bytes: List[Dict[int, int]] = [dict() for _ in range(size)]
-        if self.price_only or ikey is not None:
-            # Computes never run in pricing mode, so a lazy send buffer
-            # built from staged data (e.g. the Bruck working vector) can
-            # under-resolve; the posted receive buffer is statically the
-            # right size, so each pair is priced with the larger of the
-            # two resolved sizes — which equals the interpreted send
-            # size, keeping pricing bit-identical to analytic.
-            for r in range(size):
-                for st in inst.scheds[r].steps:
-                    if st.kind == _SEND or st.kind == _RECV:
-                        buf = st.resolve_buf()
-                        tgt = send_bytes if st.kind == _SEND else recv_bytes
-                        tgt[r][st.idx] = (
-                            nbytes_of(buf) if buf is not None else 0
-                        )
+        if self.price_only:
+            if inst.lazy_builder is None or fresh:
+                sizes = self._wire_sizes(scheds)
+                if fresh:
+                    plan.wire_sizes = sizes
+                elif sizes != plan.wire_sizes:
+                    raise self._mismatch(plan, "wire buffer sizes")
+        elif plan.order:
+            sent = self._replay(plan, scheds)
+            if fresh:
+                plan.sent = sent
+            elif sent != plan.sent:
+                raise self._mismatch(plan, "send sizes")
+
+        if fresh:
+            self._compile_tape(plan, inst)
         else:
-            self._interpret(inst, send_bytes)
-
-        legs = [] if ikey is not None and topo.accounting else None
-        fins, fin_detail = self._resolve_times(
-            inst, send_bytes, recv_bytes, legs
-        )
-
-        n_rounds = max(
-            (inst.scheds[r].n_rounds for r in range(size)), default=0
-        )
+            stats.fastpath_sched_cache_hits += 1
+            if topo.accounting:
+                for leg in plan.legs:
+                    topo.account(*leg)
+        fins, V = plan.run_tape(inst.arrivals, spans is not None)
         stats.fastpath_collectives += 1
-        stats.fastpath_rounds += int(n_rounds)
-        skel = None
+        stats.fastpath_rounds += plan.n_rounds
         if spans is not None:
-            skel = self._record_spans(inst, fins, fin_detail, ikey, spans)
-        if ikey is not None:
-            self._fin_cache[ckey] = (
-                [f - base for f in fins], int(n_rounds), skel, legs
-            )
+            self._record_spans(inst, plan, V, fins, spans)
+        if fresh and key is not None:
+            self._retain(plan)
 
         batch = EventBatch(sim, name="fastpath")
         now = sim.now
@@ -351,428 +465,105 @@ class FastPathEngine(ScheduleEngine):
             batch.add(max(fins[r], now), inst.dones[r], None)
         batch.commit()
 
-    def _record_spans(
-        self,
-        inst: _Instance,
-        fins: List[float],
-        fin: List[List[Optional[float]]],
-        ikey: Optional[Tuple],
-        spans,
-    ) -> Optional[Tuple]:
-        """Emit the same span skeleton the exact engine records — one
-        collective span per rank with per-round children — plus the
-        pricer's own stage markers.  All timestamps come from the
-        resolved critical path, so the tree carries priced durations.
+    def _retain(self, plan: Plan) -> None:
+        """Keep ``plan`` from its key's second sighting on, while the
+        communicator's step budget allows (one-shot shapes — a 1024-rank
+        ``win_create`` allgather — never grow memory)."""
+        key = plan.key
+        if key not in self._seen:
+            self._seen.add(key)
+            return
+        if self._plan_steps + plan.n_steps > PLAN_STEP_BUDGET:
+            return
+        self._plan_steps += plan.n_steps
+        if len(plan.tape_ins) >= _LEVELS_MIN_NODES:
+            plan.levelize()
+        self._plans[key] = plan
 
-        For internable instances (``ikey`` set) the emitted tree is
-        also returned as a base-relative skeleton, cached next to the
-        fin offsets so later cache hits replay it via
-        :meth:`_replay_spans` instead of re-resolving the DAG — the
-        cache key pins the exact arrival skew, so the resolved times
-        are identical up to the base shift."""
-        comm = self.comm
-        sim = comm.sim
-        size = comm.size
-        meta = None
-        for r in range(size):
-            if inst.scheds[r] is not None and inst.scheds[r].meta:
-                meta = inst.scheds[r].meta
-                break
-        if meta is None and ikey is not None:
-            meta = {"op": "barrier", "algo": "dissemination", "nbytes": 0}
-        meta = meta or {}
-        name = meta.get("op", "collective")
-        if meta.get("algo"):
-            name = f"{name}[{meta['algo']}]"
-        arrivals = inst.arrivals
-        now = sim.now
-        ftrack = f"{comm.root_comm.name}.fastpath"
-        spans.complete(
-            min(arrivals), max(arrivals), name, "fastpath.collect", ftrack,
-            attrs={"n_ranks": size},
+    @staticmethod
+    def _mismatch(plan: Plan, what: str) -> MpiError:
+        return MpiError(
+            f"collective plan {plan.key!r} does not match this call "
+            f"({what} differ): its builder depends on something the "
+            "plan key omits"
         )
-        spans.instant(now, name, "fastpath.interpret", ftrack,
-                      attrs={"priced": self.price_only or ikey is not None})
-        backend = comm.backend
-        nbytes_meta = meta.get("nbytes", 0)
-        base = arrivals[0]
-        skel_ranks: Optional[List[Tuple]] = [] if ikey is not None else None
-        for r in range(size):
-            sched = inst.scheds[r]
-            steps = sched.steps
-            n_rounds = sched.n_rounds  # O(steps) property — hoist
-            rtrack = comm.span_track(r)
-            psid = spans.complete(
-                arrivals[r], fins[r], name, "collective", rtrack,
-                None, None,
-                {"backend": backend, "nbytes": nbytes_meta,
-                 "n_rounds": n_rounds, "n_steps": len(steps)},
-            )
-            if psid is None:
-                # Recorder paused mid-collective: the tree is partial,
-                # so don't cache a skeleton of it.
-                skel_ranks = None
-                continue
-            # Round ids live in [0, n_rounds), so flat lists beat
-            # dicts here; None marks rounds this rank never runs.
-            rstart: List[Optional[float]] = [None] * n_rounds
-            rend: List[Optional[float]] = [None] * n_rounds
-            arr = arrivals[r]
-            fin_r = fin[r]
-            for st in steps:
-                t0 = arr
-                for d in st.deps:
-                    fd = fin_r[d]
-                    if fd is not None and fd > t0:
-                        t0 = fd
-                t1 = fin_r[st.idx]
-                if t1 is None:
-                    t1 = t0
-                rd = st.round
-                s = rstart[rd]
-                if s is None or t0 < s:
-                    rstart[rd] = t0
-                e = rend[rd]
-                if e is None or t1 > e:
-                    rend[rd] = t1
-            rounds_off = []
-            for rd in range(n_rounds):
-                t0 = rstart[rd]
-                if t0 is None:
-                    continue
-                t1 = rend[rd]
-                spans.complete(t0, t1, _round_name(rd), "round",
-                               rtrack, psid)
-                if skel_ranks is not None:
-                    rounds_off.append((rd, t0 - base, t1 - base))
-            if skel_ranks is not None:
-                skel_ranks.append(
-                    (n_rounds, len(steps), tuple(rounds_off))
-                )
-        spans.instant(now, name, "fastpath.commit", ftrack,
-                      attrs={"n_ranks": size})
-        if skel_ranks is None:
-            return None
-        return (name, nbytes_meta, tuple(skel_ranks))
 
-    def _replay_spans(
-        self,
-        inst: _Instance,
-        base: float,
-        offsets: List[float],
-        skel: Tuple,
-        spans,
-    ) -> None:
-        """Re-emit a cached span skeleton, shifted to this instance's
-        base arrival — byte-identical to what :meth:`_record_spans`
-        would have produced had the DAG been re-resolved."""
-        comm = self.comm
-        sim = comm.sim
-        size = comm.size
-        name, nbytes_meta, skel_ranks = skel
-        arrivals = inst.arrivals
-        now = sim.now
-        ftrack = f"{comm.root_comm.name}.fastpath"
-        spans.complete(
-            min(arrivals), max(arrivals), name, "fastpath.collect", ftrack,
-            attrs={"n_ranks": size},
-        )
-        spans.instant(now, name, "fastpath.interpret", ftrack,
-                      attrs={"priced": True})
-        backend = comm.backend
-        for r in range(size):
-            n_rounds, n_steps, rounds_off = skel_ranks[r]
-            rtrack = comm.span_track(r)
-            psid = spans.complete(
-                arrivals[r], base + offsets[r], name, "collective", rtrack,
-                None, None,
-                {"backend": backend, "nbytes": nbytes_meta,
-                 "n_rounds": n_rounds, "n_steps": n_steps},
-            )
-            if psid is None:
-                continue
-            for rd, t0, t1 in rounds_off:
-                spans.complete(base + t0, base + t1, _round_name(rd),
-                               "round", rtrack, psid)
-        spans.instant(now, name, "fastpath.commit", ftrack,
-                      attrs={"n_ranks": size})
+    @staticmethod
+    def _wire_sizes(scheds: List[Schedule]) -> List[int]:
+        """Pricing mode: every wire step's buffer size, resolved
+        without running computes (a lazy send buffer built from staged
+        data may under-resolve; see :meth:`_compile_tape`)."""
+        sizes = []
+        for sched in scheds:
+            for st in sched.steps:
+                if st.kind == _SEND or st.kind == _RECV:
+                    buf = st.resolve_buf()
+                    sizes.append(nbytes_of(buf) if buf is not None else 0)
+        return sizes
 
-    def _resolve_times(
-        self,
-        inst: _Instance,
-        send_bytes: List[Dict[int, int]],
-        recv_bytes: List[Dict[int, int]],
-        legs: Optional[List[Tuple[int, int, int]]] = None,
-    ) -> Tuple[List[float], List[List[Optional[float]]]]:
-        """Per-step critical-path resolution over all ranks' DAGs.
-
-        Mirrors the exact engine's concurrency structure: every step
-        starts the moment its dependencies finish (wire steps are
-        spawned processes there, so independent steps overlap freely),
-        and each wire pair is priced with the protocol of
-        ``_send_impl``/``_recv_impl``:
-
-        * compute — finishes at its ready time (inline, zero cost);
-        * overhead — ready + ``sw``;
-        * eager send — ready + ``sw`` + wire(n + header); the paired
-          receive finishes at ``max(recv_ready + sw, send_finish)``;
-        * rendezvous pair — ``m = max(recv_ready + sw,
-          send_ready + sw + wire(hdr))`` (the RTS meets the posted
-          receive), then both sides finish at
-          ``m + wire(cts) + wire(payload)``.
-
-        Returns ``(fins, fin)``: each rank's completion time (max over
-        its steps) and the full per-step finish matrix (observability —
-        the span recorder derives round boundaries from it).
-
-        Every wire leg is priced by :meth:`Topology.wire_cost`, which
-        also books it onto the routed channel path when the topology's
-        ``accounting`` flag is on, so the link-utilization report sees
-        analytic traffic the pricer never simulates.  ``legs``, when
-        given, collects every priced ``(src, dst, nbytes)`` so interned
-        instances can book the same legs again on a cache hit.
-        """
-        from ..communicator import HEADER_BYTES
-
-        comm = self.comm
-        ib = comm._ib
-        sw = us(ib.sw_overhead_us)
-        eager_max = ib.eager_threshold
-        size = comm.size
-        wt = comm.cluster.topology.wire_cost
-        if legs is not None:
-            wire_cost = wt
-
-            def wt(src: int, dst: int, n: int) -> float:
-                legs.append((src, dst, n))
-                return wire_cost(src, dst, n)
-
-        steps_of = [inst.scheds[r].steps for r in range(size)]
-
-        # LIGHT pairing: k-th send on a (comm, src, dst, tag) key pairs
-        # with the k-th receive, both in step-index order — the
-        # matcher's per-key FIFO guarantees non-overtaking, and every
-        # schedule builder issues same-key wire steps dep-ordered.
-        sends: Dict[Tuple, List[Tuple[int, int]]] = {}
-        recvs: Dict[Tuple, List[Tuple[int, int]]] = {}
-        for r in range(size):
-            ctx_r = inst.ctxs[r]
-            for st in steps_of[r]:
-                if st.kind == _SEND:
-                    tctx = st.via if st.via is not None else ctx_r
-                    sends.setdefault(
-                        (id(tctx.comm), tctx.rank, st.peer, st.tag), []
-                    ).append((r, st.idx))
-                elif st.kind == _RECV:
-                    tctx = st.via if st.via is not None else ctx_r
-                    recvs.setdefault(
-                        (id(tctx.comm), st.peer, tctx.rank, st.tag), []
-                    ).append((r, st.idx))
-        pair: Dict[Tuple[int, int], Tuple[int, int]] = {}
-        for key, ss in sends.items():
-            for s_ref, r_ref in zip(ss, recvs.get(key, ())):
-                pair[s_ref] = r_ref
-                pair[r_ref] = s_ref
-
-        arrivals = inst.arrivals
-        fin: List[List[Optional[float]]] = [
-            [None] * len(steps_of[r]) for r in range(size)
-        ]
-        ready_t: List[List[Optional[float]]] = [
-            [None] * len(steps_of[r]) for r in range(size)
-        ]
-        missing = [
-            [len(st.deps) for st in steps_of[r]] for r in range(size)
-        ]
-        dependents: List[List[List[int]]] = [
-            [[] for _ in steps_of[r]] for r in range(size)
-        ]
-        for r in range(size):
-            for st in steps_of[r]:
-                for d in st.deps:
-                    dependents[r][d].append(st.idx)
-
-        work: List[Tuple[int, int]] = []
-        for r in range(size):
-            for i, m in enumerate(missing[r]):
-                if m == 0:
-                    work.append((r, i))
-
-        resolved = 0
-
-        def finish(r: int, idx: int, t: float) -> None:
-            nonlocal resolved
-            fin[r][idx] = t
-            resolved += 1
-            for j in dependents[r][idx]:
-                missing[r][j] -= 1
-                if missing[r][j] == 0:
-                    work.append((r, j))
-
-        def wire_nodes(r: int, st: _Step) -> Tuple[int, int]:
-            tctx = st.via if st.via is not None else inst.ctxs[r]
-            placement = tctx.comm.placement
-            return placement[tctx.rank], placement[st.peer]
-
-        while work:
-            r, idx = work.pop()
-            st = steps_of[r][idx]
-            t = arrivals[r]
-            for d in st.deps:
-                fd = fin[r][d]
-                if fd > t:
-                    t = fd
-            if st.kind == _COMPUTE:
-                finish(r, idx, t)
-                continue
-            if st.kind == _OVERHEAD:
-                finish(r, idx, t + sw)
-                continue
-            ready_t[r][idx] = t
-            other = pair.get((r, idx))
-            if other is None:
-                continue  # unmatched — reported as a stall below
-            ro, oidx = other
-            if st.kind == _SEND:
-                src, dst = wire_nodes(r, st)
-                n = max(send_bytes[r][idx], recv_bytes[ro].get(oidx, 0))
-                if n <= eager_max:
-                    f = t + sw + wt(src, dst, n + HEADER_BYTES)
-                    finish(r, idx, f)
-                    t_recv = ready_t[ro][oidx]
-                    if t_recv is not None:
-                        finish(ro, oidx, max(t_recv + sw, f))
-                else:
-                    t_recv = ready_t[ro][oidx]
-                    if t_recv is not None:
-                        m = max(t_recv + sw, t + sw + wt(src, dst, HEADER_BYTES))
-                        f = m + wt(dst, src, HEADER_BYTES) + wt(src, dst, n)
-                        finish(r, idx, f)
-                        finish(ro, oidx, f)
-                    # else: parked; the receive side resolves the pair.
-            else:  # _RECV
-                t_send = ready_t[ro][oidx]
-                if t_send is None:
-                    continue  # parked; the send side resolves the pair
-                sst = steps_of[ro][oidx]
-                src, dst = wire_nodes(ro, sst)
-                n = max(send_bytes[ro][oidx], recv_bytes[r].get(idx, 0))
-                if n <= eager_max:
-                    finish(r, idx, max(t + sw, fin[ro][oidx]))
-                else:
-                    m = max(t + sw, t_send + sw + wt(src, dst, HEADER_BYTES))
-                    f = m + wt(dst, src, HEADER_BYTES) + wt(src, dst, n)
-                    finish(ro, oidx, f)
-                    finish(r, idx, f)
-
-        total = sum(len(s) for s in steps_of)
-        if resolved < total:
-            stuck = {
-                r: sum(1 for f in fin[r] if f is None)
-                for r in range(size)
-                if any(f is None for f in fin[r])
-            }
-            raise MpiError(
-                "fast-path schedule stalled (cyclic or unmatched "
-                f"wire steps); pending steps per rank: {stuck}"
-            )
-
-        return [
-            max((f for f in fin[r] if f is not None), default=arrivals[r])
-            for r in range(size)
-        ], fin
-
-    def _interpret(
-        self, inst: _Instance, send_bytes: List[Dict[int, int]]
-    ) -> None:
-        """Dataflow interpretation: exact data movement (timing is
-        resolved separately; sends record their resolved payload sizes
-        into ``send_bytes`` for the pricer)."""
-        from ..communicator import Communicator
-
-        comm = self.comm
-        stats = comm.sim.stats
-        size = comm.size
-
+    # -- compile ------------------------------------------------------------
+    def _compile_order(self, plan: Plan, inst: _Instance) -> None:
+        """Record the dataflow interpreter's step sequence from
+        structure alone.  Wire steps whose buffer is plain ``None``
+        move nothing and are left out, so a data-free shape (a
+        barrier) has an empty order."""
+        if not any(
+            st.buf is not None or st.kind == _COMPUTE
+            for s in inst.scheds for st in s.steps
+        ):
+            return
+        size = self.comm.size
+        lo = plan.lo
+        emit = plan.order.extend
         states = [_RankState(inst.scheds[r]) for r in range(size)]
-        #: (comm id, src, dst, tag) → FIFO of (payload, nbytes).
-        queues: Dict[Tuple, List] = {}
-        #: same key → FIFO of (rank, recv buffer, step idx) still waiting.
-        parked: Dict[Tuple, List] = {}
+        #: (comm id, src, dst, tag) → FIFO of queued send ids.
+        queues: Dict[Tuple, List[int]] = {}
+        #: same key → FIFO of (rank, step idx, id) receives posted.
+        parked: Dict[Tuple, List[Tuple[int, int, int]]] = {}
 
-        def deliver_to(rank: int, buf, data, nbytes: int,
-                       private: bool = True) -> None:
-            # Mirror the matcher's adoption path: a private payload
-            # (queue snapshot, or a donated direct delivery) may be
-            # taken over by an AdoptBuf receive outright.
-            if (
-                private
-                and isinstance(buf, AdoptBuf)
-                and data is not None
-                and buf.adopt(data)
-            ):
-                stats.payload_adopted += 1
-            else:
-                Communicator._deliver(buf, data, nbytes)
-
-        def run_step(r: int, st: _Step) -> None:
-            tctx = st.via if st.via is not None else inst.ctxs[r]
-            if st.kind == _COMPUTE:
-                st.fn()
-            elif st.kind == _OVERHEAD:
-                pass  # timing-only; priced in _resolve_times
-            elif st.kind == _SEND:
-                buf = st.resolve_buf()
-                nbytes = nbytes_of(buf) if buf is not None else 0
-                send_bytes[r][st.idx] = nbytes
+        def run_step(r: int, st) -> None:
+            g = lo[r] + st.idx
+            kind = st.kind
+            if kind == _COMPUTE:
+                emit((_RUN, r, st.idx, g))
+            elif kind == _SEND:
+                tctx = st.via if st.via is not None else inst.ctxs[r]
                 key = (id(tctx.comm), tctx.rank, st.peer, st.tag)
-                arr = payload_array(buf)
                 waiters = parked.get(key)
                 if waiters:
-                    # A matched receiver is already parked: deliver
-                    # source → destination directly, no snapshot.  Only
-                    # a donated payload is private here (the live array
-                    # is otherwise still the sender's).
-                    rank2, rbuf, ridx = waiters.pop(0)
-                    if arr is not None:
-                        stats.payload_views += 1
-                    deliver_to(rank2, rbuf, arr, nbytes,
-                               private=st.donate)
+                    rank2, ridx, g2 = waiters.pop(0)
+                    if st.buf is not None:
+                        emit((_DIRECT, r, st.idx, g2))
                     states[rank2].finish(ridx)
                 else:
-                    if arr is not None:
-                        if st.donate:
-                            # Donated: nothing writes the array again,
-                            # so it can sit in the queue un-snapshotted.
-                            stats.payload_views += 1
-                        else:
-                            arr = arr.copy()
-                            stats.payload_copies += 1
-                    # Queue entries are private either way (donated or
-                    # freshly snapshotted) — adoptable at the recv.
-                    queues.setdefault(key, []).append((arr, nbytes))
-            elif st.kind == _RECV:
+                    queues.setdefault(key, []).append(g)
+                    if st.buf is not None:
+                        emit((_QUEUE, r, st.idx, g))
+            elif kind == _RECV:
+                tctx = st.via if st.via is not None else inst.ctxs[r]
                 key = (id(tctx.comm), st.peer, tctx.rank, st.tag)
-                buf = st.resolve_buf()
                 queue = queues.get(key)
                 if queue:
-                    data, nbytes = queue.pop(0)
-                    deliver_to(r, buf, data, nbytes)
+                    gs = queue.pop(0)
+                    if st.buf is not None:
+                        emit((_TAKE, r, st.idx, gs))
                 else:
-                    parked.setdefault(key, []).append((r, buf, st.idx))
+                    parked.setdefault(key, []).append((r, st.idx, g))
+                    if st.buf is not None:
+                        emit((_PARK, r, st.idx, g))
                     return  # finished later, at delivery
-            else:  # pragma: no cover - defensive
-                raise MpiError(f"unknown step kind {st.kind!r}")
+            elif kind != _OVERHEAD:  # pragma: no cover - defensive
+                raise MpiError(f"unknown step kind {kind!r}")
             states[r].finish(st.idx)
 
         # Round-robin cycles, fully deterministic: first every rank
-        # parks (or drains) all its ready receives, then each rank runs
+        # posts (or drains) all its ready receives, then each rank runs
         # one other ready step.  Posting receives first means a send
-        # almost always finds its peer's buffer parked and delivers
+        # almost always finds its peer's buffer posted and delivers
         # directly — the zero-copy path — instead of snapshotting into
         # a queue; one non-receive step per rank per cycle bounds
         # run-ahead so the lockstep holds.
-        total = sum(len(s.steps) for s in states)
+        total = plan.n_steps
         done_total = 0
         while done_total < total:
             progressed = False
@@ -802,3 +593,332 @@ class FastPathEngine(ScheduleEngine):
                     "fast-path schedule stalled (cyclic or unmatched "
                     f"wire steps); pending steps per rank: {stuck}"
                 )
+
+    def _compile_tape(self, plan: Plan, inst: _Instance) -> None:
+        """Compile the pricing tape.
+
+        Mirrors the exact engine's concurrency structure: every step
+        starts the moment its dependencies finish (wire steps are
+        spawned processes there, so independent steps overlap freely),
+        and each wire pair is priced with the protocol of
+        ``_send_impl``/``_recv_impl``:
+
+        * compute — finishes at its ready time (inline, zero cost);
+        * overhead — ready + ``sw``;
+        * eager send — ready + ``sw`` + wire(n + header); the paired
+          receive finishes at ``max(recv_ready + sw, send_finish)``;
+        * rendezvous pair — ``m = max(recv_ready + sw,
+          send_ready + sw + wire(hdr))`` (the RTS meets the posted
+          receive), then both sides finish at
+          ``m + wire(cts) + wire(payload)``.
+
+        A pair is priced with the send's size as the replay resolved
+        it; in pricing mode (computes never run, so a lazy send buffer
+        built from staged data — the Bruck working vector — can
+        under-resolve) with the larger of the two resolved sizes, which
+        equals the interpreted send size.  Every wire leg is priced by
+        :meth:`Topology.wire_cost`, which also books it onto the routed
+        channel path when the topology's ``accounting`` flag is on;
+        ``plan.legs`` keeps them for replays.
+        """
+        comm = self.comm
+        ib = comm._ib
+        sw = us(ib.sw_overhead_us)
+        eager_max = ib.eager_threshold
+        size = comm.size
+        wire_cost = comm.cluster.topology.wire_cost
+        legs = plan.legs
+
+        def wt(src: int, dst: int, n: int) -> float:
+            legs.append((src, dst, n))
+            return wire_cost(src, dst, n)
+
+        lo = plan.lo
+        ctxs = inst.ctxs
+        steps_of = [inst.scheds[r].steps for r in range(size)]
+        n_steps = plan.n_steps
+
+        wsize = [0] * n_steps
+        if self.price_only:
+            it = iter(plan.wire_sizes)
+            for r in range(size):
+                for st in steps_of[r]:
+                    if st.kind == _SEND or st.kind == _RECV:
+                        wsize[lo[r] + st.idx] = next(it)
+        else:
+            sent = iter(plan.sent)
+            ops = iter(plan.order)
+            for code, r, i, _g in zip(ops, ops, ops, ops):
+                if code >= _DIRECT:
+                    wsize[lo[r] + i] = next(sent)
+
+        # LIGHT pairing: k-th send on a (comm, src, dst, tag) key pairs
+        # with the k-th receive, both in step-index order — the
+        # matcher's per-key FIFO guarantees non-overtaking, and every
+        # schedule builder issues same-key wire steps dep-ordered.
+        sends: Dict[Tuple, List[Tuple[int, int, int]]] = {}
+        recvs: Dict[Tuple, List[Tuple[int, int, int]]] = {}
+        for r in range(size):
+            ctx_r = ctxs[r]
+            base = lo[r]
+            for st in steps_of[r]:
+                if st.kind == _SEND:
+                    tctx = st.via if st.via is not None else ctx_r
+                    sends.setdefault(
+                        (id(tctx.comm), tctx.rank, st.peer, st.tag), []
+                    ).append((r, st.idx, base + st.idx))
+                elif st.kind == _RECV:
+                    tctx = st.via if st.via is not None else ctx_r
+                    recvs.setdefault(
+                        (id(tctx.comm), st.peer, tctx.rank, st.tag), []
+                    ).append((r, st.idx, base + st.idx))
+        #: Global step id → its partner's ``(rank, step idx, id)``.
+        pair: Dict[int, Tuple[int, int, int]] = {}
+        for key, ss in sends.items():
+            for s_ref, r_ref in zip(ss, recvs.get(key, ())):
+                pair[s_ref[2]] = r_ref
+                pair[r_ref[2]] = s_ref
+
+        tape_ins = plan.tape_ins
+        add_ins = tape_ins.append
+        add_a = plan.tape_a.append
+        add_b = plan.tape_b.append
+
+        def emit(ins: Tuple[int, ...], a: float, b: float) -> int:
+            add_ins(ins)
+            add_a(a)
+            add_b(b)
+            return size + len(tape_ins) - 1
+
+        step_ins: List[Optional[Tuple[int, ...]]] = [None] * n_steps
+        step_fin = [-1] * n_steps
+        #: Receive id → slot of its ``ready + sw``.
+        xslot: Dict[int, int] = {}
+        missing = [
+            [len(st.deps) for st in steps_of[r]] for r in range(size)
+        ]
+        dependents: List[List[List[int]]] = [
+            [[] for _ in steps_of[r]] for r in range(size)
+        ]
+        for r in range(size):
+            for st in steps_of[r]:
+                for d in st.deps:
+                    dependents[r][d].append(st.idx)
+        work: List[Tuple[int, int]] = []
+        for r in range(size):
+            for i, m in enumerate(missing[r]):
+                if m == 0:
+                    work.append((r, i))
+
+        resolved = 0
+
+        def finish(r: int, idx: int, slot: int) -> None:
+            nonlocal resolved
+            step_fin[lo[r] + idx] = slot
+            resolved += 1
+            for j in dependents[r][idx]:
+                missing[r][j] -= 1
+                if missing[r][j] == 0:
+                    work.append((r, j))
+
+        def wire_nodes(r: int, st) -> Tuple[int, int]:
+            tctx = st.via if st.via is not None else ctxs[r]
+            placement = tctx.comm.placement
+            return placement[tctx.rank], placement[st.peer]
+
+        while work:
+            r, idx = work.pop()
+            st = steps_of[r][idx]
+            base = lo[r]
+            g = base + idx
+            ins = (r, *[step_fin[base + d] for d in st.deps])
+            step_ins[g] = ins
+            if st.kind == _COMPUTE:
+                finish(r, idx, emit(ins, 0.0, 0.0))
+                continue
+            if st.kind == _OVERHEAD:
+                finish(r, idx, emit(ins, sw, 0.0))
+                continue
+            other = pair.get(g)
+            if other is None:
+                continue  # unmatched — reported as a stall below
+            ro, oidx, og = other
+            if st.kind == _SEND:
+                src, dst = wire_nodes(r, st)
+                n = max(wsize[g], wsize[og])
+                if n <= eager_max:
+                    f = emit(ins, sw, wt(src, dst, n + HEADER_BYTES))
+                    finish(r, idx, f)
+                    if step_ins[og] is not None:
+                        finish(ro, oidx, emit((xslot[og], f), 0.0, 0.0))
+                elif step_ins[og] is not None:
+                    y = emit(ins, sw, wt(src, dst, HEADER_BYTES))
+                    m = emit((xslot[og], y), wt(dst, src, HEADER_BYTES),
+                             wt(src, dst, n))
+                    finish(r, idx, m)
+                    finish(ro, oidx, m)
+                # else: parked; the receive side resolves the pair.
+            else:  # _RECV
+                x = xslot[g] = emit(ins, sw, 0.0)
+                if step_ins[og] is None:
+                    continue  # parked; the send side resolves the pair
+                src, dst = wire_nodes(ro, steps_of[ro][oidx])
+                n = max(wsize[og], wsize[g])
+                if n <= eager_max:
+                    finish(r, idx, emit((x, step_fin[og]), 0.0, 0.0))
+                else:
+                    y = emit(step_ins[og], sw, wt(src, dst, HEADER_BYTES))
+                    m = emit((x, y), wt(dst, src, HEADER_BYTES),
+                             wt(src, dst, n))
+                    finish(ro, oidx, m)
+                    finish(r, idx, m)
+
+        if resolved < n_steps:
+            stuck = {}
+            for r in range(size):
+                pending = step_fin[lo[r] : lo[r + 1]].count(-1)
+                if pending:
+                    stuck[r] = pending
+            raise MpiError(
+                "fast-path schedule stalled (cyclic or unmatched "
+                f"wire steps); pending steps per rank: {stuck}"
+            )
+        for r in range(size):
+            fs = tuple(step_fin[lo[r] : lo[r + 1]])
+            plan.rank_fin.append(emit(fs, 0.0, 0.0) if fs else r)
+        plan.step_ins = step_ins
+        plan.step_fin = step_fin
+
+    # -- replay -------------------------------------------------------------
+    def _replay(self, plan: Plan, scheds: List[Schedule]) -> List[int]:
+        """Run the plan's order against this call's buffers — the same
+        deliveries, adoptions and snapshots the dataflow interpreter
+        makes — and return the resolved send sizes."""
+        stats = self.comm.sim.stats
+        deliver = Communicator._deliver
+        steps = [s.steps for s in scheds]
+        posted: Dict[int, Any] = {}
+        queued: Dict[int, Tuple] = {}
+        sent: List[int] = []
+        ops = iter(plan.order)
+        for code, r, i, g in zip(ops, ops, ops, ops):
+            st = steps[r][i]
+            if code == _RUN:
+                st.fn()
+            elif code == _PARK:
+                posted[g] = st.resolve_buf()
+            elif code == _TAKE:
+                # Queued payloads are private (donated, or snapshotted
+                # at send time), so an AdoptBuf receive may take one
+                # over outright — the matcher's adoption path.
+                buf = st.resolve_buf()
+                data, nbytes = queued.pop(g, _NO_MSG)
+                if (
+                    data is not None
+                    and isinstance(buf, AdoptBuf)
+                    and buf.adopt(data)
+                ):
+                    stats.payload_adopted += 1
+                else:
+                    deliver(buf, data, nbytes)
+            else:
+                buf = st.resolve_buf()
+                nbytes = nbytes_of(buf) if buf is not None else 0
+                sent.append(nbytes)
+                arr = payload_array(buf)
+                if code == _DIRECT:
+                    # Source → posted receive, no snapshot.  Only a
+                    # donated payload is private here (the live array
+                    # is otherwise still the sender's).
+                    rbuf = posted.pop(g, None)
+                    if arr is not None:
+                        stats.payload_views += 1
+                    if (
+                        st.donate
+                        and arr is not None
+                        and isinstance(rbuf, AdoptBuf)
+                        and rbuf.adopt(arr)
+                    ):
+                        stats.payload_adopted += 1
+                    else:
+                        deliver(rbuf, arr, nbytes)
+                else:  # _QUEUE
+                    if arr is not None:
+                        if st.donate:
+                            # Donated: nothing writes the array again,
+                            # so it can sit in the queue un-snapshotted.
+                            stats.payload_views += 1
+                        else:
+                            arr = arr.copy()
+                            stats.payload_copies += 1
+                    queued[g] = (arr, nbytes)
+        return sent
+
+    # -- observability ------------------------------------------------------
+    def _record_spans(
+        self,
+        inst: _Instance,
+        plan: Plan,
+        V: List[float],
+        fins: List[float],
+        spans,
+    ) -> None:
+        """Emit the same span skeleton the exact engine records — one
+        collective span per rank with per-round children — plus the
+        pricer's own stage markers.  Every timestamp comes from this
+        call's tape values, so the tree carries priced durations."""
+        comm = self.comm
+        sim = comm.sim
+        size = comm.size
+        meta = plan.meta or {}
+        name = meta.get("op", "collective")
+        if meta.get("algo"):
+            name = f"{name}[{meta['algo']}]"
+        arrivals = inst.arrivals
+        now = sim.now
+        ftrack = f"{comm.root_comm.name}.fastpath"
+        spans.complete(
+            min(arrivals), max(arrivals), name, "fastpath.collect", ftrack,
+            attrs={"n_ranks": size},
+        )
+        spans.instant(now, name, "fastpath.interpret", ftrack,
+                      attrs={"priced": self.price_only or not plan.order})
+        backend = comm.backend
+        nbytes_meta = meta.get("nbytes", 0)
+        get = V.__getitem__
+        step_ins = plan.step_ins
+        step_fin = plan.step_fin
+        step_round = plan.step_round
+        for r in range(size):
+            lo, hi = plan.lo[r], plan.lo[r + 1]
+            n_rounds = plan.rank_rounds[r]
+            rtrack = comm.span_track(r)
+            psid = spans.complete(
+                arrivals[r], fins[r], name, "collective", rtrack,
+                None, None,
+                {"backend": backend, "nbytes": nbytes_meta,
+                 "n_rounds": n_rounds, "n_steps": hi - lo},
+            )
+            if psid is None:
+                continue  # recorder paused mid-collective
+            # Round ids live in [0, n_rounds), so flat lists beat
+            # dicts here; None marks rounds this rank never runs.
+            rstart: List[Optional[float]] = [None] * n_rounds
+            rend: List[Optional[float]] = [None] * n_rounds
+            for g in range(lo, hi):
+                t0 = max(map(get, step_ins[g]))
+                t1 = V[step_fin[g]]
+                rd = step_round[g]
+                s = rstart[rd]
+                if s is None or t0 < s:
+                    rstart[rd] = t0
+                e = rend[rd]
+                if e is None or t1 > e:
+                    rend[rd] = t1
+            for rd in range(n_rounds):
+                t0 = rstart[rd]
+                if t0 is not None:
+                    spans.complete(t0, rend[rd], _round_name(rd), "round",
+                                   rtrack, psid)
+        spans.instant(now, name, "fastpath.commit", ftrack,
+                      attrs={"n_ranks": size})

@@ -143,14 +143,17 @@ class Schedule:
         #: builder invoked directly in tests) falls back to a generic
         #: label; execution is identical either way.
         self.meta: Optional[dict] = None
-        #: Set by builders whose DAG is a pure function of this key and
-        #: whose wire steps carry **no payload** (e.g. the dissemination
-        #: barrier).  The fast-path engine may then skip dataflow
-        #: interpretation and intern the resolved completion offsets
-        #: across repeat instances (a Jacobi run fences every
-        #: iteration with the identical DAG).  Leave ``None`` for any
-        #: schedule that moves data or depends on buffer contents.
-        self.intern_key: Optional[Tuple] = None
+        #: Buffer-layout facts the DAG's shape depends on beyond the
+        #: dispatch key (e.g. recursive-doubling allgather's zero-copy
+        #: span path); builders set it, the dispatch layer folds it
+        #: into :attr:`plan_key`.
+        self.layout: Tuple = ()
+        #: Structural identity stamped by the dispatch layer — ``(op,
+        #: algo, root, nbytes, dtype) + layout`` — under which the
+        #: fast-path engine interns this shape's compiled plan.  ``None``
+        #: (vector variants, builders invoked directly) compiles every
+        #: call afresh.
+        self.plan_key: Optional[Tuple] = None
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -333,7 +336,7 @@ class ScheduleEngine:
     ) -> Generator[Event, Any, None]:
         """Build and run the dissemination barrier.  The fast-path
         engine overrides this to defer the DAG build until completion,
-        so repeat barriers with interned arrival skew skip it."""
+        so repeat barriers replaying a retained plan skip it."""
         from .barrier import build_barrier_dissemination
 
         sched = build_barrier_dissemination(ctx)

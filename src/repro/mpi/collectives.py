@@ -72,17 +72,30 @@ from .communicator import MpiContext, Request
 # Schedule-building dispatch helpers (shared by blocking and nonblocking)
 # ---------------------------------------------------------------------------
 
-def _with_meta(sched, op: str, algo: str, nbytes: int):
-    """Stamp collective identity on a built schedule (observability:
-    the engines label the span they emit with it)."""
+def _with_meta(sched, op: str, algo: str, nbytes: int, key=None):
+    """Stamp collective identity on a built schedule.
+
+    ``meta`` labels the span the engines emit.  ``key`` is the call's
+    structure — ``(op, algo, root, nbytes, dtype)``, or ``None`` for the
+    vector variants — and, extended by the builder's ``layout`` facts,
+    is the key the fast-path engine interns the compiled plan under.
+    """
     sched.meta = {"op": op, "algo": algo, "nbytes": nbytes}
+    if key is not None:
+        sched.plan_key = key + sched.layout
     return sched
+
+
+def _dtype(buf: Payload) -> Optional[str]:
+    arr = payload_array(buf)
+    return None if arr is None else arr.dtype.str
 
 
 def _build_barrier(ctx: MpiContext):
     ctx.comm._count("barrier")
     return _with_meta(
-        build_barrier_dissemination(ctx), "barrier", "dissemination", 0
+        build_barrier_dissemination(ctx), "barrier", "dissemination", 0,
+        key=("barrier", ctx.size),
     )
 
 
@@ -93,7 +106,8 @@ def _build_bcast(ctx: MpiContext, buf: Payload, root: int):
     algo = ctx.comm.selector.bcast(nbytes, ctx.size, hier_ok=_hier_ok(ctx))
     ctx.comm._count(f"bcast[{algo}]")
     return _with_meta(
-        SCHEDULES["bcast"][algo](ctx, buf, root=root), "bcast", algo, nbytes
+        SCHEDULES["bcast"][algo](ctx, buf, root=root), "bcast", algo, nbytes,
+        key=("bcast", algo, root, nbytes, _dtype(buf)),
     )
 
 
@@ -124,6 +138,7 @@ def _build_reduce(
     return _with_meta(
         SCHEDULES["reduce"][algo](ctx, sendbuf, recvbuf, op=op, root=root),
         "reduce", algo, nbytes,
+        key=("reduce", algo, root, nbytes, _dtype(sendbuf)),
     )
 
 
@@ -139,9 +154,12 @@ def _build_allreduce(
         nbytes, ctx.size, hier_ok=_hier_ok(ctx)
     )
     ctx.comm._count(f"allreduce[{algo}]")
+    # The reduce+bcast leg selects its broadcast by the recv size.
     return _with_meta(
         SCHEDULES["allreduce"][algo](ctx, sendbuf, recvbuf, op),
         "allreduce", algo, nbytes,
+        key=("allreduce", algo, None, nbytes, _dtype(sendbuf),
+             nbytes_of(recvbuf)),
     )
 
 
@@ -162,6 +180,8 @@ def _build_allgather(
     return _with_meta(
         SCHEDULES["allgather"][algo](ctx, sendbuf, recvbufs),
         "allgather", algo, block * ctx.size,
+        key=("allgather", algo, None, block, _dtype(sendbuf))
+        if uniform else None,
     )
 
 
@@ -186,6 +206,8 @@ def _build_alltoall(
     return _with_meta(
         SCHEDULES["alltoall"][algo](ctx, sendbufs, recvbufs),
         "alltoall", algo, block * ctx.size,
+        key=("alltoall", algo, None, block, _dtype(sendbufs[0]))
+        if uniform else None,
     )
 
 

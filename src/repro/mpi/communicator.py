@@ -1270,7 +1270,8 @@ class MpiContext:
     def allgather(
         self, sendbuf: Payload, recvbufs: Sequence[Payload]
     ) -> Generator[Event, Any, None]:
-        """Ring allgather."""
+        """Allgather; the algorithm is chosen by size (see
+        :mod:`repro.mpi.algorithms.selector`)."""
         from . import collectives as c
 
         yield from c.allgather(self, sendbuf, recvbufs)

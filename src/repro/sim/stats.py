@@ -24,9 +24,10 @@ Counter glossary
     Collectives executed by the analytic backend, and the total number
     of schedule rounds it priced without enqueueing packets.
 ``fastpath_sched_cache_hits``
-    Repeat data-free collectives (interned DAGs — e.g. the fence
-    barrier every Jacobi iteration) whose per-rank completion offsets
-    were reused instead of re-resolved.
+    Fast-path collectives that replayed a retained compiled plan
+    (pairing, step order, pricing tape) instead of compiling their
+    shape afresh — data-carrying or data-free (e.g. the fence barrier
+    every Jacobi iteration), under any arrival skew.
 ``rma_coalesced_puts``
     Small eager RMA puts absorbed into a combined wire transfer.
 ``heap_merges`` / ``heap_merged_events``

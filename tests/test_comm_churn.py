@@ -12,6 +12,7 @@ a retired job's communicator or engine alive.
 """
 
 import gc
+import types
 import weakref
 
 import numpy as np
@@ -20,7 +21,9 @@ import pytest
 from repro.dcgn import DcgnConfig, DcgnRuntime
 from repro.hw import ClusterSpec, TopologySpec, build_cluster, paper_cluster
 from repro.mpi import MpiError, MpiJob
-from repro.mpi.algorithms import autotune
+from repro.mpi.algorithms import autotune, fastpath
+from repro.mpi.algorithms.schedule import Schedule
+from repro.mpi.communicator import Communicator, MpiContext
 from repro.sim import Simulator
 
 KB = 1024
@@ -149,6 +152,97 @@ class TestMpiJobChurn:
         gc.collect()
         for r in sub_refs:
             assert r() is None, "split-derived communicator leaked"
+
+
+def _analytic_job(n=4):
+    sim = Simulator()
+    cluster = build_cluster(sim, ClusterSpec(nodes=n, gpus_per_node=0))
+    return sim, MpiJob(cluster, list(range(n)), backend="analytic")
+
+
+def _repeated_allreduce(refs=None, calls=3):
+    def program(ctx):
+        for _ in range(calls):
+            buf = np.full(256, float(ctx.rank))
+            out = np.zeros(256)
+            if refs is not None:
+                refs.extend((weakref.ref(buf), weakref.ref(out)))
+            yield from ctx.allreduce(buf, out)
+    return program
+
+
+class TestPlanLifetime:
+    """Retained fast-path plans hold structure only, and die with the
+    communicator's engine."""
+
+    def test_plans_keep_no_payloads_or_contexts(self, monkeypatch):
+        # Levelize every retained plan: the levels' index and constant
+        # arrays are the only arrays a plan may hold.
+        monkeypatch.setattr(fastpath, "_LEVELS_MIN_NODES", 0)
+        sim, job = _analytic_job()
+        refs = []
+        job.start(_repeated_allreduce(refs, calls=4))
+        sim.run()
+        plans = list(job.comm.engine._plans.values())
+        assert plans and all(p.levels is not None for p in plans)
+        gc.collect()
+        assert all(r() is None for r in refs), "a plan kept a payload alive"
+        own = {id(p.rank_fin) for p in plans}
+        own.update(id(a) for p in plans for grp in p.levels[1] for a in grp)
+        seen, stack = set(), list(plans)
+        while stack:
+            obj = stack.pop()
+            if id(obj) in seen or id(obj) in own or isinstance(obj, type):
+                continue
+            seen.add(id(obj))
+            assert not isinstance(obj, (
+                np.ndarray, MpiContext, Communicator, Schedule,
+                types.FunctionType,
+            )), f"plan references a {type(obj).__name__}"
+            stack.extend(gc.get_referents(obj))
+
+    def test_release_drops_plans(self):
+        sim, job = _analytic_job()
+        job.start(_repeated_allreduce())
+        sim.run()
+        refs = [weakref.ref(p) for p in job.comm.engine._plans.values()]
+        assert refs
+        job.shutdown()
+        gc.collect()
+        assert all(r() is None for r in refs), "released engine's plan leaked"
+
+    def test_free_drops_plans(self):
+        sim, job = _analytic_job()
+        refs = []
+
+        def program(ctx):
+            sub = yield from ctx.split(color=ctx.rank % 2, key=ctx.rank)
+            yield from _repeated_allreduce()(sub)
+            if sub.rank == 0:
+                refs.extend(
+                    weakref.ref(p) for p in sub.comm.engine._plans.values()
+                )
+            yield from sub.free()
+
+        job.start(program)
+        sim.run()
+        assert len(refs) == 2
+        gc.collect()
+        assert all(r() is None for r in refs), "freed engine's plan leaked"
+
+    def test_one_shot_shapes_are_not_retained(self):
+        sim, job = _analytic_job()
+
+        def program(ctx):
+            yield from ctx.allreduce(np.ones(8), np.zeros(8))
+            yield from ctx.bcast(np.zeros(8), root=0)
+            yield from ctx.barrier()
+
+        job.start(program)
+        sim.run()
+        engine = job.comm.engine
+        assert engine._plans == {}
+        assert len(engine._seen) == 3
 
 
 class TestDcgnChurn:

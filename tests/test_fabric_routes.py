@@ -244,7 +244,7 @@ def test_analytic_rma_books_response_legs():
 
 
 def test_analytic_interned_barriers_book_every_repeat():
-    """Repeat barriers hit the fast path's interned offsets; with
+    """Repeat barriers replay the fast path's retained plan; with
     accounting on they still book their legs, as the exact run does."""
 
     def prog(ctx, win):

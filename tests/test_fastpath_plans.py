@@ -1,0 +1,282 @@
+"""Compiled collective plans of the analytic fast path.
+
+:class:`repro.mpi.algorithms.fastpath.Plan` holds what a collective
+shape needs beyond its buffers and arrival times: the send/recv
+pairing, the interpreter's replay order and the pricing tape.  A plan
+is retained from its key's second sighting and replayed from then on,
+so these tests check that a replay is indistinguishable from a fresh
+compile — data, completion times, payload counters, link accounting
+and span trees, bit for bit, under random arrival skew — and that keys
+separate the shapes they must.
+"""
+
+import numpy as np
+import pytest
+
+from repro.hw import ClusterSpec, build_cluster
+from repro.mpi import CollectiveTuning, MpiError, MpiJob, ReduceOp
+from repro.mpi.algorithms import fastpath
+from repro.mpi.algorithms.schedule import Schedule
+from repro.sim import Simulator
+
+#: Calls per job: the first two compile, the rest replay the plan.
+CALLS = 3
+
+#: (op, forced algorithm); ``pof2`` algorithms run at powers of two.
+SHAPES = [
+    ("allreduce", "reduce_bcast"),
+    ("allreduce", "recursive_doubling"),
+    ("allreduce", "ring"),
+    ("allgather", "ring"),
+    ("allgather", "recursive_doubling"),
+    ("allgather", "bruck"),
+    ("alltoall", "shift"),
+    ("alltoall", "pairwise"),
+    ("alltoall", "bruck"),
+    ("bcast", "binomial"),
+    ("bcast", "pipelined"),
+    ("reduce", "binomial"),
+    ("reduce", "rabenseifner"),
+    ("barrier", None),
+]
+POF2_ONLY = {("allgather", "recursive_doubling"), ("alltoall", "pairwise")}
+DTYPES = (np.float32, np.float64, np.int64)
+#: Bytes per rank contribution: one eager, one past the 8 KB
+#: rendezvous threshold.
+SIZES = (96, 12 * 1024)
+
+
+def _tuning(op, algo):
+    if algo is None:
+        return None
+    return CollectiveTuning(**{f"force_{op}": algo})
+
+
+def _collective(ctx, op, dtype, count, flat, rng):
+    """One call of ``op``; returns the rank's result bytes."""
+    P, r = ctx.size, ctx.rank
+
+    def vec(n):
+        return rng.integers(0, 100, n).astype(dtype)
+
+    if op == "allreduce":
+        out = np.zeros(count, dtype=dtype)
+        yield from ctx.allreduce(vec(count), out, op=ReduceOp.SUM)
+        return out.tobytes()
+    if op == "reduce":
+        out = np.zeros(count, dtype=dtype)
+        yield from ctx.reduce(vec(count), out, op=ReduceOp.MAX, root=P - 1)
+        return out.tobytes()
+    if op == "bcast":
+        buf = vec(count) if r == 0 else np.zeros(count, dtype=dtype)
+        yield from ctx.bcast(buf, root=0)
+        return buf.tobytes()
+    if op == "allgather":
+        block = max(1, count // P)
+        if flat:
+            whole = np.zeros(block * P, dtype=dtype)
+            recv = [whole[i * block : (i + 1) * block] for i in range(P)]
+        else:
+            recv = [np.zeros(block, dtype=dtype) for _ in range(P)]
+        yield from ctx.allgather(vec(block), recv)
+        return b"".join(b.tobytes() for b in recv)
+    if op == "alltoall":
+        block = max(1, count // P)
+        recv = [np.zeros(block, dtype=dtype) for _ in range(P)]
+        yield from ctx.alltoall([vec(block) for _ in range(P)], recv)
+        return b"".join(b.tobytes() for b in recv)
+    yield from ctx.barrier()
+    return b""
+
+
+def run(op, algo, P, dtype, nbytes, backend, observed, seed=0,
+        flat=False, calls=CALLS):
+    """``calls`` skewed calls of one collective; everything a replay
+    must reproduce: per-call completion times and data, payload
+    counters, and (``observed``) link accounting and spans."""
+    sim = Simulator()
+    cluster = build_cluster(sim, ClusterSpec(nodes=P, gpus_per_node=0))
+    cluster.topology.accounting = observed
+    rec = sim.attach_spans() if observed else None
+    job = MpiJob(cluster, list(range(P)), tuning=_tuning(op, algo),
+                 backend=backend)
+    count = max(1, nbytes // np.dtype(dtype).itemsize)
+    out = {}
+
+    def prog(ctx):
+        rng = np.random.default_rng([seed, ctx.rank])
+        for call in range(calls):
+            yield ctx.sim.timeout(float(rng.random()) * 2e-5)
+            data = yield from _collective(ctx, op, dtype, count, flat, rng)
+            out[ctx.rank, call] = (ctx.sim.now, data)
+
+    job.start(prog)
+    job.run()
+    stats = sim.stats
+    result = {
+        "out": out,
+        "counters": (stats.payload_copies, stats.payload_views,
+                     stats.payload_adopted, stats.fastpath_collectives,
+                     stats.fastpath_rounds, stats.chan_bytes),
+    }
+    if observed:
+        result["busy"] = [ch.busy_s for ch in cluster.topology.channels()]
+        result["spans"] = [
+            (s.name, s.category, s.track, s.t0, s.t1, s.parent, s.attrs)
+            for s in rec.spans
+        ]
+    return result, stats.fastpath_sched_cache_hits, job
+
+
+@pytest.mark.parametrize("P", [1, 2, 3, 5, 8, 16])
+@pytest.mark.parametrize("op,algo", SHAPES)
+def test_replay_equals_fresh_compile(op, algo, P, monkeypatch):
+    """Every call compiled afresh (no plan retained) and calls that
+    replay a retained plan agree bit for bit, under seeded random
+    arrival skew, on both fast-path backends."""
+    if (op, algo) in POF2_ONLY and P & (P - 1):
+        pytest.skip("power-of-two algorithm")
+    cases = [
+        (dtype, nbytes, backend, observed)
+        for dtype in DTYPES for nbytes in SIZES
+        for backend, observed in (("analytic", False), ("analytic", True),
+                                  ("pricing", True))
+    ]
+    for seed, (dtype, nbytes, backend, observed) in enumerate(cases):
+        # Odd seeds gather into one flat buffer (allgather's span path).
+        args = (op, algo, P, dtype, nbytes, backend, observed, seed,
+                seed % 2 == 1)
+        replayed, hits, _ = run(*args)
+        monkeypatch.setattr(fastpath, "PLAN_STEP_BUDGET", 0)
+        fresh, fresh_hits, _ = run(*args)
+        monkeypatch.undo()
+        assert hits == CALLS - 2, args
+        assert fresh_hits == 0
+        assert replayed == fresh, args
+
+
+def test_large_plans_replay_as_levels():
+    """A 256-rank barrier's tape is past the numpy-levels threshold;
+    its replays match fresh compiles too."""
+    replayed, hits, job = run("barrier", None, 256, np.float64, 0,
+                              "analytic", True, calls=4)
+    (plan,) = job.comm.engine._plans.values()
+    assert plan.levels is not None and hits == 2
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fastpath, "PLAN_STEP_BUDGET", 0)
+        fresh, _, _ = run("barrier", None, 256, np.float64, 0, "analytic",
+                          True, calls=4)
+    assert replayed == fresh
+
+
+def test_repeated_data_collectives_hit_the_plan():
+    """Data-carrying collectives intern their plans too: every call
+    from the third on is a hit, whatever the arrival skew."""
+    _, hits, job = run("allreduce", None, 8, np.float64, 4096,
+                       "analytic", False, calls=6)
+    assert hits == 4
+    assert len(job.comm.engine._plans) == 1
+
+
+def test_dtype_separates_ring_allreduce_keys():
+    """float32 and float64 vectors of equal byte size chunk differently
+    in the ring; both shapes alternate without tripping the hit check."""
+    sim = Simulator()
+    cluster = build_cluster(sim, ClusterSpec(nodes=4, gpus_per_node=0))
+    job = MpiJob(cluster, list(range(4)), backend="analytic",
+                 tuning=CollectiveTuning(force_allreduce="ring"))
+    got = {}
+
+    def prog(ctx):
+        for call in range(6):
+            dtype = (np.float32, np.float64)[call % 2]
+            n = 24 // np.dtype(dtype).itemsize
+            out = np.zeros(n, dtype=dtype)
+            yield from ctx.allreduce(np.full(n, ctx.rank + 1, dtype), out)
+            got[ctx.rank, call] = out
+
+    job.start(prog)
+    job.run()
+    assert all(np.all(v == 10) for v in got.values())
+    keys = sorted(k[4] for k in job.comm.engine._plans)
+    assert keys == ["<f4", "<f8"]
+    assert sim.stats.fastpath_sched_cache_hits == 2
+
+
+def test_allgather_layout_separates_keys():
+    """Recursive doubling over one flat buffer (zero-copy span path)
+    and over separate arrays (pack path) are different DAGs under one
+    dispatch key; the builder's layout fact keeps their plans apart."""
+    sim = Simulator()
+    cluster = build_cluster(sim, ClusterSpec(nodes=4, gpus_per_node=0))
+    job = MpiJob(cluster, list(range(4)), backend="analytic",
+                 tuning=CollectiveTuning(force_allgather="recursive_doubling"))
+    ok = []
+
+    def prog(ctx):
+        for call in range(6):
+            _, data = yield from _gather_once(ctx, flat=call % 2 == 0)
+            ok.append(data == list(range(4)))
+
+    job.start(prog)
+    job.run()
+    assert all(ok) and len(ok) == 24
+    keys = {k[-1] for k in job.comm.engine._plans}
+    assert keys == {"span", np.dtype(np.int64).str}
+    assert sim.stats.fastpath_sched_cache_hits == 2
+
+
+def _gather_once(ctx, flat):
+    P = ctx.size
+    if flat:
+        whole = np.zeros(P, dtype=np.int64)
+        recv = [whole[i : i + 1] for i in range(P)]
+    else:
+        recv = [np.zeros(1, dtype=np.int64) for _ in range(P)]
+    yield from ctx.allgather(np.array([ctx.rank], dtype=np.int64), recv)
+    return ctx.sim.now, [int(b[0]) for b in recv]
+
+
+def test_vector_allgather_is_never_interned():
+    """Unequal blocks (the vector variant) carry no plan key."""
+    sim = Simulator()
+    cluster = build_cluster(sim, ClusterSpec(nodes=4, gpus_per_node=0))
+    job = MpiJob(cluster, list(range(4)), backend="analytic")
+
+    def prog(ctx):
+        for _ in range(4):
+            recv = [np.zeros(j + 1) for j in range(ctx.size)]
+            yield from ctx.allgather(np.full(ctx.rank + 1, 1.0), recv)
+
+    job.start(prog)
+    job.run()
+    engine = job.comm.engine
+    assert sim.stats.fastpath_collectives == 4
+    assert sim.stats.fastpath_sched_cache_hits == 0
+    assert not engine._plans and not engine._seen
+
+
+def test_wrong_key_builder_raises():
+    """A builder that stamps one key on two different shapes is caught
+    at the first hit that disagrees with the plan."""
+    sim = Simulator()
+    cluster = build_cluster(sim, ClusterSpec(nodes=2, gpus_per_node=0))
+    job = MpiJob(cluster, [0, 1], backend="analytic")
+
+    def fixture(ctx, nbytes):
+        sched = Schedule()
+        buf = np.zeros(nbytes, dtype=np.uint8)
+        if ctx.rank == 0:
+            sched.send(buf, 1, tag=1)
+        else:
+            sched.recv(buf, 0, tag=1)
+        sched.plan_key = ("fixture",)
+        return sched
+
+    def prog(ctx):
+        for nbytes in (8, 8, 16):
+            yield from ctx.comm.engine.execute(ctx, fixture(ctx, nbytes))
+
+    job.start(prog)
+    with pytest.raises(MpiError, match="fixture"):
+        job.run()

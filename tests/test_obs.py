@@ -87,7 +87,7 @@ class TestByteStability:
 
     def test_analytic_backend_identical_traced(self):
         """The fast path commits the same priced times when recording
-        (the fin cache is bypassed, but resolution is deterministic)."""
+        (spans are recorded from the same replayed tape)."""
         base, _, _ = _run_stencilish("analytic", traced=False)
         traced, _, rec = _run_stencilish("analytic", traced=True)
         assert traced == base
