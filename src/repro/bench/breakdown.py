@@ -9,18 +9,20 @@ for the CPU:CPU and GPU:GPU paths.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..dcgn import DcgnConfig, DcgnRuntime, NodeConfig
-from ..dcgn.requests import CommRequest
 from ..hw import build_cluster, paper_cluster
 from ..hw.params import HWParams
 from ..sim.core import Simulator, us
 from .harness import Table
 
-__all__ = ["overhead_breakdown", "send_lifecycle"]
+if TYPE_CHECKING:  # pragma: no cover
+    from ..obs import SpanRecorder
+
+__all__ = ["overhead_breakdown", "request_stages", "send_lifecycle"]
 
 
 def send_lifecycle(
@@ -33,9 +35,10 @@ def send_lifecycle(
 
     ``kind`` ∈ {"cpu", "gpu"}: both endpoints of the given kind, on two
     different nodes.  Returns ``{"send": marks, "recv": marks}`` with
-    stage timestamps in seconds.
+    stage timestamps in seconds (see :func:`request_stages`).
     """
     sim = Simulator()
+    rec = sim.attach_spans()
     cluster = build_cluster(
         sim, paper_cluster(nodes=2, params=params, seed=seed)
     )
@@ -44,8 +47,6 @@ def send_lifecycle(
     else:
         cfg = DcgnConfig.homogeneous(2, gpus=1, slots_per_gpu=1)
     rt = DcgnRuntime(cluster, cfg)
-    for ct in rt.comm_threads:
-        ct.captured = []
 
     if kind == "cpu":
 
@@ -71,13 +72,22 @@ def send_lifecycle(
 
         rt.launch_gpu(gpu_kernel)
     rt.run(max_time=10.0)
-    captured: List[CommRequest] = []
-    for ct in rt.comm_threads:
-        captured.extend(ct.captured or [])
-    out: Dict[str, Dict[str, float]] = {}
-    for req in captured:
-        if req.op in ("send", "recv"):
-            out[req.op] = dict(req.marks)
+    return {
+        op: stages for op, stages in request_stages(rec).values()
+        if op in ("send", "recv")
+    }
+
+
+def request_stages(
+    rec: SpanRecorder,
+) -> Dict[int, Tuple[str, Dict[str, float]]]:
+    """Each DCGN request's op and stage times, read from the recorder's
+    ``dcgn.req`` instants: ``{req_id: (op, {stage: t})}``, keeping the
+    first instant per (request, stage)."""
+    out: Dict[int, Tuple[str, Dict[str, float]]] = {}
+    for s in rec.select(category="dcgn.req"):
+        _op, stages = out.setdefault(s.attrs["req"], (s.attrs["op"], {}))
+        stages.setdefault(s.name, s.t0)
     return out
 
 

@@ -330,7 +330,7 @@ class CpuTransport:
         for plan in plans:
             req = plan.req
             req.done = sim.event(name=f"req{req.req_id}.done")
-            req.stamp("issued", sim.now)
+            req.mark(sim, "issued", self.comm.name)
             if plan.payload is not None:
                 req.data = payload_array(plan.payload).copy()
             if plan.result is not None:
@@ -338,7 +338,7 @@ class CpuTransport:
         yield sim.timeout(us(self.comm.params.cpu.request_overhead_us))
         for plan in plans:
             yield from self.comm.enqueue_from_cpu(plan.req)
-            plan.req.stamp("enqueued", sim.now)
+            plan.req.mark(sim, "enqueued", self.comm.name)
         return [RequestHandle(self, plan.req) for plan in plans]
 
     def wait(self, handle: RequestHandle) -> Generator[Event, Any, Any]:
@@ -346,7 +346,7 @@ class CpuTransport:
         status = yield from sleep_poll_wait(
             self.sim, req.done, self.comm.params.dcgn.cpu_wait_poll_us
         )
-        req.stamp("returned", self.sim.now)
+        req.mark(self.sim, "returned", self.comm.name)
         return status
 
 
@@ -372,7 +372,7 @@ class GpuSlotTransport:
         self.rankmap = thread.rankmap
         self.coll_seqs = thread.coll_seqs
         self.vrank = thread.rankmap.slot_rank(
-            thread.device.node_id, thread.gpu_index, slot
+            thread.comm.mpi.rank, thread.gpu_index, slot
         )
 
     def array(self, buf, what: str) -> np.ndarray:

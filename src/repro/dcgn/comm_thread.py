@@ -148,9 +148,6 @@ class CommThread:
         self._hdr_req: Optional[Request] = None
         #: Counters for reports.
         self.stats: Dict[str, int] = {}
-        #: When set (by diagnostics/benchmarks), every handled request is
-        #: appended here so its lifecycle marks can be inspected.
-        self.captured: Optional[List[CommRequest]] = None
         self.proc = sim.process(self._run(), name=self.name)
 
     # -- external interface ----------------------------------------------
@@ -161,7 +158,6 @@ class CommThread:
 
     def enqueue_from_cpu(self, req: CommRequest) -> Generator[Event, Any, None]:
         """CPU-kernel-thread entry point: put + kick GPU pollers."""
-        req.enqueued_at = self.sim.now
         yield from self.workq.put(req)
         self.kick.fire()
 
@@ -170,7 +166,6 @@ class CommThread:
     ) -> Generator[Event, Any, None]:
         """GPU-kernel-thread entry point (no kick: GPU-only traffic must
         pay the polling interval, per Table 1's GPU-only rows)."""
-        req.enqueued_at = self.sim.now
         yield from self.workq.put(req)
 
     # -- main loop ---------------------------------------------------------
@@ -284,12 +279,6 @@ class CommThread:
                 tag=PAYLOAD_TAG_BASE + seq % PAYLOAD_TAG_MOD,
             )
         self._bump("wire_arrivals")
-        self.sim.trace(
-            "comm.wire_arrival",
-            node=self.node.node_id,
-            src=src_vrank,
-            dst=dst_vrank,
-        )
         yield from self._match_arrival(
             _Unexpected(src_vrank, dst_vrank, nbytes, data)
         )
@@ -308,12 +297,6 @@ class CommThread:
             payload = req.data.view(np.uint8).reshape(-1)[: req.nbytes]
         self._inflight_sends += 1
         self._bump("wire_sends")
-        self.sim.trace(
-            "comm.wire_send",
-            node=self.node.node_id,
-            src=req.src_vrank,
-            dst=req.peer,
-        )
 
         def runner():
             try:
@@ -326,7 +309,9 @@ class CommThread:
                     )
                 # Send-complete semantics: the kernel's send returns once
                 # the MPI call finished (paper Figure 2, step 3).
-                req.complete(CommStatus(source=req.peer, nbytes=req.nbytes))
+                self._complete(
+                    req, CommStatus(source=req.peer, nbytes=req.nbytes)
+                )
             finally:
                 self._inflight_sends -= 1
 
@@ -335,9 +320,7 @@ class CommThread:
     # -- request handling --------------------------------------------------
     def _handle_request(self, req: CommRequest) -> Generator[Event, Any, None]:
         self._bump(f"req.{req.op}")
-        req.stamp("picked", self.sim.now)
-        if self.captured is not None:
-            self.captured.append(req)
+        req.mark(self.sim, "picked", self.name)
         spans = self.sim.spans
         sp = None
         if spans is not None:
@@ -361,7 +344,7 @@ class CommThread:
     def _handle_send(self, req: CommRequest) -> Generator[Event, Any, None]:
         dst = req.peer
         dst_node = self.rankmap.node_of(dst)
-        local = dst_node == self.node.node_id
+        local = dst_node == self.mpi.rank
         if local and self.params.dcgn.local_via_memcpy:
             entry = _Unexpected(
                 req.src_vrank, dst, req.nbytes, req.data, local_send=req
@@ -410,10 +393,11 @@ class CommThread:
             req.deliver(entry.data)
         else:
             req.data = entry.data
-        req.complete(status)
+        self._complete(req, status)
         if entry.local_send is not None:
-            entry.local_send.complete(
-                CommStatus(source=entry.dst_vrank, nbytes=entry.nbytes)
+            self._complete(
+                entry.local_send,
+                CommStatus(source=entry.dst_vrank, nbytes=entry.nbytes),
             )
         self._bump("p2p_delivered")
         self._kick_if_cpu_involved((req.src_vrank, entry.src_vrank))
@@ -439,7 +423,7 @@ class CommThread:
         win.check_range(target, offset, count)
         tnode, base = win.locate(target)
         woff = base + offset
-        me = self.node.node_id
+        me = self.mpi.rank
         if req.op == "rma_put":
             if req.data is None:
                 raise DcgnError(f"{req!r} has no payload snapshot")
@@ -449,7 +433,9 @@ class CommThread:
             )
 
             def finish(req=req, n=int(payload.nbytes)):
-                req.complete(CommStatus(source=req.src_vrank, nbytes=n))
+                self._complete(
+                    req, CommStatus(source=req.src_vrank, nbytes=n)
+                )
 
         elif req.op == "rma_accumulate":
             if req.data is None:
@@ -462,7 +448,9 @@ class CommThread:
             )
 
             def finish(req=req, n=int(payload.nbytes)):
-                req.complete(CommStatus(source=req.src_vrank, nbytes=n))
+                self._complete(
+                    req, CommStatus(source=req.src_vrank, nbytes=n)
+                )
 
         elif req.op == "rma_get":
             # zeros, not empty: under the pricing backend the wire op
@@ -475,8 +463,8 @@ class CommThread:
                     req.deliver(recv)
                 else:
                     req.data = recv
-                req.complete(
-                    CommStatus(source=target, nbytes=int(recv.nbytes))
+                self._complete(
+                    req, CommStatus(source=target, nbytes=int(recv.nbytes))
                 )
 
         else:  # pragma: no cover - defensive
@@ -498,7 +486,7 @@ class CommThread:
     # -- collectives -------------------------------------------------------
     def _local_quorum(self, gid: int) -> int:
         """How many of the group's members live on this node."""
-        return self.groups.local_count(gid, self.node.node_id)
+        return self.groups.local_count(gid, self.mpi.rank)
 
     def _stage_collective(self, req: CommRequest) -> None:
         seq = req.extra.get("coll_seq")
@@ -574,7 +562,7 @@ class CommThread:
             if (
                  0 <= v < self.rankmap.size
                 and self.rankmap.is_cpu(v)
-                and self.rankmap.node_of(v) == self.node.node_id
+                and self.rankmap.node_of(v) == self.mpi.rank
             ):
                 self.kick.fire()
                 return
@@ -598,7 +586,7 @@ class CommThread:
         """
         self._bump(f"coll.{state.kind}")
         info = self.groups.info(state.gid)
-        mpi = info.ctx_for(self.node.node_id)
+        mpi = info.ctx_for(self.mpi.rank)
         if state.kind == "barrier":
             self._spawn_completer(state, mpi.ibarrier(), None)
         elif state.kind == "bcast":
@@ -626,7 +614,7 @@ class CommThread:
                 yield from req.wait()
                 if finish is None:
                     for e in state.entries:
-                        e.complete(CommStatus(source=-1, nbytes=0))
+                        self._complete(e, CommStatus(source=-1, nbytes=0))
                 else:
                     out = finish()
                     if out is not None:
@@ -662,8 +650,8 @@ class CommThread:
             # to GPU threads (they perform the PCIe write on their side).
             for entry in state.entries:
                 if entry is root_entry:
-                    entry.complete(
-                        CommStatus(source=root_vrank, nbytes=nbytes)
+                    self._complete(
+                        entry, CommStatus(source=root_vrank, nbytes=nbytes)
                     )
                     continue
                 if entry.nbytes > 0:
@@ -677,7 +665,9 @@ class CommThread:
                     # ndarray would let one rank's buffer mutation corrupt
                     # the others' received payloads.
                     entry.data = mpi_buf.copy()
-                entry.complete(CommStatus(source=root_vrank, nbytes=nbytes))
+                self._complete(
+                    entry, CommStatus(source=root_vrank, nbytes=nbytes)
+                )
 
         self._spawn_completer(state, req, finish)
 
@@ -735,14 +725,14 @@ class CommThread:
                     else:
                         # Per-request copy (same aliasing hazard as bcast).
                         req.data = result.copy()
-                    req.complete(
-                        CommStatus(source=-1, nbytes=int(result.nbytes))
+                    self._complete(
+                        req, CommStatus(source=-1, nbytes=int(result.nbytes))
                     )
 
             self._spawn_completer(state, mreq, finish_allreduce)
         else:
             root_node = self.rankmap.node_of(root_vrank)
-            recvbuf = result if self.node.node_id == root_node else None
+            recvbuf = result if self.mpi.rank == root_node else None
             mreq = mpi.ireduce(
                 acc, recvbuf, op=op, root=info.mpi_rank_of_node(root_node)
             )
@@ -754,11 +744,12 @@ class CommThread:
                             req.deliver(result)
                         else:
                             req.data = result
-                        req.complete(
-                            CommStatus(source=-1, nbytes=int(result.nbytes))
+                        self._complete(
+                            req,
+                            CommStatus(source=-1, nbytes=int(result.nbytes)),
                         )
                     else:
-                        req.complete(CommStatus(source=-1, nbytes=0))
+                        self._complete(req, CommStatus(source=-1, nbytes=0))
 
             self._spawn_completer(state, mreq, finish_reduce)
 
@@ -796,7 +787,7 @@ class CommThread:
         for _ in range((len(local) + cores - 1) // cores):
             yield from self.node.memcpy.copy(None, None, nbytes=chunk)
         sub_root = info.mpi_rank_of_node(root_node)
-        if self.node.node_id == root_node:
+        if self.mpi.rank == root_node:
             recvbufs = [
                 np.zeros(
                     chunk * len(info.local_vranks(n)), dtype=np.uint8
@@ -825,7 +816,7 @@ class CommThread:
                     root_entry.data = total
                 for req in state.entries:
                     n = total.size if req.src_vrank == root_vrank else 0
-                    req.complete(CommStatus(source=-1, nbytes=n))
+                    self._complete(req, CommStatus(source=-1, nbytes=n))
 
             self._spawn_completer(state, mreq, finish_gather_root)
         else:
@@ -847,7 +838,7 @@ class CommThread:
         chunk = int(state.entries[0].extra["chunk"])
         recvbuf = np.zeros(chunk * len(local), dtype=np.uint8)
         sub_root = info.mpi_rank_of_node(root_node)
-        if self.node.node_id == root_node:
+        if self.mpi.rank == root_node:
             root_entry = next(
                 e for e in state.entries if e.src_vrank == root_vrank
             )
@@ -879,8 +870,8 @@ class CommThread:
                     req.deliver(piece)
                 else:
                     req.data = piece.copy()
-                req.complete(
-                    CommStatus(source=root_vrank, nbytes=int(piece.size))
+                self._complete(
+                    req, CommStatus(source=root_vrank, nbytes=int(piece.size))
                 )
 
         self._spawn_completer(state, mreq, finish_scatter)
@@ -931,10 +922,15 @@ class CommThread:
             for e in state.entries:
                 color = int(e.extra.get("color", -1))
                 e.extra["group"] = groups.get(color)
-                e.complete(CommStatus(source=-1, nbytes=0))
+                self._complete(e, CommStatus(source=-1, nbytes=0))
 
         self._spawn_completer(state, mreq, finish_split)
 
     # -- misc ------------------------------------------------------------
+    def _complete(self, req: CommRequest, status: CommStatus) -> None:
+        """Complete ``req`` and record its ``completed`` stage."""
+        req.mark(self.sim, "completed", self.name)
+        req.complete(status)
+
     def _bump(self, key: str) -> None:
         self.stats[key] = self.stats.get(key, 0) + 1

@@ -261,13 +261,17 @@ class GpuKernelThread:
         found = False
         # 1. Probe the mailbox status region.
         yield from self.device.pcie.probe()
-        self.sim.trace("gpu_thread.poll", thread=self.name)
+        spans = self.sim.spans
+        if spans is not None:
+            spans.instant(
+                self.sim.now, "poll", "dcgn.poll", self.name,
+                attrs={"node": self.device.node_id},
+            )
         pending = any(m.has_pending() for m in self._mailboxes)
         if pending:
             # 2. Read all descriptor regions in one transaction.
             region = sum(m.region_bytes() for m in self._mailboxes)
             yield from self.device.pcie.read(region)
-            self.sim.trace("gpu_thread.harvest", thread=self.name)
             for mbox in list(self._mailboxes):
                 for mreq in mbox.harvest():
                     yield from self._ingest(mbox, mreq)
@@ -295,16 +299,12 @@ class GpuKernelThread:
             flat = plan.payload.data.reshape(-1)
             creq.data = flat[: plan.payload_nbytes // flat.itemsize].copy()
         creq.done = self.sim.event(name=f"{self.name}.creq")
-        creq.stamp("posted", mreq.posted_at)
-        creq.stamp("harvested", self.sim.now)
+        creq.mark(self.sim, "posted", self.name, mreq.posted_at)
+        creq.mark(self.sim, "harvested", self.name)
         self._inflight.append(_Inflight(mbox, mreq, creq, plan.result))
         creq.done.add_callback(lambda _e: self._completion_sig.fire())
         yield from self.comm.enqueue_from_gpu_thread(creq)
-        creq.stamp("enqueued", self.sim.now)
-        self.sim.trace(
-            "gpu_thread.relay", thread=self.name, op=creq.op,
-            vrank=creq.src_vrank,
-        )
+        creq.mark(self.sim, "enqueued", self.name)
 
     def _complete(self, entry: _Inflight) -> Generator[Event, Any, None]:
         """Write results back to the device and release the kernel."""
@@ -328,10 +328,7 @@ class GpuKernelThread:
             dview[:m] = sview[:m]
         # Completion flag write.
         yield from self.device.pcie.write(_FLAG_BYTES)
-        creq.stamp("written_back", self.sim.now)
-        self.sim.trace(
-            "gpu_thread.writeback", thread=self.name, op=creq.op
-        )
+        creq.mark(self.sim, "written_back", self.name)
         entry.mbox.complete(entry.mreq, result=creq.status)
 
     def _prune(self) -> None:

@@ -79,10 +79,20 @@ class DcgnGroup:
 
 
 class _GroupInfo:
-    """Runtime view of one group: node footprint + MPI sub-communicator."""
+    """Runtime view of one group: node footprint + MPI sub-communicator.
+
+    Nodes are named by their rank in the job's node communicator (the
+    local node index of :meth:`RankMap.node_of`), never by cluster node
+    id, so a job placed off the identity (``DcgnConfig(node_ids=...)``)
+    indexes the same way as one on nodes ``0..n-1``.
+    """
 
     def __init__(
-        self, group: DcgnGroup, rankmap: RankMap, subcomm: Communicator
+        self,
+        group: DcgnGroup,
+        rankmap: RankMap,
+        subcomm: Communicator,
+        nodes: Sequence[int],
     ) -> None:
         self.group = group
         self.subcomm = subcomm
@@ -90,17 +100,18 @@ class _GroupInfo:
         for v in group.vranks:
             self._local.setdefault(rankmap.node_of(v), []).append(v)
         #: Nodes hosting members, in sub-communicator rank order.
-        self.nodes: List[int] = list(subcomm.placement)
+        self.nodes: List[int] = list(nodes)
+        self._sub_rank = {n: r for r, n in enumerate(self.nodes)}
 
     def local_vranks(self, node: int) -> List[int]:
         """Members on ``node``, ordered by group rank."""
         return self._local.get(node, [])
 
     def mpi_rank_of_node(self, node: int) -> int:
-        return self.subcomm.rank_of_world(node)
+        return self._sub_rank[node]
 
     def ctx_for(self, node: int) -> MpiContext:
-        return self.subcomm.ctx(self.subcomm.rank_of_world(node))
+        return self.subcomm.ctx(self._sub_rank[node])
 
 
 class GroupTable:
@@ -117,7 +128,9 @@ class GroupTable:
         world = DcgnGroup(
             WORLD_GID, "world", tuple(range(rankmap.size))
         )
-        self._infos[WORLD_GID] = _GroupInfo(world, rankmap, node_comm)
+        self._infos[WORLD_GID] = _GroupInfo(
+            world, rankmap, node_comm, range(node_comm.size)
+        )
         self._by_name["world"] = world
 
     # -- registration ------------------------------------------------------
@@ -139,9 +152,12 @@ class GroupTable:
         gid = self._next_gid
         self._next_gid += 1
         group = DcgnGroup(gid, name, tuple(int(v) for v in vranks))
+        node_comm = self._node_comm
         nodes = sorted({self._rankmap.node_of(v) for v in group.vranks})
-        subcomm = self._node_comm.create(MpiGroup(nodes))
-        self._infos[gid] = _GroupInfo(group, self._rankmap, subcomm)
+        subcomm = node_comm.create(
+            MpiGroup([node_comm.world_ranks[n] for n in nodes])
+        )
+        self._infos[gid] = _GroupInfo(group, self._rankmap, subcomm, nodes)
         return group
 
     def declare(self, name: str, vranks: Sequence[int]) -> DcgnGroup:

@@ -8,7 +8,7 @@ from typing import Any, Callable, Dict, Optional
 
 import numpy as np
 
-from ..sim.core import Event
+from ..sim.core import Event, Simulator
 
 __all__ = ["CommRequest", "CommStatus", "P2P_OPS", "COLLECTIVE_OPS", "RMA_OPS"]
 
@@ -40,6 +40,10 @@ class CommRequest:
     creation for CPU kernels, at mailbox harvest — after the PCIe read —
     for GPU kernels).  For receives, ``deliver`` is invoked by the
     machinery that lands the payload in the requester's buffer.
+
+    The request carries no timestamps: each thread that moves it
+    through a lifecycle stage records that stage with :meth:`mark` on
+    the attached span recorder (``sim.spans``).
     """
 
     op: str
@@ -62,22 +66,33 @@ class CommRequest:
     #: Free-form extras (e.g. reduce op name).
     extra: Dict[str, Any] = field(default_factory=dict)
     req_id: int = field(default_factory=lambda: next(_req_ids))
-    #: Simulated time the request entered the work queue.
-    enqueued_at: float = 0.0
-    #: Lifecycle timestamps for the overhead-breakdown report
-    #: (issued / enqueued / picked / completed / returned, plus the
-    #: GPU-side posted / harvested / written stages).
-    marks: Dict[str, float] = field(default_factory=dict)
 
-    def stamp(self, stage: str, t: float) -> None:
-        """Record a lifecycle timestamp (first write wins)."""
-        self.marks.setdefault(stage, t)
+    def mark(
+        self,
+        sim: Simulator,
+        stage: str,
+        track: str,
+        t: Optional[float] = None,
+    ) -> None:
+        """Record lifecycle ``stage`` as a ``dcgn.req`` instant on ``track``.
+
+        Stages: issued / enqueued / returned (CPU transport), posted /
+        harvested / enqueued / written_back (GPU thread), picked /
+        completed (comm thread).  ``t`` defaults to now.  A no-op unless
+        a span recorder is attached; readers such as the overhead
+        breakdown take the first instant per (request, stage).
+        """
+        spans = sim.spans
+        if spans is not None:
+            spans.instant(
+                sim.now if t is None else t, stage, "dcgn.req", track,
+                {"req": self.req_id, "op": self.op},
+            )
 
     def complete(self, status: Optional[CommStatus] = None) -> None:
         """Mark the request done (idempotence is an error by design)."""
         self.status = status
         if self.done is not None:
-            self.stamp("completed", self.done.sim.now)
             self.done.succeed(status)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -91,7 +91,6 @@ class SlotMailboxes:
         )
         self._pending.append(req)
         self.posted_count += 1
-        self.sim.trace("mailbox.post", slot=slot, op=op)
         # A global-memory write by the kernel: sub-microsecond; charge the
         # device-side spin granularity once as the write+fence cost.
         yield self.sim.timeout(us(self.spin_check_us))
@@ -132,4 +131,3 @@ class SlotMailboxes:
         """Host-side: flag the request complete (after the PCIe write)."""
         req.result = result
         req.done.succeed(result)
-        self.sim.trace("mailbox.complete", slot=req.slot, op=req.op)

@@ -705,9 +705,6 @@ class Communicator:
             # receiver consumes it).  Either way the receiver may adopt
             # the array instead of memcpying it out.
             private = copy or donate
-            self.sim.trace(
-                "mpi.send", src=src, dst=dst, tag=tag, nbytes=nbytes
-            )
             if nbytes <= self._ib.eager_threshold:
                 if spans is not None:
                     # The sid is stamped into the wire message (the
@@ -868,10 +865,6 @@ class Communicator:
                 self.sim.stats.payload_adopted += 1
             else:
                 self._deliver(buf, data, msg.nbytes)
-            self.sim.trace(
-                "mpi.recv", me=me, src=msg.src, tag=msg.tag,
-                nbytes=msg.nbytes,
-            )
             return Status(source=msg.src, tag=msg.tag, nbytes=msg.nbytes)
         finally:
             self._inflight_ops -= 1

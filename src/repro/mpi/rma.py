@@ -575,10 +575,6 @@ class Window:
             yield from pcie.write(nbytes)
         view = self._target_view(target, offset, data.size, "put")
         view[...] = data
-        self.sim.trace(
-            "rma.put", win=self.name, origin=origin, target=target,
-            nbytes=nbytes,
-        )
         self._op_span(t0, self.sim.now, origin, target, "put", nbytes,
                       proto=proto)
 
@@ -604,10 +600,6 @@ class Window:
         for data, offset in ops:
             view = self._target_view(target, offset, data.size, "put")
             view[...] = data
-        self.sim.trace(
-            "rma.put_coalesced", win=self.name, origin=origin,
-            target=target, nbytes=nbytes, n_ops=len(ops),
-        )
         self._op_span(t0, self.sim.now, origin, target, "put_coalesced",
                       nbytes, n_ops=len(ops))
 
@@ -631,10 +623,6 @@ class Window:
             a = self._leg(o_n, t_n, HEADER_BYTES + nbytes, self.sim.now)
             fin = self._bounce_leg(t_n, nbytes, a)
             self._an_record(origin, target, fin)
-            self.sim.trace(
-                "rma.put_coalesced", win=self.name, origin=origin,
-                target=target, nbytes=nbytes, n_ops=len(ops),
-            )
             self._op_span(self.sim.now, fin, origin, target,
                           "put_coalesced", nbytes, n_ops=len(ops))
             return
@@ -665,10 +653,6 @@ class Window:
         data = self._target_view(target, offset, count, "get").copy()
         yield from self._wire(target, origin, HEADER_BYTES + nbytes)
         recvbuf[...] = data
-        self.sim.trace(
-            "rma.get", win=self.name, origin=origin, target=target,
-            nbytes=nbytes,
-        )
         self._op_span(t0, self.sim.now, origin, target, "get", nbytes)
 
     def _acc_proc(
@@ -712,10 +696,6 @@ class Window:
                 yield from pcie.write(nbytes)
             if fetch_into is not None:
                 yield from self._wire(target, origin, HEADER_BYTES + nbytes)
-            self.sim.trace(
-                "rma.accumulate", win=self.name, origin=origin,
-                target=target, nbytes=nbytes, op=op.value,
-            )
             self._op_span(t0, self.sim.now, origin, target, "accumulate",
                           nbytes, op=op.value)
         finally:
@@ -789,10 +769,6 @@ class Window:
             if not self._price_only:
                 view = self._target_view(target, offset, payload.size, "put")
                 view[...] = payload
-            self.sim.trace(
-                "rma.put", win=self.name, origin=origin, target=target,
-                nbytes=nbytes,
-            )
             self._op_span(self.sim.now, fin, origin, target, "put", nbytes,
                           proto="analytic")
             if want_event:
@@ -826,10 +802,6 @@ class Window:
                 # Snapshot now = snapshot at NIC read: epoch discipline
                 # means no conflicting write can land in between.
                 dst[...] = self._target_view(target, offset, dst.size, "get")
-            self.sim.trace(
-                "rma.get", win=self.name, origin=origin, target=target,
-                nbytes=nbytes,
-            )
             self._op_span(self.sim.now, fin, origin, target, "get", nbytes,
                           proto="analytic")
             # A get always has an observable completion (the data).
@@ -879,10 +851,6 @@ class Window:
                 if fetch_into is not None:
                     fetch_into[...] = view
                 view[...] = op.combine(view, payload)
-            self.sim.trace(
-                "rma.accumulate", win=self.name, origin=origin,
-                target=target, nbytes=int(payload.nbytes), op=op.value,
-            )
             self._op_span(self.sim.now, fin, origin, target, "accumulate",
                           int(payload.nbytes), proto="analytic",
                           op=op.value)

@@ -5,11 +5,12 @@ them.  Three pieces, all timing-passive (attaching them never changes
 simulated timestamps or payload bytes — the exact backend stays
 byte-stable with tracing on):
 
-* :mod:`~repro.obs.spans` — :class:`SpanRecorder`, the single hook
-  (``sim.spans``, same pattern as ``sim.stats``/``sim.tracer``) that
-  every instrumented layer checks.  Collectives, schedule rounds, p2p
-  matching, RMA epochs, DCGN comm-thread slots, the fast-path pricer
-  and the serving scheduler all emit spans when a recorder is attached.
+* :mod:`~repro.obs.spans` — :class:`SpanRecorder`, the simulator's one
+  event recorder and the single hook (``sim.spans``, same pattern as
+  ``sim.stats``) that every instrumented layer checks.  Collectives,
+  schedule rounds, p2p matching, RMA epochs, DCGN comm-thread slots,
+  DCGN poll ticks and request stages, the fast-path pricer and the
+  serving scheduler all emit spans when a recorder is attached.
 * :mod:`~repro.obs.links` — per-channel busy-time/bytes utilization
   report over :meth:`~repro.hw.topology.base.Topology.channels`, fed
   either by simulated transfers (exact backend) or the analytic

@@ -1,7 +1,11 @@
-"""Span recording: the single observation hook behind ``sim.spans``.
+"""Span recording: the simulator's one event recorder, ``sim.spans``.
 
 A :class:`Span` is a named interval on a *track* (one track per rank,
-per comm thread, per fabric channel, per serving job).  The recorder is
+per comm thread, per GPU thread, per fabric channel, per serving job).
+Point events are zero-duration instants on the same tracks: DCGN poll
+ticks (``dcgn.poll``) and the stages of every DCGN request
+(``dcgn.req``, keyed by ``attrs["req"]``), which is what the §5.2
+overhead breakdown and the Figure 2 dataflow test read.  The recorder is
 attached with :meth:`Simulator.attach_spans
 <repro.sim.core.Simulator.attach_spans>`; when ``sim.spans`` is
 ``None`` (the default) every instrumentation point is a single
@@ -22,8 +26,6 @@ from __future__ import annotations
 
 from collections import deque
 from typing import Any, Callable, Deque, Dict, Iterable, List, Optional
-
-from ..sim.tracing import RecordingControl
 
 __all__ = ["Span", "SpanRecorder"]
 
@@ -70,7 +72,7 @@ class Span:
         )
 
 
-class SpanRecorder(RecordingControl):
+class SpanRecorder:
     """Collects completed spans into a (optionally bounded) buffer.
 
     ``maxlen`` keeps only the most recent spans — long serving runs can
@@ -88,10 +90,10 @@ class SpanRecorder(RecordingControl):
     simulation time.
     """
 
-    __slots__ = ("_buf", "_dirty", "_next_sid", "stats")
+    __slots__ = ("enabled", "_buf", "_dirty", "_next_sid", "stats")
 
     def __init__(self, maxlen: Optional[int] = None) -> None:
-        super().__init__()
+        self.enabled = True
         self._buf: Deque[Any] = deque(maxlen=maxlen)
         self._dirty = False
         self._next_sid = 1
@@ -118,6 +120,14 @@ class SpanRecorder(RecordingControl):
             else:
                 buf.append(row)
         self._dirty = False
+
+    def pause(self) -> None:
+        """Stop recording until :meth:`resume` (recorded spans are kept)."""
+        self.enabled = False
+
+    def resume(self) -> None:
+        """Re-enable recording after :meth:`pause`."""
+        self.enabled = True
 
     # -- recording -----------------------------------------------------
 

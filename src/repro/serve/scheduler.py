@@ -268,9 +268,6 @@ class ClusterScheduler:
         self._queue.append(job)
         self.stats["submitted"] += 1
         self.sim.stats.serve_jobs += 1
-        self.sim.trace(
-            "serve.submit", job=job.name, n_nodes=spec.n_nodes
-        )
         self._admit()
         return job
 
@@ -327,7 +324,15 @@ class ClusterScheduler:
                 if head_blocked:
                     self.stats["backfilled"] += 1
                     self.sim.stats.serve_backfills += 1
-                    self.sim.trace("serve.backfill", job=job.name)
+                spans = self.sim.spans
+                if spans is not None:
+                    attrs = {"job_id": job.id}
+                    if head_blocked:
+                        attrs["backfilled"] = True
+                    spans.complete(
+                        job.submit_t, self.sim.now, "queued", "serve.job",
+                        f"job.{job.name}", attrs=attrs,
+                    )
                 self._start_placement(job)
                 # The free set shrank; re-test the next entry in place.
             else:
@@ -359,13 +364,6 @@ class ClusterScheduler:
         job.nodes = nodes
         job.state = PLACING
         job.place_t = self.sim.now
-        spans = self.sim.spans
-        if spans is not None:
-            spans.complete(
-                job.submit_t, job.place_t, "queued", "serve.job",
-                f"job.{job.name}", attrs={"job_id": job.id},
-            )
-        self.sim.trace("serve.place", job=job.name, nodes=tuple(nodes))
         self.sim.process(
             self._place(job), name=f"serve.place.{job.name}"
         )
@@ -396,7 +394,6 @@ class ClusterScheduler:
                 f"job.{job.name}",
                 attrs={"job_id": job.id, "n_nodes": len(job.nodes)},
             )
-        self.sim.trace("serve.start", job=job.name)
         if job.spec.launch is not None:
             job._procs = list(job.spec.launch(job))
         else:
@@ -424,7 +421,6 @@ class ClusterScheduler:
         self._release_nodes(job)
         self._finish(job, DONE)
         self.stats["completed"] += 1
-        self.sim.trace("serve.done", job=job.name)
         self._admit()
 
     # -- bookkeeping -------------------------------------------------------

@@ -41,7 +41,6 @@ from .resources import BandwidthChannel, Mutex, Resource, acquire
 from .rng import RngStreams, stable_hash
 from .stores import FilterStore, Store
 from .sync import CyclicBarrier, Gate, Latch, Signal
-from .tracing import TraceRecord, Tracer
 
 __all__ = [
     "Event",
@@ -77,8 +76,6 @@ __all__ = [
     "Gate",
     "Latch",
     "CyclicBarrier",
-    "Tracer",
-    "TraceRecord",
     "RngStreams",
     "stable_hash",
 ]

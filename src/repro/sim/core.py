@@ -342,8 +342,6 @@ class Simulator:
         self._live: set[Process] = set()
         self._crashed: list[Process] = []
         self._current: Optional[Process] = None
-        #: Optional tracer with a ``record(t, category, **fields)`` method.
-        self.tracer: Any = None
         #: Optional :class:`~repro.obs.spans.SpanRecorder`; ``None``
         #: keeps every instrumentation point to one attribute check.
         self.spans: Any = None
@@ -467,11 +465,6 @@ class Simulator:
     def peek(self) -> float:
         """Time of the next scheduled event (inf when empty)."""
         return self._heap.peek_time()
-
-    def trace(self, category: str, **fields: Any) -> None:
-        """Record a trace point if a tracer is installed (cheap when not)."""
-        if self.tracer is not None:
-            self.tracer.record(self._now, category, **fields)
 
     def attach_spans(self, recorder: Any = None) -> Any:
         """Install (and return) a span recorder as ``self.spans``.

@@ -7,13 +7,14 @@ GPU-slot transports, with the world as group 0.
 * the world and ``group("world")`` share one collective counter;
 * reduce-op names and oversized ``nbytes`` are rejected at issue, as
   catchable kernel errors;
-* CPU ``sendrecv`` requests carry the lifecycle marks the overhead
-  breakdown reads.
+* CPU ``sendrecv`` requests record the ``dcgn.req`` stage instants
+  the overhead breakdown reads.
 """
 
 import numpy as np
 import pytest
 
+from repro.bench.breakdown import request_stages
 from repro.dcgn import CommViolation, DcgnConfig, DcgnRuntime
 from repro.hw import build_cluster, paper_cluster
 from repro.sim import Simulator
@@ -330,8 +331,7 @@ class TestIssueValidation:
 
 def test_cpu_sendrecv_requests_carry_lifecycle_marks():
     rt = make_runtime("cpu")
-    for ct in rt.comm_threads:
-        ct.captured = []
+    rec = rt.sim.attach_spans()
 
     def kern(ctx):
         n = ctx.size
@@ -342,10 +342,8 @@ def test_cpu_sendrecv_requests_carry_lifecycle_marks():
 
     rt.launch_cpu(kern)
     rt.run(max_time=1.0)
-    reqs = [r for ct in rt.comm_threads for r in ct.captured]
-    assert sorted(r.op for r in reqs) == ["recv"] * 4 + ["send"] * 4
-    for req in reqs:
-        marks = req.marks
-        assert {"issued", "enqueued", "picked", "returned"} <= set(marks)
-        assert marks["issued"] < marks["enqueued"] <= marks["returned"]
-
+    reqs = list(request_stages(rec).values())
+    assert sorted(op for op, _ in reqs) == ["recv"] * 4 + ["send"] * 4
+    for _op, stages in reqs:
+        assert {"issued", "enqueued", "picked", "returned"} <= set(stages)
+        assert stages["issued"] < stages["enqueued"] <= stages["returned"]

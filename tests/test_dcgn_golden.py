@@ -288,3 +288,44 @@ def dump():
 def test_golden_dcgn_time(name):
     fn, args = SCENARIOS[name]
     assert fn(*args) == GOLDEN[name]
+
+
+GPU_STAGES = {"posted", "harvested", "enqueued", "written_back"}
+CPU_STAGES = {"issued", "enqueued", "returned"}
+
+
+@pytest.fixture()
+def recorders(monkeypatch):
+    """Attach a span recorder to every simulator the scenario builds."""
+    made = []
+    init = Simulator.__init__
+
+    def traced_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append(self.attach_spans())
+
+    monkeypatch.setattr(Simulator, "__init__", traced_init)
+    return made
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_golden_dcgn_time_traced(name, recorders):
+    """Recording spans is timing-passive: every golden time is
+    unchanged, and the recorder holds each request's lifecycle stages
+    plus the GPU threads' poll ticks."""
+    fn, args = SCENARIOS[name]
+    assert fn(*args) == GOLDEN[name]
+    assert recorders
+    spans = [s for rec in recorders for s in rec.spans]
+    stages = {s.name for s in spans if s.category == "dcgn.req"}
+    assert {"picked", "completed"} <= stages
+    gpu_polls = [
+        s for s in spans
+        if s.category == "dcgn.poll" and s.track.startswith("dcgn.gpu")
+    ]
+    if "posted" in stages:
+        assert GPU_STAGES <= stages
+        assert gpu_polls
+    else:
+        assert CPU_STAGES <= stages
+        assert not gpu_polls

@@ -160,7 +160,7 @@ class TestPollPolicies:
 
 
 class TestCommRequest:
-    def test_complete_fires_done_and_stamps(self):
+    def test_complete_fires_done(self):
         sim = Simulator()
         req = CommRequest(op="send", src_vrank=0, peer=1)
         req.done = sim.event()
@@ -168,14 +168,18 @@ class TestCommRequest:
         req.complete(status)
         assert req.done.triggered
         assert req.status == status
-        assert "completed" in req.marks
 
-    def test_stamp_first_write_wins(self):
+    def test_mark_records_req_instant(self):
         sim = Simulator()
         req = CommRequest(op="recv", src_vrank=0)
-        req.stamp("picked", 1.0)
-        req.stamp("picked", 2.0)
-        assert req.marks["picked"] == 1.0
+        rec = sim.attach_spans()
+        req.mark(sim, "picked", "t", 1.0)
+        req.mark(sim, "completed", "t")
+        (picked, completed) = rec.select(category="dcgn.req")
+        assert (picked.name, picked.t0, picked.t1) == ("picked", 1.0, 1.0)
+        assert picked.attrs == {"req": req.req_id, "op": "recv"}
+        assert (completed.name, completed.t0) == ("completed", sim.now)
+        assert picked.track == completed.track == "t"
 
     def test_request_ids_unique(self):
         a = CommRequest(op="send", src_vrank=0)

@@ -12,39 +12,29 @@ The figure numbers the events of a GPU→GPU send between nodes:
   (6-7) the data is copied to the GPU thread and then to the GPU, and
       the GPU is signalled that the receive completed.
 
-This test runs exactly that scenario under a tracer and asserts the
-event ordering matches the figure.
+This test runs exactly that scenario with a span recorder attached and
+asserts the event ordering matches the figure.  The GPU-side events are
+the ``dcgn.req`` stage instants on the GPU threads' tracks; the wire
+events are the comm thread's ``dcgn.slot`` span and the MPI ranks'
+``p2p.*`` spans.
 """
 
 import numpy as np
 import pytest
 
 from repro.dcgn import DcgnConfig, DcgnRuntime
+from repro.dcgn.comm_thread import PAYLOAD_TAG_BASE
 from repro.hw import build_cluster, paper_cluster
-from repro.sim import Simulator, Tracer
+from repro.obs import SpanRecorder
+from repro.sim import Simulator
 
 
 @pytest.fixture()
 def traced_run():
     sim = Simulator()
-    sim.tracer = Tracer(
-        categories={
-            "mailbox.post",
-            "mailbox.complete",
-            "gpu_thread.poll",
-            "gpu_thread.harvest",
-            "gpu_thread.relay",
-            "gpu_thread.writeback",
-            "comm.wire_send",
-            "comm.wire_arrival",
-            "mpi.send",
-            "mpi.recv",
-        },
-        # Bounded ring buffer: far above this run's record count, so
-        # nothing drops — exercises the maxlen path on a real workload.
-        maxlen=100_000,
-    )
-    assert sim.tracer.maxlen == 100_000
+    # Bounded ring buffer: far above this run's span count, so nothing
+    # drops — exercises the maxlen path on a real workload.
+    rec = sim.attach_spans(SpanRecorder(maxlen=100_000))
     cluster = build_cluster(sim, paper_cluster(nodes=2))
     rt = DcgnRuntime(
         cluster, DcgnConfig.homogeneous(2, gpus=1, slots_per_gpu=1)
@@ -66,61 +56,68 @@ def traced_run():
     rt.launch_gpu(gpu_kernel)
     rt.run()
     assert np.all(payload["received"] == 7)
-    return sim.tracer
+    assert len(rec.spans) < 100_000
+    return rec
 
 
-def first_time(tracer, category, predicate=None):
-    recs = tracer.select(category, predicate)
-    assert recs, f"no {category} events recorded"
-    return recs[0].t
+def stage(rec, name, op, node):
+    """Time of the first ``name`` stage of an ``op`` request on the GPU
+    thread of ``node``."""
+    spans = rec.select(
+        "dcgn.req", name,
+        predicate=lambda s: s.attrs["op"] == op
+        and s.track.startswith(f"dcgn.gpu{node}."),
+    )
+    assert spans, f"no {name} stage of a GPU {op} on node {node}"
+    return spans[0].t0
+
+
+def wire_send(rec, node):
+    """When node's comm thread issued the wire send (its ``send`` slot
+    span opens at the MPI call)."""
+    return rec.select("dcgn.slot", "send", f"dcgn.comm{node}")[0].t0
+
+
+def wire_arrival(rec, node):
+    """When node's comm thread has the payload (its payload-tag receive
+    wait ends)."""
+    spans = rec.select(
+        "p2p.wait",
+        predicate=lambda s: s.track.endswith(f".r{node}")
+        and s.attrs.get("tag", -1) >= PAYLOAD_TAG_BASE,
+    )
+    assert spans, f"no payload receive on node {node}"
+    return spans[0].t1
 
 
 class TestFigure2Ordering:
     def test_send_side_sequence(self, traced_run):
-        tr = traced_run
-        t_post = first_time(tr, "mailbox.post",
-                            lambda r: r["op"] == "send")
-        t_harvest = first_time(
-            tr, "gpu_thread.harvest",
-            lambda r: r["thread"].startswith("dcgn.gpu0"),
-        )
-        t_relay = first_time(
-            tr, "gpu_thread.relay", lambda r: r["op"] == "send"
-        )
-        t_wire = first_time(tr, "comm.wire_send", lambda r: r["node"] == 0)
+        rec = traced_run
+        t_post = stage(rec, "posted", "send", 0)
+        t_harvest = stage(rec, "harvested", "send", 0)
+        t_relay = stage(rec, "enqueued", "send", 0)
+        t_wire = wire_send(rec, 0)
         # (0) request posted -> (1) host notices & reads -> (2) relayed to
         # the COMM thread -> (3/4) MPI send toward the NIC.
         assert t_post < t_harvest < t_relay < t_wire
 
     def test_receive_side_sequence(self, traced_run):
-        tr = traced_run
-        t_recv_post = first_time(tr, "mailbox.post",
-                                 lambda r: r["op"] == "recv")
-        t_recv_relay = first_time(
-            tr, "gpu_thread.relay", lambda r: r["op"] == "recv"
-        )
-        t_arrival = first_time(tr, "comm.wire_arrival",
-                               lambda r: r["node"] == 1)
-        t_writeback = first_time(
-            tr, "gpu_thread.writeback", lambda r: r["op"] == "recv"
-        )
-        t_complete = first_time(tr, "mailbox.complete",
-                                lambda r: r["op"] == "recv")
+        rec = traced_run
+        t_recv_post = stage(rec, "posted", "recv", 1)
+        t_recv_relay = stage(rec, "enqueued", "recv", 1)
+        t_arrival = wire_arrival(rec, 1)
+        t_writeback = stage(rec, "written_back", "recv", 1)
         # Node 2's receive-request was found by polling before the data
-        # arrives (5); data is then copied to the GPU (6-7) and the GPU
-        # is signalled.
+        # arrives (5); data is then copied to the GPU (6-7), and the
+        # completion-flag write-back is what signals the GPU.
         assert t_recv_post < t_recv_relay
-        assert t_arrival < t_writeback <= t_complete
+        assert t_arrival < t_writeback
 
     def test_cross_node_ordering(self, traced_run):
-        tr = traced_run
-        t_wire_send = first_time(tr, "comm.wire_send",
-                                 lambda r: r["node"] == 0)
-        t_arrival = first_time(tr, "comm.wire_arrival",
-                               lambda r: r["node"] == 1)
-        t_send_flag = first_time(
-            tr, "gpu_thread.writeback", lambda r: r["op"] == "send"
-        )
+        rec = traced_run
+        t_wire_send = wire_send(rec, 0)
+        t_arrival = wire_arrival(rec, 1)
+        t_send_flag = stage(rec, "written_back", "send", 0)
         # The wire send precedes the remote arrival; the local send
         # completion flag ("the CPU on Node 1 signaling the GPU that the
         # send completed") happens after the MPI call commenced.
@@ -128,7 +125,9 @@ class TestFigure2Ordering:
         assert t_wire_send < t_send_flag
 
     def test_mpi_carries_the_payload(self, traced_run):
-        tr = traced_run
+        rec = traced_run
         # Header + payload = at least two MPI sends from node 0's rank.
-        sends = tr.select("mpi.send", lambda r: r["src"] == 0)
+        sends = rec.select(
+            "p2p.send", predicate=lambda s: s.track.endswith(".r0")
+        )
         assert len(sends) >= 2

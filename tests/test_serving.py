@@ -147,6 +147,7 @@ class TestAdmission:
 
     def test_backfill_small_job_jumps_blocked_head(self):
         sim, sched = make_sched(4)
+        rec = sim.attach_spans()
         hog = sched.submit(spec("hog", 3))
         big = sched.submit(spec("big", 4))   # blocked head
         small = sched.submit(spec("small", 1))  # fits right now
@@ -156,6 +157,12 @@ class TestAdmission:
         assert {j.state for j in (hog, big, small)} == {DONE}
         assert sched.stats["backfilled"] == 1
         assert sim.stats.serve_backfills == 1
+        queued = {
+            s.track: s.attrs for s in rec.select("serve.job", "queued")
+        }
+        assert queued["job.small"] == {"job_id": small.id, "backfilled": True}
+        assert "backfilled" not in queued["job.hog"]
+        assert "backfilled" not in queued["job.big"]
 
     def test_owner_map_tracks_reservations(self):
         sim, sched = make_sched(4)

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.dcgn.requests import CommRequest
+from repro.obs import SpanRecorder
 from repro.sim import (
     CyclicBarrier,
     FilterStore,
@@ -10,7 +12,6 @@ from repro.sim import (
     Signal,
     Simulator,
     Store,
-    Tracer,
 )
 
 
@@ -364,55 +365,38 @@ class TestCyclicBarrier:
 
 
 class TestTracer:
+    """The simulator's one event recorder, ``sim.spans`` (a
+    :class:`~repro.obs.SpanRecorder`; its ring buffer and pause/resume
+    are covered in ``tests/test_obs.py``)."""
+
     def test_records_and_filters(self):
         sim = Simulator()
-        sim.tracer = Tracer()
+        rec = sim.attach_spans()
 
         def proc():
-            sim.trace("poll", gpu=0)
+            rec.instant(sim.now, "poll", "dcgn.poll", "gpu0")
             yield sim.timeout(1.0)
-            sim.trace("send", nbytes=64)
+            rec.instant(sim.now, "send", "p2p.send", "r0", {"nbytes": 64})
 
         sim.process(proc())
         sim.run()
-        assert sim.tracer.count("poll") == 1
-        sends = sim.tracer.select("send")
+        assert rec.count("dcgn.poll") == 1
+        sends = rec.select("p2p.send")
         assert len(sends) == 1
-        assert sends[0]["nbytes"] == 64
-        assert sends[0].t == pytest.approx(1.0)
-
-    def test_category_filter(self):
-        sim = Simulator()
-        sim.tracer = Tracer(categories={"keep"})
-        sim.trace("keep", a=1)
-        sim.trace("drop", b=2)
-        assert sim.tracer.count("keep") == 1
-        assert sim.tracer.count("drop") == 0
+        assert sends[0].attrs["nbytes"] == 64
+        assert sends[0].t0 == sends[0].t1 == pytest.approx(1.0)
 
     def test_no_tracer_is_noop(self):
         sim = Simulator()
-        sim.trace("anything", x=1)  # must not raise
+        assert sim.spans is None
+        # Instrumentation points check sim.spans and record nothing.
+        CommRequest(op="send", src_vrank=0).mark(sim, "issued", "t")
 
     def test_clear(self):
-        tr = Tracer()
-        tr.record(0.0, "a")
-        tr.clear()
-        assert len(tr.records) == 0
-
-    def test_maxlen_ring_buffer(self):
-        tr = Tracer(maxlen=3)
-        for i in range(10):
-            tr.record(float(i), "tick", i=i)
-        assert tr.maxlen == 3
-        assert len(tr.records) == 3
-        assert [r["i"] for r in tr.records] == [7, 8, 9]
-
-    def test_pause_resume(self):
-        tr = Tracer()
-        tr.record(0.0, "kept")
-        tr.pause()
-        tr.record(1.0, "dropped")
-        tr.resume()
-        tr.record(2.0, "kept")
-        assert tr.count("kept") == 2
-        assert tr.count("dropped") == 0
+        rec = SpanRecorder()
+        a = rec.instant(0.0, "tick", "c", "t")
+        rec.clear()
+        assert len(rec.spans) == 0
+        # The sid counter keeps advancing across a clear.
+        assert rec.instant(1.0, "tick", "c", "t") > a
+        assert len(rec.spans) == 1
