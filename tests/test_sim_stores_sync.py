@@ -366,8 +366,8 @@ class TestCyclicBarrier:
 
 class TestTracer:
     """The simulator's one event recorder, ``sim.spans`` (a
-    :class:`~repro.obs.SpanRecorder`; its ring buffer and pause/resume
-    are covered in ``tests/test_obs.py``)."""
+    :class:`~repro.obs.SpanRecorder`; ``tests/test_obs.py`` covers its
+    ring buffer and pause/resume for intervals, these for instants)."""
 
     def test_records_and_filters(self):
         sim = Simulator()
@@ -391,6 +391,23 @@ class TestTracer:
         assert sim.spans is None
         # Instrumentation points check sim.spans and record nothing.
         CommRequest(op="send", src_vrank=0).mark(sim, "issued", "t")
+
+    def test_maxlen_ring_buffer(self):
+        rec = SpanRecorder(maxlen=3)
+        for i in range(10):
+            rec.instant(float(i), "tick", "c", "t", {"i": i})
+        assert len(rec.spans) == 3
+        assert [s.attrs["i"] for s in rec.spans] == [7, 8, 9]
+
+    def test_pause_resume(self):
+        rec = SpanRecorder()
+        rec.instant(0.0, "kept", "c", "t")
+        rec.pause()
+        assert rec.instant(1.0, "dropped", "c", "t") is None
+        rec.resume()
+        rec.instant(2.0, "kept", "c", "t")
+        assert len(rec.select(name="kept")) == 2
+        assert rec.select(name="dropped") == []
 
     def test_clear(self):
         rec = SpanRecorder()
