@@ -20,7 +20,6 @@ come in the latency-bound small/medium-block regime (up to ~2.3× at
 
 Run standalone:       python benchmarks/bench_collectives_algos.py
 Fast smoke (CI):      python benchmarks/bench_collectives_algos.py --smoke
-Under pytest-benchmark: pytest benchmarks/bench_collectives_algos.py --benchmark-only -s
 """
 
 import sys
@@ -203,19 +202,6 @@ def main(argv=None):
         "adaptive <= fixed everywhere; >1.2x win on >=16-node >=1MB "
         "allreduce",
     )
-
-
-def test_collectives_algo_sweep(benchmark):
-    """pytest-benchmark entry point (smoke-sized)."""
-    holder = {}
-
-    def job():
-        holder["out"] = run(smoke=True)
-
-    benchmark.pedantic(job, rounds=1, iterations=1)
-    table, points, violations = holder["out"]
-    print(table.render())
-    assert not violations, violations
 
 
 if __name__ == "__main__":

@@ -24,7 +24,6 @@ Acceptance gates (exit non-zero on violation):
 
 Run standalone:       python benchmarks/bench_overlap.py
 Fast smoke (CI):      python benchmarks/bench_overlap.py --smoke
-Under pytest-benchmark: pytest benchmarks/bench_overlap.py --benchmark-only -s
 """
 
 import sys
@@ -163,19 +162,6 @@ def main(argv=None):
         f"overlap never slower; >={MIN_OVERLAP_WIN}x win for "
         "overlapped Cannon halo rotation on >=8 nodes",
     )
-
-
-def test_overlap_sweep(benchmark):
-    """pytest-benchmark entry point (smoke-sized)."""
-    holder = {}
-
-    def job():
-        holder["out"] = run(smoke=True)
-
-    benchmark.pedantic(job, rounds=1, iterations=1)
-    table, points, violations = holder["out"]
-    print(table.render())
-    assert not violations, violations
 
 
 if __name__ == "__main__":

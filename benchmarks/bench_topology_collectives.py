@@ -25,7 +25,6 @@ its middle phase.
 
 Run standalone:       python benchmarks/bench_topology_collectives.py
 Fast smoke (CI):      python benchmarks/bench_topology_collectives.py --smoke
-Under pytest-benchmark: pytest benchmarks/bench_topology_collectives.py --benchmark-only -s
 """
 
 import sys
@@ -291,19 +290,6 @@ def main(argv=None):
         "flat spec identical; autotuned <= constants everywhere; "
         ">=1.2x win on scattered 2:1 fat tree >=16-node >=1MB allreduce",
     )
-
-
-def test_topology_collectives_sweep(benchmark):
-    """pytest-benchmark entry point (smoke-sized)."""
-    holder = {}
-
-    def job():
-        holder["out"] = run(smoke=True)
-
-    benchmark.pedantic(job, rounds=1, iterations=1)
-    table, points, violations = holder["out"]
-    print(table.render())
-    assert not violations, violations
 
 
 if __name__ == "__main__":

@@ -181,18 +181,5 @@ def main(argv=None):
     )
 
 
-def test_tracing_overhead(benchmark):
-    """pytest-benchmark entry point (smoke-sized)."""
-    holder = {}
-
-    def job():
-        holder["out"] = run(smoke=True)
-
-    benchmark.pedantic(job, rounds=1, iterations=1)
-    table, points, violations = holder["out"]
-    print(table.render())
-    assert not violations, violations
-
-
 if __name__ == "__main__":
     sys.exit(main())

@@ -1,5 +1,11 @@
-"""Benchmark harness regenerating every evaluation artifact."""
+"""Benchmark harness regenerating and gating every evaluation artifact."""
 
+from .ablations import (
+    localcomm_table,
+    multislot_table,
+    polling_tradeoff_table,
+    slots_table,
+)
 from .breakdown import overhead_breakdown, send_lifecycle
 from .calibration import FIG6_ANCHORS, SEC51_PAPER, TABLE1_PAPER, Table1Row
 from .future import future_hw_table
@@ -12,7 +18,14 @@ from .figures import (
     sec51_nbody,
     table1_barriers,
 )
-from .harness import Table, fmt_ratio, fmt_time, results_dir, save_table
+from .harness import (
+    Table,
+    fmt_ratio,
+    fmt_time,
+    results_dir,
+    save_table,
+    violations,
+)
 
 __all__ = [
     "Table",
@@ -20,6 +33,7 @@ __all__ = [
     "fmt_ratio",
     "results_dir",
     "save_table",
+    "violations",
     "TABLE1_PAPER",
     "FIG6_ANCHORS",
     "SEC51_PAPER",
@@ -31,4 +45,11 @@ __all__ = [
     "sec51_mandelbrot",
     "sec51_cannon",
     "sec51_nbody",
+    "overhead_breakdown",
+    "send_lifecycle",
+    "future_hw_table",
+    "polling_tradeoff_table",
+    "slots_table",
+    "localcomm_table",
+    "multislot_table",
 ]

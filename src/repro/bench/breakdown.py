@@ -99,6 +99,18 @@ def _stage_rows(marks: Dict[str, float], order: List[Tuple[str, str, str]]):
     return rows
 
 
+#: The GPU send's stages, from the kernel posting it to the completion
+#: flag landing back in device memory.
+GPU_SEND_STAGES = [
+    ("posted", "harvested", "mailbox poll wait (PCIe probe cadence)"),
+    ("harvested", "enqueued", "descriptor+payload PCIe read, relay"),
+    ("enqueued", "picked", "comm-thread sleep-poll wait"),
+    ("picked", "completed", "matching + MPI send"),
+    ("completed", "written_back", "completion signal + PCIe flag write"),
+]
+GPU_SEND_ORDER = [start for start, _, _ in GPU_SEND_STAGES] + ["written_back"]
+
+
 def overhead_breakdown(seed: int = 0) -> Table:
     """The waterfall table for 0-byte CPU:CPU and GPU:GPU sends."""
     cpu = send_lifecycle("cpu", seed=seed)
@@ -118,30 +130,26 @@ def overhead_breakdown(seed: int = 0) -> Table:
         ],
     ):
         t.add("CPU send", label, f"{dt:.1f}")
-    if "issued" in cpu_send and "returned" in cpu_send:
-        t.add(
-            "CPU send",
-            "TOTAL",
-            f"{(cpu_send['returned'] - cpu_send['issued']) / us(1.0):.1f}",
-        )
+    cpu_total = (cpu_send["returned"] - cpu_send["issued"]) / us(1.0)
+    t.add("CPU send", "TOTAL", f"{cpu_total:.1f}")
     gpu_send = gpu.get("send", {})
-    for label, dt in _stage_rows(
-        gpu_send,
-        [
-            ("posted", "harvested", "mailbox poll wait (PCIe probe cadence)"),
-            ("harvested", "enqueued", "descriptor+payload PCIe read, relay"),
-            ("enqueued", "picked", "comm-thread sleep-poll wait"),
-            ("picked", "completed", "matching + MPI send"),
-            ("completed", "written_back", "completion signal + PCIe flag write"),
-        ],
-    ):
+    for label, dt in _stage_rows(gpu_send, GPU_SEND_STAGES):
         t.add("GPU send", label, f"{dt:.1f}")
-    if "posted" in gpu_send and "written_back" in gpu_send:
-        t.add(
-            "GPU send",
-            "TOTAL",
-            f"{(gpu_send['written_back'] - gpu_send['posted']) / us(1.0):.1f}",
-        )
+    gpu_total = (gpu_send["written_back"] - gpu_send["posted"]) / us(1.0)
+    t.add("GPU send", "TOTAL", f"{gpu_total:.1f}")
+    t.record("CPU send TOTAL (us)", cpu_total)
+    t.record("GPU send TOTAL (us)", gpu_total)
+    # The polling wait is the GPU path's dominant stage (paper §5.2),
+    # and the GPU path dwarfs the CPU path.
+    poll_wait = (gpu_send["harvested"] - gpu_send["posted"]) / us(1.0)
+    t.record("GPU poll wait / GPU TOTAL", poll_wait / gpu_total,
+             band=(0.4, None))
+    t.record("GPU TOTAL / CPU TOTAL", gpu_total / cpu_total, band=(3.0, None))
+    # Every lifecycle stage of the GPU send is stamped, in order.
+    times = [gpu_send[s] for s in GPU_SEND_ORDER if s in gpu_send]
+    t.record("GPU send stages stamped", len(times), band=(4.5, None))
+    t.record("GPU send stages out of order",
+             sum(b < a for a, b in zip(times, times[1:])), band=(None, 0.5))
     t.note(
         "Paper §5.2: the CPU path pays thread-safe queueing; the GPU path "
         "adds the three PCIe conversations (notice request, fetch it, flag "

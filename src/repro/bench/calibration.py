@@ -1,8 +1,8 @@
 """Paper-reported numbers, as structured data (the calibration targets).
 
-Each artifact of the evaluation section is encoded here so benchmarks
-can print paper-vs-measured side by side and EXPERIMENTS.md can be
-regenerated mechanically.
+Each artifact of the evaluation section is encoded here so
+``python -m repro.bench`` can record paper-vs-measured side by side in
+``BENCH_paper.json``.
 """
 
 from __future__ import annotations
@@ -36,6 +36,12 @@ class Table1Row:
     @property
     def gpus_per_node(self) -> int:
         return self.gpus // self.nodes
+
+    @property
+    def label(self) -> str:
+        """The row's name in ``BENCH_paper.json``, e.g. ``"2n 2C/2G"``
+        (kernels per node)."""
+        return f"{self.nodes}n {self.cpus_per_node}C/{self.gpus_per_node}G"
 
 
 #: Paper Table 1.  The MPI baseline compares against an MPI job whose

@@ -211,7 +211,7 @@ def _gather(ep: "Endpoint", root: int, sendbuf, recvbuf=None) -> Plan:
     ``root``, assembled in group-rank order."""
     root = ep._root(root)
     chunk = ep._nbytes(None, sendbuf, "gather")
-    result = ep._root_buffer(root, recvbuf, "recv", "gather")
+    result = ep._root_buffer(root, recvbuf, "recv", "gather", chunk)
     req = ep._coll("gather", root, chunk, chunk=chunk)
     return Plan(req, sendbuf, chunk, result)
 
@@ -221,7 +221,7 @@ def _scatter(ep: "Endpoint", root: int, recvbuf, sendbuf=None) -> Plan:
     ``sendbuf`` to every member, in group-rank order."""
     root = ep._root(root)
     chunk = ep._nbytes(None, recvbuf, "scatter")
-    payload = ep._root_buffer(root, sendbuf, "send", "scatter")
+    payload = ep._root_buffer(root, sendbuf, "send", "scatter", chunk)
     n = 0 if payload is None else ep._nbytes(None, payload, "scatter")
     req = ep._coll("scatter", root, chunk, chunk=chunk)
     return Plan(req, payload, n, recvbuf)
@@ -486,13 +486,23 @@ class Endpoint:
             )
         return group.vranks[root]
 
-    def _root_buffer(self, root: int, buf, kind: str, what: str):
-        """The buffer only the root supplies (None elsewhere)."""
+    def _root_buffer(
+        self, root: int, buf, kind: str, what: str, chunk: int = 0
+    ):
+        """The buffer only the root supplies (None elsewhere); it must
+        hold ``chunk`` bytes for every group member."""
         if self.vrank != root:
             return None
         if buf is None:
             raise CommViolation(f"root needs a {kind} buffer for {what}")
-        self._array(buf, what)
+        need = chunk * self._group.size
+        have = self._array(buf, what).nbytes
+        if have < need:
+            raise CommViolation(
+                f"{self._transport.label}{what}: root {kind} buffer of "
+                f"{have} B is short of {chunk} B x {self._group.size} "
+                f"members = {need} B"
+            )
         return buf
 
     def _window(

@@ -89,6 +89,9 @@ class _CollState:
     kind: Optional[str] = None
     root: int = -1
     op_name: str = ""
+    #: Bytes and per-member chunk every entry must agree on.
+    nbytes: int = 0
+    chunk: Optional[int] = None
     entries: List[CommRequest] = field(default_factory=list)
 
 
@@ -508,10 +511,12 @@ class CommThread:
         if state is None:
             state = _CollState(seq=seq, gid=gid)
             self._colls[(gid, seq)] = state
+        chunk = req.extra.get("chunk")
         if state.kind is None:
             state.kind = req.op
             state.root = req.root
             state.op_name = req.extra.get("reduce_op", "")
+            state.nbytes, state.chunk = req.nbytes, chunk
         else:
             if state.kind != req.op:
                 raise CollectiveMismatch(
@@ -526,6 +531,16 @@ class CommThread:
             if state.op_name != req.extra.get("reduce_op", ""):
                 raise CollectiveMismatch(
                     f"collective #{seq}: reduce-op mismatch"
+                )
+            # Broadcast non-roots may pass any buffer size: staging
+            # takes the largest.
+            if req.op != "bcast" and (state.nbytes, state.chunk) != (
+                req.nbytes, chunk
+            ):
+                raise CollectiveMismatch(
+                    f"collective #{seq}: vrank {req.src_vrank} passed "
+                    f"{req.nbytes} B (chunk {chunk}) but others passed "
+                    f"{state.nbytes} B (chunk {state.chunk})"
                 )
         state.entries.append(req)
         if len(state.entries) > self._local_quorum(gid):
@@ -693,7 +708,7 @@ class CommThread:
         # Opterons' per-socket memory controllers plus combine ALU time
         # are taken to give the parallel streams usable bandwidth; if
         # calibration shows this too optimistic, drop `cores` toward
-        # the socket count (see ROADMAP "Collective algorithms").
+        # the socket count.
         yield from self.node.memcpy.copy(
             None, None, nbytes=int(level[0].nbytes)
         )
@@ -860,6 +875,13 @@ class CommThread:
             mreq = mpi.iscatter(None, recvbuf, root=sub_root)
 
         def finish_scatter():
+            status = mreq.event.value  # None at the root's node
+            if status is not None and status.nbytes != recvbuf.nbytes:
+                raise CollectiveMismatch(
+                    f"collective #{state.seq}: node {self.mpi.rank}'s "
+                    f"members expect {recvbuf.nbytes} B but the root "
+                    f"sent {status.nbytes} B (count mismatch)"
+                )
             for i, req in enumerate(local):
                 piece = recvbuf[i * chunk : (i + 1) * chunk]
                 if req.nbytes > 0:

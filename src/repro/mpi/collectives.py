@@ -455,7 +455,7 @@ def _scatter_impl(
     recvbuf: Payload,
     root: int,
     tag: int,
-) -> Generator[Event, Any, None]:
+) -> Generator[Event, Any, Any]:
     size, rank = ctx.size, ctx.rank
     if rank == root:
         if sendbufs is None or len(sendbufs) != size:
@@ -471,5 +471,6 @@ def _scatter_impl(
             own[...] = mine.reshape(own.shape)
         for r in reqs:
             yield from r.wait()
-    else:
-        yield from _recv_internal(ctx, recvbuf, root, tag)
+        return None
+    # A non-root's status says how many bytes the root sent it.
+    return (yield from _recv_internal(ctx, recvbuf, root, tag))

@@ -9,10 +9,12 @@ import pytest
 from repro.dcgn import (
     ANY,
     CollectiveMismatch,
+    CommViolation,
     DcgnConfig,
     DcgnRuntime,
 )
 from repro.hw import HWParams, build_cluster, paper_cluster
+from repro.mpi import TruncationError
 from repro.sim import Simulator, us
 
 
@@ -120,6 +122,23 @@ class TestLocalLoopbackAblation:
         assert one_way(True) < one_way(False)
 
 
+#: (nodes, CPU threads per node) of a two-rank job.
+LAYOUTS = {"1node-2threads": (1, 2), "2nodes-1thread": (2, 1)}
+
+
+def _rooted_or_reduce(ctx, op, n, root_n):
+    """Rank 0 is the root and supplies ``root_n`` elements; every rank
+    passes ``n`` elements of its own."""
+    mine = np.arange(n, dtype=np.int64)
+    full = np.zeros(root_n, dtype=np.int64) if ctx.rank == 0 else None
+    if op == "gather":
+        yield from ctx.gather(0, mine, full)
+    elif op == "scatter":
+        yield from ctx.scatter(0, mine, full)
+    else:
+        yield from ctx.allreduce(mine, np.zeros_like(mine))
+
+
 class TestCollectiveMismatches:
     def test_reduce_op_mismatch(self):
         sim, rt = make_runtime(n_nodes=1, cpu_threads=2)
@@ -151,6 +170,36 @@ class TestCollectiveMismatches:
 
         rt.launch_cpu(kernel)
         with pytest.raises(CollectiveMismatch):
+            rt.run(max_time=1.0)
+
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    @pytest.mark.parametrize("op", ["gather", "scatter"])
+    def test_short_root_buffer_rejected_at_issue(self, op, layout):
+        """Two ranks of 4 elements need an 8-element root buffer.  A
+        short one used to drop a rank's data (gather), hand out zeros
+        (2-node scatter) or kill the comm thread (1-node scatter)."""
+        sim, rt = make_runtime(*LAYOUTS[layout])
+        rt.launch_cpu(lambda ctx: _rooted_or_reduce(ctx, op, 4, 5))
+        with pytest.raises(CommViolation, match="short of"):
+            rt.run(max_time=1.0)
+
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    @pytest.mark.parametrize("op", ["gather", "scatter", "allreduce"])
+    def test_count_disagreement(self, op, layout):
+        """Rank 1 passes 8 elements against everyone else's 4.  On one
+        node the comm thread sees both entries; across nodes the wire
+        carries the disagreement (a too-long message truncates, a
+        too-short scatter piece is caught on arrival)."""
+        sim, rt = make_runtime(*LAYOUTS[layout])
+        rt.launch_cpu(
+            lambda ctx: _rooted_or_reduce(
+                ctx, op, 8 if ctx.rank == 1 else 4, 16
+            )
+        )
+        cross_node_truncation = layout == "2nodes-1thread" and op != "scatter"
+        with pytest.raises(
+            TruncationError if cross_node_truncation else CollectiveMismatch
+        ):
             rt.run(max_time=1.0)
 
 
