@@ -201,8 +201,7 @@ def _collective_prog(op, P, nbytes):
         elif op == "allgather":
             send = np.zeros(nbytes, dtype=np.uint8)
             flat = np.zeros(P * nbytes, dtype=np.uint8)
-            recvbufs = [flat[i * nbytes:(i + 1) * nbytes] for i in range(P)]
-            yield from ctx.allgather(send, recvbufs)
+            yield from ctx.allgather(send, flat)
         elif op == "alltoall":
             sflat = np.zeros(P * nbytes, dtype=np.uint8)
             rflat = np.zeros(P * nbytes, dtype=np.uint8)

@@ -193,12 +193,11 @@ class TileService:
         lo = ctx.rank * share
         chunk = flat[lo : lo + share]
         send[: len(chunk)] = chunk
-        # One flat gather buffer, handed over as adjacent per-rank
-        # views: recursive doubling then receives every round straight
-        # into place (no pack/unpack), and the strip needs no concat.
+        # One flat gather buffer: recursive doubling then receives
+        # every round straight into place (no pack/unpack), and the
+        # strip needs no concat.
         gathered = np.zeros(share * P, dtype=np.int32)
-        recv = [gathered[i * share : (i + 1) * share] for i in range(P)]
-        yield from ctx.allgather(send, recv)
+        yield from ctx.allgather(send, gathered)
         if ctx.rank != 0:
             return None
         return gathered[:words].reshape(tile.strip_height, tile.width)

@@ -31,9 +31,9 @@ and the DCGN comm threads benefit.
 """
 
 from .autotune import autotune_tuning, derive_tuning
-from .barrier import barrier_dissemination
-from .schedule import Schedule, ScheduleEngine
-from .selector import ALGORITHMS, SCHEDULES, AlgorithmSelector
+from .barrier import build_barrier_dissemination
+from .schedule import Schedule, ScheduleEngine, blocking
+from .selector import ALGORITHMS, SCHEDULES, AlgorithmSelector, binder
 from .tuning import SEED_TUNING, CollectiveTuning
 
 # Public blocking entry points ARE the registry values — one wrapper
@@ -54,6 +54,8 @@ bcast_hierarchical = ALGORITHMS["bcast"]["hierarchical"]
 bcast_pipelined = ALGORITHMS["bcast"]["pipelined"]
 reduce_binomial = ALGORITHMS["reduce"]["binomial"]
 reduce_rabenseifner = ALGORITHMS["reduce"]["rabenseifner"]
+barrier_dissemination = blocking(binder("barrier"),
+                                 build_barrier_dissemination)
 
 __all__ = [
     "ALGORITHMS",

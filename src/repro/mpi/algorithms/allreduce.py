@@ -10,12 +10,10 @@ Cost shapes (P ranks, n bytes, α latency, β per-byte):
   reduce-scatter + allgather (the Rabenseifner scatter-allgather family),
   best for large messages.
 
-Every algorithm is expressed as a round-based :class:`Schedule` (a
-``build_*`` function) executed by the communicator's
-:class:`~repro.mpi.algorithms.schedule.ScheduleEngine`; the blocking
-entry points below run the same schedules to completion, so blocking
-and nonblocking (``iallreduce``) calls share one code path and one
-timing model.
+Every algorithm is a ``build_*`` function compiling to a data-free
+:class:`Schedule` over binding slots 0 (send) and 1 (recv); blocking
+and nonblocking (``iallreduce``) calls execute the same shapes, so they
+share one code path and one timing model.
 
 All :class:`~repro.mpi.datatypes.ReduceOp` operators are commutative, so
 the fold-in step of non-power-of-two recursive doubling is safe; combines
@@ -25,14 +23,13 @@ per rank.
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Tuple
 
 import numpy as np
 
-from ..datatypes import AdoptBuf, Payload, ReduceOp, payload_array
-from ..errors import MpiError
-from .base import hier_ok as _hier_ok, largest_pof2, next_tag
-from .schedule import Schedule
+from ..datatypes import ReduceOp
+from .base import hier_ok as _hier_ok, largest_pof2
+from .schedule import COMBINE, COPY, REBIND, Binding, Schedule
 
 __all__ = [
     "build_allreduce_reduce_bcast",
@@ -43,58 +40,35 @@ __all__ = [
 ]
 
 
-def _setup(ctx, sendbuf: Payload, recvbuf: Payload):
-    src = payload_array(sendbuf)
-    out = payload_array(recvbuf)
-    if src is None:
-        raise MpiError("allreduce requires an array payload")
-    if out is None:
-        raise MpiError("allreduce requires a recv buffer on every rank")
-    return src, out
-
-
 def build_allreduce_reduce_bcast(
-    ctx,
-    sendbuf: Payload,
-    recvbuf: Payload,
-    op: ReduceOp = ReduceOp.SUM,
+    ctx, b: Binding, op: ReduceOp = ReduceOp.SUM
 ) -> Schedule:
     """Reduce to rank 0, then broadcast (the seed's fixed algorithm).
 
     Composed from the binomial-reduce and broadcast schedules; the bcast
     leg is selector-dispatched exactly like a standalone ``bcast`` call
-    (same counters, same tag sequence), so timings match the old
-    generator composition byte for byte.
+    (same counters, same tag sequence).
     """
-    from ...hw.memory import nbytes_of
     from .bcast import append_bcast
     from .reduce import append_reduce_binomial
 
-    _setup(ctx, sendbuf, recvbuf)
-    sched = Schedule()
-    ctx.comm._count("reduce")
-    ends = append_reduce_binomial(
-        sched, ctx, sendbuf,
-        recvbuf if ctx.rank == 0 else None,
-        op=op, root=0, after=(),
-    )
-    ctx.comm._count("bcast")
-    nbytes = nbytes_of(recvbuf) if recvbuf is not None else 0
-    algo = ctx.comm.selector.bcast(nbytes, ctx.size, hier_ok=_hier_ok(ctx))
-    ctx.comm._count(f"bcast[{algo}]")
+    sched = Schedule(ctx, b)
+    sched.count("reduce")
+    ends = append_reduce_binomial(sched, ctx, b, op=op, root=0, after=())
+    sched.count("bcast")
+    algo = ctx.comm.selector.bcast(b.sizes[1], ctx.size,
+                                   hier_ok=_hier_ok(ctx))
+    sched.count(f"bcast[{algo}]")
     # The bcast leg's rounds start past the reduce leg's on EVERY rank:
     # the offset is the binomial tree's global depth, not this rank's
     # own round count (a leaf's reduce part is a single round).
-    append_bcast(algo, sched, ctx, recvbuf, root=0, after=ends,
+    append_bcast(algo, sched, ctx, 1, root=0, after=ends,
                  round0=(ctx.size - 1).bit_length())
     return sched
 
 
 def build_allreduce_recursive_doubling(
-    ctx,
-    sendbuf: Payload,
-    recvbuf: Payload,
-    op: ReduceOp = ReduceOp.SUM,
+    ctx, b: Binding, op: ReduceOp = ReduceOp.SUM
 ) -> Schedule:
     """Recursive-doubling allreduce (MPICH small-message algorithm).
 
@@ -102,18 +76,16 @@ def build_allreduce_recursive_doubling(
     pair up (even sends to odd) so ``pof2`` ranks run the doubling
     rounds, then the even partners receive the final result back.
     """
-    src, out = _setup(ctx, sendbuf, recvbuf)
     size, rank = ctx.size, ctx.rank
-    sched = Schedule()
-    st = {"acc": src.copy()}
+    sched = Schedule(ctx, b)
+    n, dt = b.sizes[0], b.dtype
+    acc = sched.buffer(n, dt, init=((0, 0),))
+    out = ((COPY, acc, 1),)
     if size == 1:
         sched.overhead()
-        sched.compute(
-            lambda: out.__setitem__(..., st["acc"].reshape(out.shape)),
-            after=(sched.last,),
-        )
+        sched.compute(out, after=(sched.last,))
         return sched
-    tag = next_tag(ctx)
+    tag = sched.claim()
     pof2 = largest_pof2(size)
     rem = size - pof2
     deps: List[int] = []
@@ -124,17 +96,13 @@ def build_allreduce_recursive_doubling(
             # donate: acc is rebound, never mutated, and the fold-out
             # recv that overwrites it is causally behind the partner's
             # fold-in, which is the last read of the donated array.
-            deps = [sched.send(lambda: st["acc"], rank + 1, tag + 4,
-                               donate=True)]
+            deps = [sched.send(acc, rank + 1, tag + 4, donate=True)]
             newrank = -1
         else:
-            tmp0 = AdoptBuf(st["acc"])
+            tmp0 = sched.buffer(n, dt, adopt=True)
             r = sched.recv(tmp0, rank - 1, tag + 4)
-
-            def fold_in(tmp0=tmp0):
-                st["acc"] = op.combine(tmp0.arr, st["acc"])
-
-            deps = [sched.compute(fold_in, after=(r,))]
+            deps = [sched.compute(((REBIND, op, tmp0, acc, acc),),
+                                  after=(r,))]
             newrank = rank // 2
     else:
         newrank = rank - rem
@@ -147,22 +115,16 @@ def build_allreduce_recursive_doubling(
                 partner_new * 2 + 1 if partner_new < rem
                 else partner_new + rem
             )
-            tmp = AdoptBuf(st["acc"])
+            tmp = sched.buffer(n, dt, adopt=True)
             # donate: acc is rebound (never mutated), so the in-flight
             # array can never observe a later write — the partner may
             # adopt it as its combine input.
-            s = sched.send(lambda: st["acc"], partner, tag,
-                           after=deps, round=rnd, donate=True)
+            s = sched.send(acc, partner, tag, after=deps, round=rnd,
+                           donate=True)
             r = sched.recv(tmp, partner, tag, after=deps, round=rnd)
-
-            def combine(tmp=tmp, partner=partner):
-                st["acc"] = (
-                    op.combine(tmp.arr, st["acc"])
-                    if partner < rank
-                    else op.combine(st["acc"], tmp.arr)
-                )
-
-            deps = [sched.compute(combine, after=(s, r), round=rnd)]
+            pair = (tmp, acc) if partner < rank else (acc, tmp)
+            deps = [sched.compute(((REBIND, op, *pair, acc),),
+                                  after=(s, r), round=rnd)]
             mask <<= 1
     # Fold-out (tag offset 5): odd partners hand the result back.
     if rank < 2 * rem:
@@ -170,26 +132,27 @@ def build_allreduce_recursive_doubling(
         if rank % 2 == 1:
             # alias_ok (not donate): acc holds this rank's final result
             # and is still read by the trailing out-copy below.
-            deps = [sched.send(lambda: st["acc"], rank - 1, tag + 5,
-                               after=deps, round=rnd, alias_ok=True)]
+            deps = [sched.send(acc, rank - 1, tag + 5, after=deps,
+                               round=rnd, alias_ok=True)]
         else:
-            deps = [sched.recv(lambda: st["acc"], rank + 1, tag + 5,
-                               after=deps, round=rnd)]
-    sched.compute(
-        lambda: out.__setitem__(..., st["acc"].reshape(out.shape)),
-        after=deps,
-    )
+            deps = [sched.recv(acc, rank + 1, tag + 5, after=deps,
+                               round=rnd)]
+    sched.compute(out, after=deps)
     return sched
 
 
-def _ring_chunker(acc: np.ndarray, size: int):
-    """Chunk accessor for a ring over ``size`` pieces of ``acc``."""
-    n = acc.size
-    bounds: List[int] = [(c * n) // size for c in range(size + 1)]
+def _ring_chunker(acc: Tuple[int, int, int], dt: np.dtype, size: int):
+    """Chunk refs for a ring over ``size`` pieces of the byte range
+    ``acc`` (split by elements, like ``np.array_split``)."""
+    slot, lo, hi = acc
+    isz = dt.itemsize
+    n = (hi - lo) // isz
+    bounds: List[int] = [lo + ((c * n) // size) * isz
+                         for c in range(size + 1)]
 
-    def chunk(c: int) -> np.ndarray:
+    def chunk(c: int) -> Tuple[int, int, int]:
         c %= size
-        return acc[bounds[c] : bounds[c + 1]]
+        return (slot, bounds[c], bounds[c + 1])
 
     return chunk
 
@@ -197,7 +160,8 @@ def _ring_chunker(acc: np.ndarray, size: int):
 def append_ring_reduce_scatter(
     sched,
     ctx,
-    acc: np.ndarray,
+    acc: Tuple[int, int, int],
+    dt: np.dtype,
     op: ReduceOp,
     tag: int,
     after=(),
@@ -205,23 +169,21 @@ def append_ring_reduce_scatter(
 ) -> List[int]:
     """Ring reduce-scatter over ``ctx``'s communicator (tag offsets
     0..3): after P−1 steps rank *r* owns the fully combined chunk
-    ``(r+1) mod P`` of the flat ``acc``.
+    ``(r+1) mod P`` of the byte range ``acc`` (elements of ``dt``).
 
     Shared by the flat ring allreduce and — through a
     :class:`~repro.mpi.algorithms.schedule.SubSchedule` bound to an
     intra-domain or peer communicator — the hierarchical composition.
-    No defensive copies on the sends: ``_send_impl`` snapshots at send
-    time and each step only writes the (disjoint) received chunk.
     """
     size, rank = ctx.size, ctx.rank
-    chunk = _ring_chunker(acc, size)
+    chunk = _ring_chunker(acc, dt, size)
     right = (rank + 1) % size
     left = (rank - 1) % size
     deps = list(after)
     for step in range(size - 1):
         send_c = chunk(rank - step)
         recv_c = chunk(rank - step - 1)
-        tmp = AdoptBuf(recv_c)
+        tmp = sched.buffer(recv_c[2] - recv_c[1], dt, adopt=True)
         rnd = round0 + step
         # donate: acc is collective-private and the sent chunk is next
         # written only in the allgather phase, which is causally behind
@@ -230,18 +192,16 @@ def append_ring_reduce_scatter(
         s = sched.send(send_c, right, tag + step % 4, after=deps, round=rnd,
                        donate=True)
         r = sched.recv(tmp, left, tag + step % 4, after=deps, round=rnd)
-
-        def combine(tmp=tmp, recv_c=recv_c):
-            recv_c[...] = op.combine(tmp.arr, recv_c)
-
-        deps = [sched.compute(combine, after=(s, r), round=rnd)]
+        deps = [sched.compute(((COMBINE, op, tmp, recv_c, recv_c),),
+                              after=(s, r), round=rnd)]
     return deps
 
 
 def append_ring_allgather(
     sched,
     ctx,
-    acc: np.ndarray,
+    acc: Tuple[int, int, int],
+    dt: np.dtype,
     tag: int,
     after=(),
     round0: int = 0,
@@ -250,7 +210,7 @@ def append_ring_allgather(
     offsets 0..3): circulates from each rank's owned chunk
     ``(r+1) mod P`` until every rank holds all of ``acc``."""
     size, rank = ctx.size, ctx.rank
-    chunk = _ring_chunker(acc, size)
+    chunk = _ring_chunker(acc, dt, size)
     right = (rank + 1) % size
     left = (rank - 1) % size
     deps = list(after)
@@ -267,35 +227,26 @@ def append_ring_allgather(
 
 
 def build_allreduce_ring(
-    ctx,
-    sendbuf: Payload,
-    recvbuf: Payload,
-    op: ReduceOp = ReduceOp.SUM,
+    ctx, b: Binding, op: ReduceOp = ReduceOp.SUM
 ) -> Schedule:
     """Ring allreduce: reduce-scatter then allgather over 1/P chunks.
 
     Works for any P (including non-powers of two) and any element count
     (trailing chunks may be empty when count < P).
     """
-    src, out = _setup(ctx, sendbuf, recvbuf)
     size = ctx.size
-    sched = Schedule()
-    acc = src.copy().reshape(-1)
+    sched = Schedule(ctx, b)
+    n, dt = b.sizes[0], b.dtype
+    acc = sched.buffer(n, dt, init=((0, 0),))
+    out = ((COPY, acc, 1),)
     if size == 1:
         sched.overhead()
-        sched.compute(
-            lambda: out.__setitem__(..., acc.reshape(out.shape)),
-            after=(sched.last,),
-        )
+        sched.compute(out, after=(sched.last,))
         return sched
-    tag = next_tag(ctx)
-    deps = append_ring_reduce_scatter(sched, ctx, acc, op, tag)
+    tag = sched.claim()
+    deps = append_ring_reduce_scatter(sched, ctx, (acc, 0, n), dt, op, tag)
     deps = append_ring_allgather(
-        sched, ctx, acc, tag + 4, after=deps, round0=size - 1
+        sched, ctx, (acc, 0, n), dt, tag + 4, after=deps, round0=size - 1
     )
-    sched.compute(
-        lambda: out.__setitem__(..., acc.reshape(out.shape)),
-        after=deps,
-    )
+    sched.compute(out, after=deps)
     return sched
-

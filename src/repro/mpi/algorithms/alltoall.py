@@ -16,18 +16,18 @@ latency dominates, that is the winning trade on any communicator size
 (it is the only sub-linear schedule for non-powers of two); the final
 inverse rotation is a local remap.  Selected by the autotuned
 ``alltoall_bruck_max_bytes`` threshold.
+
+Binding slots ``0..P-1`` are the send blocks, ``P..2P-1`` the receive
+blocks.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List
 
-import numpy as np
-
-from ..datatypes import AdoptBuf, Payload, payload_array
 from ..errors import MpiError
-from .base import is_pof2, next_tag
-from .schedule import Schedule
+from .base import is_pof2
+from .schedule import BYTES, COPY, Binding, Schedule
 
 __all__ = [
     "build_alltoall_shift",
@@ -36,106 +36,72 @@ __all__ = [
 ]
 
 
-def _local_copy_step(sched, ctx, sendbufs, recvbufs) -> List[int]:
-    # Buffer counts were validated by the dispatch layer.
-    own = payload_array(recvbufs[ctx.rank])
-    mine = payload_array(sendbufs[ctx.rank])
-
-    def local_copy():
-        if own is not None and mine is not None:
-            own[...] = mine.reshape(own.shape)
-
-    return [sched.compute(local_copy)]
-
-
-def build_alltoall_shift(
-    ctx,
-    sendbufs: Sequence[Payload],
-    recvbufs: Sequence[Payload],
-) -> Schedule:
+def build_alltoall_shift(ctx, b: Binding) -> Schedule:
     """Shift-schedule all-to-all (the seed algorithm)."""
-    sched = Schedule()
-    deps = _local_copy_step(sched, ctx, sendbufs, recvbufs)
-    tag = next_tag(ctx)
     size, rank = ctx.size, ctx.rank
+    sched = Schedule(ctx, b)
+    deps = [sched.compute(((COPY, rank, size + rank),))]
+    tag = sched.claim()
     if size == 1:
         sched.overhead(after=deps)
         return sched
     for k in range(1, size):
         dst = (rank + k) % size
         src = (rank - k) % size
-        s = sched.send(sendbufs[dst], dst, tag, after=deps, round=k - 1)
-        r = sched.recv(recvbufs[src], src, tag, after=deps, round=k - 1)
+        s = sched.send(dst, dst, tag, after=deps, round=k - 1)
+        r = sched.recv(size + src, src, tag, after=deps, round=k - 1)
         deps = [s, r]
     return sched
 
 
-def build_alltoall_pairwise(
-    ctx,
-    sendbufs: Sequence[Payload],
-    recvbufs: Sequence[Payload],
-) -> Schedule:
+def build_alltoall_pairwise(ctx, b: Binding) -> Schedule:
     """Pairwise (XOR-partner) exchange; requires power-of-two P."""
     size, rank = ctx.size, ctx.rank
-    # Validate before mutating any user buffer.
     if not is_pof2(size):
         raise MpiError("pairwise alltoall needs power-of-two P")
-    sched = Schedule()
-    deps = _local_copy_step(sched, ctx, sendbufs, recvbufs)
-    tag = next_tag(ctx)
+    sched = Schedule(ctx, b)
+    deps = [sched.compute(((COPY, rank, size + rank),))]
+    tag = sched.claim()
     if size == 1:
         sched.overhead(after=deps)
         return sched
     for k in range(1, size):
         partner = rank ^ k
-        s = sched.send(sendbufs[partner], partner, tag, after=deps,
-                       round=k - 1)
-        r = sched.recv(recvbufs[partner], partner, tag, after=deps,
+        s = sched.send(partner, partner, tag, after=deps, round=k - 1)
+        r = sched.recv(size + partner, partner, tag, after=deps,
                        round=k - 1)
         deps = [s, r]
     return sched
 
 
-def build_alltoall_bruck(
-    ctx,
-    sendbufs: Sequence[Payload],
-    recvbufs: Sequence[Payload],
-) -> Schedule:
+def build_alltoall_bruck(ctx, b: Binding) -> Schedule:
     """Bruck alltoall (any P, equal blocks): ⌈log2 P⌉ packed rounds.
 
-    Slot invariant: after the initial rotation, slot ``i`` holds the
-    block this rank must deliver to ``rank+i``; a block at slot ``i``
-    travels +2^k in exactly the rounds where bit k of ``i`` is set, so
-    every rank exchanges the same slot set each round and no index
-    metadata crosses the wire.  The final remap stores slot ``i`` as
-    the block received *from* ``rank−i``.
+    Slot invariant: after the initial rotation, slot ``i`` of the
+    working vector holds the block this rank must deliver to
+    ``rank+i``; a block at slot ``i`` travels +2^k in exactly the rounds
+    where bit k of ``i`` is set, so every rank exchanges the same slot
+    set each round and no index metadata crosses the wire.  The final
+    remap stores slot ``i`` as the block received *from* ``rank−i``.
     """
     size, rank = ctx.size, ctx.rank
-    mine_arrays = [payload_array(b) for b in sendbufs]
-    out_arrays = [payload_array(b) for b in recvbufs]
-    if any(a is None for a in mine_arrays) or any(
-        a is None for a in out_arrays
-    ):
+    if b.dtype is None:
         raise MpiError("bruck alltoall requires array payloads")
-    block = mine_arrays[0].nbytes
-    if any(a.nbytes != block for a in mine_arrays) or any(
-        a.nbytes != block for a in out_arrays
-    ):
+    block = b.sizes[0]
+    if any(n != block for n in b.sizes):
         raise MpiError("bruck alltoall needs equal-size blocks")
-    sched = Schedule()
-    tag = next_tag(ctx)
+    sched = Schedule(ctx, b)
+    tag = sched.claim()
     # Local rotation: slot i ← block destined to (rank + i) mod P.
-    slots: List[np.ndarray] = [
-        mine_arrays[(rank + i) % size].view(np.uint8).reshape(-1).copy()
-        for i in range(size)
-    ]
+    work = sched.buffer(size * block, init=tuple(
+        ((rank + i) % size, i * block) for i in range(size)
+    ))
+
+    def slot(i: int):
+        return (work, i * block, (i + 1) * block)
+
     if size == 1:
-        own = out_arrays[0]
-        sched.compute(
-            lambda: own.view(np.uint8).reshape(-1).__setitem__(
-                slice(None), slots[0]
-            )
-        )
+        sched.compute(((BYTES, slot(0), size),))
         sched.overhead(after=(sched.last,))
         return sched
     deps: List[int] = []
@@ -145,31 +111,21 @@ def build_alltoall_bruck(
         idxs = [i for i in range(size) if i & step]
         dst = (rank + step) % size
         src = (rank - step) % size
-        recvpack = AdoptBuf(len(idxs) * block)
-        # donate: the payload is a fresh concatenation of the slots
-        # (np.concatenate copies even for a single input), which the
-        # sender never touches again.
-        s = sched.send(
-            lambda idxs=idxs: np.concatenate([slots[i] for i in idxs]),
-            dst, tag + rnd % 2, after=deps, round=rnd, donate=True,
+        stage = sched.buffer(len(idxs) * block, adopt=True)
+        # donate: the payload is a fresh concatenation of the slots,
+        # which the sender never touches again.
+        s = sched.send(tuple(slot(i) for i in idxs), dst, tag + rnd % 2,
+                       after=deps, round=rnd, donate=True, pack=True)
+        r = sched.recv(stage, src, tag + rnd % 2, after=deps, round=rnd)
+        unpack = tuple(
+            (BYTES, (stage, j * block, (j + 1) * block), slot(i))
+            for j, i in enumerate(idxs)
         )
-        r = sched.recv(recvpack, src, tag + rnd % 2, after=deps, round=rnd)
-
-        def unpack(buf=recvpack, idxs=idxs):
-            arr = buf.arr
-            for j, i in enumerate(idxs):
-                slots[i] = arr[j * block : (j + 1) * block]
-
         deps = [s, sched.compute(unpack, after=(r,), round=rnd)]
         step <<= 1
         rnd += 1
-
-    def deliver():
-        # Slot i ended at this rank carrying the block from rank−i.
-        for i in range(size):
-            dest = out_arrays[(rank - i) % size]
-            dest.view(np.uint8).reshape(-1)[...] = slots[i]
-
-    sched.compute(deliver, after=deps)
+    # Slot i ended at this rank carrying the block from rank−i.
+    sched.compute(tuple(
+        (BYTES, slot(i), size + (rank - i) % size) for i in range(size)
+    ), after=deps)
     return sched
-

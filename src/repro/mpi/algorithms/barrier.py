@@ -8,18 +8,19 @@ while the blocking ``barrier`` executes the identical DAG inline.
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Optional
 
-from .base import next_tag
-from .schedule import Schedule, blocking
+from .schedule import Binding, Schedule
 
-__all__ = ["barrier_dissemination", "build_barrier_dissemination"]
+__all__ = ["build_barrier_dissemination"]
 
 
-def build_barrier_dissemination(ctx) -> Schedule:
+def build_barrier_dissemination(
+    ctx, b: Optional[Binding] = None
+) -> Schedule:
     """Dissemination barrier schedule for this rank."""
-    sched = Schedule()
-    tag = next_tag(ctx)
+    sched = Schedule(ctx, b)
+    tag = sched.claim()
     size, rank = ctx.size, ctx.rank
     if size == 1:
         sched.overhead()
@@ -36,6 +37,3 @@ def build_barrier_dissemination(ctx) -> Schedule:
         k <<= 1
         rnd += 1
     return sched
-
-
-barrier_dissemination = blocking(build_barrier_dissemination)

@@ -15,9 +15,11 @@
   overlap of each hop's send with the next segment's receive, which a
   run-to-completion generator loop cannot produce.
 
-All three compile to :class:`~repro.mpi.algorithms.schedule.Schedule`
-DAGs; ``append_bcast`` lets other collectives (reduce+bcast) splice a
-broadcast behind their own steps.
+All three compile to data-free
+:class:`~repro.mpi.algorithms.schedule.Schedule` DAGs over binding slot
+0; ``append_bcast`` lets other collectives (reduce+bcast, the
+hierarchical allgather) splice a broadcast of any buffer ref behind
+their own steps.
 """
 
 from __future__ import annotations
@@ -25,10 +27,8 @@ from __future__ import annotations
 import math
 from typing import List, Optional, Sequence
 
-from ..datatypes import Payload
 from ..errors import MpiError
-from .base import next_tag
-from .schedule import Schedule
+from .schedule import Binding, Schedule
 
 __all__ = [
     "build_bcast_binomial",
@@ -42,7 +42,7 @@ __all__ = [
 def _append_binomial(
     sched: Schedule,
     ctx,
-    buf: Payload,
+    buf,
     members: Sequence[int],
     root: int,
     tag: int,
@@ -95,20 +95,18 @@ def _append_binomial(
     return deps
 
 
-def build_bcast_binomial(
-    ctx, buf: Payload, root: int = 0, after: Sequence[int] = ()
-) -> Schedule:
-    """Binomial-tree broadcast of ``buf`` (in place for non-roots)."""
-    sched = Schedule()
-    append_bcast_binomial(sched, ctx, buf, root=root, after=after)
+def build_bcast_binomial(ctx, b: Binding, root: int = 0) -> Schedule:
+    """Binomial-tree broadcast of slot 0 (in place for non-roots)."""
+    sched = Schedule(ctx, b)
+    append_bcast_binomial(sched, ctx, 0, root=root)
     return sched
 
 
 def append_bcast_binomial(
-    sched: Schedule, ctx, buf: Payload, root: int = 0,
+    sched: Schedule, ctx, buf, root: int = 0,
     after: Sequence[int] = (), round0: int = 0,
 ) -> List[int]:
-    tag = next_tag(ctx)
+    tag = sched.claim()
     if ctx.size == 1:
         return [sched.overhead(after=after)]
     return _append_binomial(
@@ -117,17 +115,15 @@ def append_bcast_binomial(
     )
 
 
-def build_bcast_hierarchical(
-    ctx, buf: Payload, root: int = 0, after: Sequence[int] = ()
-) -> Schedule:
+def build_bcast_hierarchical(ctx, b: Binding, root: int = 0) -> Schedule:
     """Domain-leader broadcast: root → leaders → domain members."""
-    sched = Schedule()
-    append_bcast_hierarchical(sched, ctx, buf, root=root, after=after)
+    sched = Schedule(ctx, b)
+    append_bcast_hierarchical(sched, ctx, 0, root=root)
     return sched
 
 
 def append_bcast_hierarchical(
-    sched: Schedule, ctx, buf: Payload, root: int = 0,
+    sched: Schedule, ctx, buf, root: int = 0,
     after: Sequence[int] = (), round0: int = 0,
 ) -> List[int]:
     """Requires the communicator to expose locality groups (every rank in
@@ -139,7 +135,7 @@ def append_bcast_hierarchical(
             "hierarchical bcast needs >= 2 locality groups; "
             "use the binomial tree on flat fabrics"
         )
-    tag = next_tag(ctx)
+    tag = sched.claim()
     if ctx.size == 1:
         return [sched.overhead(after=after)]
     my_group = next(g for g in groups if ctx.rank in g)
@@ -181,11 +177,7 @@ def best_pipeline_segments(nbytes: int, size: int, ib) -> int:
 
 
 def build_bcast_pipelined(
-    ctx,
-    buf: Payload,
-    root: int = 0,
-    after: Sequence[int] = (),
-    segments: Optional[int] = None,
+    ctx, b: Binding, root: int = 0, segments: Optional[int] = None
 ) -> Schedule:
     """Segmented chain broadcast (large messages).
 
@@ -194,28 +186,22 @@ def build_bcast_pipelined(
     s−1 to its successor.  Segment count defaults to the analytic
     optimum for the communicator's fabric parameters.
     """
-    sched = Schedule()
-    append_bcast_pipelined(sched, ctx, buf, root=root, after=after,
-                           segments=segments)
+    sched = Schedule(ctx, b)
+    append_bcast_pipelined(sched, ctx, 0, root=root, segments=segments)
     return sched
 
 
 def append_bcast_pipelined(
-    sched: Schedule, ctx, buf: Payload, root: int = 0,
+    sched: Schedule, ctx, buf, root: int = 0,
     after: Sequence[int] = (), segments: Optional[int] = None,
     round0: int = 0,
 ) -> List[int]:
-    from ..datatypes import payload_array
-
-    tag = next_tag(ctx)
+    tag = sched.claim()
     size, rank = ctx.size, ctx.rank
     if size == 1:
         return [sched.overhead(after=after)]
-    arr = payload_array(buf)
-    if arr is None:
-        raise MpiError("pipelined bcast requires an array payload")
-    flat = arr.view("u1").reshape(-1)
-    n = flat.size
+    slot = buf
+    n = sched.size_of(slot)
     S = segments if segments is not None else best_pipeline_segments(
         n, size, ctx.comm._ib
     )
@@ -229,7 +215,7 @@ def append_bcast_pipelined(
     last_send: List[int] = list(after)
     ends: List[int] = []
     for s in range(S):
-        seg = flat[bounds[s] : bounds[s + 1]]
+        seg = (slot, bounds[s], bounds[s + 1])
         if pos > 0:
             # Receive segment s from the predecessor; chained so the
             # wire keeps FIFO order on the single (src, tag) pair.
@@ -260,7 +246,7 @@ _APPENDERS = {
 
 
 def append_bcast(
-    algo: str, sched: Schedule, ctx, buf: Payload, root: int = 0,
+    algo: str, sched: Schedule, ctx, buf, root: int = 0,
     after: Sequence[int] = (), round0: int = 0,
 ) -> List[int]:
     """Append the named broadcast schedule behind ``after``.

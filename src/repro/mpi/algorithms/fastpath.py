@@ -4,17 +4,24 @@ The exact :class:`~repro.mpi.algorithms.schedule.ScheduleEngine` spawns
 one simulated process per wire step and drives every packet through the
 matching stores — faithful, but at 256–1024 ranks the per-packet Python
 churn dominates wall-clock.  :class:`FastPathEngine` executes the *same*
-schedules (same builders, same selector decisions, same tag claims, same
-``comm.stats`` counters) without enqueueing a single packet:
+data-free schedule IR (same builders, same selector decisions, same tag
+claims, same ``comm.stats`` counters) without enqueueing a single
+packet:
 
-1. **Collect** — every rank's ``execute`` deposits its per-rank schedule
-   into a shared per-collective *instance*; the last-arriving rank
-   triggers completion (collectives are synchronizing, so nothing can
-   legally complete before the last rank shows up).  Each rank's issue
-   time is recorded at deposit, so skewed arrivals propagate into the
-   timing exactly as they do in the exact engine.
-2. **Compile** — the per-rank DAGs compile to a buffer-free
-   :class:`Plan`, worked out from structure alone:
+1. **Collect** — every rank's ``execute`` forms the call's plan key from
+   its arguments and deposits its *binding* (the call's buffers, see
+   :class:`~repro.mpi.algorithms.schedule.Binding`) into a shared
+   per-collective *instance*, plus — only on a plan miss — the shape
+   its ``build_*`` produced.  On a hit no builder runs: the plan's
+   recorded tag claims and ``comm.stats`` counts are replayed at issue
+   instead, and the binding is checked against the plan's.  The
+   last-arriving rank triggers completion (collectives are
+   synchronizing, so nothing can legally complete before the last rank
+   shows up).  Each rank's issue time is recorded at deposit, so skewed
+   arrivals propagate into the timing exactly as they do in the exact
+   engine.
+2. **Compile** (plan miss) — the per-rank shapes compile to a
+   buffer-free :class:`Plan`, worked out from structure alone:
 
    * the *replay order*: the dataflow interpreter's step sequence
      (rank-0-first round-robin: every ready receive is posted before
@@ -43,9 +50,11 @@ schedules (same builders, same selector decisions, same tag claims, same
    exact engine, never here) — enforced within tolerance at P ≤ 16 by
    ``tests/test_fastpath.py``.
 3. **Replay** — every call, first or repeat, replays the order against
-   its own buffers (the same ``_deliver``/adopt/copy calls the matcher
-   makes, so data results are *bit-identical* to the exact simulator)
-   and runs the tape on its own arrival times.  The tape uses only
+   its own bindings: each step's buffer ref resolves against the call's
+   slot table and each compute step runs its opcodes, with the same
+   ``_deliver``/adopt/copy calls the matcher makes, so data results are
+   *bit-identical* to the exact simulator.  It runs the tape on its own
+   arrival times.  The tape uses only
    ``+`` with constants and ``max``, so it is exact for *any* arrival
    skew: a replayed plan yields the very floats a fresh compile does.
    A large retained tape runs as numpy levels (:meth:`Plan.levelize`),
@@ -55,12 +64,12 @@ schedules (same builders, same selector decisions, same tag claims, same
    a handful of heap operations instead of thousands.
 
 Plans are interned per communicator under the structural key the
-dispatch layer stamps on each schedule (``Schedule.plan_key``: op,
-algorithm, root, size, dtype, plus any buffer-layout fact the builder
-adds); the dissemination barrier defers its DAG build entirely and is
-keyed ``("barrier", size)``.  A plan is kept from its key's second
-sighting, within :data:`PLAN_STEP_BUDGET`.  A hit is checked, not
-trusted: per-rank step counts and every send size must match the plan.
+dispatch layer forms from the call's arguments before anything is
+built (``Call.key``: op, algorithm, root, size, dtype, reduction op and
+the receive layout).  A plan is kept from its key's second sighting,
+within :data:`PLAN_STEP_BUDGET`.  A hit is checked, not trusted: every
+rank's binding signature (dtype, layout and slot sizes) must equal the
+one the plan was compiled from.
 
 What stays exact: point-to-point (``send``/``recv``/``isend``/...),
 ``gather``/``scatter`` (linear, not schedule-based), and host-memory
@@ -89,25 +98,25 @@ from ...sim.core import Event, us
 from ..communicator import HEADER_BYTES, Communicator
 from ..datatypes import AdoptBuf, payload_array
 from ..errors import MpiError
-from .schedule import ScheduleEngine, Schedule, _round_name
+from .base import next_tag
+from .schedule import (
+    COMPUTE, DONATE, OVERHEAD, RECV, SEND, Call, Schedule, ScheduleEngine, land,
+    materialize, payload, run_ops, sub_ctx, view, _round_name,
+)
 
 __all__ = ["FastPathEngine", "Plan", "PLAN_STEP_BUDGET"]
 
-_SEND = "send"
-_RECV = "recv"
-_COMPUTE = "compute"
-_OVERHEAD = "overhead"
-
-# Replay ops are ``code, rank, step idx, g`` (four ints each, stored flat
-# in ``Plan.order``); ``g`` is a global step id (the rank's offset plus
-# the step index).
+# Replay ops are ``(code, rank, g, x, flags)``: ``g`` a global step id
+# (the rank's offset plus the step index), ``x`` the step's buffer ref
+# or compute opcodes.
 _RUN = 0      # run a compute step
-_PARK = 1     # post the receive buffer of step g for a later send
+_PARK = 1     # post receive g's buffer for a later send
 _TAKE = 2     # receive the message send g queued
 _DIRECT = 3   # deliver straight into the posted receive g
 _QUEUE = 4    # queue the message of send g for a later receive
 
 _NO_MSG = (None, 0)
+_NO_POST = (None, None, None)
 
 #: Schedule steps the retained plans of one communicator may hold in
 #: total; shapes past it compile on every call instead.
@@ -124,44 +133,30 @@ PLAN_STEP_BUDGET = 1 << 16
 _LEVELS_MIN_NODES = 4096
 
 
-def _build_barrier(ctx) -> Schedule:
-    from .barrier import build_barrier_dissemination
-
-    sched = build_barrier_dissemination(ctx)
-    sched.meta = {"op": "barrier", "algo": "dissemination", "nbytes": 0}
-    return sched
-
-
 class _Instance:
-    """One collective call site: per-rank schedules awaiting the last
+    """One collective call site: per-rank deposits awaiting the last
     arrival."""
 
-    __slots__ = (
-        "ctxs", "scheds", "dones", "arrivals", "arrived", "key",
-        "lazy_builder",
-    )
+    __slots__ = ("ctxs", "items", "dones", "arrivals", "arrived", "key")
 
     def __init__(self, size: int) -> None:
         self.ctxs: List[Any] = [None] * size
-        self.scheds: List[Optional[Schedule]] = [None] * size
+        #: Per rank: ``(call, shape or None, slot table, claimed tags)``.
+        self.items: List[Any] = [None] * size
         self.dones: List[Optional[Event]] = [None] * size
         self.arrivals: List[float] = [0.0] * size
         self.arrived = 0
-        #: The plan key every rank stamped alike (``None``: not interned).
+        #: The plan key every rank formed alike (``None``: not interned).
         self.key: Optional[Tuple] = None
-        #: Set when deposits defer their DAG build (``execute_barrier``):
-        #: the builder materializes the schedules only on a plan miss.
-        self.lazy_builder: Optional[Any] = None
 
-    def deposit(self, rank: int, ctx, sched: Optional[Schedule],
-                done: Event) -> None:
-        if self.dones[rank] is not None or self.scheds[rank] is not None:
+    def deposit(self, rank: int, ctx, item, done: Event) -> None:
+        if self.dones[rank] is not None or self.items[rank] is not None:
             raise MpiError(
                 f"rank {rank} deposited twice into one collective "
                 "instance — collectives issued out of order?"
             )
         self.ctxs[rank] = ctx
-        self.scheds[rank] = sched
+        self.items[rank] = item
         self.dones[rank] = done
         if ctx is not None:
             self.arrivals[rank] = ctx.sim.now
@@ -171,25 +166,24 @@ class _Instance:
 class _RankState:
     """Dataflow bookkeeping for one rank's DAG (mirrors ``_execute``)."""
 
-    __slots__ = (
-        "steps", "missing", "dependents", "ready", "ready_recv", "done"
-    )
+    __slots__ = ("kind", "missing", "dependents", "ready", "ready_recv",
+                 "done")
 
     def __init__(self, sched: Schedule) -> None:
-        steps = sched.steps
-        self.steps = steps
-        self.missing = [len(s.deps) for s in steps]
-        self.dependents: List[List[int]] = [[] for _ in steps]
-        for s in steps:
-            for d in s.deps:
-                self.dependents[d].append(s.idx)
+        n = len(sched)
+        self.kind = sched.kind
+        self.missing = [len(d) for d in sched.deps]
+        self.dependents: List[List[int]] = [[] for _ in range(n)]
+        for i, deps in enumerate(sched.deps):
+            for d in deps:
+                self.dependents[d].append(i)
         # Receives ready to post are kept apart from other ready steps:
         # the interpreter parks every ready receive before running any
         # send, so deliveries hit a waiting buffer (zero-copy) instead
         # of forcing a queue snapshot.
         self.ready: List[int] = []
         self.ready_recv: List[int] = []
-        for i in range(len(steps)):
+        for i in range(n):
             if self.missing[i] == 0:
                 self._push(i)
         heapq.heapify(self.ready)
@@ -197,7 +191,7 @@ class _RankState:
         self.done = 0
 
     def _push(self, idx: int) -> None:
-        if self.steps[idx].kind == _RECV:
+        if self.kind[idx] == RECV:
             heapq.heappush(self.ready_recv, idx)
         else:
             heapq.heappush(self.ready, idx)
@@ -220,30 +214,31 @@ class Plan:
     """
 
     __slots__ = (
-        "key", "counts", "lo", "rank_rounds", "n_rounds", "meta", "order",
-        "sent", "wire_sizes", "tape_ins", "tape_a", "tape_b", "levels",
-        "legs", "step_ins", "step_fin", "step_round", "rank_fin",
+        "key", "lo", "rank_rounds", "n_rounds", "meta", "order", "sigs",
+        "scratch", "claims", "tallies", "tape_ins", "tape_a", "tape_b",
+        "levels", "legs", "step_ins", "step_fin", "step_round", "rank_fin",
         "__weakref__",
     )
 
     def __init__(self, key: Optional[Tuple], scheds: List[Schedule]) -> None:
         self.key = key
-        #: Per-rank step counts (checked on every hit) and offsets:
-        #: step ``i`` of rank ``r`` has global id ``lo[r] + i``.
-        self.counts = tuple(len(s.steps) for s in scheds)
+        #: Step ``i`` of rank ``r`` has global id ``lo[r] + i``.
         lo = [0]
-        for n in self.counts:
-            lo.append(lo[-1] + n)
+        for s in scheds:
+            lo.append(lo[-1] + len(s))
         self.lo = lo
         self.rank_rounds = [s.n_rounds for s in scheds]
         self.n_rounds = max(self.rank_rounds, default=0)
         self.meta = next((s.meta for s in scheds if s.meta), None)
-        #: Replay ops, flat: ``code, rank, step idx, g`` per op.
-        self.order: List[int] = []
-        #: Analytic backend: the sizes the replayed sends must repeat.
-        self.sent: List[int] = []
-        #: Pricing backend: every wire step's resolved buffer size.
-        self.wire_sizes: Optional[List[int]] = None
+        #: Replay ops: ``(code, rank, g, ref or opcodes, flags)``.
+        self.order: List[Tuple] = []
+        #: Per rank, what a hit needs instead of a build: the binding
+        #: signature to check, the scratch slots to bind, and the tag
+        #: claims and stats counts to replay.
+        self.sigs = [s.sig for s in scheds]
+        self.scratch = [tuple(s.scratch) for s in scheds]
+        self.claims = [tuple(s.claims) for s in scheds]
+        self.tallies = [tuple(s.tallies) for s in scheds]
         #: Per node, in topological order: its input slots and the
         #: constants ``a``, ``b`` (kept apart: ``(t + a) + b`` rounds
         #: differently from ``t + (a + b)``).
@@ -258,7 +253,7 @@ class Plan:
         #: Per global step: ready-time input slots, finish slot, round.
         self.step_ins: List[Optional[Tuple[int, ...]]] = []
         self.step_fin: List[int] = []
-        self.step_round = [st.round for s in scheds for st in s.steps]
+        self.step_round = [rd for s in scheds for rd in s.round]
         #: Per rank: the slot of its completion time.
         self.rank_fin: List[int] = []
 
@@ -298,7 +293,7 @@ class Plan:
         """Group the tape by (dependency depth, fan-in) so a replay
         costs a few numpy calls per group instead of one Python step
         per node; nodes of one depth never feed each other."""
-        P = len(self.counts)
+        P = len(self.lo) - 1
         depth = [0] * P
         at = depth.__getitem__
         groups: Dict[Tuple[int, int], Tuple[List, List, List, List]] = {}
@@ -351,30 +346,39 @@ class FastPathEngine(ScheduleEngine):
         self.price_only = price_only
 
     # -- entry points -------------------------------------------------------
-    def execute(
-        self, ctx, sched: Schedule
-    ) -> Generator[Event, Any, None]:
+    def execute(self, ctx, call: Call) -> Generator[Event, Any, None]:
+        """Claim the instance slot, and either replay a retained plan's
+        claims (no build) or build the call's shape — synchronously, at
+        issue, so tag claims keep issue order."""
         self.comm._ensure_alive()
         seq = self._claims[ctx.rank]
         self._claims[ctx.rank] += 1
-        return self._run(ctx, sched, seq, sched.plan_key)
+        key = call.key
+        plan = self._plans.get(key) if key is not None else None
+        if plan is None:
+            sched, tags = call.build(ctx), None
+            scratch = sched.scratch
+        else:
+            if call.binding.sig != plan.sigs[ctx.rank]:
+                raise self._mismatch(plan, ctx.rank)
+            sched, tags = None, self._replay_claims(plan, ctx)
+            scratch = plan.scratch[ctx.rank]
+        bufs = None if self.price_only else materialize(call.binding,
+                                                        scratch)
+        return self._run(ctx, (call, sched, bufs, tags), seq, key)
 
-    def execute_barrier(
-        self, ctx
-    ) -> Generator[Event, Any, None]:
-        """Barrier with a deferred DAG build: the dissemination
-        schedule is a pure function of size and moves no data, so once
-        its plan is retained nobody ever builds it again (a Jacobi run
-        fences every iteration)."""
-        self.comm._ensure_alive()
-        seq = self._claims[ctx.rank]
-        self._claims[ctx.rank] += 1
-        return self._run(ctx, None, seq, ("barrier", ctx.size),
-                         _build_barrier)
+    @staticmethod
+    def _replay_claims(plan: Plan, ctx) -> List[int]:
+        """What this rank's build would have done to communicator state:
+        its tag claims (by sub-communicator name) and stats counts."""
+        tags = [next_tag(sub_ctx(ctx, name))
+                for name in plan.claims[ctx.rank]]
+        for name in plan.tallies[ctx.rank]:
+            ctx.comm._count(name)
+        return tags
 
     def _run(
-        self, ctx, sched: Optional[Schedule], seq: int,
-        key: Optional[Tuple], lazy_builder=None,
+        self, ctx, item, seq: int, key: Optional[Tuple]
     ) -> Generator[Event, Any, None]:
         self.active += 1
         try:
@@ -383,13 +387,11 @@ class FastPathEngine(ScheduleEngine):
                 inst = _Instance(self.comm.size)
                 self._instances[seq] = inst
             done = ctx.sim.event(name=f"fastpath(r{ctx.rank}#{seq})")
-            inst.deposit(ctx.rank, ctx, sched, done)
+            inst.deposit(ctx.rank, ctx, item, done)
             if inst.arrived == 1:
                 inst.key = key
             elif inst.key != key:
                 inst.key = None
-            if lazy_builder is not None:
-                inst.lazy_builder = lazy_builder
             if inst.arrived == self.comm.size:
                 del self._instances[seq]
                 self._complete(inst)
@@ -400,7 +402,7 @@ class FastPathEngine(ScheduleEngine):
     # -- completion ---------------------------------------------------------
     def _complete(self, inst: _Instance) -> None:
         """Look up or compile the instance's plan, replay its order on
-        this call's buffers, run its tape on this call's arrivals, and
+        this call's bindings, run its tape on this call's arrivals, and
         batch-commit the per-rank completions."""
         comm = self.comm
         sim = comm.sim
@@ -410,39 +412,31 @@ class FastPathEngine(ScheduleEngine):
         spans = sim.spans
         if spans is not None and not spans.enabled:
             spans = None
-        scheds = inst.scheds
+        items = inst.items
         key = inst.key
         plan = self._plans.get(key) if key is not None else None
         fresh = plan is None
         if fresh:
-            if inst.lazy_builder is not None:
-                for r in range(size):
-                    if scheds[r] is None:
-                        scheds[r] = inst.lazy_builder(inst.ctxs[r])
+            scheds = []
+            for r, (call, sched, _bufs, tags) in enumerate(items):
+                if sched is None:
+                    # This rank hit a plan the other ranks' keys did not
+                    # share: build its shape on the tags it claimed.
+                    call.binding.tags = tags
+                    sched = call.build(inst.ctxs[r])
+                scheds.append(sched)
             plan = Plan(key, scheds)
             if not self.price_only:
-                self._compile_order(plan, inst)
-        elif inst.lazy_builder is None and plan.counts != tuple(
-            len(s.steps) for s in scheds
-        ):
-            raise self._mismatch(plan, "per-rank step counts")
-
-        if self.price_only:
-            if inst.lazy_builder is None or fresh:
-                sizes = self._wire_sizes(scheds)
-                if fresh:
-                    plan.wire_sizes = sizes
-                elif sizes != plan.wire_sizes:
-                    raise self._mismatch(plan, "wire buffer sizes")
-        elif plan.order:
-            sent = self._replay(plan, scheds)
-            if fresh:
-                plan.sent = sent
-            elif sent != plan.sent:
-                raise self._mismatch(plan, "send sizes")
+                self._compile_order(plan, scheds, inst.ctxs)
+        else:
+            for r, (call, sched, _bufs, _tags) in enumerate(items):
+                if sched is not None and call.binding.sig != plan.sigs[r]:
+                    raise self._mismatch(plan, r)
+        if not self.price_only and plan.order:
+            self._replay(plan, [item[2] for item in items])
 
         if fresh:
-            self._compile_tape(plan, inst)
+            self._compile_tape(plan, scheds, inst.ctxs)
         else:
             stats.fastpath_sched_cache_hits += 1
             if topo.accounting:
@@ -481,80 +475,67 @@ class FastPathEngine(ScheduleEngine):
         self._plans[key] = plan
 
     @staticmethod
-    def _mismatch(plan: Plan, what: str) -> MpiError:
+    def _mismatch(plan: Plan, rank: int) -> MpiError:
         return MpiError(
-            f"collective plan {plan.key!r} does not match this call "
-            f"({what} differ): its builder depends on something the "
-            "plan key omits"
+            f"collective plan {plan.key!r} does not match rank {rank}'s "
+            "buffers (dtype, layout or sizes differ): its builder "
+            "depends on something the plan key omits"
         )
 
-    @staticmethod
-    def _wire_sizes(scheds: List[Schedule]) -> List[int]:
-        """Pricing mode: every wire step's buffer size, resolved
-        without running computes (a lazy send buffer built from staged
-        data may under-resolve; see :meth:`_compile_tape`)."""
-        sizes = []
-        for sched in scheds:
-            for st in sched.steps:
-                if st.kind == _SEND or st.kind == _RECV:
-                    buf = st.resolve_buf()
-                    sizes.append(nbytes_of(buf) if buf is not None else 0)
-        return sizes
-
     # -- compile ------------------------------------------------------------
-    def _compile_order(self, plan: Plan, inst: _Instance) -> None:
+    def _compile_order(self, plan: Plan, scheds: List[Schedule],
+                       ctxs: List[Any]) -> None:
         """Record the dataflow interpreter's step sequence from
-        structure alone.  Wire steps whose buffer is plain ``None``
-        move nothing and are left out, so a data-free shape (a
-        barrier) has an empty order."""
-        if not any(
-            st.buf is not None or st.kind == _COMPUTE
-            for s in inst.scheds for st in s.steps
-        ):
+        structure alone.  Wire steps whose buffer ref is ``None`` move
+        nothing and are left out, so a data-free shape (a barrier) has
+        an empty order."""
+        if not any(ref is not None for s in scheds for ref in s.ref):
             return
         size = self.comm.size
         lo = plan.lo
-        emit = plan.order.extend
-        states = [_RankState(inst.scheds[r]) for r in range(size)]
+        emit = plan.order.append
+        states = [_RankState(scheds[r]) for r in range(size)]
         #: (comm id, src, dst, tag) → FIFO of queued send ids.
         queues: Dict[Tuple, List[int]] = {}
         #: same key → FIFO of (rank, step idx, id) receives posted.
         parked: Dict[Tuple, List[Tuple[int, int, int]]] = {}
 
-        def run_step(r: int, st) -> None:
-            g = lo[r] + st.idx
-            kind = st.kind
-            if kind == _COMPUTE:
-                emit((_RUN, r, st.idx, g))
-            elif kind == _SEND:
-                tctx = st.via if st.via is not None else inst.ctxs[r]
-                key = (id(tctx.comm), tctx.rank, st.peer, st.tag)
+        def run_step(r: int, i: int) -> None:
+            sched = scheds[r]
+            g = lo[r] + i
+            kind = sched.kind[i]
+            ref = sched.ref[i]
+            if kind == COMPUTE:
+                emit((_RUN, r, g, ref, 0))
+            elif kind == SEND:
+                via = sched.via[i]
+                tctx = sched.ctxs[via] if via else ctxs[r]
+                key = (id(tctx.comm), tctx.rank, sched.peer[i], sched.tag[i])
                 waiters = parked.get(key)
                 if waiters:
                     rank2, ridx, g2 = waiters.pop(0)
-                    if st.buf is not None:
-                        emit((_DIRECT, r, st.idx, g2))
+                    if ref is not None:
+                        emit((_DIRECT, r, g2, ref, sched.flags[i]))
                     states[rank2].finish(ridx)
                 else:
                     queues.setdefault(key, []).append(g)
-                    if st.buf is not None:
-                        emit((_QUEUE, r, st.idx, g))
-            elif kind == _RECV:
-                tctx = st.via if st.via is not None else inst.ctxs[r]
-                key = (id(tctx.comm), st.peer, tctx.rank, st.tag)
+                    if ref is not None:
+                        emit((_QUEUE, r, g, ref, sched.flags[i]))
+            elif kind == RECV:
+                via = sched.via[i]
+                tctx = sched.ctxs[via] if via else ctxs[r]
+                key = (id(tctx.comm), sched.peer[i], tctx.rank, sched.tag[i])
                 queue = queues.get(key)
                 if queue:
                     gs = queue.pop(0)
-                    if st.buf is not None:
-                        emit((_TAKE, r, st.idx, gs))
+                    if ref is not None:
+                        emit((_TAKE, r, gs, ref, 0))
                 else:
-                    parked.setdefault(key, []).append((r, st.idx, g))
-                    if st.buf is not None:
-                        emit((_PARK, r, st.idx, g))
+                    parked.setdefault(key, []).append((r, i, g))
+                    if ref is not None:
+                        emit((_PARK, r, g, ref, 0))
                     return  # finished later, at delivery
-            elif kind != _OVERHEAD:  # pragma: no cover - defensive
-                raise MpiError(f"unknown step kind {kind!r}")
-            states[r].finish(st.idx)
+            states[r].finish(i)
 
         # Round-robin cycles, fully deterministic: first every rank
         # posts (or drains) all its ready receives, then each rank runs
@@ -570,31 +551,29 @@ class FastPathEngine(ScheduleEngine):
             for r in range(size):
                 state = states[r]
                 while state.ready_recv:
-                    idx = heapq.heappop(state.ready_recv)
-                    run_step(r, state.steps[idx])
+                    run_step(r, heapq.heappop(state.ready_recv))
                     progressed = True
             for r in range(size):
                 state = states[r]
                 if state.ready:
-                    idx = heapq.heappop(state.ready)
-                    run_step(r, state.steps[idx])
+                    run_step(r, heapq.heappop(state.ready))
                     progressed = True
                 while state.ready_recv:
-                    idx = heapq.heappop(state.ready_recv)
-                    run_step(r, state.steps[idx])
+                    run_step(r, heapq.heappop(state.ready_recv))
             done_total = sum(s.done for s in states)
             if not progressed and done_total < total:
                 stuck = {
-                    r: len(s.steps) - s.done
+                    r: len(s.kind) - s.done
                     for r, s in enumerate(states)
-                    if s.done < len(s.steps)
+                    if s.done < len(s.kind)
                 }
                 raise MpiError(
                     "fast-path schedule stalled (cyclic or unmatched "
                     f"wire steps); pending steps per rank: {stuck}"
                 )
 
-    def _compile_tape(self, plan: Plan, inst: _Instance) -> None:
+    def _compile_tape(self, plan: Plan, scheds: List[Schedule],
+                      ctxs: List[Any]) -> None:
         """Compile the pricing tape.
 
         Mirrors the exact engine's concurrency structure: every step
@@ -612,14 +591,11 @@ class FastPathEngine(ScheduleEngine):
           receive), then both sides finish at
           ``m + wire(cts) + wire(payload)``.
 
-        A pair is priced with the send's size as the replay resolved
-        it; in pricing mode (computes never run, so a lazy send buffer
-        built from staged data — the Bruck working vector — can
-        under-resolve) with the larger of the two resolved sizes, which
-        equals the interpreted send size.  Every wire leg is priced by
-        :meth:`Topology.wire_cost`, which also books it onto the routed
-        channel path when the topology's ``accounting`` flag is on;
-        ``plan.legs`` keeps them for replays.
+        A pair is priced with the send's structural size (pricing mode:
+        the larger of the send's and the receive's).  Every wire leg is
+        priced by :meth:`Topology.wire_cost`, which also books it onto
+        the routed channel path when the topology's ``accounting`` flag
+        is on; ``plan.legs`` keeps them for replays.
         """
         comm = self.comm
         ib = comm._ib
@@ -634,24 +610,10 @@ class FastPathEngine(ScheduleEngine):
             return wire_cost(src, dst, n)
 
         lo = plan.lo
-        ctxs = inst.ctxs
-        steps_of = [inst.scheds[r].steps for r in range(size)]
         n_steps = plan.n_steps
+        price_only = self.price_only
 
         wsize = [0] * n_steps
-        if self.price_only:
-            it = iter(plan.wire_sizes)
-            for r in range(size):
-                for st in steps_of[r]:
-                    if st.kind == _SEND or st.kind == _RECV:
-                        wsize[lo[r] + st.idx] = next(it)
-        else:
-            sent = iter(plan.sent)
-            ops = iter(plan.order)
-            for code, r, i, _g in zip(ops, ops, ops, ops):
-                if code >= _DIRECT:
-                    wsize[lo[r] + i] = next(sent)
-
         # LIGHT pairing: k-th send on a (comm, src, dst, tag) key pairs
         # with the k-th receive, both in step-index order — the
         # matcher's per-key FIFO guarantees non-overtaking, and every
@@ -659,19 +621,25 @@ class FastPathEngine(ScheduleEngine):
         sends: Dict[Tuple, List[Tuple[int, int, int]]] = {}
         recvs: Dict[Tuple, List[Tuple[int, int, int]]] = {}
         for r in range(size):
-            ctx_r = ctxs[r]
+            sched = scheds[r]
             base = lo[r]
-            for st in steps_of[r]:
-                if st.kind == _SEND:
-                    tctx = st.via if st.via is not None else ctx_r
-                    sends.setdefault(
-                        (id(tctx.comm), tctx.rank, st.peer, st.tag), []
-                    ).append((r, st.idx, base + st.idx))
-                elif st.kind == _RECV:
-                    tctx = st.via if st.via is not None else ctx_r
-                    recvs.setdefault(
-                        (id(tctx.comm), st.peer, tctx.rank, st.tag), []
-                    ).append((r, st.idx, base + st.idx))
+            for i, kind in enumerate(sched.kind):
+                if kind == SEND or kind == RECV:
+                    via = sched.via[i]
+                    tctx = sched.ctxs[via] if via else ctxs[r]
+                    if kind == SEND:
+                        wsize[base + i] = sched.nbytes(i)
+                        sends.setdefault(
+                            (id(tctx.comm), tctx.rank, sched.peer[i],
+                             sched.tag[i]), []
+                        ).append((r, i, base + i))
+                    else:
+                        if price_only:
+                            wsize[base + i] = sched.nbytes(i)
+                        recvs.setdefault(
+                            (id(tctx.comm), sched.peer[i], tctx.rank,
+                             sched.tag[i]), []
+                        ).append((r, i, base + i))
         #: Global step id → its partner's ``(rank, step idx, id)``.
         pair: Dict[int, Tuple[int, int, int]] = {}
         for key, ss in sends.items():
@@ -694,16 +662,14 @@ class FastPathEngine(ScheduleEngine):
         step_fin = [-1] * n_steps
         #: Receive id → slot of its ``ready + sw``.
         xslot: Dict[int, int] = {}
-        missing = [
-            [len(st.deps) for st in steps_of[r]] for r in range(size)
-        ]
+        missing = [[len(d) for d in scheds[r].deps] for r in range(size)]
         dependents: List[List[List[int]]] = [
-            [[] for _ in steps_of[r]] for r in range(size)
+            [[] for _ in range(len(scheds[r]))] for r in range(size)
         ]
         for r in range(size):
-            for st in steps_of[r]:
-                for d in st.deps:
-                    dependents[r][d].append(st.idx)
+            for i, deps in enumerate(scheds[r].deps):
+                for d in deps:
+                    dependents[r][d].append(i)
         work: List[Tuple[int, int]] = []
         for r in range(size):
             for i, m in enumerate(missing[r]):
@@ -721,30 +687,33 @@ class FastPathEngine(ScheduleEngine):
                 if missing[r][j] == 0:
                     work.append((r, j))
 
-        def wire_nodes(r: int, st) -> Tuple[int, int]:
-            tctx = st.via if st.via is not None else ctxs[r]
+        def wire_nodes(r: int, i: int) -> Tuple[int, int]:
+            sched = scheds[r]
+            via = sched.via[i]
+            tctx = sched.ctxs[via] if via else ctxs[r]
             placement = tctx.comm.placement
-            return placement[tctx.rank], placement[st.peer]
+            return placement[tctx.rank], placement[sched.peer[i]]
 
         while work:
             r, idx = work.pop()
-            st = steps_of[r][idx]
+            sched = scheds[r]
+            kind = sched.kind[idx]
             base = lo[r]
             g = base + idx
-            ins = (r, *[step_fin[base + d] for d in st.deps])
+            ins = (r, *[step_fin[base + d] for d in sched.deps[idx]])
             step_ins[g] = ins
-            if st.kind == _COMPUTE:
+            if kind == COMPUTE:
                 finish(r, idx, emit(ins, 0.0, 0.0))
                 continue
-            if st.kind == _OVERHEAD:
+            if kind == OVERHEAD:
                 finish(r, idx, emit(ins, sw, 0.0))
                 continue
             other = pair.get(g)
             if other is None:
                 continue  # unmatched — reported as a stall below
             ro, oidx, og = other
-            if st.kind == _SEND:
-                src, dst = wire_nodes(r, st)
+            if kind == SEND:
+                src, dst = wire_nodes(r, idx)
                 n = max(wsize[g], wsize[og])
                 if n <= eager_max:
                     f = emit(ins, sw, wt(src, dst, n + HEADER_BYTES))
@@ -762,7 +731,7 @@ class FastPathEngine(ScheduleEngine):
                 x = xslot[g] = emit(ins, sw, 0.0)
                 if step_ins[og] is None:
                     continue  # parked; the send side resolves the pair
-                src, dst = wire_nodes(ro, steps_of[ro][oidx])
+                src, dst = wire_nodes(ro, oidx)
                 n = max(wsize[og], wsize[g])
                 if n <= eager_max:
                     finish(r, idx, emit((x, step_fin[og]), 0.0, 0.0))
@@ -790,28 +759,25 @@ class FastPathEngine(ScheduleEngine):
         plan.step_fin = step_fin
 
     # -- replay -------------------------------------------------------------
-    def _replay(self, plan: Plan, scheds: List[Schedule]) -> List[int]:
-        """Run the plan's order against this call's buffers — the same
-        deliveries, adoptions and snapshots the dataflow interpreter
-        makes — and return the resolved send sizes."""
+    def _replay(self, plan: Plan, bufs_of: List[List[Any]]) -> None:
+        """Run the plan's order against this call's slot tables — the
+        same deliveries, adoptions and snapshots the dataflow
+        interpreter makes."""
         stats = self.comm.sim.stats
         deliver = Communicator._deliver
-        steps = [s.steps for s in scheds]
-        posted: Dict[int, Any] = {}
+        posted: Dict[int, Tuple] = {}
         queued: Dict[int, Tuple] = {}
-        sent: List[int] = []
-        ops = iter(plan.order)
-        for code, r, i, g in zip(ops, ops, ops, ops):
-            st = steps[r][i]
+        for code, r, g, x, flags in plan.order:
+            bufs = bufs_of[r]
             if code == _RUN:
-                st.fn()
+                run_ops(bufs, x)
             elif code == _PARK:
-                posted[g] = st.resolve_buf()
+                posted[g] = (bufs, x, view(bufs, x))
             elif code == _TAKE:
                 # Queued payloads are private (donated, or snapshotted
-                # at send time), so an AdoptBuf receive may take one
-                # over outright — the matcher's adoption path.
-                buf = st.resolve_buf()
+                # at send time), so an adopt slot may take one over
+                # outright — the matcher's adoption path.
+                buf = view(bufs, x)
                 data, nbytes = queued.pop(g, _NO_MSG)
                 if (
                     data is not None
@@ -821,20 +787,20 @@ class FastPathEngine(ScheduleEngine):
                     stats.payload_adopted += 1
                 else:
                     deliver(buf, data, nbytes)
+                land(bufs, x, buf)
             else:
-                buf = st.resolve_buf()
+                buf = payload(bufs, x, flags)
                 nbytes = nbytes_of(buf) if buf is not None else 0
-                sent.append(nbytes)
                 arr = payload_array(buf)
                 if code == _DIRECT:
                     # Source → posted receive, no snapshot.  Only a
                     # donated payload is private here (the live array
                     # is otherwise still the sender's).
-                    rbuf = posted.pop(g, None)
+                    rbufs, rref, rbuf = posted.pop(g, _NO_POST)
                     if arr is not None:
                         stats.payload_views += 1
                     if (
-                        st.donate
+                        flags & DONATE
                         and arr is not None
                         and isinstance(rbuf, AdoptBuf)
                         and rbuf.adopt(arr)
@@ -842,9 +808,11 @@ class FastPathEngine(ScheduleEngine):
                         stats.payload_adopted += 1
                     else:
                         deliver(rbuf, arr, nbytes)
+                    if rbufs is not None:
+                        land(rbufs, rref, rbuf)
                 else:  # _QUEUE
                     if arr is not None:
-                        if st.donate:
+                        if flags & DONATE:
                             # Donated: nothing writes the array again,
                             # so it can sit in the queue un-snapshotted.
                             stats.payload_views += 1
@@ -852,7 +820,6 @@ class FastPathEngine(ScheduleEngine):
                             arr = arr.copy()
                             stats.payload_copies += 1
                     queued[g] = (arr, nbytes)
-        return sent
 
     # -- observability ------------------------------------------------------
     def _record_spans(

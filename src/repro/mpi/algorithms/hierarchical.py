@@ -33,15 +33,13 @@ arithmetic is hand-rolled here.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List
 
-import numpy as np
-
-from ..datatypes import Payload, ReduceOp, payload_array
+from ..datatypes import ReduceOp
 from ..errors import MpiError
+from .allgather import block_sizes, recv_blocks
 from .allreduce import append_ring_allgather, append_ring_reduce_scatter
-from .base import next_tag
-from .schedule import Schedule, SubSchedule
+from .schedule import BYTES, COPY, Binding, Schedule
 
 __all__ = [
     "build_allreduce_hierarchical",
@@ -62,89 +60,74 @@ def _hier_setup(ctx):
     return comm.hier_comms(), groups
 
 
-def _u8(arr: np.ndarray) -> np.ndarray:
-    return arr.view(np.uint8).reshape(-1)
-
-
 # ---------------------------------------------------------------------------
 # Allreduce
 # ---------------------------------------------------------------------------
 
 def build_allreduce_hierarchical(
-    ctx,
-    sendbuf: Payload,
-    recvbuf: Payload,
-    op: ReduceOp = ReduceOp.SUM,
+    ctx, b: Binding, op: ReduceOp = ReduceOp.SUM
 ) -> Schedule:
     """Two-level allreduce over the communicator's locality groups."""
-    src = payload_array(sendbuf)
-    out = payload_array(recvbuf)
-    if src is None:
-        raise MpiError("allreduce requires an array payload")
-    if out is None:
-        raise MpiError("allreduce requires a recv buffer on every rank")
-    sched = Schedule()
-    acc = src.copy().reshape(-1)
+    sched = Schedule(ctx, b)
+    n = b.sizes[0]
+    acc = sched.buffer(n, b.dtype, init=((0, 0),))
     if ctx.size == 1:
         sched.overhead()
-        sched.compute(
-            lambda: out.__setitem__(..., acc.reshape(out.shape)),
-            after=(sched.last,),
-        )
+        sched.compute(((COPY, acc, 1),), after=(sched.last,))
         return sched
     hier, _groups = _hier_setup(ctx)
     if hier.equal_groups:
-        _allreduce_equal_pods(sched, ctx, hier, acc, out, op)
+        deps = _allreduce_equal_pods(sched, ctx, b, acc, op)
     else:
-        _allreduce_unequal_pods(sched, ctx, hier, acc, out, op)
+        deps = _allreduce_unequal_pods(sched, b, acc, op)
+    sched.compute(((COPY, acc, 1),), after=deps)
     return sched
 
 
-def _allreduce_equal_pods(sched, ctx, hier, acc, out, op) -> None:
+def _allreduce_equal_pods(sched, ctx, b, acc, op) -> List[int]:
     """Equal pods: intra RS → peer-comm ring allreduce → intra AG.
 
     Same message sequence as the PR 2 hand-rolled schedule, but every
     phase is the ordinary ring schedule over a sub-communicator.
     """
-    intra = hier.intra_ctx(ctx.rank)
-    peer = hier.peer_ctx(ctx.rank)
+    dt = b.dtype
+    nbytes = b.sizes[0]
+    intra_sub = sched.sub("intra")
+    intra = intra_sub.ctx
     s = intra.size
-    intra_sub = SubSchedule(sched, intra)
     deps: List[int] = []
-    itag = next_tag(intra)
+    itag = intra_sub.claim()
     if s > 1:
         deps = append_ring_reduce_scatter(
-            intra_sub, intra, acc, op, itag
+            intra_sub, intra, (acc, 0, nbytes), dt, op, itag
         )
     # After the reduce-scatter this member owns chunk (m+1) mod s; the
     # peer communicator (member m of every domain) allreduces it.
-    n = acc.size
-    bounds = [(c * n) // s for c in range(s + 1)]
+    n = nbytes // dt.itemsize
+    bounds = [((c * n) // s) * dt.itemsize for c in range(s + 1)]
     own = (intra.rank + 1) % s if s > 1 else 0
-    mine = acc[bounds[own] : bounds[own + 1]]
-    if peer is not None and peer.size > 1:
-        peer_sub = SubSchedule(sched, peer)
-        ptag = next_tag(peer)
+    mine = (acc, bounds[own], bounds[own + 1])
+    peer_sub = sched.sub("peer")
+    if peer_sub is not None and peer_sub.ctx.size > 1:
+        peer = peer_sub.ctx
+        ptag = peer_sub.claim()
         rnd = sched.n_rounds
         deps = append_ring_reduce_scatter(
-            peer_sub, peer, mine, op, ptag, after=deps, round0=rnd
+            peer_sub, peer, mine, dt, op, ptag, after=deps, round0=rnd
         )
         deps = append_ring_allgather(
-            peer_sub, peer, mine, ptag + 4, after=deps,
+            peer_sub, peer, mine, dt, ptag + 4, after=deps,
             round0=sched.n_rounds,
         )
     if s > 1:
         deps = append_ring_allgather(
-            intra_sub, intra, acc, itag + 4, after=deps,
+            intra_sub, intra, (acc, 0, nbytes), dt, itag + 4, after=deps,
             round0=sched.n_rounds,
         )
-    sched.compute(
-        lambda: out.__setitem__(..., acc.reshape(out.shape)),
-        after=deps,
-    )
+    return deps
 
 
-def _allreduce_unequal_pods(sched, ctx, hier, acc, out, op) -> None:
+def _allreduce_unequal_pods(sched, b, acc, op) -> List[int]:
     """Unequal pods: ring allreduce on a locality-reordered comm.
 
     The peer rings of the equal-pod path need member *i* to exist in
@@ -158,16 +141,14 @@ def _allreduce_unequal_pods(sched, ctx, hier, acc, out, op) -> None:
     singletons); the allreduce result is rank-symmetric, so no data
     reordering is needed.
     """
-    rctx = hier.reordered_ctx(ctx.rank)
-    sub = SubSchedule(sched, rctx)
-    tag = next_tag(rctx)
-    deps = append_ring_reduce_scatter(sub, rctx, acc, op, tag)
-    deps = append_ring_allgather(
-        sub, rctx, acc, tag + 4, after=deps, round0=sched.n_rounds
-    )
-    sched.compute(
-        lambda: out.__setitem__(..., acc.reshape(out.shape)),
-        after=deps,
+    sub = sched.sub("reordered")
+    rctx = sub.ctx
+    whole = (acc, 0, b.sizes[0])
+    tag = sub.claim()
+    deps = append_ring_reduce_scatter(sub, rctx, whole, b.dtype, op, tag)
+    return append_ring_allgather(
+        sub, rctx, whole, b.dtype, tag + 4, after=deps,
+        round0=sched.n_rounds,
     )
 
 
@@ -175,11 +156,7 @@ def _allreduce_unequal_pods(sched, ctx, hier, acc, out, op) -> None:
 # Allgather
 # ---------------------------------------------------------------------------
 
-def build_allgather_hierarchical(
-    ctx,
-    sendbuf: Payload,
-    recvbufs: Sequence[Payload],
-) -> Schedule:
+def build_allgather_hierarchical(ctx, b: Binding) -> Schedule:
     """Topology-aware allgather: gather → leader ring → broadcast.
 
     Every rank's block first travels to its domain leader (leaf-switch
@@ -191,89 +168,72 @@ def build_allgather_hierarchical(
     """
     from .bcast import _append_binomial
 
-    mine = payload_array(sendbuf)
-    if mine is None:
+    if b.dtype is None:
         raise MpiError("hierarchical allgather requires an array payload")
-    arrays = [payload_array(b) for b in recvbufs]
-    if any(a is None for a in arrays):
-        raise MpiError(
-            "hierarchical allgather needs a recv buffer for every rank"
-        )
-    sched = Schedule()
+    sched = Schedule(ctx, b)
     hier, groups = _hier_setup(ctx)
-    comm = ctx.comm
-    intra = hier.intra_ctx(ctx.rank)
-    s = intra.size
     G = len(groups)
     gi = hier.dom_of[ctx.rank]
+    blocks = recv_blocks(b, ctx.size)
 
     # Assembly order: domain-major, member-minor (parent-rank order
     # within each group) — offsets are derived per rank, so unequal
     # blocks fall out naturally.
-    block_bytes = [a.nbytes for a in arrays]
+    block_bytes = block_sizes(b, ctx.size)
     offset: Dict[int, int] = {}
     off = 0
     for g in groups:
         for r in g:
             offset[r] = off
             off += block_bytes[r]
-    total = off
-    full = np.empty(total, dtype=np.uint8)
+    full = sched.buffer(off)
     dom_lo = [offset[g[0]] for g in groups]
     dom_hi = [offset[g[-1]] + block_bytes[g[-1]] for g in groups]
 
-    intra_sub = SubSchedule(sched, intra)
-    itag = next_tag(intra)
+    def part(r: int):
+        return (full, offset[r], offset[r] + block_bytes[r])
+
+    intra_sub = sched.sub("intra")
+    intra = intra_sub.ctx
+    s = intra.size
+    itag = intra_sub.claim()
     deps: List[int] = []
     members = groups[gi]
     if intra.rank == 0:
         # Leader: collect the domain's blocks (own block via memcpy).
-        my_r = ctx.rank
-
-        def own_copy():
-            full[offset[my_r] : offset[my_r] + block_bytes[my_r]] = _u8(mine)
-
-        deps = [sched.compute(own_copy)]
+        deps = [sched.compute(((BYTES, 0, part(ctx.rank)),))]
         for m in range(1, s):
-            r_parent = members[m]
-            lo = offset[r_parent]
-            deps.append(intra_sub.recv(
-                full[lo : lo + block_bytes[r_parent]], m, itag
-            ))
+            deps.append(intra_sub.recv(part(members[m]), m, itag))
     elif s > 1:
-        deps = [intra_sub.send(_u8(mine), 0, itag)]
+        deps = [intra_sub.send(0, 0, itag)]
 
     # Leader ring over the (unequal) domain blocks of ``full``.
-    leader = hier.leader_ctx(ctx.rank)
-    if leader is not None and leader.size > 1:
-        lsub = SubSchedule(sched, leader)
-        ltag = next_tag(leader)
+    lsub = sched.sub("leader")
+    if lsub is not None and lsub.ctx.size > 1:
+        leader = lsub.ctx
+        ltag = lsub.claim()
         right = (leader.rank + 1) % G
         left = (leader.rank - 1) % G
         rnd0 = sched.n_rounds
         for step in range(G - 1):
             send_d = (gi - step) % G
             recv_d = (gi - step - 1) % G
-            snd = lsub.send(full[dom_lo[send_d] : dom_hi[send_d]], right,
+            snd = lsub.send((full, dom_lo[send_d], dom_hi[send_d]), right,
                             ltag + step % 4, after=deps, round=rnd0 + step)
-            rcv = lsub.recv(full[dom_lo[recv_d] : dom_hi[recv_d]], left,
+            rcv = lsub.recv((full, dom_lo[recv_d], dom_hi[recv_d]), left,
                             ltag + step % 4, after=deps, round=rnd0 + step)
             deps = [snd, rcv]
 
     # Intra-domain broadcast of the assembled vector.
-    btag = next_tag(intra)
+    btag = intra_sub.claim()
     if s > 1:
         deps = _append_binomial(
             intra_sub, intra, full, list(range(s)), 0, btag,
             after=deps, round0=sched.n_rounds,
         )
-
-    def scatter_out():
-        for r, arr in enumerate(arrays):
-            lo = offset[r]
-            _u8(arr)[...] = full[lo : lo + block_bytes[r]]
-
-    sched.compute(scatter_out, after=deps)
+    sched.compute(tuple(
+        (BYTES, part(r), blocks[r]) for r in range(ctx.size)
+    ), after=deps)
     return sched
 
 
@@ -281,11 +241,7 @@ def build_allgather_hierarchical(
 # Alltoall
 # ---------------------------------------------------------------------------
 
-def build_alltoall_hierarchical(
-    ctx,
-    sendbufs: Sequence[Payload],
-    recvbufs: Sequence[Payload],
-) -> Schedule:
+def build_alltoall_hierarchical(ctx, b: Binding) -> Schedule:
     """Topology-aware alltoall: bucket-gather → leader exchange →
     dispersal.
 
@@ -296,24 +252,17 @@ def build_alltoall_hierarchical(
     rank; leaders then deal each member its slice.  Uniform block sizes
     only (as the selector guarantees).
     """
-    mine = [payload_array(b) for b in sendbufs]
-    outs = [payload_array(b) for b in recvbufs]
-    if any(a is None for a in mine) or any(a is None for a in outs):
+    if b.dtype is None:
         raise MpiError(
             "hierarchical alltoall needs array payloads on every rank"
         )
-    B = mine[0].nbytes
-    if any(a.nbytes != B for a in mine) or any(
-        a.nbytes != B for a in outs
-    ):
+    B = b.sizes[0]
+    if any(n != B for n in b.sizes):
         raise MpiError("hierarchical alltoall needs uniform block sizes")
-    sched = Schedule()
+    sched = Schedule(ctx, b)
     hier, groups = _hier_setup(ctx)
-    intra = hier.intra_ctx(ctx.rank)
-    s = intra.size
     G = len(groups)
     gi = hier.dom_of[ctx.rank]
-    members = groups[gi]
     sizes = [len(g) for g in groups]
     P = ctx.size
 
@@ -324,93 +273,81 @@ def build_alltoall_hierarchical(
     for d in range(G):
         dstart[d + 1] = dstart[d] + sizes[d] * B
 
-    def payload_of(send_arrays) -> np.ndarray:
-        return np.concatenate([_u8(send_arrays[j]) for j in dm_order])
-
-    intra_sub = SubSchedule(sched, intra)
-    itag = next_tag(intra)
-    deps: List[int] = []
-    if intra.rank == 0:
-        # Leader: stage[m] = member m's full payload in dm_order.
-        stage: List[Optional[np.ndarray]] = [None] * s
-
-        def own_stage():
-            stage[0] = payload_of(mine)
-
-        deps = [sched.compute(own_stage)]
+    intra_sub = sched.sub("intra")
+    s = intra_sub.ctx.size
+    itag = intra_sub.claim()
+    if intra_sub.ctx.rank == 0:
+        # Leader: stage member m's full payload (dm order) at m·P·B.
+        stage = sched.buffer(s * P * B)
+        deps = [sched.compute(tuple(
+            (BYTES, j, (stage, k * B, (k + 1) * B))
+            for k, j in enumerate(dm_order)
+        ))]
         for m in range(1, s):
-            buf = np.empty(P * B, dtype=np.uint8)
-            stage[m] = buf
-            deps.append(intra_sub.recv(buf, m, itag))
+            deps.append(intra_sub.recv((stage, m * P * B, (m + 1) * P * B),
+                                       m, itag))
 
-        # Leader exchange: shift schedule over super-buckets.  The
-        # super-bucket for domain d concatenates every local member's
-        # bucket for d — resolved lazily, once phase 1 delivered.
-        inbuf: List[Optional[np.ndarray]] = [None] * G
+        def super_bucket(d: int):
+            # Every local member's bucket for domain d, in member order.
+            return tuple((stage, m * P * B + dstart[d],
+                          m * P * B + dstart[d + 1]) for m in range(s))
 
-        def super_bucket(d: int) -> np.ndarray:
-            return np.concatenate(
-                [stage[m][dstart[d] : dstart[d + 1]] for m in range(s)]
-            )
+        # inbuf: per source domain d, its s_d·s·B super-bucket.
+        inbuf = sched.buffer(P * s * B)
+        ibase = [0] * (G + 1)
+        for d in range(G):
+            ibase[d + 1] = ibase[d] + sizes[d] * s * B
 
-        def keep_own(d=gi):
-            inbuf[d] = super_bucket(d)
+        def inbox(d: int):
+            return (inbuf, ibase[d], ibase[d + 1])
 
-        deps = [sched.compute(keep_own, after=deps)]
-        leader = hier.leader_ctx(ctx.rank)
-        if leader is not None and leader.size > 1:
-            lsub = SubSchedule(sched, leader)
-            ltag = next_tag(leader)
+        keep = []
+        off = ibase[gi]
+        for ref in super_bucket(gi):
+            keep.append((BYTES, ref, (inbuf, off, off + ref[2] - ref[1])))
+            off += ref[2] - ref[1]
+        deps = [sched.compute(tuple(keep), after=deps)]
+        # Leader exchange: shift schedule over super-buckets.
+        lsub = sched.sub("leader")
+        if lsub is not None and lsub.ctx.size > 1:
+            ltag = lsub.claim()
             rnd0 = sched.n_rounds
             for k in range(1, G):
                 dst = (gi + k) % G
                 src = (gi - k) % G
-                rbuf = np.empty(sizes[src] * s * B, dtype=np.uint8)
-                inbuf[src] = rbuf
-                snd = lsub.send(
-                    lambda d=dst: super_bucket(d), dst, ltag + (k - 1) % 4,
-                    after=deps, round=rnd0 + k - 1,
-                )
-                rcv = lsub.recv(rbuf, src, ltag + (k - 1) % 4,
+                snd = lsub.send(super_bucket(dst), dst, ltag + (k - 1) % 4,
+                                after=deps, round=rnd0 + k - 1, pack=True)
+                rcv = lsub.recv(inbox(src), src, ltag + (k - 1) % 4,
                                 after=deps, round=rnd0 + k - 1)
                 deps = [snd, rcv]
 
         # Dispersal: member m's result is, per source domain d and
         # source member index q, the m-th block of bucket (q → my
-        # domain) inside inbuf[d].
-        def member_result(m: int) -> np.ndarray:
-            parts = []
-            for d in range(G):
-                buf = inbuf[d]
-                for q in range(sizes[d]):
-                    lo = (q * s + m) * B
-                    parts.append(buf[lo : lo + B])
-            return np.concatenate(parts)
-
-        dtag = next_tag(intra)
-        rnd = sched.n_rounds
-        for m in range(1, s):
-            intra_sub.send(
-                lambda m=m: member_result(m), m, dtag,
-                after=deps, round=rnd,
+        # domain) inside inbox(d).
+        def member_result(m: int):
+            return tuple(
+                (inbuf, ibase[d] + (q * s + m) * B,
+                 ibase[d] + (q * s + m + 1) * B)
+                for d in range(G) for q in range(sizes[d])
             )
 
-        def own_unpack():
-            res = member_result(0)
-            for k, j in enumerate(dm_order):
-                _u8(outs[j])[...] = res[k * B : (k + 1) * B]
-
-        sched.compute(own_unpack, after=deps)
+        dtag = intra_sub.claim()
+        rnd = sched.n_rounds
+        for m in range(1, s):
+            intra_sub.send(member_result(m), m, dtag, after=deps, round=rnd,
+                           pack=True)
+        sched.compute(tuple(
+            (BYTES, ref, P + j)
+            for ref, j in zip(member_result(0), dm_order)
+        ), after=deps)
     else:
         # Member: ship the payload up, await the dealt result.
-        snd = intra_sub.send(lambda: payload_of(mine), 0, itag)
-        dtag = next_tag(intra)
-        res = np.empty(P * B, dtype=np.uint8)
+        snd = intra_sub.send(tuple(dm_order), 0, itag, pack=True)
+        dtag = intra_sub.claim()
+        res = sched.buffer(P * B)
         rcv = intra_sub.recv(res, 0, dtag)
-
-        def unpack():
-            for k, j in enumerate(dm_order):
-                _u8(outs[j])[...] = res[k * B : (k + 1) * B]
-
-        sched.compute(unpack, after=(snd, rcv))
+        sched.compute(tuple(
+            (BYTES, (res, k * B, (k + 1) * B), P + j)
+            for k, j in enumerate(dm_order)
+        ), after=(snd, rcv))
     return sched

@@ -10,7 +10,8 @@
   for large messages on any communicator size (non-powers of two pay
   one extra fold-in round first).
 
-Both compile to :class:`~repro.mpi.algorithms.schedule.Schedule` DAGs;
+Both compile to data-free :class:`~repro.mpi.algorithms.schedule.Schedule`
+DAGs over binding slots 0 (send) and 1 (recv, used at the root);
 ``mpi/collectives.py`` dispatches blocking ``reduce`` (and the new
 ``ireduce``) through the selector onto these builders, and the
 reduce+bcast allreduce splices the binomial schedule in front of its
@@ -19,14 +20,11 @@ broadcast leg.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
-import numpy as np
-
-from ..datatypes import AdoptBuf, Payload, ReduceOp, payload_array
-from ..errors import MpiError
-from .base import largest_pof2, next_tag
-from .schedule import Schedule
+from ..datatypes import ReduceOp
+from .base import largest_pof2
+from .schedule import COMBINE, COPY, REBIND, Binding, Schedule
 
 __all__ = [
     "build_reduce_binomial",
@@ -35,34 +33,20 @@ __all__ = [
 ]
 
 
-def _setup(ctx, sendbuf: Payload, recvbuf: Optional[Payload], root: int):
-    src = payload_array(sendbuf)
-    if src is None:
-        raise MpiError("reduce requires an array payload")
-    out = payload_array(recvbuf) if recvbuf is not None else None
-    if ctx.rank == root and out is None:
-        raise MpiError("root needs a recv buffer for reduce")
-    return src, out
-
-
 def append_reduce_binomial(
     sched: Schedule,
     ctx,
-    sendbuf: Payload,
-    recvbuf: Optional[Payload],
+    b: Binding,
     op: ReduceOp = ReduceOp.SUM,
     root: int = 0,
     after: Sequence[int] = (),
 ) -> List[int]:
-    """Binomial-tree reduction to ``root`` (the seed schedule).
-
-    Same virtual-rank arithmetic and message sequence as the original
-    run-to-completion loop; returns the terminal step indices.
-    """
-    src, out = _setup(ctx, sendbuf, recvbuf, root)
+    """Binomial-tree reduction of slot 0 into slot 1 at ``root`` (the
+    seed schedule); returns the terminal step indices."""
     size, rank = ctx.size, ctx.rank
-    tag = next_tag(ctx)
-    st = {"acc": src.copy()}
+    tag = sched.claim()
+    n, dt = b.sizes[0], b.dtype
+    acc = sched.buffer(n, dt, init=((0, 0),))
     deps = list(after)
     if size > 1:
         vrank = (rank - root) % size
@@ -73,49 +57,35 @@ def append_reduce_binomial(
                 dst = ((vrank & ~mask) + root) % size
                 # donate: acc is rebound, and this rank's tree role
                 # ends at this send — nothing touches acc afterwards.
-                deps = [sched.send(lambda: st["acc"], dst, tag,
-                                   after=deps, round=rnd, donate=True)]
+                deps = [sched.send(acc, dst, tag, after=deps, round=rnd,
+                                   donate=True)]
                 break
             partner_v = vrank | mask
             if partner_v < size:
-                tmp = AdoptBuf(st["acc"])
+                tmp = sched.buffer(n, dt, adopt=True)
                 partner = (partner_v + root) % size
                 r = sched.recv(tmp, partner, tag, after=deps, round=rnd)
-
-                def combine(tmp=tmp):
-                    st["acc"] = op.combine(st["acc"], tmp.arr)
-
-                deps = [sched.compute(combine, after=(r,), round=rnd)]
+                deps = [sched.compute(((REBIND, op, acc, tmp, acc),),
+                                      after=(r,), round=rnd)]
             mask <<= 1
             rnd += 1
     else:
         deps = [sched.overhead(after=deps)]
     if rank == root:
-        deps = [sched.compute(
-            lambda: out.__setitem__(..., st["acc"].reshape(out.shape)),
-            after=deps,
-        )]
+        deps = [sched.compute(((COPY, acc, 1),), after=deps)]
     return deps
 
 
 def build_reduce_binomial(
-    ctx,
-    sendbuf: Payload,
-    recvbuf: Optional[Payload],
-    op: ReduceOp = ReduceOp.SUM,
-    root: int = 0,
+    ctx, b: Binding, op: ReduceOp = ReduceOp.SUM, root: int = 0
 ) -> Schedule:
-    sched = Schedule()
-    append_reduce_binomial(sched, ctx, sendbuf, recvbuf, op=op, root=root)
+    sched = Schedule(ctx, b)
+    append_reduce_binomial(sched, ctx, b, op=op, root=root)
     return sched
 
 
 def build_reduce_rabenseifner(
-    ctx,
-    sendbuf: Payload,
-    recvbuf: Optional[Payload],
-    op: ReduceOp = ReduceOp.SUM,
-    root: int = 0,
+    ctx, b: Binding, op: ReduceOp = ReduceOp.SUM, root: int = 0
 ) -> Schedule:
     """Recursive-halving reduce-scatter + binomial gather to the root.
 
@@ -130,26 +100,25 @@ def build_reduce_rabenseifner(
     phase, then the gather phase folds the chunk ranges upward to the
     root in ⌈log2 pof2⌉ doubling rounds.
     """
-    src, out = _setup(ctx, sendbuf, recvbuf, root)
     size, rank = ctx.size, ctx.rank
-    sched = Schedule()
-    acc = src.copy().reshape(-1)
+    sched = Schedule(ctx, b)
+    nbytes, dt = b.sizes[0], b.dtype
+    acc = sched.buffer(nbytes, dt, init=((0, 0),))
+    out = ((COPY, acc, 1),)
     if size == 1:
         sched.overhead()
-        sched.compute(
-            lambda: out.__setitem__(..., acc.reshape(out.shape)),
-            after=(sched.last,),
-        )
+        sched.compute(out, after=(sched.last,))
         return sched
-    tag = next_tag(ctx)
+    tag = sched.claim()
     vr = (rank - root) % size
     pof2 = largest_pof2(size)
     rem = size - pof2
-    n = acc.size
-    bounds = [(c * n) // pof2 for c in range(pof2 + 1)]
+    isz = dt.itemsize
+    n = nbytes // isz
+    bounds = [((c * n) // pof2) * isz for c in range(pof2 + 1)]
 
-    def seg(lo: int, hi: int) -> np.ndarray:
-        return acc[bounds[lo] : bounds[hi]]
+    def seg(lo: int, hi: int):
+        return (acc, bounds[lo], bounds[hi])
 
     def real(v: int) -> int:
         return (v + root) % size
@@ -167,16 +136,11 @@ def build_reduce_rabenseifner(
             return sched
         if vr < rem:
             fold_src = real(vr + pof2)
-            tmp0 = AdoptBuf(acc)
+            tmp0 = sched.buffer(nbytes, dt, adopt=True)
             r = sched.recv(tmp0, fold_src, tag + 6, after=deps, round=rnd)
-
-            def fold_in(tmp0=tmp0, fold_src=fold_src):
-                acc[...] = (
-                    op.combine(tmp0.arr, acc) if fold_src < rank
-                    else op.combine(acc, tmp0.arr)
-                )
-
-            deps = [sched.compute(fold_in, after=(r,), round=rnd)]
+            pair = (tmp0, acc) if fold_src < rank else (acc, tmp0)
+            deps = [sched.compute(((COMBINE, op, *pair, acc),), after=(r,),
+                                  round=rnd)]
         rnd += 1
     # Phase 1 (tag offsets 0/1) — recursive halving reduce-scatter: each
     # round trades half of the live range with the partner at distance
@@ -192,22 +156,17 @@ def build_reduce_rabenseifner(
         else:
             keep_lo, keep_hi = mid, hi
             give_lo, give_hi = lo, mid
-        tmp = AdoptBuf(seg(keep_lo, keep_hi))
+        mine = seg(keep_lo, keep_hi)
+        tmp = sched.buffer(mine[2] - mine[1], dt, adopt=True)
         # donate: acc is collective-private; the given-away half is
         # next written only by a gather recv, causally behind the
         # partner's combine — the last read of the adopted view.
         s = sched.send(seg(give_lo, give_hi), partner, tag + rnd % 2,
                        after=deps, round=rnd, donate=True)
         r = sched.recv(tmp, partner, tag + rnd % 2, after=deps, round=rnd)
-
-        def combine(tmp=tmp, klo=keep_lo, khi=keep_hi, partner=partner):
-            mine = seg(klo, khi)
-            mine[...] = (
-                op.combine(tmp.arr, mine) if partner < rank
-                else op.combine(mine, tmp.arr)
-            )
-
-        deps = [sched.compute(combine, after=(s, r), round=rnd)]
+        pair = (tmp, mine) if partner < rank else (mine, tmp)
+        deps = [sched.compute(((COMBINE, op, *pair, mine),), after=(s, r),
+                              round=rnd)]
         lo, hi = keep_lo, keep_hi
         rnd += 1
     # Phase 2 (tag offsets 2/3) — binomial gather of the combined chunks:
@@ -233,9 +192,5 @@ def build_reduce_rabenseifner(
         mask <<= 1
         rnd += 1
     if rank == root:
-        sched.compute(
-            lambda: out.__setitem__(..., acc.reshape(out.shape)),
-            after=deps,
-        )
+        sched.compute(out, after=deps)
     return sched
-

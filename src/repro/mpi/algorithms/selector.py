@@ -88,10 +88,22 @@ SCHEDULES: Dict[str, Dict[str, Callable]] = {
     },
 }
 
+def binder(coll: str) -> Callable:
+    """The dispatch layer's argument binding for ``coll`` (imported
+    late: ``mpi/collectives.py`` imports this module)."""
+
+    def bind(ctx, *args, **kwargs):
+        from .. import collectives
+
+        return collectives.BINDERS[coll](ctx, *args, **kwargs)
+
+    return bind
+
+
 #: Registry: collective → {algorithm name → blocking implementation} —
 #: derived from :data:`SCHEDULES`, so the two can never diverge.
 ALGORITHMS: Dict[str, Dict[str, Callable]] = {
-    coll: {name: blocking(b) for name, b in menu.items()}
+    coll: {name: blocking(binder(coll), b) for name, b in menu.items()}
     for coll, menu in SCHEDULES.items()
 }
 

@@ -32,7 +32,6 @@ from typing import Any, Generator, Optional, Sequence
 
 import numpy as np
 
-from ..hw.memory import nbytes_of
 from ..sim.core import Event
 from .datatypes import Payload, ReduceOp, payload_array
 from .errors import MpiError
@@ -64,51 +63,18 @@ from .algorithms.base import (
     send_internal as _send_internal,
 )
 from .algorithms.barrier import build_barrier_dissemination
+from .algorithms.schedule import Binding, Call
 from .algorithms.selector import SCHEDULES
 from .communicator import MpiContext, Request
 
 
 # ---------------------------------------------------------------------------
-# Schedule-building dispatch helpers (shared by blocking and nonblocking)
+# Dispatch: bind the call's buffers, select, key — no schedule is built
+# here (the engine builds one only on a plan miss)
 # ---------------------------------------------------------------------------
 
-def _with_meta(sched, op: str, algo: str, nbytes: int, key=None):
-    """Stamp collective identity on a built schedule.
-
-    ``meta`` labels the span the engines emit.  ``key`` is the call's
-    structure — ``(op, algo, root, nbytes, dtype)``, or ``None`` for the
-    vector variants — and, extended by the builder's ``layout`` facts,
-    is the key the fast-path engine interns the compiled plan under.
-    """
-    sched.meta = {"op": op, "algo": algo, "nbytes": nbytes}
-    if key is not None:
-        sched.plan_key = key + sched.layout
-    return sched
-
-
-def _dtype(buf: Payload) -> Optional[str]:
-    arr = payload_array(buf)
-    return None if arr is None else arr.dtype.str
-
-
-def _build_barrier(ctx: MpiContext):
-    ctx.comm._count("barrier")
-    return _with_meta(
-        build_barrier_dissemination(ctx), "barrier", "dissemination", 0,
-        key=("barrier", ctx.size),
-    )
-
-
-def _build_bcast(ctx: MpiContext, buf: Payload, root: int):
-    ctx.comm._count("bcast")
-    ctx.comm._check_rank(root)
-    nbytes = nbytes_of(buf) if buf is not None else 0
-    algo = ctx.comm.selector.bcast(nbytes, ctx.size, hier_ok=_hier_ok(ctx))
-    ctx.comm._count(f"bcast[{algo}]")
-    return _with_meta(
-        SCHEDULES["bcast"][algo](ctx, buf, root=root), "bcast", algo, nbytes,
-        key=("bcast", algo, root, nbytes, _dtype(buf)),
-    )
+def _size_error(op: str, send: int, what: str, got: int) -> MpiError:
+    return MpiError(f"{op}: send buffer is {send} B but {what} is {got} B")
 
 
 def _check_reduce_op(op: ReduceOp, what: str) -> None:
@@ -122,93 +88,177 @@ def _check_reduce_op(op: ReduceOp, what: str) -> None:
         )
 
 
-def _build_reduce(
-    ctx: MpiContext,
-    sendbuf: Payload,
-    recvbuf: Optional[Payload],
-    op: ReduceOp,
-    root: int,
-):
-    ctx.comm._count("reduce")
+def _bind_barrier(ctx: MpiContext):
+    return Binding(()), ()
+
+
+def _bind_bcast(ctx: MpiContext, buf: Payload, root: int = 0):
+    ctx.comm._check_rank(root)
+    return Binding((buf,)), (root,)
+
+
+def _bind_reduce(ctx: MpiContext, sendbuf: Payload,
+                 recvbuf: Optional[Payload], op: ReduceOp = ReduceOp.SUM,
+                 root: int = 0):
     ctx.comm._check_rank(root)
     _check_reduce_op(op, "reduce")
-    nbytes = nbytes_of(sendbuf) if sendbuf is not None else 0
-    algo = ctx.comm.selector.reduce(nbytes, ctx.size)
-    ctx.comm._count(f"reduce[{algo}]")
-    return _with_meta(
-        SCHEDULES["reduce"][algo](ctx, sendbuf, recvbuf, op=op, root=root),
-        "reduce", algo, nbytes,
-        key=("reduce", algo, root, nbytes, _dtype(sendbuf)),
-    )
+    if payload_array(sendbuf) is None:
+        raise MpiError("reduce requires an array payload")
+    if ctx.rank == root and payload_array(recvbuf) is None:
+        raise MpiError("root needs a recv buffer for reduce")
+    return Binding((sendbuf, recvbuf)), (op, root)
 
 
-def _build_allreduce(
-    ctx: MpiContext, sendbuf: Payload, recvbuf: Payload, op: ReduceOp
-):
-    ctx.comm._count("allreduce")
+def _bind_allreduce(ctx: MpiContext, sendbuf: Payload, recvbuf: Payload,
+                    op: ReduceOp = ReduceOp.SUM):
     _check_reduce_op(op, "allreduce")
     if payload_array(recvbuf) is None:
         raise MpiError("allreduce requires a recv buffer on every rank")
-    nbytes = nbytes_of(sendbuf) if sendbuf is not None else 0
+    if payload_array(sendbuf) is None:
+        raise MpiError("allreduce requires an array payload")
+    b = Binding((sendbuf, recvbuf))
+    if b.sizes[0] != b.sizes[1]:
+        raise _size_error("allreduce", b.sizes[0], "the recv buffer",
+                          b.sizes[1])
+    return b, (op,)
+
+
+def _bind_allgather(ctx: MpiContext, sendbuf: Payload, recvbuf):
+    """A contiguous ``P × block`` recv array binds in O(1); a sequence
+    binds one slot per block (per-block or vector receives)."""
+    P = ctx.size
+    if isinstance(recvbuf, (list, tuple)):
+        if len(recvbuf) != P:
+            raise MpiError("allgather needs one recv buffer per rank")
+        b = Binding((sendbuf, *recvbuf))
+        if sendbuf is not None and b.sizes[0] != b.sizes[1 + ctx.rank]:
+            raise _size_error("allgather", b.sizes[0],
+                              "this rank's recv block", b.sizes[1 + ctx.rank])
+    else:
+        b = Binding((sendbuf, recvbuf), flat=True)
+        if b.sizes[1] != P * b.sizes[0]:
+            raise _size_error("allgather", b.sizes[0],
+                              f"the recv buffer (P = {P} blocks)",
+                              b.sizes[1])
+    return b, ()
+
+
+def _bind_alltoall(ctx: MpiContext, sendbufs: Sequence[Payload],
+                   recvbufs: Sequence[Payload]):
+    P = ctx.size
+    if len(sendbufs) != P or len(recvbufs) != P:
+        raise MpiError("alltoall needs one send and recv buffer per rank")
+    b = Binding((*sendbufs, *recvbufs))
+    r = ctx.rank
+    if b.sizes[r] != b.sizes[P + r]:
+        raise _size_error("alltoall", b.sizes[r], "the recv block from self",
+                          b.sizes[P + r])
+    return b, ()
+
+
+#: Per collective: MPI arguments → ``(binding, builder args)``, with
+#: every argument check the call makes before any schedule exists.
+BINDERS = {
+    "barrier": _bind_barrier,
+    "bcast": _bind_bcast,
+    "reduce": _bind_reduce,
+    "allreduce": _bind_allreduce,
+    "allgather": _bind_allgather,
+    "alltoall": _bind_alltoall,
+}
+
+
+def _uniform(b: Binding, lo: int, hi: int) -> Optional[int]:
+    """The common size of slots ``lo..hi-1`` if all are arrays of one
+    size, else ``None`` (the vector variants)."""
+    bufs = b.bufs
+    n = b.sizes[lo]
+    for i in range(lo, hi):
+        if b.sizes[i] != n or not isinstance(bufs[i], np.ndarray):
+            return None
+    return n
+
+
+def _barrier_call(ctx: MpiContext) -> Call:
+    ctx.comm._count("barrier")
+    b, _ = _bind_barrier(ctx)
+    return Call("barrier", "dissemination", 0, ("barrier", ctx.size), b,
+                build_barrier_dissemination)
+
+
+def _bcast_call(ctx: MpiContext, buf: Payload, root: int) -> Call:
+    ctx.comm._count("bcast")
+    b, args = _bind_bcast(ctx, buf, root)
+    nbytes = b.sizes[0]
+    algo = ctx.comm.selector.bcast(nbytes, ctx.size, hier_ok=_hier_ok(ctx))
+    ctx.comm._count(f"bcast[{algo}]")
+    return Call("bcast", algo, nbytes,
+                ("bcast", algo, root, nbytes, b.key_dtype()), b,
+                SCHEDULES["bcast"][algo], args)
+
+
+def _reduce_call(ctx: MpiContext, sendbuf: Payload,
+                 recvbuf: Optional[Payload], op: ReduceOp,
+                 root: int) -> Call:
+    ctx.comm._count("reduce")
+    b, args = _bind_reduce(ctx, sendbuf, recvbuf, op, root)
+    nbytes = b.sizes[0]
+    algo = ctx.comm.selector.reduce(nbytes, ctx.size)
+    ctx.comm._count(f"reduce[{algo}]")
+    return Call("reduce", algo, nbytes,
+                ("reduce", algo, root, nbytes, b.key_dtype(), op), b,
+                SCHEDULES["reduce"][algo], args)
+
+
+def _allreduce_call(ctx: MpiContext, sendbuf: Payload, recvbuf: Payload,
+                    op: ReduceOp) -> Call:
+    ctx.comm._count("allreduce")
+    b, args = _bind_allreduce(ctx, sendbuf, recvbuf, op)
+    nbytes = b.sizes[0]
     algo = ctx.comm.selector.allreduce(
         nbytes, ctx.size, hier_ok=_hier_ok(ctx)
     )
     ctx.comm._count(f"allreduce[{algo}]")
-    # The reduce+bcast leg selects its broadcast by the recv size.
-    return _with_meta(
-        SCHEDULES["allreduce"][algo](ctx, sendbuf, recvbuf, op),
-        "allreduce", algo, nbytes,
-        key=("allreduce", algo, None, nbytes, _dtype(sendbuf),
-             nbytes_of(recvbuf)),
-    )
+    return Call("allreduce", algo, nbytes,
+                ("allreduce", algo, None, nbytes, b.key_dtype(), op), b,
+                SCHEDULES["allreduce"][algo], args)
 
 
-def _build_allgather(
-    ctx: MpiContext, sendbuf: Payload, recvbufs: Sequence[Payload]
-):
+def _allgather_call(ctx: MpiContext, sendbuf: Payload, recvbuf) -> Call:
     ctx.comm._count("allgather")
-    if len(recvbufs) != ctx.size:
-        raise MpiError("allgather needs one recv buffer per rank")
-    sizes = [nbytes_of(b) if payload_array(b) is not None else None
-             for b in recvbufs]
-    uniform = None not in sizes and len(set(sizes)) <= 1
-    block = sizes[ctx.rank] if uniform else 0
+    b, _ = _bind_allgather(ctx, sendbuf, recvbuf)
+    P = ctx.size
+    if b.flat:
+        block = b.sizes[0]
+    else:
+        block = _uniform(b, 1, P + 1)
     algo = ctx.comm.selector.allgather(
-        block, ctx.size, uniform=uniform, hier_ok=_hier_ok(ctx)
+        block or 0, P, uniform=block is not None, hier_ok=_hier_ok(ctx)
     )
     ctx.comm._count(f"allgather[{algo}]")
-    return _with_meta(
-        SCHEDULES["allgather"][algo](ctx, sendbuf, recvbufs),
-        "allgather", algo, block * ctx.size,
-        key=("allgather", algo, None, block, _dtype(sendbuf))
-        if uniform else None,
-    )
+    key = None
+    if block is not None:
+        key = ("allgather", algo, None, block, b.key_dtype())
+        if b.flat:
+            key += ("flat",)
+    return Call("allgather", algo, (block or 0) * P, key, b,
+                SCHEDULES["allgather"][algo])
 
 
-def _build_alltoall(
-    ctx: MpiContext,
-    sendbufs: Sequence[Payload],
-    recvbufs: Sequence[Payload],
-):
+def _alltoall_call(ctx: MpiContext, sendbufs: Sequence[Payload],
+                   recvbufs: Sequence[Payload]) -> Call:
     ctx.comm._count("alltoall")
-    if len(sendbufs) != ctx.size or len(recvbufs) != ctx.size:
-        raise MpiError("alltoall needs one send and recv buffer per rank")
-    sizes = [
-        nbytes_of(b) if payload_array(b) is not None else None
-        for b in list(sendbufs) + list(recvbufs)
-    ]
-    uniform = None not in sizes and len(set(sizes)) <= 1
-    block = sizes[0] if uniform else 0
+    b, _ = _bind_alltoall(ctx, sendbufs, recvbufs)
+    P = ctx.size
+    block = _uniform(b, 0, 2 * P)
     algo = ctx.comm.selector.alltoall(
-        block, ctx.size, uniform=uniform, hier_ok=_hier_ok(ctx)
+        block or 0, P, uniform=block is not None, hier_ok=_hier_ok(ctx)
     )
     ctx.comm._count(f"alltoall[{algo}]")
-    return _with_meta(
-        SCHEDULES["alltoall"][algo](ctx, sendbufs, recvbufs),
-        "alltoall", algo, block * ctx.size,
-        key=("alltoall", algo, None, block, _dtype(sendbufs[0]))
-        if uniform else None,
-    )
+    key = (None if block is None
+           else ("alltoall", algo, None, block, b.key_dtype()))
+    return Call("alltoall", algo, (block or 0) * P, key, b,
+                SCHEDULES["alltoall"][algo])
 
 
 # ---------------------------------------------------------------------------
@@ -216,9 +266,8 @@ def _build_alltoall(
 # ---------------------------------------------------------------------------
 
 def barrier(ctx: MpiContext) -> Generator[Event, Any, None]:
-    """Dissemination barrier (the engine may defer the DAG build)."""
-    ctx.comm._count("barrier")
-    yield from ctx.comm.engine.execute_barrier(ctx)
+    """Dissemination barrier."""
+    yield from ctx.comm.engine.execute(ctx, _barrier_call(ctx))
 
 
 def bcast(
@@ -227,7 +276,7 @@ def bcast(
     """Topology-adaptive broadcast (binomial tree, domain-leader
     hierarchical on fragmented oversubscribed fabrics, or segmented
     pipeline for large payloads)."""
-    yield from ctx.comm.engine.execute(ctx, _build_bcast(ctx, buf, root))
+    yield from ctx.comm.engine.execute(ctx, _bcast_call(ctx, buf, root))
 
 
 def reduce(
@@ -240,7 +289,7 @@ def reduce(
     """Size-adaptive reduction to ``root`` (binomial tree, or
     Rabenseifner reduce-scatter + gather for large vectors)."""
     yield from ctx.comm.engine.execute(
-        ctx, _build_reduce(ctx, sendbuf, recvbuf, op, root)
+        ctx, _reduce_call(ctx, sendbuf, recvbuf, op, root)
     )
 
 
@@ -252,18 +301,19 @@ def allreduce(
 ) -> Generator[Event, Any, None]:
     """Size-adaptive allreduce (see :mod:`repro.mpi.algorithms`)."""
     yield from ctx.comm.engine.execute(
-        ctx, _build_allreduce(ctx, sendbuf, recvbuf, op)
+        ctx, _allreduce_call(ctx, sendbuf, recvbuf, op)
     )
 
 
 def allgather(
     ctx: MpiContext,
     sendbuf: Payload,
-    recvbufs: Sequence[Payload],
+    recvbuf,
 ) -> Generator[Event, Any, None]:
-    """Size-adaptive allgather (ring, recursive doubling, or Bruck)."""
+    """Size-adaptive allgather (ring, recursive doubling, Bruck or
+    hierarchical) into one ``P × block`` array or per-block buffers."""
     yield from ctx.comm.engine.execute(
-        ctx, _build_allgather(ctx, sendbuf, recvbufs)
+        ctx, _allgather_call(ctx, sendbuf, recvbuf)
     )
 
 
@@ -274,7 +324,7 @@ def alltoall(
 ) -> Generator[Event, Any, None]:
     """Schedule-adaptive all-to-all (shift, pairwise, or Bruck)."""
     yield from ctx.comm.engine.execute(
-        ctx, _build_alltoall(ctx, sendbufs, recvbufs)
+        ctx, _alltoall_call(ctx, sendbufs, recvbufs)
     )
 
 
@@ -285,14 +335,14 @@ def alltoall(
 def ibarrier(ctx: MpiContext) -> Request:
     """Nonblocking dissemination barrier."""
     return ctx.comm.engine.start(
-        ctx, _build_barrier(ctx), name=f"ibarrier(r{ctx.rank})"
+        ctx, _barrier_call(ctx), name=f"ibarrier(r{ctx.rank})"
     )
 
 
 def ibcast(ctx: MpiContext, buf: Payload, root: int = 0) -> Request:
     """Nonblocking broadcast (same schedules as ``bcast``)."""
     return ctx.comm.engine.start(
-        ctx, _build_bcast(ctx, buf, root), name=f"ibcast(r{ctx.rank})"
+        ctx, _bcast_call(ctx, buf, root), name=f"ibcast(r{ctx.rank})"
     )
 
 
@@ -305,7 +355,7 @@ def ireduce(
 ) -> Request:
     """Nonblocking reduction to ``root``."""
     return ctx.comm.engine.start(
-        ctx, _build_reduce(ctx, sendbuf, recvbuf, op, root),
+        ctx, _reduce_call(ctx, sendbuf, recvbuf, op, root),
         name=f"ireduce(r{ctx.rank})",
     )
 
@@ -318,17 +368,15 @@ def iallreduce(
 ) -> Request:
     """Nonblocking allreduce (same schedules as ``allreduce``)."""
     return ctx.comm.engine.start(
-        ctx, _build_allreduce(ctx, sendbuf, recvbuf, op),
+        ctx, _allreduce_call(ctx, sendbuf, recvbuf, op),
         name=f"iallreduce(r{ctx.rank})",
     )
 
 
-def iallgather(
-    ctx: MpiContext, sendbuf: Payload, recvbufs: Sequence[Payload]
-) -> Request:
+def iallgather(ctx: MpiContext, sendbuf: Payload, recvbuf) -> Request:
     """Nonblocking allgather."""
     return ctx.comm.engine.start(
-        ctx, _build_allgather(ctx, sendbuf, recvbufs),
+        ctx, _allgather_call(ctx, sendbuf, recvbuf),
         name=f"iallgather(r{ctx.rank})",
     )
 
@@ -340,7 +388,7 @@ def ialltoall(
 ) -> Request:
     """Nonblocking all-to-all."""
     return ctx.comm.engine.start(
-        ctx, _build_alltoall(ctx, sendbufs, recvbufs),
+        ctx, _alltoall_call(ctx, sendbufs, recvbufs),
         name=f"ialltoall(r{ctx.rank})",
     )
 

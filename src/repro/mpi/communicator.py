@@ -1087,7 +1087,7 @@ class MpiContext:
         # ndarray, HostBuffer and DeviceBuffer all expose .nbytes.
         nbytes = 0 if buf is None else int(buf.nbytes)
         mine = np.array([nbytes], dtype=np.int64)
-        recv = [np.empty(1, dtype=np.int64) for _ in range(comm.size)]
+        recv = np.empty(comm.size, dtype=np.int64)
         yield from c.allgather(self, mine, recv)
         win = comm._win_result(seq, self.rank, coalesce=coalesce)
         return win.ctx(self.rank)
@@ -1261,13 +1261,20 @@ class MpiContext:
         yield from c.scatter(self, sendbufs, recvbuf, root=root)
 
     def allgather(
-        self, sendbuf: Payload, recvbufs: Sequence[Payload]
+        self, sendbuf: Payload, recvbuf
     ) -> Generator[Event, Any, None]:
         """Allgather; the algorithm is chosen by size (see
-        :mod:`repro.mpi.algorithms.selector`)."""
+        :mod:`repro.mpi.algorithms.selector`).
+
+        ``recvbuf`` is either one contiguous array of ``P × block``
+        bytes — rank ``i``'s block lands at ``[i·block, (i+1)·block)``,
+        the ``MPI_Allgather`` layout, bound in O(1) — or a sequence of
+        ``P`` buffers, one per block, which may differ in size (the
+        ``MPI_Allgatherv`` vector variant).  The send buffer must match
+        this rank's block."""
         from . import collectives as c
 
-        yield from c.allgather(self, sendbuf, recvbufs)
+        yield from c.allgather(self, sendbuf, recvbuf)
 
     def alltoall(
         self, sendbufs: Sequence[Payload], recvbufs: Sequence[Payload]
@@ -1318,13 +1325,11 @@ class MpiContext:
 
         return c.iallreduce(self, sendbuf, recvbuf, op=op)
 
-    def iallgather(
-        self, sendbuf: Payload, recvbufs: Sequence[Payload]
-    ) -> Request:
-        """Nonblocking allgather."""
+    def iallgather(self, sendbuf: Payload, recvbuf) -> Request:
+        """Nonblocking allgather (``recvbuf`` as in :meth:`allgather`)."""
         from . import collectives as c
 
-        return c.iallgather(self, sendbuf, recvbufs)
+        return c.iallgather(self, sendbuf, recvbuf)
 
     def ialltoall(
         self, sendbufs: Sequence[Payload], recvbufs: Sequence[Payload]

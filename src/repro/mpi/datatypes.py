@@ -17,38 +17,39 @@ Payload = Union[np.ndarray, HostBuffer, int, None]
 class AdoptBuf:
     """A staging receive buffer the matcher may *adopt into*.
 
-    Schedule builders use these for receives whose target is a fresh,
-    builder-private staging array that downstream steps only ever
+    Schedule engines hand one of these to a receive whose target is a
+    collective-private staging slot that downstream steps only ever
     read (recursive-doubling packs, combine temporaries, Bruck
     rotations).  When the matched message's payload array is private —
     the sender made a defensive copy, or marked the send ``donate`` —
-    the receive may *rebind* :attr:`arr` to the in-flight array instead
-    of memcpying it, eliding the delivery copy entirely.  Consumers
-    must therefore read the array through ``.arr`` at use time, never
-    capture it at build time.
+    the receive *rebinds* :attr:`arr` to the in-flight array instead of
+    memcpying it, eliding the delivery copy entirely.  The fallback
+    array is only allocated when adoption is impossible.
     """
 
-    __slots__ = ("arr",)
+    __slots__ = ("arr", "nbytes", "dtype")
 
-    def __init__(self, template: Union[int, np.ndarray]) -> None:
-        if isinstance(template, (int, np.integer)):
-            self.arr = np.empty(int(template), dtype=np.uint8)
-        else:
-            self.arr = np.empty_like(template)
+    def __init__(self, nbytes: int, dtype=np.uint8) -> None:
+        self.arr: Optional[np.ndarray] = None
+        self.nbytes = int(nbytes)
+        self.dtype = np.dtype(dtype)
 
-    @property
-    def nbytes(self) -> int:
-        return int(self.arr.nbytes)
+    def array(self) -> np.ndarray:
+        """The received array (allocated on first use if nothing was
+        adopted)."""
+        if self.arr is None:
+            self.arr = np.empty(self.nbytes // self.dtype.itemsize,
+                                dtype=self.dtype)
+        return self.arr
 
     def adopt(self, data: np.ndarray) -> bool:
         """Rebind to ``data`` if it is layout-compatible; False = the
         caller must fall back to a delivery copy."""
-        want = self.arr
-        if data.nbytes != want.nbytes or not data.flags.c_contiguous:
+        if data.nbytes != self.nbytes or not data.flags.c_contiguous:
             return False
-        if data.dtype != want.dtype or data.shape != want.shape:
+        if data.dtype != self.dtype or data.ndim != 1:
             try:
-                data = data.reshape(-1).view(want.dtype).reshape(want.shape)
+                data = data.reshape(-1).view(self.dtype)
             except (ValueError, TypeError):  # pragma: no cover - defensive
                 return False
         self.arr = data
@@ -105,7 +106,7 @@ def payload_array(obj: Payload) -> Optional[np.ndarray]:
     if isinstance(obj, HostBuffer):
         return obj.data
     if isinstance(obj, AdoptBuf):
-        return obj.arr
+        return obj.array()
     if isinstance(obj, np.ndarray):
         return obj
     raise TypeError(f"unsupported payload type {type(obj)}")

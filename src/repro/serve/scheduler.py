@@ -110,7 +110,6 @@ class Job:
     """One submitted job's live state (scheduler-owned)."""
 
     __slots__ = (
-        "scheduler",
         "id",
         "spec",
         "state",
@@ -129,7 +128,9 @@ class Job:
     def __init__(
         self, scheduler: "ClusterScheduler", job_id: int, spec: JobSpec
     ) -> None:
-        self.scheduler = scheduler
+        # No back-reference to the scheduler: the job list would close a
+        # cycle, keeping a finished run (its services' rendered data)
+        # alive until a full garbage collection.
         self.id = job_id
         self.spec = spec
         self.state = QUEUED

@@ -4,19 +4,23 @@
 shape needs beyond its buffers and arrival times: the send/recv
 pairing, the interpreter's replay order and the pricing tape.  A plan
 is retained from its key's second sighting and replayed from then on,
-so these tests check that a replay is indistinguishable from a fresh
-compile — data, completion times, payload counters, link accounting
-and span trees, bit for bit, under random arrival skew — and that keys
-separate the shapes they must.
+without running any schedule builder, so these tests check that a
+replay is indistinguishable from a fresh compile — data, completion
+times, payload counters, link accounting, span trees, and every
+communicator's stats and tag sequence, bit for bit, under random
+arrival skew — and that keys separate the shapes they must.
 """
 
 import numpy as np
 import pytest
 
-from repro.hw import ClusterSpec, build_cluster
-from repro.mpi import CollectiveTuning, MpiError, MpiJob, ReduceOp
-from repro.mpi.algorithms import fastpath
-from repro.mpi.algorithms.schedule import Schedule
+from repro.hw import ClusterSpec, TopologySpec, build_cluster
+from repro.mpi import (
+    CollectiveTuning, MpiError, MpiJob, ReduceOp, pod_cyclic_placement,
+)
+from repro.mpi import collectives
+from repro.mpi.algorithms import fastpath, selector
+from repro.mpi.algorithms.schedule import Binding, Call, Schedule
 from repro.sim import Simulator
 
 #: Calls per job: the first two compile, the rest replay the plan.
@@ -74,10 +78,10 @@ def _collective(ctx, op, dtype, count, flat, rng):
     if op == "allgather":
         block = max(1, count // P)
         if flat:
-            whole = np.zeros(block * P, dtype=dtype)
-            recv = [whole[i * block : (i + 1) * block] for i in range(P)]
-        else:
-            recv = [np.zeros(block, dtype=dtype) for _ in range(P)]
+            recv = np.zeros(block * P, dtype=dtype)
+            yield from ctx.allgather(vec(block), recv)
+            return recv.tobytes()
+        recv = [np.zeros(block, dtype=dtype) for _ in range(P)]
         yield from ctx.allgather(vec(block), recv)
         return b"".join(b.tobytes() for b in recv)
     if op == "alltoall":
@@ -89,16 +93,44 @@ def _collective(ctx, op, dtype, count, flat, rng):
     return b""
 
 
+def _comm_state(job):
+    """Every communicator's stats and per-rank tag sequence (the world
+    and, once built, its hierarchical sub-communicators)."""
+    comms = [job.comm]
+    if job.comm._hier is not None:
+        comms += job.comm._hier.children()
+    return [(c.name, dict(c.stats), list(c._coll_seq)) for c in comms]
+
+
+#: A fragmented 2:1 fat tree: pods of 4 nodes, ranks dealt pod-cyclic,
+#: so the hierarchical schedules have >= 2 locality groups per size.
+HIER_NODES = 8
+
+
+def _hier_cluster(sim, P):
+    spec = ClusterSpec(
+        nodes=HIER_NODES, gpus_per_node=0,
+        topology=TopologySpec(kind="fattree", pod_size=4,
+                              oversubscription=2.0),
+    )
+    return build_cluster(sim, spec), pod_cyclic_placement(HIER_NODES, 4)[:P]
+
+
 def run(op, algo, P, dtype, nbytes, backend, observed, seed=0,
-        flat=False, calls=CALLS):
+        flat=False, calls=CALLS, hier=False):
     """``calls`` skewed calls of one collective; everything a replay
     must reproduce: per-call completion times and data, payload
-    counters, and (``observed``) link accounting and spans."""
+    counters, communicator stats and tag sequences, and (``observed``)
+    link accounting and spans."""
     sim = Simulator()
-    cluster = build_cluster(sim, ClusterSpec(nodes=P, gpus_per_node=0))
+    if hier:
+        cluster, placement = _hier_cluster(sim, P)
+    else:
+        cluster = build_cluster(sim, ClusterSpec(nodes=P, gpus_per_node=0))
+        placement = list(range(P))
     cluster.topology.accounting = observed
     rec = sim.attach_spans() if observed else None
-    job = MpiJob(cluster, list(range(P)), tuning=_tuning(op, algo),
+    job = MpiJob(cluster, placement, tuning=_tuning(op, algo),
                  backend=backend)
     count = max(1, nbytes // np.dtype(dtype).itemsize)
     out = {}
@@ -118,6 +150,7 @@ def run(op, algo, P, dtype, nbytes, backend, observed, seed=0,
         "counters": (stats.payload_copies, stats.payload_views,
                      stats.payload_adopted, stats.fastpath_collectives,
                      stats.fastpath_rounds, stats.chan_bytes),
+        "comms": _comm_state(job),
     }
     if observed:
         result["busy"] = [ch.busy_s for ch in cluster.topology.channels()]
@@ -204,9 +237,9 @@ def test_dtype_separates_ring_allreduce_keys():
 
 
 def test_allgather_layout_separates_keys():
-    """Recursive doubling over one flat buffer (zero-copy span path)
-    and over separate arrays (pack path) are different DAGs under one
-    dispatch key; the builder's layout fact keeps their plans apart."""
+    """Recursive doubling into one flat array (zero-copy span path) and
+    into separate arrays (pack path) are different DAGs; the receive
+    layout, known at dispatch, keeps their plans apart."""
     sim = Simulator()
     cluster = build_cluster(sim, ClusterSpec(nodes=4, gpus_per_node=0))
     job = MpiJob(cluster, list(range(4)), backend="analytic",
@@ -222,19 +255,45 @@ def test_allgather_layout_separates_keys():
     job.run()
     assert all(ok) and len(ok) == 24
     keys = {k[-1] for k in job.comm.engine._plans}
-    assert keys == {"span", np.dtype(np.int64).str}
+    assert keys == {"flat", np.dtype(np.int64).str}
     assert sim.stats.fastpath_sched_cache_hits == 2
 
 
 def _gather_once(ctx, flat):
     P = ctx.size
+    mine = np.array([ctx.rank], dtype=np.int64)
     if flat:
-        whole = np.zeros(P, dtype=np.int64)
-        recv = [whole[i : i + 1] for i in range(P)]
-    else:
-        recv = [np.zeros(1, dtype=np.int64) for _ in range(P)]
-    yield from ctx.allgather(np.array([ctx.rank], dtype=np.int64), recv)
+        recv = np.zeros(P, dtype=np.int64)
+        yield from ctx.allgather(mine, recv)
+        return ctx.sim.now, recv.tolist()
+    recv = [np.zeros(1, dtype=np.int64) for _ in range(P)]
+    yield from ctx.allgather(mine, recv)
     return ctx.sim.now, [int(b[0]) for b in recv]
+
+
+def test_mixed_layouts_after_a_retained_plan():
+    """Once the flat layout's plan is retained, a call where only some
+    ranks pass the flat array hits on those ranks at issue; the
+    instance's keys disagree, so it compiles afresh — building the
+    hitting ranks' shapes on the tags they already claimed."""
+    sim = Simulator()
+    cluster = build_cluster(sim, ClusterSpec(nodes=4, gpus_per_node=0))
+    job = MpiJob(cluster, list(range(4)), backend="analytic",
+                 tuning=CollectiveTuning(force_allgather="recursive_doubling"))
+    ok = []
+
+    def prog(ctx):
+        for call in range(4):
+            flat = call < 2 or ctx.rank % 2 == 0
+            _, data = yield from _gather_once(ctx, flat=flat)
+            ok.append(data == list(range(4)))
+        yield from ctx.barrier()
+
+    job.start(prog)
+    job.run()
+    assert all(ok) and len(ok) == 16
+    assert sim.stats.fastpath_sched_cache_hits == 0
+    assert job.comm._coll_seq == [5] * 4
 
 
 def test_vector_allgather_is_never_interned():
@@ -258,25 +317,142 @@ def test_vector_allgather_is_never_interned():
 
 def test_wrong_key_builder_raises():
     """A builder that stamps one key on two different shapes is caught
-    at the first hit that disagrees with the plan."""
+    at the first hit whose binding disagrees with the plan."""
     sim = Simulator()
     cluster = build_cluster(sim, ClusterSpec(nodes=2, gpus_per_node=0))
     job = MpiJob(cluster, [0, 1], backend="analytic")
 
-    def fixture(ctx, nbytes):
-        sched = Schedule()
-        buf = np.zeros(nbytes, dtype=np.uint8)
+    def build_fixture(ctx, b):
+        sched = Schedule(ctx, b)
         if ctx.rank == 0:
-            sched.send(buf, 1, tag=1)
+            sched.send(0, 1, tag=1)
         else:
-            sched.recv(buf, 0, tag=1)
-        sched.plan_key = ("fixture",)
+            sched.recv(0, 0, tag=1)
         return sched
 
     def prog(ctx):
         for nbytes in (8, 8, 16):
-            yield from ctx.comm.engine.execute(ctx, fixture(ctx, nbytes))
+            b = Binding((np.zeros(nbytes, dtype=np.uint8),))
+            call = Call("fixture", "fixture", nbytes, ("fixture",), b,
+                        build_fixture)
+            yield from ctx.comm.engine.execute(ctx, call)
 
     job.start(prog)
     with pytest.raises(MpiError, match="fixture"):
+        job.run()
+
+
+# ---------------------------------------------------------------------------
+# Plan hits run no builder
+# ---------------------------------------------------------------------------
+
+def _count_builds(monkeypatch):
+    """Wrap every dispatched ``build_*`` to count its calls."""
+    counter = {"n": 0}
+
+    def counting(fn):
+        def wrapped(*args, **kwargs):
+            counter["n"] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for menu in selector.SCHEDULES.values():
+        for name, fn in list(menu.items()):
+            monkeypatch.setitem(menu, name, counting(fn))
+    monkeypatch.setattr(collectives, "build_barrier_dissemination",
+                        counting(collectives.build_barrier_dissemination))
+    return counter
+
+
+@pytest.mark.parametrize("backend", ["analytic", "pricing"])
+@pytest.mark.parametrize("P", [4, 5])
+@pytest.mark.parametrize("op,algo", SHAPES)
+def test_plan_hits_run_no_builder(op, algo, P, backend, monkeypatch):
+    """Six calls of one shape build each rank's schedule twice (the
+    key's two compiling sightings); the four hits bind and replay."""
+    if (op, algo) in POF2_ONLY and P & (P - 1):
+        pytest.skip("power-of-two algorithm")
+    counter = _count_builds(monkeypatch)
+    _, hits, _ = run(op, algo, P, np.float64, 96, backend, False, calls=6)
+    assert hits == 4
+    assert counter["n"] == 2 * P
+
+
+HIER_SHAPES = [
+    ("allreduce", "hierarchical"),
+    ("allgather", "hierarchical"),
+    ("alltoall", "hierarchical"),
+    ("bcast", "hierarchical"),
+]
+
+
+@pytest.mark.parametrize("P", [5, 8])
+@pytest.mark.parametrize("op,algo", HIER_SHAPES)
+def test_hierarchical_replay_equals_fresh_compile(op, algo, P, monkeypatch):
+    """The sub-communicator compositions on a fragmented fat tree (P=8:
+    equal pods, P=5: unequal): replays match fresh compiles, including
+    the sub-communicators' stats and tag sequences, flat allgather
+    receives included."""
+    cases = [
+        (dtype, nbytes, backend, observed)
+        for dtype in (np.float64, np.int64) for nbytes in SIZES
+        for backend, observed in (("analytic", True), ("pricing", True))
+    ]
+    for seed, (dtype, nbytes, backend, observed) in enumerate(cases):
+        args = (op, algo, P, dtype, nbytes, backend, observed, seed,
+                seed % 2 == 1)
+        replayed, hits, job = run(*args, hier=True)
+        assert job.comm.stats.get(f"{op}[{algo}]") == CALLS * P
+        monkeypatch.setattr(fastpath, "PLAN_STEP_BUDGET", 0)
+        fresh, fresh_hits, _ = run(*args, hier=True)
+        monkeypatch.undo()
+        assert hits == CALLS - 2 and fresh_hits == 0, args
+        assert replayed == fresh, args
+
+
+# ---------------------------------------------------------------------------
+# Size mismatches are typed errors at issue
+# ---------------------------------------------------------------------------
+
+def _mismatched(op, algo, ctx):
+    P = ctx.size
+    if op == "allgather":
+        return ctx.allgather(np.zeros(2), [np.zeros(4) for _ in range(P)])
+    if op == "allgather-flat":
+        return ctx.allgather(np.zeros(2), np.zeros(4 * P))
+    if op == "allreduce":
+        return ctx.allreduce(np.zeros(2), np.zeros(4))
+    return ctx.alltoall([np.zeros(2) for _ in range(P)],
+                        [np.zeros(4) for _ in range(P)])
+
+
+@pytest.mark.parametrize("backend", ["exact", "analytic"])
+@pytest.mark.parametrize("op,algo", [
+    ("allgather", "ring"),
+    ("allgather", "recursive_doubling"),
+    ("allgather", "bruck"),
+    ("allgather-flat", "ring"),
+    ("allreduce", "reduce_bcast"),
+    ("allreduce", "recursive_doubling"),
+    ("allreduce", "ring"),
+    ("alltoall", "shift"),
+    ("alltoall", "pairwise"),
+    ("alltoall", "bruck"),
+])
+def test_size_mismatch_raises_typed_error(op, algo, backend):
+    """A send that does not fit the receive layout is an MpiError at
+    dispatch naming the op and both sizes, on every backend."""
+    sim = Simulator()
+    cluster = build_cluster(sim, ClusterSpec(nodes=4, gpus_per_node=0))
+    kind = op.split("-")[0]
+    job = MpiJob(cluster, list(range(4)), backend=backend,
+                 tuning=CollectiveTuning(**{f"force_{kind}": algo}))
+
+    def prog(ctx):
+        yield from _mismatched(op, algo, ctx)
+
+    job.start(prog)
+    recv = 128 if op == "allgather-flat" else 32
+    with pytest.raises(MpiError, match=rf"{kind}: send buffer is 16 B but"
+                                       rf" .* is {recv} B"):
         job.run()

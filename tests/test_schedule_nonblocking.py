@@ -13,7 +13,7 @@ from repro.mpi import (
     ReduceOp,
     block_placement,
 )
-from repro.mpi.algorithms.schedule import Schedule
+from repro.mpi.algorithms.schedule import REBIND, Binding, Call, Schedule
 from repro.sim import Simulator
 
 KB = 1024
@@ -47,36 +47,34 @@ class TestScheduleIR:
         assert "round 0" in text and "round 1" in text
 
     def test_lazy_buffers_resolve_at_step_start(self):
-        """A send whose payload is a callable reads the state left by
-        the compute step it depends on, not build-time state."""
+        """A send's buffer ref resolves when the send starts, so it
+        reads the slot its dependency just rebound, not the buffer the
+        call was bound with."""
         sim, job = make_job(2)
         out = {}
 
-        def prog(ctx):
-            from repro.mpi.algorithms.base import next_tag
-
-            tag = next_tag(ctx)
-            sched = Schedule()
+        def build_fixture(ctx, b):
+            sched = Schedule(ctx, b)
+            tag = sched.claim()
             if ctx.rank == 0:
-                state = {"payload": np.zeros(8, dtype=np.int64)}
-                c = sched.compute(
-                    lambda: state.__setitem__(
-                        "payload", np.arange(8, dtype=np.int64)
-                    )
-                )
-                sched.send(lambda: state["payload"], 1, tag, after=(c,))
+                # Slot 0 becomes a fresh array: zeros + arange.
+                c = sched.compute(((REBIND, ReduceOp.SUM, 0, 1, 0),))
+                sched.send(0, 1, tag, after=(c,))
             else:
-                buf = np.zeros(8, dtype=np.int64)
-                r = sched.recv(buf, 0, tag)
-                sched.compute(
-                    lambda: out.__setitem__("got", buf.copy()),
-                    after=(r,),
-                )
-            yield from ctx.comm.engine.execute(ctx, sched)
+                sched.recv(0, 0, tag)
+            return sched
+
+        def prog(ctx):
+            buf = np.zeros(8, dtype=np.int64)
+            b = Binding((buf, np.arange(8, dtype=np.int64)))
+            call = Call("fixture", "fixture", 64, None, b, build_fixture)
+            yield from ctx.comm.engine.execute(ctx, call)
+            out[ctx.rank] = buf
 
         job.start(prog)
         job.run()
-        assert np.array_equal(out["got"], np.arange(8))
+        assert not out[0].any()
+        assert np.array_equal(out[1], np.arange(8))
 
 
 # ---------------------------------------------------------------------------
