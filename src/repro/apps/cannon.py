@@ -377,7 +377,7 @@ def run_mpi(
             a_blk = _block(a, cfg, r, col).copy()
             b_blk = _block(b, cfg, r, col).copy()
         c_blk = np.zeros((cfg.block_n, cfg.block_n), dtype=np.float64)
-        a_work = np.empty_like(a_blk)
+        a_work = np.zeros_like(a_blk)
         row_ctx = col_ctx = None
         if subcomms:
             row_ctx = yield from ctx.split(color=r, key=col)

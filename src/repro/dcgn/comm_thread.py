@@ -10,14 +10,20 @@ potentially non-threadsafe implementation of MPI."
 Responsibilities implemented here:
 
 * sleep-based polling of the node's work queue (requests funneled from
-  CPU-kernel threads and GPU-kernel threads);
+  CPU-kernel threads and GPU-kernel threads), each request served by
+  its op's entry in one handler table, :data:`_OPS`;
 * point-to-point matching between virtual ranks: local matches complete
   via host memcpy (paper §6.2), remote sends travel over MPI with a
   header + payload wire protocol;
 * collective staging: requests accumulate until every local CPU kernel
-  and GPU slot has entered, then a single MPI collective runs with one
-  rank per node (which is why DCGN's CPU broadcast can beat MVAPICH2's
-  in Figure 7) followed by local dispersal.
+  and GPU slot has entered, then the kind's *stager* charges the local
+  staging and issues a single MPI collective with one rank per node
+  (which is why DCGN's CPU broadcast can beat MVAPICH2's in Figure 7);
+  its dispersal generator runs once the MPI phase completes.  That is
+  one local staging operator, one distribution and one local dispersal
+  operator per collective (Eijkhout, arXiv:1602.02409).
+
+Every result reaches its kernel through :meth:`CommRequest.land`.
 
 The wire protocol mimics a real progress engine: one wildcard header
 ``irecv`` is always outstanding; payload transfers run in spawned
@@ -28,7 +34,9 @@ thread remains the only *caller* of MPI operations).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Generator, List, Optional, Tuple
+from typing import (
+    Any, Callable, Dict, Generator, List, NamedTuple, Optional, Tuple,
+)
 
 import numpy as np
 
@@ -42,7 +50,7 @@ from .errors import CollectiveMismatch, DcgnError
 from .groups import GroupTable, WORLD_GID
 from .queues import WorkQueue
 from .ranks import ANY, RankMap
-from .requests import COLLECTIVE_OPS, RMA_OPS, CommRequest, CommStatus
+from .requests import CommRequest, CommStatus
 from .windows import DcgnWindowTable
 
 __all__ = ["CommThread", "HDR_TAG", "PAYLOAD_TAG_BASE"]
@@ -73,6 +81,17 @@ class _Unexpected:
     buffered: bool = False
 
 
+class _CollSig(NamedTuple):
+    """What every entry of one collective must agree on."""
+
+    kind: str
+    root: int
+    op_name: str
+    #: Bytes and per-member chunk.
+    nbytes: int
+    chunk: Optional[int]
+
+
 @dataclass
 class _CollState:
     """Per-node staging state of one collective operation.
@@ -85,13 +104,8 @@ class _CollState:
     """
 
     seq: int
-    gid: int = WORLD_GID
-    kind: Optional[str] = None
-    root: int = -1
-    op_name: str = ""
-    #: Bytes and per-member chunk every entry must agree on.
-    nbytes: int = 0
-    chunk: Optional[int] = None
+    gid: int
+    sig: _CollSig
     entries: List[CommRequest] = field(default_factory=list)
 
 
@@ -275,7 +289,7 @@ class CommThread:
             raise DcgnError(f"unknown wire kind {kind}")
         data: Optional[np.ndarray] = None
         if nbytes > 0:
-            data = np.empty(nbytes, dtype=np.uint8)
+            data = np.zeros(nbytes, dtype=np.uint8)
             yield from self.mpi.recv(
                 data,
                 source=status.source,
@@ -295,9 +309,7 @@ class CommThread:
         )
         payload = None
         if req.nbytes > 0:
-            if req.data is None:
-                raise DcgnError(f"{req!r} has no payload snapshot")
-            payload = req.data.view(np.uint8).reshape(-1)[: req.nbytes]
+            payload = req.payload().view(np.uint8).reshape(-1)[: req.nbytes]
         self._inflight_sends += 1
         self._bump("wire_sends")
 
@@ -322,6 +334,10 @@ class CommThread:
 
     # -- request handling --------------------------------------------------
     def _handle_request(self, req: CommRequest) -> Generator[Event, Any, None]:
+        """Serve one kernel request through its entry in :data:`_OPS`."""
+        entry = _OPS.get(req.op)
+        if entry is None:
+            raise DcgnError(f"unknown op {req.op!r}")
         self._bump(f"req.{req.op}")
         req.mark(self.sim, "picked", self.name)
         spans = self.sim.spans
@@ -331,16 +347,7 @@ class CommThread:
                 self.sim.now, req.op, "dcgn.slot", self.name,
                 attrs={"vrank": req.src_vrank},
             )
-        if req.op == "send":
-            yield from self._handle_send(req)
-        elif req.op == "recv":
-            yield from self._handle_recv(req)
-        elif req.op in RMA_OPS:
-            yield from self._handle_rma(req)
-        elif req.op in COLLECTIVE_OPS:
-            self._stage_collective(req)
-        else:
-            raise DcgnError(f"unknown op {req.op!r}")
+        yield from entry[0](self, req)
         if spans is not None:
             spans.end(self.sim.now, sp)
 
@@ -392,10 +399,7 @@ class CommThread:
             # is what keeps 1 MB CPU:CPU within a few percent of MPI.
             yield from self.node.memcpy.copy(None, None, nbytes=entry.nbytes)
         status = CommStatus(source=entry.src_vrank, nbytes=entry.nbytes)
-        if req.deliver is not None and entry.data is not None:
-            req.deliver(entry.data)
-        else:
-            req.data = entry.data
+        req.land(entry.data)
         self._complete(req, status)
         if entry.local_send is not None:
             self._complete(
@@ -420,65 +424,25 @@ class CommThread:
         if self.windows is None:
             raise DcgnError("this job declares no windows")
         win = self.windows.by_name(str(req.extra["win"]))
-        target = req.peer
         offset = int(req.extra.get("offset", 0))
         count = req.nbytes // win.dtype.itemsize
-        win.check_range(target, offset, count)
-        tnode, base = win.locate(target)
-        woff = base + offset
-        me = self.mpi.rank
-        if req.op == "rma_put":
-            if req.data is None:
-                raise DcgnError(f"{req!r} has no payload snapshot")
-            payload = np.ascontiguousarray(req.data.reshape(-1)[:count])
-            proc = yield from win.win.start_put(
-                me, tnode, payload, woff, snapshot=False, want_event=True
-            )
-
-            def finish(req=req, n=int(payload.nbytes)):
-                self._complete(
-                    req, CommStatus(source=req.src_vrank, nbytes=n)
-                )
-
-        elif req.op == "rma_accumulate":
-            if req.data is None:
-                raise DcgnError(f"{req!r} has no payload snapshot")
-            payload = np.ascontiguousarray(req.data.reshape(-1)[:count])
-            op = req.extra.get("reduce_op", "sum")
-            proc = yield from win.win.start_accumulate(
-                me, tnode, payload, op=op, offset=woff, snapshot=False,
-                want_event=True,
-            )
-
-            def finish(req=req, n=int(payload.nbytes)):
-                self._complete(
-                    req, CommStatus(source=req.src_vrank, nbytes=n)
-                )
-
-        elif req.op == "rma_get":
-            # zeros, not empty: under the pricing backend the wire op
-            # moves no data, and garbage would make runs irreproducible.
-            recv = np.zeros(count, dtype=win.dtype)
-            proc = yield from win.win.start_get(me, tnode, recv, woff)
-
-            def finish(req=req, recv=recv):
-                if req.deliver is not None:
-                    req.deliver(recv)
-                else:
-                    req.data = recv
-                self._complete(
-                    req, CommStatus(source=target, nbytes=int(recv.nbytes))
-                )
-
-        else:  # pragma: no cover - defensive
-            raise DcgnError(f"unknown RMA op {req.op!r}")
+        win.check_range(req.peer, offset, count)
+        tnode, base = win.locate(req.peer)
+        proc, moved, landed = yield from _OPS[req.op][1](
+            win, self.mpi.rank, tnode, base + offset, req, count
+        )
+        # A get reports the rank it read; a put or accumulate, its origin.
+        source = req.src_vrank if landed is None else req.peer
         self._inflight_sends += 1
         self._bump(f"rma.{req.op}")
 
         def runner():
             try:
                 yield proc
-                finish()
+                req.land(landed)
+                self._complete(
+                    req, CommStatus(source=source, nbytes=int(moved.nbytes))
+                )
                 self._kick_if_cpu_involved((req.src_vrank,))
             finally:
                 self._inflight_sends -= 1
@@ -491,7 +455,12 @@ class CommThread:
         """How many of the group's members live on this node."""
         return self.groups.local_count(gid, self.mpi.rank)
 
-    def _stage_collective(self, req: CommRequest) -> None:
+    def _enter_collective(
+        self, req: CommRequest
+    ) -> Generator[Event, Any, None]:
+        """Add ``req`` to its collective's staging state (no simulated
+        cost: the collective runs once every local member entered)."""
+        yield from ()
         seq = req.extra.get("coll_seq")
         if seq is None:
             raise DcgnError(f"collective {req!r} missing coll_seq")
@@ -507,41 +476,18 @@ class CommThread:
                 f"{req.src_vrank} replayed a stale sequence number "
                 "(participants disagree on how many collectives ran)"
             )
+        sig = _CollSig(
+            req.op, req.root, req.extra.get("reduce_op", ""), req.nbytes,
+            req.extra.get("chunk"),
+        )
         state = self._colls.get((gid, seq))
         if state is None:
-            state = _CollState(seq=seq, gid=gid)
-            self._colls[(gid, seq)] = state
-        chunk = req.extra.get("chunk")
-        if state.kind is None:
-            state.kind = req.op
-            state.root = req.root
-            state.op_name = req.extra.get("reduce_op", "")
-            state.nbytes, state.chunk = req.nbytes, chunk
-        else:
-            if state.kind != req.op:
-                raise CollectiveMismatch(
-                    f"collective #{seq}: {req.src_vrank} called {req.op!r} "
-                    f"but others called {state.kind!r}"
-                )
-            if state.root != req.root:
-                raise CollectiveMismatch(
-                    f"collective #{seq}: root mismatch "
-                    f"({req.root} vs {state.root})"
-                )
-            if state.op_name != req.extra.get("reduce_op", ""):
-                raise CollectiveMismatch(
-                    f"collective #{seq}: reduce-op mismatch"
-                )
-            # Broadcast non-roots may pass any buffer size: staging
-            # takes the largest.
-            if req.op != "bcast" and (state.nbytes, state.chunk) != (
-                req.nbytes, chunk
-            ):
-                raise CollectiveMismatch(
-                    f"collective #{seq}: vrank {req.src_vrank} passed "
-                    f"{req.nbytes} B (chunk {chunk}) but others passed "
-                    f"{state.nbytes} B (chunk {state.chunk})"
-                )
+            state = self._colls[(gid, seq)] = _CollState(seq, gid, sig)
+        elif state.sig != sig:
+            raise CollectiveMismatch(
+                f"collective #{seq} (group {gid}): vrank {req.src_vrank} "
+                f"entered {sig} but others entered {state.sig}"
+            )
         state.entries.append(req)
         if len(state.entries) > self._local_quorum(gid):
             raise CollectiveMismatch(
@@ -587,53 +533,30 @@ class CommThread:
     ) -> Generator[Event, Any, None]:
         """Stage the collective and hand its wire phase to a completer.
 
-        Staging (payload assembly, local combine trees) runs inline so
-        every node issues the MPI-level operation for collective #seq
-        of a given group in the same order — the nonblocking
-        collectives claim their tag blocks synchronously at issue time,
-        which keeps concurrent collectives aligned across nodes.  The
-        MPI phase runs on the *group's* node sub-communicator (its own
-        tag space and schedule engine) and progresses in the background
-        while this thread returns to servicing kernel requests: that is
-        the compute/communication overlap the paper's dedicated comm
-        thread exists to provide, and what lets collectives on disjoint
-        slot groups share the wire.
+        Staging (the kind's stager: payload assembly, local combine
+        trees) runs inline so every node issues the MPI-level operation
+        for collective #seq of a given group in the same order — the
+        nonblocking collectives claim their tag blocks synchronously at
+        issue time, which keeps concurrent collectives aligned across
+        nodes.  The MPI phase runs on the *group's* node
+        sub-communicator (its own tag space and schedule engine) and
+        progresses in the background while this thread returns to
+        servicing kernel requests: that is the compute/communication
+        overlap the paper's dedicated comm thread exists to provide,
+        and what lets collectives on disjoint slot groups share the
+        wire.  The completer then runs the stager's dispersal.
         """
-        self._bump(f"coll.{state.kind}")
+        self._bump(f"coll.{state.sig.kind}")
         info = self.groups.info(state.gid)
-        mpi = info.ctx_for(self.mpi.rank)
-        if state.kind == "barrier":
-            self._spawn_completer(state, mpi.ibarrier(), None)
-        elif state.kind == "bcast":
-            self._start_bcast(state, info, mpi)
-        elif state.kind in ("reduce", "allreduce"):
-            yield from self._exec_reduce(state, info, mpi)
-        elif state.kind == "gather":
-            yield from self._exec_gather(state, info, mpi)
-        elif state.kind == "scatter":
-            self._start_scatter(state, info, mpi)
-        elif state.kind == "split":
-            self._start_split(state)
-        else:
-            raise DcgnError(f"unhandled collective {state.kind!r}")
-
-    def _spawn_completer(self, state: _CollState, req, finish) -> None:
-        """Wait for the MPI phase, then disperse results and release
-        the participants.  ``finish`` is None (plain completion), a
-        plain callable, or a generator function charging dispersal
-        costs."""
+        mreq, disperse = yield from _OPS[state.sig.kind][1](
+            self, state, info, info.ctx_for(self.mpi.rank)
+        )
         self._inflight_colls += 1
 
         def runner():
             try:
-                yield from req.wait()
-                if finish is None:
-                    for e in state.entries:
-                        self._complete(e, CommStatus(source=-1, nbytes=0))
-                else:
-                    out = finish()
-                    if out is not None:
-                        yield from out
+                yield from mreq.wait()
+                yield from disperse
                 self._kick_if_cpu_involved(
                     [e.src_vrank for e in state.entries]
                 )
@@ -643,76 +566,104 @@ class CommThread:
 
         self.sim.process(runner(), name=f"{self.name}.coll{state.seq}")
 
-    def _start_bcast(self, state: _CollState, info, mpi) -> None:
-        root_vrank = state.root
-        root_node = self.rankmap.node_of(root_vrank)
-        nbytes = max(e.nbytes for e in state.entries)
-        root_entry = next(
-            (e for e in state.entries if e.src_vrank == root_vrank), None
-        )
-        if root_entry is not None:
-            if root_entry.data is None:
-                raise DcgnError("bcast root entry has no payload")
-            mpi_buf = root_entry.data.view(np.uint8).reshape(-1)[:nbytes].copy()
-        else:
-            # "one buffer is selected at random from those specified" — we
-            # use a staging buffer, equivalent cost-wise.
-            mpi_buf = np.empty(nbytes, dtype=np.uint8)
-        req = mpi.ibcast(mpi_buf, root=info.mpi_rank_of_node(root_node))
-
-        def finish():
-            # Local dispersal: memcpy to CPU participants, data handoff
-            # to GPU threads (they perform the PCIe write on their side).
-            for entry in state.entries:
-                if entry is root_entry:
-                    self._complete(
-                        entry, CommStatus(source=root_vrank, nbytes=nbytes)
-                    )
-                    continue
-                if entry.nbytes > 0:
-                    yield from self.node.memcpy.copy(
-                        None, None, nbytes=nbytes
-                    )
-                if entry.deliver is not None:
-                    entry.deliver(mpi_buf)
-                else:
-                    # Per-request copy: handing every sibling the same
-                    # ndarray would let one rank's buffer mutation corrupt
-                    # the others' received payloads.
-                    entry.data = mpi_buf.copy()
-                self._complete(
-                    entry, CommStatus(source=root_vrank, nbytes=nbytes)
-                )
-
-        self._spawn_completer(state, req, finish)
-
-    def _exec_reduce(
-        self, state: _CollState, info, mpi
+    def _disperse(
+        self,
+        entries: List[CommRequest],
+        results: Optional[List[Optional[np.ndarray]]] = None,
+        source: int = -1,
+        copied: Optional[Callable[[CommRequest], bool]] = None,
     ) -> Generator[Event, Any, None]:
+        """Land ``results[i]`` (None: nothing) in ``entries[i]`` and
+        complete it with the bytes landed, in order.  Entries asking
+        for bytes that ``copied`` selects first pay a host memcpy: CPU
+        participants get the copy, GPU threads a data handoff (they
+        perform the PCIe write on their side)."""
+        for i, entry in enumerate(entries):
+            data = None if results is None else results[i]
+            n = 0
+            if data is not None:
+                n = int(data.nbytes)
+                if copied is not None and copied(entry) and entry.nbytes > 0:
+                    yield from self.node.memcpy.copy(None, None, nbytes=n)
+                entry.land(data)
+            self._complete(entry, CommStatus(source=source, nbytes=n))
+
+    @staticmethod
+    def _root_entry(state: _CollState) -> Optional[CommRequest]:
+        """The root's own entry (None: the root lives on another node)."""
+        return next(
+            (e for e in state.entries if e.src_vrank == state.sig.root), None
+        )
+
+    def _root_rank(self, state: _CollState, info) -> int:
+        """The root's node rank in the group's sub-communicator."""
+        return info.mpi_rank_of_node(self.rankmap.node_of(state.sig.root))
+
+    @staticmethod
+    def _by_group_rank(state: _CollState, info) -> List[CommRequest]:
+        return sorted(
+            state.entries, key=lambda e: info.group.rank_of(e.src_vrank)
+        )
+
+    def _copy_waves(
+        self, copies: int, nbytes: int
+    ) -> Generator[Event, Any, None]:
+        """Charge ``copies`` independent ``nbytes`` host copies (or
+        combines) run in parallel waves: ⌈copies / cores⌉ memcpy
+        charges instead of a serial ``copies``.
+
+        Modeling choice: the cores are genuinely idle (every
+        contributor is blocked in sleep_poll_wait on this collective),
+        and the dual-socket Opterons' per-socket memory controllers plus
+        combine ALU time are taken to give the parallel streams usable
+        bandwidth; if calibration shows this too optimistic, drop
+        `cores` toward the socket count.
+        """
+        cores = max(1, self.node.cores)
+        for _ in range((copies + cores - 1) // cores):
+            yield from self.node.memcpy.copy(None, None, nbytes=nbytes)
+
+    # -- stagers: (state, group info, node context) → (MPI request,
+    #    dispersal).  Every stager is a generator, even where staging is
+    #    free.
+    def _stage_barrier(self, state: _CollState, info, mpi):
+        yield from ()
+        return mpi.ibarrier(), self._disperse(state.entries)
+
+    def _stage_bcast(self, state: _CollState, info, mpi):
+        """Broadcast the root's ``nbytes`` (which every member agreed
+        on at entry) to every node, then copy it out to the members."""
+        yield from ()
+        root = self._root_entry(state)
+        if root is not None:
+            buf = root.payload().view(np.uint8).reshape(-1)[: state.sig.nbytes]
+            buf = buf.copy()
+        else:
+            # "one buffer is selected at random from those specified" —
+            # we use a staging buffer, equivalent cost-wise; zeroed, so
+            # no byte the root did not send can leak out of it.
+            buf = np.zeros(state.sig.nbytes, dtype=np.uint8)
+        mreq = mpi.ibcast(buf, root=self._root_rank(state, info))
+        return mreq, self._disperse(
+            state.entries, [buf] * len(state.entries), state.sig.root,
+            copied=lambda e: e is not root,
+        )
+
+    def _combine_local(
+        self, state: _CollState
+    ) -> Generator[Event, Any, Tuple[np.ndarray, ReduceOp]]:
+        """Tree-combine the local contributions in vrank order: pairwise
+        combines within a round run on distinct host cores, so the
+        total charge is 1 initial copy + Σ ⌈pairs_in_round / cores⌉
+        memcpy-equivalents instead of a serial O(k) fold."""
         # Kernel-side issue already validated the op name (and refused
         # "replace", which only one-sided accumulate may use).
-        op = ReduceOp(state.op_name or "sum")
-        root_vrank = state.root
-        contributions = sorted(state.entries, key=lambda e: e.src_vrank)
-        level: List[np.ndarray] = []
-        for e in contributions:
-            if e.data is None:
-                raise DcgnError(f"reduce entry {e!r} missing contribution")
-            level.append(e.data)
-        # Tree-combine the local contributions: pairwise combines within
-        # a round run on distinct host cores, so the total charge is
-        # 1 initial copy + Σ ⌈pairs_in_round / cores⌉ memcpy-equivalents
-        # instead of the old serial O(k) fold.  Modeling choice: the
-        # cores are genuinely idle (every contributor is blocked in
-        # sleep_poll_wait on this collective), and the dual-socket
-        # Opterons' per-socket memory controllers plus combine ALU time
-        # are taken to give the parallel streams usable bandwidth; if
-        # calibration shows this too optimistic, drop `cores` toward
-        # the socket count.
+        op = ReduceOp(state.sig.op_name or "sum")
+        local = sorted(state.entries, key=lambda e: e.src_vrank)
+        level = [e.payload() for e in local]
         yield from self.node.memcpy.copy(
             None, None, nbytes=int(level[0].nbytes)
         )
-        cores = max(1, self.node.cores)
         while len(level) > 1:
             nxt = [
                 op.combine(level[i], level[i + 1])
@@ -720,57 +671,34 @@ class CommThread:
             ]
             if len(level) % 2:
                 nxt.append(level[-1])
-            pairs = len(level) // 2
-            for _ in range((pairs + cores - 1) // cores):
-                yield from self.node.memcpy.copy(
-                    None, None, nbytes=int(level[0].nbytes)
-                )
+            yield from self._copy_waves(len(level) // 2, int(level[0].nbytes))
             level = nxt
         # Safe to alias the sole contribution: combines are never
         # in-place and the MPI layer snapshots sends.
-        acc = level[0]
-        result = np.empty_like(acc)
-        if state.kind == "allreduce":
-            mreq = mpi.iallreduce(acc, result, op=op)
+        return level[0], op
 
-            def finish_allreduce():
-                for req in state.entries:
-                    if req.deliver is not None:
-                        req.deliver(result)
-                    else:
-                        # Per-request copy (same aliasing hazard as bcast).
-                        req.data = result.copy()
-                    self._complete(
-                        req, CommStatus(source=-1, nbytes=int(result.nbytes))
-                    )
+    def _stage_allreduce(self, state: _CollState, info, mpi):
+        acc, op = yield from self._combine_local(state)
+        result = np.zeros_like(acc)
+        mreq = mpi.iallreduce(acc, result, op=op)
+        return mreq, self._disperse(
+            state.entries, [result] * len(state.entries)
+        )
 
-            self._spawn_completer(state, mreq, finish_allreduce)
-        else:
-            root_node = self.rankmap.node_of(root_vrank)
-            recvbuf = result if self.mpi.rank == root_node else None
-            mreq = mpi.ireduce(
-                acc, recvbuf, op=op, root=info.mpi_rank_of_node(root_node)
-            )
+    def _stage_reduce(self, state: _CollState, info, mpi):
+        acc, op = yield from self._combine_local(state)
+        root = self._root_entry(state)
+        result = np.zeros_like(acc)
+        mreq = mpi.ireduce(
+            acc, None if root is None else result, op=op,
+            root=self._root_rank(state, info),
+        )
+        return mreq, self._disperse(
+            state.entries,
+            [result if e is root else None for e in state.entries],
+        )
 
-            def finish_reduce():
-                for req in state.entries:
-                    if req.src_vrank == root_vrank:
-                        if req.deliver is not None:
-                            req.deliver(result)
-                        else:
-                            req.data = result
-                        self._complete(
-                            req,
-                            CommStatus(source=-1, nbytes=int(result.nbytes)),
-                        )
-                    else:
-                        self._complete(req, CommStatus(source=-1, nbytes=0))
-
-            self._spawn_completer(state, mreq, finish_reduce)
-
-    def _exec_gather(
-        self, state: _CollState, info, mpi
-    ) -> Generator[Event, Any, None]:
+    def _stage_gather(self, state: _CollState, info, mpi):
         """Gather equal-size contributions to the root vrank.
 
         Every entry carries ``extra["chunk"]`` — the per-rank chunk size
@@ -778,40 +706,29 @@ class CommThread:
         Results assemble in *group-rank* order (vrank order for the
         world group).
         """
-        root_vrank = state.root
-        root_node = self.rankmap.node_of(root_vrank)
-        chunk = int(state.entries[0].extra["chunk"])
-        # Assemble this node's contribution in group-rank order.
-        local = sorted(
-            state.entries,
-            key=lambda e: info.group.rank_of(e.src_vrank),
-        )
+        chunk = state.sig.chunk
+        # Assemble this node's contribution in group-rank order; the
+        # per-entry copies are independent, so they run in waves.
+        local = self._by_group_rank(state, info)
         sendbuf = np.zeros(chunk * len(local), dtype=np.uint8)
         for i, e in enumerate(local):
-            if e.data is None:
-                raise DcgnError(f"gather entry {e!r} missing contribution")
-            view = e.data.view(np.uint8).reshape(-1)[:chunk]
+            view = e.payload().view(np.uint8).reshape(-1)[:chunk]
             sendbuf[i * chunk : i * chunk + view.size] = view
-        # Stage the contributions in parallel waves: the per-entry
-        # copies are independent, so k of them run on distinct host
-        # cores per wave — Σ ⌈entries / cores⌉ memcpy charges instead of
-        # the old serial k (same modeling argument as the reduce
-        # tree-combine above: every contributor is blocked in
-        # sleep_poll_wait on this collective, so the cores are idle).
-        cores = max(1, self.node.cores)
-        for _ in range((len(local) + cores - 1) // cores):
-            yield from self.node.memcpy.copy(None, None, nbytes=chunk)
-        sub_root = info.mpi_rank_of_node(root_node)
-        if self.mpi.rank == root_node:
+        yield from self._copy_waves(len(local), chunk)
+        root = self._root_entry(state)
+        recvbufs = None
+        if root is not None:
             recvbufs = [
-                np.zeros(
-                    chunk * len(info.local_vranks(n)), dtype=np.uint8
-                )
+                np.zeros(chunk * len(info.local_vranks(n)), dtype=np.uint8)
                 for n in info.nodes
             ]
-            mreq = mpi.igather(sendbuf, recvbufs, root=sub_root)
+        mreq = mpi.igather(
+            sendbuf, recvbufs, root=self._root_rank(state, info)
+        )
 
-            def finish_gather_root():
+        def disperse():
+            total = None
+            if root is not None:
                 # Assemble the full result in global group-rank order
                 # (a key-reordered group need not be node-major, so
                 # each member's chunk lands at its group-rank offset).
@@ -822,59 +739,39 @@ class CommThread:
                         total[g * chunk : (g + 1) * chunk] = recvbufs[i][
                             j * chunk : (j + 1) * chunk
                         ]
-                root_entry = next(
-                    e for e in state.entries if e.src_vrank == root_vrank
-                )
-                if root_entry.deliver is not None:
-                    root_entry.deliver(total)
-                else:
-                    root_entry.data = total
-                for req in state.entries:
-                    n = total.size if req.src_vrank == root_vrank else 0
-                    self._complete(req, CommStatus(source=-1, nbytes=n))
+            yield from self._disperse(
+                state.entries,
+                [total if e is root else None for e in state.entries],
+            )
 
-            self._spawn_completer(state, mreq, finish_gather_root)
-        else:
-            mreq = mpi.igather(sendbuf, None, root=sub_root)
-            self._spawn_completer(state, mreq, None)
+        return mreq, disperse()
 
-    def _start_scatter(self, state: _CollState, info, mpi) -> None:
+    def _stage_scatter(self, state: _CollState, info, mpi):
         """Scatter equal-size chunks from the root vrank.
 
         Every entry carries ``extra["chunk"]`` (bytes per rank); the
         root's buffer is read in group-rank order.
         """
-        root_vrank = state.root
-        root_node = self.rankmap.node_of(root_vrank)
-        local = sorted(
-            state.entries,
-            key=lambda e: info.group.rank_of(e.src_vrank),
-        )
-        chunk = int(state.entries[0].extra["chunk"])
+        yield from ()
+        chunk = state.sig.chunk
+        local = self._by_group_rank(state, info)
         recvbuf = np.zeros(chunk * len(local), dtype=np.uint8)
-        sub_root = info.mpi_rank_of_node(root_node)
-        if self.mpi.rank == root_node:
-            root_entry = next(
-                e for e in state.entries if e.src_vrank == root_vrank
-            )
-            if root_entry.data is None:
-                raise DcgnError("scatter root entry has no payload")
-            full = root_entry.data.view(np.uint8).reshape(-1)
-            sendbufs = []
-            for n in info.nodes:
-                pieces = [
-                    full[
-                        info.group.rank_of(m) * chunk
-                        : (info.group.rank_of(m) + 1) * chunk
-                    ]
-                    for m in info.local_vranks(n)
-                ]
-                sendbufs.append(np.concatenate(pieces))
-            mreq = mpi.iscatter(sendbufs, recvbuf, root=sub_root)
-        else:
-            mreq = mpi.iscatter(None, recvbuf, root=sub_root)
+        root = self._root_entry(state)
+        sendbufs = None
+        if root is not None:
+            full = root.payload().view(np.uint8).reshape(-1)
+            sendbufs = [
+                np.concatenate([
+                    full[g * chunk : (g + 1) * chunk]
+                    for g in map(info.group.rank_of, info.local_vranks(n))
+                ])
+                for n in info.nodes
+            ]
+        mreq = mpi.iscatter(
+            sendbufs, recvbuf, root=self._root_rank(state, info)
+        )
 
-        def finish_scatter():
+        def disperse():
             status = mreq.event.value  # None at the root's node
             if status is not None and status.nbytes != recvbuf.nbytes:
                 raise CollectiveMismatch(
@@ -882,23 +779,16 @@ class CommThread:
                     f"members expect {recvbuf.nbytes} B but the root "
                     f"sent {status.nbytes} B (count mismatch)"
                 )
-            for i, req in enumerate(local):
-                piece = recvbuf[i * chunk : (i + 1) * chunk]
-                if req.nbytes > 0:
-                    yield from self.node.memcpy.copy(
-                        None, None, nbytes=int(piece.size)
-                    )
-                if req.deliver is not None:
-                    req.deliver(piece)
-                else:
-                    req.data = piece.copy()
-                self._complete(
-                    req, CommStatus(source=root_vrank, nbytes=int(piece.size))
-                )
+            pieces = [
+                recvbuf[i * chunk : (i + 1) * chunk] for i in range(len(local))
+            ]
+            yield from self._disperse(
+                local, pieces, state.sig.root, copied=lambda e: True
+            )
 
-        self._spawn_completer(state, mreq, finish_scatter)
+        return mreq, disperse()
 
-    def _start_split(self, state: _CollState) -> None:
+    def _stage_split(self, state: _CollState, info, mpi):
         """Collective ``comm_split`` over the whole job.
 
         Every virtual rank contributes a (color, key) pair; the comm
@@ -916,37 +806,29 @@ class CommThread:
         behind kernel traffic instead of stalling the comm thread —
         the same overlap discipline the data collectives follow.
         """
+        yield from ()
         local = sorted(state.entries, key=lambda e: e.src_vrank)
-        mine = np.zeros(3 * len(local), dtype=np.int64)
-        for i, e in enumerate(local):
-            mine[3 * i : 3 * i + 3] = (
-                e.src_vrank,
-                int(e.extra.get("color", -1)),
-                int(e.extra.get("key", 0)),
-            )
+        mine = np.array([
+            (e.src_vrank, int(e.extra.get("color", -1)),
+             int(e.extra.get("key", 0)))
+            for e in local
+        ], dtype=np.int64).reshape(-1)
         recv = [
-            np.empty(
-                3 * len(self.rankmap.local_ranks(n)), dtype=np.int64
-            )
-            for n in range(self.mpi.size)
+            np.zeros(3 * len(self.rankmap.local_ranks(n)), dtype=np.int64)
+            for n in range(mpi.size)
         ]
-        mreq = self.mpi.iallgather(mine, recv)
+        mreq = mpi.iallgather(mine, recv)
 
-        def finish_split():
-            triples = []
-            for buf in recv:
-                for i in range(buf.size // 3):
-                    triples.append(
-                        (int(buf[3 * i]), int(buf[3 * i + 1]),
-                         int(buf[3 * i + 2]))
-                    )
+        def disperse():
+            triples = [
+                tuple(map(int, t)) for buf in recv for t in buf.reshape(-1, 3)
+            ]
             groups = self.groups.register_split(state.seq, triples)
             for e in state.entries:
-                color = int(e.extra.get("color", -1))
-                e.extra["group"] = groups.get(color)
-                self._complete(e, CommStatus(source=-1, nbytes=0))
+                e.extra["group"] = groups.get(int(e.extra.get("color", -1)))
+            yield from self._disperse(state.entries)
 
-        self._spawn_completer(state, mreq, finish_split)
+        return mreq, disperse()
 
     # -- misc ------------------------------------------------------------
     def _complete(self, req: CommRequest, status: CommStatus) -> None:
@@ -956,3 +838,52 @@ class CommThread:
 
     def _bump(self, key: str) -> None:
         self.stats[key] = self.stats.get(key, 0) + 1
+
+
+# -- one-sided window calls: (DCGN window, origin node, target node, element
+#    offset, request, count) → (wire op, array moved, array landed in
+#    the requester or None).  The request's payload was snapshotted at
+#    issue, so puts and accumulates skip the defensive copy.
+def _rma_put(win, me, tnode, woff, req, count):
+    payload = np.ascontiguousarray(req.payload().reshape(-1)[:count])
+    proc = yield from win.win.start_put(
+        me, tnode, payload, woff, snapshot=False, want_event=True
+    )
+    return proc, payload, None
+
+
+def _rma_accumulate(win, me, tnode, woff, req, count):
+    payload = np.ascontiguousarray(req.payload().reshape(-1)[:count])
+    proc = yield from win.win.start_accumulate(
+        me, tnode, payload, op=req.extra.get("reduce_op", "sum"),
+        offset=woff, snapshot=False, want_event=True,
+    )
+    return proc, payload, None
+
+
+def _rma_get(win, me, tnode, woff, req, count):
+    # zeros, not empty: under the pricing backend the wire op moves no
+    # data, and garbage would make runs irreproducible.
+    recv = np.zeros(count, dtype=win.dtype)
+    proc = yield from win.win.start_get(me, tnode, recv, woff)
+    return proc, recv, recv
+
+
+#: Every op a kernel request can carry → (handler, the op's own step).
+#: The handler runs when the comm thread picks the request.  An RMA
+#: op's step is its window call; a collective's step is its stager,
+#: run once every local member has entered.
+_OPS = {
+    "send": (CommThread._handle_send, None),
+    "recv": (CommThread._handle_recv, None),
+    "rma_put": (CommThread._handle_rma, _rma_put),
+    "rma_get": (CommThread._handle_rma, _rma_get),
+    "rma_accumulate": (CommThread._handle_rma, _rma_accumulate),
+    "barrier": (CommThread._enter_collective, CommThread._stage_barrier),
+    "bcast": (CommThread._enter_collective, CommThread._stage_bcast),
+    "reduce": (CommThread._enter_collective, CommThread._stage_reduce),
+    "allreduce": (CommThread._enter_collective, CommThread._stage_allreduce),
+    "gather": (CommThread._enter_collective, CommThread._stage_gather),
+    "scatter": (CommThread._enter_collective, CommThread._stage_scatter),
+    "split": (CommThread._enter_collective, CommThread._stage_split),
+}

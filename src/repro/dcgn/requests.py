@@ -9,17 +9,9 @@ from typing import Any, Callable, Dict, Optional
 import numpy as np
 
 from ..sim.core import Event, Simulator
+from .errors import DcgnError
 
-__all__ = ["CommRequest", "CommStatus", "P2P_OPS", "COLLECTIVE_OPS", "RMA_OPS"]
-
-P2P_OPS = frozenset({"send", "recv"})
-COLLECTIVE_OPS = frozenset(
-    {"barrier", "bcast", "scatter", "gather", "allreduce", "reduce",
-     "split"}
-)
-#: One-sided window operations: handled entirely by the *origin* comm
-#: thread (no staging, no matching, no target-side request).
-RMA_OPS = frozenset({"rma_put", "rma_get", "rma_accumulate"})
+__all__ = ["CommRequest", "CommStatus"]
 
 _req_ids = itertools.count()
 
@@ -38,8 +30,8 @@ class CommRequest:
 
     ``data`` carries a snapshot of the payload for sends (taken at request
     creation for CPU kernels, at mailbox harvest — after the PCIe read —
-    for GPU kernels).  For receives, ``deliver`` is invoked by the
-    machinery that lands the payload in the requester's buffer.
+    for GPU kernels).  Whatever arrives for the requester goes through
+    :meth:`land`.
 
     The request carries no timestamps: each thread that moves it
     through a lifecycle stage records that stage with :meth:`mark` on
@@ -88,6 +80,24 @@ class CommRequest:
                 sim.now if t is None else t, stage, "dcgn.req", track,
                 {"req": self.req_id, "op": self.op},
             )
+
+    def payload(self) -> np.ndarray:
+        """The payload snapshot, which the request must carry."""
+        if self.data is None:
+            raise DcgnError(f"{self!r} has no payload snapshot")
+        return self.data
+
+    def land(self, data: Optional[np.ndarray]) -> None:
+        """Land arrived ``data`` (None: nothing) in the requester:
+        through ``deliver`` (CPU ranks) or as a private copy in
+        ``data`` for the GPU thread's PCIe write-back — private, since
+        collective siblings share one array."""
+        if data is None:
+            return
+        if self.deliver is not None:
+            self.deliver(data)
+        else:
+            self.data = data.copy()
 
     def complete(self, status: Optional[CommStatus] = None) -> None:
         """Mark the request done (idempotence is an error by design)."""

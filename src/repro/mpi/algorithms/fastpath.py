@@ -71,11 +71,14 @@ within :data:`PLAN_STEP_BUDGET`.  A hit is checked, not trusted: every
 rank's binding signature (dtype, layout and slot sizes) must equal the
 one the plan was compiled from.
 
-What stays exact: point-to-point (``send``/``recv``/``isend``/...),
-``gather``/``scatter`` (linear, not schedule-based), and host-memory
-RMA epochs take their own analytic path in :mod:`repro.mpi.rma` — only
-schedule-compiled collectives take *this* one.  Selection thresholds,
-being driven by the same tuning, match the exact backend exactly.
+What stays exact: point-to-point (``send``/``recv``/``isend``/...) and
+``gather``/``scatter``; host-memory RMA epochs take their own analytic
+path in :mod:`repro.mpi.rma` — only schedule-compiled collectives take
+*this* one.  Gather and scatter are linear: the root's P-1 transfers
+share its NIC, which the contention-free tape ignores, so priced here
+they would come out short of exact (gather by 0.1-84%, scatter by
+49-93% at 4-16 ranks and 128 B-1 MB).  Selection thresholds, being
+driven by the same tuning, match the exact backend exactly.
 
 **Pricing-only mode** (``backend="pricing"``): skips the replay and
 runs only the tape — same critical-path model, bit-identical simulated
@@ -101,7 +104,7 @@ from ..errors import MpiError
 from .base import next_tag
 from .schedule import (
     COMPUTE, DONATE, OVERHEAD, RECV, SEND, Call, Schedule, ScheduleEngine, land,
-    materialize, payload, run_ops, sub_ctx, view, _round_name,
+    materialize, payload, run_ops, short_recv, sub_ctx, view, _round_name,
 )
 
 __all__ = ["FastPathEngine", "Plan", "PLAN_STEP_BUDGET"]
@@ -277,7 +280,9 @@ class Plan:
                     push((max(map(get, ins)) + a) + b)
             return [V[s] for s in self.rank_fin], V
         n_slots, groups = self.levels
-        v = np.empty(n_slots)
+        # Arrivals fill the head; every other slot is one node's output,
+        # written by its level before any later level reads it.
+        v = np.empty(n_slots)  # det: ok - written before read (above)
         v[: len(arrivals)] = arrivals
         for outs, cols, a, b in groups:
             t = v[cols[0]]
@@ -591,8 +596,9 @@ class FastPathEngine(ScheduleEngine):
           receive), then both sides finish at
           ``m + wire(cts) + wire(payload)``.
 
-        A pair is priced with the send's structural size (pricing mode:
-        the larger of the send's and the receive's).  Every wire leg is
+        A pair is priced with the send's structural size; a receive
+        larger than its send raises here (the ranks disagree on the
+        count, and the receive's tail would be stale).  Every wire leg is
         priced by :meth:`Topology.wire_cost`, which also books it onto
         the routed channel path when the topology's ``accounting`` flag
         is on; ``plan.legs`` keeps them for replays.
@@ -611,7 +617,6 @@ class FastPathEngine(ScheduleEngine):
 
         lo = plan.lo
         n_steps = plan.n_steps
-        price_only = self.price_only
 
         wsize = [0] * n_steps
         # LIGHT pairing: k-th send on a (comm, src, dst, tag) key pairs
@@ -627,15 +632,13 @@ class FastPathEngine(ScheduleEngine):
                 if kind == SEND or kind == RECV:
                     via = sched.via[i]
                     tctx = sched.ctxs[via] if via else ctxs[r]
+                    wsize[base + i] = sched.nbytes(i)
                     if kind == SEND:
-                        wsize[base + i] = sched.nbytes(i)
                         sends.setdefault(
                             (id(tctx.comm), tctx.rank, sched.peer[i],
                              sched.tag[i]), []
                         ).append((r, i, base + i))
                     else:
-                        if price_only:
-                            wsize[base + i] = sched.nbytes(i)
                         recvs.setdefault(
                             (id(tctx.comm), sched.peer[i], tctx.rank,
                              sched.tag[i]), []
@@ -646,6 +649,10 @@ class FastPathEngine(ScheduleEngine):
             for s_ref, r_ref in zip(ss, recvs.get(key, ())):
                 pair[s_ref[2]] = r_ref
                 pair[r_ref[2]] = s_ref
+                if wsize[s_ref[2]] < wsize[r_ref[2]]:
+                    raise short_recv(
+                        scheds[r_ref[0]], wsize[s_ref[2]], wsize[r_ref[2]]
+                    )
 
         tape_ins = plan.tape_ins
         add_ins = tape_ins.append
@@ -714,7 +721,7 @@ class FastPathEngine(ScheduleEngine):
             ro, oidx, og = other
             if kind == SEND:
                 src, dst = wire_nodes(r, idx)
-                n = max(wsize[g], wsize[og])
+                n = wsize[g]
                 if n <= eager_max:
                     f = emit(ins, sw, wt(src, dst, n + HEADER_BYTES))
                     finish(r, idx, f)
@@ -732,7 +739,7 @@ class FastPathEngine(ScheduleEngine):
                 if step_ins[og] is None:
                     continue  # parked; the send side resolves the pair
                 src, dst = wire_nodes(ro, oidx)
-                n = max(wsize[og], wsize[g])
+                n = wsize[og]
                 if n <= eager_max:
                     finish(r, idx, emit((x, step_fin[og]), 0.0, 0.0))
                 else:

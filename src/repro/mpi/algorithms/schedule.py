@@ -159,7 +159,7 @@ def payload(bufs: List[Any], ref, flags: int) -> Payload:
     """A send step's payload, resolved at step start."""
     if flags & PACK:
         parts = [_u8(view(bufs, r)) for r in ref]
-        return np.concatenate(parts) if parts else np.empty(0, np.uint8)
+        return np.concatenate(parts) if parts else np.zeros(0, np.uint8)
     return None if ref is None else view(bufs, ref)
 
 
@@ -186,6 +186,16 @@ def run_ops(bufs: List[Any], ops) -> None:
             view(bufs, op[4])[...] = res
 
 
+def short_recv(sched: "Schedule", got: int, want: int) -> MpiError:
+    """A collective receive that lands fewer bytes than its buffer:
+    the ranks disagree on the count, and the tail would be garbage."""
+    op = (sched.meta or {}).get("op", "collective")
+    return MpiError(
+        f"{op}: a rank received {got} B into a {want} B buffer "
+        "(ranks disagree on the count)"
+    )
+
+
 def materialize(binding: Binding, scratch) -> List[Any]:
     """The slot table of one execution: the bound buffers, then fresh
     scratch slots (copies taken now, adopt slots unallocated)."""
@@ -194,7 +204,7 @@ def materialize(binding: Binding, scratch) -> List[Any]:
         if adopt:
             bufs.append(AdoptBuf(nbytes, dtype))
             continue
-        arr = np.empty(nbytes // dtype.itemsize, dtype=dtype)
+        arr = np.zeros(nbytes // dtype.itemsize, dtype=dtype)
         if init:
             raw = arr.view(np.uint8)
             for src, off in init:
@@ -633,6 +643,8 @@ class ScheduleEngine:
             status = yield from comm._recv_impl(
                 tctx.rank, sched.peer[i], buf, sched.tag[i]
             )
+            if status.nbytes < sched.nbytes(i):
+                raise short_recv(sched, status.nbytes, sched.nbytes(i))
             land(bufs, ref, buf)
             return status
         else:

@@ -436,6 +436,14 @@ def igather(
     ))
 
 
+# Linear gather/scatter stay off the schedule IR, so every backend,
+# analytic included, runs them on the exact p2p path.  Compiled as
+# linear schedules they would keep every DCGN time, but the root's P-1
+# transfers share its NIC and the fast path's contention-free pricing
+# tape ignores that: against exact at 4-16 ranks and 128 B-1 MB it
+# under-prices gather by 0.1-84% and scatter by 49-93%
+# (tests/test_fastpath.py::test_gather_scatter_stay_exact pins both
+# backends to the same times).
 def _gather_impl(
     ctx: MpiContext,
     sendbuf: Payload,
@@ -497,6 +505,7 @@ def iscatter(
     ))
 
 
+# Exact on every backend, like _gather_impl (same reason).
 def _scatter_impl(
     ctx: MpiContext,
     sendbufs: Optional[Sequence[Payload]],

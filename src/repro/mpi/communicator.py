@@ -995,7 +995,7 @@ class MpiContext:
 
         seq = comm._split_claim(self.rank)
         mine = np.array([int(color), int(key)], dtype=np.int64)
-        recv = [np.empty(2, dtype=np.int64) for _ in range(comm.size)]
+        recv = [np.zeros(2, dtype=np.int64) for _ in range(comm.size)]
         yield from c.allgather(self, mine, recv)
         pairs = [(int(b[0]), int(b[1])) for b in recv]
         sub = comm._split_result(seq, self.rank, pairs)
@@ -1087,7 +1087,7 @@ class MpiContext:
         # ndarray, HostBuffer and DeviceBuffer all expose .nbytes.
         nbytes = 0 if buf is None else int(buf.nbytes)
         mine = np.array([nbytes], dtype=np.int64)
-        recv = np.empty(comm.size, dtype=np.int64)
+        recv = np.zeros(comm.size, dtype=np.int64)
         yield from c.allgather(self, mine, recv)
         win = comm._win_result(seq, self.rank, coalesce=coalesce)
         return win.ctx(self.rank)

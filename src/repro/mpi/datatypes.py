@@ -38,7 +38,7 @@ class AdoptBuf:
         """The received array (allocated on first use if nothing was
         adopted)."""
         if self.arr is None:
-            self.arr = np.empty(self.nbytes // self.dtype.itemsize,
+            self.arr = np.zeros(self.nbytes // self.dtype.itemsize,
                                 dtype=self.dtype)
         return self.arr
 

@@ -225,9 +225,10 @@ class EventBatch:
         if not items:
             return 0
         self._items = []
-        recs = np.empty(len(items), dtype=_REC_DTYPE)
+        n = len(items)
+        recs = np.empty(n, dtype=_REC_DTYPE)  # det: ok - fields set below
         recs["time"] = [it[0] for it in items]
-        recs["slot"] = np.arange(len(items))
+        recs["slot"] = np.arange(n)
         # Stable sort: members at one time fire in insertion order, the
         # same FIFO tie-break the plain heap gives same-time events.
         order = np.argsort(recs, order=("time", "slot"), kind="stable")

@@ -316,10 +316,12 @@ def test_lint_flags_violations(tmp_path):
         "        pass\n"
         "    ys = sorted(xs, key=id)\n"
         "    ok = sorted(xs, key=id)  # det: ok - test suppression\n"
-        "    return rng, ys, ok\n"
+        "    buf = np.empty(len(xs))\n"
+        "    return rng, ys, ok, buf\n"
     )
     proc = _run_lint(str(bad))
     assert proc.returncode == 1
     assert proc.stdout.count("unseeded-rng") == 2
     assert proc.stdout.count("set-iteration") == 1
     assert proc.stdout.count("id-ordering") == 1
+    assert proc.stdout.count("uninit-alloc") == 1

@@ -11,10 +11,11 @@ from repro.dcgn import (
     CollectiveMismatch,
     CommViolation,
     DcgnConfig,
+    DcgnError,
     DcgnRuntime,
 )
 from repro.hw import HWParams, build_cluster, paper_cluster
-from repro.mpi import TruncationError
+from repro.mpi import MpiError, TruncationError
 from repro.sim import Simulator, us
 
 
@@ -135,6 +136,8 @@ def _rooted_or_reduce(ctx, op, n, root_n):
         yield from ctx.gather(0, mine, full)
     elif op == "scatter":
         yield from ctx.scatter(0, mine, full)
+    elif op == "bcast":
+        yield from ctx.broadcast(0, mine)
     else:
         yield from ctx.allreduce(mine, np.zeros_like(mine))
 
@@ -184,23 +187,38 @@ class TestCollectiveMismatches:
             rt.run(max_time=1.0)
 
     @pytest.mark.parametrize("layout", sorted(LAYOUTS))
-    @pytest.mark.parametrize("op", ["gather", "scatter", "allreduce"])
+    @pytest.mark.parametrize("op", ["gather", "scatter", "allreduce", "bcast"])
     def test_count_disagreement(self, op, layout):
         """Rank 1 passes 8 elements against everyone else's 4.  On one
         node the comm thread sees both entries; across nodes the wire
         carries the disagreement (a too-long message truncates, a
-        too-short scatter piece is caught on arrival)."""
+        too-short scatter piece is caught on arrival, and a too-short
+        bcast is a short collective receive)."""
         sim, rt = make_runtime(*LAYOUTS[layout])
         rt.launch_cpu(
             lambda ctx: _rooted_or_reduce(
                 ctx, op, 8 if ctx.rank == 1 else 4, 16
             )
         )
-        cross_node_truncation = layout == "2nodes-1thread" and op != "scatter"
-        with pytest.raises(
-            TruncationError if cross_node_truncation else CollectiveMismatch
-        ):
+        if layout == "1node-2threads" or op == "scatter":
+            raises = pytest.raises(CollectiveMismatch)
+        elif op == "bcast":
+            raises = pytest.raises(MpiError, match="bcast: a rank received")
+        else:
+            raises = pytest.raises(TruncationError)
+        with raises:
             rt.run(max_time=1.0)
+
+
+class TestRequestTable:
+    def test_unknown_op_raises_naming_it(self):
+        from repro.dcgn.requests import CommRequest
+
+        sim, rt = make_runtime(n_nodes=1)
+        req = CommRequest(op="frobnicate", src_vrank=0, done=sim.event())
+        sim.process(rt.comm_threads[0].enqueue_from_cpu(req))
+        with pytest.raises(DcgnError, match="unknown op 'frobnicate'"):
+            sim.run(until=1.0, detect_deadlock=False)
 
 
 class TestStatsAndCapture:
@@ -292,3 +310,45 @@ class TestDeliveryAliasing:
         before = r2.data.copy()
         r1.data[...] = -1
         assert np.array_equal(r2.data, before), "sibling buffer corrupted"
+
+    def test_every_op_kind_is_counted(self):
+        """One job issues every staged collective kind plus p2p and
+        one-sided ops: each collective bumps ``coll.<kind>`` once per
+        participating node and every request ``req.<op>`` once per
+        issuing rank."""
+        sim = Simulator()
+        cluster = build_cluster(sim, paper_cluster(nodes=2))
+        rt = DcgnRuntime(
+            cluster,
+            DcgnConfig.homogeneous(2, cpu_threads=2, windows={"w": 4}),
+        )
+
+        def kernel(ctx):
+            n, me = ctx.size, ctx.rank
+            buf = np.arange(4, dtype=np.float64) + me
+            yield from ctx.barrier()
+            yield from ctx.broadcast(0, buf)
+            full = np.zeros(4 * n) if me == 0 else None
+            yield from ctx.reduce(0, buf, np.zeros(4) if me == 0 else None)
+            yield from ctx.allreduce(buf, np.zeros(4))
+            yield from ctx.gather(0, buf, full)
+            yield from ctx.scatter(0, np.zeros(4), full)
+            yield from ctx.split(me % 2)
+            yield from ctx.sendrecv((me + 1) % n, buf, (me - 1) % n,
+                                    np.zeros(4))
+            yield from ctx.put("w", (me + 1) % n, buf)
+            yield from ctx.accumulate("w", (me + 1) % n, buf)
+            yield from ctx.get("w", me, np.zeros(4))
+
+        rt.launch_cpu(kernel)
+        stats = rt.run().comm_stats()
+        staged = ["barrier", "bcast", "reduce", "allreduce", "gather",
+                  "scatter", "split"]
+        for kind in staged:
+            assert stats[f"coll.{kind}"] == 2, kind
+        ops = staged + ["send", "recv", "rma_put", "rma_get",
+                        "rma_accumulate"]
+        for op in ops:
+            assert stats[f"req.{op}"] == rt.size, op
+        for op in ("rma_put", "rma_get", "rma_accumulate"):
+            assert stats[f"rma.{op}"] == rt.size, op

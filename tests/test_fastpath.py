@@ -237,6 +237,51 @@ def test_subcommunicator_collectives(n_ranks):
         np.testing.assert_array_equal(out_a[r], out_e[r])
 
 
+def gather_scatter_prog(n_ranks, nbytes):
+    """Gather every rank's bytes to rank 0, then scatter them back;
+    records both completion times and every buffer."""
+
+    def factory(out):
+        def prog(ctx):
+            r = ctx.rank
+            mine = np.full(nbytes, r + 1, dtype=np.uint8)
+            full = None
+            if r == 0:
+                full = [np.zeros(nbytes, np.uint8) for _ in range(n_ranks)]
+            yield from ctx.gather(mine, full, root=0)
+            t_gather = ctx.sim.now
+            piece = np.zeros(nbytes, dtype=np.uint8)
+            yield from ctx.scatter(full, piece, root=0)
+            out[r] = (t_gather, ctx.sim.now, piece,
+                      None if full is None else np.concatenate(full))
+
+        return prog
+
+    return factory
+
+
+@pytest.mark.parametrize("n_ranks", [4, 16])
+@pytest.mark.parametrize("nbytes", [128, 1 * MB])
+def test_gather_scatter_stay_exact(n_ranks, nbytes):
+    """Linear gather/scatter are not schedule-compiled: on the analytic
+    backend they run the exact p2p path, so simulated times and data
+    equal the exact backend's bit for bit.  (The contention-free
+    pricing tape would under-price the root's fan-in/fan-out.)"""
+    _, _, out_e = run_job(
+        n_ranks, gather_scatter_prog(n_ranks, nbytes), "exact"
+    )
+    _, _, out_a = run_job(
+        n_ranks, gather_scatter_prog(n_ranks, nbytes), "analytic"
+    )
+    for r in range(n_ranks):
+        t_gather, t_scatter, piece, full = out_a[r]
+        assert (t_gather, t_scatter) == out_e[r][:2]
+        np.testing.assert_array_equal(piece, out_e[r][2])
+        np.testing.assert_array_equal(piece, r + 1)
+        if r == 0:
+            np.testing.assert_array_equal(full, out_e[r][3])
+
+
 # ---------------------------------------------------------------------------
 # Pricing-only mode
 # ---------------------------------------------------------------------------

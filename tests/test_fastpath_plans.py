@@ -456,3 +456,24 @@ def test_size_mismatch_raises_typed_error(op, algo, backend):
     with pytest.raises(MpiError, match=rf"{kind}: send buffer is 16 B but"
                                        rf" .* is {recv} B"):
         job.run()
+
+
+@pytest.mark.parametrize("backend", ["exact", "analytic"])
+def test_short_bcast_receive_raises(backend):
+    """Non-roots passing a larger bcast buffer than the root's used to
+    keep the buffer's stale tail: a collective receive that lands fewer
+    bytes than its buffer is an MpiError naming the op (the exact
+    engine checks the landed receive, the fast path the paired sizes
+    at plan compile)."""
+    sim = Simulator()
+    cluster = build_cluster(sim, ClusterSpec(nodes=4, gpus_per_node=0))
+    job = MpiJob(cluster, list(range(4)), backend=backend,
+                 tuning=CollectiveTuning(force_bcast="binomial"))
+
+    def prog(ctx):
+        yield from ctx.bcast(np.ones(2 if ctx.rank == 0 else 4), root=0)
+
+    job.start(prog)
+    with pytest.raises(MpiError, match="bcast: a rank received 16 B into "
+                                       "a 32 B buffer"):
+        job.run()

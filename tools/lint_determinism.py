@@ -30,11 +30,20 @@ property has historically been lost:
     vary across runs, so any order derived from them is unstable.
     ``id()`` for identity/membership (dict keys, ``seen`` sets) is fine.
 
+``uninit-alloc``
+    ``np.empty``/``np.empty_like``: the array holds whatever bytes the
+    allocator left, and any byte read before it is written makes runs
+    irreproducible (the ``pricing`` backend never writes receive
+    buffers at all).  Zero-fill with ``np.zeros``/``np.zeros_like``, or
+    say on the line why every byte is written before it is read.
+
 Suppression: append ``# det: ok`` (with an optional reason after a
 second ``-``) to the offending line after a human has verified the use
 cannot influence ordering, e.g.::
 
     seen = {id(proc)}  # det: ok - membership only, never ordering
+
+An ``uninit-alloc`` suppression needs the reason.
 
 Usage::
 
@@ -49,6 +58,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import re
 import sys
 from pathlib import Path
 from typing import Iterator, List, NamedTuple
@@ -87,6 +97,12 @@ _NP_RANDOM_OK = {"default_rng", "Generator", "SeedSequence", "BitGenerator",
                  "PCG64", "Philox", "SFC64", "MT19937"}
 
 SUPPRESS_MARK = "det: ok"
+#: A suppression that gives its reason.
+_REASONED = re.compile(r"det: ok - \S")
+
+#: Allocations that leave their bytes uninitialized.
+_UNINIT_ALLOCS = {"np.empty", "numpy.empty", "np.empty_like",
+                  "numpy.empty_like"}
 
 
 class Finding(NamedTuple):
@@ -154,12 +170,14 @@ class _Linter(ast.NodeVisitor):
         self.findings: List[Finding] = []
 
     # -- helpers -----------------------------------------------------------
-    def _suppressed(self, node: ast.AST) -> bool:
+    def _suppressed(self, node: ast.AST, rule: str) -> bool:
         line = self.lines[node.lineno - 1]
+        if rule == "uninit-alloc":
+            return _REASONED.search(line) is not None
         return SUPPRESS_MARK in line
 
     def _flag(self, node: ast.AST, rule: str, message: str) -> None:
-        if not self._suppressed(node):
+        if not self._suppressed(node, rule):
             self.findings.append(
                 Finding(self.path, node.lineno, node.col_offset, rule, message)
             )
@@ -196,6 +214,13 @@ class _Linter(ast.NodeVisitor):
                     f"{name}() uses numpy's global RNG; use "
                     "np.random.default_rng(seed)",
                 )
+        if name in _UNINIT_ALLOCS:
+            self._flag(
+                node, "uninit-alloc",
+                f"{name}() leaves its bytes uninitialized; zero-fill, or "
+                "annotate '# det: ok - <why every byte is written before "
+                "it is read>'",
+            )
         # id() as an ordering key of sorted/min/max.
         if isinstance(node.func, ast.Name) and node.func.id in (
             "sorted", "min", "max"
