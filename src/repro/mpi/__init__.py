@@ -16,6 +16,7 @@ from .communicator import (
     MpiContext,
     Request,
 )
+from . import collectives  # noqa: F401  (installs MpiContext's collectives)
 from .datatypes import ReduceOp, payload_array, snapshot
 from .errors import MpiError, RankError, RmaError, TagError, TruncationError
 from .group import GROUP_EMPTY, UNDEFINED, Group

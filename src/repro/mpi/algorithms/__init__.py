@@ -25,8 +25,8 @@ reduce     ``binomial`` (seed), ``rabenseifner`` (reduce-scatter +
 communicator size × placement using :class:`CollectiveTuning`
 thresholds — derived per cluster from the fabric topology by
 :mod:`~repro.mpi.algorithms.autotune` (which costs the schedules round
-by round) unless explicitly overridden; ``mpi/collectives.py``
-dispatches every adaptive collective through it, so both raw-MPI ranks
+by round) unless explicitly overridden; the op table in
+``mpi/collectives.py`` dispatches every adaptive collective through it, so both raw-MPI ranks
 and the DCGN comm threads benefit.
 """
 

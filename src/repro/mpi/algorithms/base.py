@@ -10,11 +10,7 @@ offsets the way the seed ring allgather always has.
 
 from __future__ import annotations
 
-from typing import Any, Generator
-
-from ...sim.core import Event
-from ..communicator import INTERNAL_TAG_BASE, MpiContext, Request
-from ..datatypes import Payload
+from ..communicator import INTERNAL_TAG_BASE, MpiContext
 
 __all__ = [
     "TAG_STRIDE",
@@ -22,9 +18,6 @@ __all__ = [
     "largest_pof2",
     "hier_ok",
     "next_tag",
-    "isend_internal",
-    "send_internal",
-    "recv_internal",
 ]
 
 #: Stride between the tag blocks of successive collective calls.
@@ -69,31 +62,3 @@ def next_tag(ctx: MpiContext) -> int:
     seq = comm._coll_seq[ctx.rank]
     comm._coll_seq[ctx.rank] += 1
     return INTERNAL_TAG_BASE + (seq * TAG_STRIDE)
-
-
-def isend_internal(
-    ctx: MpiContext, buf: Payload, dest: int, tag: int
-) -> Request:
-    """Internal isend that bypasses the user-tag check."""
-    comm = ctx.comm
-    comm._check_rank(dest)
-
-    def runner():
-        yield from comm._send_impl(ctx.rank, dest, buf, tag)
-
-    return Request(
-        ctx.sim.process(runner(), name=f"coll.isend(r{ctx.rank}->r{dest})")
-    )
-
-
-def send_internal(
-    ctx: MpiContext, buf: Payload, dest: int, tag: int
-) -> Generator[Event, Any, None]:
-    yield from ctx.comm._send_impl(ctx.rank, dest, buf, tag)
-
-
-def recv_internal(
-    ctx: MpiContext, buf: Payload, source: int, tag: int
-) -> Generator[Event, Any, Any]:
-    status = yield from ctx.comm._recv_impl(ctx.rank, source, buf, tag)
-    return status

@@ -6,11 +6,13 @@ that have a hierarchical variant — whether the communicator's placement
 makes the hierarchy worthwhile (``hier_ok``: equal locality groups on
 an oversubscribed fabric, fragmented ring order).  It returns the
 *name* of the algorithm to run; the registries map names to
-implementations: :data:`ALGORITHMS` holds the blocking generator entry
-points, :data:`SCHEDULES` the ``build_*`` functions producing the
-round-based :class:`~repro.mpi.algorithms.schedule.Schedule` that both
-the blocking and the nonblocking (``ibcast``/``iallreduce``/…) paths
-execute.  The thresholds live in
+implementations: :data:`SCHEDULES` holds the ``build_*`` functions
+producing the round-based
+:class:`~repro.mpi.algorithms.schedule.Schedule` — what the call
+builders of the op table (:data:`repro.mpi.collectives.OPS`, behind
+both ``ctx.bcast`` and ``ctx.ibcast``) hand the engine — and
+:data:`ALGORITHMS` one blocking entry point per named algorithm (a
+forced choice, for benchmarks and tests).  The thresholds live in
 :class:`~repro.mpi.algorithms.tuning.CollectiveTuning` — autotuned per
 cluster by :mod:`repro.mpi.algorithms.autotune` unless the user pins
 their own — and are plumbed through both the raw-MPI layer

@@ -1,34 +1,40 @@
 """Collective operations over the simulated point-to-point layer.
 
-Every collective algorithm compiles to a round-based
-:class:`~repro.mpi.algorithms.schedule.Schedule` executed by the
-communicator's :class:`~repro.mpi.algorithms.schedule.ScheduleEngine`.
-The blocking MPI-2 entry points below run the schedule to completion in
-the calling process; the ``i``-prefixed MPI-3 entry points start the
-same schedule in a background process and return a
-:class:`~repro.mpi.communicator.Request` immediately, so a rank (or
-DCGN's comm thread) can overlap the collective with computation.
+Each MPI collective is defined exactly once, in :data:`OPS`: a call
+builder that counts the call, binds and validates its buffers, and —
+for the schedule-compiled collectives — selects the algorithm and keys
+the :class:`~repro.mpi.algorithms.schedule.Call`.  Both
+:class:`~repro.mpi.communicator.MpiContext` methods of an operation are
+generated from that entry: the blocking MPI-2 form runs the call to
+completion inline in the calling process (``engine.execute``), the
+``i``-prefixed MPI-3 form starts it in a background process and returns
+a :class:`~repro.mpi.communicator.Request` at once (``engine.start``),
+so a rank (or DCGN's comm thread) can overlap it with computation.
+Every argument check therefore raises at issue, in either form.
 
 ``allreduce``, ``allgather``, ``alltoall``, ``bcast`` and ``reduce``
 have a *menu* of algorithms (see :mod:`repro.mpi.algorithms`) and
 dispatch per call through the communicator's
 :class:`~repro.mpi.algorithms.AlgorithmSelector`, which picks by
-message size × communicator size — and, for the hierarchical
-allreduce/bcast variants, by whether the placement is fragmented across
-an oversubscribed topology.  The chosen algorithm is recorded in
-``comm.stats`` as ``"<op>[<algo>]"``.  ``gather``/``scatter`` keep the
-fixed linear-at-root shape MVAPICH2-era implementations used.
+message size × communicator size — and, for the hierarchical variants,
+by whether the placement is fragmented across an oversubscribed
+topology.  The chosen algorithm is recorded in ``comm.stats`` as
+``"<op>[<algo>]"``.  ``gather``/``scatter`` keep the fixed
+linear-at-root shape MVAPICH2-era implementations used: their builders
+return that generator instead of a ``Call``.
 
 Every collective call consumes one slot of the internal tag space, kept
 consistent across ranks by the requirement (as in real MPI) that all
-ranks invoke collectives in the same order — for nonblocking
-collectives the tag block and algorithm are claimed synchronously at
-issue time, so mixed blocking/nonblocking sequences stay aligned.
+ranks invoke collectives in the same order — the tag block and
+algorithm are claimed synchronously at issue time, so mixed
+blocking/nonblocking sequences stay aligned.
 """
 
 from __future__ import annotations
 
-from typing import Any, Generator, Optional, Sequence
+import functools
+import inspect
+from typing import Any, Callable, Generator, Optional, Sequence
 
 import numpy as np
 
@@ -36,32 +42,9 @@ from ..sim.core import Event
 from .datatypes import Payload, ReduceOp, payload_array
 from .errors import MpiError
 
-__all__ = [
-    "barrier",
-    "bcast",
-    "reduce",
-    "allreduce",
-    "gather",
-    "scatter",
-    "allgather",
-    "alltoall",
-    "ibarrier",
-    "ibcast",
-    "ireduce",
-    "iallreduce",
-    "iallgather",
-    "ialltoall",
-    "igather",
-    "iscatter",
-]
+__all__ = ["OPS", "BINDERS"]
 
-from .algorithms.base import (
-    hier_ok as _hier_ok,
-    isend_internal as _isend_internal,
-    next_tag as _next_tag,
-    recv_internal as _recv_internal,
-    send_internal as _send_internal,
-)
+from .algorithms.base import hier_ok as _hier_ok, next_tag as _next_tag
 from .algorithms.barrier import build_barrier_dissemination
 from .algorithms.schedule import Binding, Call
 from .algorithms.selector import SCHEDULES
@@ -69,8 +52,8 @@ from .communicator import MpiContext, Request
 
 
 # ---------------------------------------------------------------------------
-# Dispatch: bind the call's buffers, select, key — no schedule is built
-# here (the engine builds one only on a plan miss)
+# Binding: MPI arguments -> (binding, builder args), every argument check
+# made before any schedule exists
 # ---------------------------------------------------------------------------
 
 def _size_error(op: str, send: int, what: str, got: int) -> MpiError:
@@ -156,8 +139,8 @@ def _bind_alltoall(ctx: MpiContext, sendbufs: Sequence[Payload],
     return b, ()
 
 
-#: Per collective: MPI arguments → ``(binding, builder args)``, with
-#: every argument check the call makes before any schedule exists.
+#: Per schedule-compiled collective: its binder (also what the
+#: ``ALGORITHMS`` blocking entry points bind through).
 BINDERS = {
     "barrier": _bind_barrier,
     "bcast": _bind_bcast,
@@ -179,14 +162,25 @@ def _uniform(b: Binding, lo: int, hi: int) -> Optional[int]:
     return n
 
 
+# ---------------------------------------------------------------------------
+# The op table: one call builder per collective.  A schedule collective
+# returns its Call (selected and keyed, no schedule built — the engine
+# builds one only on a plan miss); gather/scatter return their linear
+# generator.
+# ---------------------------------------------------------------------------
+
 def _barrier_call(ctx: MpiContext) -> Call:
+    """Dissemination barrier across all ranks."""
     ctx.comm._count("barrier")
     b, _ = _bind_barrier(ctx)
     return Call("barrier", "dissemination", 0, ("barrier", ctx.size), b,
                 build_barrier_dissemination)
 
 
-def _bcast_call(ctx: MpiContext, buf: Payload, root: int) -> Call:
+def _bcast_call(ctx: MpiContext, buf: Payload, root: int = 0) -> Call:
+    """Broadcast ``buf`` from ``root``: binomial tree, domain-leader
+    hierarchical on fragmented oversubscribed fabrics, or a segmented
+    pipelined chain for large payloads."""
     ctx.comm._count("bcast")
     b, args = _bind_bcast(ctx, buf, root)
     nbytes = b.sizes[0]
@@ -197,9 +191,16 @@ def _bcast_call(ctx: MpiContext, buf: Payload, root: int) -> Call:
                 SCHEDULES["bcast"][algo], args)
 
 
-def _reduce_call(ctx: MpiContext, sendbuf: Payload,
-                 recvbuf: Optional[Payload], op: ReduceOp,
-                 root: int) -> Call:
+def _reduce_call(
+    ctx: MpiContext,
+    sendbuf: Payload,
+    recvbuf: Payload,
+    op: "ReduceOp" = ReduceOp.SUM,
+    root: int = 0,
+) -> Call:
+    """Reduce every rank's ``sendbuf`` with ``op`` into ``recvbuf`` at
+    ``root``: binomial tree, or Rabenseifner reduce-scatter + gather
+    for large vectors."""
     ctx.comm._count("reduce")
     b, args = _bind_reduce(ctx, sendbuf, recvbuf, op, root)
     nbytes = b.sizes[0]
@@ -210,8 +211,15 @@ def _reduce_call(ctx: MpiContext, sendbuf: Payload,
                 SCHEDULES["reduce"][algo], args)
 
 
-def _allreduce_call(ctx: MpiContext, sendbuf: Payload, recvbuf: Payload,
-                    op: ReduceOp) -> Call:
+def _allreduce_call(
+    ctx: MpiContext,
+    sendbuf: Payload,
+    recvbuf: Payload,
+    op: "ReduceOp" = ReduceOp.SUM,
+) -> Call:
+    """Reduce every rank's ``sendbuf`` with ``op`` into every rank's
+    ``recvbuf``: reduce + broadcast, recursive doubling, ring, or
+    hierarchical on fragmented placements, chosen by size."""
     ctx.comm._count("allreduce")
     b, args = _bind_allreduce(ctx, sendbuf, recvbuf, op)
     nbytes = b.sizes[0]
@@ -225,6 +233,15 @@ def _allreduce_call(ctx: MpiContext, sendbuf: Payload, recvbuf: Payload,
 
 
 def _allgather_call(ctx: MpiContext, sendbuf: Payload, recvbuf) -> Call:
+    """Allgather: ring, recursive doubling, Bruck or hierarchical,
+    chosen by size (see :mod:`repro.mpi.algorithms.selector`).
+
+    ``recvbuf`` is either one contiguous array of ``P × block``
+    bytes — rank ``i``'s block lands at ``[i·block, (i+1)·block)``,
+    the ``MPI_Allgather`` layout, bound in O(1) — or a sequence of
+    ``P`` buffers, one per block, which may differ in size (the
+    ``MPI_Allgatherv`` vector variant).  The send buffer must match
+    this rank's block."""
     ctx.comm._count("allgather")
     b, _ = _bind_allgather(ctx, sendbuf, recvbuf)
     P = ctx.size
@@ -245,8 +262,13 @@ def _allgather_call(ctx: MpiContext, sendbuf: Payload, recvbuf) -> Call:
                 SCHEDULES["allgather"][algo])
 
 
-def _alltoall_call(ctx: MpiContext, sendbufs: Sequence[Payload],
-                   recvbufs: Sequence[Payload]) -> Call:
+def _alltoall_call(
+    ctx: MpiContext, sendbufs: Sequence[Payload], recvbufs: Sequence[Payload]
+) -> Call:
+    """All-to-all: ``sendbufs[i]`` goes to rank ``i``, ``recvbufs[i]``
+    receives from rank ``i`` (blocks may differ in size, the vector
+    variant).  Shift, pairwise, Bruck (small blocks) or hierarchical,
+    chosen by size."""
     ctx.comm._count("alltoall")
     b, _ = _bind_alltoall(ctx, sendbufs, recvbufs)
     P = ctx.size
@@ -261,181 +283,6 @@ def _alltoall_call(ctx: MpiContext, sendbufs: Sequence[Payload],
                 SCHEDULES["alltoall"][algo])
 
 
-# ---------------------------------------------------------------------------
-# Blocking collectives (MPI-2): execute the schedule inline
-# ---------------------------------------------------------------------------
-
-def barrier(ctx: MpiContext) -> Generator[Event, Any, None]:
-    """Dissemination barrier."""
-    yield from ctx.comm.engine.execute(ctx, _barrier_call(ctx))
-
-
-def bcast(
-    ctx: MpiContext, buf: Payload, root: int = 0
-) -> Generator[Event, Any, None]:
-    """Topology-adaptive broadcast (binomial tree, domain-leader
-    hierarchical on fragmented oversubscribed fabrics, or segmented
-    pipeline for large payloads)."""
-    yield from ctx.comm.engine.execute(ctx, _bcast_call(ctx, buf, root))
-
-
-def reduce(
-    ctx: MpiContext,
-    sendbuf: Payload,
-    recvbuf: Payload,
-    op: ReduceOp = ReduceOp.SUM,
-    root: int = 0,
-) -> Generator[Event, Any, None]:
-    """Size-adaptive reduction to ``root`` (binomial tree, or
-    Rabenseifner reduce-scatter + gather for large vectors)."""
-    yield from ctx.comm.engine.execute(
-        ctx, _reduce_call(ctx, sendbuf, recvbuf, op, root)
-    )
-
-
-def allreduce(
-    ctx: MpiContext,
-    sendbuf: Payload,
-    recvbuf: Payload,
-    op: ReduceOp = ReduceOp.SUM,
-) -> Generator[Event, Any, None]:
-    """Size-adaptive allreduce (see :mod:`repro.mpi.algorithms`)."""
-    yield from ctx.comm.engine.execute(
-        ctx, _allreduce_call(ctx, sendbuf, recvbuf, op)
-    )
-
-
-def allgather(
-    ctx: MpiContext,
-    sendbuf: Payload,
-    recvbuf,
-) -> Generator[Event, Any, None]:
-    """Size-adaptive allgather (ring, recursive doubling, Bruck or
-    hierarchical) into one ``P × block`` array or per-block buffers."""
-    yield from ctx.comm.engine.execute(
-        ctx, _allgather_call(ctx, sendbuf, recvbuf)
-    )
-
-
-def alltoall(
-    ctx: MpiContext,
-    sendbufs: Sequence[Payload],
-    recvbufs: Sequence[Payload],
-) -> Generator[Event, Any, None]:
-    """Schedule-adaptive all-to-all (shift, pairwise, or Bruck)."""
-    yield from ctx.comm.engine.execute(
-        ctx, _alltoall_call(ctx, sendbufs, recvbufs)
-    )
-
-
-# ---------------------------------------------------------------------------
-# Nonblocking collectives (MPI-3): start the schedule, return a Request
-# ---------------------------------------------------------------------------
-
-def ibarrier(ctx: MpiContext) -> Request:
-    """Nonblocking dissemination barrier."""
-    return ctx.comm.engine.start(
-        ctx, _barrier_call(ctx), name=f"ibarrier(r{ctx.rank})"
-    )
-
-
-def ibcast(ctx: MpiContext, buf: Payload, root: int = 0) -> Request:
-    """Nonblocking broadcast (same schedules as ``bcast``)."""
-    return ctx.comm.engine.start(
-        ctx, _bcast_call(ctx, buf, root), name=f"ibcast(r{ctx.rank})"
-    )
-
-
-def ireduce(
-    ctx: MpiContext,
-    sendbuf: Payload,
-    recvbuf: Payload,
-    op: ReduceOp = ReduceOp.SUM,
-    root: int = 0,
-) -> Request:
-    """Nonblocking reduction to ``root``."""
-    return ctx.comm.engine.start(
-        ctx, _reduce_call(ctx, sendbuf, recvbuf, op, root),
-        name=f"ireduce(r{ctx.rank})",
-    )
-
-
-def iallreduce(
-    ctx: MpiContext,
-    sendbuf: Payload,
-    recvbuf: Payload,
-    op: ReduceOp = ReduceOp.SUM,
-) -> Request:
-    """Nonblocking allreduce (same schedules as ``allreduce``)."""
-    return ctx.comm.engine.start(
-        ctx, _allreduce_call(ctx, sendbuf, recvbuf, op),
-        name=f"iallreduce(r{ctx.rank})",
-    )
-
-
-def iallgather(ctx: MpiContext, sendbuf: Payload, recvbuf) -> Request:
-    """Nonblocking allgather."""
-    return ctx.comm.engine.start(
-        ctx, _allgather_call(ctx, sendbuf, recvbuf),
-        name=f"iallgather(r{ctx.rank})",
-    )
-
-
-def ialltoall(
-    ctx: MpiContext,
-    sendbufs: Sequence[Payload],
-    recvbufs: Sequence[Payload],
-) -> Request:
-    """Nonblocking all-to-all."""
-    return ctx.comm.engine.start(
-        ctx, _alltoall_call(ctx, sendbufs, recvbufs),
-        name=f"ialltoall(r{ctx.rank})",
-    )
-
-
-# ---------------------------------------------------------------------------
-# Rooted linear collectives (fixed schedules, as in the seed)
-# ---------------------------------------------------------------------------
-
-def gather(
-    ctx: MpiContext,
-    sendbuf: Payload,
-    recvbufs: Optional[Sequence[Payload]],
-    root: int = 0,
-) -> Generator[Event, Any, None]:
-    """Linear gather: every rank sends its buffer to the root.
-
-    At the root, ``recvbufs`` is a sequence of per-rank destination
-    buffers (the vector variant — MPI_Gatherv — falls out naturally since
-    the buffers may have different sizes).
-    """
-    ctx.comm._count("gather")
-    ctx.comm._check_rank(root)
-    tag = _next_tag(ctx)
-    yield from _gather_impl(ctx, sendbuf, recvbufs, root, tag)
-
-
-def igather(
-    ctx: MpiContext,
-    sendbuf: Payload,
-    recvbufs: Optional[Sequence[Payload]],
-    root: int = 0,
-) -> Request:
-    """Nonblocking linear gather.
-
-    The tag block is claimed synchronously (like every nonblocking
-    collective) so concurrent collectives stay aligned across ranks;
-    the wire work runs in a background process.
-    """
-    ctx.comm._count("gather")
-    ctx.comm._check_rank(root)
-    tag = _next_tag(ctx)
-    return Request(ctx.sim.process(
-        _gather_impl(ctx, sendbuf, recvbufs, root, tag),
-        name=f"igather(r{ctx.rank})",
-    ))
-
-
 # Linear gather/scatter stay off the schedule IR, so every backend,
 # analytic included, runs them on the exact p2p path.  Compiled as
 # linear schedules they would keep every DCGN time, but the root's P-1
@@ -444,90 +291,152 @@ def igather(
 # under-prices gather by 0.1-84% and scatter by 49-93%
 # (tests/test_fastpath.py::test_gather_scatter_stay_exact pins both
 # backends to the same times).
-def _gather_impl(
+def _linear_claim(ctx: MpiContext, op: str, root: int, bufs,
+                  single: Payload) -> int:
+    """Count, validate and claim the tag block of a linear collective.
+
+    At the root, ``bufs`` (the per-rank side) needs one buffer per rank
+    and its own block ``bufs[root]`` must match ``single`` (the root's
+    other buffer) in size."""
+    ctx.comm._count(op)
+    ctx.comm._check_rank(root)
+    if ctx.rank == root:
+        if bufs is None or len(bufs) != ctx.size:
+            side = "recv" if op == "gather" else "send"
+            raise MpiError(f"root needs one {side} buffer per rank")
+        a, b = payload_array(single), payload_array(bufs[root])
+        if a is not None and b is not None and a.size != b.size:
+            send, got = (a, b) if op == "gather" else (b, a)
+            raise _size_error(op, send.nbytes, "the root's own block",
+                              got.nbytes)
+    return _next_tag(ctx)
+
+
+def _copy_own(dst: Payload, src: Payload) -> None:
+    """The root's own block moves by direct copy, not over the wire."""
+    own, mine = payload_array(dst), payload_array(src)
+    if own is not None and mine is not None:
+        own[...] = mine.reshape(own.shape)
+
+
+def _gather_call(
     ctx: MpiContext,
     sendbuf: Payload,
-    recvbufs: Optional[Sequence[Payload]],
-    root: int,
-    tag: int,
+    recvbufs: Optional[Sequence[Payload]] = None,
+    root: int = 0,
 ) -> Generator[Event, Any, None]:
-    size, rank = ctx.size, ctx.rank
-    if rank == root:
-        if recvbufs is None or len(recvbufs) != size:
-            raise MpiError("root needs one recv buffer per rank")
-        reqs = []
-        for src in range(size):
-            if src == root:
-                continue
-            reqs.append(
-                ctx.sim.process(
-                    _recv_internal(ctx, recvbufs[src], src, tag),
-                    name=f"gather.recv({src})",
-                )
-            )
-        # Local contribution via direct copy.
-        own = payload_array(recvbufs[root])
-        mine = payload_array(sendbuf)
-        if own is not None and mine is not None:
-            own[...] = mine.reshape(own.shape)
-        for r in reqs:
-            yield r
-    else:
-        yield from _send_internal(ctx, sendbuf, root, tag)
+    """Linear gather: every rank sends its buffer to the root.
+
+    At the root, ``recvbufs`` is a sequence of per-rank destination
+    buffers (the vector variant — MPI_Gatherv — falls out naturally
+    since the buffers may have different sizes); non-root ranks may
+    omit it (as in mpi4py)."""
+    tag = _linear_claim(ctx, "gather", root, recvbufs, sendbuf)
+    return _gather(ctx, sendbuf, recvbufs, root, tag)
 
 
-def scatter(
+def _gather(ctx: MpiContext, sendbuf: Payload, recvbufs, root: int,
+            tag: int) -> Generator[Event, Any, None]:
+    comm, rank = ctx.comm, ctx.rank
+    if rank != root:
+        yield from comm._send_impl(rank, root, sendbuf, tag)
+        return
+    reqs = [
+        ctx.sim.process(comm._recv_impl(rank, src, recvbufs[src], tag),
+                        name=f"gather.recv({src})")
+        for src in range(ctx.size) if src != root
+    ]
+    _copy_own(recvbufs[root], sendbuf)
+    for r in reqs:
+        yield r
+
+
+def _scatter_call(
     ctx: MpiContext,
     sendbufs: Optional[Sequence[Payload]],
     recvbuf: Payload,
     root: int = 0,
-) -> Generator[Event, Any, None]:
-    """Linear scatter from the root (vector variant included)."""
-    ctx.comm._count("scatter")
-    ctx.comm._check_rank(root)
-    tag = _next_tag(ctx)
-    yield from _scatter_impl(ctx, sendbufs, recvbuf, root, tag)
-
-
-def iscatter(
-    ctx: MpiContext,
-    sendbufs: Optional[Sequence[Payload]],
-    recvbuf: Payload,
-    root: int = 0,
-) -> Request:
-    """Nonblocking linear scatter (tag claimed synchronously)."""
-    ctx.comm._count("scatter")
-    ctx.comm._check_rank(root)
-    tag = _next_tag(ctx)
-    return Request(ctx.sim.process(
-        _scatter_impl(ctx, sendbufs, recvbuf, root, tag),
-        name=f"iscatter(r{ctx.rank})",
-    ))
-
-
-# Exact on every backend, like _gather_impl (same reason).
-def _scatter_impl(
-    ctx: MpiContext,
-    sendbufs: Optional[Sequence[Payload]],
-    recvbuf: Payload,
-    root: int,
-    tag: int,
 ) -> Generator[Event, Any, Any]:
-    size, rank = ctx.size, ctx.rank
-    if rank == root:
-        if sendbufs is None or len(sendbufs) != size:
-            raise MpiError("root needs one send buffer per rank")
-        reqs = []
-        for dst in range(size):
-            if dst == root:
-                continue
-            reqs.append(_isend_internal(ctx, sendbufs[dst], dst, tag))
-        own = payload_array(recvbuf)
-        mine = payload_array(sendbufs[root])
-        if own is not None and mine is not None:
-            own[...] = mine.reshape(own.shape)
-        for r in reqs:
-            yield from r.wait()
-        return None
-    # A non-root's status says how many bytes the root sent it.
-    return (yield from _recv_internal(ctx, recvbuf, root, tag))
+    """Linear scatter: the root sends ``sendbufs[i]`` to rank ``i``
+    (vector variant included); a non-root's completion value is the
+    :class:`~repro.mpi.status.Status` of what the root sent it."""
+    tag = _linear_claim(ctx, "scatter", root, sendbufs, recvbuf)
+    return _scatter(ctx, sendbufs, recvbuf, root, tag)
+
+
+def _scatter(ctx: MpiContext, sendbufs, recvbuf: Payload, root: int,
+             tag: int) -> Generator[Event, Any, Any]:
+    comm, rank = ctx.comm, ctx.rank
+    if rank != root:
+        return (yield from comm._recv_impl(rank, root, recvbuf, tag))
+    reqs = [
+        ctx.sim.process(comm._send_impl(rank, dst, sendbufs[dst], tag),
+                        name=f"coll.isend(r{rank}->r{dst})")
+        for dst in range(ctx.size) if dst != root
+    ]
+    _copy_own(recvbuf, sendbufs[root])
+    for r in reqs:
+        yield r
+    return None
+
+
+#: Every MPI collective, once: name → call builder.
+OPS = {
+    "barrier": _barrier_call,
+    "bcast": _bcast_call,
+    "reduce": _reduce_call,
+    "allreduce": _allreduce_call,
+    "allgather": _allgather_call,
+    "alltoall": _alltoall_call,
+    "gather": _gather_call,
+    "scatter": _scatter_call,
+}
+
+
+# ---------------------------------------------------------------------------
+# MpiContext.<op> and MpiContext.i<op>, generated from the table
+# ---------------------------------------------------------------------------
+
+def _method(fn: Callable, name: str, build: Callable, returns: str):
+    """Give ``fn`` the builder's docs and MPI signature (``self`` for
+    the context, ``returns`` as its return annotation)."""
+    functools.update_wrapper(fn, build)
+    fn.__name__ = fn.__qualname__ = name
+    sig = inspect.signature(build)
+    ctx, *params = sig.parameters.values()
+    fn.__signature__ = sig.replace(
+        parameters=[inspect.Parameter("self", ctx.kind), *params],
+        return_annotation=returns,
+    )
+    return fn
+
+
+def _blocking(name: str, build: Callable):
+    def op(self, *args, **kwargs):
+        call = build(self, *args, **kwargs)
+        if isinstance(call, Call):
+            call = self.comm.engine.execute(self, call)
+        yield from call
+
+    return _method(op, name, build, "Generator[Event, Any, None]")
+
+
+def _nonblocking(name: str, build: Callable):
+    def iop(self, *args, **kwargs):
+        call = build(self, *args, **kwargs)
+        pname = f"i{name}(r{self.rank})"
+        if isinstance(call, Call):
+            return self.comm.engine.start(self, call, name=pname)
+        return Request(self.sim.process(call, name=pname))
+
+    iop = _method(iop, "i" + name, build, "Request")
+    iop.__doc__ = (
+        f"Nonblocking :meth:`{name}`: every argument check and the tag "
+        "claim happen at issue; returns a :class:`Request` at once."
+    )
+    return iop
+
+
+for _name, _build in OPS.items():
+    setattr(MpiContext, _name, _blocking(_name, _build))
+    setattr(MpiContext, "i" + _name, _nonblocking(_name, _build))

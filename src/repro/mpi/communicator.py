@@ -31,17 +31,16 @@ may drive a rank's :class:`MpiContext`.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from typing import Any, Dict, Generator, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Any, Dict, Generator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..hw.cluster import Cluster
-from ..hw.memory import HostBuffer, nbytes_of
+from ..hw.memory import nbytes_of
 from ..sim.core import Event, Process, Simulator, us
 from ..sim.stores import FilterStore
-from .datatypes import AdoptBuf, Payload, ReduceOp, payload_array, snapshot
+from .datatypes import AdoptBuf, Payload, payload_array, snapshot
 from .errors import MpiError, RankError, TagError, TruncationError
 from .group import Group, UNDEFINED
 from .status import ANY_SOURCE, ANY_TAG, Status
@@ -666,6 +665,9 @@ class Communicator:
         return t
 
     # -- point-to-point (internal, tag-space-unchecked) -------------------
+    # One body per direction; with spans attached each protocol leg is
+    # also recorded (reading ``sim._now`` directly: the ``now``
+    # property costs real time at this call rate).
     def _send_impl(
         self,
         src: int,
@@ -677,110 +679,87 @@ class Communicator:
     ) -> Generator[Event, Any, None]:
         self._ensure_alive()
         self._inflight_ops += 1
-        spans = self.sim.spans
+        sim = self.sim
+        spans = sim.spans
         # Inlined span_track cache hit — one dict probe instead of a
         # method call on every traced message.
         track = "" if spans is None else (
             self._span_tracks.get(src) or self.span_track(src)
         )
         try:
+            t0 = sim._now
+            yield self._sw()
             if spans is not None:
-                # Traced branches read the slot directly: the ``now``
-                # property costs real time at this call rate.
-                t0 = self.sim._now
-                yield self._sw()
-                spans.complete(t0, self.sim._now, "sw", "overhead", track)
-            else:
-                yield self._sw()
+                spans.complete(t0, sim._now, "sw", "overhead", track)
             nbytes = nbytes_of(buf) if buf is not None else 0
             data = snapshot(buf, copy=copy)
             if data is not None:
                 if copy:
-                    self.sim.stats.payload_copies += 1
+                    sim.stats.payload_copies += 1
                 else:
-                    self.sim.stats.payload_views += 1
+                    sim.stats.payload_views += 1
             # A defensive copy is private by construction; a donated
             # zero-copy view is private by the builder's promise (the
             # sender will never write the array again before the
             # receiver consumes it).  Either way the receiver may adopt
             # the array instead of memcpying it out.
             private = copy or donate
+            # The sid is stamped into the wire message (the receiver's
+            # wait span links to it), so reserve it up front and record
+            # the span retrospectively.
+            sid = None if spans is None else spans.alloc_sid()
+            t0 = sim._now
             if nbytes <= self._ib.eager_threshold:
-                if spans is not None:
-                    # The sid is stamped into the wire message (the
-                    # receiver's wait span links to it), so reserve it
-                    # up front and record the span retrospectively.
-                    sid = spans.alloc_sid()
-                    t0 = self.sim._now
-                    yield from self._wire(src, dst, nbytes + HEADER_BYTES)
-                    self._match[dst].put(
-                        _WireMsg(
-                            "eager", src=src, tag=tag, nbytes=nbytes,
-                            data=data, private=private, span=sid,
-                        )
+                yield from self._wire(src, dst, nbytes + HEADER_BYTES)
+                self._match[dst].put(
+                    _WireMsg(
+                        "eager", src=src, tag=tag, nbytes=nbytes,
+                        data=data, private=private, span=sid,
                     )
+                )
+                if spans is not None:
                     name = self._send_names.get(dst)
                     if name is None:
                         name = self._send_names[dst] = f"send->{dst}"
                     spans.complete(
-                        t0, self.sim._now, name, "p2p.send", track,
-                        None, None,
+                        t0, sim._now, name, "p2p.send", track, None, None,
                         {"nbytes": nbytes, "tag": tag, "proto": "eager"},
                         sid,
                     )
-                else:
-                    yield from self._wire(src, dst, nbytes + HEADER_BYTES)
-                    self._match[dst].put(
-                        _WireMsg(
-                            "eager", src=src, tag=tag, nbytes=nbytes,
-                            data=data, private=private,
-                        )
-                    )
                 return
             # Rendezvous: RTS -> (receiver matches, sends CTS) -> payload.
-            cts = self.sim.event(name=f"cts({src}->{dst})")
-            arrived = self.sim.event(name=f"payload({src}->{dst})")
-            if spans is not None:
-                sid = spans.alloc_sid()
-                t0 = self.sim._now
-                yield from self._wire(src, dst, HEADER_BYTES)
-                self._match[dst].put(
-                    _WireMsg(
-                        "rts", src=src, tag=tag, nbytes=nbytes, data=data,
-                        cts=cts, payload_arrived=arrived, private=private,
-                        span=sid,
-                    )
+            cts = sim.event(name=f"cts({src}->{dst})")
+            arrived = sim.event(name=f"payload({src}->{dst})")
+            yield from self._wire(src, dst, HEADER_BYTES)
+            self._match[dst].put(
+                _WireMsg(
+                    "rts", src=src, tag=tag, nbytes=nbytes, data=data,
+                    cts=cts, payload_arrived=arrived, private=private,
+                    span=sid,
                 )
+            )
+            if spans is not None:
                 spans.complete(
-                    t0, self.sim._now, self._rndv_name("rts->", dst),
+                    t0, sim._now, self._rndv_name("rts->", dst),
                     "p2p.send", track, None, None,
                     {"nbytes": nbytes, "tag": tag, "proto": "rndv"}, sid,
                 )
-                t0 = self.sim._now
-                yield cts
+                t0 = sim._now
+            yield cts
+            if spans is not None:
                 spans.complete(
-                    t0, self.sim._now, self._rndv_name("cts<-", dst),
+                    t0, sim._now, self._rndv_name("cts<-", dst),
                     "p2p.wait", track,
                 )
-                t0 = self.sim._now
-                yield from self._wire(src, dst, nbytes)
-                arrived.succeed(data)
+                t0 = sim._now
+            yield from self._wire(src, dst, nbytes)
+            arrived.succeed(data)
+            if spans is not None:
                 spans.complete(
-                    t0, self.sim._now, self._rndv_name("payload->", dst),
+                    t0, sim._now, self._rndv_name("payload->", dst),
                     "p2p.send", track, None, None,
                     {"nbytes": nbytes, "proto": "rndv"},
                 )
-            else:
-                yield from self._wire(src, dst, HEADER_BYTES)
-                self._match[dst].put(
-                    _WireMsg(
-                        "rts", src=src, tag=tag, nbytes=nbytes, data=data,
-                        cts=cts, payload_arrived=arrived, private=private,
-                    )
-                )
-                yield cts
-                yield from self._wire(src, dst, nbytes)
-                arrived.succeed(data)
         finally:
             self._inflight_ops -= 1
 
@@ -793,19 +772,16 @@ class Communicator:
     ) -> Generator[Event, Any, Status]:
         self._ensure_alive()
         self._inflight_ops += 1
-        spans = self.sim.spans
+        sim = self.sim
+        spans = sim.spans
         track = "" if spans is None else (
             self._span_tracks.get(me) or self.span_track(me)
         )
         try:
+            t0 = sim._now
+            yield self._sw()
             if spans is not None:
-                # Traced branches read the slot directly: the ``now``
-                # property costs real time at this call rate.
-                t0 = self.sim._now
-                yield self._sw()
-                spans.complete(t0, self.sim._now, "sw", "overhead", track)
-            else:
-                yield self._sw()
+                spans.complete(t0, sim._now, "sw", "overhead", track)
 
             def matches(m: _WireMsg) -> bool:
                 if src != ANY_SOURCE and m.src != src:
@@ -818,41 +794,36 @@ class Communicator:
                     return m.tag < INTERNAL_TAG_BASE
                 return m.tag == tag
 
+            t0 = sim._now
+            msg: _WireMsg = yield self._match[me].get(matches)
             if spans is not None:
-                t0 = self.sim._now
-                msg: _WireMsg = yield self._match[me].get(matches)
                 name = self._recv_names.get(src)
                 if name is None:
                     name = self._recv_names[src] = f"recv<-{src}"
                 spans.complete(
-                    t0, self.sim._now, name, "p2p.wait", track,
+                    t0, sim._now, name, "p2p.wait", track,
                     None, msg.span, {"tag": tag},
                 )
-            else:
-                msg = yield self._match[me].get(matches)
             if msg.kind == "rts":
                 # Grant the clear-to-send, then wait for the payload.
+                t0 = sim._now
+                yield from self._wire(me, msg.src, HEADER_BYTES)
+                msg.cts.succeed(None)
                 if spans is not None:
-                    t0 = self.sim._now
-                    yield from self._wire(me, msg.src, HEADER_BYTES)
-                    msg.cts.succeed(None)
                     spans.complete(
-                        t0, self.sim._now, self._rndv_name("cts->", msg.src),
+                        t0, sim._now, self._rndv_name("cts->", msg.src),
                         "p2p.send", track, None, None,
                         {"nbytes": HEADER_BYTES},
                     )
-                    t0 = self.sim._now
-                    data = yield msg.payload_arrived
+                    t0 = sim._now
+                data = yield msg.payload_arrived
+                if spans is not None:
                     spans.complete(
-                        t0, self.sim._now,
+                        t0, sim._now,
                         self._rndv_name("payload<-", msg.src),
                         "p2p.wait", track, None, msg.span,
                         {"nbytes": msg.nbytes},
                     )
-                else:
-                    yield from self._wire(me, msg.src, HEADER_BYTES)
-                    msg.cts.succeed(None)
-                    data = yield msg.payload_arrived
             else:
                 data = msg.data
             if (
@@ -862,7 +833,7 @@ class Communicator:
                 and buf.adopt(data)
             ):
                 # Adopted the in-flight array outright: no delivery copy.
-                self.sim.stats.payload_adopted += 1
+                sim.stats.payload_adopted += 1
             else:
                 self._deliver(buf, data, msg.nbytes)
             return Status(source=msg.src, tag=msg.tag, nbytes=msg.nbytes)
@@ -951,8 +922,12 @@ class _HierComms:
 class MpiContext:
     """Rank-bound facade: what an MPI process calls.
 
-    All communication methods are generators (``yield from`` them inside a
-    simulated process).
+    Blocking communication methods are generators (``yield from`` them
+    inside a simulated process); their ``i``-forms return a
+    :class:`Request` at once.  The collectives (``barrier``, ``bcast``,
+    ``reduce``, ``allreduce``, ``allgather``, ``alltoall``, ``gather``,
+    ``scatter`` and each ``i``-form) are generated from the op table
+    :data:`repro.mpi.collectives.OPS`.
     """
 
     def __init__(self, comm: Communicator, rank: int) -> None:
@@ -991,12 +966,10 @@ class MpiContext:
         themselves is free.
         """
         comm = self.comm
-        from . import collectives as c
-
         seq = comm._split_claim(self.rank)
         mine = np.array([int(color), int(key)], dtype=np.int64)
         recv = [np.zeros(2, dtype=np.int64) for _ in range(comm.size)]
-        yield from c.allgather(self, mine, recv)
+        yield from self.allgather(mine, recv)
         pairs = [(int(b[0]), int(b[1])) for b in recv]
         sub = comm._split_result(seq, self.rank, pairs)
         if sub is None:
@@ -1050,9 +1023,7 @@ class MpiContext:
                 f"cannot free communicator {comm.name!r} with live "
                 f"window(s) {names}; free them first (WinContext.free)"
             )
-        from . import collectives as c
-
-        yield from c.barrier(self)
+        yield from self.barrier()
         comm._free_calls += 1
         if comm._free_calls >= comm.size:
             # MPI allows pending nonblocking ops at free time (their
@@ -1080,15 +1051,13 @@ class MpiContext:
         every rank) enables small-put batching — see
         :class:`~repro.mpi.rma.Window`."""
         comm = self.comm
-        from . import collectives as c
-
         seq = comm._win_claim(self.rank)
         comm._win_deposit(seq, self.rank, buf)
         # ndarray, HostBuffer and DeviceBuffer all expose .nbytes.
         nbytes = 0 if buf is None else int(buf.nbytes)
         mine = np.array([nbytes], dtype=np.int64)
         recv = np.zeros(comm.size, dtype=np.int64)
-        yield from c.allgather(self, mine, recv)
+        yield from self.allgather(mine, recv)
         win = comm._win_result(seq, self.rank, coalesce=coalesce)
         return win.ctx(self.rank)
 
@@ -1103,14 +1072,24 @@ class MpiContext:
         wctx = yield from self.win_create(buf, coalesce=coalesce)
         return wctx
 
-    # -- blocking p2p ------------------------------------------------------
+    # -- p2p: one validation per direction -----------------------------------
+    def _send_args(self, op: str, dest: int, tag: int) -> None:
+        self.comm._check_rank(dest)
+        self.comm._check_tag(tag)
+        self.comm._count(op)
+
+    def _recv_args(self, op: str, source: int, tag: int) -> None:
+        if source != ANY_SOURCE:
+            self.comm._check_rank(source)
+        if tag != ANY_TAG:
+            self.comm._check_tag(tag)
+        self.comm._count(op)
+
     def send(
         self, buf: Payload, dest: int, tag: int = 0
     ) -> Generator[Event, Any, None]:
         """Blocking send (eager: completes on injection)."""
-        self.comm._check_rank(dest)
-        self.comm._check_tag(tag)
-        self.comm._count("send")
+        self._send_args("send", dest, tag)
         yield from self.comm._send_impl(self.rank, dest, buf, tag)
 
     def recv(
@@ -1120,29 +1099,24 @@ class MpiContext:
         tag: int = ANY_TAG,
     ) -> Generator[Event, Any, Status]:
         """Blocking receive into ``buf``; returns a :class:`Status`."""
-        if source != ANY_SOURCE:
-            self.comm._check_rank(source)
-        if tag != ANY_TAG:
-            self.comm._check_tag(tag)
-        self.comm._count("recv")
+        self._recv_args("recv", source, tag)
         status = yield from self.comm._recv_impl(self.rank, source, buf, tag)
         return status
 
-    # -- non-blocking p2p ------------------------------------------------
     def isend(self, buf: Payload, dest: int, tag: int = 0) -> Request:
-        """Non-blocking send; payload snapshotted immediately."""
-        self.comm._check_rank(dest)
-        self.comm._check_tag(tag)
-        self.comm._count("isend")
+        """Non-blocking send; payload snapshotted immediately (that
+        snapshot is the one payload copy: it ships as is)."""
+        self._send_args("isend", dest, tag)
         data = snapshot(buf)
-        nbytes = nbytes_of(buf) if buf is not None else 0
-
-        def runner():
-            yield from self.comm._send_impl(self.rank, dest, data if data is not None else nbytes, tag)
-
-        return Request(
-            self.sim.process(runner(), name=f"isend(r{self.rank}->r{dest})")
-        )
+        if data is None:
+            data = nbytes_of(buf) if buf is not None else 0
+        else:
+            self.sim.stats.payload_copies += 1
+        return Request(self.sim.process(
+            self.comm._send_impl(self.rank, dest, data, tag, copy=False,
+                                 donate=True),
+            name=f"isend(r{self.rank}->r{dest})",
+        ))
 
     def irecv(
         self,
@@ -1151,21 +1125,11 @@ class MpiContext:
         tag: int = ANY_TAG,
     ) -> Request:
         """Non-blocking receive."""
-        if source != ANY_SOURCE:
-            self.comm._check_rank(source)
-        if tag != ANY_TAG:
-            self.comm._check_tag(tag)
-        self.comm._count("irecv")
-
-        def runner():
-            status = yield from self.comm._recv_impl(
-                self.rank, source, buf, tag
-            )
-            return status
-
-        return Request(
-            self.sim.process(runner(), name=f"irecv(r{self.rank}<-{source})")
-        )
+        self._recv_args("irecv", source, tag)
+        return Request(self.sim.process(
+            self.comm._recv_impl(self.rank, source, buf, tag),
+            name=f"irecv(r{self.rank}<-{source})",
+        ))
 
     # -- combined p2p ------------------------------------------------------
     def sendrecv(
@@ -1198,165 +1162,3 @@ class MpiContext:
             buf, dest, buf, source, sendtag, recvtag
         )
         return status
-
-    # -- collectives (implementations in .collectives) --------------------
-    def barrier(self) -> Generator[Event, Any, None]:
-        """Dissemination barrier across all ranks."""
-        from . import collectives as c
-
-        yield from c.barrier(self)
-
-    def bcast(self, buf: Payload, root: int = 0) -> Generator[Event, Any, None]:
-        """Topology-adaptive broadcast (binomial or hierarchical)."""
-        from . import collectives as c
-
-        yield from c.bcast(self, buf, root=root)
-
-    def reduce(
-        self,
-        sendbuf: Payload,
-        recvbuf: Payload,
-        op: "ReduceOp" = ReduceOp.SUM,
-        root: int = 0,
-    ) -> Generator[Event, Any, None]:
-        """Binomial-tree reduction to the root."""
-        from . import collectives as c
-
-        yield from c.reduce(self, sendbuf, recvbuf, op=op, root=root)
-
-    def allreduce(
-        self,
-        sendbuf: Payload,
-        recvbuf: Payload,
-        op: "ReduceOp" = ReduceOp.SUM,
-    ) -> Generator[Event, Any, None]:
-        """Reduce + broadcast."""
-        from . import collectives as c
-
-        yield from c.allreduce(self, sendbuf, recvbuf, op=op)
-
-    def gather(
-        self,
-        sendbuf: Payload,
-        recvbufs: Optional[Sequence[Payload]] = None,
-        root: int = 0,
-    ) -> Generator[Event, Any, None]:
-        """Gather per-rank buffers at the root (vector variant included).
-
-        Non-root ranks may omit ``recvbufs`` (as in mpi4py).
-        """
-        from . import collectives as c
-
-        yield from c.gather(self, sendbuf, recvbufs, root=root)
-
-    def scatter(
-        self,
-        sendbufs: Optional[Sequence[Payload]],
-        recvbuf: Payload,
-        root: int = 0,
-    ) -> Generator[Event, Any, None]:
-        """Scatter per-rank buffers from the root (vector variant included)."""
-        from . import collectives as c
-
-        yield from c.scatter(self, sendbufs, recvbuf, root=root)
-
-    def allgather(
-        self, sendbuf: Payload, recvbuf
-    ) -> Generator[Event, Any, None]:
-        """Allgather; the algorithm is chosen by size (see
-        :mod:`repro.mpi.algorithms.selector`).
-
-        ``recvbuf`` is either one contiguous array of ``P × block``
-        bytes — rank ``i``'s block lands at ``[i·block, (i+1)·block)``,
-        the ``MPI_Allgather`` layout, bound in O(1) — or a sequence of
-        ``P`` buffers, one per block, which may differ in size (the
-        ``MPI_Allgatherv`` vector variant).  The send buffer must match
-        this rank's block."""
-        from . import collectives as c
-
-        yield from c.allgather(self, sendbuf, recvbuf)
-
-    def alltoall(
-        self, sendbufs: Sequence[Payload], recvbufs: Sequence[Payload]
-    ) -> Generator[Event, Any, None]:
-        """Pairwise-exchange all-to-all."""
-        from . import collectives as c
-
-        yield from c.alltoall(self, sendbufs, recvbufs)
-
-    # -- nonblocking collectives (MPI-3 style) -----------------------------
-    # Each returns a :class:`Request` immediately; the collective's
-    # schedule progresses in the background (the communicator's
-    # ScheduleEngine) while this rank keeps computing.  As in real MPI,
-    # all ranks must issue their collectives in the same order — the
-    # algorithm and tag block are claimed synchronously at call time.
-    def ibarrier(self) -> Request:
-        """Nonblocking dissemination barrier."""
-        from . import collectives as c
-
-        return c.ibarrier(self)
-
-    def ibcast(self, buf: Payload, root: int = 0) -> Request:
-        """Nonblocking broadcast."""
-        from . import collectives as c
-
-        return c.ibcast(self, buf, root=root)
-
-    def ireduce(
-        self,
-        sendbuf: Payload,
-        recvbuf: Payload,
-        op: "ReduceOp" = ReduceOp.SUM,
-        root: int = 0,
-    ) -> Request:
-        """Nonblocking reduction to the root."""
-        from . import collectives as c
-
-        return c.ireduce(self, sendbuf, recvbuf, op=op, root=root)
-
-    def iallreduce(
-        self,
-        sendbuf: Payload,
-        recvbuf: Payload,
-        op: "ReduceOp" = ReduceOp.SUM,
-    ) -> Request:
-        """Nonblocking allreduce."""
-        from . import collectives as c
-
-        return c.iallreduce(self, sendbuf, recvbuf, op=op)
-
-    def iallgather(self, sendbuf: Payload, recvbuf) -> Request:
-        """Nonblocking allgather (``recvbuf`` as in :meth:`allgather`)."""
-        from . import collectives as c
-
-        return c.iallgather(self, sendbuf, recvbuf)
-
-    def ialltoall(
-        self, sendbufs: Sequence[Payload], recvbufs: Sequence[Payload]
-    ) -> Request:
-        """Nonblocking all-to-all."""
-        from . import collectives as c
-
-        return c.ialltoall(self, sendbufs, recvbufs)
-
-    def igather(
-        self,
-        sendbuf: Payload,
-        recvbufs: Optional[Sequence[Payload]] = None,
-        root: int = 0,
-    ) -> Request:
-        """Nonblocking linear gather."""
-        from . import collectives as c
-
-        return c.igather(self, sendbuf, recvbufs, root=root)
-
-    def iscatter(
-        self,
-        sendbufs: Optional[Sequence[Payload]],
-        recvbuf: Payload,
-        root: int = 0,
-    ) -> Request:
-        """Nonblocking linear scatter."""
-        from . import collectives as c
-
-        return c.iscatter(self, sendbufs, recvbuf, root=root)

@@ -1102,11 +1102,9 @@ class WinContext:
         usable again."""
         self.win._ensure_usable()
         self.comm._count("rma_fence")
-        from . import collectives as c
-
         sp = self._espan("fence")
         yield from self.win.flush_ops(self.rank)
-        yield from c.barrier(self._mpi_ctx())
+        yield from self._mpi_ctx().barrier()
         self.win._mode[self.rank] = None if end else "fence"
         self._espan_end(sp)
 
@@ -1299,9 +1297,7 @@ class WinContext:
         :class:`~repro.mpi.errors.RmaError`."""
         win = self.win
         win._ensure_usable()
-        from . import collectives as c
-
         yield from win.flush_ops(self.rank)
-        yield from c.barrier(self._mpi_ctx())
+        yield from self._mpi_ctx().barrier()
         if not win._freed:
             win.free()

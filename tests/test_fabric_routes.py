@@ -13,7 +13,6 @@ import pytest
 from repro.hw import ClusterSpec, TopologySpec, build_cluster, make_topology
 from repro.hw.params import IbParams
 from repro.mpi import MpiJob
-from repro.mpi import collectives as coll
 from repro.mpi.rma import Window
 from repro.obs import link_report
 from repro.sim import Simulator
@@ -200,7 +199,7 @@ def test_one_wire_cost_cache_per_topology():
 
     def prog(ctx, win):
         data = np.ones(8)
-        yield from coll.allreduce(ctx, data, np.zeros(8))
+        yield from ctx.allreduce(data, np.zeros(8))
         w = win.ctx(ctx.rank)
         yield from w.fence()
         yield from w.put(1 - ctx.rank, data)
@@ -249,7 +248,7 @@ def test_analytic_interned_barriers_book_every_repeat():
 
     def prog(ctx, win):
         for _ in range(3):
-            yield from coll.barrier(ctx)
+            yield from ctx.barrier()
 
     exact = _link_bytes("exact", prog, n=4)
     assert _link_bytes("analytic", prog, n=4) == exact

@@ -5,7 +5,15 @@ import pytest
 
 from repro.hw import HWParams, build_cluster, paper_cluster
 from repro.hw.params import IbParams
-from repro.mpi import MpiJob, ReduceOp, block_placement, round_robin_placement
+from repro.mpi import (
+    MpiContext,
+    MpiError,
+    MpiJob,
+    ReduceOp,
+    block_placement,
+    round_robin_placement,
+)
+from repro.mpi import collectives
 from repro.sim import Simulator, us
 
 
@@ -194,6 +202,104 @@ class TestGatherScatter:
         # Rank r receives src*10 + r from each src.
         for r in range(4):
             assert result[r] == [float(s * 10 + r) for s in range(4)]
+
+
+class TestOpTable:
+    """Each collective is one entry of ``collectives.OPS``; both
+    ``MpiContext`` methods are generated from it."""
+
+    def test_methods_come_from_the_table(self):
+        assert sorted(collectives.OPS) == [
+            "allgather", "allreduce", "alltoall", "barrier", "bcast",
+            "gather", "reduce", "scatter",
+        ]
+        for name, build in collectives.OPS.items():
+            for method in (name, "i" + name):
+                fn = MpiContext.__dict__[method]
+                assert fn.__wrapped__ is build
+                assert fn.__name__ == method
+                assert not hasattr(collectives, method)
+
+    def test_mpi_signatures(self):
+        import inspect
+
+        def params(method):
+            sig = inspect.signature(MpiContext.__dict__[method])
+            return [(p.name, p.default) for p in sig.parameters.values()]
+
+        empty = inspect.Parameter.empty
+        reduce_args = [("self", empty), ("sendbuf", empty),
+                       ("recvbuf", empty), ("op", ReduceOp.SUM)]
+        expected = {
+            "barrier": [("self", empty)],
+            "bcast": [("self", empty), ("buf", empty), ("root", 0)],
+            "reduce": reduce_args + [("root", 0)],
+            "allreduce": reduce_args,
+            "allgather": [("self", empty), ("sendbuf", empty),
+                          ("recvbuf", empty)],
+            "alltoall": [("self", empty), ("sendbufs", empty),
+                         ("recvbufs", empty)],
+            "gather": [("self", empty), ("sendbuf", empty),
+                       ("recvbufs", None), ("root", 0)],
+            "scatter": [("self", empty), ("sendbufs", empty),
+                        ("recvbuf", empty), ("root", 0)],
+        }
+        for name, want in expected.items():
+            assert params(name) == want, name
+            assert params("i" + name) == want, "i" + name
+            sig = inspect.signature(MpiContext.__dict__["i" + name])
+            assert sig.return_annotation == "Request"
+
+    @pytest.mark.parametrize("op", ["igather", "iscatter"])
+    def test_linear_i_forms_validate_at_issue(self, op):
+        """A root short of one buffer per rank gets the MpiError from
+        the call itself, not later from the background process."""
+        sim, job = make_job(4, n_nodes=2)
+        errors = []
+
+        def prog(ctx):
+            yield ctx.sim.timeout(0)
+            if ctx.rank != 0:
+                return
+            bufs = [np.zeros(2) for _ in range(3)]
+            try:
+                if op == "igather":
+                    ctx.igather(np.zeros(2), bufs, root=0)
+                else:
+                    ctx.iscatter(bufs, np.zeros(2), root=0)
+            except MpiError as exc:
+                errors.append(str(exc))
+
+        job.start(prog)
+        job.run()
+        side = "recv" if op == "igather" else "send"
+        assert errors == [f"root needs one {side} buffer per rank"]
+
+    @pytest.mark.parametrize("op,send,got", [
+        ("gather", 16, 24),
+        ("scatter", 24, 16),
+    ])
+    def test_root_own_block_size_mismatch_is_typed(self, op, send, got):
+        """The root's own block must match its other buffer in size:
+        an MpiError naming both sizes, not a numpy reshape error."""
+        sim, job = make_job(2, n_nodes=1)
+
+        def prog(ctx):
+            yield ctx.sim.timeout(0)
+            if ctx.rank != 0:
+                return
+            bufs = [np.zeros(3), np.zeros(2)]
+            if op == "gather":
+                yield from ctx.gather(np.zeros(2), bufs, root=0)
+            else:
+                yield from ctx.scatter(bufs, np.zeros(2), root=0)
+
+        job.start(prog)
+        with pytest.raises(MpiError, match=(
+            f"{op}: send buffer is {send} B but the root's own block "
+            f"is {got} B"
+        )):
+            job.run()
 
 
 class TestCollectiveTiming:

@@ -8,6 +8,7 @@ from repro.hw.params import IbParams
 from repro.mpi import (
     ANY_SOURCE,
     ANY_TAG,
+    HEADER_BYTES,
     MpiJob,
     RankError,
     TagError,
@@ -66,6 +67,34 @@ class TestSendRecv:
         job.start(prog)
         job.run()
         assert list(result["y"]) == [1, 2, 3]
+
+    def test_isend_copies_payload_once(self, monkeypatch):
+        """The issue-time snapshot is the isend's only payload copy: it
+        ships as is (donated, so the receiver may still adopt it)."""
+        import repro.mpi.communicator as communicator
+
+        real = communicator.snapshot
+        copies = []
+
+        def counting(obj, copy=True):
+            data = real(obj, copy)
+            if copy and data is not None:
+                copies.append(data.nbytes)
+            return data
+
+        monkeypatch.setattr(communicator, "snapshot", counting)
+        sim, job = make_job()
+
+        def prog(ctx):
+            x = np.full(4, float(ctx.rank))
+            req = ctx.isend(x, dest=1 - ctx.rank, tag=1)
+            yield from ctx.recv(np.zeros(4), source=1 - ctx.rank, tag=1)
+            yield from req.wait()
+
+        job.start(prog)
+        job.run()
+        assert copies == [32, 32]
+        assert sim.stats.payload_copies == 2
 
     def test_any_source_any_tag(self):
         sim, job = make_job(n_ranks=4, n_nodes=2)
@@ -224,6 +253,72 @@ class TestSendRecv:
         job2.start(idle, ranks=[1])
         with pytest.raises(TagError):
             job2.run()
+
+
+class TestP2pSpans:
+    """The span shape of one eager and one rendezvous exchange on the
+    exact backend: names, categories, protocol attrs, and each receive
+    wait linked to the sender's span."""
+
+    def _spans(self, nbytes, tag):
+        sim, job = make_job(eager_threshold=1024)
+        rec = sim.attach_spans()
+
+        def prog(ctx):
+            buf = np.zeros(nbytes, dtype=np.uint8)
+            if ctx.rank == 0:
+                yield from ctx.send(buf, dest=1, tag=tag)
+            else:
+                yield from ctx.recv(buf, source=0, tag=tag)
+
+        job.start(prog)
+        job.run()
+        per_track = {}
+        for sp in rec.spans:
+            if sp.category in ("overhead", "p2p.send", "p2p.wait"):
+                per_track.setdefault(sp.track, []).append(sp)
+        return [per_track[job.comm.span_track(r)] for r in (0, 1)]
+
+    @staticmethod
+    def _shape(spans):
+        return [(sp.name, sp.category, sp.attrs) for sp in spans]
+
+    def test_eager_exchange(self):
+        send, recv = self._spans(64, tag=5)
+        assert self._shape(send) == [
+            ("sw", "overhead", None),
+            ("send->1", "p2p.send",
+             {"nbytes": 64, "tag": 5, "proto": "eager"}),
+        ]
+        assert self._shape(recv) == [
+            ("sw", "overhead", None),
+            ("recv<-0", "p2p.wait", {"tag": 5}),
+        ]
+        assert recv[1].link == send[1].sid
+        assert send[0].link is None and send[1].link is None
+
+    def test_rendezvous_exchange(self):
+        n = 4096
+        send, recv = self._spans(n, tag=6)
+        assert self._shape(send) == [
+            ("sw", "overhead", None),
+            ("rts->1", "p2p.send", {"nbytes": n, "tag": 6, "proto": "rndv"}),
+            ("cts<-1", "p2p.wait", None),
+            ("payload->1", "p2p.send", {"nbytes": n, "proto": "rndv"}),
+        ]
+        assert self._shape(recv) == [
+            ("sw", "overhead", None),
+            ("recv<-0", "p2p.wait", {"tag": 6}),
+            ("cts->0", "p2p.send", {"nbytes": HEADER_BYTES}),
+            ("payload<-0", "p2p.wait", {"nbytes": n}),
+        ]
+        rts = send[1].sid
+        assert [sp.link for sp in recv] == [None, rts, None, rts]
+        assert [sp.link for sp in send] == [None, None, None, None]
+        # The handshake legs are back to back on each side.
+        for a, b in zip(send[1:], send[2:]):
+            assert a.t1 == b.t0
+        assert recv[2].t1 == recv[3].t0
 
 
 class TestSendrecv:
