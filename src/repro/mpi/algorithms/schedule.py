@@ -51,7 +51,7 @@ from typing import Any, Callable, Generator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ...sim.core import Event
+from ...sim.core import PENDING, Event
 from ..communicator import MpiContext, Request
 from ..datatypes import AdoptBuf, Payload, payload_array
 from ..errors import MpiError
@@ -481,7 +481,10 @@ class ScheduleEngine:
 
     The engine keeps a set of in-flight wire operations (each a spawned
     simulated process driving ``_send_impl``/``_recv_impl``) and reacts
-    to the *first* completion, releasing dependent steps immediately.
+    to the *first* completion, releasing dependent steps immediately:
+    each wave sleeps on one plain wake event, which a per-step
+    completion callback succeeds.  A failed step raises its own
+    exception from the engine.
     Compute steps run inline the moment they unblock.  Every call builds
     its shape at issue (claiming its tags in issue order) and binds its
     scratch slots then.
@@ -521,8 +524,6 @@ class ScheduleEngine:
     def _execute(
         self, ctx: MpiContext, sched: Schedule, bufs: List[Any]
     ) -> Generator[Event, Any, None]:
-        from ...sim.primitives import AnyOf
-
         import heapq
 
         kinds = sched.kind
@@ -562,8 +563,18 @@ class ScheduleEngine:
         #: before recv inside a round).
         ready = [i for i in range(n) if missing[i] == 0]
         heapq.heapify(ready)
+        sim = ctx.sim
+        #: In-flight wire steps not yet accounted: process -> step index.
         running: dict = {}
         done = 0
+        #: The event the engine sleeps on during one wave (None while it
+        #: runs), succeeded by the first unaccounted step to finish.
+        wake: Optional[Event] = None
+
+        def on_done(proc: Event) -> None:
+            if (wake is not None and wake._value is PENDING
+                    and proc in running):
+                wake.succeed()
 
         def finish(idx: int) -> None:
             for j in dependents[idx]:
@@ -584,10 +595,11 @@ class ScheduleEngine:
                         rend[rd] = ctx.sim._now
                     finish(idx)
                     continue
-                proc = ctx.sim.process(
+                proc = sim.process(
                     self._wire_op(ctx, sched, idx, bufs),
                     name=f"sched.{KIND_NAMES[kinds[idx]]}(r{ctx.rank}:{idx})",
                 )
+                proc.callbacks.append(on_done)
                 running[proc] = idx
             if done >= n:
                 break
@@ -595,19 +607,26 @@ class ScheduleEngine:
                 raise MpiError(
                     "schedule stalled: cyclic or dangling dependencies"
                 )
-            yield AnyOf(ctx.sim, list(running.keys()))
+            wake = Event(sim, "sched.wake")
+            yield wake
+            wake = None
+            # Every step that has finished by now, in step order (a
+            # finished process may still be queued to fire).
             finished = sorted(
-                (p for p in running if p.triggered),
-                key=lambda p: running[p],
+                (idx, p) for p, idx in running.items()
+                if p._value is not PENDING
             )
+            for idx, p in finished:
+                if p._ok is False:
+                    raise p._value
+                del running[p]
             if spans is not None:
                 # sim.now is monotonic, so every wave overwrites its
                 # rounds' end stamps with the latest completion time.
-                now = ctx.sim._now
-                for p in finished:
-                    rend[rounds[running[p]]] = now
-            for p in finished:
-                idx = running.pop(p)
+                now = sim._now
+                for idx, _p in finished:
+                    rend[rounds[idx]] = now
+            for idx, _p in finished:
                 done += 1
                 finish(idx)
         if sp_coll is not None:

@@ -20,27 +20,42 @@ Two complementary attacks on per-event Python overhead live here:
 
 * :class:`EventHeap` — the *exact* engine's pending-event store,
   replacing the plain ``heapq`` of ``(time, priority, seq, event)``
-  tuples.  It is log-structured: fresh pushes land in a small binary
-  heap of those same 4-tuples (so the shallow-heap fast path costs
-  exactly what the plain heap cost), and once the buffer passes a
-  threshold it is merged with the surviving sorted run by one
-  vectorized ``np.lexsort`` over parallel ``float64``/``int64`` columns
-  (``priority << 48 | seq`` packed into one key, so run ordering is a
-  two-scalar compare that never reaches the event); the sorted columns
-  are rematerialized as flat Python lists so head reads never box a
-  numpy scalar.  Pops take the smaller of the run head
-  and the buffer head, so the order is the total order on
-  ``(time, priority, seq)`` — byte-for-byte the order the plain heap
-  produced, which keeps the exact engine byte-stable and keeps
+  tuples.  Its pop order is byte-for-byte the total order on
+  ``(time, priority, seq)`` the plain heap produced, which keeps the
+  exact engine byte-stable and keeps
   :meth:`~repro.sim.core.Simulator._pop_next` (the pluggable tie-break
   the :class:`~repro.sim.explore.ExploringSimulator` overrides) exactly
   as expressive as before via :meth:`EventHeap.peek_matches` /
-  :meth:`EventHeap.push_entry`.
+  :meth:`EventHeap.push_entry`.  Entries live in three places:
+
+  - **Same-instant lanes.**  Most pushes in a discrete-event run are
+    zero-delay (``succeed``, process starts and finishes, bridges): they
+    land at the instant that was popped last.  Such a push goes to a
+    FIFO deque per priority instead of the binary heap, an O(1) append
+    and popleft with no tuple compares.
+  - **The push buffer** — a small binary heap of the 4-tuples, so the
+    shallow-heap path costs exactly what the plain heap cost.
+  - **The sorted run.**  Once the buffer passes a threshold it is
+    merged with the surviving run by one vectorized ``np.lexsort`` over
+    parallel ``float64``/``int64`` columns (``priority << 48 | seq``
+    packed into one key, so run ordering is a two-scalar compare that
+    never reaches the event); the sorted columns are rematerialized as
+    flat Python lists so head reads never box a numpy scalar.
+
+  Why the lanes keep the order: a push goes to a lane only when its time
+  equals the lane instant ``_lane_t``, and ``_lane_t`` moves only when
+  every lane is empty.  Every heap entry at that instant was therefore
+  pushed *before* the instant became current, so it carries a smaller
+  seq than every lane entry; seqs grow with every push, so each lane is
+  sorted by seq too.  A pop compares only ``(time, priority)`` of the
+  heap head against the lowest non-empty lane and takes the heap head
+  on a tie, which is the total order.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from typing import Any, List, Tuple
 
 import numpy as np
@@ -66,19 +81,30 @@ _MERGE_THRESHOLD = 1024
 
 
 class EventHeap:
-    """Columnar pending-event store (see module docstring).
+    """Pending-event store with same-instant lanes (see module docstring).
 
     The public entry shape is the kernel's ``(time, priority, seq,
-    event)`` tuple.  Entries live either in ``_pend`` — a small
-    ``heapq`` of those very tuples, so the shallow-heap fast path costs
-    exactly what the plain heap cost — or in the sorted run
-    ``_run_t``/``_run_k``/``_run_e`` consumed from ``_head``, where
-    ``k`` packs ``priority << 48 | seq`` so one scalar pair compare
-    orders run entries against the pend head.
+    event)`` tuple.  Entries live in one of three places:
+
+    * ``_lanes[p]`` — a FIFO deque of the entries of priority ``p`` at
+      the lane instant ``_lane_t`` (``_lane_n`` counts all three);
+    * ``_pend`` — a small ``heapq`` of the tuples;
+    * the sorted run ``_run_t``/``_run_k``/``_run_e`` consumed from
+      ``_head``, where ``k`` packs ``priority << 48 | seq`` so one
+      scalar pair compare orders run entries against the pend head.
+
+    ``_pend`` and the run together are "the heap".  A push at exactly
+    ``_lane_t`` goes to its priority's lane, every other push to the
+    heap; every pop taken while the lanes are empty resets ``_lane_t``
+    to the popped time.  Entries the exploring tie-break pushes back
+    (:meth:`push_entry`) are a whole ready set at the current instant,
+    in seq order, with nothing else left at their ``(time,
+    priority)``, so appending them to their lane keeps it sorted.
     """
 
     __slots__ = (
-        "_pend", "_run_t", "_run_k", "_run_e", "_head", "_run_len", "stats"
+        "_pend", "_run_t", "_run_k", "_run_e", "_head", "_run_len",
+        "_lanes", "_lane_n", "_lane_t", "stats",
     )
 
     def __init__(self, stats=None) -> None:
@@ -91,16 +117,24 @@ class EventHeap:
         self._run_e: List[Any] = []
         self._head = 0
         self._run_len = 0
+        # One lane per priority (URGENT, NORMAL, LOW).
+        self._lanes: Tuple[deque, deque, deque] = (deque(), deque(), deque())
+        self._lane_n = 0
+        self._lane_t = 0.0
         self.stats = stats
 
     def __len__(self) -> int:
-        return len(self._pend) + (self._run_len - self._head)
+        return len(self._pend) + (self._run_len - self._head) + self._lane_n
 
     def __bool__(self) -> bool:
-        return bool(self._pend) or self._head < self._run_len
+        return bool(self._lane_n or self._pend) or self._head < self._run_len
 
     # -- insertion -----------------------------------------------------
     def push(self, time: float, priority: int, seq: int, event: Event) -> None:
+        if time == self._lane_t:
+            self._lanes[priority].append((time, priority, seq, event))
+            self._lane_n += 1
+            return
         pend = self._pend
         heapq.heappush(pend, (time, priority, seq, event))
         if len(pend) >= _MERGE_THRESHOLD and len(pend) >= (
@@ -111,7 +145,11 @@ class EventHeap:
     def push_entry(self, entry: Tuple[float, int, int, Event]) -> None:
         """Re-insert an entry previously returned by :meth:`pop` (the
         exploring tie-break pushes non-chosen ready entries back)."""
-        heapq.heappush(self._pend, entry)
+        if entry[0] == self._lane_t:
+            self._lanes[entry[1]].append(entry)
+            self._lane_n += 1
+        else:
+            heapq.heappush(self._pend, entry)
 
     def _merge(self) -> None:
         """Fold the push buffer into the sorted run (vectorized)."""
@@ -144,7 +182,36 @@ class EventHeap:
     # -- consumption ---------------------------------------------------
     def pop(self) -> Tuple[float, int, int, Event]:
         """Remove and return the minimum entry as ``(time, priority,
-        seq, event)`` — the plain heap's exact pop order."""
+        seq, event)`` — the plain heap's exact pop order.  Raises
+        :class:`IndexError` when empty, like :func:`heapq.heappop`."""
+        if self._lane_n:
+            lanes = self._lanes
+            lane = lanes[0] or lanes[1] or lanes[2]
+            lt = self._lane_t
+            lp = lane[0][1]
+            pend = self._pend
+            if pend:
+                h = pend[0]
+                if h[0] < lt or (h[0] == lt and h[1] <= lp):
+                    return self._pop_heap()
+            head = self._head
+            if head < self._run_len:
+                rt = self._run_t[head]
+                if rt < lt or (
+                    rt == lt and self._run_k[head] >> _KEY_SHIFT <= lp
+                ):
+                    return self._pop_heap()
+            self._lane_n -= 1
+            return lane.popleft()
+        if self._head < self._run_len:
+            entry = self._pop_heap()
+        else:
+            entry = heapq.heappop(self._pend)
+        self._lane_t = entry[0]
+        return entry
+
+    def _pop_heap(self) -> Tuple[float, int, int, Event]:
+        """Pop the smaller of the run head and the push-buffer head."""
         head = self._head
         if head < self._run_len:
             pend = self._pend
@@ -161,32 +228,36 @@ class EventHeap:
 
     def peek_time(self) -> float:
         """Time of the minimum entry (``inf`` when empty)."""
+        t = self._lane_t if self._lane_n else float("inf")
         pend = self._pend
+        if pend and pend[0][0] < t:
+            t = pend[0][0]
         head = self._head
-        if head < self._run_len:
-            rt = self._run_t[head]
-            if pend and pend[0][0] < rt:
-                return pend[0][0]
-            return rt
-        return pend[0][0] if pend else float("inf")
+        if head < self._run_len and self._run_t[head] < t:
+            t = self._run_t[head]
+        return t
 
     def peek_matches(self, time: float, priority: int) -> bool:
         """True when the minimum entry is co-scheduled at exactly
         ``(time, priority)`` — the exploring simulator's ready-set
         membership test."""
+        best = None
         pend = self._pend
+        if pend:
+            best = pend[0][:3]
         head = self._head
         if head < self._run_len:
-            rt = self._run_t[head]
             rk = self._run_k[head]
-            if pend and (
-                pend[0][0], (pend[0][1] << _KEY_SHIFT) | pend[0][2]
-            ) <= (rt, rk):
-                return pend[0][0] == time and pend[0][1] == priority
-            return rt == time and (rk >> _KEY_SHIFT) == priority
-        if pend:
-            return pend[0][0] == time and pend[0][1] == priority
-        return False
+            run = (self._run_t[head], rk >> _KEY_SHIFT, rk & _KEY_MASK)
+            if best is None or run < best:
+                best = run
+        if self._lane_n:
+            lanes = self._lanes
+            lane = (lanes[0] or lanes[1] or lanes[2])[0][:3]
+            if best is None or lane < best:
+                best = lane
+        return best is not None and best[0] == time and best[1] == priority
+
 
 #: Structured record for one pending completion: absolute fire time and
 #: an index into the side list of (event, value) pairs.  Kept as a

@@ -18,6 +18,15 @@ Design notes
   (:meth:`Simulator._pop_next`): :class:`~repro.sim.explore.ExploringSimulator`
   overrides it to explore random-but-replayable interleavings of events
   co-scheduled at one ``(time, priority)``.
+* One run loop: :meth:`Simulator._fire` pops and fires events inline,
+  with its lookups bound once per call; :meth:`Simulator.run` and
+  :meth:`Simulator.step` both drive it, so there is one place that
+  checks time monotonicity, undefused failures and crashed processes.
+* Default names cost nothing until read: a :class:`Timeout`'s
+  ``timeout(<delay>)``, a process start's ``init(<process>)`` and a
+  resource grant's ``request(<resource>)`` are formatted by the
+  ``name`` property, so the hot path never formats a string, yet
+  deadlock chains and schedule traces read the same names.
 * Deadlock detection: when the heap drains while processes remain blocked,
   :meth:`Simulator.run` raises :class:`~repro.sim.errors.DeadlockError`
   (unless disabled).  This converts would-be hangs into testable failures.
@@ -78,11 +87,11 @@ class Event:
     which lets processes wait on events that already happened.
     """
 
-    __slots__ = ("sim", "callbacks", "_value", "_ok", "_defused", "name")
+    __slots__ = ("sim", "callbacks", "_value", "_ok", "_defused", "_name")
 
     def __init__(self, sim: "Simulator", name: str = "") -> None:
         self.sim = sim
-        self.name = name
+        self._name = name
         #: ``None`` once the event has been processed.
         self.callbacks: Optional[list[Callable[["Event"], None]]] = []
         self._value: Any = PENDING
@@ -93,6 +102,11 @@ class Event:
         self._defused = False
 
     # -- state ---------------------------------------------------------
+    @property
+    def name(self) -> str:
+        """Label for deadlock chains, schedule traces and ``repr``."""
+        return self._name
+
     @property
     def triggered(self) -> bool:
         """True once the event has a value or an exception."""
@@ -120,22 +134,22 @@ class Event:
     # -- triggering ----------------------------------------------------
     def succeed(self, value: Any = None, priority: int = NORMAL) -> "Event":
         """Trigger the event successfully with ``value``."""
-        if self.triggered:
+        if self._value is not PENDING:
             raise ScheduleError(f"{self!r} already triggered")
         self._ok = True
         self._value = value
-        self.sim._schedule(self, delay=0.0, priority=priority)
+        self.sim._schedule(self, 0.0, priority)
         return self
 
     def fail(self, exc: BaseException, priority: int = NORMAL) -> "Event":
         """Trigger the event with an exception to be thrown into waiters."""
         if not isinstance(exc, BaseException):
             raise TypeError(f"fail() needs an exception, got {exc!r}")
-        if self.triggered:
+        if self._value is not PENDING:
             raise ScheduleError(f"{self!r} already triggered")
         self._ok = False
         self._value = exc
-        self.sim._schedule(self, delay=0.0, priority=priority)
+        self.sim._schedule(self, 0.0, priority)
         return self
 
     def defuse(self) -> None:
@@ -154,11 +168,14 @@ class Event:
         else:
             # Already processed: bridge through a fresh immediate event so
             # the callback still runs from the main loop, never re-entrantly.
+            # A failure it carries was decided when this event fired, and
+            # ``fn`` is its waiter, so the bridge itself is defused.
             bridge = Event(self.sim, name=f"bridge({self.name})")
             bridge.callbacks.append(lambda _e: fn(self))
             bridge._ok = self._ok
             bridge._value = self._value
-            self.sim._schedule(bridge, delay=0.0, priority=URGENT)
+            bridge._defused = True
+            self.sim._schedule(bridge, 0.0, URGENT)
 
     def remove_callback(self, fn: Callable[["Event"], None]) -> None:
         """Remove a previously added callback (no-op if absent/processed)."""
@@ -190,13 +207,43 @@ class Timeout(Event):
         value: Any = None,
         name: str = "",
     ) -> None:
-        if delay < 0:
-            raise ScheduleError(f"negative timeout delay {delay!r}")
-        super().__init__(sim, name=name or f"timeout({delay:g})")
-        self.delay = delay
-        self._ok = True
+        # Event.__init__ inlined: a Timeout is the most common event.
+        self.sim = sim
+        self._name = name
+        self.callbacks = []
         self._value = value
-        sim._schedule(self, delay=delay, priority=NORMAL)
+        self._ok = True
+        self._defused = False
+        self.delay = delay
+        sim._schedule(self, delay, NORMAL)
+
+    @property
+    def name(self) -> str:
+        return self._name or f"timeout({self.delay:g})"
+
+
+class _Kick(Event):
+    """A zero-delay URGENT event resuming one process: its start
+    (``init(<process>)``) or an interrupt delivery
+    (``interrupt(<process>)``)."""
+
+    __slots__ = ("proc", "why")
+
+    def __init__(self, proc: "Process", why: str) -> None:
+        sim = proc.sim
+        self.sim = sim
+        self._name = ""
+        self.callbacks = [proc._resume]
+        self._value = None
+        self._ok = True
+        self._defused = False
+        self.proc = proc
+        self.why = why
+        sim._schedule(self, 0.0, URGENT)
+
+    @property
+    def name(self) -> str:
+        return f"{self.why}({self.proc.name})"
 
 
 ProcessGen = Generator[Event, Any, Any]
@@ -219,18 +266,14 @@ class Process(Event):
                 f"Process needs a generator, got {type(gen).__name__}; "
                 "did you forget to call the generator function?"
             )
-        super().__init__(sim, name=name or getattr(gen, "__name__", "process"))
+        Event.__init__(self, sim, name or getattr(gen, "__name__", "process"))
         self.gen = gen
         #: Event this process is currently blocked on (None when runnable).
         self._target: Optional[Event] = None
         self._interrupts: list[Interrupt] = []
         sim._live.add(self)
         # First resumption happens "now" via an initialization event.
-        init = Event(sim, name=f"init({self.name})")
-        init._ok = True
-        init._value = None
-        init.callbacks.append(self._resume)
-        sim._schedule(init, delay=0.0, priority=URGENT)
+        _Kick(self, "init")
 
     @property
     def is_alive(self) -> bool:
@@ -248,51 +291,50 @@ class Process(Event):
         if self._target is not None:
             self._target.remove_callback(self._resume)
             self._target = None
-            kick = Event(self.sim, name=f"interrupt({self.name})")
-            kick._ok = True
-            kick._value = None
-            kick.callbacks.append(self._resume)
-            self.sim._schedule(kick, delay=0.0, priority=URGENT)
+            _Kick(self, "interrupt")
         # If _target is None the process is already scheduled to resume; the
         # queued interrupt will be delivered on that resumption.
 
     # -- kernel interface ----------------------------------------------
     def _resume(self, trigger: Event) -> None:
-        self.sim._current = self
+        sim = self.sim
+        sim._current = self
         self._target = None
+        gen = self.gen
+        interrupts = self._interrupts
         event: Optional[Event] = None
         try:
             while True:
-                if self._interrupts:
-                    exc: BaseException = self._interrupts.pop(0)
-                    event = self.gen.throw(exc)
+                if interrupts:
+                    event = gen.throw(interrupts.pop(0))
                 elif trigger._ok:
-                    event = self.gen.send(trigger._value)
+                    event = gen.send(trigger._value)
                 else:
                     trigger._defused = True
-                    event = self.gen.throw(trigger._value)
+                    event = gen.throw(trigger._value)
                 # The generator yielded `event`; decide whether to block.
                 if not isinstance(event, Event):
                     raise SimulationError(
                         f"{self!r} yielded non-event {event!r}"
                     )
-                if event.sim is not self.sim:
+                if event.sim is not sim:
                     raise SimulationError(
                         f"{self!r} yielded event from another simulator"
                     )
-                if self._interrupts:
+                if interrupts:
                     # Pending interrupt: deliver instead of blocking, but
                     # only consume the yielded event if already triggered.
-                    trigger = Event(self.sim)
+                    trigger = Event(sim)
                     trigger._ok = True
                     trigger._value = None
                     continue
-                if event.processed:
-                    # Immediately continue with the value of the processed
-                    # event (loop again without a context switch).
+                callbacks = event.callbacks
+                if callbacks is None:
+                    # Already processed: continue with its value at once
+                    # (loop again without a context switch).
                     trigger = event
                     continue
-                event.callbacks.append(self._resume)
+                callbacks.append(self._resume)
                 self._target = event
                 break
         except StopIteration as stop:
@@ -300,12 +342,12 @@ class Process(Event):
         except BaseException as exc:  # generator died
             if isinstance(exc, SimulationError) and event is None:
                 # Kernel-usage errors propagate directly.
-                self.sim._current = None
-                self.sim._live.discard(self)
+                sim._current = None
+                sim._live.discard(self)
                 raise
             self._finish(False, exc)
         finally:
-            self.sim._current = None
+            sim._current = None
 
     def _finish(self, ok: bool, value: Any) -> None:
         self.sim._live.discard(self)
@@ -315,7 +357,7 @@ class Process(Event):
             # Nobody is joining this process: surface the crash loudly
             # unless someone later defuses it.
             self.sim._crashed.append(self)
-        self.sim._schedule(self, delay=0.0, priority=NORMAL)
+        self.sim._schedule(self, 0.0, NORMAL)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         target = f" waiting on {self._target!r}" if self._target else ""
@@ -325,10 +367,10 @@ class Process(Event):
 class Simulator:
     """The event loop: a priority queue of (time, priority, seq, event).
 
-    Pending events live in a structured-array
-    :class:`~repro.sim.batch.EventHeap` — columnar ``(time, key)``
-    storage with an object sidecar — whose pop order is byte-for-byte
-    the plain ``heapq`` order on ``(time, priority, seq)``.
+    Pending events live in an :class:`~repro.sim.batch.EventHeap` —
+    per-priority FIFO lanes for the current instant in front of a heap
+    with columnar merges — whose pop order is byte-for-byte the plain
+    ``heapq`` order on ``(time, priority, seq)``.
     """
 
     def __init__(self) -> None:
@@ -338,7 +380,8 @@ class Simulator:
         self._now: float = 0.0
         self.stats = SimStats()
         self._heap = EventHeap(stats=self.stats)
-        self._seq = itertools.count()
+        self._push = self._heap.push
+        self._next_seq = itertools.count().__next__
         self._live: set[Process] = set()
         self._crashed: list[Process] = []
         self._current: Optional[Process] = None
@@ -359,7 +402,7 @@ class Simulator:
 
     def timeout(self, delay: float, value: Any = None, name: str = "") -> Timeout:
         """Create an event firing after ``delay`` seconds."""
-        return Timeout(self, delay, value=value, name=name)
+        return Timeout(self, delay, value, name)
 
     def process(self, gen: ProcessGen, name: str = "") -> Process:
         """Start a new process from generator ``gen``."""
@@ -367,10 +410,12 @@ class Simulator:
 
     # -- scheduling --------------------------------------------------------
     def _schedule(self, event: Event, delay: float, priority: int) -> None:
+        """Push ``event`` to fire ``delay`` seconds from now: the one
+        place every event reaches the queue."""
         if delay < 0:
             raise ScheduleError(f"negative delay {delay!r}")
         self.stats.heap_pushes += 1
-        self._heap.push(self._now + delay, priority, next(self._seq), event)
+        self._push(self._now + delay, priority, self._next_seq(), event)
 
     def stop(self, value: Any = None) -> None:
         """Stop :meth:`run` at the current simulated time."""
@@ -391,28 +436,8 @@ class Simulator:
 
     def step(self) -> None:
         """Process exactly one event."""
-        if not self._heap:
+        if self._fire(None, True):
             raise SimulationError("step() on empty event queue")
-        t, _prio, _seq, event = self._pop_next()
-        if t < self._now - 1e-18:  # pragma: no cover - defensive
-            raise SimulationError("time went backwards")
-        self._now = t
-        self.stats.events_popped += 1
-        callbacks, event.callbacks = event.callbacks, None
-        if callbacks:
-            for fn in callbacks:
-                fn(event)
-        if (
-            event._ok is False
-            and not event._defused
-            and not isinstance(event, Process)
-        ):
-            raise event._value
-        if self._crashed:
-            crashed = [p for p in self._crashed if not p._defused]
-            self._crashed.clear()
-            if crashed:
-                raise crashed[0]._value
 
     def run(
         self,
@@ -426,11 +451,8 @@ class Simulator:
         processes remain blocked (and ``detect_deadlock`` is true).
         """
         try:
-            while self._heap:
-                if until is not None and self._heap.peek_time() > until:
-                    self._now = until
-                    return self._now
-                self.step()
+            if not self._fire(until, False):
+                return self._now
         except StopSimulation:
             return self._now
         if detect_deadlock and self._live:
@@ -441,6 +463,59 @@ class Simulator:
         if until is not None and until > self._now:
             self._now = until
         return self._now
+
+    def _fire(self, until: Optional[float], once: bool) -> bool:
+        """The event loop: pop and fire events in order.
+
+        Returns ``True`` when the queue is drained, ``False`` when the
+        next event lies past ``until`` (simulated time then stops at
+        ``until``) or, with ``once``, after one event.
+        """
+        heap = self._heap
+        # The base tie-break is the heap's own order: skip the
+        # _pop_next indirection unless a subclass overrides it.
+        pop = (
+            heap.pop
+            if type(self)._pop_next is Simulator._pop_next
+            else self._pop_next
+        )
+        peek = heap.peek_time
+        crashed = self._crashed
+        fired = 0
+        try:
+            while True:
+                if until is not None and peek() > until:
+                    if not heap:
+                        return True
+                    self._now = until
+                    return False
+                try:
+                    t, _prio, _seq, event = pop()
+                except IndexError:
+                    return True
+                if t < self._now - 1e-18:  # pragma: no cover - defensive
+                    raise SimulationError("time went backwards")
+                self._now = t
+                fired += 1
+                callbacks, event.callbacks = event.callbacks, None
+                if callbacks:
+                    for fn in callbacks:
+                        fn(event)
+                if (
+                    event._ok is False
+                    and not event._defused
+                    and not isinstance(event, Process)
+                ):
+                    raise event._value
+                if crashed:
+                    live = [p for p in crashed if not p._defused]
+                    crashed.clear()
+                    if live:
+                        raise live[0]._value
+                if once:
+                    return False
+        finally:
+            self.stats.events_popped += fired
 
     def _waits_chain(self, proc: Process) -> list[str]:
         """The waits-for chain of a blocked process.

@@ -24,9 +24,13 @@ classifies outcomes; this module is deliberately policy-free.
 
 Livelock detection rides along: a deadlock (drained heap with blocked
 processes) is already caught by the base kernel, but a spin loop that
-keeps re-scheduling zero-delay events never drains the heap.  When more
-than ``livelock_window`` consecutive events fire without simulated time
-advancing, :class:`~repro.sim.errors.LivelockError` is raised.
+keeps re-scheduling zero-delay events never drains the heap.  When
+``livelock_window`` consecutive events have fired without simulated
+time advancing, :class:`~repro.sim.errors.LivelockError` is raised.
+The counting lives in :meth:`ExploringSimulator._pop_next`, the one
+hook the kernel's run loop calls per event: each pop accounts the event
+it returns, and the pop after the window-filling event raises before
+taking another, so exactly ``livelock_window`` stagnant events fire.
 """
 
 from __future__ import annotations
@@ -67,7 +71,8 @@ class ExploringSimulator(Simulator):
         Raise :class:`~repro.sim.errors.LivelockError` after this many
         consecutive events at one simulated instant (``None`` disables —
         the default, since legitimate wide barriers process many
-        same-time events).
+        same-time events).  Counted in :meth:`_pop_next`: the pop after
+        the window-filling event raises instead of returning.
     capture_trace:
         Record every decision (ready set + pick) in
         :attr:`schedule_trace`.  Bounded by ``max_trace`` entries so
@@ -92,14 +97,23 @@ class ExploringSimulator(Simulator):
         self.schedule_trace: List[ScheduleChoice] = []
         #: Total scheduling decisions taken (even when not captured).
         self.decisions = 0
-        #: Total events processed.
+        #: Total events popped (every event the run loop started firing).
         self.steps = 0
         self._stagnant = 0
 
     # -- the exploring tie-break ----------------------------------------
     def _pop_next(self) -> tuple[float, int, int, Event]:
+        window = self.livelock_window
+        if window is not None and self._stagnant >= window:
+            spinning = sorted(p.name for p in self._live)
+            raise LivelockError(self._now, window, spinning)
         heap = self._heap
         first = heap.pop()
+        self.steps += 1
+        if first[0] > self._now:
+            self._stagnant = 0
+        else:
+            self._stagnant += 1
         if not heap.peek_matches(first[0], first[1]):
             return first  # singleton ready set: no choice to make
         # Gather the full ready set: every entry co-scheduled at the
@@ -125,21 +139,6 @@ class ExploringSimulator(Simulator):
         for entry in ready:
             heap.push_entry(entry)
         return chosen
-
-    # -- livelock detection ---------------------------------------------
-    def step(self) -> None:
-        before = self._now
-        super().step()
-        self.steps += 1
-        if self.livelock_window is None:
-            return
-        if self._now > before:
-            self._stagnant = 0
-            return
-        self._stagnant += 1
-        if self._stagnant >= self.livelock_window:
-            spinning = sorted(p.name for p in self._live)
-            raise LivelockError(self._now, self.livelock_window, spinning)
 
     # -- introspection ---------------------------------------------------
     def trace_signature(self) -> Tuple[Tuple[float, int, int], ...]:

@@ -14,6 +14,21 @@ from .core import Event, Simulator
 __all__ = ["Resource", "Mutex", "acquire", "BandwidthChannel"]
 
 
+class _Request(Event):
+    """A :meth:`Resource.request` grant event, named
+    ``request(<resource>)`` when the name is read."""
+
+    __slots__ = ("res",)
+
+    def __init__(self, res: "Resource") -> None:
+        Event.__init__(self, res.sim)
+        self.res = res
+
+    @property
+    def name(self) -> str:
+        return f"request({self.res.name})"
+
+
 class Resource:
     """A counting semaphore with FIFO waiters.
 
@@ -47,7 +62,7 @@ class Resource:
 
     def request(self) -> Event:
         """Return an event that fires when a unit is granted."""
-        ev = self.sim.event(name=f"request({self.name})")
+        ev = _Request(self)
         if self._in_use < self.capacity and not self._waiters:
             self._in_use += 1
             ev.succeed(self)

@@ -11,7 +11,9 @@ simulation) is visible in the bench JSON, not just in wall-clock noise.
 Counter glossary
 ----------------
 ``heap_pushes`` / ``events_popped``
-    Raw event-loop volume: entries pushed onto / popped off the heap.
+    Raw event-loop volume: entries pushed onto / popped off the event
+    queue, same-instant lane pushes included (every scheduled event
+    counts once, wherever :class:`~repro.sim.batch.EventHeap` keeps it).
     The vectorized fast path shows up here first — pricing a collective
     analytically replaces thousands of pops with a handful.
 ``payload_copies`` / ``payload_views``
@@ -34,6 +36,8 @@ Counter glossary
     Vectorized merges of the structured-array event heap's push buffer
     into its sorted run, and the total entries those merges moved —
     ``heap_merged_events / heap_merges`` is the mean merge batch size.
+    Only heap-bound entries count: a push at the current instant goes
+    to a same-instant lane and is never merged.
 ``payload_adopted``
     Receives that adopted the in-flight message array outright instead
     of memcpying it into a staging buffer (schedule-internal receives

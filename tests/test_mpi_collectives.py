@@ -349,3 +349,30 @@ class TestCollectiveTiming:
         t_small = bcast_time(1024)
         t_big = bcast_time(1024 * 1024)
         assert t_big > 5 * t_small
+
+
+def test_failed_wire_step_raises_from_the_exact_engine(monkeypatch):
+    """A wire step that fails at the instant another step of the same
+    wave completes must surface its own error from the collective, not
+    be counted as done (which corrupts the reduction downstream)."""
+    from repro.mpi.communicator import Communicator
+
+    def send_impl(self, src, dst, buf, tag, copy=True, donate=False):
+        yield self.sim.timeout(1.0)
+
+    def recv_impl(self, me, src, buf, tag):
+        yield self.sim.timeout(1.0)
+        raise MpiError("injected receive failure")
+
+    monkeypatch.setattr(Communicator, "_send_impl", send_impl)
+    monkeypatch.setattr(Communicator, "_recv_impl", recv_impl)
+    sim, job = make_job(2, n_nodes=1)
+
+    def prog(ctx):
+        send = np.arange(4, dtype=np.float64)
+        recv = np.zeros(4, dtype=np.float64)
+        yield from ctx.allreduce(send, recv, op=ReduceOp.SUM)
+
+    job.start(prog)
+    with pytest.raises(MpiError, match="injected receive failure"):
+        job.run()

@@ -493,3 +493,190 @@ def test_zero_delay_timeout_runs_in_order():
     sim.run()
     assert log == ["a", "b"]
     assert sim.now == 0.0
+
+
+def test_late_waiter_on_failed_event_catches_it():
+    """A waiter that joins an already-failed (and handled) event gets
+    the failure through the bridge event; the bridge itself must not
+    crash the run as an uncaught failure."""
+    from repro.sim import AnyOf
+
+    sim = Simulator()
+    ev = sim.event(name="ev")
+    caught = []
+
+    def first():
+        try:
+            yield ev
+        except ValueError as exc:
+            caught.append(("first", sim.now, str(exc)))
+
+    def late():
+        yield sim.timeout(1.0)
+        try:
+            yield AnyOf(sim, [ev])
+        except ValueError as exc:
+            caught.append(("late", sim.now, str(exc)))
+
+    sim.process(first())
+    sim.process(late())
+    ev.fail(ValueError("x"))
+    sim.run()
+    assert caught == [("first", 0.0, "x"), ("late", 1.0, "x")]
+
+
+def test_default_names_read_as_before():
+    """Default names are built lazily but read the same strings."""
+    from repro.sim import ExploringSimulator, Resource
+
+    sim = Simulator()
+    assert sim.timeout(2.5).name == "timeout(2.5)"
+    assert sim.timeout(1e-6, name="t").name == "t"
+    res = Resource(sim, capacity=1, name="lock")
+    assert res.request().name == "request(lock)"
+    assert Resource(sim, capacity=2).request().name == (
+        "request(resource(cap=2))"
+    )
+
+    xsim = ExploringSimulator(seed=0)
+
+    def idle():
+        yield xsim.timeout(0.0)
+
+    xsim.process(idle(), name="a")
+    xsim.process(idle(), name="b")
+    xsim.run()
+    assert xsim.schedule_trace[0].ready == ("init(a)", "init(b)")
+    assert ("timeout(0)", "timeout(0)") in [
+        c.ready for c in xsim.schedule_trace
+    ]
+
+
+def _random_pushes(seed, depth):
+    """Fire a random program of pushes made from inside callbacks.
+
+    Returns the simulator and its log of ``("push", key)`` /
+    ``("pop", key)`` / ``("until", t)`` records in the order they
+    happened, ``key`` being a heap entry's ``(time, priority, seq)``;
+    a batch carrier logs one pop, when its first member fires.
+    """
+    import random
+
+    from repro.sim import LOW, NORMAL, URGENT, EventBatch
+
+    rng = random.Random(seed)
+    sim = Simulator()
+    log = []
+    budget = [600]
+    drains = {}  # carrier key -> member indices fired so far
+
+    def on_fire(key, member):
+        def cb(_ev):
+            if member is None:
+                log.append(("pop", key))
+            else:
+                got = drains.setdefault(key, [])
+                if not got:
+                    log.append(("pop", key))
+                got.append(member)
+            spawn()
+
+        return cb
+
+    def push(delay, prio):
+        ev = Event(sim)
+        ev._ok, ev._value = True, None
+        # The seq of a push is the count of pushes before it.
+        key = (sim.now + delay, prio, sim.stats.heap_pushes)
+        ev.callbacks.append(on_fire(key, None))
+        log.append(("push", key))
+        sim._schedule(ev, delay, prio)
+
+    def batch():
+        b = EventBatch(sim, name="b")
+        times = [sim.now + rng.choice((0.0, 0.0, 0.25, 1.0))
+                 for _ in range(rng.randint(1, 4))]
+        # One carrier per distinct time, pushed in time order.
+        base = sim.stats.heap_pushes
+        carrier = {
+            t: (sim.now + (t - sim.now), NORMAL, base + i)
+            for i, t in enumerate(sorted(set(times)))
+        }
+        for idx, t in enumerate(times):
+            ev = Event(sim)
+            ev.callbacks.append(on_fire(carrier[t], idx))
+            b.add(t, ev)
+        b.commit()
+        log.extend(("push", k) for k in sorted(carrier.values(),
+                                                key=lambda k: k[2]))
+
+    def spawn():
+        for _ in range(rng.randint(0, 3)):
+            if budget[0] <= 0:
+                return
+            budget[0] -= 1
+            if rng.random() < 0.1:
+                batch()
+                continue
+            delay = rng.choice((0.0, 0.0, 0.0, 0.125, 0.5, 1.0,
+                                sim.now * 1e-17))  # now + delay == now
+            push(delay, rng.choice((URGENT, NORMAL, LOW)))
+
+    # A deep background of future entries forces columnar merges.
+    for _ in range(depth):
+        push(rng.choice((0.5, 1.0, 1.5, 2.0, 3.0)),
+             rng.choice((URGENT, NORMAL, LOW)))
+    for _ in range(8):
+        push(0.0, rng.choice((URGENT, NORMAL, LOW)))
+    sim.run(until=1.0)
+    log.append(("until", sim.now))
+    sim.run()
+    for key, got in drains.items():
+        assert got == sorted(got), f"carrier {key} drained out of order"
+    return sim, log
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("depth", [0, 1500])
+def test_lane_pop_order_is_the_total_order(seed, depth):
+    """Replaying the log against a plain heapq on ``(time, priority,
+    seq)`` pops exactly what the kernel fired, and ``run(until=...)``
+    stopped with nothing due at or before ``until`` left."""
+    import heapq
+
+    sim, log = _random_pushes(seed, depth)
+    ref = []
+    pops = 0
+    for what, key in log:
+        if what == "push":
+            heapq.heappush(ref, key)
+        elif what == "pop":
+            assert heapq.heappop(ref) == key
+            pops += 1
+        else:
+            assert key == 1.0 and (not ref or ref[0][0] > 1.0)
+    assert not ref
+    assert pops == sim.stats.events_popped == sim.stats.heap_pushes
+    if depth:
+        assert sim.stats.heap_merges >= 1
+
+
+def test_exploring_ready_set_spans_heap_and_lanes():
+    """Timeouts scheduled earlier for t and zero-delay events pushed at
+    t are one ready set, named in seq order."""
+    from repro.sim import ExploringSimulator
+
+    sim = ExploringSimulator(seed=3)
+
+    def follow_ups(ev):
+        for i in range(2):
+            sim.event(name=f"{ev.name}.z{i}").succeed()
+
+    for name in ("t0", "t1", ""):
+        sim.timeout(1.0, name=name).callbacks.append(follow_ups)
+    sim.run()
+    first, second = sim.schedule_trace[:2]
+    assert first.ready == ("t0", "t1", "timeout(1)")
+    picked = first.ready[first.picked]
+    rest = tuple(n for n in first.ready if n != picked)
+    assert second.ready == rest + (f"{picked}.z0", f"{picked}.z1")
