@@ -1,7 +1,7 @@
 """Analytic fast-path execution backend for collective schedules.
 
-The exact :class:`~repro.mpi.algorithms.schedule.ScheduleEngine` spawns
-one simulated process per wire step and drives every packet through the
+The exact :class:`~repro.mpi.algorithms.schedule.ScheduleEngine` drives
+one p2p generator per wire step and every packet through the
 matching stores — faithful, but at 256–1024 ranks the per-packet Python
 churn dominates wall-clock.  :class:`FastPathEngine` executes the *same*
 data-free schedule IR (same builders, same selector decisions, same tag
@@ -42,7 +42,7 @@ packet:
      accounting is on.
 
    Because the tape follows dependencies, not round labels, transfers in
-   different rounds overlap exactly as the spawned wire processes of the
+   different rounds overlap exactly as the in-flight wire steps of the
    exact engine do — non-power-of-two binomial trees, whose straggler
    subtrees fire early, price tight instead of paying a per-round
    barrier.  What the model still ignores is channel *contention*

@@ -31,10 +31,10 @@ engine runs the shape.  A schedule also records every tag claim (on the
 call's own communicator or a hierarchical sub-communicator, by name)
 and every ``comm._count`` its builder made; a plan hit replays both.
 
-The :class:`ScheduleEngine` executes a schedule by starting every step
-whose dependencies are satisfied and waiting for the *first* completion
-— never for the whole round — so independent wire transfers overlap
-exactly the way hand-written ``isend``/``recv`` loops do.  Blocking
+The :class:`ScheduleEngine` executes a schedule by starting each step
+the moment its dependencies are done — never waiting for the whole
+round — so independent wire transfers overlap exactly the way
+hand-written ``isend``/``recv`` loops do.  Blocking
 calls ``yield from engine.execute(ctx, call)``; nonblocking ones
 ``engine.start(ctx, call)`` and get a
 :class:`~repro.mpi.communicator.Request`.  The engine is pure
@@ -47,11 +47,15 @@ costs and the unit span trees and ``describe()`` report.
 
 from __future__ import annotations
 
+from functools import lru_cache
+from heapq import heappop, heappush
+from operator import itemgetter
 from typing import Any, Callable, Generator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ...sim.core import PENDING, Event
+from ...sim.core import GO, NORMAL, PENDING, URGENT, Event, resume
+from ...sim.errors import SimulationError
 from ..communicator import MpiContext, Request
 from ..datatypes import AdoptBuf, Payload, payload_array
 from ..errors import MpiError
@@ -73,17 +77,9 @@ ALIAS, DONATE, PACK = 1, 2, 4
 
 COPY, BYTES, COMBINE, REBIND = 0, 1, 2, 3
 
-#: Interned per-round span names ("round0", "round1", ...) — every
-#: traced collective emits one span per round, so the f-string is paid
-#: once per distinct round index, not once per span.
-_ROUND_NAMES: List[str] = []
-
-
-def _round_name(rd: int) -> str:
-    names = _ROUND_NAMES
-    while len(names) <= rd:
-        names.append(f"round{len(names)}")
-    return names[rd]
+#: Interned per-round span names ("round0", "round1", ...): every
+#: traced collective emits one span per round.
+_round_name = lru_cache(maxsize=None)("round{}".format)
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +222,12 @@ def land(bufs: List[Any], ref, buf) -> None:
 # ---------------------------------------------------------------------------
 
 class Schedule:
-    """A per-rank DAG of communication/compute steps, as columns."""
+    """A per-rank DAG of communication/compute steps, as columns.
+
+    :meth:`_add`, the only writer of :attr:`deps`, accepts a dependency
+    only on an earlier step: every schedule is a DAG in index order,
+    with no cycle or dangling dependency that could stall an engine.
+    """
 
     def __init__(self, ctx: Optional[MpiContext] = None,
                  binding: Optional[Binding] = None) -> None:
@@ -371,19 +372,18 @@ class Schedule:
 
     def describe(self) -> str:
         """Human-readable round-by-round summary (tests/diagnostics)."""
-        by_round: dict = {}
-        for i, rd in enumerate(self.round):
-            by_round.setdefault(rd, []).append(i)
-        lines = []
-        for r in sorted(by_round):
-            ops = ", ".join(
-                KIND_NAMES[self.kind[i]]
-                + (f"->{self.peer[i]}" if self.kind[i] == SEND else "")
-                + (f"<-{self.peer[i]}" if self.kind[i] == RECV else "")
-                for i in by_round[r]
-            )
-            lines.append(f"round {r}: {ops}")
-        return "\n".join(lines)
+        return "\n".join(f"round {r}: " + ", ".join(
+            self.label(i) for i, rd in enumerate(self.round) if rd == r
+        ) for r in sorted(set(self.round)))
+
+    def label(self, i: int) -> str:
+        """Step ``i`` as :meth:`describe` and deadlock chains name it:
+        ``send->3 tag 12``, ``recv<-1 tag 12``, ``compute``, ..."""
+        kind = self.kind[i]
+        if kind > RECV:
+            return KIND_NAMES[kind]
+        arrow = "->" if kind == SEND else "<-"
+        return f"{KIND_NAMES[kind]}{arrow}{self.peer[i]} tag {self.tag[i]}"
 
 
 def sub_ctx(ctx: MpiContext, name: str) -> Optional[MpiContext]:
@@ -479,15 +479,14 @@ def blocking(bind: Callable, builder: Callable) -> Callable:
 class ScheduleEngine:
     """Executes schedules against a communicator's wire primitives.
 
-    The engine keeps a set of in-flight wire operations (each a spawned
-    simulated process driving ``_send_impl``/``_recv_impl``) and reacts
-    to the *first* completion, releasing dependent steps immediately:
-    each wave sleeps on one plain wake event, which a per-step
-    completion callback succeeds.  A failed step raises its own
-    exception from the engine.
-    Compute steps run inline the moment they unblock.  Every call builds
-    its shape at issue (claiming its tags in issue order) and binds its
-    scratch slots then.
+    One execution is a :class:`_Run`, the one event its caller sleeps
+    on.  Compute steps run inline; a wire step is no process but its
+    ``_send_impl``/``_recv_impl`` generator, driven by the kernel's
+    :func:`~repro.sim.core.resume`.  Steps exit into waves that release
+    their dependents in the event order a process per step gave.  A
+    failed step raises its own exception from the engine.  Every call
+    builds its shape at issue (claiming its tags in issue order) and
+    binds its scratch slots then.
     """
 
     def __init__(self, comm) -> None:
@@ -499,11 +498,8 @@ class ScheduleEngine:
     # -- public entry points ------------------------------------------------
     def start(self, ctx: MpiContext, call: Call, name: str = "") -> Request:
         """Run ``call`` in its own process; return a :class:`Request`."""
-        proc = ctx.sim.process(
-            self.execute(ctx, call),
-            name=name or f"sched(r{ctx.rank})",
-        )
-        return Request(proc)
+        return Request(ctx.sim.process(self.execute(ctx, call),
+                                       name=name or f"sched(r{ctx.rank})"))
 
     def execute(
         self, ctx: MpiContext, call: Call
@@ -515,156 +511,205 @@ class ScheduleEngine:
                                                  sched.scratch))
 
     def _run(self, ctx, sched: Schedule, bufs) -> Generator[Event, Any, None]:
-        self.active += 1
-        try:
-            yield from self._execute(ctx, sched, bufs)
-        finally:
-            self.active -= 1
-
-    def _execute(
-        self, ctx: MpiContext, sched: Schedule, bufs: List[Any]
-    ) -> Generator[Event, Any, None]:
-        import heapq
-
-        kinds = sched.kind
-        rounds = sched.round
-        n = len(kinds)
-        if n == 0:
+        if not sched.kind:
             return
         # Span bookkeeping is timing-passive: it only reads sim.now at
         # points the engine already visits, never yields or schedules.
         spans = ctx.sim.spans
-        if spans is not None and not spans.enabled:
-            spans = None
         sp_coll = None
-        rstart: dict = {}
-        rend: dict = {}
-        if spans is not None:
+        if spans is not None and spans.enabled:
             meta = sched.meta or {}
-            track = ctx.comm.span_track(ctx.rank)
             name = meta.get("op", "collective")
             if meta.get("algo"):
                 name = f"{name}[{meta['algo']}]"
             sp_coll = spans.begin(
-                ctx.sim.now, name, "collective", track,
-                attrs={
+                ctx.sim.now, name, "collective",
+                ctx.comm.span_track(ctx.rank), attrs={
                     "backend": ctx.comm.backend,
                     "nbytes": meta.get("nbytes", 0),
-                    "n_rounds": sched.n_rounds, "n_steps": n,
+                    "n_rounds": sched.n_rounds, "n_steps": len(sched),
                 },
             )
-        missing = [len(d) for d in sched.deps]
-        dependents: List[List[int]] = [[] for _ in range(n)]
+        run = _Run(ctx, sched, bufs, sp_coll is not None)
+        self.active += 1
+        try:
+            run.pump(issue=True)
+            if run.left:
+                yield run
+        finally:
+            self.active -= 1
+        if sp_coll is not None:
+            for r, (t0, t1) in sorted(run.rounds.items()):
+                spans.complete(t0, t1, _round_name(r), "round",
+                               sp_coll.track, sp_coll.sid)
+            spans.end(ctx.sim.now, sp_coll)
+
+
+class _Run(Event):
+    """One execution of a schedule: the event its caller sleeps on.
+
+    Wire steps exit into *waves*, run where the caller used to wake: a
+    wave's first exit schedules ``sched.exit``, which schedules the
+    ``sched.wake`` that runs the wave — the two NORMAL hops of a
+    finished step process and its caller's wake, so every released
+    step starts at the same place in the event order.  A wave accounts
+    its exits in step order (the first failure fails the run) and
+    starts what they released; the last one delivers the run inline,
+    resuming the caller inside the wave.  The name, built only when
+    read (a deadlock chain ends here), lists the steps in flight, e.g.
+    ``allreduce(r0): recv<-1 tag 12``.
+    """
+
+    __slots__ = ("ctx", "sched", "bufs", "missing", "dependents", "ready",
+                 "left", "rounds", "exited")
+
+    def __init__(self, ctx: MpiContext, sched: Schedule, bufs: List[Any],
+                 stamped: bool) -> None:
+        Event.__init__(self, ctx.sim)
+        self.ctx, self.sched, self.bufs = ctx, sched, bufs
+        #: Unmet dependencies per step, -1 once accounted: a step starts
+        #: once ready, so 0 marks it in flight.
+        self.missing = missing = [len(d) for d in sched.deps]
+        self.dependents = dependents = [[] for _ in missing]
         for i, deps in enumerate(sched.deps):
             for d in deps:
                 dependents[d].append(i)
-        #: Min-heap of startable step indices — lowest index first so
-        #: wire ops post in the order the algorithm listed them (send
-        #: before recv inside a round).
-        ready = [i for i in range(n) if missing[i] == 0]
-        heapq.heapify(ready)
-        sim = ctx.sim
-        #: In-flight wire steps not yet accounted: process -> step index.
-        running: dict = {}
-        done = 0
-        #: The event the engine sleeps on during one wave (None while it
-        #: runs), succeeded by the first unaccounted step to finish.
-        wake: Optional[Event] = None
+        #: Startable steps, a min-heap: wire ops post in the order the
+        #: algorithm listed them (send before recv inside a round).
+        self.ready = [i for i, m in enumerate(missing) if not m]
+        self.left = len(missing)
+        #: Round -> [first step start, last step exit], when traced.
+        self.rounds: Optional[dict] = {} if stamped else None
+        #: ``(step, ok, value)`` per exit of the coming wave (``None``:
+        #: no wave scheduled).
+        self.exited: Optional[List[Tuple[int, bool, Any]]] = None
 
-        def on_done(proc: Event) -> None:
-            if (wake is not None and wake._value is PENDING
-                    and proc in running):
-                wake.succeed()
+    @property
+    def name(self) -> str:
+        sched = self.sched
+        live = ", ".join(sched.label(i)
+                         for i, m in enumerate(self.missing) if m == 0)
+        op = (sched.meta or {}).get("op", "collective")
+        return f"{op}(r{self.ctx.rank})" + (live and f": {live}")
 
-        def finish(idx: int) -> None:
-            for j in dependents[idx]:
-                missing[j] -= 1
-                if missing[j] == 0:
-                    heapq.heappush(ready, j)
+    def pump(self, issue: bool = False) -> None:
+        """Run every ready compute step, then start the ready wire
+        steps, lowest index first.  At issue they start back to back
+        from one URGENT kick, where their process starts ran; in a wave
+        they start inline, as those kicks would have fired next."""
+        sched, ready, rounds = self.sched, self.ready, self.rounds
+        wire = []
+        while ready:
+            idx = heappop(ready)
+            if rounds is not None and sched.round[idx] not in rounds:
+                rounds[sched.round[idx]] = [self.sim._now] * 2
+            if sched.kind[idx] == COMPUTE:
+                run_ops(self.bufs, sched.ref[idx])
+                self.account(idx)
+            else:
+                wire.append(idx)
+        if wire and issue:
+            _soon(self.sim, lambda _e: self.start(wire), "sched.start",
+                  URGENT)
+        elif wire:
+            self.start(wire)
 
-        while done < n:
-            while ready:
-                idx = heapq.heappop(ready)
-                rd = rounds[idx]
-                if spans is not None and rd not in rstart:
-                    rstart[rd] = ctx.sim._now
-                if kinds[idx] == COMPUTE:
-                    run_ops(bufs, sched.ref[idx])
-                    done += 1
-                    if spans is not None:
-                        rend[rd] = ctx.sim._now
-                    finish(idx)
-                    continue
-                proc = sim.process(
-                    self._wire_op(ctx, sched, idx, bufs),
-                    name=f"sched.{KIND_NAMES[kinds[idx]]}(r{ctx.rank}:{idx})",
-                )
-                proc.callbacks.append(on_done)
-                running[proc] = idx
-            if done >= n:
-                break
-            if not running:
-                raise MpiError(
-                    "schedule stalled: cyclic or dangling dependencies"
-                )
-            wake = Event(sim, "sched.wake")
-            yield wake
-            wake = None
-            # Every step that has finished by now, in step order (a
-            # finished process may still be queued to fire).
-            finished = sorted(
-                (idx, p) for p, idx in running.items()
-                if p._value is not PENDING
-            )
-            for idx, p in finished:
-                if p._ok is False:
-                    raise p._value
-                del running[p]
-            if spans is not None:
-                # sim.now is monotonic, so every wave overwrites its
-                # rounds' end stamps with the latest completion time.
-                now = sim._now
-                for idx, _p in finished:
-                    rend[rounds[idx]] = now
-            for idx, _p in finished:
-                done += 1
-                finish(idx)
-        if sp_coll is not None:
-            now = ctx.sim.now
-            for r in sorted(rstart):
-                spans.complete(
-                    rstart[r], rend.get(r, now), _round_name(r), "round",
-                    sp_coll.track, sp_coll.sid,
-                )
-            spans.end(now, sp_coll)
+    def start(self, wire: List[int]) -> None:
+        for idx in wire:
+            resume(_Step(self, idx), GO)
 
-    # -- step drivers -------------------------------------------------------
-    def _wire_op(
-        self, ctx: MpiContext, sched: Schedule, i: int, bufs: List[Any]
-    ) -> Generator[Event, Any, Any]:
+    def account(self, idx: int) -> None:
+        """Step ``idx`` is done: release its dependents."""
+        missing = self.missing
+        for j in self.dependents[idx]:
+            missing[j] -= 1
+            if not missing[j]:
+                heappush(self.ready, j)
+        missing[idx] = -1
+        self.left -= 1
+        if self.rounds is not None:
+            self.rounds[self.sched.round[idx]][1] = self.sim._now
+
+    def exit(self, idx: int, ok: bool, value: Any) -> None:
+        """Wire step ``idx`` ended (``ok``) with ``value``."""
+        if self._value is not PENDING:
+            return  # the run already failed; a straggler changes nothing
+        if self.exited is None:
+            self.exited = []
+            _soon(self.sim, self._wake, "sched.exit")
+        self.exited.append((idx, ok, value))
+
+    def _wake(self, _event: Event) -> None:
+        _soon(self.sim, self._wave, "sched.wake")
+
+    def _wave(self, _event: Event) -> None:
+        exited = sorted(self.exited, key=itemgetter(0))
+        self.exited = None
+        for _idx, ok, value in exited:
+            if not ok:
+                return self.deliver(value, ok=False)
+        for idx, _ok, _value in exited:
+            self.account(idx)
+        try:
+            self.pump()
+        except SimulationError:
+            raise
+        except Exception as exc:  # a compute step's: the caller's error
+            return self.deliver(exc, ok=False)
+        if not self.left:
+            self.deliver(None)
+
+
+def _soon(sim, fn: Callable[[Event], None], name: str,
+          priority: int = NORMAL) -> None:
+    """Run ``fn`` from a zero-delay event."""
+    event = Event(sim, name)
+    event.callbacks.append(fn)
+    event.succeed(priority=priority)
+
+
+class _Step:
+    """A wire step in flight: its p2p generator, driven by
+    :func:`~repro.sim.core.resume`.  Only the callback of the event it
+    waits on refers to it, so a finished step (and the frames and
+    payloads it holds) is freed by reference counting alone."""
+
+    __slots__ = ("sim", "gen", "run", "idx", "buf", "_target")
+    _interrupts = ()
+    _resume = resume
+
+    def __init__(self, run: _Run, idx: int) -> None:
+        sched = run.sched
+        self.sim, self.run, self.idx, self.buf = run.sim, run, idx, None
         # A `via` step runs in a derived communicator's rank/tag space
-        # (its own matching stores — tag isolation for free); the wire
-        # underneath is the same cluster interconnect either way.
-        via = sched.via[i]
-        tctx = sched.ctxs[via] if via else ctx
+        # (its own matching stores); the wire is the same either way.
+        via = sched.via[idx]
+        tctx = sched.ctxs[via] if via else run.ctx
         comm = tctx.comm
-        kind = sched.kind[i]
+        kind = sched.kind[idx]
         if kind == SEND:
-            flags = sched.flags[i]
-            yield from comm._send_impl(
-                tctx.rank, sched.peer[i], payload(bufs, sched.ref[i], flags),
-                sched.tag[i], copy=not flags & ALIAS,
-                donate=bool(flags & DONATE),
+            flags = sched.flags[idx]
+            self.gen = comm._send_impl(
+                tctx.rank, sched.peer[idx],
+                payload(run.bufs, sched.ref[idx], flags), sched.tag[idx],
+                copy=not flags & ALIAS, donate=bool(flags & DONATE),
             )
         elif kind == RECV:
-            ref = sched.ref[i]
-            buf = None if ref is None else view(bufs, ref)
-            status = yield from comm._recv_impl(
-                tctx.rank, sched.peer[i], buf, sched.tag[i]
+            ref = sched.ref[idx]
+            self.buf = None if ref is None else view(run.bufs, ref)
+            self.gen = comm._recv_impl(
+                tctx.rank, sched.peer[idx], self.buf, sched.tag[idx]
             )
-            if status.nbytes < sched.nbytes(i):
-                raise short_recv(sched, status.nbytes, sched.nbytes(i))
-            land(bufs, ref, buf)
-            return status
-        else:
-            yield comm._sw()
+        else:  # one software-overhead quantum
+            self.gen = (ev for ev in (comm._sw(),))
+
+    def _finish(self, ok: bool, value: Any) -> None:
+        """The generator ended; a receive that lands short fails."""
+        sched = self.run.sched
+        if ok and sched.kind[self.idx] == RECV:
+            want = sched.nbytes(self.idx)
+            if value.nbytes < want:
+                ok, value = False, short_recv(sched, value.nbytes, want)
+            else:
+                land(self.run.bufs, sched.ref[self.idx], self.buf)
+        self.run.exit(self.idx, ok, value)

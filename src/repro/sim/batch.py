@@ -60,7 +60,7 @@ from typing import Any, List, Tuple
 
 import numpy as np
 
-from .core import NORMAL, PENDING, Event, Simulator
+from .core import NORMAL, Event, Simulator
 from .errors import ScheduleError
 
 __all__ = ["EventBatch", "EventHeap"]
@@ -96,10 +96,11 @@ class EventHeap:
     ``_pend`` and the run together are "the heap".  A push at exactly
     ``_lane_t`` goes to its priority's lane, every other push to the
     heap; every pop taken while the lanes are empty resets ``_lane_t``
-    to the popped time.  Entries the exploring tie-break pushes back
-    (:meth:`push_entry`) are a whole ready set at the current instant,
-    in seq order, with nothing else left at their ``(time,
-    priority)``, so appending them to their lane keeps it sorted.
+    to the popped time.  An entry put back (:meth:`push_entry`) goes
+    to the heap: it was popped ahead of every lane entry of its
+    ``(time, priority)``, and a heap entry wins that tie, whereas a
+    lane append could let a later heap entry of the same key overtake
+    it.
     """
 
     __slots__ = (
@@ -143,13 +144,10 @@ class EventHeap:
             self._merge()
 
     def push_entry(self, entry: Tuple[float, int, int, Event]) -> None:
-        """Re-insert an entry previously returned by :meth:`pop` (the
-        exploring tie-break pushes non-chosen ready entries back)."""
-        if entry[0] == self._lane_t:
-            self._lanes[entry[1]].append(entry)
-            self._lane_n += 1
-        else:
-            heapq.heappush(self._pend, entry)
+        """Re-insert an entry previously returned by :meth:`pop`, with
+        its seq: the exploring tie-break's unchosen ready entries, or
+        the run loop's first entry past ``until``."""
+        heapq.heappush(self._pend, entry)
 
     def _merge(self) -> None:
         """Fold the push buffer into the sorted run (vectorized)."""
@@ -324,14 +322,7 @@ def _make_drain(sim: Simulator, members: List[Tuple[float, Event, Any]]):
     def drain(_carrier: Event) -> None:
         stats = sim.stats
         for _t, ev, value in members:
-            if ev._value is not PENDING:  # pragma: no cover - defensive
-                raise ScheduleError(f"batched {ev!r} triggered elsewhere")
-            ev._ok = True
-            ev._value = value
             stats.batch_events += 1
-            callbacks, ev.callbacks = ev.callbacks, None
-            if callbacks:
-                for fn in callbacks:
-                    fn(ev)
+            ev.deliver(value)
 
     return drain

@@ -22,11 +22,17 @@ Design notes
   with its lookups bound once per call; :meth:`Simulator.run` and
   :meth:`Simulator.step` both drive it, so there is one place that
   checks time monotonicity, undefused failures and crashed processes.
+* One generator-stepping loop, :func:`resume`, drives a
+  :class:`Process` and any engine-owned generator thread alike (the
+  MPI schedule engine's wire steps: no process per step).
+  :meth:`Event.deliver` processes an event inside another's firing
+  (batched completions, a schedule's completion), failing loudly alike.
 * Default names cost nothing until read: a :class:`Timeout`'s
-  ``timeout(<delay>)``, a process start's ``init(<process>)`` and a
-  resource grant's ``request(<resource>)`` are formatted by the
-  ``name`` property, so the hot path never formats a string, yet
-  deadlock chains and schedule traces read the same names.
+  ``timeout(<delay>)``, a process start's ``init(<process>)``, a late
+  callback's ``bridge(<event>)`` and a resource grant's
+  ``request(<resource>)`` are formatted by the ``name`` property, so
+  the hot path never formats a string, yet deadlock chains and
+  schedule traces read the same names.
 * Deadlock detection: when the heap drains while processes remain blocked,
   :meth:`Simulator.run` raises :class:`~repro.sim.errors.DeadlockError`
   (unless disabled).  This converts would-be hangs into testable failures.
@@ -35,6 +41,7 @@ Design notes
 from __future__ import annotations
 
 import itertools
+from types import SimpleNamespace
 from typing import Any, Callable, Generator, Iterable, Optional
 
 from .errors import (
@@ -152,6 +159,19 @@ class Event:
         self.sim._schedule(self, 0.0, priority)
         return self
 
+    def deliver(self, value: Any = None, ok: bool = True) -> None:
+        """Trigger and process the event at once, from inside another
+        event's firing: its callbacks run now, never through the heap."""
+        if self._value is not PENDING:
+            raise ScheduleError(f"{self!r} already triggered")
+        self._ok = ok
+        self._value = value
+        callbacks, self.callbacks = self.callbacks, None
+        for fn in callbacks:
+            fn(self)
+        if not ok and not self._defused:
+            raise value
+
     def defuse(self) -> None:
         """Mark a failed event as handled so it won't crash the run."""
         self._defused = True
@@ -168,14 +188,7 @@ class Event:
         else:
             # Already processed: bridge through a fresh immediate event so
             # the callback still runs from the main loop, never re-entrantly.
-            # A failure it carries was decided when this event fired, and
-            # ``fn`` is its waiter, so the bridge itself is defused.
-            bridge = Event(self.sim, name=f"bridge({self.name})")
-            bridge.callbacks.append(lambda _e: fn(self))
-            bridge._ok = self._ok
-            bridge._value = self._value
-            bridge._defused = True
-            self.sim._schedule(bridge, 0.0, URGENT)
+            _Kick(self, "bridge", lambda _e: fn(self), self._ok, self._value)
 
     def remove_callback(self, fn: Callable[["Event"], None]) -> None:
         """Remove a previously added callback (no-op if absent/processed)."""
@@ -223,27 +236,83 @@ class Timeout(Event):
 
 
 class _Kick(Event):
-    """A zero-delay URGENT event resuming one process: its start
-    (``init(<process>)``) or an interrupt delivery
-    (``interrupt(<process>)``)."""
+    """A zero-delay URGENT event ``<why>(<of>)`` handing ``fn`` an
+    outcome decided earlier: a process start (``init``), an interrupt
+    (``interrupt``) or a late callback's event (``bridge``)."""
 
-    __slots__ = ("proc", "why")
+    __slots__ = ("of", "why")
 
-    def __init__(self, proc: "Process", why: str) -> None:
-        sim = proc.sim
-        self.sim = sim
+    def __init__(self, of: Event, why: str, fn: Callable[[Any], None],
+                 ok: bool = True, value: Any = None) -> None:
+        self.sim = sim = of.sim
         self._name = ""
-        self.callbacks = [proc._resume]
-        self._value = None
-        self._ok = True
-        self._defused = False
-        self.proc = proc
+        self.callbacks = [fn]
+        self._value = value
+        self._ok = ok
+        self._defused = True
+        self.of = of
         self.why = why
         sim._schedule(self, 0.0, URGENT)
 
     @property
     def name(self) -> str:
-        return f"{self.why}({self.proc.name})"
+        return f"{self.why}({self.of.name})"
+
+
+#: The trigger that starts a generator thread: resume it with ``None``.
+GO = SimpleNamespace(_ok=True, _value=None)
+
+
+def resume(thread: Any, trigger: Any) -> None:
+    """Advance ``thread`` — a :class:`Process`, or any object with its
+    ``sim``, ``gen``, ``_interrupts``, ``_target``, ``_resume`` (this
+    function) and ``_finish`` — from ``trigger`` until its generator
+    blocks on a pending event, returns or raises (``_finish(ok,
+    value)``; a :class:`SimulationError` before any yield propagates)."""
+    sim = thread.sim
+    prev, sim._current = sim._current, thread
+    thread._target = None
+    gen, interrupts = thread.gen, thread._interrupts
+    event: Any = None
+    try:
+        while True:
+            if interrupts:
+                event = gen.throw(interrupts.pop(0))
+            elif trigger._ok:
+                event = gen.send(trigger._value)
+            else:
+                trigger._defused = True
+                event = gen.throw(trigger._value)
+            # The generator yielded `event`; decide whether to block.
+            if not isinstance(event, Event):
+                raise SimulationError(
+                    f"{thread!r} yielded non-event {event!r}")
+            if event.sim is not sim:
+                raise SimulationError(
+                    f"{thread!r} yielded event from another simulator"
+                )
+            if interrupts:
+                # Pending interrupt: deliver it instead of blocking.
+                continue
+            callbacks = event.callbacks
+            if callbacks is None:
+                # Already processed: continue with its value at once
+                # (loop again without a context switch).
+                trigger = event
+                continue
+            callbacks.append(thread._resume)
+            thread._target = event
+            break
+    except StopIteration as stop:
+        thread._finish(True, stop.value)
+    except BaseException as exc:  # generator died
+        if isinstance(exc, SimulationError) and event is None:
+            # Kernel-usage errors propagate directly.
+            sim._live.discard(thread)
+            raise
+        thread._finish(False, exc)
+    finally:
+        sim._current = prev
 
 
 ProcessGen = Generator[Event, Any, Any]
@@ -273,7 +342,7 @@ class Process(Event):
         self._interrupts: list[Interrupt] = []
         sim._live.add(self)
         # First resumption happens "now" via an initialization event.
-        _Kick(self, "init")
+        _Kick(self, "init", self._resume)
 
     @property
     def is_alive(self) -> bool:
@@ -291,63 +360,12 @@ class Process(Event):
         if self._target is not None:
             self._target.remove_callback(self._resume)
             self._target = None
-            _Kick(self, "interrupt")
+            _Kick(self, "interrupt", self._resume)
         # If _target is None the process is already scheduled to resume; the
         # queued interrupt will be delivered on that resumption.
 
     # -- kernel interface ----------------------------------------------
-    def _resume(self, trigger: Event) -> None:
-        sim = self.sim
-        sim._current = self
-        self._target = None
-        gen = self.gen
-        interrupts = self._interrupts
-        event: Optional[Event] = None
-        try:
-            while True:
-                if interrupts:
-                    event = gen.throw(interrupts.pop(0))
-                elif trigger._ok:
-                    event = gen.send(trigger._value)
-                else:
-                    trigger._defused = True
-                    event = gen.throw(trigger._value)
-                # The generator yielded `event`; decide whether to block.
-                if not isinstance(event, Event):
-                    raise SimulationError(
-                        f"{self!r} yielded non-event {event!r}"
-                    )
-                if event.sim is not sim:
-                    raise SimulationError(
-                        f"{self!r} yielded event from another simulator"
-                    )
-                if interrupts:
-                    # Pending interrupt: deliver instead of blocking, but
-                    # only consume the yielded event if already triggered.
-                    trigger = Event(sim)
-                    trigger._ok = True
-                    trigger._value = None
-                    continue
-                callbacks = event.callbacks
-                if callbacks is None:
-                    # Already processed: continue with its value at once
-                    # (loop again without a context switch).
-                    trigger = event
-                    continue
-                callbacks.append(self._resume)
-                self._target = event
-                break
-        except StopIteration as stop:
-            self._finish(True, stop.value)
-        except BaseException as exc:  # generator died
-            if isinstance(exc, SimulationError) and event is None:
-                # Kernel-usage errors propagate directly.
-                sim._current = None
-                sim._live.discard(self)
-                raise
-            self._finish(False, exc)
-        finally:
-            sim._current = None
+    _resume = resume
 
     def _finish(self, ok: bool, value: Any) -> None:
         self.sim._live.discard(self)
@@ -474,25 +492,25 @@ class Simulator:
         heap = self._heap
         # The base tie-break is the heap's own order: skip the
         # _pop_next indirection unless a subclass overrides it.
-        pop = (
-            heap.pop
-            if type(self)._pop_next is Simulator._pop_next
-            else self._pop_next
-        )
-        peek = heap.peek_time
+        pop = heap.pop
+        if type(self)._pop_next is not Simulator._pop_next:
+            pop = decide = self._pop_next
+            if until is not None:
+                # Never let a custom tie-break decide past ``until``.
+                def pop():
+                    return heap.pop() if heap.peek_time() > until else decide()
         crashed = self._crashed
         fired = 0
         try:
             while True:
-                if until is not None and peek() > until:
-                    if not heap:
-                        return True
-                    self._now = until
-                    return False
                 try:
-                    t, _prio, _seq, event = pop()
+                    t, _prio, _seq, event = entry = pop()
                 except IndexError:
                     return True
+                if until is not None and t > until:
+                    heap.push_entry(entry)
+                    self._now = until
+                    return False
                 if t < self._now - 1e-18:  # pragma: no cover - defensive
                     raise SimulationError("time went backwards")
                 self._now = t

@@ -127,7 +127,7 @@ def test_analytic_matches_exact(op, n_ranks):
         )
         assert algo_keys(job_a) == algo_keys(job_e)
         # The per-step critical-path model overlaps rounds exactly as
-        # the exact engine's spawned wire processes do, so even the
+        # the exact engine's in-flight wire steps do, so even the
         # non-power-of-two binomial trees (straggler subtrees firing
         # early) price within the uniform tolerance — no special case.
         assert sim_a.now == pytest.approx(sim_e.now, rel=TOL)

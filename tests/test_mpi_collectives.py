@@ -376,3 +376,122 @@ def test_failed_wire_step_raises_from_the_exact_engine(monkeypatch):
     job.start(prog)
     with pytest.raises(MpiError, match="injected receive failure"):
         job.run()
+
+
+def test_wire_step_failing_before_its_first_yield_raises_in_the_caller(
+    monkeypatch,
+):
+    """A wire step starts inline, so its generator can raise while the
+    engine is still starting steps: the error must reach the collective's
+    caller, not escape ``sim.run()`` and not hang the job."""
+    from repro.mpi.communicator import Communicator
+
+    def send_impl(self, src, dst, buf, tag, copy=True, donate=False):
+        raise MpiError("injected send failure")
+        yield  # pragma: no cover - makes this a generator
+
+    monkeypatch.setattr(Communicator, "_send_impl", send_impl)
+    sim, job = make_job(4, n_nodes=2)
+    caught = {}
+
+    def prog(ctx):
+        send = np.arange(4, dtype=np.float64)
+        recv = np.zeros(4, dtype=np.float64)
+        try:
+            yield from ctx.allreduce(send, recv, op=ReduceOp.SUM)
+        except MpiError as exc:
+            caught[ctx.rank] = str(exc)
+
+    job.start(prog)
+    job.run()
+    assert caught == {r: "injected send failure" for r in range(4)}
+
+
+def test_hung_collective_names_its_pending_wire_step():
+    """With no process per wire step, a deadlock chain ends at the
+    collective's completion event, whose name gives the op, the rank
+    and each step still in flight (kind, peer and tag)."""
+    from repro.sim import DeadlockError
+
+    sim, job = make_job(4, n_nodes=2)
+
+    def prog(ctx):
+        send = np.ones(4, dtype=np.float64)
+        recv = np.zeros(4, dtype=np.float64)
+        if ctx.rank != 3:
+            yield from ctx.allreduce(send, recv, op=ReduceOp.SUM)
+
+    job.start(prog)
+    with pytest.raises(DeadlockError) as err:
+        job.run()
+    chain = next(c for c in err.value.chains if c[0] == "mpi.rank0")
+    assert chain[-1].startswith("allreduce(r0): ")
+    assert "recv<-" in chain[-1] and " tag " in chain[-1]
+    assert "allreduce(r0): recv<-" in str(err.value)
+
+
+def test_exact_allreduce_creates_one_process_per_rank(monkeypatch):
+    """Wire steps are continuations driven by the engine: an 8-rank
+    exact allreduce constructs the rank processes and nothing else."""
+    from repro.sim import Process
+
+    made = []
+    init = Process.__init__
+
+    def counting_init(self, sim, gen, name=""):
+        made.append(name)
+        init(self, sim, gen, name)
+
+    monkeypatch.setattr(Process, "__init__", counting_init)
+    sim, job = make_job(8)
+
+    def prog(ctx):
+        send = np.full(1024, float(ctx.rank))
+        recv = np.zeros(1024)
+        yield from ctx.allreduce(send, recv, op=ReduceOp.SUM)
+        assert np.all(recv == sum(range(8)))
+
+    job.start(prog)
+    job.run()
+    assert sorted(made) == sorted(f"mpi.rank{r}" for r in range(8))
+
+
+def test_exact_collective_buffers_need_no_cycle_collector(monkeypatch):
+    """No reference cycle may keep a finished collective's buffers
+    alive: with the cyclic GC off, reference counting alone frees the
+    receive buffer and the engine's staging arrays (1 MB payloads)."""
+    import gc
+    import weakref
+
+    from repro.mpi.algorithms import schedule
+
+    refs = []
+    materialize = schedule.materialize
+
+    def tracking(binding, scratch):
+        bufs = materialize(binding, scratch)
+        refs.extend(weakref.ref(b) for b in bufs
+                    if isinstance(b, np.ndarray))
+        return bufs
+
+    monkeypatch.setattr(schedule, "materialize", tracking)
+    n = (1 << 20) // 8
+
+    def prog(ctx):
+        send = np.full(n, float(ctx.rank))
+        recv = np.zeros(n)
+        yield from ctx.allreduce(send, recv, op=ReduceOp.SUM)
+        assert recv[0] == recv[-1] == sum(range(8))
+
+    gc.collect()
+    gc.disable()
+    try:
+        sim, job = make_job(8)
+        job.start(prog)
+        job.run()
+        assert len(refs) > 16  # send + recv + staging, on every rank
+        del sim, job
+        alive = [r() for r in refs if r() is not None]
+        assert not alive, f"{len(alive)} buffers outlive the job"
+    finally:
+        gc.enable()

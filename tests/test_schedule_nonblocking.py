@@ -36,6 +36,11 @@ class TestScheduleIR:
         sched = Schedule()
         with pytest.raises(MpiError, match="unknown step"):
             sched.compute(lambda: None, after=(3,))
+        # A step cannot wait on itself: every schedule is a DAG in
+        # index order, so no engine can stall on a cycle.
+        idx = len(sched)
+        with pytest.raises(MpiError, match=f"step {idx} depends on unknown"):
+            sched.compute(lambda: None, after=(idx,))
 
     def test_rounds_and_describe(self):
         sched = Schedule()

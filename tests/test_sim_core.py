@@ -680,3 +680,28 @@ def test_exploring_ready_set_spans_heap_and_lanes():
     picked = first.ready[first.picked]
     rest = tuple(n for n in first.ready if n != picked)
     assert second.ready == rest + (f"{picked}.z0", f"{picked}.z1")
+
+
+def test_deliver_processes_an_event_inside_another_firing():
+    """``Event.deliver`` runs the waiters at once, in the current
+    firing, and a failure no waiter took crashes the run as usual."""
+    sim = Simulator()
+    got = []
+    done = sim.event("done")
+    lost = sim.event("lost")
+
+    def waiter():
+        value = yield done
+        got.append((sim.now, value))
+
+    sim.process(waiter())
+    carrier = sim.timeout(2.0)
+    carrier.callbacks.append(lambda _e: done.deliver("v"))
+    sim.run()
+    assert got == [(2.0, "v")] and done.processed and done.ok
+    with pytest.raises(ScheduleError):
+        done.deliver("again")
+    sim.timeout(1.0).callbacks.append(
+        lambda _e: lost.deliver(ValueError("nobody waits"), ok=False))
+    with pytest.raises(ValueError, match="nobody waits"):
+        sim.run()
