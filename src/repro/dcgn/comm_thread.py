@@ -45,7 +45,7 @@ from ..mpi.communicator import MpiContext, Request
 from ..mpi.datatypes import ReduceOp
 from ..mpi.status import ANY_SOURCE
 from ..sim.core import Event, Simulator, us
-from ..sim.sync import Signal
+from ..sim.sync import Signal, Wake
 from .errors import CollectiveMismatch, DcgnError
 from .groups import GroupTable, WORLD_GID
 from .queues import WorkQueue
@@ -196,6 +196,7 @@ class CommThread:
         if phase > 0:
             yield self.sim.timeout(phase)
         self._post_header_irecv()
+        sleep = Wake(self.sim)
         while True:
             spans = self.sim.spans
             if spans is not None:
@@ -231,12 +232,10 @@ class CommThread:
             # quantize the reaction to the next grid tick so observable
             # latency matches a thread sleeping `interval` between polls.
             if not self._actionable():
-                from ..sim.primitives import AnyOf
-
-                waits = [self._wake.wait()]
-                if self._hdr_req is not None:
-                    waits.append(self._hdr_req.event)
-                yield AnyOf(self.sim, waits)
+                hdr = self._hdr_req
+                yield sleep.arm(
+                    None, (self._wake,), () if hdr is None else (hdr.event,)
+                )
             elapsed = self.sim.now - phase
             ticks = int(elapsed / interval) + 1
             remainder = phase + ticks * interval - self.sim.now

@@ -8,8 +8,11 @@ thread."
 The polling loop is the paper's sleep-based polling system.  One
 iteration:
 
-1. sleep per the polling policy (a *kick* — host-side request activity —
-   may cut the sleep short when the adaptive policy is active);
+1. sleep per the polling policy on one reusable
+   :class:`~repro.sim.sync.Wake`: the timer, the completion signal, the
+   node *kick* (host-side request activity, adaptive policy only) and,
+   with future GPU signaling, a mailbox post — whichever fires first
+   ends the sleep, and the losing signal waits are withdrawn;
 2. PCIe **probe** of the mailbox region (status flags);
 3. if requests are posted: PCIe **read** of the descriptors, then for
    payload-bearing requests a PCIe read of the payload, then relay into
@@ -33,8 +36,7 @@ from ..gpusim.kernel import BlockContext, KernelHandle, LaunchConfig, launch_ker
 from ..gpusim.mailbox import MailboxRequest, SlotMailboxes
 from ..gpusim.memory import DeviceBuffer
 from ..sim.core import Event, Simulator, us
-from ..sim.primitives import AnyOf
-from ..sim.sync import Signal
+from ..sim.sync import Signal, Wake
 from .comm_thread import CommThread
 from .api import GpuCommApi
 from .polling import PollPolicy, make_policy
@@ -179,34 +181,24 @@ class GpuKernelThread:
                 0.0, us(self.params.dcgn.gpu_poll_interval_us)
             )
         )
+        comp, act = self._completion_sig, self._activity_sig
+        kick = (self.kick,) if self.policy.supports_kick else ()
+        wake = Wake(self.sim)
         if phase > 0:
-            if self.policy.supports_kick:
-                kick_ev = self.kick.wait()
-                fired = yield AnyOf(
-                    self.sim, [self.sim.timeout(phase), kick_ev]
-                )
-                if kick_ev in fired:
+            if kick:
+                if (yield wake.arm(phase, kick)) is self.kick:
                     self.policy.kicked()
             else:
                 yield self.sim.timeout(phase)
-        future_signaling = self.params.dcgn.future_gpu_signaling
+        # Future hardware: a mailbox post interrupts the sleep too.
+        tick = (comp,) + kick + (
+            (act,) if self.params.dcgn.future_gpu_signaling else ()
+        )
         while True:
-            delay = us(self.policy.next_delay_us())
-            waits = [self.sim.timeout(delay), self._completion_sig.wait()]
-            comp_ev = waits[1]
-            kick_ev = None
-            if self.policy.supports_kick:
-                kick_ev = self.kick.wait()
-                waits.append(kick_ev)
-            post_ev = None
-            if future_signaling:
-                # Future hardware: a mailbox post interrupts the sleep.
-                post_ev = self._activity_sig.wait()
-                waits.append(post_ev)
-            fired = yield AnyOf(self.sim, waits)
-            if kick_ev is not None and kick_ev in fired:
+            src = yield wake.arm(us(self.policy.next_delay_us()), tick)
+            if src is self.kick:
                 self.policy.kicked()
-            if post_ev is not None and post_ev in fired:
+            elif src is act:
                 yield self.sim.timeout(
                     us(self.params.cpu.thread_signal_us)
                 )
@@ -215,7 +207,7 @@ class GpuKernelThread:
                 if self._shutdown and not self.busy:
                     break
                 continue
-            if comp_ev in fired:
+            elif src is comp:
                 # Signalled completion: handle write-backs immediately
                 # (thread wake-up cost), skip the mailbox probe.
                 yield self.sim.timeout(
@@ -231,13 +223,7 @@ class GpuKernelThread:
                 # Fully idle: block until a launch / kick / completion /
                 # shutdown instead of burning empty poll ticks.
                 self.policy.observe(False)
-                idle_waits = [
-                    self._activity_sig.wait(),
-                    self._completion_sig.wait(),
-                ]
-                if self.policy.supports_kick:
-                    idle_waits.append(self.kick.wait())
-                yield AnyOf(self.sim, idle_waits)
+                yield wake.arm(None, (act, comp) + kick)
                 if self._shutdown and not self.busy:
                     break
                 continue

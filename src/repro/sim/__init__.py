@@ -40,7 +40,7 @@ from .stats import SimStats
 from .resources import BandwidthChannel, Mutex, Resource, acquire
 from .rng import RngStreams, stable_hash
 from .stores import FilterStore, Store
-from .sync import CyclicBarrier, Gate, Latch, Signal
+from .sync import CyclicBarrier, Gate, Latch, Signal, Wake
 
 __all__ = [
     "Event",
@@ -73,6 +73,7 @@ __all__ = [
     "Store",
     "FilterStore",
     "Signal",
+    "Wake",
     "Gate",
     "Latch",
     "CyclicBarrier",

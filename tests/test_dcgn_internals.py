@@ -1,11 +1,21 @@
-"""Unit tests for DCGN internals: queues, polling policies, requests."""
+"""Unit tests for DCGN internals: queues, polling policies, requests,
+and the GPU poller's sleep."""
 
+import dataclasses
+
+import numpy as np
 import pytest
 
-from repro.dcgn import AdaptiveBurstPolicy, FixedIntervalPolicy
+from repro.dcgn import (
+    AdaptiveBurstPolicy,
+    DcgnConfig,
+    DcgnRuntime,
+    FixedIntervalPolicy,
+)
 from repro.dcgn.polling import make_policy
 from repro.dcgn.queues import WorkQueue, sleep_poll_wait
 from repro.dcgn.requests import CommRequest, CommStatus
+from repro.hw import HWParams, build_cluster, paper_cluster
 from repro.hw.params import DcgnParams
 from repro.sim import Signal, Simulator, us
 
@@ -185,3 +195,56 @@ class TestCommRequest:
         a = CommRequest(op="send", src_vrank=0)
         b = CommRequest(op="send", src_vrank=0)
         assert a.req_id != b.req_id
+
+
+class TestPollerWaits:
+    @pytest.mark.parametrize("kick", [False, True], ids=["fixed", "adaptive"])
+    def test_lost_poll_waits_do_not_pile_up(self, kick):
+        """A poll tick the timer wins withdraws its signal waits: over a
+        long compute the completion and kick signals hold at most one
+        wait per poller, not one more per tick."""
+        params = HWParams(
+            dcgn=dataclasses.replace(DcgnParams(), gpu_poll_kick=kick)
+        )
+        sim = Simulator()
+        cluster = build_cluster(
+            sim, paper_cluster(nodes=1, gpus_per_node=1, params=params)
+        )
+        rt = DcgnRuntime(
+            cluster,
+            DcgnConfig.homogeneous(1, cpu_threads=1, gpus=1, slots_per_gpu=1),
+        )
+        gt = rt.gpu_threads[(0, 0)]
+        assert isinstance(gt.policy, AdaptiveBurstPolicy if kick
+                          else FixedIntervalPolicy)
+        interval = us(params.dcgn.gpu_poll_interval_us)
+        compute_s = 60 * interval
+        samples = []
+
+        def gpu_kernel(ctx):
+            yield from ctx.compute(seconds=compute_s)
+            dbuf = ctx.device.alloc(1, dtype=np.int64)
+            dbuf.data[0] = 7
+            yield from ctx.comm.send(0, 0, dbuf)
+
+        def cpu_kernel(ctx):
+            buf = np.zeros(1, dtype=np.int64)
+            yield from ctx.recv(1, buf)
+            return int(buf[0])
+
+        def sampler():
+            while sim.now < compute_s:
+                samples.append(
+                    (gt._completion_sig.waiting, gt.kick.waiting)
+                )
+                yield sim.timeout(interval / 2)
+
+        rt.launch_cpu(cpu_kernel)
+        rt.launch_gpu(gpu_kernel)
+        sim.process(sampler())
+        report = rt.run()
+        assert report.cpu_results() == [7]
+        assert gt.polls >= 50
+        assert len(samples) >= 100
+        assert max(comp for comp, _ in samples) <= 1
+        assert max(k for _, k in samples) <= len(rt.gpu_threads)

@@ -5,13 +5,17 @@ import pytest
 from repro.dcgn.requests import CommRequest
 from repro.obs import SpanRecorder
 from repro.sim import (
+    AnyOf,
     CyclicBarrier,
+    DeadlockError,
     FilterStore,
     Gate,
     Latch,
     Signal,
     Simulator,
     Store,
+    Timeout,
+    Wake,
 )
 
 
@@ -229,6 +233,196 @@ class TestSignal:
         sim.run()
         assert w.value == pytest.approx(10.0)
         assert sig.fired_count == 2
+
+
+    def test_wait_is_named_lazily_and_cancellable(self):
+        sim = Simulator()
+        sig = Signal(sim, name="s")
+        ev = sig.wait()
+        assert ev.name == "wait(s)"
+        assert sig.cancel(ev) and sig.waiting == 0
+        assert not sig.cancel(ev)
+        assert sig.fire() == 0
+        sim.run()
+        assert not ev.triggered
+
+
+class TestWake:
+    @pytest.mark.parametrize("first", ["timer", "sig", "ev"])
+    def test_first_source_wins_with_itself_as_value(self, first):
+        sim = Simulator()
+        sig, ev, wake = Signal(sim), sim.event(), Wake(sim)
+        at = {"timer": 3.0, "sig": 3.0, "ev": 3.0}
+        at[first] = 1.0
+
+        def waiter():
+            src = yield wake.arm(at["timer"], (sig,), (ev,))
+            return sim.now, src
+
+        def firer():
+            yield sim.timeout(min(at["sig"], at["ev"]))
+            if at["sig"] <= at["ev"]:
+                sig.fire()
+            else:
+                ev.succeed()
+
+        w = sim.process(waiter())
+        sim.process(firer())
+        sim.run()
+        now, src = w.value
+        assert now == 1.0
+        if first == "timer":
+            assert isinstance(src, Timeout) and src.delay == 1.0
+        else:
+            assert src is {"sig": sig, "ev": ev}[first]
+
+    def test_timer_win_withdraws_signal_waits(self):
+        sim = Simulator()
+        a, b, wake = Signal(sim), Signal(sim), Wake(sim)
+        ticks = []
+
+        def poller():
+            for _ in range(20):
+                src = yield wake.arm(1.0, (a, b))
+                assert isinstance(src, Timeout)
+                ticks.append((a.waiting, b.waiting))
+
+        sim.process(poller())
+        sim.run()
+        assert ticks == [(0, 0)] * 20
+        # Nothing left for a late fire to push through the heap.
+        assert a.fire() == 0 and b.fire() == 0
+
+    def test_lost_timer_does_not_resume_a_later_arm(self):
+        sim = Simulator()
+        sig, later, wake = Signal(sim), Signal(sim), Wake(sim)
+        resumed = []
+
+        def waiter():
+            src = yield wake.arm(10.0, (sig,))
+            resumed.append((sim.now, src))
+            # The first arm's timer is still queued for t=10.
+            src = yield wake.arm(None, (later,))
+            resumed.append((sim.now, src))
+
+        def firer():
+            yield sim.timeout(1.0)
+            sig.fire()
+            yield sim.timeout(19.0)
+            later.fire()
+
+        sim.process(waiter())
+        sim.process(firer())
+        sim.run()
+        assert resumed == [(1.0, sig), (20.0, later)]
+
+    def test_failing_event_member_fails_the_hop_and_is_defused(self):
+        sim = Simulator()
+        sig, ev, wake = Signal(sim), sim.event(), Wake(sim)
+
+        def waiter():
+            try:
+                yield wake.arm(5.0, (sig,), (ev,))
+            except ValueError as exc:
+                return sim.now, str(exc)
+
+        def failer():
+            yield sim.timeout(2.0)
+            ev.fail(ValueError("boom"))
+
+        w = sim.process(waiter())
+        sim.process(failer())
+        sim.run()
+        assert w.value == (2.0, "boom")
+        assert ev._defused and sig.waiting == 0
+
+    def test_processed_event_members_win_once(self):
+        """Already-processed members bridge in; only the first resumes
+        the arm, the second's bridge finds no arm and is ignored."""
+        sim = Simulator()
+        a, b, wake = sim.event(), sim.event(), Wake(sim)
+        a.succeed("a")
+        b.succeed("b")
+        sim.run()
+
+        def waiter():
+            src = yield wake.arm(1.0, (), (a, b))
+            return sim.now, src
+
+        w = sim.process(waiter())
+        sim.run()
+        assert w.value == (0.0, a)
+
+    def test_rearm_drops_the_unwon_arm(self):
+        sim = Simulator()
+        sig, wake = Signal(sim), Wake(sim)
+        first = wake.arm(None, (sig,))
+        second = wake.arm(None, (sig,))
+        assert sig.waiting == 1
+
+        def firer():
+            yield sim.timeout(1.0)
+            sig.fire()
+
+        sim.process(firer())
+        sim.run()
+        assert second.value is sig and not first.triggered
+
+    def test_blocked_arm_names_its_waits_in_the_deadlock_chain(self):
+        sim = Simulator()
+        sig, wake = Signal(sim, name="gpu0.comp"), Wake(sim)
+
+        def waiter():
+            yield wake.arm(None, (sig,))
+
+        sim.process(waiter(), name="poller")
+        with pytest.raises(DeadlockError) as info:
+            sim.run()
+        (chain,) = info.value.chains
+        assert chain[0] == "poller"
+        assert any("wait(gpu0.comp)" in link for link in chain[1:])
+
+    @staticmethod
+    def _scripted(use_wake):
+        """Three pollers over two signals whose fires land on timer
+        expiries; returns the ``(now, poller, source)`` resumes."""
+        sim = Simulator()
+        a, b = Signal(sim, name="a"), Signal(sim, name="b")
+        log = []
+
+        def poller(i, delay):
+            wake = Wake(sim)
+            for k in range(8):
+                if use_wake:
+                    src = yield wake.arm(delay, (a, b))
+                    label = "timer" if isinstance(src, Timeout) else src.name
+                else:
+                    waits = [sim.timeout(delay), a.wait(), b.wait()]
+                    fired = yield AnyOf(sim, waits)
+                    (ev,) = fired
+                    label = ("timer", "a", "b")[waits.index(ev)]
+                log.append((sim.now, i, label))
+                if i == 2 and label == "timer" and k % 2:
+                    a.fire()  # same-instant fire from inside a poller
+                if label != "timer":
+                    yield sim.timeout(0.0)
+
+        def firer():
+            for t, sig in [(1.0, a), (0.5, b), (0.0, a), (1.5, b), (1.5, a)]:
+                yield sim.timeout(t)
+                sig.fire()
+
+        for i, delay in enumerate((1.0, 1.5, 0.5)):
+            sim.process(poller(i, delay), name=f"p{i}")
+        sim.process(firer())
+        sim.run()
+        return log
+
+    def test_same_resume_order_as_any_of(self):
+        with_any_of = self._scripted(use_wake=False)
+        assert len(with_any_of) == 24
+        assert {label for _t, _i, label in with_any_of} == {"timer", "a", "b"}
+        assert self._scripted(use_wake=True) == with_any_of
 
 
 class TestGate:
