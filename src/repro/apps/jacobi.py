@@ -5,8 +5,8 @@ horizontal strips, one per rank; every iteration each rank refreshes
 its two ghost rows from its neighbors — the *halo exchange* — then
 relaxes its interior.  The exchange is the classic neighbor-traffic hot
 path, and this app ships it in four interchangeable MPI flavours plus a
-DCGN GPU-kernel-driven one, which is what ``benchmarks/bench_rma.py``
-sweeps against each other:
+DCGN GPU-kernel-driven one, which is what the ``rma`` artifact of
+``python -m repro.bench`` sweeps against each other:
 
 ``blocking``
     The textbook deadlock-avoiding two-sided version: four
@@ -208,7 +208,7 @@ def _exchange_rma_fence_chunked(wctx, u, k, cols, up, down):
     window every chunk pays its own header and fabric latency; on a
     ``coalesce=True`` window the per-neighbor chunks merge onto one
     wire transfer at the fence — the MVAPICH2-style coalescing win
-    ``bench_rma.py`` gates."""
+    ``rma`` benchmark gates."""
     bounds = [(c * cols) // _HALO_CHUNKS for c in range(_HALO_CHUNKS + 1)]
     for lo, hi in zip(bounds, bounds[1:]):
         if down is not None:

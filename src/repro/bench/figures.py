@@ -18,7 +18,7 @@ from ..hw import HWParams, build_cluster, paper_cluster
 from ..hw.params import KB, MB
 from ..sim.core import Simulator, us
 from .calibration import FIG6_ANCHORS, SEC51_PAPER, TABLE1_PAPER
-from .harness import Table, fmt_ratio, fmt_time
+from .harness import Table, fmt_ratio, fmt_size, fmt_time
 
 __all__ = [
     "table1_barriers",
@@ -43,12 +43,6 @@ FIG6_BANDS = {
     "0B gpu:gpu / mpi": (100.0, 700.0),
     "1MB cpu:cpu / mpi": (1.0, 1.25),
 }
-
-
-def _size_label(nbytes: int) -> str:
-    if nbytes == 0:
-        return "0 B"
-    return f"{nbytes // MB} MB" if nbytes >= MB else f"{nbytes // KB} kB"
 
 
 def table1_barriers(iters: int = 10, seed: int = 0) -> Table:
@@ -144,7 +138,7 @@ def fig6_send(
         t_cg = micro.dcgn_send_time(nbytes, "cpu", "gpu", iters=iters, seed=seed)
         t_gc = micro.dcgn_send_time(nbytes, "gpu", "cpu", iters=iters, seed=seed)
         t_gg = micro.dcgn_send_time(nbytes, "gpu", "gpu", iters=iters, seed=seed)
-        label = _size_label(nbytes)
+        label = fmt_size(nbytes)
         series = {"MVAPICH2": t_mpi, "CPU:CPU": t_cc, "CPU:GPU": t_cg,
                   "GPU:CPU": t_gc, "GPU:GPU": t_gg}
         t.add(label, *[fmt_time(x) for x in series.values()])
@@ -178,7 +172,7 @@ def fig7_broadcast(
         t_mpi = micro.mpi_bcast_time(nbytes, iters=iters, seed=seed)
         t_cpu = micro.dcgn_bcast_time(nbytes, "cpu", iters=iters, seed=seed)
         t_gpu = micro.dcgn_bcast_time(nbytes, "gpu", iters=iters, seed=seed)
-        label = _size_label(nbytes)
+        label = fmt_size(nbytes)
         t.add(label, fmt_time(t_mpi), fmt_time(t_cpu), fmt_time(t_gpu))
         t.record(f"{label} MVAPICH2 (us)", t_mpi * 1e6)
         t.record(f"{label} DCGN CPU (us)", t_cpu * 1e6)
@@ -239,24 +233,26 @@ def fig5_mandelbrot_distribution(
     return t
 
 
+def _single_gas_dcgn(app, cfg, nodes: int, seed: int):
+    """``app``'s single-GPU baseline, then its GAS and DCGN runs on
+    ``nodes`` paper nodes, each on a fresh simulator."""
+    return [
+        run(build_cluster(Simulator(), spec), cfg)
+        for run, spec in (
+            (app.run_single_gpu,
+             paper_cluster(nodes=1, gpus_per_node=1, seed=seed)),
+            (app.run_gas, paper_cluster(nodes=nodes, seed=seed)),
+            (app.run_dcgn, paper_cluster(nodes=nodes, seed=seed)),
+        )
+    ]
+
+
 def sec51_mandelbrot(seed: int = 0) -> Table:
     """§5.1 Mandelbrot: speedup/efficiency/Mpixels per second."""
     cfg = mandelbrot.MandelbrotConfig()
     paper = SEC51_PAPER["mandelbrot"]
 
-    sim = Simulator()
-    single = mandelbrot.run_single_gpu(
-        build_cluster(sim, paper_cluster(nodes=1, gpus_per_node=1, seed=seed)),
-        cfg,
-    )
-    sim = Simulator()
-    gas = mandelbrot.run_gas(
-        build_cluster(sim, paper_cluster(nodes=4, seed=seed)), cfg
-    )
-    sim = Simulator()
-    dcgn = mandelbrot.run_dcgn(
-        build_cluster(sim, paper_cluster(nodes=4, seed=seed)), cfg
-    )
+    single, gas, dcgn = _single_gas_dcgn(mandelbrot, cfg, 4, seed)
     t = Table(
         "§5.1 Mandelbrot (8 GPUs; single-GPU baseline)",
         ["Metric", "Paper GAS", "Ours GAS", "Paper DCGN", "Ours DCGN"],
@@ -320,19 +316,7 @@ def sec51_cannon(seed: int = 0) -> Table:
     """§5.1 Cannon's matrix multiplication: 1024², 4 GPUs."""
     cfg = cannon.CannonConfig(n=1024, grid=2)
     paper = SEC51_PAPER["cannon"]
-    sim = Simulator()
-    single = cannon.run_single_gpu(
-        build_cluster(sim, paper_cluster(nodes=1, gpus_per_node=1, seed=seed)),
-        cfg,
-    )
-    sim = Simulator()
-    gas = cannon.run_gas(
-        build_cluster(sim, paper_cluster(nodes=2, seed=seed)), cfg
-    )
-    sim = Simulator()
-    dcgn = cannon.run_dcgn(
-        build_cluster(sim, paper_cluster(nodes=2, seed=seed)), cfg
-    )
+    single, gas, dcgn = _single_gas_dcgn(cannon, cfg, 2, seed)
     t = Table(
         "§5.1 Cannon matrix multiply (1024×1024, 4 GPUs)",
         ["Metric", "Paper", "Ours"],
@@ -382,21 +366,7 @@ def sec51_nbody(
     prev: Optional[Tuple[str, Dict[str, float]]] = None
     for n in body_counts:
         cfg = nbody.NBodyConfig(n_bodies=n, steps=steps, verify=False)
-        sim = Simulator()
-        single = nbody.run_single_gpu(
-            build_cluster(
-                sim, paper_cluster(nodes=1, gpus_per_node=1, seed=seed)
-            ),
-            cfg,
-        )
-        sim = Simulator()
-        gas = nbody.run_gas(
-            build_cluster(sim, paper_cluster(nodes=4, seed=seed)), cfg
-        )
-        sim = Simulator()
-        dcgn = nbody.run_dcgn(
-            build_cluster(sim, paper_cluster(nodes=4, seed=seed)), cfg
-        )
+        single, gas, dcgn = _single_gas_dcgn(nbody, cfg, 4, seed)
         eff_gas = efficiency(single.elapsed, gas.elapsed, gas.units)
         eff_dcgn = efficiency(single.elapsed, dcgn.elapsed, dcgn.units)
         key = f"eff_{n // 1024}k"

@@ -1,21 +1,26 @@
 """Benchmark harness: tables, gated records, and result persistence.
 
-Every benchmark regenerates one of the paper's artifacts and renders it
-in the same shape the paper reports (rows of a table, series of a
-figure), alongside the paper's numbers for comparison.  The floats
-behind the table are kept as records (``BENCH_paper.json``); a record
-with a band is gated.
+Every benchmark regenerates one artifact and renders it as a table: the
+paper's artifacts in the shape the paper reports (rows of a table,
+series of a figure) beside the paper's numbers, and the gated benches
+as their sweeps.  The floats behind a table are kept as records (the
+``records`` of a ``BENCH_*.json``); a record with a band is gated.
+Host-time values (wall or CPU seconds, and ratios of them) are kept
+apart as ``host`` records, so the simulated records stay byte-stable.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
+
+from ..hw.params import KB, MB
 
 __all__ = [
     "fmt_time",
     "fmt_ratio",
+    "fmt_size",
     "Table",
     "results_dir",
     "save_table",
@@ -46,6 +51,13 @@ def fmt_ratio(x: Optional[float]) -> str:
     return f"{x:.2f}×"
 
 
+def fmt_size(nbytes: int) -> str:
+    """A message size as the tables print it (0 B, 16 kB, 4 MB)."""
+    if nbytes >= MB:
+        return f"{nbytes // MB} MB"
+    return f"{nbytes // KB} kB" if nbytes >= KB else f"{nbytes} B"
+
+
 @dataclass
 class Table:
     """A paper-style results table."""
@@ -55,6 +67,7 @@ class Table:
     rows: List[List[str]] = field(default_factory=list)
     notes: List[str] = field(default_factory=list)
     records: List[Dict[str, Any]] = field(default_factory=list)
+    host: List[Dict[str, Any]] = field(default_factory=list)
 
     def add(self, *cells: Any) -> None:
         if len(cells) != len(self.columns):
@@ -73,9 +86,11 @@ class Table:
         measured: float,
         paper: Optional[float] = None,
         band: Optional[Band] = None,
+        host: bool = False,
     ) -> None:
         """Keep one simulated value, with the paper's where it gives
-        one; ``band`` gates it (checked on the unrounded float)."""
+        one; ``band`` gates it (checked on the unrounded float).
+        ``host`` files a host-time value under :attr:`host` instead."""
         measured = float(measured)
         in_band = None
         if band is not None:
@@ -83,7 +98,7 @@ class Table:
             in_band = (lo is None or lo < measured) and (
                 hi is None or measured < hi
             )
-        self.records.append({
+        (self.host if host else self.records).append({
             "row": row,
             "measured": _sig(measured),
             "paper": None if paper is None else _sig(paper),
@@ -131,11 +146,14 @@ def violations(records: Iterable[Dict[str, Any]]) -> List[str]:
     ]
 
 
+#: The checkout root: the committed ``BENCH_*.json`` artifacts live here.
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
+    os.path.dirname(os.path.abspath(__file__)))))
+
+
 def results_dir() -> str:
     """Directory where benchmark tables are persisted."""
-    here = os.path.dirname(os.path.dirname(os.path.dirname(
-        os.path.dirname(os.path.abspath(__file__)))))
-    out = os.path.join(here, "benchmarks", "out")
+    out = os.path.join(REPO_ROOT, "benchmarks", "out")
     os.makedirs(out, exist_ok=True)
     return out
 

@@ -9,7 +9,7 @@ over message sizes and communicator sizes.  The model mirrors the
 simulated wire protocol exactly (software overhead, eager vs rendezvous
 breakpoints, per-channel latency halves), which makes it track the
 simulator to within a fraction of a percent on uncontended schedules —
-validated by ``benchmarks/bench_collectives_algos.py``.
+validated by the ``collectives`` artifact of ``python -m repro.bench``.
 
 The derived tuning is cached per ``(FabricProfile, IbParams)`` pair (both
 frozen dataclasses), so every cluster of the same shape shares one

@@ -390,7 +390,7 @@ def sub_ctx(ctx: MpiContext, name: str) -> Optional[MpiContext]:
     """``ctx``'s context on a named hierarchical sub-communicator."""
     if not name:
         return ctx
-    return getattr(ctx.comm.hier_comms(), f"{name}_ctx")(ctx.rank)
+    return ctx.comm.hier_comms().ctx(name, ctx.rank)
 
 
 class SubSchedule:

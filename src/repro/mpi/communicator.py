@@ -897,25 +897,18 @@ class _HierComms:
                 subs.append(sub)
         return subs
 
-    def reordered_ctx(self, rank: int) -> "MpiContext":
-        """This rank's context on the locality-contiguous reordering."""
-        sub = self.reordered[rank]
-        return sub.ctx(sub.rank_of_world(self.comm.world_ranks[rank]))
-
-    def intra_ctx(self, rank: int) -> "MpiContext":
-        sub = self.intra[rank]
-        return sub.ctx(sub.rank_of_world(self.comm.world_ranks[rank]))
-
-    def leader_ctx(self, rank: int) -> Optional["MpiContext"]:
-        if self.leader is None or rank not in self.leader_ranks:
+    def ctx(self, name: str, rank: int) -> Optional["MpiContext"]:
+        """``rank``'s context on the sub-communicator ``name``
+        (``"intra"``, ``"leader"``, ``"peer"`` or ``"reordered"``), or
+        ``None`` if the rank is not a member of one."""
+        if name == "leader":
+            sub = self.leader if rank in self.leader_ranks else None
+        elif name == "peer":
+            sub = None if self.peers is None else self.peers[rank]
+        else:
+            sub = getattr(self, name)[rank]
+        if sub is None:
             return None
-        sub = self.leader
-        return sub.ctx(sub.rank_of_world(self.comm.world_ranks[rank]))
-
-    def peer_ctx(self, rank: int) -> Optional["MpiContext"]:
-        if self.peers is None:
-            return None
-        sub = self.peers[rank]
         return sub.ctx(sub.rank_of_world(self.comm.world_ranks[rank]))
 
 

@@ -6,8 +6,9 @@ concurrent jobs on one shared fabric with FIFO+backfill admission,
 :mod:`~repro.serve.placement` picks node sets by locality
 (packed/spread/random), and :mod:`~repro.serve.workload` drives
 request services under open-loop Poisson load with per-request latency
-tracing.  ``benchmarks/bench_serving.py`` is the gated study:
-locality-aware placement vs. random under offered-load sweeps.
+tracing.  The ``serving`` artifact of ``python -m repro.bench`` is the
+gated study: locality-aware placement vs. random under offered-load
+sweeps.
 """
 
 from .errors import PlacementError, SchedulerError, ServeError

@@ -7,14 +7,14 @@ are drawn up front from a seeded Poisson process and requests are
 injected at those instants no matter how far behind the service is.
 Above the capacity knee the queue grows and the tail latency explodes;
 that amplification is exactly what makes placement quality visible in
-p99 (see ``benchmarks/bench_serving.py``).
+p99 (see the ``serving`` artifact of ``python -m repro.bench``).
 
 Pieces:
 
 * :func:`open_loop_arrivals` — the seeded exponential-gap schedule;
 * :func:`percentile` — linear-interpolation percentiles (the
-  convention ``numpy.percentile`` defaults to), shared with
-  ``benchmarks/common.py``;
+  convention ``numpy.percentile`` defaults to), shared with the
+  ``serving`` benchmark;
 * :class:`RequestLog` — per-request arrival/start/done stamps and the
   latency/goodput summary;
 * :class:`OpenLoopDriver` — the injection process: feeds any object

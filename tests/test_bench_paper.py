@@ -1,9 +1,11 @@
-"""The paper harness: ``python -m repro.bench --json BENCH_paper.json``.
+"""The benchmark harness: ``python -m repro.bench [--smoke] --json ...``.
 
-Neither test runs a simulation: the first reads the committed artifact,
-the second drives the gate with a stub artifact.
+Only the byte-stability test runs a simulation (the ~1 s ``subcomm``
+smoke shape); the others read the committed artifact, inspect the
+registry or drive the gate with a stub artifact.
 """
 
+import inspect
 import json
 import os
 
@@ -54,7 +56,8 @@ def test_out_of_band_measurement_fails_the_gate(tmp_path, monkeypatch):
         t.record("ungated", 1e9)
         return t
 
-    monkeypatch.setattr(bench_main, "ARTIFACTS", {"stub": ("Stub", stub)})
+    monkeypatch.setattr(bench_main, "ARTIFACTS",
+                        {"stub": ("paper", "Stub", stub)})
     monkeypatch.setattr(bench_main, "save_table", lambda key, table: key)
     out = tmp_path / "paper.json"
     assert bench_main.main(["--json", str(out)]) == 1
@@ -62,3 +65,47 @@ def test_out_of_band_measurement_fails_the_gate(tmp_path, monkeypatch):
     assert [r["in_band"] for r in doc["records"]] == [True, False, None]
     assert len(doc["violations"]) == 1
     assert doc["violations"][0].startswith("stub/at the bound:")
+
+
+def test_every_artifact_has_a_smoke_shape():
+    # CI runs every gated bench as ``--smoke``: a builder without the
+    # parameter would run its full sweep there, or fail.  The paper's
+    # artifacts have one shape, the one CI diffs.
+    for key, (bench, _label, ref) in bench_main.ARTIFACTS.items():
+        params = inspect.signature(bench_main.builder(ref)).parameters
+        assert bench == "paper" or "smoke" in params, key
+    assert set(bench_main.select(["all"])) == set(bench_main.ARTIFACTS)
+
+
+def test_smoke_violation_fails_the_gate(tmp_path, monkeypatch):
+    shapes = []
+
+    def stub(smoke=False):
+        shapes.append(smoke)
+        t = Table("stub", ["x"])
+        t.record("simulated", 1.0, band=(None, 2.0))
+        t.record("host ratio", 2.0, band=(None, 1.5), host=True)
+        return t
+
+    monkeypatch.setattr(bench_main, "ARTIFACTS",
+                        {"stub": ("stub", "Stub", stub)})
+    monkeypatch.setattr(bench_main, "save_table", lambda key, table: key)
+    out = tmp_path / "stub.json"
+    assert bench_main.main(["--smoke", "--json", str(out), "stub"]) == 1
+    doc = json.loads(out.read_text())
+    assert shapes == [True]
+    assert (doc["benchmark"], doc["mode"]) == ("stub", "smoke")
+    assert [r["in_band"] for r in doc["records"]] == [True]
+    assert [r["in_band"] for r in doc["host"]] == [False]
+    assert [v.split(":")[0] for v in doc["violations"]] == ["stub/host ratio"]
+
+
+def test_smoke_records_are_byte_stable(tmp_path, monkeypatch):
+    monkeypatch.setattr(bench_main, "save_table", lambda key, table: key)
+    runs = []
+    for i in range(2):
+        out = tmp_path / f"subcomm{i}.json"
+        assert bench_main.main(["--smoke", "--json", str(out),
+                                "subcomm"]) == 0
+        runs.append(json.dumps(json.loads(out.read_text())["records"]))
+    assert runs[0] == runs[1]

@@ -1,20 +1,22 @@
 #!/usr/bin/env python
 """Aggregate the committed ``BENCH_*.json`` artifacts into one table.
 
-Every gated benchmark writes a repo-root ``BENCH_<name>.json`` (see
-``benchmarks/common.py``); this script folds all of them into a single
-markdown trajectory report — one row per benchmark with its record
-count, gate status, and headline metric — plus a per-benchmark detail
-section.  CI runs it after the smoke benches and uploads the result as
-an artifact, so every PR carries a capsule view of where the numbers
+Every artifact is written by ``python -m repro.bench --json
+BENCH_<name>.json <name>`` in one schema: ``benchmark``, ``mode``, the
+simulated ``records``, the gate's ``violations`` and the ``host``-time
+records, each record a ``Table.record`` row with an optional band.  This
+script folds all of them into a single markdown trajectory report — one
+row per benchmark with its record counts, gate status and tightest
+banded record — plus the violations of each.  CI runs it and uploads
+the result, so every PR carries a capsule view of where the numbers
 stand.
 
 Usage::
 
-    python tools/bench_report.py [--out BENCH_REPORT.md] [--json ...]
+    python tools/bench_report.py [--out BENCH_REPORT.md] [--root DIR]
 
-Exits 0 even when gates were violated (the benches themselves gate);
-the report *records* violations, it does not re-enforce them.
+Exits 0 even when gates were violated (the harness itself gates); the
+report *records* violations, it does not re-enforce them.
 """
 
 from __future__ import annotations
@@ -41,30 +43,26 @@ def load_artifacts(root: str = REPO_ROOT) -> Dict[str, Dict[str, Any]]:
     return out
 
 
-def _records(doc: Dict[str, Any]) -> List[Dict[str, Any]]:
-    return doc.get("records") or doc.get("points") or []
+def _margin(record: Dict[str, Any]) -> float:
+    """Relative distance of a banded record to its nearest bound
+    (negative when outside the band)."""
+    lo, hi = record["band"]
+    m = record["measured"]
+    gaps = []
+    if lo is not None:
+        gaps.append((m - lo) / (abs(lo) or 1.0))
+    if hi is not None:
+        gaps.append((hi - m) / (abs(hi) or 1.0))
+    return min(gaps, default=float("inf"))
 
 
-def _headline(name: str, doc: Dict[str, Any]) -> str:
-    """One representative number per benchmark (best-effort)."""
-    recs = _records(doc)
-    speedups = [
-        r["speedup"] for r in recs
-        if isinstance(r.get("speedup"), (int, float))
-    ]
-    if speedups:
-        return f"max speedup {max(speedups):.2f}x over {len(speedups)} pts"
-    p99s = [
-        r["p99_s"] for r in recs
-        if isinstance(r.get("p99_s"), (int, float))
-    ]
-    if p99s:
-        return f"p99 {min(p99s) * 1e6:.0f}-{max(p99s) * 1e6:.0f}us"
-    acc = doc.get("acceptance")
-    if isinstance(acc, dict):
-        body = ", ".join(f"{k}={v}" for k, v in list(acc.items())[:3])
-        return body[:70]
-    return "-"
+def _tightest(doc: Dict[str, Any]) -> str:
+    """The banded record closest to its bound."""
+    banded = [r for r in doc["records"] + doc["host"] if r["band"]]
+    if not banded:
+        return "-"
+    r = min(banded, key=_margin)
+    return f"{r['artifact']}/{r['row']} = {r['measured']:g}, band {r['band']}"
 
 
 def build_report(artifacts: Dict[str, Dict[str, Any]]) -> str:
@@ -74,24 +72,24 @@ def build_report(artifacts: Dict[str, Dict[str, Any]]) -> str:
         "Aggregated from the committed `BENCH_*.json` artifacts "
         f"({len(artifacts)} benchmarks).",
         "",
-        "| benchmark | mode | records | gates | headline |",
-        "|---|---|---:|---|---|",
+        "| benchmark | mode | records | host | banded | gates | "
+        "tightest banded record |",
+        "|---|---|---:|---:|---:|---|---|",
     ]
     for name, doc in artifacts.items():
-        recs = _records(doc)
-        violations = doc.get("violations", [])
+        violations = doc["violations"]
+        banded = sum(r["band"] is not None
+                     for r in doc["records"] + doc["host"])
         gates = "PASS" if not violations else f"{len(violations)} VIOLATED"
-        mode = doc.get("mode", "-")
         lines.append(
-            f"| {name} | {mode} | {len(recs)} | {gates} | "
-            f"{_headline(name, doc)} |"
+            f"| {name} | {doc['mode']} | {len(doc['records'])} | "
+            f"{len(doc['host'])} | {banded} | {gates} | {_tightest(doc)} |"
         )
     lines.append("")
     for name, doc in artifacts.items():
-        violations = doc.get("violations", [])
-        if violations:
+        if doc["violations"]:
             lines.append(f"## {name}: gate violations")
-            lines.extend(f"- {v}" for v in violations)
+            lines.extend(f"- {v}" for v in doc["violations"])
             lines.append("")
     return "\n".join(lines) + "\n"
 
