@@ -17,8 +17,8 @@
      comm-thread machinery kept exact by design, never slower);
   5. every exact wall against the baseline the committed
      ``BENCH_scale.json`` carries (> 10 % after a spin calibration
-     fails), and the structured-array event heap against the seed
-     per-event heap (≥ 1.5×).  Every run carries that baseline forward
+     fails), and today's event kernel against the seed per-event
+     heap (≥ 1.5×).  Every run carries that baseline forward
      as ``baseline ...`` host records; only a run that finds none
      seeds it from its own walls.
 * :func:`tracing_table` — the CPU-time cost of span tracing on a
@@ -55,8 +55,8 @@ __all__ = ["scale_table", "tracing_table"]
 AGREE_TOL = 0.08
 
 #: The 32-node sweep's aggregate exact/pricing wall floor.  The full
-#: floor was re-based from 10× when the columnar event heap made the
-#: exact denominator ~2.2× faster (the heap's own win is gated below).
+#: floor was re-based from 10× when a faster event kernel made the
+#: exact denominator ~2.2× faster (the kernel's own win is gated below).
 MIN_SPEEDUP = {False: 7.0, True: 3.0}
 
 #: P → op → sizes (block sizes for allgather/alltoall).  At 1024 ranks

@@ -4,8 +4,8 @@ Each scenario is a self-contained concurrent program exercising one of
 the hand-rolled synchronization paths PRs 3-5 added to the runtime —
 passive-target lock grant queues, PSCW partial-group sync, fence
 epochs, split-during-collective sequencing, ``Comm_free`` drains, the
-DCGN comm-thread completer, and the columnar event core's batched
-same-instant drains.  A scenario:
+DCGN comm-thread completer, and the event core's batched same-instant
+drains.  A scenario:
 
 * builds its cluster/job on the :class:`~repro.sim.ExploringSimulator`
   it is given (so every event-heap tie is a scheduling choice),
@@ -409,15 +409,14 @@ def _run_dcgn_completer(sim: Simulator) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Structured-array event core: batched drains under the tie-break
+# Event core: batched drains under the tie-break
 # ---------------------------------------------------------------------------
 
 def _run_batch_drain_storm(sim: Simulator) -> None:
     """Same-instant :class:`~repro.sim.batch.EventBatch` carriers race
-    plain timeouts and zero-delay follow-ups on the columnar event
-    heap.  A deep background fill (> the merge threshold of distinct
-    completion times) forces the heap through its vectorized lexsort
-    merge while the exploring tie-break pops ready sets and re-inserts
+    plain timeouts and zero-delay follow-ups on the event heap.  A deep
+    background fill of 1,424 distinct completion times keeps the heap
+    deep while the exploring tie-break pops ready sets and re-inserts
     the losers; two independently committed batches then drain members
     at the *same* instants as three ticker timeouts, and waiters
     resumed from inside a drain immediately re-enter the same instant.
@@ -425,7 +424,7 @@ def _run_batch_drain_storm(sim: Simulator) -> None:
     once with its value, delivery is time-monotone at the exact
     scheduled instants, and each instant's tag *set* is the same no
     matter which schedule the seed picked."""
-    from ..sim.batch import _MERGE_THRESHOLD, EventBatch
+    from ..sim.batch import EventBatch
     from ..sim.core import Event
 
     log = []  # (time, tag) in delivery order
@@ -440,9 +439,9 @@ def _run_batch_drain_storm(sim: Simulator) -> None:
 
         return cb
 
-    # Background fill: more distinct completion times than the merge
-    # threshold, so at least one columnar merge happens mid-schedule.
-    n_fill = _MERGE_THRESHOLD + 400
+    # Background fill: one carrier per distinct completion time, so
+    # the heap stays deep under every ready set of the storm.
+    n_fill = 1424
     fill = EventBatch(sim, name="fill")
     for i in range(n_fill):
         ev = Event(sim, name=f"fill.{i}")
@@ -532,12 +531,7 @@ def _run_batch_drain_storm(sim: Simulator) -> None:
             f"wave {wi} tag set {sorted(got ^ want)} out of place",
         )
 
-    # The schedule actually exercised the new core: the columnar heap
-    # merged at least once, and the tie-break had real choices.
-    _require(
-        sim.stats.heap_merges >= 1,
-        f"columnar heap never merged ({sim.stats.heap_merges})",
-    )
+    # Every member was drained through its batch carrier.
     _require(
         sim.stats.batch_events == n_fill + n_storm,
         f"batch_events {sim.stats.batch_events}, "
@@ -830,7 +824,7 @@ SCENARIOS: Dict[str, ScenarioSpec] = {
             "batch-drain-storm",
             _run_batch_drain_storm,
             "same-instant EventBatch drains vs timeouts on the "
-            "columnar heap",
+            "event heap",
         ),
         ScenarioSpec(
             "sched-cancel-mid-placement",

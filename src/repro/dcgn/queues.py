@@ -3,15 +3,17 @@
 Paper §3.2.2: "Thread-safe queues are used to control inter-thread and
 inter-node communication."  §5.2 attributes DCGN's small-message overhead
 to this multi-threaded architecture — so queue operations charge real
-time here, and the counters feed the overhead-breakdown report.
+time here, and the counters feed the overhead-breakdown report.  The
+queue itself is a plain ``deque``: consumers drain it when they poll,
+so a put wakes nobody but the optional kick signal.
 """
 
 from __future__ import annotations
 
-from typing import Any, Generator, List, Optional
+from collections import deque
+from typing import Any, Deque, Generator, List, Optional
 
 from ..sim.core import Event, Simulator, us
-from ..sim.stores import Store
 from ..sim.sync import Signal
 
 __all__ = ["WorkQueue", "sleep_poll_wait"]
@@ -36,26 +38,26 @@ class WorkQueue:
         self.sim = sim
         self.queue_op_us = queue_op_us
         self.name = name or "workq"
-        self._store = Store(sim, name=self.name)
+        self._items: Deque[Any] = deque()
         self.kick = kick
         #: Counters for the overhead report.
         self.puts = 0
         self.drains = 0
 
     def __len__(self) -> int:
-        return len(self._store)
+        return len(self._items)
 
     def put(self, item: Any) -> Generator[Event, Any, None]:
         """Enqueue ``item``, charging the producer the lock+push cost."""
         yield self.sim.timeout(us(self.queue_op_us))
-        self._store.put(item)
+        self._items.append(item)
         self.puts += 1
         if self.kick is not None:
             self.kick.fire()
 
     def put_nowait(self, item: Any) -> None:
         """Enqueue without charging time (internal handoffs)."""
-        self._store.put(item)
+        self._items.append(item)
         self.puts += 1
         if self.kick is not None:
             self.kick.fire()
@@ -64,22 +66,12 @@ class WorkQueue:
         """Take everything currently queued (one lock charge)."""
         yield self.sim.timeout(us(self.queue_op_us))
         self.drains += 1
-        out = []
-        while True:
-            ok, item = self._store.try_get()
-            if not ok:
-                break
-            out.append(item)
-        return out
+        return self.drain_nowait()
 
     def drain_nowait(self) -> List[Any]:
         """Take everything without charging time."""
-        out = []
-        while True:
-            ok, item = self._store.try_get()
-            if not ok:
-                break
-            out.append(item)
+        out = list(self._items)
+        self._items.clear()
         return out
 
 

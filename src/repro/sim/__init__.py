@@ -35,12 +35,12 @@ from .errors import (
 )
 from .batch import EventBatch
 from .explore import ExploringSimulator, ScheduleChoice
-from .primitives import AllOf, AnyOf, all_of, any_of
+from .primitives import AllOf, AnyOf
 from .stats import SimStats
 from .resources import BandwidthChannel, Mutex, Resource, acquire
 from .rng import RngStreams, stable_hash
-from .stores import FilterStore, Store
-from .sync import CyclicBarrier, Gate, Latch, Signal, Wake
+from .stores import FilterStore
+from .sync import Latch, Signal, Wake
 
 __all__ = [
     "Event",
@@ -64,19 +64,14 @@ __all__ = [
     "EventBatch",
     "AnyOf",
     "AllOf",
-    "any_of",
-    "all_of",
     "Resource",
     "Mutex",
     "acquire",
     "BandwidthChannel",
-    "Store",
     "FilterStore",
     "Signal",
     "Wake",
-    "Gate",
     "Latch",
-    "CyclicBarrier",
     "RngStreams",
     "stable_hash",
 ]

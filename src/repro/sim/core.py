@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import itertools
 from types import SimpleNamespace
-from typing import Any, Callable, Generator, Iterable, Optional
+from typing import Any, Callable, Generator, Optional
 
 from .errors import (
     DeadlockError,
@@ -386,9 +386,9 @@ class Simulator:
     """The event loop: a priority queue of (time, priority, seq, event).
 
     Pending events live in an :class:`~repro.sim.batch.EventHeap` —
-    per-priority FIFO lanes for the current instant in front of a heap
-    with columnar merges — whose pop order is byte-for-byte the plain
-    ``heapq`` order on ``(time, priority, seq)``.
+    per-priority FIFO lanes for the current instant in front of one
+    ``heapq`` — whose pop order is the total order on ``(time,
+    priority, seq)``.
     """
 
     def __init__(self) -> None:
@@ -397,7 +397,7 @@ class Simulator:
 
         self._now: float = 0.0
         self.stats = SimStats()
-        self._heap = EventHeap(stats=self.stats)
+        self._heap = EventHeap()
         self._push = self._heap.push
         self._next_seq = itertools.count().__next__
         self._live: set[Process] = set()

@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List
+from typing import Iterable, List
 
 from .core import Event, Simulator
 
-__all__ = ["AnyOf", "AllOf", "any_of", "all_of"]
+__all__ = ["AnyOf", "AllOf"]
 
 
 class _Condition(Event):
@@ -78,13 +78,3 @@ class AllOf(_Condition):
 
     def _satisfied(self) -> bool:
         return self._done >= len(self._events)
-
-
-def any_of(sim: Simulator, events: Iterable[Event]) -> AnyOf:
-    """Convenience wrapper for :class:`AnyOf`."""
-    return AnyOf(sim, events)
-
-
-def all_of(sim: Simulator, events: Iterable[Event]) -> AllOf:
-    """Convenience wrapper for :class:`AllOf`."""
-    return AllOf(sim, events)

@@ -7,7 +7,7 @@ limited CPU cores, GPU multiprocessors, NIC injection ports.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Generator, Optional
+from typing import Any, Deque, Generator
 
 from .core import Event, Simulator
 
@@ -69,13 +69,6 @@ class Resource:
         else:
             self._waiters.append(ev)
         return ev
-
-    def try_request(self) -> bool:
-        """Non-blocking acquire; True on success."""
-        if self._in_use < self.capacity and not self._waiters:
-            self._in_use += 1
-            return True
-        return False
 
     def release(self) -> None:
         """Release one held unit, waking the oldest waiter if any."""

@@ -32,12 +32,6 @@ Counter glossary
     every Jacobi iteration), under any arrival skew.
 ``rma_coalesced_puts``
     Small eager RMA puts absorbed into a combined wire transfer.
-``heap_merges`` / ``heap_merged_events``
-    Vectorized merges of the structured-array event heap's push buffer
-    into its sorted run, and the total entries those merges moved —
-    ``heap_merged_events / heap_merges`` is the mean merge batch size.
-    Only heap-bound entries count: a push at the current instant goes
-    to a same-instant lane and is never merged.
 ``payload_adopted``
     Receives that adopted the in-flight message array outright instead
     of memcpying it into a staging buffer (schedule-internal receives
@@ -77,8 +71,6 @@ _FIELDS = (
     "payload_views",
     "payload_adopted",
     "batch_events",
-    "heap_merges",
-    "heap_merged_events",
     "fastpath_collectives",
     "fastpath_rounds",
     "fastpath_sched_cache_hits",

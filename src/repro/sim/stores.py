@@ -1,153 +1,63 @@
-"""FIFO stores: the simulated analogue of thread-safe queues.
+"""The matching store: posted receives against queued messages.
 
-DCGN's architecture (paper section 3.2.2) is built on "thread-safe queues
-... used to control inter-thread and inter-node communication"; these
-stores are their zero-cost skeleton.  Actual queue-op *costs* (lock, push,
-wake-up latency) are charged by :mod:`repro.dcgn.queues`, which wraps a
-:class:`Store` and adds time; keeping cost out of the primitive keeps the
-kernel reusable.
+The MPI progress engine keeps one :class:`FilterStore` per rank.  A
+``put`` is a message arriving; a ``get`` with a predicate is a posted
+receive (source/tag matching).  The store is zero-cost: wire and
+software overheads are charged by the callers, which keeps the kernel
+reusable.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Deque, Generator, List, Optional
+from typing import Any, Callable, Deque, List, Optional, Tuple
 
 from .core import Event, Simulator
 
-__all__ = ["Store", "FilterStore"]
+__all__ = ["FilterStore"]
 
 
-class Store:
-    """An unbounded-or-bounded FIFO of Python objects.
+def _any(_item: Any) -> bool:
+    return True
 
-    ``put`` and ``get`` return events.  With finite ``capacity``, ``put``
-    blocks while full.
+
+class FilterStore:
+    """Queued messages matched against posted receives, in order.
+
+    ``put(item)`` hands ``item`` to the first posted receive whose
+    predicate accepts it, or queues it; ``get(predicate)`` returns an
+    event that fires with the earliest queued item the predicate
+    accepts, or is posted until a put brings one.  No matchable pair
+    survives either call, so these are the only pairs there are.  A put
+    schedules no event of its own: only the receive it completes fires.
     """
 
-    def __init__(
-        self,
-        sim: Simulator,
-        capacity: float = float("inf"),
-        name: str = "",
-    ) -> None:
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
+    def __init__(self, sim: Simulator, name: str = "") -> None:
         self.sim = sim
-        self.capacity = capacity
         self.name = name or "store"
         self.items: Deque[Any] = deque()
-        self._getters: Deque[Event] = deque()
-        self._putters: Deque[tuple[Event, Any]] = deque()
+        self._getters: List[Tuple[Event, Callable[[Any], bool]]] = []
 
-    def __len__(self) -> int:
-        return len(self.items)
-
-    @property
-    def getters_waiting(self) -> int:
-        """Number of blocked ``get`` requests."""
-        return len(self._getters)
-
-    def put(self, item: Any) -> Event:
-        """Return an event that fires once ``item`` is enqueued."""
-        ev = self.sim.event(name=f"put({self.name})")
-        if len(self.items) < self.capacity:
-            self.items.append(item)
-            ev.succeed(item)
-            self._dispatch()
-        else:
-            self._putters.append((ev, item))
-        return ev
-
-    def get(self) -> Event:
-        """Return an event that fires with the oldest item."""
-        ev = self.sim.event(name=f"get({self.name})")
-        self._getters.append(ev)
-        self._dispatch()
-        return ev
-
-    def try_get(self) -> tuple[bool, Any]:
-        """Non-blocking pop: ``(True, item)`` or ``(False, None)``."""
-        if self.items and not self._getters:
-            return True, self.items.popleft()
-        return False, None
-
-    def _dispatch(self) -> None:
-        while self._getters and self.items:
-            ev = self._getters.popleft()
-            ev.succeed(self.items.popleft())
-        while self._putters and len(self.items) < self.capacity:
-            pev, item = self._putters.popleft()
-            self.items.append(item)
-            pev.succeed(item)
-            # New item may satisfy a getter queued after the putter.
-            while self._getters and self.items:
-                gev = self._getters.popleft()
-                gev.succeed(self.items.popleft())
-
-
-class FilterStore(Store):
-    """A :class:`Store` whose ``get`` can select by predicate.
-
-    Used by the MPI progress engine for tag/source matching of receives.
-    """
-
-    def __init__(
-        self,
-        sim: Simulator,
-        capacity: float = float("inf"),
-        name: str = "",
-    ) -> None:
-        super().__init__(sim, capacity=capacity, name=name)
-        # Each getter is (event, predicate).
-        self._fgetters: List[tuple[Event, Callable[[Any], bool]]] = []
+    def put(self, item: Any) -> None:
+        """Deliver ``item`` to the first posted receive that accepts it,
+        else queue it."""
+        for i, (ev, pred) in enumerate(self._getters):
+            if pred(item):
+                del self._getters[i]
+                ev.succeed(item)
+                return
+        self.items.append(item)
 
     def get(self, predicate: Optional[Callable[[Any], bool]] = None) -> Event:
-        pred = predicate if predicate is not None else (lambda _x: True)
+        """Return an event that fires with the earliest queued item
+        ``predicate`` accepts (any item when ``None``)."""
+        pred = predicate if predicate is not None else _any
         ev = self.sim.event(name=f"get({self.name})")
-        self._fgetters.append((ev, pred))
-        self._fdispatch()
-        return ev
-
-    def try_get(
-        self, predicate: Optional[Callable[[Any], bool]] = None
-    ) -> tuple[bool, Any]:
-        pred = predicate if predicate is not None else (lambda _x: True)
-        for i, item in enumerate(self.items):
+        items = self.items
+        for i, item in enumerate(items):
             if pred(item):
-                del self.items[i]
-                return True, item
-        return False, None
-
-    def put(self, item: Any) -> Event:
-        ev = self.sim.event(name=f"put({self.name})")
-        if len(self.items) < self.capacity:
-            self.items.append(item)
-            ev.succeed(item)
-            self._fdispatch()
-        else:
-            self._putters.append((ev, item))
+                del items[i]
+                ev.succeed(item)
+                return ev
+        self._getters.append((ev, pred))
         return ev
-
-    def _fdispatch(self) -> None:
-        matched = True
-        while matched:
-            matched = False
-            for gi, (gev, pred) in enumerate(self._fgetters):
-                for ii, item in enumerate(self.items):
-                    if pred(item):
-                        del self.items[ii]
-                        del self._fgetters[gi]
-                        gev.succeed(item)
-                        matched = True
-                        break
-                if matched:
-                    break
-        while self._putters and len(self.items) < self.capacity:
-            pev, item = self._putters.popleft()
-            self.items.append(item)
-            pev.succeed(item)
-            self._fdispatch()
-
-    def _dispatch(self) -> None:  # pragma: no cover - not used by subclass
-        self._fdispatch()

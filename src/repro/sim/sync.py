@@ -6,18 +6,16 @@
 * :class:`Wake` — a reusable first-of wait over a timer, signals and
   events: the DCGN pollers' sleep.  The losing signal waits are
   withdrawn, never pushed through the heap by a later ``fire``.
-* :class:`Gate` — open/closed barrier waiters pass through when open.
 * :class:`Latch` — count-down latch firing once N arrivals happen.
-* :class:`CyclicBarrier` — reusable N-party barrier (GPU __syncthreads()).
 """
 
 from __future__ import annotations
 
-from typing import Any, Generator, List, Optional, Sequence
+from typing import Any, List, Optional, Sequence
 
 from .core import PENDING, Event, Simulator, Timeout
 
-__all__ = ["Signal", "Wake", "Gate", "Latch", "CyclicBarrier"]
+__all__ = ["Signal", "Wake", "Latch"]
 
 
 class _SignalWait(Event):
@@ -171,37 +169,6 @@ class Wake:
         hop.members = []
 
 
-class Gate:
-    """A gate processes wait on while closed; passes all when open."""
-
-    def __init__(self, sim: Simulator, open_: bool = False, name: str = "") -> None:
-        self.sim = sim
-        self.name = name or "gate"
-        self._open = open_
-        self._signal = Signal(sim, name=f"{self.name}.signal")
-
-    @property
-    def is_open(self) -> bool:
-        return self._open
-
-    def open(self, value: Any = None) -> None:
-        """Open the gate, releasing all waiters."""
-        self._open = True
-        self._signal.fire(value)
-
-    def close(self) -> None:
-        """Close the gate; subsequent waiters block."""
-        self._open = False
-
-    def wait(self) -> Event:
-        """Event that fires immediately if open, else at next open()."""
-        if self._open:
-            ev = self.sim.event(name=f"wait({self.name})")
-            ev.succeed(None)
-            return ev
-        return self._signal.wait()
-
-
 class Latch:
     """Count-down latch: fires its event after ``count`` arrivals."""
 
@@ -230,36 +197,3 @@ class Latch:
     def wait(self) -> Event:
         """The completion event."""
         return self.done
-
-
-class CyclicBarrier:
-    """Reusable N-party barrier.
-
-    Each party does ``yield barrier.arrive()``; the Nth arrival releases
-    everyone and resets for the next cycle.  This models GPU
-    ``__syncthreads()`` across the simulated threads of a block.
-    """
-
-    def __init__(self, sim: Simulator, parties: int, name: str = "") -> None:
-        if parties < 1:
-            raise ValueError("parties must be >= 1")
-        self.sim = sim
-        self.parties = parties
-        self.name = name or f"barrier({parties})"
-        self._arrived = 0
-        self._gen = 0
-        self._release: Event = sim.event(name=f"{self.name}.gen0")
-        #: Number of completed cycles.
-        self.cycles = 0
-
-    def arrive(self) -> Event:
-        """Arrive at the barrier; returned event fires when all have."""
-        self._arrived += 1
-        release = self._release
-        if self._arrived >= self.parties:
-            self._arrived = 0
-            self._gen += 1
-            self.cycles += 1
-            self._release = self.sim.event(name=f"{self.name}.gen{self._gen}")
-            release.succeed(self._gen)
-        return release

@@ -13,7 +13,6 @@ from repro.sim import (
     FilterStore,
     Resource,
     Simulator,
-    Store,
     us,
 )
 
@@ -38,27 +37,56 @@ class TestSimProperties:
         assert fired == sorted(fired, key=float) or fired == sorted(fired)
         assert len(fired) == len(delays)
 
-    @FAST
-    @given(st.lists(st.integers(min_value=0, max_value=10 ** 6),
-                    min_size=1, max_size=50))
-    def test_store_preserves_fifo_for_any_sequence(self, items):
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(
+        st.one_of(
+            st.tuples(st.just("put"), st.integers(min_value=0, max_value=5)),
+            # A receive accepting the values ``v % m == r``; (1, 0)
+            # accepts everything.
+            st.tuples(st.just("get"), st.sampled_from(
+                [(1, 0), (2, 0), (2, 1), (3, 0), (3, 2)])),
+        ),
+        min_size=1, max_size=60,
+    ))
+    def test_store_preserves_fifo_for_any_sequence(self, ops):
+        """Random interleavings of puts and predicate receives match
+        the brute-force pairing: after every call, repeatedly pair the
+        first posted receive that accepts anything with the earliest
+        queued message it accepts."""
         sim = Simulator()
-        store = Store(sim)
-        got = []
+        store = FilterStore(sim)
+        posted, queued = [], []  # reference: (gid, (m, r)) / (seq, v)
+        want, events = {}, {}
 
-        def producer():
-            for x in items:
-                yield store.put(x)
+        def accepts(mr, item):
+            return item[1] % mr[0] == mr[1]
 
-        def consumer():
-            for _ in items:
-                v = yield store.get()
-                got.append(v)
-
-        sim.process(producer())
-        sim.process(consumer())
-        sim.run()
-        assert got == items
+        for i, (kind, arg) in enumerate(ops):
+            if kind == "put":
+                store.put((i, arg))
+                queued.append((i, arg))
+            else:
+                events[i] = store.get(lambda item, mr=arg: accepts(mr, item))
+                posted.append((i, arg))
+            matched = True
+            while matched:
+                matched = False
+                for gi, (gid, mr) in enumerate(posted):
+                    for qi, item in enumerate(queued):
+                        if accepts(mr, item):
+                            want[gid] = item
+                            del posted[gi], queued[qi]
+                            matched = True
+                            break
+                    if matched:
+                        break
+        sim.run(detect_deadlock=False)
+        got = {gid: ev.value for gid, ev in events.items() if ev.processed}
+        assert got == want
+        assert list(store.items) == queued
+        fifo = [item for _kind, item in sorted(want.items())]
+        if all(mr == (1, 0) for kind, mr in ops if kind == "get"):
+            assert fifo == sorted(fifo)
 
     @FAST
     @given(

@@ -9,8 +9,6 @@ from repro.sim import (
     Mutex,
     Resource,
     Simulator,
-    all_of,
-    any_of,
 )
 
 
@@ -21,7 +19,7 @@ class TestConditions:
         def proc():
             t1 = sim.timeout(5.0, value="slow")
             t2 = sim.timeout(2.0, value="fast")
-            result = yield any_of(sim, [t1, t2])
+            result = yield AnyOf(sim, [t1, t2])
             return result, sim.now
 
         p = sim.process(proc())
@@ -36,7 +34,7 @@ class TestConditions:
         def proc():
             t1 = sim.timeout(5.0, value="a")
             t2 = sim.timeout(2.0, value="b")
-            result = yield all_of(sim, [t1, t2])
+            result = yield AllOf(sim, [t1, t2])
             return result, sim.now
 
         p = sim.process(proc())
@@ -49,7 +47,7 @@ class TestConditions:
         sim = Simulator()
 
         def proc():
-            result = yield all_of(sim, [])
+            result = yield AllOf(sim, [])
             return result, sim.now
 
         p = sim.process(proc())
@@ -66,7 +64,7 @@ class TestConditions:
 
         def proc():
             try:
-                yield all_of(sim, [ev, sim.timeout(10.0)])
+                yield AllOf(sim, [ev, sim.timeout(10.0)])
             except ValueError:
                 return "caught"
 
@@ -88,7 +86,7 @@ class TestConditions:
             done.succeed("now")
             # Let the event get processed first.
             yield sim.timeout(1.0)
-            result = yield any_of(sim, [done, sim.timeout(50.0)])
+            result = yield AnyOf(sim, [done, sim.timeout(50.0)])
             return sim.now
 
         p = sim.process(proc())
@@ -130,14 +128,6 @@ class TestResource:
         sim.run()
         times = [t for _, t in entries]
         assert times == [0.0, 0.0, 1.0, 1.0]
-
-    def test_try_request(self):
-        sim = Simulator()
-        res = Resource(sim, capacity=1)
-        assert res.try_request()
-        assert not res.try_request()
-        res.release()
-        assert res.try_request()
 
     def test_release_idle_is_error(self):
         sim = Simulator()

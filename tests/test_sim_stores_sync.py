@@ -6,14 +6,11 @@ from repro.dcgn.requests import CommRequest
 from repro.obs import SpanRecorder
 from repro.sim import (
     AnyOf,
-    CyclicBarrier,
     DeadlockError,
     FilterStore,
-    Gate,
     Latch,
     Signal,
     Simulator,
-    Store,
     Timeout,
     Wake,
 )
@@ -22,10 +19,11 @@ from repro.sim import (
 class TestStore:
     def test_put_then_get(self):
         sim = Simulator()
-        store = Store(sim)
+        store = FilterStore(sim)
 
         def producer():
-            yield store.put("x")
+            store.put("x")
+            yield sim.timeout(0.0)
 
         def consumer():
             item = yield store.get()
@@ -38,7 +36,7 @@ class TestStore:
 
     def test_get_blocks_until_put(self):
         sim = Simulator()
-        store = Store(sim)
+        store = FilterStore(sim)
 
         def consumer():
             item = yield store.get()
@@ -46,7 +44,7 @@ class TestStore:
 
         def producer():
             yield sim.timeout(5.0)
-            yield store.put(42)
+            store.put(42)
 
         c = sim.process(consumer())
         sim.process(producer())
@@ -55,12 +53,13 @@ class TestStore:
 
     def test_fifo_ordering(self):
         sim = Simulator()
-        store = Store(sim)
+        store = FilterStore(sim)
         got = []
 
         def producer():
             for i in range(5):
-                yield store.put(i)
+                store.put(i)
+                yield sim.timeout(0.0)
 
         def consumer():
             for _ in range(5):
@@ -72,54 +71,6 @@ class TestStore:
         sim.run()
         assert got == [0, 1, 2, 3, 4]
 
-    def test_capacity_blocks_put(self):
-        sim = Simulator()
-        store = Store(sim, capacity=1)
-        log = []
-
-        def producer():
-            yield store.put("a")
-            log.append(("put-a", sim.now))
-            yield store.put("b")
-            log.append(("put-b", sim.now))
-
-        def consumer():
-            yield sim.timeout(3.0)
-            item = yield store.get()
-            log.append(("got", item, sim.now))
-
-        sim.process(producer())
-        sim.process(consumer())
-        sim.run()
-        assert ("put-a", 0.0) in log
-        assert ("put-b", 3.0) in log
-
-    def test_try_get(self):
-        sim = Simulator()
-        store = Store(sim)
-        ok, item = store.try_get()
-        assert not ok and item is None
-        store.put(9)
-        ok, item = store.try_get()
-        assert ok and item == 9
-
-    def test_len_and_getters_waiting(self):
-        sim = Simulator()
-        store = Store(sim)
-        assert len(store) == 0
-
-        def consumer():
-            yield store.get()
-
-        sim.process(consumer())
-        sim.run(until=1.0, detect_deadlock=False)
-        assert store.getters_waiting == 1
-
-    def test_invalid_capacity(self):
-        sim = Simulator()
-        with pytest.raises(ValueError):
-            Store(sim, capacity=0)
-
 
 class TestFilterStore:
     def test_predicate_matching(self):
@@ -127,8 +78,9 @@ class TestFilterStore:
         store = FilterStore(sim)
 
         def producer():
-            yield store.put(("tag", 1))
-            yield store.put(("tag", 2))
+            store.put(("tag", 1))
+            store.put(("tag", 2))
+            yield sim.timeout(0.0)
 
         def consumer():
             item = yield store.get(lambda x: x[1] == 2)
@@ -150,9 +102,9 @@ class TestFilterStore:
 
         def producer():
             yield sim.timeout(1.0)
-            yield store.put(5)  # doesn't match
+            store.put(5)  # doesn't match
             yield sim.timeout(1.0)
-            yield store.put(50)  # matches
+            store.put(50)  # matches
 
         c = sim.process(consumer())
         sim.process(producer())
@@ -174,22 +126,28 @@ class TestFilterStore:
 
         def producer():
             yield sim.timeout(1.0)
-            yield store.put(3)
-            yield store.put(4)
+            store.put(3)
+            store.put(4)
 
         sim.process(producer())
         sim.run()
         assert sorted(got) == [(0, 4), (1, 3)]
 
-    def test_try_get_with_predicate(self):
+    def test_matcher_put_schedules_no_event(self):
+        """A put with no posted receive pushes nothing; a put that
+        meets one pushes exactly the receive's completion."""
         sim = Simulator()
         store = FilterStore(sim)
-        store.put("apple")
-        store.put("banana")
-        ok, item = store.try_get(lambda s: s.startswith("b"))
-        assert ok and item == "banana"
-        ok, _ = store.try_get(lambda s: s.startswith("z"))
-        assert not ok
+        base = sim.stats.heap_pushes
+        store.put("early")
+        assert sim.stats.heap_pushes == base
+        assert list(store.items) == ["early"]
+        ev = store.get(lambda x: x == "late")
+        assert sim.stats.heap_pushes == base
+        store.put("late")
+        assert sim.stats.heap_pushes == base + 1
+        assert ev.triggered and ev.value == "late"
+        assert list(store.items) == ["early"]
 
 
 class TestSignal:
@@ -425,56 +383,6 @@ class TestWake:
         assert self._scripted(use_wake=True) == with_any_of
 
 
-class TestGate:
-    def test_closed_gate_blocks(self):
-        sim = Simulator()
-        gate = Gate(sim)
-
-        def waiter():
-            yield gate.wait()
-            return sim.now
-
-        def opener():
-            yield sim.timeout(4.0)
-            gate.open()
-
-        w = sim.process(waiter())
-        sim.process(opener())
-        sim.run()
-        assert w.value == pytest.approx(4.0)
-        assert gate.is_open
-
-    def test_open_gate_passes_immediately(self):
-        sim = Simulator()
-        gate = Gate(sim, open_=True)
-
-        def waiter():
-            yield gate.wait()
-            return sim.now
-
-        w = sim.process(waiter())
-        sim.run()
-        assert w.value == 0.0
-
-    def test_close_reblocks(self):
-        sim = Simulator()
-        gate = Gate(sim, open_=True)
-        gate.close()
-
-        def waiter():
-            yield gate.wait()
-            return sim.now
-
-        def opener():
-            yield sim.timeout(2.0)
-            gate.open()
-
-        w = sim.process(waiter())
-        sim.process(opener())
-        sim.run()
-        assert w.value == pytest.approx(2.0)
-
-
 class TestLatch:
     def test_counts_down(self):
         sim = Simulator()
@@ -518,44 +426,6 @@ class TestLatch:
         latch = Latch(sim, 5)
         latch.arrive(5)
         assert latch.done.triggered
-
-
-class TestCyclicBarrier:
-    def test_barrier_releases_all_then_reuses(self):
-        sim = Simulator()
-        bar = CyclicBarrier(sim, parties=3)
-        log = []
-
-        def party(i, delay):
-            yield sim.timeout(delay)
-            yield bar.arrive()
-            log.append((i, "cycle1", sim.now))
-            yield sim.timeout(delay)
-            yield bar.arrive()
-            log.append((i, "cycle2", sim.now))
-
-        sim.process(party(0, 1.0))
-        sim.process(party(1, 2.0))
-        sim.process(party(2, 3.0))
-        sim.run()
-        cycle1 = [t for (_, c, t) in log if c == "cycle1"]
-        cycle2 = [t for (_, c, t) in log if c == "cycle2"]
-        assert all(t == pytest.approx(3.0) for t in cycle1)
-        assert all(t == pytest.approx(6.0) for t in cycle2)
-        assert bar.cycles == 2
-
-    def test_single_party_barrier_is_transparent(self):
-        sim = Simulator()
-        bar = CyclicBarrier(sim, parties=1)
-
-        def proc():
-            yield bar.arrive()
-            yield bar.arrive()
-            return sim.now
-
-        p = sim.process(proc())
-        sim.run()
-        assert p.value == 0.0
 
 
 class TestTracer:
