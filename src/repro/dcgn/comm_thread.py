@@ -427,8 +427,19 @@ class CommThread:
         count = req.nbytes // win.dtype.itemsize
         win.check_range(req.peer, offset, count)
         tnode, base = win.locate(req.peer)
-        proc, moved, landed = yield from _OPS[req.op][1](
-            win, self.mpi.rank, tnode, base + offset, req, count
+        kind = req.op[len("rma_"):]
+        if kind == "get":
+            # zeros, not empty: under the pricing backend the wire op
+            # moves no data, and garbage would make runs irreproducible.
+            moved = landed = np.zeros(count, dtype=win.dtype)
+        else:
+            # Snapshotted at kernel issue: the window skips its copy.
+            moved = np.ascontiguousarray(req.payload().reshape(-1)[:count])
+            landed = None
+        proc = yield from win.win.start(
+            kind, self.mpi.rank, tnode, moved, base + offset,
+            op=req.extra.get("reduce_op", "sum"), snapshot=False,
+            want_event=True,
         )
         # A get reports the rank it read; a put or accumulate, its origin.
         source = req.src_vrank if landed is None else req.peer
@@ -839,45 +850,16 @@ class CommThread:
         self.stats[key] = self.stats.get(key, 0) + 1
 
 
-# -- one-sided window calls: (DCGN window, origin node, target node, element
-#    offset, request, count) → (wire op, array moved, array landed in
-#    the requester or None).  The request's payload was snapshotted at
-#    issue, so puts and accumulates skip the defensive copy.
-def _rma_put(win, me, tnode, woff, req, count):
-    payload = np.ascontiguousarray(req.payload().reshape(-1)[:count])
-    proc = yield from win.win.start_put(
-        me, tnode, payload, woff, snapshot=False, want_event=True
-    )
-    return proc, payload, None
-
-
-def _rma_accumulate(win, me, tnode, woff, req, count):
-    payload = np.ascontiguousarray(req.payload().reshape(-1)[:count])
-    proc = yield from win.win.start_accumulate(
-        me, tnode, payload, op=req.extra.get("reduce_op", "sum"),
-        offset=woff, snapshot=False, want_event=True,
-    )
-    return proc, payload, None
-
-
-def _rma_get(win, me, tnode, woff, req, count):
-    # zeros, not empty: under the pricing backend the wire op moves no
-    # data, and garbage would make runs irreproducible.
-    recv = np.zeros(count, dtype=win.dtype)
-    proc = yield from win.win.start_get(me, tnode, recv, woff)
-    return proc, recv, recv
-
-
 #: Every op a kernel request can carry → (handler, the op's own step).
-#: The handler runs when the comm thread picks the request.  An RMA
-#: op's step is its window call; a collective's step is its stager,
-#: run once every local member has entered.
+#: The handler runs when the comm thread picks the request.  A
+#: collective's step is its stager, run once every local member has
+#: entered.
 _OPS = {
     "send": (CommThread._handle_send, None),
     "recv": (CommThread._handle_recv, None),
-    "rma_put": (CommThread._handle_rma, _rma_put),
-    "rma_get": (CommThread._handle_rma, _rma_get),
-    "rma_accumulate": (CommThread._handle_rma, _rma_accumulate),
+    "rma_put": (CommThread._handle_rma, None),
+    "rma_get": (CommThread._handle_rma, None),
+    "rma_accumulate": (CommThread._handle_rma, None),
     "barrier": (CommThread._enter_collective, CommThread._stage_barrier),
     "bcast": (CommThread._enter_collective, CommThread._stage_bcast),
     "reduce": (CommThread._enter_collective, CommThread._stage_reduce),

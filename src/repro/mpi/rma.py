@@ -50,28 +50,39 @@ guarantee: they apply in program order even when their wire transfers
 would complete out of order, and each element applies atomically (one
 simulated instant).
 
-**Analytic fast path.**  On a communicator with ``backend="analytic"``
-or ``"pricing"``, host-window operations stop spawning per-op wire
-processes: each op is priced at issue time against per-node *cursors*
-(the origin's NIC injection path and the target's staging channel, the
-two serialization points of the exact model), with every wire leg's
+**One leg table, two walkers.**  Each operation's wire protocol is
+data: a row of ``_PROTOCOLS`` lists its legs in order — request and
+response wire legs, the target staging copy, a device window's PCIe
+read/write, the same-pair order point and the apply point.  A
+coalesced-put batch is the eager put row under its own counter, span
+and process name.  Every op enters through :meth:`Window.start`, which
+checks everything before it touches anything; the exact backend then
+walks the row in one process per op (:meth:`Window._walk`, each leg a
+transfer on the contended channels).  On a ``backend="analytic"`` or
+``"pricing"`` communicator, host-window ops are instead priced at issue
+by :meth:`Window._price`, which folds the same legs through per-node
+*cursors* (the origin's NIC injection path and the target's staging
+channel, the two serialization points of the exact model), each leg's
 end-to-end time taken from the topology's interned ``wire_cost`` — the
 cache the collective fast path shares
-(``sim.stats.wire_cost_hits``/``wire_cost_misses``).  The resulting
-epoch is a per-(origin, target) batch of finish times committed at the
-synchronization point — ``fence``/``complete``/``unlock``/``flush``
-wait for one computed instant per pair instead of joining a process
-per op, and a coalesced-put batch prices as the single transfer it
-rides.  Payload bytes are applied synchronously at issue (legal:
-epochs forbid conflicting access until the sync point; ``"pricing"``
-skips data application entirely), accumulate program order is
-preserved through the same per-pair chain the exact path uses, and
-ops needing an observable completion (``get``/``rput``/``rget``/
-``get_accumulate``) get a real event scheduled at their computed
-finish.  Device-memory windows keep the exact per-op path (the PCIe
-hop is a contended resource the cursors do not model), as does the
-lock machinery.  What the cursors ignore: receive-side occupancy
-queueing and spine contention — second-order on the modeled fabrics.
+(``sim.stats.wire_cost_hits``/``wire_cost_misses``).  Response legs
+add pure wire time and book no cursor: a future booking there would
+delay traffic the target issues *now*, a start-time inversion the exact
+FIFO channels never exhibit.
+
+An analytic epoch is a per-(origin, target) batch of finish times
+committed at the synchronization point: ``fence``/``complete``/
+``unlock``/``flush`` wait for one computed instant per pair instead of
+joining a process per op.  Payload bytes apply at issue (legal: epochs
+forbid conflicting access until the sync point; ``"pricing"`` skips
+data application entirely), and ``get``/``rput``/``rget``/
+``get_accumulate`` get a real event at their computed finish.  The
+order point releases the pair's next accumulate at the apply point on
+the analytic walk and when the op ends on the exact one; no public call
+can tell the two apart.  Device-memory windows keep the exact walk (the
+cursors do not model the contended PCIe hop), as does the lock
+machinery.  What the cursors ignore: receive-side occupancy queueing
+and spine contention — second-order on the modeled fabrics.
 """
 
 from __future__ import annotations
@@ -81,6 +92,7 @@ from typing import (
     Dict,
     Generator,
     List,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -92,7 +104,7 @@ import numpy as np
 from ..hw.memory import HostBuffer
 from ..sim.batch import EventBatch
 from ..sim.core import Event, Process, us
-from .communicator import Communicator, HEADER_BYTES, MpiContext, Request
+from .communicator import Communicator, HEADER_BYTES, Request
 from .datatypes import ReduceOp
 from .errors import RmaError
 
@@ -106,6 +118,110 @@ RMA_TAG_BASE = 1 << 28
 _TAG_STRIDE = 4
 _TAG_POST = 0
 _TAG_COMPLETE = 1
+
+# -- wire protocols as data --------------------------------------------------
+# A leg is ``(kind, carries the payload?)``.  Kinds: ``"req"`` origin →
+# target and ``"rsp"`` target → origin wire transfers (a header, plus
+# the payload when carried); ``"stage"`` the target-host staging copy
+# (shm channel); ``"pcie_r"``/``"pcie_w"`` the target's PCIe hop when
+# its window is device memory; ``"order"`` the same-pair order point
+# (behind the pair's previous accumulate); ``"apply"`` the data
+# application on the target window.
+
+
+class _Protocol(NamedTuple):
+    """One row of the leg table."""
+
+    #: ``comm.stats`` protocol counter (a get has none).
+    counter: Optional[str]
+    #: ``rma.op`` span name.
+    span: str
+    #: Process/event name, formatted with (origin, target).
+    proc: str
+    #: The exact walk's ``proto`` span attribute.
+    proto: Optional[str]
+    legs: Tuple[Tuple[str, bool], ...]
+
+
+#: rkey/validation round-trip, then the zero-copy RDMA write straight
+#: into the registered region.
+_RNDV = (("req", False), ("rsp", False), ("req", True))
+_WRITE = (("pcie_w", True), ("apply", False))
+#: An accumulate's read-modify-write pass through target memory (never
+#: a zero-copy NIC write), in program order per (origin, target).
+_RMW = (
+    ("order", False), ("pcie_r", True), ("stage", True), ("apply", False),
+    ("pcie_w", True),
+)
+
+_PUT = _Protocol(
+    "rma_put[eager]", "put", "put(r{}->r{})", "eager",
+    (("req", True), ("stage", True)) + _WRITE,
+)
+#: A coalesced batch rides the eager put's legs as one transfer: one
+#: header, one fabric traversal, one staging copy of the byte total.
+_COALESCED = _PUT._replace(
+    counter="rma_put[coalesced_flush]", span="put_coalesced",
+    proc="cput(r{}->r{})", proto=None,
+)
+#: A get snapshots the region when the NIC reads it: writes landing
+#: while the payload travels back are not in the result.
+_GET = _Protocol(
+    None, "get", "get(r{}<-r{})", None,
+    (("req", False), ("pcie_r", True), ("apply", False), ("rsp", True)),
+)
+_ACC = _Protocol(
+    "rma_accumulate[eager]", "accumulate", "acc(r{}->r{})", None,
+    (("req", True),) + _RMW,
+)
+_ACC_RNDV = _ACC._replace(
+    counter="rma_accumulate[rendezvous]", legs=_RNDV + _RMW
+)
+#: A get_accumulate's fetched elements travel back to the origin.
+_FETCH = (("rsp", True),)
+
+#: What an op is (``put``/``get``/``accumulate``/``get_accumulate``)
+#: → its (eager, rendezvous) rows.
+_PROTOCOLS: Dict[str, Tuple[_Protocol, _Protocol]] = {
+    "put": (
+        _PUT,
+        _PUT._replace(
+            counter="rma_put[rendezvous]", proto="rndv",
+            legs=_RNDV + _WRITE,
+        ),
+    ),
+    "get": (_GET, _GET),
+    "accumulate": (_ACC, _ACC_RNDV),
+    "get_accumulate": (
+        _ACC._replace(legs=_ACC.legs + _FETCH),
+        _ACC_RNDV._replace(legs=_ACC_RNDV.legs + _FETCH),
+    ),
+}
+
+
+def _apply(
+    view: np.ndarray,
+    data: Optional[np.ndarray],
+    op: Optional[ReduceOp],
+    out: Optional[np.ndarray],
+) -> None:
+    """An op's effect at its apply point: ``out`` (a get's or a
+    get_accumulate's result) receives the target elements as they
+    were, then ``data`` is written or, under a reduction ``op``,
+    combined in."""
+    if out is not None:
+        out[...] = view
+    if op is not None:
+        view[...] = op.combine(view, data)
+    elif data is not None:
+        view[...] = data
+
+
+class _Batch(list):
+    """Coalesced puts to one target not yet on the wire: each put's
+    ``_apply`` arguments in issue order, and their byte total."""
+
+    nbytes = 0
 
 
 class _LockState:
@@ -193,21 +309,15 @@ class Window:
         #: (MPI ordering guarantee: same-pair accumulates apply in
         #: program order).
         self._acc_tail: Dict[Tuple[int, int], Event] = {}
-        self._eager_max = int(
-            getattr(comm.tuning, "rma_eager_max_bytes", 8 * 1024)
-        )
+        self._eager_max = int(comm.tuning.rma_eager_max_bytes)
         #: MVAPICH2-style put coalescing: consecutive small eager puts
         #: to one target inside an epoch are buffered and ride a single
         #: wire transfer (one header, one fabric latency) at the next
         #: completion point or conflicting operation.  Off by default —
         #: existing timings stay byte-stable.
         self.coalesce = coalesce
-        #: origin → target → list of (payload snapshot, offset) puts
-        #: not yet on the wire, plus their byte total.
-        self._pending_puts: List[Dict[int, List[Tuple[np.ndarray, int]]]] = [
-            dict() for _ in range(size)
-        ]
-        self._pending_bytes: List[Dict[int, int]] = [
+        #: origin → target → the batch of puts not yet on the wire.
+        self._pending_puts: List[Dict[int, _Batch]] = [
             dict() for _ in range(size)
         ]
         #: Analytic fast path (see module doc): price host-window ops
@@ -226,7 +336,7 @@ class Window:
             self._tx_free: Dict[int, float] = {}
             #: node → time its host staging (shm) channel frees up.
             self._shm_free: Dict[int, float] = {}
-            #: (origin, target) → finish time of the last accumulate
+            #: (origin, target) → apply time of the last accumulate
             #: (the analytic twin of ``_acc_tail``).
             self._acc_free: Dict[Tuple[int, int], float] = {}
             #: origin → target → latest analytic op finish time.
@@ -237,7 +347,6 @@ class Window:
             #: topology's interned wire time, booked onto the link
             #: report when accounting is on.
             self._wt = comm.cluster.topology.wire_cost
-            self._an_max_fin = 0.0
         comm._windows.append(self)
         comm._count("win_create")
 
@@ -247,30 +356,24 @@ class Window:
     ) -> Tuple[Optional[np.ndarray], Optional[Any]]:
         if buf is None:
             return None, None
-        if isinstance(buf, HostBuffer):
-            node = self.comm.placement[rank]
-            if buf.node_id != node:
-                raise RmaError(
-                    f"rank {rank} (node {node}) cannot expose host "
-                    f"memory living on node {buf.node_id}"
-                )
-            return buf.data, None
         if isinstance(buf, np.ndarray):
             if not buf.flags["C_CONTIGUOUS"]:
                 raise RmaError("window memory must be C-contiguous")
             return buf, None
         # DeviceBuffer duck-typed to avoid importing gpusim eagerly.
-        if hasattr(buf, "device_id") and hasattr(buf, "data"):
-            node = self.comm.placement[rank]
-            if buf.node_id != node:
-                raise RmaError(
-                    f"rank {rank} (node {node}) cannot expose device "
-                    f"memory living on node {buf.node_id}"
-                )
-            return buf.data, buf
-        raise RmaError(
-            f"cannot expose {type(buf).__name__} as window memory"
-        )
+        device = hasattr(buf, "device_id") and hasattr(buf, "data")
+        if not (device or isinstance(buf, HostBuffer)):
+            raise RmaError(
+                f"cannot expose {type(buf).__name__} as window memory"
+            )
+        node = self.comm.placement[rank]
+        if buf.node_id != node:
+            raise RmaError(
+                f"rank {rank} (node {node}) cannot expose "
+                f"{'device' if device else 'host'} memory living on "
+                f"node {buf.node_id}"
+            )
+        return buf.data, (buf if device else None)
 
     @classmethod
     def allocate(
@@ -341,7 +444,6 @@ class Window:
         self._device = []
         self._outgoing = []
         self._pending_puts = []
-        self._pending_bytes = []
         self._acc_tail.clear()
         if self in self.comm._windows:
             self.comm._windows.remove(self)
@@ -376,10 +478,7 @@ class Window:
     def _target_view(
         self, target: int, offset: int, count: int, what: str
     ) -> np.ndarray:
-        arr = self._arrays[target]
-        if arr is None:
-            raise RmaError(f"rank {target} exposes a zero-size window")
-        flat = arr.reshape(-1)
+        flat = self._arrays[target].reshape(-1)
         if offset < 0 or offset + count > flat.size:
             raise RmaError(
                 f"{what}: [{offset}, {offset + count}) outside rank "
@@ -387,17 +486,22 @@ class Window:
             )
         return flat[offset : offset + count]
 
-    @staticmethod
     def _as_elems(
-        data: Any, dtype: np.dtype, what: str, writable: bool = False
+        self, data: Any, target: int, what: str, writable: bool = False
     ) -> np.ndarray:
+        """``data`` as a flat array of ``target``'s window dtype."""
+        win = self._arrays[target]
+        if win is None:
+            raise RmaError(
+                f"{what}: rank {target} exposes a zero-size window"
+            )
         arr = data.data if isinstance(data, HostBuffer) else data
         if not isinstance(arr, np.ndarray):
             raise RmaError(f"{what} needs an array payload")
-        if arr.dtype != dtype:
+        if arr.dtype != win.dtype:
             raise RmaError(
                 f"{what}: payload dtype {arr.dtype} does not match the "
-                f"target window dtype {dtype}"
+                f"target window dtype {win.dtype}"
             )
         if writable and not arr.flags["C_CONTIGUOUS"]:
             # reshape(-1) would hand back a copy and the results would
@@ -408,35 +512,29 @@ class Window:
             )
         return arr.reshape(-1)
 
-    # -- wire building blocks ----------------------------------------------
-    def _setup(self) -> Event:
-        """Origin-side WQE/doorbell charge of one one-sided op."""
-        return self.sim.timeout(us(self._ib.rma_setup_us))
-
+    # -- building blocks ----------------------------------------------------
     def _op_span(
         self, t0: float, t1: float, origin: int, target: int,
-        name: str, nbytes: int, **attrs: Any,
+        row: _Protocol, nbytes: int, proto: Optional[str],
+        extra: Optional[Tuple[str, Any]],
     ) -> None:
         """Record one one-sided op as a span on the origin's track.
 
-        Exact procs call this with their own lifetime; analytic issue
-        points call it with ``[now, priced fin]`` — the span carries
-        the priced duration even though nothing simulates it.
+        The exact walk records its own lifetime; the analytic one
+        ``[now, priced fin]`` — the span carries the priced duration
+        even though nothing simulates it.
         """
         spans = self.sim.spans
         if spans is not None:
+            attrs = {"nbytes": nbytes, "win": self.name}
+            if proto is not None:
+                attrs["proto"] = proto
+            if extra is not None:
+                attrs[extra[0]] = extra[1]
             spans.complete(
-                t0, t1, f"{name}->r{target}", "rma.op",
-                self.comm.span_track(origin),
-                attrs={"nbytes": nbytes, "win": self.name, **attrs},
+                t0, t1, f"{row.span}->r{target}", "rma.op",
+                self.comm.span_track(origin), attrs=attrs,
             )
-
-    def _wire(self, src: int, dst: int, nbytes: int):
-        yield from self.comm._wire(src, dst, nbytes)
-
-    def _bounce(self, target: int, nbytes: int):
-        """Target-host staging copy of an eager payload (shm channel)."""
-        yield from self.comm._wire(target, target, nbytes)
 
     def _pcie(self, target: int):
         """The target's PCIe link when its window is device memory."""
@@ -446,12 +544,21 @@ class Window:
         node = self.comm.cluster.nodes[self.comm.placement[target]]
         return node.gpus[dev.device_id].pcie
 
-    # -- analytic pricers (fast-path backends; see module doc) -------------
     def _an_usable(self, target: int) -> bool:
         """Host-window targets price analytically; device windows keep
-        the exact per-op path (PCIe contention)."""
+        the exact walk (PCIe contention)."""
         return self._an and self._device[target] is None
 
+    def _track(self, origin: int, target: int, proc: Process) -> Process:
+        lists = self._outgoing[origin]
+        procs = lists.setdefault(target, [])
+        # Prune completed ops lazily so long passive epochs stay bounded.
+        if len(procs) > 32:
+            lists[target] = procs = [p for p in procs if p.is_alive]
+        procs.append(proc)
+        return proc
+
+    # -- the analytic walker's cursors ---------------------------------------
     def _leg(self, src_node: int, dst_node: int, nbytes: int,
              t: float) -> float:
         """One wire leg starting no earlier than ``t``: serializes on
@@ -472,412 +579,231 @@ class Window:
         self._shm_free[node] = fin
         return fin
 
-    def _an_record(self, origin: int, target: int, fin: float) -> float:
-        """Book an analytic op's finish into the epoch batch."""
-        fins = self._an_fins[origin]
-        prev = fins.get(target, 0.0)
-        if fin > prev:
-            fins[target] = fin
-        if fin > self._an_max_fin:
-            self._an_max_fin = fin
-        self.sim.stats.fastpath_rma_ops += 1
-        return fin
-
-    def _an_event(self, fin: float, name: str) -> Event:
-        """A real event firing at the computed finish (rput/rget/...)."""
-        ev = self.sim.event(name=name)
-        batch = EventBatch(self.sim, name="rma")
-        batch.add(fin, ev, None)
-        batch.commit()
-        return ev
-
-    def _an_put(self, origin: int, target: int, nbytes: int,
-                t: float) -> float:
+    # -- the two walkers of a protocol row ----------------------------------
+    def _price(
+        self, row: _Protocol, origin: int, target: int, nbytes: int,
+        t: float,
+    ) -> float:
+        """The analytic walk: fold ``row``'s legs, issued at ``t``,
+        through the cursors; returns the op's finish time."""
         o_n = self.comm.placement[origin]
         t_n = self.comm.placement[target]
-        if nbytes <= self._eager_max:
-            self.comm._count_unchecked("rma_put[eager]")
-            a = self._leg(o_n, t_n, HEADER_BYTES + nbytes, t)
-            return self._bounce_leg(t_n, nbytes, a)
-        self.comm._count_unchecked("rma_put[rendezvous]")
-        # rkey/validation round-trip, then the zero-copy RDMA write.
-        # The CTS reply is a response leg: pure wire time, no cursor
-        # (a future booking on the target's cursor would delay traffic
-        # the target issues *now* — a start-time inversion the exact
-        # FIFO channels never exhibit).
-        a = self._leg(o_n, t_n, HEADER_BYTES, t)
-        a += self._wt(t_n, o_n, HEADER_BYTES)
-        return self._leg(o_n, t_n, HEADER_BYTES + nbytes, a)
+        pair = None
+        for leg, carries in row.legs:
+            n = nbytes if carries else 0
+            if leg == "req":
+                t = self._leg(o_n, t_n, HEADER_BYTES + n, t)
+            elif leg == "rsp":
+                # Response leg: its own serialization is inside the
+                # wire time; only its queueing effect on the target's
+                # other traffic is dropped (see module doc).
+                t += self._wt(t_n, o_n, HEADER_BYTES + n)
+            elif leg == "stage":
+                t = self._bounce_leg(t_n, n, t)
+            elif leg == "order":
+                pair = (origin, target)
+                prev = self._acc_free.get(pair, 0.0)
+                if prev > t:
+                    t = prev
+            elif leg == "apply" and pair is not None:
+                self._acc_free[pair] = t
+            # PCIe legs never reach this walk: device windows are exact.
+        return t
 
-    def _an_get(self, origin: int, target: int, nbytes: int,
-                t: float) -> float:
-        o_n = self.comm.placement[origin]
-        t_n = self.comm.placement[target]
-        a = self._leg(o_n, t_n, HEADER_BYTES, t)
-        # Payload return: response leg (see _an_put) — its own
-        # serialization is inside the wire time; only its queueing
-        # effect on the target's other traffic is dropped.
-        return a + self._wt(t_n, o_n, HEADER_BYTES + nbytes)
-
-    def _an_acc(self, origin: int, target: int, nbytes: int, t: float,
-                fetch: bool) -> float:
-        o_n = self.comm.placement[origin]
-        t_n = self.comm.placement[target]
-        if nbytes <= self._eager_max:
-            self.comm._count_unchecked("rma_accumulate[eager]")
-            a = self._leg(o_n, t_n, HEADER_BYTES + nbytes, t)
-        else:
-            self.comm._count_unchecked("rma_accumulate[rendezvous]")
-            a = self._leg(o_n, t_n, HEADER_BYTES, t)
-            a += self._wt(t_n, o_n, HEADER_BYTES)
-            a = self._leg(o_n, t_n, HEADER_BYTES + nbytes, a)
-        # Same-pair program order: the RMW applies behind the previous
-        # accumulate of this (origin, target) pair.
-        prev = self._acc_free.get((origin, target), 0.0)
-        if prev > a:
-            a = prev
-        fin = self._bounce_leg(t_n, nbytes, a)
-        self._acc_free[(origin, target)] = fin
-        if fetch:
-            fin += self._wt(t_n, o_n, HEADER_BYTES + nbytes)
-        return fin
-
-    def _track(self, origin: int, target: int, proc: Process) -> Process:
-        lists = self._outgoing[origin]
-        procs = lists.setdefault(target, [])
-        # Prune completed ops lazily so long passive epochs stay bounded.
-        if len(procs) > 32:
-            lists[target] = procs = [p for p in procs if p.is_alive]
-        procs.append(proc)
-        return proc
-
-    # -- the one-sided data movers (spawned processes) ---------------------
-    def _put_proc(
-        self, origin: int, target: int, data: np.ndarray, offset: int
-    ) -> Generator[Event, Any, None]:
-        nbytes = int(data.nbytes)
-        t0 = self.sim.now
-        if nbytes <= self._eager_max:
-            self.comm._count_unchecked("rma_put[eager]")
-            proto = "eager"
-            yield from self._wire(origin, target, HEADER_BYTES + nbytes)
-            yield from self._bounce(target, nbytes)
-        else:
-            self.comm._count_unchecked("rma_put[rendezvous]")
-            proto = "rndv"
-            # rkey/validation round-trip, then a direct RDMA write into
-            # the registered region — no target-side copy.
-            yield from self._wire(origin, target, HEADER_BYTES)
-            yield from self._wire(target, origin, HEADER_BYTES)
-            yield from self._wire(origin, target, HEADER_BYTES + nbytes)
-        pcie = self._pcie(target)
-        if pcie is not None:
-            yield from pcie.write(nbytes)
-        view = self._target_view(target, offset, data.size, "put")
-        view[...] = data
-        self._op_span(t0, self.sim.now, origin, target, "put", nbytes,
-                      proto=proto)
-
-    def _coalesced_put_proc(
+    def _walk(
         self,
+        row: _Protocol,
         origin: int,
         target: int,
-        ops: List[Tuple[np.ndarray, int]],
         nbytes: int,
-    ) -> Generator[Event, Any, None]:
-        """One wire transfer carrying a batch of buffered small puts.
-
-        The batch pays a single header and a single fabric traversal —
-        the whole point of coalescing — then lands each constituent put
-        in issue order through the usual target-side staging copy."""
-        self.comm._count_unchecked("rma_put[coalesced_flush]")
-        t0 = self.sim.now
-        yield from self._wire(origin, target, HEADER_BYTES + nbytes)
-        yield from self._bounce(target, nbytes)
-        pcie = self._pcie(target)
-        if pcie is not None:
-            yield from pcie.write(nbytes)
-        for data, offset in ops:
-            view = self._target_view(target, offset, data.size, "put")
-            view[...] = data
-        self._op_span(t0, self.sim.now, origin, target, "put_coalesced",
-                      nbytes, n_ops=len(ops))
-
-    def _flush_pending_puts(self, origin: int, target: int) -> None:
-        """Materialize the buffered puts to ``target`` (if any) as one
-        tracked wire process.  Called from every completion point and
-        before any conflicting operation to the same target.
-
-        On the analytic path the batch prices as the single eager-shaped
-        transfer it rides (one header, one fabric traversal, one staging
-        copy of the byte total); the constituent puts already landed at
-        issue time."""
-        ops = self._pending_puts[origin].pop(target, None)
-        if not ops:
-            return
-        nbytes = self._pending_bytes[origin].pop(target)
-        if self._an_usable(target):
-            self.comm._count_unchecked("rma_put[coalesced_flush]")
-            o_n = self.comm.placement[origin]
-            t_n = self.comm.placement[target]
-            a = self._leg(o_n, t_n, HEADER_BYTES + nbytes, self.sim.now)
-            fin = self._bounce_leg(t_n, nbytes, a)
-            self._an_record(origin, target, fin)
-            self._op_span(self.sim.now, fin, origin, target,
-                          "put_coalesced", nbytes, n_ops=len(ops))
-            return
-        proc = self.sim.process(
-            self._coalesced_put_proc(origin, target, ops, nbytes),
-            name=f"{self.name}.cput(r{origin}->r{target})",
-        )
-        self._track(origin, target, proc)
-
-    def _get_proc(
-        self,
-        origin: int,
-        target: int,
-        recvbuf: np.ndarray,
-        offset: int,
-    ) -> Generator[Event, Any, None]:
-        count = recvbuf.size
-        view = self._target_view(target, offset, count, "get")
-        nbytes = int(view.nbytes)
-        t0 = self.sim.now
-        yield from self._wire(origin, target, HEADER_BYTES)
-        pcie = self._pcie(target)
-        if pcie is not None:
-            yield from pcie.read(nbytes)
-        # Snapshot at the instant the NIC reads the region: writes
-        # landing while the payload is on the wire must not appear in
-        # the result (the real RDMA read could not have carried them).
-        data = self._target_view(target, offset, count, "get").copy()
-        yield from self._wire(target, origin, HEADER_BYTES + nbytes)
-        recvbuf[...] = data
-        self._op_span(t0, self.sim.now, origin, target, "get", nbytes)
-
-    def _acc_proc(
-        self,
-        origin: int,
-        target: int,
-        data: np.ndarray,
-        offset: int,
-        op: ReduceOp,
+        applies: Sequence[Tuple[Any, ...]],
+        land: Optional[Tuple[np.ndarray, np.ndarray]],
         prev: Optional[Event],
-        done: Event,
-        fetch_into: Optional[np.ndarray] = None,
+        done: Optional[Event],
+        extra: Optional[Tuple[str, Any]],
     ) -> Generator[Event, Any, None]:
-        nbytes = int(data.nbytes)
+        """The exact walk: ``row``'s legs as transfers on the contended
+        channels, in one process.  ``applies`` are the ``_apply`` calls
+        of the apply point; ``land`` copies a fetched result into the
+        origin's buffer once the response arrives; ``done`` releases
+        the pair's next accumulate when the walk ends."""
+        comm = self.comm
+        pcie = self._pcie(target)
         t0 = self.sim.now
         try:
-            if nbytes <= self._eager_max:
-                self.comm._count_unchecked("rma_accumulate[eager]")
-                yield from self._wire(origin, target, HEADER_BYTES + nbytes)
-            else:
-                self.comm._count_unchecked("rma_accumulate[rendezvous]")
-                yield from self._wire(origin, target, HEADER_BYTES)
-                yield from self._wire(target, origin, HEADER_BYTES)
-                yield from self._wire(origin, target, HEADER_BYTES + nbytes)
-            # MPI ordering guarantee: accumulates between the same
-            # (origin, target) pair apply in program order.
-            if prev is not None and not prev.triggered:
-                yield prev
-            pcie = self._pcie(target)
-            if pcie is not None:
-                # Read-modify-write through the target's PCIe link.
-                yield from pcie.read(nbytes)
-            # The read-modify-write pass through target memory (an
-            # accumulate can never be a zero-copy NIC write).
-            yield from self._bounce(target, nbytes)
-            view = self._target_view(target, offset, data.size, "accumulate")
-            if fetch_into is not None:
-                fetch_into[...] = view
-            view[...] = op.combine(view, data)
-            if pcie is not None:
-                yield from pcie.write(nbytes)
-            if fetch_into is not None:
-                yield from self._wire(target, origin, HEADER_BYTES + nbytes)
-            self._op_span(t0, self.sim.now, origin, target, "accumulate",
-                          nbytes, op=op.value)
+            for leg, carries in row.legs:
+                n = nbytes if carries else 0
+                if leg == "req":
+                    yield from comm._wire(origin, target, HEADER_BYTES + n)
+                elif leg == "rsp":
+                    yield from comm._wire(target, origin, HEADER_BYTES + n)
+                elif leg == "stage":
+                    yield from comm._wire(target, target, n)
+                elif leg == "order":
+                    if prev is not None and not prev.triggered:
+                        yield prev
+                elif leg == "apply":
+                    for args in applies:
+                        _apply(*args)
+                elif pcie is not None:
+                    if leg == "pcie_r":
+                        yield from pcie.read(n)
+                    else:
+                        yield from pcie.write(n)
+            if land is not None:
+                land[0][...] = land[1]
+            self._op_span(t0, self.sim.now, origin, target, row, nbytes,
+                          row.proto, extra)
         finally:
-            done.succeed(None)
+            if done is not None:
+                done.succeed(None)
 
-    # -- op issue (shared by WinContext and the DCGN comm threads) ---------
-    def start_put(
+    def _launch(
         self,
+        row: _Protocol,
         origin: int,
         target: int,
-        data: Any,
+        nbytes: int,
+        applies: Sequence[Tuple[Any, ...]] = (),
+        land: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+        want_event: bool = False,
+        extra: Optional[Tuple[str, Any]] = None,
+    ) -> Optional[Event]:
+        """Put one protocol row on the wire, now.  On the analytic path
+        it is priced at once (the caller applied its data already) and
+        returns an event only if ``want_event``; on the exact path it
+        returns the tracked process walking it."""
+        if row.counter is not None:
+            self.comm._count_unchecked(row.counter)
+        if self._an_usable(target):
+            now = self.sim.now
+            fin = self._price(row, origin, target, nbytes, now)
+            # Book the finish into the epoch batch.
+            fins = self._an_fins[origin]
+            if fin > fins.get(target, 0.0):
+                fins[target] = fin
+            self.sim.stats.fastpath_rma_ops += 1
+            self._op_span(now, fin, origin, target, row, nbytes,
+                          None if row is _COALESCED else "analytic", extra)
+            if not want_event:
+                return None
+            # A real event firing at the computed finish.
+            ev = self.sim.event(
+                name=f"{self.name}." + row.proc.format(origin, target)
+            )
+            batch = EventBatch(self.sim, name="rma")
+            batch.add(fin, ev, None)
+            batch.commit()
+            return ev
+        prev = done = None
+        if ("order", False) in row.legs:
+            prev = self._acc_tail.get((origin, target))
+            done = self.sim.event(name=f"{self.name}.accdone")
+            self._acc_tail[(origin, target)] = done
+        proc = self.sim.process(
+            self._walk(row, origin, target, nbytes, applies, land, prev,
+                       done, extra),
+            name=f"{self.name}." + row.proc.format(origin, target),
+        )
+        return self._track(origin, target, proc)
+
+    def _flush_pending_puts(self, origin: int, target: int) -> None:
+        """Put the buffered batch to ``target`` (if any) on the wire as
+        one coalesced transfer.  Called from every completion point and
+        before any conflicting operation to the same target."""
+        batch = self._pending_puts[origin].pop(target, None)
+        if batch is not None:
+            self._launch(
+                _COALESCED, origin, target, batch.nbytes, batch,
+                extra=("n_ops", len(batch)),
+            )
+
+    # -- op issue (shared by WinContext and the DCGN comm threads) ---------
+    def start(
+        self,
+        kind: str,
+        origin: int,
+        target: int,
+        buf: Any,
         offset: int = 0,
+        op: Union[str, ReduceOp] = ReduceOp.SUM,
+        fetch_into: Optional[np.ndarray] = None,
         snapshot: bool = True,
         defer: bool = False,
         want_event: bool = False,
     ) -> Generator[Event, Any, Optional[Event]]:
-        """Charge the origin setup and launch the put's wire process.
+        """Issue one one-sided op: charge the origin setup and put the
+        op's protocol on the wire.  ``kind`` is ``"put"``, ``"get"`` or
+        ``"accumulate"``; ``buf`` is the payload, or a get's receive
+        buffer.  An accumulate combines with ``op`` and, given
+        ``fetch_into``, is a get_accumulate.
+
+        Every check runs before anything else, so a rejected call has
+        no side effect (a buffered put batch stays buffered).
 
         ``snapshot=False`` skips the defensive payload copy when the
         caller already owns a private snapshot (the DCGN comm threads
         do — their requests snapshotted at kernel issue/harvest time).
 
-        ``defer=True`` (only honoured on a ``coalesce=True`` window,
-        for small eager payloads) buffers the put instead of launching
-        it and returns ``None``; the batch rides one wire transfer at
-        the next completion point or conflicting operation.
+        ``defer=True`` (only honoured for a small eager put on a
+        ``coalesce=True`` window) buffers the put and returns ``None``;
+        the batch rides one wire transfer at the next completion point
+        or conflicting operation.
 
-        ``want_event=True`` asks for a waitable completion (``rput``);
-        without it the analytic path books only the finish time — no
-        per-op event, no heap entry.
+        Returns a waitable completion: always on the exact path and for
+        a get or get_accumulate; on the analytic path only if
+        ``want_event`` (``rput``) — otherwise it books the finish time
+        alone, no per-op event, no heap entry.
         """
-        self._require_access(origin, target, "put")
+        what = kind if fetch_into is None else "get_accumulate"
+        self._require_access(origin, target, what)
+        rop = ReduceOp(op) if kind == "accumulate" else None
+        arr = self._as_elems(buf, target, what, writable=kind == "get")
+        if fetch_into is not None:
+            fetch_into = self._as_elems(fetch_into, target, what, True)
+        view = self._target_view(target, offset, arr.size, what)
+        self.comm._count("rma_" + kind)
         an = self._an_usable(target)
-        dtype = self._window_dtype(target, "put")
-        payload = self._as_elems(data, dtype, "put")
-        if snapshot and not an:
+        data, dst = (None, arr) if kind == "get" else (arr, fetch_into)
+        if snapshot and not an and data is not None:
             # Analytic never copies: the bytes land synchronously at
             # issue (epochs forbid conflicting access until the sync).
-            payload = payload.copy()
-        self._target_view(target, offset, payload.size, "put")  # bounds
-        self.comm._count("rma_put")
-        nbytes = int(payload.nbytes)
-        if defer and self.coalesce and nbytes <= self._eager_max:
+            data = data.copy()
+        nbytes = int(arr.nbytes)
+        rndv = nbytes > self._eager_max
+        defer = defer and self.coalesce and kind == "put" and not rndv
+        if defer:
             self.comm._count_unchecked("rma_put[coalesced]")
             self.sim.stats.rma_coalesced_puts += 1
-            yield self._setup()
-            if an:
-                if not self._price_only:
-                    view = self._target_view(
-                        target, offset, payload.size, "put"
-                    )
-                    view[...] = payload
-                pend = self._pending_puts[origin].setdefault(target, [])
-                pend.append((None, offset))
-            else:
-                pend = self._pending_puts[origin].setdefault(target, [])
-                pend.append(
-                    (payload if snapshot else payload.copy(), offset)
-                )
-            total = self._pending_bytes[origin].get(target, 0) + nbytes
-            self._pending_bytes[origin][target] = total
-            if total > self._eager_max:
+        else:
+            # Program order per (origin, target): this op follows the
+            # buffered puts onto the wire.
+            self._flush_pending_puts(origin, target)
+        # The origin's WQE build and doorbell.
+        yield self.sim.timeout(us(self._ib.rma_setup_us))
+        if defer:
+            if an and not self._price_only:
+                _apply(view, data, None, None)
+            batch = self._pending_puts[origin].setdefault(target, _Batch())
+            batch.nbytes += nbytes
+            batch.append((view, data, None, None))
+            if batch.nbytes > self._eager_max:
                 # Batch outgrew the eager path: put it on the wire now.
                 self._flush_pending_puts(origin, target)
             return None
-        self._flush_pending_puts(origin, target)
-        yield self._setup()
+        row = _PROTOCOLS[what][rndv]
+        extra = None if rop is None else ("op", rop.value)
         if an:
-            fin = self._an_put(origin, target, nbytes, self.sim.now)
-            self._an_record(origin, target, fin)
             if not self._price_only:
-                view = self._target_view(target, offset, payload.size, "put")
-                view[...] = payload
-            self._op_span(self.sim.now, fin, origin, target, "put", nbytes,
-                          proto="analytic")
-            if want_event:
-                return self._an_event(
-                    fin, f"{self.name}.put(r{origin}->r{target})"
-                )
-            return None
-        proc = self.sim.process(
-            self._put_proc(origin, target, payload, offset),
-            name=f"{self.name}.put(r{origin}->r{target})",
+                _apply(view, data, rop, dst)
+            return self._launch(row, origin, target, nbytes,
+                                want_event=want_event or dst is not None,
+                                extra=extra)
+        out = None if dst is None else np.zeros_like(view)
+        return self._launch(
+            row, origin, target, nbytes, ((view, data, rop, out),),
+            None if out is None else (dst, out), want_event, extra,
         )
-        return self._track(origin, target, proc)
-
-    def start_get(
-        self, origin: int, target: int, recvbuf: Any, offset: int = 0
-    ) -> Generator[Event, Any, Event]:
-        self._require_access(origin, target, "get")
-        # A get must observe this origin's earlier puts (program order
-        # per origin-target pair): flush any buffered batch first.
-        self._flush_pending_puts(origin, target)
-        dtype = self._window_dtype(target, "get")
-        dst = self._as_elems(recvbuf, dtype, "get", writable=True)
-        self._target_view(target, offset, dst.size, "get")  # bounds
-        self.comm._count("rma_get")
-        yield self._setup()
-        if self._an_usable(target):
-            nbytes = int(dst.nbytes)
-            fin = self._an_get(origin, target, nbytes, self.sim.now)
-            self._an_record(origin, target, fin)
-            if not self._price_only:
-                # Snapshot now = snapshot at NIC read: epoch discipline
-                # means no conflicting write can land in between.
-                dst[...] = self._target_view(target, offset, dst.size, "get")
-            self._op_span(self.sim.now, fin, origin, target, "get", nbytes,
-                          proto="analytic")
-            # A get always has an observable completion (the data).
-            return self._an_event(
-                fin, f"{self.name}.get(r{origin}<-r{target})"
-            )
-        proc = self.sim.process(
-            self._get_proc(origin, target, dst, offset),
-            name=f"{self.name}.get(r{origin}<-r{target})",
-        )
-        return self._track(origin, target, proc)
-
-    def start_accumulate(
-        self,
-        origin: int,
-        target: int,
-        data: Any,
-        op: Union[str, ReduceOp] = ReduceOp.SUM,
-        offset: int = 0,
-        fetch_into: Optional[np.ndarray] = None,
-        snapshot: bool = True,
-        want_event: bool = False,
-    ) -> Generator[Event, Any, Optional[Event]]:
-        what = "get_accumulate" if fetch_into is not None else "accumulate"
-        self._require_access(origin, target, what)
-        an = self._an_usable(target)
-        self._flush_pending_puts(origin, target)
-        op = ReduceOp(op)
-        dtype = self._window_dtype(target, what)
-        payload = self._as_elems(data, dtype, what)
-        if snapshot and not an:
-            payload = payload.copy()
-        self._target_view(target, offset, payload.size, what)  # bounds
-        self.comm._count("rma_accumulate")
-        yield self._setup()
-        if an:
-            fin = self._an_acc(
-                origin, target, int(payload.nbytes), self.sim.now,
-                fetch_into is not None,
-            )
-            self._an_record(origin, target, fin)
-            if not self._price_only:
-                # Issue order per (origin, target) IS program order, so
-                # applying synchronously preserves the MPI accumulate
-                # ordering guarantee by construction.
-                view = self._target_view(target, offset, payload.size, what)
-                if fetch_into is not None:
-                    fetch_into[...] = view
-                view[...] = op.combine(view, payload)
-            self._op_span(self.sim.now, fin, origin, target, "accumulate",
-                          int(payload.nbytes), proto="analytic",
-                          op=op.value)
-            if want_event or fetch_into is not None:
-                return self._an_event(
-                    fin, f"{self.name}.acc(r{origin}->r{target})"
-                )
-            return None
-        prev = self._acc_tail.get((origin, target))
-        done = self.sim.event(name=f"{self.name}.accdone")
-        self._acc_tail[(origin, target)] = done
-        proc = self.sim.process(
-            self._acc_proc(
-                origin, target, payload, offset, op, prev, done,
-                fetch_into=fetch_into,
-            ),
-            name=f"{self.name}.acc(r{origin}->r{target})",
-        )
-        return self._track(origin, target, proc)
-
-    def _window_dtype(self, target: int, what: str) -> np.dtype:
-        arr = self._arrays[target]
-        if arr is None:
-            raise RmaError(
-                f"{what}: rank {target} exposes a zero-size window"
-            )
-        return arr.dtype
 
     # -- completion --------------------------------------------------------
     def flush_ops(
@@ -890,11 +816,9 @@ class Window:
         target) pair — the wait is a single timeout to the latest
         finish, not a per-op process join.  Device-window ops (exact
         even on a fast-path backend) still join their processes."""
-        if target is not None:
-            self._flush_pending_puts(origin, target)
-        else:
-            for t in list(self._pending_puts[origin]):
-                self._flush_pending_puts(origin, t)
+        pending = self._pending_puts[origin]
+        for t in [target] if target is not None else list(pending):
+            self._flush_pending_puts(origin, t)
         lists = self._outgoing[origin]
         targets = [target] if target is not None else list(lists)
         for t in targets:
@@ -975,9 +899,6 @@ class WinContext:
         """This rank's own exposed memory (read after sync)."""
         return self.win.region(self.rank)
 
-    def _mpi_ctx(self) -> MpiContext:
-        return self.comm.ctx(self.rank)
-
     # -- one-sided operations ----------------------------------------------
     def put(
         self, target: int, data: Any, offset: int = 0
@@ -988,8 +909,8 @@ class WinContext:
         :meth:`flush`).  On a ``coalesce=True`` window, small eager
         puts are buffered and batched onto one wire transfer at that
         completion point."""
-        yield from self.win.start_put(
-            self.rank, target, data, offset, defer=True
+        yield from self.win.start(
+            "put", self.rank, target, data, offset, defer=True
         )
 
     def rput(
@@ -998,8 +919,8 @@ class WinContext:
         """Request-based put (``req = yield from w.rput(...)``):
         ``req.wait()`` guarantees *remote* completion — the bytes are
         visible in the target window."""
-        proc = yield from self.win.start_put(
-            self.rank, target, data, offset, want_event=True
+        proc = yield from self.win.start(
+            "put", self.rank, target, data, offset, want_event=True
         )
         return Request(proc)
 
@@ -1009,8 +930,8 @@ class WinContext:
         """One-sided read of ``recvbuf.size`` elements from ``target``'s
         window at ``offset`` into ``recvbuf``.  Blocking form: returns
         once the data has arrived."""
-        proc = yield from self.win.start_get(
-            self.rank, target, recvbuf, offset
+        proc = yield from self.win.start(
+            "get", self.rank, target, recvbuf, offset
         )
         yield proc
 
@@ -1019,8 +940,8 @@ class WinContext:
     ) -> Generator[Event, Any, Request]:
         """Request-based get (``req = yield from w.rget(...)``);
         ``req.wait()`` returns once ``recvbuf`` is filled."""
-        proc = yield from self.win.start_get(
-            self.rank, target, recvbuf, offset
+        proc = yield from self.win.start(
+            "get", self.rank, target, recvbuf, offset
         )
         return Request(proc)
 
@@ -1035,8 +956,8 @@ class WinContext:
         data``.  Same-(origin, target) accumulates apply in program
         order (the MPI ordering guarantee); ``ReduceOp.REPLACE`` turns
         this into MPI_Put-with-ordering."""
-        yield from self.win.start_accumulate(
-            self.rank, target, data, op=op, offset=offset
+        yield from self.win.start(
+            "accumulate", self.rank, target, data, offset, op=op
         )
 
     def get_accumulate(
@@ -1050,12 +971,9 @@ class WinContext:
         """Atomic fetch-and-accumulate: ``result`` receives the target
         elements as they were *before* ``data`` was combined in.
         Blocking form (returns once ``result`` is filled)."""
-        dtype = self.win._window_dtype(target, "get_accumulate")
-        dst = Window._as_elems(
-            result, dtype, "get_accumulate", writable=True
-        )
-        proc = yield from self.win.start_accumulate(
-            self.rank, target, data, op=op, offset=offset, fetch_into=dst
+        proc = yield from self.win.start(
+            "accumulate", self.rank, target, data, offset, op=op,
+            fetch_into=result,
         )
         yield proc
 
@@ -1104,7 +1022,7 @@ class WinContext:
         self.comm._count("rma_fence")
         sp = self._espan("fence")
         yield from self.win.flush_ops(self.rank)
-        yield from self._mpi_ctx().barrier()
+        yield from self.comm.ctx(self.rank).barrier()
         self.win._mode[self.rank] = None if end else "fence"
         self._espan_end(sp)
 
@@ -1217,9 +1135,9 @@ class WinContext:
         self.comm._count("rma_lock")
         sp = self._espan("lock")
         yield self.sim.timeout(us(win._ib.rma_setup_us))
-        yield from win._wire(self.rank, target, HEADER_BYTES)
+        yield from self.comm._wire(self.rank, target, HEADER_BYTES)
         yield from win._acquire(self.rank, target, exclusive)
-        yield from win._wire(target, self.rank, HEADER_BYTES)
+        yield from self.comm._wire(target, self.rank, HEADER_BYTES)
         self._espan_end(sp)
         win._locks_held[self.rank][target] = exclusive
 
@@ -1234,7 +1152,7 @@ class WinContext:
             )
         sp = self._espan("unlock")
         yield from win.flush_ops(self.rank, target)
-        yield from win._wire(self.rank, target, HEADER_BYTES)
+        yield from self.comm._wire(self.rank, target, HEADER_BYTES)
         self._espan_end(sp)
         del win._locks_held[self.rank][target]
         win._release(self.rank, target)
@@ -1298,6 +1216,6 @@ class WinContext:
         win = self.win
         win._ensure_usable()
         yield from win.flush_ops(self.rank)
-        yield from self._mpi_ctx().barrier()
+        yield from self.comm.ctx(self.rank).barrier()
         if not win._freed:
             win.free()

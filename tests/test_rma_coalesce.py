@@ -112,6 +112,35 @@ def test_accumulate_flushes_pending_batch():
     assert list(win.region(1)) == [11.0, 11.0]
 
 
+@pytest.mark.parametrize("backend", ["exact", "analytic"])
+@pytest.mark.parametrize("op", ["get", "accumulate"])
+def test_rejected_call_leaves_batch_buffered(op, backend):
+    """A get or accumulate that fails its checks has no side effect:
+    the buffered batch stays off the wire until the closing fence."""
+    sim = Simulator()
+    cluster = build_cluster(sim, ClusterSpec(nodes=2, gpus_per_node=0))
+    job = MpiJob(cluster, [0, 1], backend=backend)
+    win = Window.allocate(job.comm, 4, coalesce=True)
+
+    def prog(ctx):
+        w = win.ctx(ctx.rank)
+        yield from w.fence()
+        if ctx.rank == 0:
+            yield from w.put(1, np.full(4, 7.0))
+            with pytest.raises(RmaError, match="outside rank 1's window"):
+                if op == "get":
+                    yield from w.get(1, np.zeros(4), offset=2)
+                else:
+                    yield from w.accumulate(1, np.ones(4), offset=2)
+            assert win._pending_puts[0]  # still buffered
+        yield from w.fence()
+
+    job.start(prog)
+    job.run()
+    assert job.comm.stats["rma_put[coalesced_flush]"] == 1
+    assert list(win.region(1)) == [7.0] * 4
+
+
 def test_batch_overflow_flushes_eagerly():
     """Once the buffered total outgrows the eager threshold the batch
     goes on the wire immediately — no unbounded buffering."""
