@@ -81,8 +81,6 @@ class IbParams:
     bw_GBps: float = 1.15
     #: Messages at or below this size use the eager protocol (bytes).
     eager_threshold: int = 16 * KB
-    #: Extra round-trip for the rendezvous handshake, µs.
-    rendezvous_rtt_us: float = 4.5
     #: Intra-node (shared-memory) small-message latency, µs.
     intra_lat_us: float = 1.0
     #: Intra-node copy bandwidth, GB/s.

@@ -11,7 +11,6 @@ from .algorithms import (
 from .communicator import (
     COMM_TYPE_LOCALITY,
     COMM_TYPE_NODE,
-    HEADER_BYTES,
     Communicator,
     MpiContext,
     Request,
@@ -20,6 +19,7 @@ from . import collectives  # noqa: F401  (installs MpiContext's collectives)
 from .datatypes import ReduceOp, payload_array, snapshot
 from .errors import MpiError, RankError, RmaError, TagError, TruncationError
 from .group import GROUP_EMPTY, UNDEFINED, Group
+from .p2p import HEADER_BYTES
 from .rma import Window, WinContext
 from .job import (
     MpiJob,

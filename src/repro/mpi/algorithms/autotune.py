@@ -1,30 +1,23 @@
 """Topology-derived collective auto-tuning.
 
-PR 1 calibrated the :class:`CollectiveTuning` crossovers as constants
-against one fabric — the paper's flat non-blocking IB switch.  This
-module re-derives them at cluster-build time from the cluster's actual
+The :class:`CollectiveTuning` crossovers are derived at cluster-build
+time from the cluster's actual
 :class:`~repro.hw.topology.base.FabricProfile` and
 :class:`~repro.hw.params.IbParams`, by sweeping an analytic cost model
-over message sizes and communicator sizes.  The model mirrors the
-simulated wire protocol exactly (software overhead, eager vs rendezvous
-breakpoints, per-channel latency halves), which makes it track the
-simulator to within a fraction of a percent on uncontended schedules —
-validated by the ``collectives`` artifact of ``python -m repro.bench``.
+over message sizes and communicator sizes — so a fat tree, multi-rail
+fabric or torus each get thresholds matching *their* α/β, and
+hierarchical gates open only where the topology reports
+oversubscription.  The model's unit is :func:`p2p_time`, which
+evaluates the two-sided protocol rows of :mod:`repro.mpi.p2p` — the
+rows the exact wire and the fast-path tape walk — on one (α, β) hop;
+the per-algorithm closed forms (``cost_*``) compose it.  The model
+tracks the simulator to within a fraction of a percent on uncontended
+schedules — validated by the ``collectives`` artifact of
+``python -m repro.bench``.
 
 The derived tuning is cached per ``(FabricProfile, IbParams)`` pair (both
 frozen dataclasses), so every cluster of the same shape shares one
 derivation and repeated ``Communicator`` construction is free.
-
-What this kills relative to the constants:
-
-* the flat-switch-only crossovers — a fat tree, multi-rail fabric or
-  torus now each get thresholds matching *their* α/β;
-* the eager-threshold leak — ``allgather_rd_small_max_bytes`` is derived
-  as ``eager_threshold // 2`` (the largest block whose packed doubling
-  rounds all stay eager) instead of a constant that silently encoded it;
-* the non-power-of-two gap — Bruck's threshold is swept, and the
-  hierarchical allreduce/bcast gates open only when the topology
-  actually reports oversubscription.
 """
 
 from __future__ import annotations
@@ -35,6 +28,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ...hw.params import IbParams
 from ...sim.core import us
+from ..p2p import EAGER, HEADER_BYTES, RENDEZVOUS, Row, p2p_row
 from .base import largest_pof2
 from .tuning import CollectiveTuning
 
@@ -52,11 +46,6 @@ __all__ = [
     "cost_rma_put",
 ]
 
-#: Size of protocol headers on the wire — must match
-#: ``repro.mpi.communicator.HEADER_BYTES`` (imported lazily there to
-#: avoid a package cycle; guarded by a test).
-HEADER_BYTES = 64
-
 #: Derivation cache: (FabricProfile, IbParams) → CollectiveTuning.
 _CACHE: Dict[Tuple, CollectiveTuning] = {}
 
@@ -72,24 +61,37 @@ _EPS = 1e-12
 
 
 # ---------------------------------------------------------------------------
-# Analytic cost model (mirrors communicator._send_impl/_recv_impl)
+# Analytic cost model
 # ---------------------------------------------------------------------------
+
+def _closed_form(row: Row) -> Tuple[int, Tuple[Tuple[bool, int], ...]]:
+    """``row`` on an (α, β) hop: its leg count (one α each) and its
+    byte terms — ``(payload?, legs carrying it)`` — collected in leg
+    order, a leg's payload before its header."""
+    legs = (row.envelope, *row.after)
+    terms: Dict[bool, int] = {}
+    for leg in legs:
+        for payload, carried in ((True, leg.payload), (False, leg.header)):
+            if carried:
+                terms[payload] = terms.get(payload, 0) + 1
+    return len(legs), tuple(terms.items())
+
+
+#: Row → its :func:`_closed_form`.
+_FORMS = {row: _closed_form(row) for row in (EAGER, RENDEZVOUS)}
+
 
 def p2p_time(
     nbytes: int, alpha_s: float, beta_s_per_B: float, ib: IbParams
 ) -> float:
-    """One blocking point-to-point of ``nbytes`` over an (α, β) hop.
-
-    Eager: sender software overhead, one wire traversal carrying the
-    envelope.  Rendezvous: RTS and CTS headers each pay a full wire
-    latency before the payload travels — three latencies total, which
-    is exactly what the simulated protocol charges.
-    """
-    sw = us(ib.sw_overhead_us)
-    hdr = HEADER_BYTES * beta_s_per_B
-    if nbytes <= ib.eager_threshold:
-        return sw + alpha_s + nbytes * beta_s_per_B + hdr
-    return sw + 3.0 * alpha_s + 2.0 * hdr + nbytes * beta_s_per_B
+    """One blocking point-to-point of ``nbytes`` over an (α, β) hop:
+    the sender's ``sw``, then the :func:`~repro.mpi.p2p.p2p_row` row's
+    :func:`_closed_form`."""
+    n_legs, terms = _FORMS[p2p_row(nbytes, ib)]
+    t = us(ib.sw_overhead_us) + n_legs * alpha_s
+    for payload, count in terms:
+        t += count * ((nbytes if payload else HEADER_BYTES) * beta_s_per_B)
+    return t
 
 
 def _log2ceil(n: int) -> int:
@@ -99,11 +101,12 @@ def _log2ceil(n: int) -> int:
 def _cross_beta_eff(nbytes: int, prof, ib: IbParams) -> float:
     """Per-byte cost of a domain-wide bottleneck crossing.
 
-    Eager-sized messages overlap their NIC wire time with the shared
-    uplink's queue drain (the simulator's FIFO channels pipeline them),
-    so only rendezvous-sized crossings feel the full domain fan-in.
+    Eager messages (their row ends at the match) overlap their NIC wire
+    time with the shared uplink's queue drain (the simulator's FIFO
+    channels pipeline them), so only rendezvous crossings feel the full
+    domain fan-in.
     """
-    if nbytes <= ib.eager_threshold:
+    if not p2p_row(nbytes, ib).after:
         return prof.cross_beta_s_per_B
     return prof.cross_load_beta_s_per_B
 
@@ -323,12 +326,31 @@ def cost_rma_put(mode: str, nbytes: int, prof, ib: IbParams) -> float:
 # Threshold derivation
 # ---------------------------------------------------------------------------
 
-def _first_grid_where(pred) -> int:
-    """Smallest grid size satisfying ``pred`` (sentinel when none)."""
+def _first_grid_where(pred) -> Optional[int]:
+    """Smallest grid size below the top satisfying ``pred``, or None."""
+    n = next((n for n in _GRID if pred(n)), _UNBOUNDED)
+    return None if n >= _UNBOUNDED else n
+
+
+def _grid_prefix(ok) -> int:
+    """Largest grid size up to which ``ok`` holds throughout, or 0."""
+    last = 0
     for n in _GRID:
-        if pred(n):
-            return n
-    return _UNBOUNDED
+        if not ok(n):
+            break
+        last = n
+    return last
+
+
+def _grid_suffix(ok) -> Optional[int]:
+    """Smallest grid size below the top from which ``ok`` holds
+    throughout, or None."""
+    first = _UNBOUNDED
+    for n in reversed(_GRID):
+        if not ok(n):
+            break
+        first = n
+    return None if first >= _UNBOUNDED else first
 
 
 def derive_tuning(prof, ib: IbParams) -> CollectiveTuning:
@@ -339,7 +361,7 @@ def derive_tuning(prof, ib: IbParams) -> CollectiveTuning:
     ring_min = _first_grid_where(
         lambda n: cost_allreduce("ring", P, n, prof, ib)
         < cost_allreduce("recursive_doubling", P, n, prof, ib) - _EPS
-    )
+    ) or _UNBOUNDED
 
     # Allgather doubling: find the rank counts and block sizes where its
     # packed rounds (which cross the eager threshold early) still beat
@@ -359,11 +381,7 @@ def derive_tuning(prof, ib: IbParams) -> CollectiveTuning:
     ]
     rd_min_ranks = 2 * max(losers) if losers else 2
     winners = [p for p in pof2_sizes if p >= rd_min_ranks]
-    rd_max = 0
-    for n in _GRID:
-        if winners and not all(rd_ok(p, n) for p in winners):
-            break
-        rd_max = n
+    rd_max = _grid_prefix(lambda n: all(rd_ok(p, n) for p in winners))
 
     # Small-block exception: every packed doubling round stays eager as
     # long as the final round's P/2 blocks fit under the threshold —
@@ -376,17 +394,11 @@ def derive_tuning(prof, ib: IbParams) -> CollectiveTuning:
     # blocks small enough that its packed rounds stay cheap.
     npof2_sizes = [3, 5, 6, 7, 9, 12, 24, 48, 96]
 
-    def bruck_ok(p: int, n: int) -> bool:
-        return (
-            cost_allgather("bruck", p, n, prof, ib)
-            <= cost_allgather("ring", p, n, prof, ib) + _EPS
-        )
-
-    bruck_max = 0
-    for n in _GRID:
-        if not all(bruck_ok(p, n) for p in npof2_sizes):
-            break
-        bruck_max = n
+    bruck_max = _grid_prefix(lambda n: all(
+        cost_allgather("bruck", p, n, prof, ib)
+        <= cost_allgather("ring", p, n, prof, ib) + _EPS
+        for p in npof2_sizes
+    ))
 
     # Bruck alltoall: its packed rounds beat the linear schedules only
     # while the block is small enough that ⌈log2 P⌉ latencies dominate
@@ -394,18 +406,12 @@ def derive_tuning(prof, ib: IbParams) -> CollectiveTuning:
     # baselines so the threshold is safe on any communicator size.
     a2a_sizes = [4, 6, 8, 12, 16, 24, 32, 48, 96]
 
-    def a2a_bruck_ok(p: int, n: int) -> bool:
-        linear = min(
-            cost_alltoall("shift", p, n, prof, ib),
-            cost_alltoall("pairwise", p, n, prof, ib),
-        )
-        return cost_alltoall("bruck", p, n, prof, ib) <= linear + _EPS
-
-    a2a_bruck_max = 0
-    for n in _GRID:
-        if not all(a2a_bruck_ok(p, n) for p in a2a_sizes):
-            break
-        a2a_bruck_max = n
+    a2a_bruck_max = _grid_prefix(lambda n: all(
+        cost_alltoall("bruck", p, n, prof, ib)
+        <= min(cost_alltoall("shift", p, n, prof, ib),
+               cost_alltoall("pairwise", p, n, prof, ib)) + _EPS
+        for p in a2a_sizes
+    ))
 
     # Pipelined bcast: the chain beats the binomial tree once segments
     # amortize their fixed cost; demand a decisive (≥1.5×) modelled win
@@ -413,18 +419,12 @@ def derive_tuning(prof, ib: IbParams) -> CollectiveTuning:
     # every plausible rank count ≥ 4 (at P ≤ 2 the chain degenerates).
     pipe_sizes = [p for p in (4, 6, 8, 12, 16, 24, 32, 48, 96)]
 
-    def pipe_ok(p: int, n: int) -> bool:
-        tree = min(
-            cost_bcast("binomial", p, n, prof, ib),
-            cost_bcast("hierarchical", p, n, prof, ib),
-        )
-        return cost_bcast("pipelined", p, n, prof, ib) * 1.5 <= tree + _EPS
-
-    bcast_pipe_min = _first_grid_where(
-        lambda n: all(pipe_ok(p, n) for p in pipe_sizes)
-        and all(pipe_ok(p, m) for p in pipe_sizes for m in _GRID if m >= n)
-    )
-    bcast_pipe_min = None if bcast_pipe_min >= _UNBOUNDED else bcast_pipe_min
+    bcast_pipe_min = _grid_suffix(lambda n: all(
+        cost_bcast("pipelined", p, n, prof, ib) * 1.5
+        <= min(cost_bcast("binomial", p, n, prof, ib),
+               cost_bcast("hierarchical", p, n, prof, ib)) + _EPS
+        for p in pipe_sizes
+    ))
 
     # Rabenseifner reduce: same shape as the allreduce ring crossover —
     # bandwidth-optimal once nβ dominates the extra log P latencies.
@@ -432,22 +432,21 @@ def derive_tuning(prof, ib: IbParams) -> CollectiveTuning:
     # crossover, and the threshold must be safe for every P.
     raben_sizes = [4, 6, 8, 12, 16, 24, 32, 48, 64, 96, 128]
 
-    def raben_ok(p: int, n: int) -> bool:
-        return (
-            cost_reduce("rabenseifner", p, n, prof, ib)
-            <= cost_reduce("binomial", p, n, prof, ib) + _EPS
-        )
-
-    raben_min = _first_grid_where(
-        lambda n: all(raben_ok(p, n) for p in raben_sizes)
-        and all(raben_ok(p, m) for p in raben_sizes for m in _GRID if m >= n)
-    )
-    raben_min = None if raben_min >= _UNBOUNDED else raben_min
+    raben_min = _grid_suffix(lambda n: all(
+        cost_reduce("rabenseifner", p, n, prof, ib)
+        <= cost_reduce("binomial", p, n, prof, ib) + _EPS
+        for p in raben_sizes
+    ))
 
     # Hierarchical gates: only on fabrics that report oversubscription
-    # and a regular domain structure.
-    hier_min = None
-    bcast_hier_min = None
+    # and a regular domain structure.  Below half the eager threshold
+    # a hierarchical schedule is latency-bound and the flat schedules'
+    # fewer rounds win in practice — eager-sized rounds overlap their
+    # wire time with the uplink queue drain, which the additive load
+    # model cannot see — so the allreduce, allgather and alltoall gates
+    # are floored there.
+    hier_min = bcast_hier_min = ag_hier_min = a2a_hier_min = None
+    floor = ib.eager_threshold // 2
     if (
         prof.oversubscription > 1.0
         and prof.domain_size >= 2
@@ -461,31 +460,15 @@ def derive_tuning(prof, ib: IbParams) -> CollectiveTuning:
             )
             - _EPS
         )
-        if n_hier < _UNBOUNDED:
-            # Floor at half the eager threshold: below it the schedule
-            # is latency-bound and recursive doubling's fewer rounds
-            # win in practice — eager-sized rounds overlap their wire
-            # time with the uplink queue drain, which the additive load
-            # model cannot see.
-            hier_min = max(n_hier, ib.eager_threshold // 2)
-        n_bhier = _first_grid_where(
+        hier_min = None if n_hier is None else max(n_hier, floor)
+        bcast_hier_min = _first_grid_where(
             lambda n: cost_bcast("hierarchical", P, n, prof, ib)
             < cost_bcast("binomial", P, n, prof, ib) - _EPS
         )
-        if n_bhier < _UNBOUNDED:
-            bcast_hier_min = n_bhier
 
-    # Hierarchical allgather/alltoall: costed against the *fragmented*
-    # flat schedules (every step a loaded bottleneck crossing — the
-    # only regime hier_ok admits them in), with the same eager-floor
-    # guard as the hierarchical allreduce.
-    ag_hier_min = None
-    a2a_hier_min = None
-    if (
-        prof.oversubscription > 1.0
-        and prof.domain_size >= 2
-        and prof.n_domains >= 2
-    ):
+        # Allgather/alltoall: costed against the *fragmented* flat
+        # schedules (every step a loaded bottleneck crossing — the only
+        # regime hier_ok admits them in).
         P_hier = prof.domain_size * prof.n_domains
 
         def frag_linear(n: int) -> float:
@@ -497,27 +480,22 @@ def derive_tuning(prof, ib: IbParams) -> CollectiveTuning:
             lambda n: cost_allgather("hierarchical", P_hier, n, prof, ib)
             < frag_linear(n) - _EPS
         )
-        if n_aghier < _UNBOUNDED:
-            ag_hier_min = max(n_aghier, ib.eager_threshold // 2)
+        ag_hier_min = None if n_aghier is None else max(n_aghier, floor)
         n_a2ahier = _first_grid_where(
             lambda n: cost_alltoall("hierarchical", P_hier, n, prof, ib)
             < frag_linear(n) - _EPS
         )
-        if n_a2ahier < _UNBOUNDED:
-            a2a_hier_min = max(n_a2ahier, ib.eager_threshold // 2)
+        a2a_hier_min = (None if n_a2ahier is None
+                        else max(n_a2ahier, floor))
 
     # RMA eager/rendezvous: eager wins while the target bounce copy is
     # cheaper than the rkey round-trip; the crossover therefore grows
     # with the fabric's latency (a torus keeps eager puts longer than
     # the flat switch).  Largest grid prefix where eager still wins.
-    rma_eager = 0
-    for n in _GRID:
-        if (
-            cost_rma_put("eager", n, prof, ib)
-            > cost_rma_put("rendezvous", n, prof, ib) + _EPS
-        ):
-            break
-        rma_eager = n
+    rma_eager = _grid_prefix(
+        lambda n: cost_rma_put("eager", n, prof, ib)
+        <= cost_rma_put("rendezvous", n, prof, ib) + _EPS
+    )
 
     return CollectiveTuning(
         allreduce_ring_min_bytes=ring_min,

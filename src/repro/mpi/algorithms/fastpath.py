@@ -31,10 +31,8 @@ packet:
      to queue;
    * the *pricing tape*: the per-step critical path in topological
      order.  The k-th send on a ``(comm, src, dst, tag)`` key pairs with
-     the k-th receive, and each pair is priced with the protocol shape
-     of ``_send_impl``/``_recv_impl`` — eager (``sw`` + one wire trip,
-     receive finishing at ``max(recv_ready + sw, send_finish)``) or
-     rendezvous (RTS → CTS → payload, both sides finishing together).
+     the k-th receive, and each pair folds the eager or rendezvous row
+     of :mod:`repro.mpi.p2p` — the rows the exact wire walks.
      Every tape node is ``(max of earlier nodes + a) + b`` with wire
      costs interned from the topology's ``wire_cost`` (hits/misses
      surface as ``sim.stats.wire_cost_hits``/``wire_cost_misses``),
@@ -98,9 +96,10 @@ import numpy as np
 from ...hw.memory import nbytes_of
 from ...sim.batch import EventBatch
 from ...sim.core import Event, us
-from ..communicator import HEADER_BYTES, Communicator
+from ..communicator import Communicator
 from ..datatypes import AdoptBuf, payload_array
 from ..errors import MpiError
+from ..p2p import p2p_row
 from .base import next_tag
 from .schedule import (
     COMPUTE, DONATE, OVERHEAD, RECV, SEND, Call, Schedule, ScheduleEngine, land,
@@ -136,6 +135,15 @@ PLAN_STEP_BUDGET = 1 << 16
 _LEVELS_MIN_NODES = 4096
 
 
+def _stalled(pending: Dict[int, int]) -> MpiError:
+    """The error of a shape whose steps cannot all run."""
+    stuck = {r: n for r, n in pending.items() if n}
+    return MpiError(
+        "fast-path schedule stalled (cyclic or unmatched "
+        f"wire steps); pending steps per rank: {stuck}"
+    )
+
+
 class _Instance:
     """One collective call site: per-rank deposits awaiting the last
     arrival."""
@@ -166,6 +174,15 @@ class _Instance:
         self.arrived += 1
 
 
+def _dag(sched: Schedule) -> Tuple[List[int], List[List[int]]]:
+    """Per step: how many dependencies it waits for, and its dependents."""
+    dependents: List[List[int]] = [[] for _ in range(len(sched))]
+    for i, deps in enumerate(sched.deps):
+        for d in deps:
+            dependents[d].append(i)
+    return [len(d) for d in sched.deps], dependents
+
+
 class _RankState:
     """Dataflow bookkeeping for one rank's DAG (mirrors ``_execute``)."""
 
@@ -175,11 +192,7 @@ class _RankState:
     def __init__(self, sched: Schedule) -> None:
         n = len(sched)
         self.kind = sched.kind
-        self.missing = [len(d) for d in sched.deps]
-        self.dependents: List[List[int]] = [[] for _ in range(n)]
-        for i, deps in enumerate(sched.deps):
-            for d in deps:
-                self.dependents[d].append(i)
+        self.missing, self.dependents = _dag(sched)
         # Receives ready to post are kept apart from other ready steps:
         # the interpreter parks every ready receive before running any
         # send, so deliveries hit a waiting buffer (zero-copy) instead
@@ -189,8 +202,6 @@ class _RankState:
         for i in range(n):
             if self.missing[i] == 0:
                 self._push(i)
-        heapq.heapify(self.ready)
-        heapq.heapify(self.ready_recv)
         self.done = 0
 
     def _push(self, idx: int) -> None:
@@ -567,15 +578,8 @@ class FastPathEngine(ScheduleEngine):
                     run_step(r, heapq.heappop(state.ready_recv))
             done_total = sum(s.done for s in states)
             if not progressed and done_total < total:
-                stuck = {
-                    r: len(s.kind) - s.done
-                    for r, s in enumerate(states)
-                    if s.done < len(s.kind)
-                }
-                raise MpiError(
-                    "fast-path schedule stalled (cyclic or unmatched "
-                    f"wire steps); pending steps per rank: {stuck}"
-                )
+                raise _stalled({r: len(s.kind) - s.done
+                                for r, s in enumerate(states)})
 
     def _compile_tape(self, plan: Plan, scheds: List[Schedule],
                       ctxs: List[Any]) -> None:
@@ -583,18 +587,10 @@ class FastPathEngine(ScheduleEngine):
 
         Mirrors the exact engine's concurrency structure: every step
         starts the moment its dependencies finish (wire steps are
-        spawned processes there, so independent steps overlap freely),
-        and each wire pair is priced with the protocol of
-        ``_send_impl``/``_recv_impl``:
-
-        * compute — finishes at its ready time (inline, zero cost);
-        * overhead — ready + ``sw``;
-        * eager send — ready + ``sw`` + wire(n + header); the paired
-          receive finishes at ``max(recv_ready + sw, send_finish)``;
-        * rendezvous pair — ``m = max(recv_ready + sw,
-          send_ready + sw + wire(hdr))`` (the RTS meets the posted
-          receive), then both sides finish at
-          ``m + wire(cts) + wire(payload)``.
+        spawned processes there, so independent steps overlap freely).
+        A compute step finishes at its ready time, an overhead step at
+        ready + ``sw``; each wire pair folds its protocol row (see
+        :mod:`repro.mpi.p2p`).
 
         A pair is priced with the send's structural size; a receive
         larger than its send raises here (the ranks disagree on the
@@ -606,7 +602,6 @@ class FastPathEngine(ScheduleEngine):
         comm = self.comm
         ib = comm._ib
         sw = us(ib.sw_overhead_us)
-        eager_max = ib.eager_threshold
         size = comm.size
         wire_cost = comm.cluster.topology.wire_cost
         legs = plan.legs
@@ -619,6 +614,11 @@ class FastPathEngine(ScheduleEngine):
         n_steps = plan.n_steps
 
         wsize = [0] * n_steps
+        #: Per paired send id: its protocol row's envelope bytes and
+        #: ``(by sender?, bytes)`` per leg after the match point — folded
+        #: once per message size.
+        folds: List[Optional[Tuple]] = [None] * n_steps
+        by_size: Dict[int, Tuple] = {}
         # LIGHT pairing: k-th send on a (comm, src, dst, tag) key pairs
         # with the k-th receive, both in step-index order — the
         # matcher's per-key FIFO guarantees non-overtaking, and every
@@ -649,10 +649,16 @@ class FastPathEngine(ScheduleEngine):
             for s_ref, r_ref in zip(ss, recvs.get(key, ())):
                 pair[s_ref[2]] = r_ref
                 pair[r_ref[2]] = s_ref
-                if wsize[s_ref[2]] < wsize[r_ref[2]]:
-                    raise short_recv(
-                        scheds[r_ref[0]], wsize[s_ref[2]], wsize[r_ref[2]]
-                    )
+                n = wsize[s_ref[2]]
+                if n < wsize[r_ref[2]]:
+                    raise short_recv(scheds[r_ref[0]], n, wsize[r_ref[2]])
+                fold = by_size.get(n)
+                if fold is None:
+                    row = p2p_row(n, ib)
+                    wire = [(leg.by_sender, leg.header + leg.payload * n)
+                            for leg in (row.envelope, *row.after)]
+                    fold = by_size[n] = (wire[0][1], tuple(wire[1:]))
+                folds[s_ref[2]] = fold
 
         tape_ins = plan.tape_ins
         add_ins = tape_ins.append
@@ -667,16 +673,12 @@ class FastPathEngine(ScheduleEngine):
 
         step_ins: List[Optional[Tuple[int, ...]]] = [None] * n_steps
         step_fin = [-1] * n_steps
-        #: Receive id → slot of its ``ready + sw``.
+        #: Receive id → slot of its ``ready + sw``; send id → slot of
+        #: its ``ready + sw`` + envelope leg.
         xslot: Dict[int, int] = {}
-        missing = [[len(d) for d in scheds[r].deps] for r in range(size)]
-        dependents: List[List[List[int]]] = [
-            [[] for _ in range(len(scheds[r]))] for r in range(size)
-        ]
-        for r in range(size):
-            for i, deps in enumerate(scheds[r].deps):
-                for d in deps:
-                    dependents[r][d].append(i)
+        dags = [_dag(sched) for sched in scheds]
+        missing = [m for m, _ in dags]
+        dependents = [d for _, d in dags]
         work: List[Tuple[int, int]] = []
         for r in range(size):
             for i, m in enumerate(missing[r]):
@@ -701,6 +703,30 @@ class FastPathEngine(ScheduleEngine):
             placement = tctx.comm.placement
             return placement[tctx.rank], placement[sched.peer[i]]
 
+        def match(s_ref: Tuple[int, int, int],
+                  r_ref: Tuple[int, int, int]) -> None:
+            """Both sides are ready: emit the send's node (unless done
+            already) and the pair node."""
+            rs, sidx, gs = s_ref
+            envelope, after = folds[gs]
+            src, dst = wire_nodes(rs, sidx)
+            y = xslot.get(gs)
+            if y is None:
+                y = emit(step_ins[gs], sw, wt(src, dst, envelope))
+            # The first leg after the match goes in ``a``, the rest in ``b``.
+            a = b = 0.0
+            first = True
+            for by_sender, n in after:
+                w = wt(src, dst, n) if by_sender else wt(dst, src, n)
+                if first:
+                    a, first = w, False
+                else:
+                    b += w
+            m = emit((xslot[r_ref[2]], y), a, b)
+            if after:
+                finish(rs, sidx, m)
+            finish(r_ref[0], r_ref[1], m)
+
         while work:
             r, idx = work.pop()
             sched = scheds[r]
@@ -718,47 +744,25 @@ class FastPathEngine(ScheduleEngine):
             other = pair.get(g)
             if other is None:
                 continue  # unmatched — reported as a stall below
-            ro, oidx, og = other
+            # A pair resolves when the second of its two steps is ready.
             if kind == SEND:
-                src, dst = wire_nodes(r, idx)
-                n = wsize[g]
-                if n <= eager_max:
-                    f = emit(ins, sw, wt(src, dst, n + HEADER_BYTES))
-                    finish(r, idx, f)
-                    if step_ins[og] is not None:
-                        finish(ro, oidx, emit((xslot[og], f), 0.0, 0.0))
-                elif step_ins[og] is not None:
-                    y = emit(ins, sw, wt(src, dst, HEADER_BYTES))
-                    m = emit((xslot[og], y), wt(dst, src, HEADER_BYTES),
-                             wt(src, dst, n))
-                    finish(r, idx, m)
-                    finish(ro, oidx, m)
-                # else: parked; the receive side resolves the pair.
+                envelope, after = folds[g]
+                if not after:
+                    # The row ends at the match: the send is done once
+                    # its envelope lands.
+                    src, dst = wire_nodes(r, idx)
+                    xslot[g] = emit(ins, sw, wt(src, dst, envelope))
+                    finish(r, idx, xslot[g])
+                if step_ins[other[2]] is not None:
+                    match((r, idx, g), other)
             else:  # _RECV
-                x = xslot[g] = emit(ins, sw, 0.0)
-                if step_ins[og] is None:
-                    continue  # parked; the send side resolves the pair
-                src, dst = wire_nodes(ro, oidx)
-                n = wsize[og]
-                if n <= eager_max:
-                    finish(r, idx, emit((x, step_fin[og]), 0.0, 0.0))
-                else:
-                    y = emit(step_ins[og], sw, wt(src, dst, HEADER_BYTES))
-                    m = emit((x, y), wt(dst, src, HEADER_BYTES),
-                             wt(src, dst, n))
-                    finish(ro, oidx, m)
-                    finish(r, idx, m)
+                xslot[g] = emit(ins, sw, 0.0)
+                if step_ins[other[2]] is not None:
+                    match(other, (r, idx, g))
 
         if resolved < n_steps:
-            stuck = {}
-            for r in range(size):
-                pending = step_fin[lo[r] : lo[r + 1]].count(-1)
-                if pending:
-                    stuck[r] = pending
-            raise MpiError(
-                "fast-path schedule stalled (cyclic or unmatched "
-                f"wire steps); pending steps per rank: {stuck}"
-            )
+            raise _stalled({r: step_fin[lo[r] : lo[r + 1]].count(-1)
+                            for r in range(size)})
         for r in range(size):
             fs = tuple(step_fin[lo[r] : lo[r + 1]])
             plan.rank_fin.append(emit(fs, 0.0, 0.0) if fs else r)

@@ -4,11 +4,11 @@ Semantics follow MPI (and mpi4py's buffer interface) closely:
 
 * ``send``/``recv`` are blocking; ``isend``/``irecv`` return
   :class:`Request` objects with ``wait``/``test``.
-* Small messages use the **eager** protocol (one wire transfer, sender
-  completes on injection); large messages use **rendezvous**
-  (RTS → CTS → payload), with the threshold taken from
-  :class:`~repro.hw.params.IbParams` — this is what produces the
-  characteristic small/large message behaviour of MVAPICH2 in Figure 6.
+* Small messages use the **eager** protocol (one wire transfer),
+  large ones **rendezvous** (RTS → CTS → payload), with the threshold
+  taken from :class:`~repro.hw.params.IbParams` — the small/large
+  message behaviour of MVAPICH2 in Figure 6.  Both are rows of
+  :mod:`repro.mpi.p2p`, walked by ``_send_impl``/``_recv_impl``.
 * Matching is FIFO per (source, tag) with ``ANY_SOURCE``/``ANY_TAG``
   wildcards; non-overtaking order is preserved.
 * Payloads are real NumPy arrays, snapshotted at send time and copied
@@ -43,19 +43,16 @@ from ..sim.stores import FilterStore
 from .datatypes import AdoptBuf, Payload, payload_array, snapshot
 from .errors import MpiError, RankError, TagError, TruncationError
 from .group import Group, UNDEFINED
+from .p2p import Leg, Row, p2p_row
 from .status import ANY_SOURCE, ANY_TAG, Status
 
 __all__ = [
     "Communicator",
     "MpiContext",
     "Request",
-    "HEADER_BYTES",
     "COMM_TYPE_NODE",
     "COMM_TYPE_LOCALITY",
 ]
-
-#: Size of protocol headers on the wire (match/envelope data).
-HEADER_BYTES = 64
 
 #: User tags must be below this; collectives use the space above it.
 INTERNAL_TAG_BASE = 1 << 20
@@ -66,25 +63,22 @@ COMM_TYPE_NODE = "node"
 COMM_TYPE_LOCALITY = "locality"
 
 
-@dataclass
+@dataclass(slots=True)
 class _WireMsg:
-    """A message (or RTS) sitting in a rank's matching queue."""
+    """A message's envelope sitting in a rank's matching queue."""
 
-    kind: str  # "eager" | "rts"
+    row: Row
     src: int
     tag: int
     nbytes: int
-    data: Optional[np.ndarray] = None
-    #: rendezvous: receiver fires this to grant the clear-to-send.
-    cts: Optional[Event] = None
-    #: rendezvous: sender fires this (with the data) after the payload lands.
-    payload_arrived: Optional[Event] = None
+    data: Optional[np.ndarray]
+    #: (leg, event) per leg after the match point; its owner fires it.
+    events: Sequence[Tuple[Leg, Event]]
     #: the payload array is private to the wire (defensive copy or a
     #: donated builder-local array) — the receiver may adopt it outright.
-    private: bool = False
-    #: observability: sid of the sender's span, so the receiver's wait
-    #: span can link to it (critical-path edge across tracks).
-    span: Optional[int] = None
+    private: bool
+    #: sid of the sender's span: the receiver's wait spans link to it.
+    span: Optional[int]
 
 
 class Request:
@@ -216,13 +210,9 @@ class Communicator:
         #: the traced p2p hot path; formatting the name once per rank
         #: instead of once per message keeps tracing cheap).
         self._span_tracks: Dict[int, str] = {}
-        #: Peer → interned span-name caches for the traced p2p wire
-        #: protocol ("send->7", "recv<-3", ...) — same rationale as
-        #: ``_span_tracks``: pay the f-string once per peer, not once
-        #: per message.
-        self._send_names: Dict[int, str] = {}
-        self._recv_names: Dict[int, str] = {}
-        self._rndv_names: Dict[Tuple[str, int], str] = {}
+        #: (prefix, peer) → interned span name of a traced p2p leg
+        #: ("send->7", "recv<-3", ...), built once per peer (as above).
+        self._leg_names: Dict[Tuple[str, int], str] = {}
         #: split seq → (per-rank sub-communicators, retrievals left).
         self._split_built: Dict[int, Tuple[List, int]] = {}
         self._hier: Optional[_HierComms] = None
@@ -536,68 +526,40 @@ class Communicator:
             )
         return self._hier
 
-    # -- collective-split bookkeeping (MpiContext.split lands here) --------
-    def _split_claim(self, rank: int) -> int:
-        seq = self._split_seq[rank]
-        self._split_seq[rank] += 1
-        return seq
+    # -- collective constructions (MpiContext.split / win_create land here)
+    def _pickup(
+        self, built: Dict[int, Tuple[Any, int]], seq: int, build
+    ) -> Any:
+        """Per-rank pickup of collective construction ``seq``: the first
+        rank to finish its exchange calls ``build`` (every rank gathered
+        the same inputs), the rest reuse it; then the entry is dropped."""
+        obj, remaining = built.get(seq) or (build(), self.size)
+        if remaining == 1:
+            built.pop(seq, None)
+        else:
+            built[seq] = (obj, remaining - 1)
+        return obj
 
     def _split_result(
         self, seq: int, rank: int, pairs: Sequence[Tuple[int, int]]
     ) -> Optional["Communicator"]:
-        """Per-rank pickup of a collective split's result.
+        """``rank``'s communicator from a collective split."""
+        return self._pickup(self._split_built, seq, lambda: self.split(
+            [p[0] for p in pairs], [p[1] for p in pairs]
+        ))[rank]
 
-        The first rank whose color/key exchange completes constructs
-        the sub-communicators (deterministically — every rank gathered
-        identical pairs); later ranks reuse them.  State is dropped
-        once every rank has picked up.
-        """
-        entry = self._split_built.get(seq)
-        if entry is None:
-            built = self.split([p[0] for p in pairs], [p[1] for p in pairs])
-            entry = (built, self.size)
-            self._split_built[seq] = entry
-        built, remaining = entry
-        remaining -= 1
-        if remaining == 0:
-            del self._split_built[seq]
-        else:
-            self._split_built[seq] = (built, remaining)
-        return built[rank]
-
-    # -- collective-window bookkeeping (MpiContext.win_create lands here) --
-    def _win_claim(self, rank: int) -> int:
-        seq = self._win_seq[rank]
-        self._win_seq[rank] += 1
-        return seq
-
-    def _win_deposit(self, seq: int, rank: int, buf: Any) -> None:
-        self._win_deposits.setdefault(seq, {})[rank] = buf
-
-    def _win_result(self, seq: int, rank: int, coalesce: bool = False) -> Any:
-        """Per-rank pickup of a collective window creation.
-
-        The first rank whose size exchange completes constructs the
-        shared :class:`~repro.mpi.rma.Window` from the deposited
-        buffers (every rank deposited before entering the exchange);
-        later ranks reuse it.  State is dropped once all have picked up.
-        ``coalesce`` must match across ranks (a collective argument).
-        """
-        entry = self._win_built.get(seq)
-        if entry is None:
+    def _win_result(self, seq: int, coalesce: bool = False) -> Any:
+        """The shared :class:`~repro.mpi.rma.Window` of a collective
+        creation, built from the buffers every rank deposited before its
+        size exchange (``coalesce`` is a collective argument)."""
+        def build():
             from .rma import Window
 
             deposits = self._win_deposits.pop(seq)
             bufs = [deposits.get(r) for r in range(self.size)]
-            entry = (Window(self, bufs, coalesce=coalesce), self.size)
-            self._win_built[seq] = entry
-        win, remaining = entry
-        remaining -= 1
-        if remaining == 0:
-            del self._win_built[seq]
-        else:
-            self._win_built[seq] = (win, remaining)
-        return win
+            return Window(self, bufs, coalesce=coalesce)
+
+        return self._pickup(self._win_built, seq, build)
 
     # -- helpers -----------------------------------------------------------
     def ctx(self, rank: int) -> "MpiContext":
@@ -605,10 +567,6 @@ class Communicator:
         self._ensure_alive()
         self._check_rank(rank)
         return MpiContext(self, rank)
-
-    def contexts(self) -> List["MpiContext"]:
-        """One context per rank, in rank order."""
-        return [self.ctx(r) for r in range(self.size)]
 
     def node_of(self, rank: int) -> int:
         self._check_rank(rank)
@@ -647,12 +605,12 @@ class Communicator:
             self._span_tracks[rank] = track
         return track
 
-    def _rndv_name(self, prefix: str, peer: int) -> str:
-        """Interned span name for a rendezvous protocol leg."""
+    def _leg_name(self, prefix: str, peer: int) -> str:
+        """Interned span name of a p2p protocol leg."""
         key = (prefix, peer)
-        name = self._rndv_names.get(key)
+        name = self._leg_names.get(key)
         if name is None:
-            name = self._rndv_names[key] = prefix + str(peer)
+            name = self._leg_names[key] = prefix + str(peer)
         return name
 
     # -- wire primitives -----------------------------------------------------
@@ -665,9 +623,9 @@ class Communicator:
         return t
 
     # -- point-to-point (internal, tag-space-unchecked) -------------------
-    # One body per direction; with spans attached each protocol leg is
-    # also recorded (reading ``sim._now`` directly: the ``now``
-    # property costs real time at this call rate).
+    # One walker per side over a protocol row of ``repro.mpi.p2p``.  With
+    # spans attached each leg is also recorded (reading ``sim._now``
+    # directly: the ``now`` property costs real time at this call rate).
     def _send_impl(
         self,
         src: int,
@@ -698,68 +656,52 @@ class Communicator:
                     sim.stats.payload_copies += 1
                 else:
                     sim.stats.payload_views += 1
+            row = p2p_row(nbytes, self._ib)
+            events = [
+                (leg, sim.event(name=f"{leg.event}({src}->{dst})"))
+                for leg in row.after
+            ] if row.after else ()
+            # The sid is stamped into the envelope (the receiver's wait
+            # spans link to it), so reserve it up front and record the
+            # span retrospectively.
+            sid = None if spans is None else spans.alloc_sid()
+            leg = row.envelope
+            t0 = sim._now
+            yield from self._wire(src, dst, leg.header + leg.payload * nbytes)
             # A defensive copy is private by construction; a donated
             # zero-copy view is private by the builder's promise (the
             # sender will never write the array again before the
             # receiver consumes it).  Either way the receiver may adopt
             # the array instead of memcpying it out.
-            private = copy or donate
-            # The sid is stamped into the wire message (the receiver's
-            # wait span links to it), so reserve it up front and record
-            # the span retrospectively.
-            sid = None if spans is None else spans.alloc_sid()
-            t0 = sim._now
-            if nbytes <= self._ib.eager_threshold:
-                yield from self._wire(src, dst, nbytes + HEADER_BYTES)
-                self._match[dst].put(
-                    _WireMsg(
-                        "eager", src=src, tag=tag, nbytes=nbytes,
-                        data=data, private=private, span=sid,
-                    )
-                )
-                if spans is not None:
-                    name = self._send_names.get(dst)
-                    if name is None:
-                        name = self._send_names[dst] = f"send->{dst}"
-                    spans.complete(
-                        t0, sim._now, name, "p2p.send", track, None, None,
-                        {"nbytes": nbytes, "tag": tag, "proto": "eager"},
-                        sid,
-                    )
-                return
-            # Rendezvous: RTS -> (receiver matches, sends CTS) -> payload.
-            cts = sim.event(name=f"cts({src}->{dst})")
-            arrived = sim.event(name=f"payload({src}->{dst})")
-            yield from self._wire(src, dst, HEADER_BYTES)
-            self._match[dst].put(
-                _WireMsg(
-                    "rts", src=src, tag=tag, nbytes=nbytes, data=data,
-                    cts=cts, payload_arrived=arrived, private=private,
-                    span=sid,
-                )
-            )
+            msg = _WireMsg(row, src, tag, nbytes, data, events,
+                           copy or donate, sid)
+            self._match[dst].put(msg)
             if spans is not None:
                 spans.complete(
-                    t0, sim._now, self._rndv_name("rts->", dst),
+                    t0, sim._now, self._leg_name(leg.send, dst),
                     "p2p.send", track, None, None,
-                    {"nbytes": nbytes, "tag": tag, "proto": "rndv"}, sid,
+                    {"nbytes": nbytes, "tag": tag, "proto": leg.proto}, sid,
                 )
+            # After the match: own legs go on the wire; wait on the rest.
+            for leg, ev in events:
                 t0 = sim._now
-            yield cts
-            if spans is not None:
-                spans.complete(
-                    t0, sim._now, self._rndv_name("cts<-", dst),
-                    "p2p.wait", track,
-                )
-                t0 = sim._now
-            yield from self._wire(src, dst, nbytes)
-            arrived.succeed(data)
-            if spans is not None:
-                spans.complete(
-                    t0, sim._now, self._rndv_name("payload->", dst),
-                    "p2p.send", track, None, None,
-                    {"nbytes": nbytes, "proto": "rndv"},
-                )
+                if leg.by_sender:
+                    yield from self._wire(
+                        src, dst, leg.header + leg.payload * nbytes)
+                    ev.succeed()
+                    if spans is not None:
+                        spans.complete(
+                            t0, sim._now, self._leg_name(leg.send, dst),
+                            "p2p.send", track, None, None,
+                            {"nbytes": nbytes, "proto": leg.proto},
+                        )
+                else:
+                    yield ev
+                    if spans is not None:
+                        spans.complete(
+                            t0, sim._now, self._leg_name(leg.wait, dst),
+                            "p2p.wait", track,
+                        )
         finally:
             self._inflight_ops -= 1
 
@@ -797,35 +739,30 @@ class Communicator:
             t0 = sim._now
             msg: _WireMsg = yield self._match[me].get(matches)
             if spans is not None:
-                name = self._recv_names.get(src)
-                if name is None:
-                    name = self._recv_names[src] = f"recv<-{src}"
                 spans.complete(
-                    t0, sim._now, name, "p2p.wait", track,
-                    None, msg.span, {"tag": tag},
+                    t0, sim._now, self._leg_name(msg.row.envelope.wait, src),
+                    "p2p.wait", track, None, msg.span, {"tag": tag},
                 )
-            if msg.kind == "rts":
-                # Grant the clear-to-send, then wait for the payload.
+            # After the match: own legs go on the wire; wait on the rest.
+            for leg, ev in msg.events:
                 t0 = sim._now
-                yield from self._wire(me, msg.src, HEADER_BYTES)
-                msg.cts.succeed(None)
-                if spans is not None:
-                    spans.complete(
-                        t0, sim._now, self._rndv_name("cts->", msg.src),
-                        "p2p.send", track, None, None,
-                        {"nbytes": HEADER_BYTES},
-                    )
-                    t0 = sim._now
-                data = yield msg.payload_arrived
-                if spans is not None:
-                    spans.complete(
-                        t0, sim._now,
-                        self._rndv_name("payload<-", msg.src),
-                        "p2p.wait", track, None, msg.span,
-                        {"nbytes": msg.nbytes},
-                    )
-            else:
-                data = msg.data
+                n = leg.header + leg.payload * msg.nbytes
+                if leg.by_sender:
+                    yield ev
+                    if spans is not None:
+                        spans.complete(
+                            t0, sim._now, self._leg_name(leg.wait, msg.src),
+                            "p2p.wait", track, None, msg.span, {"nbytes": n},
+                        )
+                else:
+                    yield from self._wire(me, msg.src, n)
+                    ev.succeed()
+                    if spans is not None:
+                        spans.complete(
+                            t0, sim._now, self._leg_name(leg.send, msg.src),
+                            "p2p.send", track, None, None, {"nbytes": n},
+                        )
+            data = msg.data
             if (
                 isinstance(buf, AdoptBuf)
                 and msg.private
@@ -959,7 +896,8 @@ class MpiContext:
         themselves is free.
         """
         comm = self.comm
-        seq = comm._split_claim(self.rank)
+        seq = comm._split_seq[self.rank]
+        comm._split_seq[self.rank] += 1
         mine = np.array([int(color), int(key)], dtype=np.int64)
         recv = [np.zeros(2, dtype=np.int64) for _ in range(comm.size)]
         yield from self.allgather(mine, recv)
@@ -1044,14 +982,15 @@ class MpiContext:
         every rank) enables small-put batching — see
         :class:`~repro.mpi.rma.Window`."""
         comm = self.comm
-        seq = comm._win_claim(self.rank)
-        comm._win_deposit(seq, self.rank, buf)
+        seq = comm._win_seq[self.rank]
+        comm._win_seq[self.rank] += 1
+        comm._win_deposits.setdefault(seq, {})[self.rank] = buf
         # ndarray, HostBuffer and DeviceBuffer all expose .nbytes.
         nbytes = 0 if buf is None else int(buf.nbytes)
         mine = np.array([nbytes], dtype=np.int64)
         recv = np.zeros(comm.size, dtype=np.int64)
         yield from self.allgather(mine, recv)
-        win = comm._win_result(seq, self.rank, coalesce=coalesce)
+        win = comm._win_result(seq, coalesce=coalesce)
         return win.ctx(self.rank)
 
     def win_allocate(
@@ -1081,7 +1020,10 @@ class MpiContext:
     def send(
         self, buf: Payload, dest: int, tag: int = 0
     ) -> Generator[Event, Any, None]:
-        """Blocking send (eager: completes on injection)."""
+        """Blocking send.  Returns once the sender's last protocol leg
+        has crossed the fabric: an eager message sits in the receiver's
+        matching queue, a rendezvous payload has landed (so it waits
+        for the matching receive)."""
         self._send_args("send", dest, tag)
         yield from self.comm._send_impl(self.rank, dest, buf, tag)
 

@@ -104,9 +104,10 @@ import numpy as np
 from ..hw.memory import HostBuffer
 from ..sim.batch import EventBatch
 from ..sim.core import Event, Process, us
-from .communicator import Communicator, HEADER_BYTES, Request
+from .communicator import Communicator, Request
 from .datatypes import ReduceOp
 from .errors import RmaError
+from .p2p import HEADER_BYTES
 
 __all__ = ["Window", "WinContext", "RMA_TAG_BASE"]
 
@@ -1027,6 +1028,16 @@ class WinContext:
         self._espan_end(sp)
 
     # -- active-target synchronization: PSCW -------------------------------
+    def _pscw_group(self, ranks: Sequence[int], verb: str) -> Tuple[int, ...]:
+        """``ranks`` as a sorted PSCW group, each one checked: in range
+        and not this rank (no post to oneself is ever sent)."""
+        group = tuple(sorted(set(int(r) for r in ranks)))
+        for r in group:
+            self.comm._check_rank(r)
+            if r == self.rank:
+                raise RmaError(f"a rank cannot {verb} itself")
+        return group
+
     def post(self, origins: Sequence[int]) -> Generator[Event, Any, None]:
         """Expose this rank's window to ``origins`` (MPI_Win_post).
         Non-blocking: the post notifications are injected and travel
@@ -1037,11 +1048,7 @@ class WinContext:
             raise RmaError(
                 f"rank {self.rank} already has an exposure epoch open"
             )
-        origins = tuple(sorted(set(int(o) for o in origins)))
-        for o in origins:
-            self.comm._check_rank(o)
-            if o == self.rank:
-                raise RmaError("a rank cannot post to itself")
+        origins = self._pscw_group(origins, "post to")
         win._exposure[self.rank] = origins
         self.comm._count("rma_post")
         tag = RMA_TAG_BASE + win.wid * _TAG_STRIDE + _TAG_POST
@@ -1064,11 +1071,12 @@ class WinContext:
                 f"rank {self.rank} already has an access epoch open "
                 f"({win._mode[self.rank]})"
             )
-        targets = tuple(sorted(set(int(t) for t in targets)))
+        # Every target is checked before the first post is received: a
+        # rejected call must not consume a post notification.
+        targets = self._pscw_group(targets, "start an epoch on")
         tag = RMA_TAG_BASE + win.wid * _TAG_STRIDE + _TAG_POST
         sp = self._espan("start")
         for t in targets:
-            self.comm._check_rank(t)
             yield from self.comm._recv_impl(self.rank, t, None, tag)
         self._espan_end(sp)
         win._mode[self.rank] = "pscw"

@@ -8,6 +8,7 @@ from repro.mpi import (
     CollectiveTuning,
     MpiError,
     MpiJob,
+    RankError,
     ReduceOp,
     RmaError,
     Window,
@@ -383,6 +384,51 @@ class TestPscw:
                 yield from w.complete()
             else:
                 yield ctx.sim.timeout(0)
+
+        job.start(prog)
+        job.run()
+
+    def test_rejected_start_keeps_the_post(self):
+        """A start naming an out-of-range target raises before it
+        receives any post, so a corrected start still finds rank 1's."""
+        sim, cluster, job = make_job(3)
+        win = Window.allocate(job.comm, 2)
+        seen = {}
+
+        def prog(ctx):
+            w = win.ctx(ctx.rank)
+            if ctx.rank == 1:
+                yield from w.post([0])
+                yield from w.wait_sync()
+                seen["landed"] = w.local.tolist()
+            elif ctx.rank == 0:
+                with pytest.raises(RankError):
+                    yield from w.start([1, 7])
+                seen["rejected at"] = ctx.sim.now
+                yield from w.start([1])
+                yield from w.put(1, np.full(2, 5.0))
+                yield from w.complete()
+            else:
+                yield ctx.sim.timeout(0)
+
+        job.start(prog)
+        job.run()
+        assert seen == {"rejected at": 0.0, "landed": [5.0, 5.0]}
+
+    def test_start_on_itself_is_a_typed_error(self):
+        """No rank posts to itself, so a start naming itself could
+        never complete: it raises at once instead of deadlocking."""
+        sim, cluster, job = make_job(2)
+        win = Window.allocate(job.comm, 1)
+
+        def prog(ctx):
+            w = win.ctx(ctx.rank)
+            if ctx.rank == 0:
+                with pytest.raises(RmaError, match="start an epoch on itself"):
+                    yield from w.start([0])
+                with pytest.raises(RmaError, match="post to itself"):
+                    yield from w.post([0])
+            yield ctx.sim.timeout(0)
 
         job.start(prog)
         job.run()

@@ -24,12 +24,10 @@ from repro.mpi import (
     pod_cyclic_placement,
 )
 from repro.mpi.algorithms.autotune import (
-    HEADER_BYTES as AUTOTUNE_HEADER_BYTES,
     autotune_tuning,
     clear_cache,
     derive_tuning,
 )
-from repro.mpi.communicator import HEADER_BYTES
 from repro.sim import Simulator, us
 
 KB = 1024
@@ -437,9 +435,6 @@ class TestHierarchicalCollectives:
 # ---------------------------------------------------------------------------
 
 class TestAutotune:
-    def test_header_bytes_in_sync_with_wire_protocol(self):
-        assert AUTOTUNE_HEADER_BYTES == HEADER_BYTES
-
     def test_flat_derivation_matches_calibrated_shape(self):
         """On the flat switch the derivation must reproduce the intent
         of the PR-1 constants: rd needs 8 ranks (P=4 loses at the eager
