@@ -540,7 +540,8 @@ class Endpoint:
 
     def _req(self, op: str, peer: int, nbytes: int, **extra) -> CommRequest:
         return CommRequest(
-            op=op, src_vrank=self.vrank, peer=peer, nbytes=nbytes, extra=extra
+            op=op, src_vrank=self.vrank, peer=peer, nbytes=nbytes, extra=extra,
+            req_id=next(self._transport.comm.req_ids),
         )
 
     def _coll(
@@ -558,6 +559,7 @@ class Endpoint:
             root=root,
             nbytes=nbytes,
             extra={"coll_seq": seq, "gid": self._group.gid, **extra},
+            req_id=next(self._transport.comm.req_ids),
         )
 
     # -- operations outside the table --------------------------------------

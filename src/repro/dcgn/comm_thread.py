@@ -35,7 +35,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import (
-    Any, Callable, Dict, Generator, List, NamedTuple, Optional, Tuple,
+    Any, Callable, Dict, Generator, Iterator, List, NamedTuple, Optional,
+    Tuple,
 )
 
 import numpy as np
@@ -120,6 +121,7 @@ class CommThread:
         rankmap: RankMap,
         kick: Signal,
         groups: GroupTable,
+        req_ids: Iterator[int],
         windows: Optional[DcgnWindowTable] = None,
         name: str = "",
     ) -> None:
@@ -134,6 +136,8 @@ class CommThread:
         self.groups = groups
         #: One-sided window registry (shared; None = job has no windows).
         self.windows = windows
+        #: Request ids, shared by the job's comm threads.
+        self.req_ids = req_ids
         self.params = node.params
         self.name = name or f"dcgn.comm{node.node_id}"
         #: Internal wake-up signal: fired on queue puts and shutdown so

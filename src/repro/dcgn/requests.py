@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional
 
@@ -12,8 +11,6 @@ from ..sim.core import Event, Simulator
 from .errors import DcgnError
 
 __all__ = ["CommRequest", "CommStatus"]
-
-_req_ids = itertools.count()
 
 
 @dataclass(frozen=True)
@@ -57,7 +54,10 @@ class CommRequest:
     root: int = -1
     #: Free-form extras (e.g. reduce op name).
     extra: Dict[str, Any] = field(default_factory=dict)
-    req_id: int = field(default_factory=lambda: next(_req_ids))
+    #: Numbered per runtime, in issue order (``Endpoint`` draws it from
+    #: the comm thread's ``req_ids``), so event names such as
+    #: ``req3.done`` do not depend on what ran earlier in the process.
+    req_id: int = -1
 
     def mark(
         self,

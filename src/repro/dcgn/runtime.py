@@ -13,6 +13,7 @@ into :class:`GpuCommDeadlock`/:class:`DcgnTimeout` with diagnostics.
 
 from __future__ import annotations
 
+import itertools
 from typing import Any, Callable, Dict, Generator, List, Optional, Sequence, Tuple
 
 from ..gpusim.errors import GpuCommDeadlock
@@ -93,6 +94,8 @@ class DcgnRuntime:
             Signal(self.sim, name=f"dcgn.kick{n}")
             for n in range(config.n_nodes)
         ]
+        #: The job's request numbering, shared by every comm thread.
+        req_ids = itertools.count()
         self.comm_threads: List[CommThread] = [
             CommThread(
                 self.sim,
@@ -102,6 +105,7 @@ class DcgnRuntime:
                 kick=self.kicks[n],
                 groups=self.groups,
                 windows=self.windows,
+                req_ids=req_ids,
             )
             for n in range(config.n_nodes)
         ]

@@ -49,6 +49,14 @@ def block_sizes(b: Binding, size: int) -> List[int]:
     return [b.sizes[0]] * size if b.flat else list(b.sizes[1:])
 
 
+def block_ref(b: Binding, i: int):
+    """The ref of receive block ``i`` alone (``recv_blocks(b, P)[i]``)."""
+    if b.flat:
+        blk = b.sizes[0]
+        return (1, i * blk, (i + 1) * blk)
+    return 1 + i
+
+
 def build_allgather_ring(ctx, b: Binding) -> Schedule:
     """Ring allgather: P−1 steps, each forwarding one block."""
     sched = Schedule(ctx, b)
@@ -92,12 +100,12 @@ def build_allgather_recursive_doubling(ctx, b: Binding) -> Schedule:
         raise MpiError("recursive-doubling allgather needs power-of-two P")
     sched = Schedule(ctx, b)
     tag = sched.claim()
-    blocks = recv_blocks(b, size)
-    deps = [sched.compute(((COPY, 0, blocks[rank]),))]
+    # Only this rank's block and log2(P) contiguous runs are read, so
+    # no P-long list of refs or sizes is built (O(P^2) over all ranks).
+    deps = [sched.compute(((COPY, 0, block_ref(b, rank)),))]
     if size == 1:
         sched.overhead(after=deps)
         return sched
-    sizes = block_sizes(b, size)
     mask = 1
     rnd = 0
     while mask < size:
@@ -105,7 +113,7 @@ def build_allgather_recursive_doubling(ctx, b: Binding) -> Schedule:
         my_lo = rank & ~(mask - 1)
         peer_lo = my_lo ^ mask
         if b.flat:
-            block = sizes[0]
+            block = b.sizes[0]
             # alias_ok: the sent run is fully assembled (its blocks
             # arrived in earlier rounds, which are dependencies) and is
             # never written again — later receives only ever fill the
@@ -117,20 +125,20 @@ def build_allgather_recursive_doubling(ctx, b: Binding) -> Schedule:
                            partner, tag, after=deps, round=rnd)
             deps = [s, r]
         else:
-            stage = sched.buffer(sum(sizes[peer_lo : peer_lo + mask]),
-                                 adopt=True)
+            # Per-block slots: block j is slot 1 + j.
+            sizes = b.sizes[1 + peer_lo : 1 + peer_lo + mask]
+            stage = sched.buffer(sum(sizes), adopt=True)
             # donate: the pack is a fresh concatenation nothing else
             # ever writes or reads again.
-            s = sched.send(tuple(blocks[my_lo : my_lo + mask]), partner,
-                           tag, after=deps, round=rnd, donate=True,
+            s = sched.send(tuple(range(1 + my_lo, 1 + my_lo + mask)),
+                           partner, tag, after=deps, round=rnd, donate=True,
                            pack=True)
             r = sched.recv(stage, partner, tag, after=deps, round=rnd)
             unpack = []
             off = 0
-            for j in range(peer_lo, peer_lo + mask):
-                unpack.append((BYTES, (stage, off, off + sizes[j]),
-                               blocks[j]))
-                off += sizes[j]
+            for j, n in enumerate(sizes, 1 + peer_lo):
+                unpack.append((BYTES, (stage, off, off + n), j))
+                off += n
             deps = [s, sched.compute(tuple(unpack), after=(r,), round=rnd)]
         mask <<= 1
         rnd += 1

@@ -29,15 +29,22 @@ packet:
      message queues mirror the matcher's non-overtaking order), with
      each send's decision to deliver straight into a posted receive or
      to queue;
-   * the *pricing tape*: the per-step critical path in topological
-     order.  The k-th send on a ``(comm, src, dst, tag)`` key pairs with
-     the k-th receive, and each pair folds the eager or rendezvous row
-     of :mod:`repro.mpi.p2p` — the rows the exact wire walks.
-     Every tape node is ``(max of earlier nodes + a) + b`` with wire
-     costs interned from the topology's ``wire_cost`` (hits/misses
-     surface as ``sim.stats.wire_cost_hits``/``wire_cost_misses``),
-     and the plan keeps the priced wire legs to book when fabric
-     accounting is on.
+   * the *pricing tape*: the per-step critical path, compiled for all
+     ranks at once over flat arrays (no per-step Python walk).  The
+     ranks' step columns stack into one set of arrays — kind, rank,
+     wire key, size and the dependencies as CSR — and one stable
+     ``lexsort`` pairs the k-th send on each ``(comm, src, dst, tag)``
+     key with the k-th receive (communicators numbered by first
+     appearance).  Each pair folds the eager or rendezvous row of
+     :mod:`repro.mpi.p2p` — the rows the exact wire walks — once per
+     message size.  Every tape node is ``(max of its inputs + a) + b``
+     with wire costs interned from the topology's ``wire_cost``
+     (hits/misses surface as ``sim.stats.wire_cost_hits``/
+     ``wire_cost_misses``), and the plan keeps the priced wire legs to
+     book when fabric accounting is on.  A sweep then resolves the
+     nodes one dependency level at a time; each sweep iteration is one
+     level of the tape, whose nodes never feed each other, so a run is
+     one ``np.maximum.reduceat`` and two adds per level.
 
    Because the tape follows dependencies, not round labels, transfers in
    different rounds overlap exactly as the in-flight wire steps of the
@@ -55,8 +62,6 @@ packet:
    arrival times.  The tape uses only
    ``+`` with constants and ``max``, so it is exact for *any* arrival
    skew: a replayed plan yields the very floats a fresh compile does.
-   A large retained tape runs as numpy levels (:meth:`Plan.levelize`),
-   the same operations in a dependency-respecting order.
 4. **Commit** — all per-rank completions go through one
    :class:`~repro.sim.batch.EventBatch`, so 1024 rank completions cost
    a handful of heap operations instead of thousands.
@@ -89,6 +94,7 @@ it communicates.
 from __future__ import annotations
 
 import heapq
+from itertools import chain
 from typing import Any, Dict, Generator, List, Optional, Set, Tuple
 
 import numpy as np
@@ -124,16 +130,6 @@ _NO_POST = (None, None, None)
 #: total; shapes past it compile on every call instead.
 PLAN_STEP_BUDGET = 1 << 16
 
-#: Retained tapes of at least this many nodes run as numpy levels (all
-#: nodes of one dependency depth and fan-in at once).  Replaying a
-#: 1024-rank barrier (31,744 nodes) takes 0.33 ms as levels and 11 ms
-#: as the Python loop; a 128-rank one (2,816 nodes) 0.07 ms and 0.9 ms.
-#: Below this size the loop takes under ~1.5 ms, and the levels' index
-#: arrays cost more memory than their speed saves: levelizing the
-#: ~250-node plans of 16-rank services raised the peak RSS of a
-#: 256-node serving run by ~4 MB without raising its throughput.
-_LEVELS_MIN_NODES = 4096
-
 
 def _stalled(pending: Dict[int, int]) -> MpiError:
     """The error of a shape whose steps cannot all run."""
@@ -142,6 +138,66 @@ def _stalled(pending: Dict[int, int]) -> MpiError:
         "fast-path schedule stalled (cyclic or unmatched "
         f"wire steps); pending steps per rank: {stuck}"
     )
+
+
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The concatenated index ranges ``[s, s + c)`` (CSR row gather)."""
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if len(ends) else 0
+    return np.arange(total) + np.repeat(starts - ends + counts, counts)
+
+
+def _column(scheds: List[Schedule], name: str, n: int) -> np.ndarray:
+    """One schedule column stacked over all ranks."""
+    return np.fromiter(chain.from_iterable(getattr(s, name) for s in scheds),
+                       np.intp, n)
+
+
+def _pair(wire: np.ndarray, side: np.ndarray,
+          key: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The global ids of every pair's send and receive, by send: the
+    k-th send on each wire key (``key`` rows: communicator, source,
+    destination, tag) pairs with the k-th receive.  The matcher's
+    per-key FIFO guarantees non-overtaking, and every builder issues
+    same-key wire steps in dependency order."""
+    o = np.lexsort((wire, side, *key[::-1]))
+    key = key[:, o]
+    first = np.ones(len(o), dtype=bool)
+    first[1:] = (key[:, 1:] != key[:, :-1]).any(axis=0)
+    starts = np.flatnonzero(first)
+    grp = np.cumsum(first) - 1
+    sends = (side[o] == SEND).astype(np.intp)
+    n_send = np.add.reduceat(sends, starts) if len(o) else sends
+    n_recv = np.diff(np.append(starts, len(o))) - n_send
+    pos = np.arange(len(o)) - starts[grp]
+    at = np.flatnonzero(sends & (pos < n_recv[grp]))
+    ps = wire[o[at]]
+    pr = wire[o[starts[grp[at]] + n_send[grp[at]] + pos[at]]]
+    by_send = np.argsort(ps)
+    return ps[by_send], pr[by_send]
+
+
+def _sweep(ins: np.ndarray, cnt: np.ndarray, P: int,
+           never: int) -> List[np.ndarray]:
+    """The tape's nodes by dependency level: node ``k`` (slot ``P + k``)
+    has inputs ``ins`` (CSR, ``cnt`` per node) and resolves once they
+    all have; slots below ``P`` are resolved, ``never`` never is."""
+    node = np.repeat(np.arange(len(cnt)), cnt)
+    inner = ins >= P
+    missing = np.bincount(node[inner], minlength=len(cnt))
+    edge = inner & (ins < never)
+    out_to = node[edge][np.argsort(ins[edge], kind="stable")]
+    out_n = np.bincount(ins[edge] - P, minlength=len(cnt))
+    out_lo = np.cumsum(out_n) - out_n
+    levels = []
+    front = np.flatnonzero(missing == 0)
+    while front.size:
+        levels.append(front)
+        hit, k = np.unique(out_to[_ranges(out_lo[front], out_n[front])],
+                           return_counts=True)
+        missing[hit] -= k
+        front = hit[missing[hit] == 0]
+    return levels
 
 
 class _Instance:
@@ -224,13 +280,14 @@ class Plan:
     Holds ints, floats, tuples and numpy index arrays only — never a
     payload, a closure or a context — so a retained plan keeps nothing
     of the calls it served alive.  Tape slots ``0..P-1`` hold the ranks'
-    arrival times; tape node ``k`` writes slot ``P + k``.
+    arrival times; tape node ``k`` writes slot ``P + k``, and nodes are
+    numbered level by level.
     """
 
     __slots__ = (
         "key", "lo", "rank_rounds", "n_rounds", "meta", "order", "sigs",
-        "scratch", "claims", "tallies", "tape_ins", "tape_a", "tape_b",
-        "levels", "legs", "step_ins", "step_fin", "step_round", "rank_fin",
+        "scratch", "claims", "tallies", "ins", "rel", "a", "b", "levels",
+        "legs", "step_node", "step_fin", "step_round", "rank_fin",
         "__weakref__",
     )
 
@@ -253,23 +310,22 @@ class Plan:
         self.scratch = [tuple(s.scratch) for s in scheds]
         self.claims = [tuple(s.claims) for s in scheds]
         self.tallies = [tuple(s.tallies) for s in scheds]
-        #: Per node, in topological order: its input slots and the
-        #: constants ``a``, ``b`` (kept apart: ``(t + a) + b`` rounds
-        #: differently from ``t + (a + b)``).
-        self.tape_ins: List[Tuple[int, ...]] = []
-        self.tape_a: List[float] = []
-        self.tape_b: List[float] = []
-        #: ``(n slots, groups)``: the tape by dependency depth (large
-        #: retained plans; the node lists are dropped then).
-        self.levels: Optional[Tuple[int, List[Tuple]]] = None
-        #: ``(src node, dst node, nbytes)`` per priced wire leg.
-        self.legs: List[Tuple[int, int, int]] = []
-        #: Per global step: ready-time input slots, finish slot, round.
-        self.step_ins: List[Optional[Tuple[int, ...]]] = []
-        self.step_fin: List[int] = []
-        self.step_round = [rd for s in scheds for rd in s.round]
+        #: The tape, node ``k`` in slot order: its input slots
+        #: ``ins[p0 + rel[k] : ...]`` (CSR within its level) and the
+        #: constants ``a[k]``, ``b[k]`` (kept apart: ``(t + a) + b``
+        #: rounds differently from ``t + (a + b)``); ``levels`` holds
+        #: ``(lo, hi, p0, p1)`` per level: its nodes and input entries.
+        self.ins = self.rel = np.zeros(0, dtype=np.intp)
+        self.a = self.b = np.zeros(0)
+        self.levels: List[Tuple[int, int, int, int]] = []
+        #: ``(src node, dst node, nbytes)`` rows, one per priced leg.
+        self.legs = np.zeros((0, 3), dtype=np.intp)
+        #: Per global step: its tape node (whose inputs are its ready
+        #: time), its finish slot and its round.
+        self.step_node = self.step_fin = np.zeros(0, dtype=np.intp)
+        self.step_round = _column(scheds, "round", lo[-1])
         #: Per rank: the slot of its completion time.
-        self.rank_fin: List[int] = []
+        self.rank_fin = np.zeros(0, dtype=np.intp)
 
     @property
     def n_steps(self) -> int:
@@ -277,63 +333,23 @@ class Plan:
 
     def run_tape(
         self, arrivals: List[float], every_slot: bool
-    ) -> Tuple[List[float], Optional[List[float]]]:
+    ) -> Tuple[List[float], Optional[np.ndarray]]:
         """The ranks' completion times for these arrival times, plus
         every slot's value when ``every_slot`` (span recording)."""
-        if self.levels is None:
-            V = list(arrivals)
-            push = V.append
-            get = V.__getitem__
-            for ins, a, b in zip(self.tape_ins, self.tape_a, self.tape_b):
-                if len(ins) == 1:
-                    push((V[ins[0]] + a) + b)
-                else:
-                    push((max(map(get, ins)) + a) + b)
-            return [V[s] for s in self.rank_fin], V
-        n_slots, groups = self.levels
+        P = len(arrivals)
+        ins, rel, a, b = self.ins, self.rel, self.a, self.b
         # Arrivals fill the head; every other slot is one node's output,
         # written by its level before any later level reads it.
-        v = np.empty(n_slots)  # det: ok - written before read (above)
-        v[: len(arrivals)] = arrivals
-        for outs, cols, a, b in groups:
-            t = v[cols[0]]
-            for col in cols[1:]:
-                np.maximum(t, v[col], out=t)
-            t += a
-            t += b
-            v[outs] = t
-        fins = v[self.rank_fin].tolist()
-        return fins, (v.tolist() if every_slot else None)
-
-    def levelize(self) -> None:
-        """Group the tape by (dependency depth, fan-in) so a replay
-        costs a few numpy calls per group instead of one Python step
-        per node; nodes of one depth never feed each other."""
-        P = len(self.lo) - 1
-        depth = [0] * P
-        at = depth.__getitem__
-        groups: Dict[Tuple[int, int], Tuple[List, List, List, List]] = {}
-        nodes = zip(self.tape_ins, self.tape_a, self.tape_b)
-        for k, (ins, a, b) in enumerate(nodes):
-            d = 1 + max(map(at, ins))
-            depth.append(d)
-            grp = groups.get((d, len(ins)))
-            if grp is None:
-                grp = groups[d, len(ins)] = ([], [], [], [])
-            grp[0].append(P + k)
-            grp[1].append(ins)
-            grp[2].append(a)
-            grp[3].append(b)
-        levels = []
-        for dw in sorted(groups):
-            outs, ins, a, b = groups[dw]
-            # One contiguous index row per input position.
-            cols = np.array(ins, dtype=np.intp).T.copy()
-            levels.append((np.array(outs, dtype=np.intp), cols,
-                           np.array(a), np.array(b)))
-        self.levels = (len(depth), levels)
-        self.rank_fin = np.array(self.rank_fin, dtype=np.intp)
-        self.tape_ins = self.tape_a = self.tape_b = []
+        v = np.empty(P + len(a))  # det: ok - written before read (above)
+        v[:P] = arrivals
+        for lo, hi, p0, p1 in self.levels:
+            t = v[ins[p0:p1]]
+            if p1 - p0 > hi - lo:
+                t = np.maximum.reduceat(t, rel[lo:hi])
+            t += a[lo:hi]
+            t += b[lo:hi]
+            v[P + lo : P + hi] = t
+        return v[self.rank_fin].tolist(), (v if every_slot else None)
 
 
 class FastPathEngine(ScheduleEngine):
@@ -456,7 +472,7 @@ class FastPathEngine(ScheduleEngine):
         else:
             stats.fastpath_sched_cache_hits += 1
             if topo.accounting:
-                for leg in plan.legs:
+                for leg in plan.legs.tolist():
                     topo.account(*leg)
         fins, V = plan.run_tape(inst.arrivals, spans is not None)
         stats.fastpath_collectives += 1
@@ -486,8 +502,6 @@ class FastPathEngine(ScheduleEngine):
         if self._plan_steps + plan.n_steps > PLAN_STEP_BUDGET:
             return
         self._plan_steps += plan.n_steps
-        if len(plan.tape_ins) >= _LEVELS_MIN_NODES:
-            plan.levelize()
         self._plans[key] = plan
 
     @staticmethod
@@ -583,14 +597,18 @@ class FastPathEngine(ScheduleEngine):
 
     def _compile_tape(self, plan: Plan, scheds: List[Schedule],
                       ctxs: List[Any]) -> None:
-        """Compile the pricing tape.
+        """Compile the pricing tape for all ranks at once.
 
         Mirrors the exact engine's concurrency structure: every step
         starts the moment its dependencies finish (wire steps are
         spawned processes there, so independent steps overlap freely).
         A compute step finishes at its ready time, an overhead step at
-        ready + ``sw``; each wire pair folds its protocol row (see
-        :mod:`repro.mpi.p2p`).
+        ready + ``sw``.  A receive's node is ready + ``sw``, a send's
+        ready + ``sw`` + its row's envelope leg, and the pair's node
+        ``max`` of the two plus the legs after the match (see
+        :mod:`repro.mpi.p2p`: the first in ``a``, the rest in ``b``).
+        An eager send finishes at its own node, everything else paired
+        at the pair's.
 
         A pair is priced with the send's structural size; a receive
         larger than its send raises here (the ranks disagree on the
@@ -599,175 +617,147 @@ class FastPathEngine(ScheduleEngine):
         the routed channel path when the topology's ``accounting`` flag
         is on; ``plan.legs`` keeps them for replays.
         """
-        comm = self.comm
-        ib = comm._ib
+        ib = self.comm._ib
         sw = us(ib.sw_overhead_us)
-        size = comm.size
-        wire_cost = comm.cluster.topology.wire_cost
-        legs = plan.legs
+        P = self.comm.size
+        N = plan.n_steps
+        lens = np.diff(plan.lo)
+        rank = np.repeat(np.arange(P), lens)
+        kind = _column(scheds, "kind", N)
+        n_deps = np.fromiter(
+            map(len, chain.from_iterable(s.deps for s in scheds)), np.intp, N)
+        deps = np.fromiter(chain.from_iterable(
+            chain.from_iterable(s.deps for s in scheds)), np.intp,
+            int(n_deps.sum())) + np.repeat(np.repeat(plan.lo[:-1], lens),
+                                           n_deps)
 
-        def wt(src: int, dst: int, n: int) -> float:
-            legs.append((src, dst, n))
-            return wire_cost(src, dst, n)
+        # Wire steps: the context each runs under (communicator, own
+        # rank in it, that communicator's placement) and its size.
+        numbers: Dict[Any, int] = {}
+        places: List[int] = []
+        place_lo: List[int] = []
+        c_lo, c_comm, c_rank = [], [], []
+        for r, s in enumerate(scheds):
+            c_lo.append(len(c_comm))
+            for v, tctx in enumerate(s.ctxs):
+                tcomm = (tctx if v else ctxs[r]).comm
+                if tcomm not in numbers:
+                    numbers[tcomm] = len(numbers)
+                    place_lo.append(len(places))
+                    places.extend(tcomm.placement)
+                c_comm.append(numbers[tcomm])
+                c_rank.append((tctx if v else ctxs[r]).rank)
+        wire = np.flatnonzero(kind <= RECV)
+        ctx = np.array(c_lo)[rank[wire]] + _column(scheds, "via", N)[wire]
+        cno = np.array(c_comm)[ctx]
+        me = np.array(c_rank)[ctx]
+        peer = _column(scheds, "peer", N)[wire]
+        side = kind[wire]  # SEND (0) sorts before RECV (1)
+        wsize = np.zeros(N, dtype=np.intp)
+        wsize[wire] = list(chain.from_iterable(
+            [s.nbytes(i) for i, k in enumerate(s.kind) if k <= RECV]
+            for s in scheds))
+        ps, pr = _pair(wire, side, np.stack((
+            cno, np.where(side == SEND, me, peer),
+            np.where(side == SEND, peer, me), _column(scheds, "tag", N)[wire])))
+        nbytes = wsize[ps]
+        short = np.flatnonzero(nbytes < wsize[pr])
+        if short.size:
+            j = short[0]
+            raise short_recv(scheds[rank[pr[j]]], int(nbytes[j]),
+                             int(wsize[pr[j]]))
 
-        lo = plan.lo
-        n_steps = plan.n_steps
+        # Fold each message size's row once, lay out every pair's legs
+        # (envelope first, then the legs after the match) and price
+        # them all through ``wire_cost``, in pair order.
+        sizes, fold = np.unique(nbytes, return_inverse=True)
+        rows = []
+        for n in sizes.tolist():
+            row = p2p_row(n, ib)
+            rows.append([(leg.by_sender, leg.header + leg.payload * n)
+                         for leg in (row.envelope, *row.after)])
+        n_legs = np.array([len(r) for r in rows], dtype=np.intp)[fold]
+        leg_lo = np.cumsum(n_legs) - n_legs
+        sent = np.searchsorted(wire, ps)
+        base = np.array(place_lo)[cno[sent]]
+        sn = np.array(places)[base + me[sent]]
+        dn = np.array(places)[base + peer[sent]]
+        legs = np.zeros((int(n_legs.sum()), 3), dtype=np.intp)
+        for f, row in enumerate(rows):
+            mine = np.flatnonzero(fold == f)
+            for j, (by_sender, n) in enumerate(row):
+                fwd = by_sender or not j
+                legs[leg_lo[mine] + j] = np.stack((
+                    sn[mine] if fwd else dn[mine],
+                    dn[mine] if fwd else sn[mine],
+                    np.full(len(mine), n)), axis=1)
+        plan.legs = legs
+        cost = np.array(list(map(self.comm.cluster.topology.wire_cost,
+                                 *legs.T.tolist())))
+        K = len(ps)
+        pair_a = np.zeros(K)
+        pair_b = np.zeros(K)
+        for j in range(1, int(n_legs.max(initial=1))):
+            has = np.flatnonzero(n_legs > j)
+            if j == 1:
+                pair_a[has] = cost[leg_lo[has] + j]
+            else:
+                pair_b[has] += cost[leg_lo[has] + j]
 
-        wsize = [0] * n_steps
-        #: Per paired send id: its protocol row's envelope bytes and
-        #: ``(by sender?, bytes)`` per leg after the match point — folded
-        #: once per message size.
-        folds: List[Optional[Tuple]] = [None] * n_steps
-        by_size: Dict[int, Tuple] = {}
-        # LIGHT pairing: k-th send on a (comm, src, dst, tag) key pairs
-        # with the k-th receive, both in step-index order — the
-        # matcher's per-key FIFO guarantees non-overtaking, and every
-        # schedule builder issues same-key wire steps dep-ordered.
-        sends: Dict[Tuple, List[Tuple[int, int, int]]] = {}
-        recvs: Dict[Tuple, List[Tuple[int, int, int]]] = {}
-        for r in range(size):
-            sched = scheds[r]
-            base = lo[r]
-            for i, kind in enumerate(sched.kind):
-                if kind == SEND or kind == RECV:
-                    via = sched.via[i]
-                    tctx = sched.ctxs[via] if via else ctxs[r]
-                    wsize[base + i] = sched.nbytes(i)
-                    if kind == SEND:
-                        sends.setdefault(
-                            (id(tctx.comm), tctx.rank, sched.peer[i],
-                             sched.tag[i]), []
-                        ).append((r, i, base + i))
-                    else:
-                        recvs.setdefault(
-                            (id(tctx.comm), sched.peer[i], tctx.rank,
-                             sched.tag[i]), []
-                        ).append((r, i, base + i))
-        #: Global step id → its partner's ``(rank, step idx, id)``.
-        pair: Dict[int, Tuple[int, int, int]] = {}
-        for key, ss in sends.items():
-            for s_ref, r_ref in zip(ss, recvs.get(key, ())):
-                pair[s_ref[2]] = r_ref
-                pair[r_ref[2]] = s_ref
-                n = wsize[s_ref[2]]
-                if n < wsize[r_ref[2]]:
-                    raise short_recv(scheds[r_ref[0]], n, wsize[r_ref[2]])
-                fold = by_size.get(n)
-                if fold is None:
-                    row = p2p_row(n, ib)
-                    wire = [(leg.by_sender, leg.header + leg.payload * n)
-                            for leg in (row.envelope, *row.after)]
-                    fold = by_size[n] = (wire[0][1], tuple(wire[1:]))
-                folds[s_ref[2]] = fold
+        # The tape's nodes: arrivals 0..P-1, then one per step, one per
+        # pair and one per rank with steps (its completion).  An
+        # unpaired wire step finishes at ``never``.
+        ranked = np.flatnonzero(lens)
+        step0, pair0, fin0 = P, P + N, P + N + K
+        never = fin0 + len(ranked)
+        fin = step0 + np.arange(N)
+        fin[wire] = never
+        eager = n_legs == 1
+        fin[ps[eager]] = step0 + ps[eager]
+        fin[ps[~eager]] = pair0 + np.flatnonzero(~eager)
+        fin[pr] = pair0 + np.arange(K)
+        cnt = np.concatenate((1 + n_deps, np.full(K, 2, np.intp),
+                              lens[ranked]))
+        ptr = np.cumsum(cnt) - cnt
+        ins = np.zeros(int(cnt.sum()), dtype=np.intp)
+        ins[ptr[:N]] = rank
+        ins[_ranges(ptr[:N] + 1, n_deps)] = fin[deps]
+        ins[ptr[N : N + K]] = step0 + pr
+        ins[ptr[N : N + K] + 1] = step0 + ps
+        ins[len(ins) - N:] = fin
+        a = np.where(kind == COMPUTE, 0.0, sw)
+        b = np.zeros(N)
+        b[ps] = cost[leg_lo]
+        a = np.concatenate((a, pair_a, np.zeros(len(ranked))))
+        b = np.concatenate((b, pair_b, np.zeros(len(ranked))))
 
-        tape_ins = plan.tape_ins
-        add_ins = tape_ins.append
-        add_a = plan.tape_a.append
-        add_b = plan.tape_b.append
+        levels = _sweep(ins, cnt, P, never)
+        order = np.concatenate(levels) if levels else np.zeros(0, np.intp)
+        slot = np.full(never + 1, never, dtype=np.intp)
+        slot[:P] = np.arange(P)
+        slot[P + order] = P + np.arange(len(order))
+        plan.step_fin = slot[fin]
+        pending = plan.step_fin == never
+        if pending.any():
+            raise _stalled(dict(enumerate(
+                np.bincount(rank[pending], minlength=P).tolist())))
 
-        def emit(ins: Tuple[int, ...], a: float, b: float) -> int:
-            add_ins(ins)
-            add_a(a)
-            add_b(b)
-            return size + len(tape_ins) - 1
-
-        step_ins: List[Optional[Tuple[int, ...]]] = [None] * n_steps
-        step_fin = [-1] * n_steps
-        #: Receive id → slot of its ``ready + sw``; send id → slot of
-        #: its ``ready + sw`` + envelope leg.
-        xslot: Dict[int, int] = {}
-        dags = [_dag(sched) for sched in scheds]
-        missing = [m for m, _ in dags]
-        dependents = [d for _, d in dags]
-        work: List[Tuple[int, int]] = []
-        for r in range(size):
-            for i, m in enumerate(missing[r]):
-                if m == 0:
-                    work.append((r, i))
-
-        resolved = 0
-
-        def finish(r: int, idx: int, slot: int) -> None:
-            nonlocal resolved
-            step_fin[lo[r] + idx] = slot
-            resolved += 1
-            for j in dependents[r][idx]:
-                missing[r][j] -= 1
-                if missing[r][j] == 0:
-                    work.append((r, j))
-
-        def wire_nodes(r: int, i: int) -> Tuple[int, int]:
-            sched = scheds[r]
-            via = sched.via[i]
-            tctx = sched.ctxs[via] if via else ctxs[r]
-            placement = tctx.comm.placement
-            return placement[tctx.rank], placement[sched.peer[i]]
-
-        def match(s_ref: Tuple[int, int, int],
-                  r_ref: Tuple[int, int, int]) -> None:
-            """Both sides are ready: emit the send's node (unless done
-            already) and the pair node."""
-            rs, sidx, gs = s_ref
-            envelope, after = folds[gs]
-            src, dst = wire_nodes(rs, sidx)
-            y = xslot.get(gs)
-            if y is None:
-                y = emit(step_ins[gs], sw, wt(src, dst, envelope))
-            # The first leg after the match goes in ``a``, the rest in ``b``.
-            a = b = 0.0
-            first = True
-            for by_sender, n in after:
-                w = wt(src, dst, n) if by_sender else wt(dst, src, n)
-                if first:
-                    a, first = w, False
-                else:
-                    b += w
-            m = emit((xslot[r_ref[2]], y), a, b)
-            if after:
-                finish(rs, sidx, m)
-            finish(r_ref[0], r_ref[1], m)
-
-        while work:
-            r, idx = work.pop()
-            sched = scheds[r]
-            kind = sched.kind[idx]
-            base = lo[r]
-            g = base + idx
-            ins = (r, *[step_fin[base + d] for d in sched.deps[idx]])
-            step_ins[g] = ins
-            if kind == COMPUTE:
-                finish(r, idx, emit(ins, 0.0, 0.0))
-                continue
-            if kind == OVERHEAD:
-                finish(r, idx, emit(ins, sw, 0.0))
-                continue
-            other = pair.get(g)
-            if other is None:
-                continue  # unmatched — reported as a stall below
-            # A pair resolves when the second of its two steps is ready.
-            if kind == SEND:
-                envelope, after = folds[g]
-                if not after:
-                    # The row ends at the match: the send is done once
-                    # its envelope lands.
-                    src, dst = wire_nodes(r, idx)
-                    xslot[g] = emit(ins, sw, wt(src, dst, envelope))
-                    finish(r, idx, xslot[g])
-                if step_ins[other[2]] is not None:
-                    match((r, idx, g), other)
-            else:  # _RECV
-                xslot[g] = emit(ins, sw, 0.0)
-                if step_ins[other[2]] is not None:
-                    match(other, (r, idx, g))
-
-        if resolved < n_steps:
-            raise _stalled({r: step_fin[lo[r] : lo[r + 1]].count(-1)
-                            for r in range(size)})
-        for r in range(size):
-            fs = tuple(step_fin[lo[r] : lo[r + 1]])
-            plan.rank_fin.append(emit(fs, 0.0, 0.0) if fs else r)
-        plan.step_ins = step_ins
-        plan.step_fin = step_fin
+        # Lay the tape out level by level.
+        width = cnt[order]
+        plan.ins = slot[ins[_ranges(ptr[order], width)]]
+        lo = np.cumsum(width) - width
+        n_level = [len(lv) for lv in levels]
+        bounds = np.cumsum([0] + n_level)
+        plan.rel = lo - np.repeat(lo[bounds[:-1]], n_level)
+        p = np.append(lo, len(plan.ins)).tolist()
+        bounds = bounds.tolist()
+        plan.levels = [(h, t, p[h], p[t])
+                       for h, t in zip(bounds[:-1], bounds[1:])]
+        plan.a = a[order]
+        plan.b = b[order]
+        plan.step_node = slot[step0 + np.arange(N)]
+        plan.rank_fin = np.arange(P)
+        plan.rank_fin[ranked] = slot[fin0 + np.arange(len(ranked))]
 
     # -- replay -------------------------------------------------------------
     def _replay(self, plan: Plan, bufs_of: List[List[Any]]) -> None:
@@ -837,7 +827,7 @@ class FastPathEngine(ScheduleEngine):
         self,
         inst: _Instance,
         plan: Plan,
-        V: List[float],
+        V: np.ndarray,
         fins: List[float],
         spans,
     ) -> None:
@@ -863,40 +853,40 @@ class FastPathEngine(ScheduleEngine):
                       attrs={"priced": self.price_only or not plan.order})
         backend = comm.backend
         nbytes_meta = meta.get("nbytes", 0)
-        get = V.__getitem__
-        step_ins = plan.step_ins
-        step_fin = plan.step_fin
-        step_round = plan.step_round
+        # Per (rank, round): the earliest ready time of its steps (the
+        # max of a step node's inputs) and the latest finish.
+        R = max(plan.n_rounds, 1)
+        key = np.repeat(np.arange(size), np.diff(plan.lo)) * R
+        key += plan.step_round
+        o = np.argsort(key, kind="stable")
+        first = np.flatnonzero(np.diff(key[o], prepend=-1))
+        keys = key[o][first].tolist()
+        if keys:
+            width = [hi - lo for lo, hi, _, _ in plan.levels]
+            start = plan.rel + np.repeat([p for _, _, p, _ in plan.levels],
+                                         width)
+            end = np.append(start[1:], len(plan.ins))
+            k = plan.step_node - size
+            n = end[k] - start[k]
+            ready = np.maximum.reduceat(
+                V[plan.ins[_ranges(start[k], n)]], np.cumsum(n) - n)
+            t0 = np.minimum.reduceat(ready[o], first).tolist()
+            t1 = np.maximum.reduceat(V[plan.step_fin][o], first).tolist()
+        j = 0
         for r in range(size):
-            lo, hi = plan.lo[r], plan.lo[r + 1]
-            n_rounds = plan.rank_rounds[r]
             rtrack = comm.span_track(r)
             psid = spans.complete(
                 arrivals[r], fins[r], name, "collective", rtrack,
                 None, None,
                 {"backend": backend, "nbytes": nbytes_meta,
-                 "n_rounds": n_rounds, "n_steps": hi - lo},
+                 "n_rounds": plan.rank_rounds[r],
+                 "n_steps": plan.lo[r + 1] - plan.lo[r]},
             )
-            if psid is None:
-                continue  # recorder paused mid-collective
-            # Round ids live in [0, n_rounds), so flat lists beat
-            # dicts here; None marks rounds this rank never runs.
-            rstart: List[Optional[float]] = [None] * n_rounds
-            rend: List[Optional[float]] = [None] * n_rounds
-            for g in range(lo, hi):
-                t0 = max(map(get, step_ins[g]))
-                t1 = V[step_fin[g]]
-                rd = step_round[g]
-                s = rstart[rd]
-                if s is None or t0 < s:
-                    rstart[rd] = t0
-                e = rend[rd]
-                if e is None or t1 > e:
-                    rend[rd] = t1
-            for rd in range(n_rounds):
-                t0 = rstart[rd]
-                if t0 is not None:
-                    spans.complete(t0, rend[rd], _round_name(rd), "round",
-                                   rtrack, psid)
+            # psid is None while the recorder is paused mid-collective.
+            while j < len(keys) and keys[j] < (r + 1) * R:
+                if psid is not None:
+                    spans.complete(t0[j], t1[j], _round_name(keys[j] - r * R),
+                                   "round", rtrack, psid)
+                j += 1
         spans.instant(now, name, "fastpath.commit", ftrack,
                       attrs={"n_ranks": size})

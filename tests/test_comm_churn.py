@@ -21,7 +21,7 @@ import pytest
 from repro.dcgn import DcgnConfig, DcgnRuntime
 from repro.hw import ClusterSpec, TopologySpec, build_cluster, paper_cluster
 from repro.mpi import MpiError, MpiJob
-from repro.mpi.algorithms import autotune, fastpath
+from repro.mpi.algorithms import autotune
 from repro.mpi.algorithms.schedule import Schedule
 from repro.mpi.communicator import Communicator, MpiContext
 from repro.sim import Simulator
@@ -175,20 +175,20 @@ class TestPlanLifetime:
     """Retained fast-path plans hold structure only, and die with the
     communicator's engine."""
 
-    def test_plans_keep_no_payloads_or_contexts(self, monkeypatch):
-        # Levelize every retained plan: the levels' index and constant
-        # arrays are the only arrays a plan may hold.
-        monkeypatch.setattr(fastpath, "_LEVELS_MIN_NODES", 0)
+    def test_plans_keep_no_payloads_or_contexts(self):
+        # The tape's index and constant arrays are the only arrays a
+        # plan may hold.
         sim, job = _analytic_job()
         refs = []
         job.start(_repeated_allreduce(refs, calls=4))
         sim.run()
         plans = list(job.comm.engine._plans.values())
-        assert plans and all(p.levels is not None for p in plans)
+        assert plans and all(p.levels for p in plans)
         gc.collect()
         assert all(r() is None for r in refs), "a plan kept a payload alive"
-        own = {id(p.rank_fin) for p in plans}
-        own.update(id(a) for p in plans for grp in p.levels[1] for a in grp)
+        own = {id(getattr(p, name)) for p in plans for name in (
+            "ins", "rel", "a", "b", "legs", "step_node", "step_fin",
+            "step_round", "rank_fin")}
         seen, stack = set(), list(plans)
         while stack:
             obj = stack.pop()

@@ -192,9 +192,15 @@ class TestCommRequest:
         assert picked.track == completed.track == "t"
 
     def test_request_ids_unique(self):
-        a = CommRequest(op="send", src_vrank=0)
-        b = CommRequest(op="send", src_vrank=0)
-        assert a.req_id != b.req_id
+        """Ids are unique across a runtime's comm threads and numbered
+        from 0 in every runtime, whatever ran before it."""
+        for _ in range(2):
+            rt = DcgnRuntime(build_cluster(Simulator(), paper_cluster(2)),
+                             DcgnConfig.homogeneous(2, cpu_threads=1))
+            a, b = rt.cpu_context(0), rt.cpu_context(1)
+            reqs = [a._req("send", 1, 8), b._req("recv", 0, 8),
+                    a._coll("barrier")]
+            assert [r.req_id for r in reqs] == [0, 1, 2]
 
 
 class TestPollerWaits:

@@ -10,16 +10,15 @@ changes them.
 
 The digest does not depend on the interpreter's hash seed (event names
 carry ranks and peers, never object ids).  DCGN request ids, which some
-event names carry, are numbered per process, so the DCGN program starts
-the numbering afresh.
+event names carry, are numbered per runtime, so the DCGN program names
+its events alike however many ran before it in the process.
 """
 
 import hashlib
-import itertools
 
 import numpy as np
 
-from repro.dcgn import DcgnConfig, DcgnRuntime, requests
+from repro.dcgn import DcgnConfig, DcgnRuntime
 from repro.hw import ClusterSpec, build_cluster, paper_cluster
 from repro.mpi import ANY_SOURCE, MpiJob
 from repro.sim import Simulator
@@ -126,9 +125,14 @@ def test_mpi_event_order_is_pinned():
     assert mpi_program() == MPI_EXPECTED
 
 
-def test_dcgn_event_order_is_pinned(monkeypatch):
-    monkeypatch.setattr(requests, "_req_ids", itertools.count())
+def test_dcgn_event_order_is_pinned():
     assert dcgn_program() == DCGN_EXPECTED
+
+
+def test_dcgn_event_order_repeats_in_one_process():
+    """Request ids are numbered per runtime: a second run in the same
+    interpreter names its events as the first did."""
+    assert dcgn_program() == dcgn_program() == DCGN_EXPECTED
 
 
 def test_digest_simulator_changes_no_event():

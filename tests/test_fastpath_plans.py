@@ -189,8 +189,8 @@ def test_replay_equals_fresh_compile(op, algo, P, monkeypatch):
 
 
 def test_large_plans_replay_as_levels():
-    """A 256-rank barrier's tape is past the numpy-levels threshold;
-    its replays match fresh compiles too."""
+    """A 256-rank barrier's retained plan runs its tape as numpy
+    levels; its replays match fresh compiles too."""
     replayed, hits, job = run("barrier", None, 256, np.float64, 0,
                               "analytic", True, calls=4)
     (plan,) = job.comm.engine._plans.values()
