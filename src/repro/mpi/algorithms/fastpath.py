@@ -20,15 +20,9 @@ packet:
    shows up).  Each rank's issue time is recorded at deposit, so skewed
    arrivals propagate into the timing exactly as they do in the exact
    engine.
-2. **Compile** (plan miss) — the per-rank shapes compile to a
-   buffer-free :class:`Plan`, worked out from structure alone:
+2. **Compile** (plan miss) — the per-rank shapes compile, once and
+   from structure alone, to a buffer-free :class:`Plan`:
 
-   * the *replay order*: the dataflow interpreter's step sequence
-     (rank-0-first round-robin: every ready receive is posted before
-     each rank runs one other ready step per cycle; per-key FIFO
-     message queues mirror the matcher's non-overtaking order), with
-     each send's decision to deliver straight into a posted receive or
-     to queue;
    * the *pricing tape*: the per-step critical path, compiled for all
      ranks at once over flat arrays (no per-step Python walk).  The
      ranks' step columns stack into one set of arrays — kind, rank,
@@ -44,7 +38,14 @@ packet:
      book when fabric accounting is on.  A sweep then resolves the
      nodes one dependency level at a time; each sweep iteration is one
      level of the tape, whose nodes never feed each other, so a run is
-     one ``np.maximum.reduceat`` and two adds per level.
+     one ``np.maximum.reduceat`` and two adds per level;
+   * the *replay order*, read off the tape: the steps sorted by their
+     node's level, receives first within a level, then by slot.  Every
+     step runs after the steps it depends on, and the k-th send on a
+     wire key still meets the k-th receive (the matcher's
+     non-overtaking order).  A pair whose receive comes first parks it
+     and delivers straight into it (zero-copy); any other pair queues
+     its message for the receive to take.
 
    Because the tape follows dependencies, not round labels, transfers in
    different rounds overlap exactly as the in-flight wire steps of the
@@ -83,17 +84,16 @@ they would come out short of exact (gather by 0.1-84%, scatter by
 49-93% at 4-16 ranks and 128 B-1 MB).  Selection thresholds, being
 driven by the same tuning, match the exact backend exactly.
 
-**Pricing-only mode** (``backend="pricing"``): skips the replay and
-runs only the tape — same critical-path model, bit-identical simulated
-times, but receive buffers are left untouched (compute steps never
-run).  This is the sweep mode that makes the ``BENCH_scale.json``
+**Pricing-only mode** (``backend="pricing"``): emits no replay order
+and runs only the tape — same critical-path model, bit-identical
+simulated times, but receive buffers are left untouched (compute steps
+never run).  This is the sweep mode that makes the ``BENCH_scale.json``
 sweeps interactive.  Never use it when the program consumes the data
 it communicates.
 """
 
 from __future__ import annotations
 
-import heapq
 from itertools import chain
 from typing import Any, Dict, Generator, List, Optional, Set, Tuple
 
@@ -108,7 +108,7 @@ from ..errors import MpiError
 from ..p2p import p2p_row
 from .base import next_tag
 from .schedule import (
-    COMPUTE, DONATE, OVERHEAD, RECV, SEND, Call, Schedule, ScheduleEngine, land,
+    COMPUTE, DONATE, RECV, SEND, Call, Schedule, ScheduleEngine, land,
     materialize, payload, run_ops, short_recv, sub_ctx, view, _round_name,
 )
 
@@ -230,50 +230,6 @@ class _Instance:
         self.arrived += 1
 
 
-def _dag(sched: Schedule) -> Tuple[List[int], List[List[int]]]:
-    """Per step: how many dependencies it waits for, and its dependents."""
-    dependents: List[List[int]] = [[] for _ in range(len(sched))]
-    for i, deps in enumerate(sched.deps):
-        for d in deps:
-            dependents[d].append(i)
-    return [len(d) for d in sched.deps], dependents
-
-
-class _RankState:
-    """Dataflow bookkeeping for one rank's DAG (mirrors ``_execute``)."""
-
-    __slots__ = ("kind", "missing", "dependents", "ready", "ready_recv",
-                 "done")
-
-    def __init__(self, sched: Schedule) -> None:
-        n = len(sched)
-        self.kind = sched.kind
-        self.missing, self.dependents = _dag(sched)
-        # Receives ready to post are kept apart from other ready steps:
-        # the interpreter parks every ready receive before running any
-        # send, so deliveries hit a waiting buffer (zero-copy) instead
-        # of forcing a queue snapshot.
-        self.ready: List[int] = []
-        self.ready_recv: List[int] = []
-        for i in range(n):
-            if self.missing[i] == 0:
-                self._push(i)
-        self.done = 0
-
-    def _push(self, idx: int) -> None:
-        if self.kind[idx] == RECV:
-            heapq.heappush(self.ready_recv, idx)
-        else:
-            heapq.heappush(self.ready, idx)
-
-    def finish(self, idx: int) -> None:
-        self.done += 1
-        for j in self.dependents[idx]:
-            self.missing[j] -= 1
-            if self.missing[j] == 0:
-                self._push(j)
-
-
 class Plan:
     """One compiled collective shape (see the module doc).
 
@@ -281,7 +237,8 @@ class Plan:
     payload, a closure or a context — so a retained plan keeps nothing
     of the calls it served alive.  Tape slots ``0..P-1`` hold the ranks'
     arrival times; tape node ``k`` writes slot ``P + k``, and nodes are
-    numbered level by level.
+    numbered level by level.  The replay order is read off the tape
+    (empty on the pricing backend and for shapes that move no data).
     """
 
     __slots__ = (
@@ -301,7 +258,8 @@ class Plan:
         self.rank_rounds = [s.n_rounds for s in scheds]
         self.n_rounds = max(self.rank_rounds, default=0)
         self.meta = next((s.meta for s in scheds if s.meta), None)
-        #: Replay ops: ``(code, rank, g, ref or opcodes, flags)``.
+        #: Replay ops: ``(code, rank, g, ref or opcodes, flags)``, by
+        #: tape level.
         self.order: List[Tuple] = []
         #: Per rank, what a hit needs instead of a build: the binding
         #: signature to check, the scratch slots to bind, and the tag
@@ -458,22 +416,19 @@ class FastPathEngine(ScheduleEngine):
                     sched = call.build(inst.ctxs[r])
                 scheds.append(sched)
             plan = Plan(key, scheds)
+            pairs = self._compile_tape(plan, scheds, inst.ctxs)
             if not self.price_only:
-                self._compile_order(plan, scheds, inst.ctxs)
+                self._read_order(plan, scheds, *pairs)
         else:
             for r, (call, sched, _bufs, _tags) in enumerate(items):
                 if sched is not None and call.binding.sig != plan.sigs[r]:
                     raise self._mismatch(plan, r)
-        if not self.price_only and plan.order:
-            self._replay(plan, [item[2] for item in items])
-
-        if fresh:
-            self._compile_tape(plan, scheds, inst.ctxs)
-        else:
             stats.fastpath_sched_cache_hits += 1
             if topo.accounting:
                 for leg in plan.legs.tolist():
                     topo.account(*leg)
+        if plan.order:
+            self._replay(plan, [item[2] for item in items])
         fins, V = plan.run_tape(inst.arrivals, spans is not None)
         stats.fastpath_collectives += 1
         stats.fastpath_rounds += plan.n_rounds
@@ -513,91 +468,11 @@ class FastPathEngine(ScheduleEngine):
         )
 
     # -- compile ------------------------------------------------------------
-    def _compile_order(self, plan: Plan, scheds: List[Schedule],
-                       ctxs: List[Any]) -> None:
-        """Record the dataflow interpreter's step sequence from
-        structure alone.  Wire steps whose buffer ref is ``None`` move
-        nothing and are left out, so a data-free shape (a barrier) has
-        an empty order."""
-        if not any(ref is not None for s in scheds for ref in s.ref):
-            return
-        size = self.comm.size
-        lo = plan.lo
-        emit = plan.order.append
-        states = [_RankState(scheds[r]) for r in range(size)]
-        #: (comm id, src, dst, tag) → FIFO of queued send ids.
-        queues: Dict[Tuple, List[int]] = {}
-        #: same key → FIFO of (rank, step idx, id) receives posted.
-        parked: Dict[Tuple, List[Tuple[int, int, int]]] = {}
-
-        def run_step(r: int, i: int) -> None:
-            sched = scheds[r]
-            g = lo[r] + i
-            kind = sched.kind[i]
-            ref = sched.ref[i]
-            if kind == COMPUTE:
-                emit((_RUN, r, g, ref, 0))
-            elif kind == SEND:
-                via = sched.via[i]
-                tctx = sched.ctxs[via] if via else ctxs[r]
-                key = (id(tctx.comm), tctx.rank, sched.peer[i], sched.tag[i])
-                waiters = parked.get(key)
-                if waiters:
-                    rank2, ridx, g2 = waiters.pop(0)
-                    if ref is not None:
-                        emit((_DIRECT, r, g2, ref, sched.flags[i]))
-                    states[rank2].finish(ridx)
-                else:
-                    queues.setdefault(key, []).append(g)
-                    if ref is not None:
-                        emit((_QUEUE, r, g, ref, sched.flags[i]))
-            elif kind == RECV:
-                via = sched.via[i]
-                tctx = sched.ctxs[via] if via else ctxs[r]
-                key = (id(tctx.comm), sched.peer[i], tctx.rank, sched.tag[i])
-                queue = queues.get(key)
-                if queue:
-                    gs = queue.pop(0)
-                    if ref is not None:
-                        emit((_TAKE, r, gs, ref, 0))
-                else:
-                    parked.setdefault(key, []).append((r, i, g))
-                    if ref is not None:
-                        emit((_PARK, r, g, ref, 0))
-                    return  # finished later, at delivery
-            states[r].finish(i)
-
-        # Round-robin cycles, fully deterministic: first every rank
-        # posts (or drains) all its ready receives, then each rank runs
-        # one other ready step.  Posting receives first means a send
-        # almost always finds its peer's buffer posted and delivers
-        # directly — the zero-copy path — instead of snapshotting into
-        # a queue; one non-receive step per rank per cycle bounds
-        # run-ahead so the lockstep holds.
-        total = plan.n_steps
-        done_total = 0
-        while done_total < total:
-            progressed = False
-            for r in range(size):
-                state = states[r]
-                while state.ready_recv:
-                    run_step(r, heapq.heappop(state.ready_recv))
-                    progressed = True
-            for r in range(size):
-                state = states[r]
-                if state.ready:
-                    run_step(r, heapq.heappop(state.ready))
-                    progressed = True
-                while state.ready_recv:
-                    run_step(r, heapq.heappop(state.ready_recv))
-            done_total = sum(s.done for s in states)
-            if not progressed and done_total < total:
-                raise _stalled({r: len(s.kind) - s.done
-                                for r, s in enumerate(states)})
-
-    def _compile_tape(self, plan: Plan, scheds: List[Schedule],
-                      ctxs: List[Any]) -> None:
-        """Compile the pricing tape for all ranks at once.
+    def _compile_tape(
+        self, plan: Plan, scheds: List[Schedule], ctxs: List[Any]
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Compile the pricing tape for all ranks at once; return its
+        pairs' send and receive ids, by send.
 
         Mirrors the exact engine's concurrency structure: every step
         starts the moment its dependencies finish (wire steps are
@@ -615,7 +490,8 @@ class FastPathEngine(ScheduleEngine):
         count, and the receive's tail would be stale).  Every wire leg is
         priced by :meth:`Topology.wire_cost`, which also books it onto
         the routed channel path when the topology's ``accounting`` flag
-        is on; ``plan.legs`` keeps them for replays.
+        is on; ``plan.legs`` keeps them for replays.  A shape whose
+        steps cannot all finish (cyclic or unmatched wire steps) raises.
         """
         ib = self.comm._ib
         sw = us(ib.sw_overhead_us)
@@ -758,12 +634,49 @@ class FastPathEngine(ScheduleEngine):
         plan.step_node = slot[step0 + np.arange(N)]
         plan.rank_fin = np.arange(P)
         plan.rank_fin[ranked] = slot[fin0 + np.arange(len(ranked))]
+        return ps, pr
+
+    @staticmethod
+    def _read_order(plan: Plan, scheds: List[Schedule], ps: np.ndarray,
+                    pr: np.ndarray) -> None:
+        """Read the replay order off the compiled tape, given its
+        pairs' send and receive ids: the steps by their node's level,
+        receives first within a level, then by slot.  A pair whose
+        receive comes first parks it and delivers straight into it (the
+        zero-copy path); any other pair queues its message for the
+        receive to take.  Steps without a ref, and overhead steps, move
+        nothing, so a data-free shape (a barrier) has an empty order."""
+        ref = list(chain.from_iterable(s.ref for s in scheds))
+        if all(x is None for x in ref):
+            return
+        N = plan.n_steps
+        kind = _column(scheds, "kind", N)
+        node = plan.step_node - len(scheds)
+        level = np.searchsorted([lo for lo, _, _, _ in plan.levels], node,
+                                side="right")
+        o = np.lexsort((node, kind != RECV, level))
+        pos = np.argsort(o)
+        direct = pos[pr] < pos[ps]
+        code = np.where(kind == COMPUTE, _RUN, -1)
+        code[ps] = np.where(direct, _DIRECT, _QUEUE)
+        code[pr] = np.where(direct, _PARK, _TAKE)
+        g = np.arange(N)
+        g[ps[direct]] = pr[direct]
+        g[pr[~direct]] = ps[~direct]
+        rank = np.repeat(np.arange(len(scheds)), np.diff(plan.lo))
+        flags = list(chain.from_iterable(s.flags for s in scheds))
+        plan.order = [
+            (c, r, gi, ref[i], flags[i])
+            for i, c, r, gi in zip(o.tolist(), code[o].tolist(),
+                                   rank[o].tolist(), g[o].tolist())
+            if c >= 0 and ref[i] is not None
+        ]
 
     # -- replay -------------------------------------------------------------
     def _replay(self, plan: Plan, bufs_of: List[List[Any]]) -> None:
         """Run the plan's order against this call's slot tables — the
-        same deliveries, adoptions and snapshots the dataflow
-        interpreter makes."""
+        same deliveries, adoptions and snapshots the exact engine's
+        matcher makes."""
         stats = self.comm.sim.stats
         deliver = Communicator._deliver
         posted: Dict[int, Tuple] = {}

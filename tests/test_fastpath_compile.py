@@ -15,7 +15,11 @@ number, not as a drifting benchmark:
   tree;
 * the P=1024 pricing points, which also equal their committed
   ``BENCH_scale.json`` records;
-* a stalled shape and a short receive raise their ``MpiError``.
+* a stalled shape and a short receive raise their ``MpiError``;
+* the replay order's structure over the same small grid on the
+  analytic backend: every step with a ref once, each delivery after
+  its receive was posted or its message queued, each step after its
+  dependencies.
 """
 
 import hashlib
@@ -29,7 +33,12 @@ from repro.bench.harness import _sig
 from repro.bench.sweeps import collective_time
 from repro.hw import ClusterSpec, TopologySpec, build_cluster
 from repro.mpi import CollectiveTuning, MpiError, MpiJob, ReduceOp
-from repro.mpi.algorithms.schedule import Binding, Call, Schedule
+from repro.mpi.algorithms.fastpath import (
+    FastPathEngine, _DIRECT, _PARK, _QUEUE, _RUN, _TAKE,
+)
+from repro.mpi.algorithms.schedule import (
+    COMPUTE, OVERHEAD, RECV, SEND, Binding, Call, Schedule,
+)
 from repro.sim import Simulator
 
 KB = 1024
@@ -260,6 +269,89 @@ def test_short_receive_raises():
 
     with pytest.raises(MpiError, match="received 256 B into a 512 B"):
         _run_shape(build)
+
+
+def _compiled(fabric, op, algo, P, monkeypatch):
+    """``(plan, schedules, contexts)`` of every compile of one analytic
+    call of the shape."""
+    seen = []
+    compile_tape = FastPathEngine._compile_tape
+
+    def spy(self, plan, scheds, ctxs):
+        seen.append((plan, scheds, ctxs))
+        return compile_tape(self, plan, scheds, ctxs)
+
+    monkeypatch.setattr(FastPathEngine, "_compile_tape", spy)
+    sim = Simulator()
+    cluster, placement = _cluster(sim, fabric, P)
+    tuning = CollectiveTuning(**{f"force_{op}": algo}) if algo else None
+    job = MpiJob(cluster, placement, tuning=tuning, backend="analytic")
+    job.start(lambda ctx: _call(ctx, op, SIZES[0] // 8))
+    job.run()
+    monkeypatch.undo()
+    return seen
+
+
+def _partners(plan, scheds, ctxs):
+    """Send <-> receive global ids: the k-th send on each (communicator,
+    source, destination, tag) key meets the k-th receive."""
+    ends = {SEND: {}, RECV: {}}
+    for r, s in enumerate(scheds):
+        for i, kind in enumerate(s.kind):
+            if kind not in ends:
+                continue
+            tctx = s.ctxs[s.via[i]] if s.via[i] else ctxs[r]
+            src, dst = ((tctx.rank, s.peer[i]) if kind == SEND
+                        else (s.peer[i], tctx.rank))
+            key = (id(tctx.comm), src, dst, s.tag[i])
+            ends[kind].setdefault(key, []).append(plan.lo[r] + i)
+    partner = {}
+    for key, sends in ends[SEND].items():
+        for gs, gr in zip(sends, ends[RECV][key]):
+            partner[gs], partner[gr] = gr, gs
+    return partner
+
+
+@pytest.mark.parametrize("fabric", sorted(FABRICS))
+@pytest.mark.parametrize("op,algo", SHAPES)
+def test_replay_order_structure(fabric, op, algo, monkeypatch):
+    """The replay order holds every step with a ref exactly once, in an
+    order the data can flow in: a receive is parked before a send
+    delivers into it, a message queued before it is taken, and every
+    step runs after the steps it depends on (a receive's data lands at
+    its own op or at its send's, whichever comes later)."""
+    plans = 0
+    for P in RANKS:
+        if (op, algo) in POF2_ONLY and P & (P - 1):
+            continue
+        for plan, scheds, ctxs in _compiled(fabric, op, algo, P,
+                                            monkeypatch):
+            plans += 1
+            partner = _partners(plan, scheds, ctxs)
+            kind = [k for s in scheds for k in s.kind]
+            ref = [x for s in scheds for x in s.ref]
+            at = {}
+            for pos, (code, _r, g, _x, _f) in enumerate(plan.order):
+                step = partner[g] if code in (_DIRECT, _TAKE) else g
+                assert step not in at, (P, step)
+                at[step] = pos
+                assert code in {COMPUTE: (_RUN,), SEND: (_DIRECT, _QUEUE),
+                                RECV: (_PARK, _TAKE)}[kind[step]]
+                if code in (_DIRECT, _TAKE) and ref[g] is not None:
+                    first = _PARK if code == _DIRECT else _QUEUE
+                    assert plan.order[at[g]][0] == first, (P, g)
+            assert sorted(at) == [g for g, x in enumerate(ref)
+                                  if x is not None and kind[g] != OVERHEAD]
+            for r, s in enumerate(scheds):
+                for i, deps in enumerate(s.deps):
+                    g = plan.lo[r] + i
+                    for d in (plan.lo[r] + d for d in deps):
+                        lands = [at.get(d, -1)]
+                        if kind[d] == RECV:
+                            lands.append(at.get(partner[d], -1))
+                        assert max(lands) < at.get(g, len(plan.order)), (
+                            P, g, d)
+    assert plans
 
 
 #: (fabric, op, algorithm) -> (digest of every case, per case the

@@ -1,10 +1,10 @@
 """Compiled collective plans of the analytic fast path.
 
 :class:`repro.mpi.algorithms.fastpath.Plan` holds what a collective
-shape needs beyond its buffers and arrival times: the send/recv
-pairing, the interpreter's replay order and the pricing tape.  A plan
-is retained from its key's second sighting and replayed from then on,
-without running any schedule builder, so these tests check that a
+shape needs beyond its buffers and arrival times: the pricing tape
+and the replay order read off it.  A plan is retained from its key's
+second sighting and replayed from then on, without running any
+schedule builder, so these tests check that a
 replay is indistinguishable from a fresh compile — data, completion
 times, payload counters, link accounting, span trees, and every
 communicator's stats and tag sequence, bit for bit, under random
@@ -189,17 +189,20 @@ def test_replay_equals_fresh_compile(op, algo, P, monkeypatch):
 
 
 def test_large_plans_replay_as_levels():
-    """A 256-rank barrier's retained plan runs its tape as numpy
-    levels; its replays match fresh compiles too."""
-    replayed, hits, job = run("barrier", None, 256, np.float64, 0,
+    """A 256-rank retained plan runs its tape as several numpy levels
+    and its replays match fresh compiles; a barrier moves no data, so
+    its replay order is empty, while an allreduce's is not."""
+    for op, nbytes in (("barrier", 0), ("allreduce", 96)):
+        replayed, hits, job = run(op, None, 256, np.float64, nbytes,
+                                  "analytic", True, calls=4)
+        (plan,) = job.comm.engine._plans.values()
+        assert len(plan.levels) > 1 and hits == 2
+        assert (plan.order == []) == (op == "barrier")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fastpath, "PLAN_STEP_BUDGET", 0)
+            fresh, _, _ = run(op, None, 256, np.float64, nbytes,
                               "analytic", True, calls=4)
-    (plan,) = job.comm.engine._plans.values()
-    assert plan.levels is not None and hits == 2
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fastpath, "PLAN_STEP_BUDGET", 0)
-        fresh, _, _ = run("barrier", None, 256, np.float64, 0, "analytic",
-                          True, calls=4)
-    assert replayed == fresh
+        assert replayed == fresh, op
 
 
 def test_repeated_data_collectives_hit_the_plan():
