@@ -94,8 +94,11 @@ it communicates.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import chain
-from typing import Any, Dict, Generator, List, Optional, Set, Tuple
+from typing import (
+    Any, Dict, Generator, List, NamedTuple, Optional, Set, Tuple,
+)
 
 import numpy as np
 
@@ -108,23 +111,25 @@ from ..errors import MpiError
 from ..p2p import p2p_row
 from .base import next_tag
 from .schedule import (
-    COMPUTE, DONATE, RECV, SEND, Call, Schedule, ScheduleEngine, land,
-    materialize, payload, run_ops, short_recv, sub_ctx, view, _round_name,
+    BYTES, COMPUTE, DONATE, PACK, REBIND, RECV, SEND, Call, Schedule,
+    ScheduleEngine, materialize, payload, run_ops, short_recv, sub_ctx,
+    view, _round_name,
 )
 
 __all__ = ["FastPathEngine", "Plan", "PLAN_STEP_BUDGET"]
 
-# Replay ops are ``(code, rank, g, x, flags)``: ``g`` a global step id
-# (the rank's offset plus the step index), ``x`` the step's buffer ref
-# or compute opcodes.
-_RUN = 0      # run a compute step
-_PARK = 1     # post receive g's buffer for a later send
-_TAKE = 2     # receive the message send g queued
-_DIRECT = 3   # deliver straight into the posted receive g
-_QUEUE = 4    # queue the message of send g for a later receive
+# A replay program is a list of runs ``(moves, coded)``: ``moves`` are
+# byte moves ``(d, a, b, s, c, e)``, each ``U[d][a:b] = U[s][c:e]`` over
+# the call's flat byte views ``U``; ``coded`` is ``None`` or one entry
+# the moves cannot express, run on the call's typed slot tables:
+_RUN = 0      # (_RUN, rank, opcodes, ((slot, u), ...)): compute opcodes
+_SEND = 1     # (_SEND, rank, ref, flags, rrank, rref, u): deliver a send
+_QUEUE = 2    # (_QUEUE, rank, ref, flags, k): queue a send's message
+_TAKE = 3     # (_TAKE, rank, ref, k, u): receive queued message k
 
 _NO_MSG = (None, 0)
-_NO_POST = (None, None, None)
+#: A ``None`` ref, as a resolved row.
+_NO_REF = (-1, 0, 0)
 
 #: Schedule steps the retained plans of one communicator may hold in
 #: total; shapes past it compile on every call instead.
@@ -142,9 +147,9 @@ def _stalled(pending: Dict[int, int]) -> MpiError:
 
 def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """The concatenated index ranges ``[s, s + c)`` (CSR row gather)."""
-    ends = np.cumsum(counts)
+    ends = counts.cumsum()
     total = int(ends[-1]) if len(ends) else 0
-    return np.arange(total) + np.repeat(starts - ends + counts, counts)
+    return np.arange(total) + (starts - ends + counts).repeat(counts)
 
 
 def _column(scheds: List[Schedule], name: str, n: int) -> np.ndarray:
@@ -164,16 +169,16 @@ def _pair(wire: np.ndarray, side: np.ndarray,
     key = key[:, o]
     first = np.ones(len(o), dtype=bool)
     first[1:] = (key[:, 1:] != key[:, :-1]).any(axis=0)
-    starts = np.flatnonzero(first)
-    grp = np.cumsum(first) - 1
+    starts = first.nonzero()[0]
+    grp = first.cumsum() - 1
     sends = (side[o] == SEND).astype(np.intp)
     n_send = np.add.reduceat(sends, starts) if len(o) else sends
-    n_recv = np.diff(np.append(starts, len(o))) - n_send
+    n_recv = np.concatenate((starts[1:], [len(o)])) - starts - n_send
     pos = np.arange(len(o)) - starts[grp]
-    at = np.flatnonzero(sends & (pos < n_recv[grp]))
+    at = (sends & (pos < n_recv[grp])).nonzero()[0]
     ps = wire[o[at]]
     pr = wire[o[starts[grp[at]] + n_send[grp[at]] + pos[at]]]
-    by_send = np.argsort(ps)
+    by_send = ps.argsort()
     return ps[by_send], pr[by_send]
 
 
@@ -182,22 +187,147 @@ def _sweep(ins: np.ndarray, cnt: np.ndarray, P: int,
     """The tape's nodes by dependency level: node ``k`` (slot ``P + k``)
     has inputs ``ins`` (CSR, ``cnt`` per node) and resolves once they
     all have; slots below ``P`` are resolved, ``never`` never is."""
-    node = np.repeat(np.arange(len(cnt)), cnt)
+    node = np.arange(len(cnt)).repeat(cnt)
     inner = ins >= P
     missing = np.bincount(node[inner], minlength=len(cnt))
     edge = inner & (ins < never)
-    out_to = node[edge][np.argsort(ins[edge], kind="stable")]
+    out_to = node[edge][ins[edge].argsort(kind="stable")]
     out_n = np.bincount(ins[edge] - P, minlength=len(cnt))
-    out_lo = np.cumsum(out_n) - out_n
+    out_lo = out_n.cumsum() - out_n
     levels = []
-    front = np.flatnonzero(missing == 0)
+    front = (missing == 0).nonzero()[0]
     while front.size:
         levels.append(front)
-        hit, k = np.unique(out_to[_ranges(out_lo[front], out_n[front])],
-                           return_counts=True)
-        missing[hit] -= k
+        hit = out_to[_ranges(out_lo[front], out_n[front])]
+        np.subtract.at(missing, hit, 1)
+        # The nodes resolved now, each once, in slot order.
         front = hit[missing[hit] == 0]
+        front.sort()
+        if len(front) > 1:
+            keep = front[1:] != front[:-1]
+            if not keep.all():
+                front = front[np.concatenate(([True], keep))]
     return levels
+
+
+def _resolve(refs: List[Any], owner: np.ndarray, base: np.ndarray,
+             size: np.ndarray) -> np.ndarray:
+    """Resolve buffer refs (a whole slot ``int``, ``(slot, lo, hi)`` or
+    ``None``) of ranks ``owner`` to byte ranges, as ``(4, n)`` rows:
+    global slot, lo, hi and whole (1 for an ``int`` ref).  Rank ``r``'s
+    slot ``i`` is global slot ``base[r] + i`` of structural ``size``; a
+    ``None`` ref is slot ``-1``, zero bytes."""
+    slot, lo, hi = np.fromiter(chain.from_iterable(
+        [(x, 0, -1) if x.__class__ is int else _NO_REF if x is None else x
+         for x in refs]), np.intp, 3 * len(refs)).reshape(len(refs), 3).T
+    g = np.where(slot >= 0, base[owner] + slot, -1)
+    whole = hi < 0
+    hi = hi.copy()
+    hi[whole] = size[g[whole]]
+    return np.array((g, lo, hi, whole))
+
+
+def _wire_refs(scheds: List[Schedule], kind: np.ndarray, rank: np.ndarray,
+               wire: np.ndarray) -> "_Steps":
+    """The steps' refs, with every wire step's resolved for all ranks at
+    once (:func:`_resolve`); a packed send is slot ``-1``, its ``hi``
+    the sum of its parts' sizes."""
+    N = len(kind)
+    refs = list(chain.from_iterable(s.ref for s in scheds))
+    flags = _column(scheds, "flags", N)
+    base = np.array([0] + [len(s.sizes) for s in scheds]).cumsum()
+    size = np.fromiter(chain.from_iterable(s.sizes for s in scheds),
+                       np.intp, int(base[-1]))
+    at = np.zeros((4, N), dtype=np.intp)
+    at[0] = -1
+    packed = (flags[wire] & PACK) != 0
+    one = wire[~packed]
+    at[:, one] = _resolve([refs[i] for i in one.tolist()], rank[one], base,
+                          size)
+    pk = wire[packed]
+    if pk.size:
+        parts = [refs[i] for i in pk.tolist()]
+        n_parts = np.fromiter(map(len, parts), np.intp, len(parts))
+        part = _resolve(list(chain.from_iterable(parts)),
+                        rank[pk].repeat(n_parts), base, size)
+        at[2, pk] = np.bincount(np.arange(len(pk)).repeat(n_parts),
+                                part[2] - part[1], len(pk))
+    none = np.zeros(0, dtype=np.intp)
+    return _Steps(kind, rank, refs, flags, base, size, at, none, none)
+
+
+@lru_cache(maxsize=None)
+def _byte_view_ok(dtype: np.dtype) -> bool:
+    """Whether a C-contiguous array of ``dtype`` has a flat byte
+    ``memoryview`` (numeric, native byte order, no objects)."""
+    try:
+        memoryview(np.zeros(1, dtype)).cast("B")
+    except (TypeError, ValueError, NotImplementedError):
+        return False
+    return not dtype.hasobject
+
+
+def _layout(bound: List[Tuple[int, int]], bufs_of: List[List[Any]]) -> List:
+    """What a program lowered for these buffers assumed of its bound
+    slots ``(rank, slot)``: the dtype of a writable C-contiguous array,
+    ``True`` for any other array, ``False`` for a timing-only payload."""
+    return [(x.dtype if (f := x.flags).c_contiguous and f.writeable
+             else True) if x.__class__ is np.ndarray else False
+            for x in (bufs_of[r][s] for r, s in bound)]
+
+
+class _Steps(NamedTuple):
+    """A compiled shape's steps, as the lowering reads them: per global
+    step its kind, rank, ref and send flags; the global slot table
+    (``base`` per rank, structural ``size`` per slot); ``at``, every
+    wire step's ref resolved (see :func:`_wire_refs`); and the pairs'
+    send and receive ids, by send."""
+
+    kind: np.ndarray
+    rank: np.ndarray
+    refs: List[Any]
+    flags: np.ndarray
+    base: np.ndarray
+    size: np.ndarray
+    at: np.ndarray
+    ps: np.ndarray
+    pr: np.ndarray
+
+
+class _Program:
+    """A plan's replay lowered to byte moves (see the module doc).
+
+    Per call, ``U`` starts as the flat byte views of the ``init`` slots
+    ``(rank, slot)`` followed by ``late`` empty entries, which coded
+    entries fill as adopt slots land; ``queues`` is the number of queued
+    messages.  Every move is a delivery or copy whose payload counter
+    effect is static: ``views`` per call.  The lowering read the layout
+    of the ``bound`` slots (``_layout``) as ``layout``.
+    """
+
+    __slots__ = ("runs", "init", "late", "queues", "views", "bound",
+                 "layout")
+
+    def __init__(self, runs, init, late, queues, views, bound, layout):
+        self.runs = runs
+        self.init = init
+        self.late = late
+        self.queues = queues
+        self.views = views
+        self.bound = bound
+        self.layout = layout
+
+
+def _order(plan: "Plan", kind: np.ndarray) -> np.ndarray:
+    """Each step's position in the replay order read off the tape: the
+    steps by their node's level, receives first within a level, then by
+    slot."""
+    P = len(plan.rank_rounds)
+    node = plan.step_node
+    level = np.array([lv[0] + P for lv in plan.levels]).searchsorted(
+        node, side="right")
+    return ((2 * level + (kind != RECV)) * (len(plan.a) + P)
+            + node).argsort().argsort()
 
 
 class _Instance:
@@ -237,12 +367,13 @@ class Plan:
     payload, a closure or a context — so a retained plan keeps nothing
     of the calls it served alive.  Tape slots ``0..P-1`` hold the ranks'
     arrival times; tape node ``k`` writes slot ``P + k``, and nodes are
-    numbered level by level.  The replay order is read off the tape
-    (empty on the pricing backend and for shapes that move no data).
+    numbered level by level.  The replay program is lowered from the
+    order of the tape (``None`` on the pricing backend and for shapes
+    that move no data).
     """
 
     __slots__ = (
-        "key", "lo", "rank_rounds", "n_rounds", "meta", "order", "sigs",
+        "key", "lo", "rank_rounds", "n_rounds", "meta", "program", "sigs",
         "scratch", "claims", "tallies", "ins", "rel", "a", "b", "levels",
         "legs", "step_node", "step_fin", "step_round", "rank_fin",
         "__weakref__",
@@ -258,9 +389,8 @@ class Plan:
         self.rank_rounds = [s.n_rounds for s in scheds]
         self.n_rounds = max(self.rank_rounds, default=0)
         self.meta = next((s.meta for s in scheds if s.meta), None)
-        #: Replay ops: ``(code, rank, g, ref or opcodes, flags)``, by
-        #: tape level.
-        self.order: List[Tuple] = []
+        #: The replay, lowered to byte moves (:class:`_Program`).
+        self.program: Optional[_Program] = None
         #: Per rank, what a hit needs instead of a build: the binding
         #: signature to check, the scratch slots to bind, and the tag
         #: claims and stats counts to replay.
@@ -391,9 +521,9 @@ class FastPathEngine(ScheduleEngine):
 
     # -- completion ---------------------------------------------------------
     def _complete(self, inst: _Instance) -> None:
-        """Look up or compile the instance's plan, replay its order on
-        this call's bindings, run its tape on this call's arrivals, and
-        batch-commit the per-rank completions."""
+        """Look up or compile the instance's plan, run its replay
+        program on this call's buffers, run its tape on this call's
+        arrivals, and batch-commit the per-rank completions."""
         comm = self.comm
         sim = comm.sim
         stats = sim.stats
@@ -403,8 +533,16 @@ class FastPathEngine(ScheduleEngine):
         if spans is not None and not spans.enabled:
             spans = None
         items = inst.items
+        bufs_of = [item[2] for item in items]
         key = inst.key
-        plan = self._plans.get(key) if key is not None else None
+        retain = key is not None
+        plan = self._plans.get(key) if retain else None
+        prog = plan.program if plan is not None else None
+        if prog is not None and _layout(prog.bound, bufs_of) != prog.layout:
+            # The buffers are laid out unlike the call the program was
+            # lowered for (dtype, strides, timing-only payloads):
+            # compile this call afresh and keep the retained plan.
+            plan, retain = None, False
         fresh = plan is None
         if fresh:
             scheds = []
@@ -416,9 +554,9 @@ class FastPathEngine(ScheduleEngine):
                     sched = call.build(inst.ctxs[r])
                 scheds.append(sched)
             plan = Plan(key, scheds)
-            pairs = self._compile_tape(plan, scheds, inst.ctxs)
+            refs = self._compile_tape(plan, scheds, inst.ctxs)
             if not self.price_only:
-                self._read_order(plan, scheds, *pairs)
+                self._lower(plan, scheds, refs, bufs_of)
         else:
             for r, (call, sched, _bufs, _tags) in enumerate(items):
                 if sched is not None and call.binding.sig != plan.sigs[r]:
@@ -427,14 +565,14 @@ class FastPathEngine(ScheduleEngine):
             if topo.accounting:
                 for leg in plan.legs.tolist():
                     topo.account(*leg)
-        if plan.order:
-            self._replay(plan, [item[2] for item in items])
+        if plan.program is not None:
+            self._replay(plan.program, bufs_of)
         fins, V = plan.run_tape(inst.arrivals, spans is not None)
         stats.fastpath_collectives += 1
         stats.fastpath_rounds += plan.n_rounds
         if spans is not None:
             self._record_spans(inst, plan, V, fins, spans)
-        if fresh and key is not None:
+        if fresh and retain:
             self._retain(plan)
 
         batch = EventBatch(sim, name="fastpath")
@@ -470,9 +608,11 @@ class FastPathEngine(ScheduleEngine):
     # -- compile ------------------------------------------------------------
     def _compile_tape(
         self, plan: Plan, scheds: List[Schedule], ctxs: List[Any]
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Compile the pricing tape for all ranks at once; return its
-        pairs' send and receive ids, by send.
+    ) -> "_Steps":
+        """Compile the pricing tape for all ranks at once; return what
+        the lowering reuses (:class:`_Steps`): the steps' columns, their
+        refs resolved to byte ranges, and the pairs' send and receive
+        ids, by send.
 
         Mirrors the exact engine's concurrency structure: every step
         starts the moment its dependencies finish (wire steps are
@@ -497,15 +637,15 @@ class FastPathEngine(ScheduleEngine):
         sw = us(ib.sw_overhead_us)
         P = self.comm.size
         N = plan.n_steps
-        lens = np.diff(plan.lo)
-        rank = np.repeat(np.arange(P), lens)
+        offs = np.array(plan.lo)
+        lens = offs[1:] - offs[:-1]
+        rank = np.arange(P).repeat(lens)
         kind = _column(scheds, "kind", N)
-        n_deps = np.fromiter(
-            map(len, chain.from_iterable(s.deps for s in scheds)), np.intp, N)
-        deps = np.fromiter(chain.from_iterable(
-            chain.from_iterable(s.deps for s in scheds)), np.intp,
-            int(n_deps.sum())) + np.repeat(np.repeat(plan.lo[:-1], lens),
-                                           n_deps)
+        dep_of = list(chain.from_iterable(s.deps for s in scheds))
+        n_deps = np.fromiter(map(len, dep_of), np.intp, N)
+        deps = np.fromiter(chain.from_iterable(dep_of), np.intp,
+                           int(n_deps.sum())) + offs[:-1].repeat(lens).repeat(
+                               n_deps)
 
         # Wire steps: the context each runs under (communicator, own
         # rank in it, that communicator's placement) and its size.
@@ -523,21 +663,19 @@ class FastPathEngine(ScheduleEngine):
                     places.extend(tcomm.placement)
                 c_comm.append(numbers[tcomm])
                 c_rank.append((tctx if v else ctxs[r]).rank)
-        wire = np.flatnonzero(kind <= RECV)
+        wire = (kind <= RECV).nonzero()[0]
         ctx = np.array(c_lo)[rank[wire]] + _column(scheds, "via", N)[wire]
         cno = np.array(c_comm)[ctx]
         me = np.array(c_rank)[ctx]
         peer = _column(scheds, "peer", N)[wire]
         side = kind[wire]  # SEND (0) sorts before RECV (1)
-        wsize = np.zeros(N, dtype=np.intp)
-        wsize[wire] = list(chain.from_iterable(
-            [s.nbytes(i) for i, k in enumerate(s.kind) if k <= RECV]
-            for s in scheds))
-        ps, pr = _pair(wire, side, np.stack((
+        steps = _wire_refs(scheds, kind, rank, wire)
+        wsize = steps.at[2] - steps.at[1]
+        ps, pr = _pair(wire, side, np.array((
             cno, np.where(side == SEND, me, peer),
             np.where(side == SEND, peer, me), _column(scheds, "tag", N)[wire])))
         nbytes = wsize[ps]
-        short = np.flatnonzero(nbytes < wsize[pr])
+        short = (nbytes < wsize[pr]).nonzero()[0]
         if short.size:
             j = short[0]
             raise short_recv(scheds[rank[pr[j]]], int(nbytes[j]),
@@ -546,27 +684,25 @@ class FastPathEngine(ScheduleEngine):
         # Fold each message size's row once, lay out every pair's legs
         # (envelope first, then the legs after the match) and price
         # them all through ``wire_cost``, in pair order.
-        sizes, fold = np.unique(nbytes, return_inverse=True)
-        rows = []
-        for n in sizes.tolist():
-            row = p2p_row(n, ib)
-            rows.append([(leg.by_sender, leg.header + leg.payload * n)
-                         for leg in (row.envelope, *row.after)])
-        n_legs = np.array([len(r) for r in rows], dtype=np.intp)[fold]
-        leg_lo = np.cumsum(n_legs) - n_legs
-        sent = np.searchsorted(wire, ps)
+        sizes = np.unique(nbytes)
+        fold = sizes.searchsorted(nbytes)
+        rows = [[(leg.by_sender, leg.header + leg.payload * n)
+                 for leg in (row.envelope, *row.after)]
+                for n, row in ((n, p2p_row(n, ib)) for n in sizes.tolist())]
+        row_lo = np.array([0] + [len(r) for r in rows]).cumsum()
+        n_legs = (row_lo[1:] - row_lo[:-1])[fold]
+        leg_lo = n_legs.cumsum() - n_legs
+        sent = wire.searchsorted(ps)
         base = np.array(place_lo)[cno[sent]]
-        sn = np.array(places)[base + me[sent]]
-        dn = np.array(places)[base + peer[sent]]
-        legs = np.zeros((int(n_legs.sum()), 3), dtype=np.intp)
-        for f, row in enumerate(rows):
-            mine = np.flatnonzero(fold == f)
-            for j, (by_sender, n) in enumerate(row):
-                fwd = by_sender or not j
-                legs[leg_lo[mine] + j] = np.stack((
-                    sn[mine] if fwd else dn[mine],
-                    dn[mine] if fwd else sn[mine],
-                    np.full(len(mine), n)), axis=1)
+        sn = np.array(places)[base + me[sent]].repeat(n_legs)
+        dn = np.array(places)[base + peer[sent]].repeat(n_legs)
+        j = _ranges(np.zeros_like(n_legs), n_legs)
+        by_sender, leg_n = np.array(list(chain.from_iterable(rows)),
+                                    dtype=np.intp).reshape(-1, 2)[
+            row_lo[:-1][fold].repeat(n_legs) + j].T
+        fwd = (by_sender != 0) | (j == 0)
+        legs = np.array((np.where(fwd, sn, dn), np.where(fwd, dn, sn),
+                         leg_n)).T
         plan.legs = legs
         cost = np.array(list(map(self.comm.cluster.topology.wire_cost,
                                  *legs.T.tolist())))
@@ -574,7 +710,7 @@ class FastPathEngine(ScheduleEngine):
         pair_a = np.zeros(K)
         pair_b = np.zeros(K)
         for j in range(1, int(n_legs.max(initial=1))):
-            has = np.flatnonzero(n_legs > j)
+            has = (n_legs > j).nonzero()[0]
             if j == 1:
                 pair_a[has] = cost[leg_lo[has] + j]
             else:
@@ -583,18 +719,18 @@ class FastPathEngine(ScheduleEngine):
         # The tape's nodes: arrivals 0..P-1, then one per step, one per
         # pair and one per rank with steps (its completion).  An
         # unpaired wire step finishes at ``never``.
-        ranked = np.flatnonzero(lens)
+        ranked = lens.nonzero()[0]
         step0, pair0, fin0 = P, P + N, P + N + K
         never = fin0 + len(ranked)
         fin = step0 + np.arange(N)
         fin[wire] = never
         eager = n_legs == 1
         fin[ps[eager]] = step0 + ps[eager]
-        fin[ps[~eager]] = pair0 + np.flatnonzero(~eager)
+        fin[ps[~eager]] = pair0 + (~eager).nonzero()[0]
         fin[pr] = pair0 + np.arange(K)
         cnt = np.concatenate((1 + n_deps, np.full(K, 2, np.intp),
                               lens[ranked]))
-        ptr = np.cumsum(cnt) - cnt
+        ptr = cnt.cumsum() - cnt
         ins = np.zeros(int(cnt.sum()), dtype=np.intp)
         ins[ptr[:N]] = rank
         ins[_ranges(ptr[:N] + 1, n_deps)] = fin[deps]
@@ -621,11 +757,11 @@ class FastPathEngine(ScheduleEngine):
         # Lay the tape out level by level.
         width = cnt[order]
         plan.ins = slot[ins[_ranges(ptr[order], width)]]
-        lo = np.cumsum(width) - width
+        lo = width.cumsum() - width
         n_level = [len(lv) for lv in levels]
-        bounds = np.cumsum([0] + n_level)
-        plan.rel = lo - np.repeat(lo[bounds[:-1]], n_level)
-        p = np.append(lo, len(plan.ins)).tolist()
+        bounds = np.array([0] + n_level).cumsum()
+        plan.rel = lo - lo[bounds[:-1]].repeat(n_level)
+        p = lo.tolist() + [len(plan.ins)]
         bounds = bounds.tolist()
         plan.levels = [(h, t, p[h], p[t])
                        for h, t in zip(bounds[:-1], bounds[1:])]
@@ -634,97 +770,279 @@ class FastPathEngine(ScheduleEngine):
         plan.step_node = slot[step0 + np.arange(N)]
         plan.rank_fin = np.arange(P)
         plan.rank_fin[ranked] = slot[fin0 + np.arange(len(ranked))]
-        return ps, pr
+        return steps._replace(ps=ps, pr=pr)
 
     @staticmethod
-    def _read_order(plan: Plan, scheds: List[Schedule], ps: np.ndarray,
-                    pr: np.ndarray) -> None:
-        """Read the replay order off the compiled tape, given its
-        pairs' send and receive ids: the steps by their node's level,
-        receives first within a level, then by slot.  A pair whose
-        receive comes first parks it and delivers straight into it (the
-        zero-copy path); any other pair queues its message for the
-        receive to take.  Steps without a ref, and overhead steps, move
-        nothing, so a data-free shape (a barrier) has an empty order."""
-        ref = list(chain.from_iterable(s.ref for s in scheds))
-        if all(x is None for x in ref):
+    def _lower(plan: Plan, scheds: List[Schedule], st: _Steps,
+               bufs_of: List[List[Any]]) -> None:
+        """Lower the replay to a byte-move program (:class:`_Program`),
+        from the tape's order (:func:`_order`) and the layout of the
+        compiling call's buffers.
+
+        In that order every step comes after the steps it depends on,
+        and the k-th send on a wire key meets the k-th receive.  A pair
+        whose receive comes first delivers at its send; any other pair
+        queues its message at the send (a private snapshot, or the
+        donated array) for the receive to take.
+
+        Every ref resolves to a byte range of a slot (:func:`_resolve`).
+        A delivery, or a ``COPY``/``BYTES`` opcode, becomes one move if
+        its slots hold byte-viewable arrays when it runs, its ranges
+        are equal in length (a delivery's receive may be longer), and a
+        ``COPY``'s two views share a dtype, so the typed copy moves the
+        very bytes.  A slot is byte-viewable if it is scratch, bound to
+        a writable C-contiguous array (read off the compiling call, see
+        :func:`_layout`), or an adopt slot after the delivery or
+        ``REBIND`` that lands it.  Everything else — adopting receives,
+        packed sends, queued messages, combines, typed copies into
+        strided buffers, timing-only payloads — stays a coded entry
+        with the typed semantics of the exact engine's matcher; a coded
+        entry that rebinds a slot refreshes its byte view.  A data-free
+        shape (a barrier) gets no program.
+        """
+        refs = st.refs
+        if refs.count(None) == len(refs):
             return
-        N = plan.n_steps
-        kind = _column(scheds, "kind", N)
-        node = plan.step_node - len(scheds)
-        level = np.searchsorted([lo for lo, _, _, _ in plan.levels], node,
-                                side="right")
-        o = np.lexsort((node, kind != RECV, level))
-        pos = np.argsort(o)
+        kind, rank, flags, base, at = (st.kind, st.rank, st.flags, st.base,
+                                       st.at)
+        ps, pr, G = st.ps, st.pr, int(st.base[-1])
+        pos = _order(plan, kind)
+
+        # Compute opcodes, flattened, with the refs of ``COPY``/``BYTES``
+        # resolved.  An entry's key is its step's position in the
+        # order, then its opcode's within the step.
+        comp = (kind == COMPUTE).nonzero()[0]
+        ops_of = [refs[i] for i in comp.tolist()]
+        ops = list(chain.from_iterable(ops_of))
+        n_ops = np.fromiter(map(len, ops_of), np.intp, len(comp))
+        op_step = comp.repeat(n_ops)
+        M = int(n_ops.max(initial=0)) + 1
+        op_code = np.fromiter((op[0] for op in ops), np.intp, len(ops))
+        cb = (op_code <= BYTES).nonzero()[0]
+        nc = len(cb)
+        if ops:
+            op_key = pos[op_step] * M + np.arange(len(ops)) - (
+                n_ops.cumsum() - n_ops).repeat(n_ops)
+            cbl = cb.tolist()
+            opnd = _resolve(
+                [ops[i][2] for i in cbl] + [ops[i][1] for i in cbl],
+                rank[np.concatenate((op_step[cb], op_step[cb]))], base,
+                st.size)
+        else:
+            op_key = cb
+
+        # Candidate moves, one column each — the deliveries whose
+        # receive comes first, then the ``COPY``/``BYTES`` opcodes — as
+        # destination rows (slot, lo, hi, whole), then source rows.
         direct = pos[pr] < pos[ps]
-        code = np.where(kind == COMPUTE, _RUN, -1)
-        code[ps] = np.where(direct, _DIRECT, _QUEUE)
-        code[pr] = np.where(direct, _PARK, _TAKE)
-        g = np.arange(N)
-        g[ps[direct]] = pr[direct]
-        g[pr[~direct]] = ps[~direct]
-        rank = np.repeat(np.arange(len(scheds)), np.diff(plan.lo))
-        flags = list(chain.from_iterable(s.flags for s in scheds))
-        plan.order = [
-            (c, r, gi, ref[i], flags[i])
-            for i, c, r, gi in zip(o.tolist(), code[o].tolist(),
-                                   rank[o].tolist(), g[o].tolist())
-            if c >= 0 and ref[i] is not None
-        ]
+        xs = (at[0, ps] >= 0) | (flags[ps] & PACK != 0)
+        dk = (direct & xs).nonzero()[0]
+        D = len(dk)
+        C = np.concatenate((at[:, pr[dk]], at[:, ps[dk]]))
+        key = pos[ps[dk]] * M
+        if nc:
+            C = np.concatenate((C, np.concatenate((opnd[:, :nc],
+                                                   opnd[:, nc:]))), axis=1)
+            key = np.concatenate((key, op_key[cb]))
+        g2 = C[[0, 4]]
+
+        # The slot table, dense over global slots plus a sentinel for
+        # slot -1 (no ref): each slot's dtype code (-1: no byte view)
+        # and adopt flag, the scratch slots' read off the schedules, the
+        # bound ones' off the compiling call's buffers.
+        dtypes: Dict[Any, int] = {np.dtype(np.uint8): 0}
+        code = np.full(G + 1, -1, dtype=np.intp)
+        adopt = np.zeros(G + 1, dtype=bool)
+        bound = np.zeros(G + 1, dtype=bool)
+        bound[g2] = True
+        scratch = list(chain.from_iterable(s.scratch for s in scheds))
+        if scratch:
+            n_sc = np.array([len(s.scratch) for s in scheds], dtype=np.intp)
+            sc_g = _ranges(base[1:] - n_sc, n_sc)
+            code[sc_g] = [dtypes.setdefault(x[1], len(dtypes))
+                          for x in scratch]
+            adopt[sc_g] = [x[3] for x in scratch]
+            bound[sc_g] = False
+        bound[G] = False
+        bg = bound.nonzero()[0]
+        br = base.searchsorted(bg, side="right") - 1
+        at_bound = list(zip(br.tolist(), (bg - base[br]).tolist()))
+        layout = _layout(at_bound, bufs_of)
+        code[bg] = [-1 if t is True or t is False
+                    else dtypes.setdefault(t, len(dtypes)) for t in layout]
+        c2 = code[g2]
+        ready = np.array([_byte_view_ok(dt) for dt in dtypes] + [False])[c2]
+        queued = ~direct
+        tk = qk = np.zeros(0, dtype=np.intp)
+        if queued.any():
+            tk = (queued & (at[0, pr] >= 0)).nonzero()[0]
+            qk = (queued & xs).nonzero()[0]
+        if adopt.any():
+            # An adopt slot holds no array until its first whole-slot
+            # delivery or ``REBIND``.
+            rb = (op_code == REBIND).nonzero()[0]
+            w = C[3, :D] != 0
+            t = pr[tk][at[3, pr[tk]] != 0]
+            landed = np.full(G + 1, (len(kind) + 1) * M, dtype=np.intp)
+            np.minimum.at(landed, np.concatenate((
+                C[0, :D][w], at[0, t], base[rank[op_step[rb]]] + np.fromiter(
+                    (ops[i][4] for i in rb.tolist()), np.intp, len(rb)))),
+                np.concatenate((key[:D][w], pos[t] * M, op_key[rb])))
+            ready &= ~adopt[g2] | (landed[g2] < key)
+        n, room = C[6] - C[5], C[2] - C[1]
+        move = ready[0] & ready[1]
+        move[:D] &= n[:D] <= room[:D]
+        if nc:
+            move[D:] &= n[D:] == room[D:]
+            # A ``COPY`` moves values: their bytes if both views share
+            # the slots' dtype (an unaligned range views as bytes, see
+            # ``view``).
+            isz = np.array([dt.itemsize for dt in dtypes] + [1])[c2[0, D:]]
+            move[D:] &= ((op_code[cb] == BYTES)
+                         | ((c2[0, D:] == c2[1, D:])
+                            & (C[[1, 2, 5, 6], D:] % isz == 0).all(axis=0)))
+
+        # Byte views: the slots moves name that hold arrays from the
+        # start, then the adopt slots, set as they land.
+        u_of = np.full(G + 1, -1, dtype=np.intp)
+        u_of[g2[:, move]] = 0
+        need = (u_of[:G] == 0).nonzero()[0]
+        late = adopt[need]
+        n_init = len(need) - int(late.sum())
+        u_of[need[~late]] = np.arange(n_init)
+        u_of[need[late]] = np.arange(n_init, len(need))
+
+        # Every entry in order: moves (kind -1), then coded entries.
+        other = (op_code > BYTES).nonzero()[0]
+        ekind = np.where(move, -1, _RUN)
+        ekind[:D][~move[:D]] = _SEND
+        if len(qk) or len(tk) or len(other):
+            ekind = np.concatenate((ekind, np.full(len(qk), _QUEUE),
+                                    np.full(len(tk), _TAKE),
+                                    np.full(len(other), _RUN)))
+            key = np.concatenate((key, pos[ps[qk]] * M, pos[pr[tk]] * M,
+                                  op_key[other]))
+        o = key.argsort()
+        ekind = ekind[o]
+        m = C[:, o[ekind == -1]]
+        rows = np.array((u_of[m[0]], m[1], m[1] + m[6] - m[5], u_of[m[4]],
+                         m[5], m[6])).T.tolist()
+
+        runs: List[Tuple] = []
+        coded = (ekind != -1).nonzero()[0]
+        if coded.size:
+            eidx = np.concatenate((dk, cb, qk, tk, other))[o[coded]].tolist()
+            runs = FastPathEngine._coded(st, ops, op_step, op_code, u_of,
+                                         adopt, coded.tolist(),
+                                         ekind[coded].tolist(), eidx, rows)
+        elif rows:
+            runs = [(rows, None)]
+        init = need[~late]
+        ir = base.searchsorted(init, side="right") - 1
+        plan.program = _Program(
+            runs, list(zip(ir.tolist(), (init - base[ir]).tolist())),
+            len(need) - n_init, len(ps), int(move[:D].sum()), at_bound,
+            layout)
+
+    @staticmethod
+    def _coded(st: _Steps, ops: List[Tuple], op_step: np.ndarray,
+               op_code: np.ndarray, u_of: np.ndarray, adopt: np.ndarray,
+               coded: List[int], kinds: List[int], idx: List[int],
+               rows: List[List[int]]) -> List[Tuple]:
+        """The program's runs: the moves between coded entries, each
+        coded entry built from its kind and index (a pair for
+        ``_SEND``/``_QUEUE``/``_TAKE``, an opcode for ``_RUN``, whose
+        consecutive opcodes of one step merge into one entry)."""
+        rank, refs, flags, base, at = st.rank, st.refs, st.flags, st.base, st.at
+        ps, pr = st.ps, st.pr
+
+        def lands(k):
+            """The view a coded delivery refreshes: its receive's adopt
+            slot, taken whole."""
+            g = at[0, pr[k]]
+            return int(u_of[g]) if at[3, pr[k]] and adopt[g] else -1
+
+        runs = []
+        done = j = 0
+        while j < len(coded):
+            e, kd, i = coded[j], kinds[j], idx[j]
+            upto = e - j
+            if kd == _RUN:
+                group = [i]
+                while (j + 1 < len(coded) and coded[j + 1] == e + 1
+                       and kinds[j + 1] == _RUN
+                       and op_step[idx[j + 1]] == op_step[i]):
+                    j, e = j + 1, e + 1
+                    group.append(idx[j])
+                r = int(rank[op_step[i]])
+                rebinds = []
+                for k in group:
+                    if op_code[k] == REBIND:
+                        u = int(u_of[base[r] + ops[k][4]])
+                        if u >= 0:
+                            rebinds.append((ops[k][4], u))
+                entry = (_RUN, r, tuple(ops[k] for k in group),
+                         tuple(rebinds))
+            else:
+                s, rv = int(ps[i]), int(pr[i])
+                if kd == _SEND:
+                    entry = (_SEND, int(rank[s]), refs[s], int(flags[s]),
+                             int(rank[rv]), refs[rv], lands(i))
+                elif kd == _QUEUE:
+                    entry = (_QUEUE, int(rank[s]), refs[s], int(flags[s]), i)
+                else:
+                    entry = (_TAKE, int(rank[rv]), refs[rv], i, lands(i))
+            runs.append((rows[done:upto], entry))
+            done = upto
+            j += 1
+        if done < len(rows):
+            runs.append((rows[done:], None))
+        return runs
 
     # -- replay -------------------------------------------------------------
-    def _replay(self, plan: Plan, bufs_of: List[List[Any]]) -> None:
-        """Run the plan's order against this call's slot tables — the
-        same deliveries, adoptions and snapshots the exact engine's
-        matcher makes."""
+    def _replay(self, prog: _Program, bufs_of: List[List[Any]]) -> None:
+        """Run a program on this call's slot tables: its moves over the
+        slots' flat byte views, its coded entries with the deliveries,
+        adoptions and snapshots of the exact engine's matcher."""
         stats = self.comm.sim.stats
         deliver = Communicator._deliver
-        posted: Dict[int, Tuple] = {}
-        queued: Dict[int, Tuple] = {}
-        for code, r, g, x, flags in plan.order:
+        U: List[Any] = [memoryview(bufs_of[r][s]).cast("B")
+                        for r, s in prog.init]
+        U += [None] * prog.late
+        queued = [_NO_MSG] * prog.queues
+        for moves, coded in prog.runs:
+            for d, a, b, s, c, e in moves:
+                U[d][a:b] = U[s][c:e]
+            if coded is None:
+                continue
+            code, r = coded[0], coded[1]
             bufs = bufs_of[r]
             if code == _RUN:
-                run_ops(bufs, x)
-            elif code == _PARK:
-                posted[g] = (bufs, x, view(bufs, x))
-            elif code == _TAKE:
+                run_ops(bufs, coded[2])
+                for slot, u in coded[3]:
+                    U[u] = memoryview(bufs[slot]).cast("B")
+                continue
+            if code == _TAKE:
                 # Queued payloads are private (donated, or snapshotted
                 # at send time), so an adopt slot may take one over
                 # outright — the matcher's adoption path.
+                _, _, x, k, u = coded
                 buf = view(bufs, x)
-                data, nbytes = queued.pop(g, _NO_MSG)
+                data, nbytes = queued[k]
                 if (
                     data is not None
-                    and isinstance(buf, AdoptBuf)
+                    and buf.__class__ is AdoptBuf
                     and buf.adopt(data)
                 ):
                     stats.payload_adopted += 1
                 else:
                     deliver(buf, data, nbytes)
-                land(bufs, x, buf)
             else:
+                _, _, x, flags, *rest = coded
                 buf = payload(bufs, x, flags)
                 nbytes = nbytes_of(buf) if buf is not None else 0
                 arr = payload_array(buf)
-                if code == _DIRECT:
-                    # Source → posted receive, no snapshot.  Only a
-                    # donated payload is private here (the live array
-                    # is otherwise still the sender's).
-                    rbufs, rref, rbuf = posted.pop(g, _NO_POST)
-                    if arr is not None:
-                        stats.payload_views += 1
-                    if (
-                        flags & DONATE
-                        and arr is not None
-                        and isinstance(rbuf, AdoptBuf)
-                        and rbuf.adopt(arr)
-                    ):
-                        stats.payload_adopted += 1
-                    else:
-                        deliver(rbuf, arr, nbytes)
-                    if rbufs is not None:
-                        land(rbufs, rref, rbuf)
-                else:  # _QUEUE
+                if code == _QUEUE:
                     if arr is not None:
                         if flags & DONATE:
                             # Donated: nothing writes the array again,
@@ -733,7 +1051,33 @@ class FastPathEngine(ScheduleEngine):
                         else:
                             arr = arr.copy()
                             stats.payload_copies += 1
-                    queued[g] = (arr, nbytes)
+                    queued[rest[0]] = (arr, nbytes)
+                    continue
+                # _SEND: source → receive, no snapshot.  Only a donated
+                # payload is private here (the live array is otherwise
+                # still the sender's).
+                rr, x, u = rest
+                bufs = bufs_of[rr]
+                buf = None if x is None else view(bufs, x)
+                if arr is not None:
+                    stats.payload_views += 1
+                if (
+                    flags & DONATE
+                    and arr is not None
+                    and buf.__class__ is AdoptBuf
+                    and buf.adopt(arr)
+                ):
+                    stats.payload_adopted += 1
+                else:
+                    deliver(buf, arr, nbytes)
+            if buf.__class__ is AdoptBuf:
+                # The adopt slot lands: it now holds the received
+                # (adopted or copied-into) array.
+                arr = bufs[x] = buf.array()
+                if u >= 0:
+                    U[u] = memoryview(arr).cast("B")
+        stats.payload_views += prog.views
+
 
     # -- observability ------------------------------------------------------
     def _record_spans(
@@ -763,7 +1107,7 @@ class FastPathEngine(ScheduleEngine):
             attrs={"n_ranks": size},
         )
         spans.instant(now, name, "fastpath.interpret", ftrack,
-                      attrs={"priced": self.price_only or not plan.order})
+                      attrs={"priced": plan.program is None})
         backend = comm.backend
         nbytes_meta = meta.get("nbytes", 0)
         # Per (rank, round): the earliest ready time of its steps (the

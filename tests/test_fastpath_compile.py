@@ -16,10 +16,10 @@ number, not as a drifting benchmark:
 * the P=1024 pricing points, which also equal their committed
   ``BENCH_scale.json`` records;
 * a stalled shape and a short receive raise their ``MpiError``;
-* the replay order's structure over the same small grid on the
-  analytic backend: every step with a ref once, each delivery after
-  its receive was posted or its message queued, each step after its
-  dependencies.
+* the replay's structure over the same small grid on the analytic
+  backend: each step ordered after its dependencies, and every
+  delivery and opcode done once by the lowered program, whose moves
+  stay inside their slots and read no adopt slot before it lands.
 """
 
 import hashlib
@@ -34,10 +34,10 @@ from repro.bench.sweeps import collective_time
 from repro.hw import ClusterSpec, TopologySpec, build_cluster
 from repro.mpi import CollectiveTuning, MpiError, MpiJob, ReduceOp
 from repro.mpi.algorithms.fastpath import (
-    FastPathEngine, _DIRECT, _PARK, _QUEUE, _RUN, _TAKE,
+    FastPathEngine, _RUN, _SEND, _TAKE, _order,
 )
 from repro.mpi.algorithms.schedule import (
-    COMPUTE, OVERHEAD, RECV, SEND, Binding, Call, Schedule,
+    COMPUTE, RECV, SEND, Binding, Call, Schedule,
 )
 from repro.sim import Simulator
 
@@ -312,14 +312,38 @@ def _partners(plan, scheds, ctxs):
     return partner
 
 
+def _program_slots(plan, scheds):
+    """Each byte view's structural size, and the views a coded entry
+    sets when an adopt slot lands."""
+    prog = plan.program
+    size = [scheds[r].sizes[s] for r, s in prog.init]
+    size += [None] * prog.late
+    lands = []
+    for _moves, coded in prog.runs:
+        sets = []
+        if coded is not None and coded[0] == _RUN:
+            sets = [(coded[1], slot, u) for slot, u in coded[3]]
+        elif coded is not None and coded[0] in (_SEND, _TAKE):
+            r, x, u = ((coded[4], coded[5], coded[6]) if coded[0] == _SEND
+                       else (coded[1], coded[2], coded[4]))
+            sets = [(r, x, u)] if u >= 0 else []
+        for r, x, u in sets:
+            size[u] = scheds[r].sizes[x]
+        lands.append({u for _r, _x, u in sets})
+    return size, lands
+
+
 @pytest.mark.parametrize("fabric", sorted(FABRICS))
 @pytest.mark.parametrize("op,algo", SHAPES)
 def test_replay_order_structure(fabric, op, algo, monkeypatch):
-    """The replay order holds every step with a ref exactly once, in an
-    order the data can flow in: a receive is parked before a send
-    delivers into it, a message queued before it is taken, and every
-    step runs after the steps it depends on (a receive's data lands at
-    its own op or at its send's, whichever comes later)."""
+    """The replay order lets the data flow, and the program lowered
+    from it does every delivery and opcode once: every step comes after
+    the steps it depends on (a receive's data lands at its own position
+    or at its send's, whichever is later); a pair whose receive comes
+    first is one delivery (a move or a coded send), any other a queued
+    message plus its take; every move copies equal byte ranges inside
+    its slots and reads no adopt slot before the coded entry that lands
+    it."""
     plans = 0
     for P in RANKS:
         if (op, algo) in POF2_ONLY and P & (P - 1):
@@ -328,29 +352,41 @@ def test_replay_order_structure(fabric, op, algo, monkeypatch):
                                             monkeypatch):
             plans += 1
             partner = _partners(plan, scheds, ctxs)
-            kind = [k for s in scheds for k in s.kind]
+            kind = np.array([k for s in scheds for k in s.kind])
             ref = [x for s in scheds for x in s.ref]
-            at = {}
-            for pos, (code, _r, g, _x, _f) in enumerate(plan.order):
-                step = partner[g] if code in (_DIRECT, _TAKE) else g
-                assert step not in at, (P, step)
-                at[step] = pos
-                assert code in {COMPUTE: (_RUN,), SEND: (_DIRECT, _QUEUE),
-                                RECV: (_PARK, _TAKE)}[kind[step]]
-                if code in (_DIRECT, _TAKE) and ref[g] is not None:
-                    first = _PARK if code == _DIRECT else _QUEUE
-                    assert plan.order[at[g]][0] == first, (P, g)
-            assert sorted(at) == [g for g, x in enumerate(ref)
-                                  if x is not None and kind[g] != OVERHEAD]
+            pos = _order(plan, kind).tolist()
+            assert sorted(pos) == list(range(plan.n_steps))
             for r, s in enumerate(scheds):
                 for i, deps in enumerate(s.deps):
                     g = plan.lo[r] + i
                     for d in (plan.lo[r] + d for d in deps):
-                        lands = [at.get(d, -1)]
+                        land = pos[d]
                         if kind[d] == RECV:
-                            lands.append(at.get(partner[d], -1))
-                        assert max(lands) < at.get(g, len(plan.order)), (
-                            P, g, d)
+                            land = max(land, pos[partner[d]])
+                        assert land < pos[g], (P, g, d)
+            if op == "barrier":
+                assert plan.program is None
+                continue
+            want = 0
+            for g, x in enumerate(ref):
+                if kind[g] == COMPUTE:
+                    want += len(x)
+                elif kind[g] == SEND and x is not None:
+                    queued = pos[partner[g]] > pos[g]
+                    want += 1 + (queued and ref[partner[g]] is not None)
+            got = 0
+            size, lands = _program_slots(plan, scheds)
+            have = set(range(len(plan.program.init)))
+            for (moves, coded), landed in zip(plan.program.runs, lands):
+                for d, a, b, src, c, e in moves:
+                    assert d in have and src in have, (P, d, src)
+                    assert 0 <= a <= b <= size[d] and b - a == e - c, P
+                    assert 0 <= c <= e <= size[src], P
+                got += len(moves)
+                if coded is not None:
+                    got += len(coded[2]) if coded[0] == _RUN else 1
+                have |= landed
+            assert got == want, P
     assert plans
 
 

@@ -197,7 +197,7 @@ def test_large_plans_replay_as_levels():
                                   "analytic", True, calls=4)
         (plan,) = job.comm.engine._plans.values()
         assert len(plan.levels) > 1 and hits == 2
-        assert (plan.order == []) == (op == "barrier")
+        assert (plan.program is None) == (op == "barrier")
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(fastpath, "PLAN_STEP_BUDGET", 0)
             fresh, _, _ = run(op, None, 256, np.float64, nbytes,
