@@ -39,13 +39,19 @@ packet:
      nodes one dependency level at a time; each sweep iteration is one
      level of the tape, whose nodes never feed each other, so a run is
      one ``np.maximum.reduceat`` and two adds per level;
-   * the *replay order*, read off the tape: the steps sorted by their
-     node's level, receives first within a level, then by slot.  Every
-     step runs after the steps it depends on, and the k-th send on a
-     wire key still meets the k-th receive (the matcher's
-     non-overtaking order).  A pair whose receive comes first parks it
-     and delivers straight into it (zero-copy); any other pair queues
-     its message for the receive to take.
+   * the *replay program*, lowered from the tape's order — the steps
+     sorted by their node's level, receives first within a level, then
+     by slot, so every step runs after the steps it depends on and the
+     k-th send on a wire key still meets the k-th receive (the
+     matcher's non-overtaking order).  Every buffer ref resolves, for
+     all ranks at once, to a byte range of a slot; the tape sizes its
+     wire steps from the same resolution.  A pair whose receive comes
+     first delivers at its send, and a ``COPY``/``BYTES`` opcode that
+     moves the very bytes copies them: each becomes one *move* between
+     two slots' byte ranges.  Adopting receives, packed sends, queued
+     messages (snapshotted at the send), combines, typed copies into
+     strided buffers and timing-only payloads stay *coded entries*
+     with the matcher's typed semantics (see ``_lower``).
 
    Because the tape follows dependencies, not round labels, transfers in
    different rounds overlap exactly as the in-flight wire steps of the
@@ -55,11 +61,16 @@ packet:
    (concurrent transfers sharing a NIC or spine link serialize in the
    exact engine, never here) — enforced within tolerance at P ≤ 16 by
    ``tests/test_fastpath.py``.
-3. **Replay** — every call, first or repeat, replays the order against
-   its own bindings: each step's buffer ref resolves against the call's
-   slot table and each compute step runs its opcodes, with the same
-   ``_deliver``/adopt/copy calls the matcher makes, so data results are
-   *bit-identical* to the exact simulator.  It runs the tape on its own
+3. **Replay** — every call, first or repeat, runs the program on its
+   own buffers: the slots the moves name become flat byte memoryviews,
+   the moves run as a tight loop of
+   ``dst[a:b] = src[c:d]``, and the coded entries between them make the
+   ``_deliver``/adopt/snapshot/combine calls the matcher makes, so data
+   results are *bit-identical* to the exact simulator and the payload
+   counters read what the matcher's would.  No ref is resolved and no
+   message parked or queued per move.  A call whose buffers are laid
+   out unlike the compiling call's (a dtype, strides, a timing-only
+   payload) compiles afresh instead.  It runs the tape on its own
    arrival times.  The tape uses only
    ``+`` with constants and ``max``, so it is exact for *any* arrival
    skew: a replayed plan yields the very floats a fresh compile does.
@@ -84,7 +95,7 @@ they would come out short of exact (gather by 0.1-84%, scatter by
 49-93% at 4-16 ranks and 128 B-1 MB).  Selection thresholds, being
 driven by the same tuning, match the exact backend exactly.
 
-**Pricing-only mode** (``backend="pricing"``): emits no replay order
+**Pricing-only mode** (``backend="pricing"``): builds no replay program
 and runs only the tape — same critical-path model, bit-identical
 simulated times, but receive buffers are left untouched (compute steps
 never run).  This is the sweep mode that makes the ``BENCH_scale.json``
@@ -95,7 +106,7 @@ it communicates.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, compress
 from typing import (
     Any, Dict, Generator, List, NamedTuple, Optional, Set, Tuple,
 )
@@ -119,9 +130,10 @@ from .schedule import (
 __all__ = ["FastPathEngine", "Plan", "PLAN_STEP_BUDGET"]
 
 # A replay program is a list of runs ``(moves, coded)``: ``moves`` are
-# byte moves ``(d, a, b, s, c, e)``, each ``U[d][a:b] = U[s][c:e]`` over
+# byte moves ``[d, a, b, s, c, e]``, each ``U[d][a:b] = U[s][c:e]`` over
 # the call's flat byte views ``U``; ``coded`` is ``None`` or one entry
-# the moves cannot express, run on the call's typed slot tables:
+# the moves cannot express, run on the call's typed slot tables (``u``:
+# the byte view it refreshes, or -1):
 _RUN = 0      # (_RUN, rank, opcodes, ((slot, u), ...)): compute opcodes
 _SEND = 1     # (_SEND, rank, ref, flags, rrank, rref, u): deliver a send
 _QUEUE = 2    # (_QUEUE, rank, ref, flags, k): queue a send's message
@@ -227,8 +239,8 @@ def _resolve(refs: List[Any], owner: np.ndarray, base: np.ndarray,
     return np.array((g, lo, hi, whole))
 
 
-def _wire_refs(scheds: List[Schedule], kind: np.ndarray, rank: np.ndarray,
-               wire: np.ndarray) -> "_Steps":
+def _wire_refs(scheds: List[Schedule], kind: np.ndarray,
+               rank: np.ndarray) -> "_Steps":
     """The steps' refs, with every wire step's resolved for all ranks at
     once (:func:`_resolve`); a packed send is slot ``-1``, its ``hi``
     the sum of its parts' sizes."""
@@ -240,13 +252,13 @@ def _wire_refs(scheds: List[Schedule], kind: np.ndarray, rank: np.ndarray,
                        np.intp, int(base[-1]))
     at = np.zeros((4, N), dtype=np.intp)
     at[0] = -1
-    packed = (flags[wire] & PACK) != 0
-    one = wire[~packed]
-    at[:, one] = _resolve([refs[i] for i in one.tolist()], rank[one], base,
-                          size)
-    pk = wire[packed]
-    if pk.size:
-        parts = [refs[i] for i in pk.tolist()]
+    packed = (kind <= RECV) & ((flags & PACK) != 0)
+    one = (kind <= RECV) & ~packed
+    at[:, one] = _resolve(list(compress(refs, one.tolist())), rank[one],
+                          base, size)
+    if packed.any():
+        pk = packed.nonzero()[0]
+        parts = list(compress(refs, packed.tolist()))
         n_parts = np.fromiter(map(len, parts), np.intp, len(parts))
         part = _resolve(list(chain.from_iterable(parts)),
                         rank[pk].repeat(n_parts), base, size)
@@ -299,10 +311,10 @@ class _Program:
 
     Per call, ``U`` starts as the flat byte views of the ``init`` slots
     ``(rank, slot)`` followed by ``late`` empty entries, which coded
-    entries fill as adopt slots land; ``queues`` is the number of queued
-    messages.  Every move is a delivery or copy whose payload counter
-    effect is static: ``views`` per call.  The lowering read the layout
-    of the ``bound`` slots (``_layout``) as ``layout``.
+    entries fill as adopt slots land; ``queues`` sizes the table of
+    queued messages (by pair).  The moves' payload counts are static:
+    ``views`` deliveries per call.  The lowering read the layout of the
+    ``bound`` slots (``_layout``) as ``layout``.
     """
 
     __slots__ = ("runs", "init", "late", "queues", "views", "bound",
@@ -669,7 +681,7 @@ class FastPathEngine(ScheduleEngine):
         me = np.array(c_rank)[ctx]
         peer = _column(scheds, "peer", N)[wire]
         side = kind[wire]  # SEND (0) sorts before RECV (1)
-        steps = _wire_refs(scheds, kind, rank, wire)
+        steps = _wire_refs(scheds, kind, rank)
         wsize = steps.at[2] - steps.at[1]
         ps, pr = _pair(wire, side, np.array((
             cno, np.where(side == SEND, me, peer),
@@ -829,13 +841,13 @@ class FastPathEngine(ScheduleEngine):
                 rank[np.concatenate((op_step[cb], op_step[cb]))], base,
                 st.size)
         else:
-            op_key = cb
+            op_key = np.zeros(0, dtype=np.intp)
 
         # Candidate moves, one column each — the deliveries whose
         # receive comes first, then the ``COPY``/``BYTES`` opcodes — as
         # destination rows (slot, lo, hi, whole), then source rows.
         direct = pos[pr] < pos[ps]
-        xs = (at[0, ps] >= 0) | (flags[ps] & PACK != 0)
+        xs = (at[0, ps] >= 0) | ((flags[ps] & PACK) != 0)
         dk = (direct & xs).nonzero()[0]
         D = len(dk)
         C = np.concatenate((at[:, pr[dk]], at[:, ps[dk]]))
@@ -860,6 +872,7 @@ class FastPathEngine(ScheduleEngine):
             n_sc = np.array([len(s.scratch) for s in scheds], dtype=np.intp)
             sc_g = _ranges(base[1:] - n_sc, n_sc)
             code[sc_g] = [dtypes.setdefault(x[1], len(dtypes))
+                          if x[0] % x[1].itemsize == 0 else -1
                           for x in scratch]
             adopt[sc_g] = [x[3] for x in scratch]
             bound[sc_g] = False
@@ -941,8 +954,8 @@ class FastPathEngine(ScheduleEngine):
         ir = base.searchsorted(init, side="right") - 1
         plan.program = _Program(
             runs, list(zip(ir.tolist(), (init - base[ir]).tolist())),
-            len(need) - n_init, len(ps), int(move[:D].sum()), at_bound,
-            layout)
+            len(need) - n_init, len(ps) if len(qk) else 0,
+            int(move[:D].sum()), at_bound, layout)
 
     @staticmethod
     def _coded(st: _Steps, ops: List[Tuple], op_step: np.ndarray,
@@ -953,8 +966,8 @@ class FastPathEngine(ScheduleEngine):
         coded entry built from its kind and index (a pair for
         ``_SEND``/``_QUEUE``/``_TAKE``, an opcode for ``_RUN``, whose
         consecutive opcodes of one step merge into one entry)."""
-        rank, refs, flags, base, at = st.rank, st.refs, st.flags, st.base, st.at
-        ps, pr = st.ps, st.pr
+        rank, refs, flags, base, at, ps, pr = (
+            st.rank, st.refs, st.flags, st.base, st.at, st.ps, st.pr)
 
         def lands(k):
             """The view a coded delivery refreshes: its receive's adopt
@@ -1077,7 +1090,6 @@ class FastPathEngine(ScheduleEngine):
                 if u >= 0:
                     U[u] = memoryview(arr).cast("B")
         stats.payload_views += prog.views
-
 
     # -- observability ------------------------------------------------------
     def _record_spans(

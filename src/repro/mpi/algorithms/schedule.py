@@ -204,7 +204,8 @@ def materialize(binding: Binding, scratch) -> List[Any]:
         if init:
             raw = arr.view(np.uint8)
             for src, off in init:
-                data = _u8(view(bufs, src))
+                # Read by value: a strided send buffer is copied first.
+                data = _u8(np.ascontiguousarray(view(bufs, src)))
                 raw[off : off + data.size] = data
         bufs.append(arr)
     return bufs

@@ -60,6 +60,23 @@ def _size_error(op: str, send: int, what: str, got: int) -> MpiError:
     return MpiError(f"{op}: send buffer is {send} B but {what} is {got} B")
 
 
+def _contiguous(ctx: MpiContext, op: str, what: str, bufs) -> None:
+    """Buffers a collective moves as raw bytes must be C-contiguous: a
+    strided view would fail, or be written through a copy and lose the
+    data.  That is every buffer a collective receives into, and the send
+    buffers of ``allgather`` and ``alltoall`` (some of their algorithms
+    pack or deliver them bytewise); ``reduce``/``allreduce`` read their
+    send buffer into an accumulator by value.  Raised at bind time, the
+    same on every backend."""
+    for buf in bufs:
+        arr = payload_array(buf)
+        if arr is not None and not arr.flags.c_contiguous:
+            raise MpiError(
+                f"{op}: rank {ctx.rank}'s {what} is not C-contiguous; pass "
+                "a contiguous array (np.ascontiguousarray) and copy back"
+            )
+
+
 def _check_reduce_op(op: ReduceOp, what: str) -> None:
     """``REPLACE`` exists for one-sided accumulate only: in a
     reduction tree, which rank's contribution "wins" would depend on
@@ -77,6 +94,7 @@ def _bind_barrier(ctx: MpiContext):
 
 def _bind_bcast(ctx: MpiContext, buf: Payload, root: int = 0):
     ctx.comm._check_rank(root)
+    _contiguous(ctx, "bcast", "buffer", (buf,))
     return Binding((buf,)), (root,)
 
 
@@ -113,11 +131,13 @@ def _bind_allgather(ctx: MpiContext, sendbuf: Payload, recvbuf):
     if isinstance(recvbuf, (list, tuple)):
         if len(recvbuf) != P:
             raise MpiError("allgather needs one recv buffer per rank")
+        _contiguous(ctx, "allgather", "buffer", (sendbuf, *recvbuf))
         b = Binding((sendbuf, *recvbuf))
         if sendbuf is not None and b.sizes[0] != b.sizes[1 + ctx.rank]:
             raise _size_error("allgather", b.sizes[0],
                               "this rank's recv block", b.sizes[1 + ctx.rank])
     else:
+        _contiguous(ctx, "allgather", "buffer", (sendbuf, recvbuf))
         b = Binding((sendbuf, recvbuf), flat=True)
         if b.sizes[1] != P * b.sizes[0]:
             raise _size_error("allgather", b.sizes[0],
@@ -131,6 +151,7 @@ def _bind_alltoall(ctx: MpiContext, sendbufs: Sequence[Payload],
     P = ctx.size
     if len(sendbufs) != P or len(recvbufs) != P:
         raise MpiError("alltoall needs one send and recv buffer per rank")
+    _contiguous(ctx, "alltoall", "buffer", (*sendbufs, *recvbufs))
     b = Binding((*sendbufs, *recvbufs))
     r = ctx.rank
     if b.sizes[r] != b.sizes[P + r]:
@@ -226,6 +247,10 @@ def _allreduce_call(
     algo = ctx.comm.selector.allreduce(
         nbytes, ctx.size, hier_ok=_hier_ok(ctx)
     )
+    if algo == "reduce_bcast":
+        # Its broadcast leg receives into the recv buffer; every other
+        # algorithm only copies the result into it by value.
+        _contiguous(ctx, "allreduce", "recv buffer", (recvbuf,))
     ctx.comm._count(f"allreduce[{algo}]")
     return Call("allreduce", algo, nbytes,
                 ("allreduce", algo, None, nbytes, b.key_dtype(), op), b,
@@ -297,7 +322,8 @@ def _linear_claim(ctx: MpiContext, op: str, root: int, bufs,
 
     At the root, ``bufs`` (the per-rank side) needs one buffer per rank
     and its own block ``bufs[root]`` must match ``single`` (the root's
-    other buffer) in size."""
+    other buffer) in size.  Every block received over the wire must be
+    C-contiguous."""
     ctx.comm._count(op)
     ctx.comm._check_rank(root)
     if ctx.rank == root:
@@ -309,6 +335,11 @@ def _linear_claim(ctx: MpiContext, op: str, root: int, bufs,
             send, got = (a, b) if op == "gather" else (b, a)
             raise _size_error(op, send.nbytes, "the root's own block",
                               got.nbytes)
+        if op == "gather":
+            _contiguous(ctx, op, "recv buffer",
+                        [b for i, b in enumerate(bufs) if i != root])
+    elif op == "scatter":
+        _contiguous(ctx, op, "recv buffer", (single,))
     return _next_tag(ctx)
 
 

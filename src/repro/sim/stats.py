@@ -27,7 +27,7 @@ Counter glossary
     of schedule rounds it priced without enqueueing packets.
 ``fastpath_sched_cache_hits``
     Fast-path collectives that replayed a retained compiled plan
-    (pairing, step order, pricing tape) instead of compiling their
+    (pairing, replay program, pricing tape) instead of compiling their
     shape afresh — data-carrying or data-free (e.g. the fence barrier
     every Jacobi iteration), under any arrival skew.
 ``rma_coalesced_puts``

@@ -2,7 +2,7 @@
 
 :class:`repro.mpi.algorithms.fastpath.Plan` holds what a collective
 shape needs beyond its buffers and arrival times: the pricing tape
-and the replay order read off it.  A plan is retained from its key's
+and the replay program lowered from its order.  A plan is retained from its key's
 second sighting and replayed from then on, without running any
 schedule builder, so these tests check that a
 replay is indistinguishable from a fresh compile — data, completion
@@ -191,7 +191,7 @@ def test_replay_equals_fresh_compile(op, algo, P, monkeypatch):
 def test_large_plans_replay_as_levels():
     """A 256-rank retained plan runs its tape as several numpy levels
     and its replays match fresh compiles; a barrier moves no data, so
-    its replay order is empty, while an allreduce's is not."""
+    it has no replay program, while an allreduce has one."""
     for op, nbytes in (("barrier", 0), ("allreduce", 96)):
         replayed, hits, job = run(op, None, 256, np.float64, nbytes,
                                   "analytic", True, calls=4)

@@ -6,6 +6,7 @@ import pytest
 from repro.hw import HWParams, build_cluster, paper_cluster
 from repro.hw.params import IbParams
 from repro.mpi import (
+    CollectiveTuning,
     MpiContext,
     MpiError,
     MpiJob,
@@ -495,3 +496,98 @@ def test_exact_collective_buffers_need_no_cycle_collector(monkeypatch):
         assert not alive, f"{len(alive)} buffers outlive the job"
     finally:
         gc.enable()
+
+
+# ---------------------------------------------------------------------------
+# Strided buffers: a typed error at bind time where bytes move, the same on
+# every backend; reductions copy their result into a strided recv by value
+# ---------------------------------------------------------------------------
+
+BACKENDS = ("exact", "analytic", "pricing")
+
+
+def _strided_job(backend, tuning=None):
+    sim = Simulator()
+    cluster = build_cluster(sim, paper_cluster(nodes=4))
+    return MpiJob(cluster, block_placement(4, 4), backend=backend,
+                  tuning=tuning)
+
+
+def _strided(n, dtype=np.float64):
+    """A zeroed non-contiguous ``n``-vector."""
+    return np.zeros((n, 2), dtype=dtype)[:, 0]
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("call,match", [
+    (lambda ctx: ctx.bcast(_strided(8), 0),
+     r"bcast: rank \d's buffer is not C-contiguous"),
+    (lambda ctx: ctx.ibcast(_strided(8), 0),
+     r"bcast: rank \d's buffer is not C-contiguous"),
+    (lambda ctx: ctx.allgather(np.ones(2), _strided(8)),
+     r"allgather: rank \d's buffer is not C-contiguous"),
+    (lambda ctx: ctx.allgather(
+        np.ones(2), [np.zeros(2)] * 3 + [_strided(2)]),
+     r"allgather: rank \d's buffer is not C-contiguous"),
+    (lambda ctx: ctx.alltoall([_strided(2)] * 4, [np.zeros(2)] * 4),
+     r"alltoall: rank \d's buffer is not C-contiguous"),
+    (lambda ctx: ctx.gather(np.ones(2), [_strided(2)] * 4, root=1)
+     if ctx.rank == 1 else ctx.gather(np.ones(2), root=1),
+     r"gather: rank 1's recv buffer is not C-contiguous"),
+    (lambda ctx: ctx.scatter([np.ones(2)] * 4, _strided(2), root=0)
+     if ctx.rank == 0 else ctx.scatter(None, _strided(2), root=0),
+     r"scatter: rank [123]'s recv buffer is not C-contiguous"),
+])
+def test_strided_buffer_is_a_typed_error(backend, call, match):
+    """A strided buffer a collective moves as bytes raises a typed
+    ``MpiError`` naming the op and the rank, at issue, on every
+    backend (it used to die in numpy on exact and analytic, and pass
+    silently on pricing)."""
+    job = _strided_job(backend)
+
+    def prog(ctx):
+        out = call(ctx)
+        if not hasattr(out, "wait"):
+            yield from out
+
+    job.start(prog)
+    with pytest.raises(MpiError, match=match):
+        job.run()
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("n", [8, 131072])
+def test_allreduce_into_a_strided_recv_works(backend, n):
+    """Reductions copy their result into the recv buffer by value, so a
+    strided recv (and a strided send, read into the accumulator by
+    value) works at every size."""
+    job = _strided_job(backend)
+    got = {}
+
+    def prog(ctx):
+        send = np.zeros((n, 3))
+        send[:, 1] = np.arange(n) + ctx.rank
+        recv = _strided(n)
+        yield from ctx.allreduce(send[:, 1], recv)
+        got[ctx.rank] = recv.copy()
+
+    job.start(prog)
+    job.run()
+    want = 4 * np.arange(n) + sum(range(4))
+    for r in range(4):
+        if backend == "pricing":
+            assert not got[r].any()
+        else:
+            np.testing.assert_array_equal(got[r], want)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_reduce_bcast_allreduce_rejects_a_strided_recv(backend):
+    """``reduce_bcast`` broadcasts into the recv buffer, so there a
+    strided recv is the broadcast's typed error."""
+    job = _strided_job(backend,
+                       CollectiveTuning(force_allreduce="reduce_bcast"))
+    job.start(lambda ctx: ctx.allreduce(np.ones(8), _strided(8)))
+    with pytest.raises(MpiError,
+                       match=r"allreduce: rank \d's recv buffer is not"):
+        job.run()
