@@ -306,7 +306,7 @@ class _Steps(NamedTuple):
     pr: np.ndarray
 
 
-class _Program:
+class _Program(NamedTuple):
     """A plan's replay lowered to byte moves (see the module doc).
 
     Per call, ``U`` starts as the flat byte views of the ``init`` slots
@@ -317,17 +317,13 @@ class _Program:
     ``bound`` slots (``_layout``) as ``layout``.
     """
 
-    __slots__ = ("runs", "init", "late", "queues", "views", "bound",
-                 "layout")
-
-    def __init__(self, runs, init, late, queues, views, bound, layout):
-        self.runs = runs
-        self.init = init
-        self.late = late
-        self.queues = queues
-        self.views = views
-        self.bound = bound
-        self.layout = layout
+    runs: List[Tuple]
+    init: List[Tuple[int, int]]
+    late: int
+    queues: int
+    views: int
+    bound: List[Tuple[int, int]]
+    layout: List
 
 
 def _order(plan: "Plan", kind: np.ndarray) -> np.ndarray:
@@ -566,9 +562,9 @@ class FastPathEngine(ScheduleEngine):
                     sched = call.build(inst.ctxs[r])
                 scheds.append(sched)
             plan = Plan(key, scheds)
-            refs = self._compile_tape(plan, scheds, inst.ctxs)
+            steps = self._compile_tape(plan, scheds, inst.ctxs)
             if not self.price_only:
-                self._lower(plan, scheds, refs, bufs_of)
+                self._lower(plan, scheds, steps, bufs_of)
         else:
             for r, (call, sched, _bufs, _tags) in enumerate(items):
                 if sched is not None and call.binding.sig != plan.sigs[r]:
@@ -656,8 +652,8 @@ class FastPathEngine(ScheduleEngine):
         dep_of = list(chain.from_iterable(s.deps for s in scheds))
         n_deps = np.fromiter(map(len, dep_of), np.intp, N)
         deps = np.fromiter(chain.from_iterable(dep_of), np.intp,
-                           int(n_deps.sum())) + offs[:-1].repeat(lens).repeat(
-                               n_deps)
+                           int(n_deps.sum()))
+        deps += offs[:-1].repeat(lens).repeat(n_deps)
 
         # Wire steps: the context each runs under (communicator, own
         # rank in it, that communicator's placement) and its size.
@@ -698,9 +694,11 @@ class FastPathEngine(ScheduleEngine):
         # them all through ``wire_cost``, in pair order.
         sizes = np.unique(nbytes)
         fold = sizes.searchsorted(nbytes)
-        rows = [[(leg.by_sender, leg.header + leg.payload * n)
-                 for leg in (row.envelope, *row.after)]
-                for n, row in ((n, p2p_row(n, ib)) for n in sizes.tolist())]
+        rows = []
+        for n in sizes.tolist():
+            row = p2p_row(n, ib)
+            rows.append([(leg.by_sender, leg.header + leg.payload * n)
+                         for leg in (row.envelope, *row.after)])
         row_lo = np.array([0] + [len(r) for r in rows]).cumsum()
         n_legs = (row_lo[1:] - row_lo[:-1])[fold]
         leg_lo = n_legs.cumsum() - n_legs
@@ -801,16 +799,16 @@ class FastPathEngine(ScheduleEngine):
         A delivery, or a ``COPY``/``BYTES`` opcode, becomes one move if
         its slots hold byte-viewable arrays when it runs, its ranges
         are equal in length (a delivery's receive may be longer), and a
-        ``COPY``'s two views share a dtype, so the typed copy moves the
-        very bytes.  A slot is byte-viewable if it is scratch, bound to
-        a writable C-contiguous array (read off the compiling call, see
-        :func:`_layout`), or an adopt slot after the delivery or
-        ``REBIND`` that lands it.  Everything else — adopting receives,
-        packed sends, queued messages, combines, typed copies into
-        strided buffers, timing-only payloads — stays a coded entry
-        with the typed semantics of the exact engine's matcher; a coded
-        entry that rebinds a slot refreshes its byte view.  A data-free
-        shape (a barrier) gets no program.
+        ``COPY``'s two slots share a dtype its ranges are aligned to, so
+        the typed copy moves the very bytes.  A slot is byte-viewable if
+        it is scratch, bound to a writable C-contiguous array (read off
+        the compiling call, see :func:`_layout`), or an adopt slot after
+        the delivery or ``REBIND`` that lands it.  Everything else —
+        adopting receives, packed sends, queued messages, combines,
+        typed copies into strided buffers, timing-only payloads — stays
+        a coded entry with the typed semantics of the exact engine's
+        matcher; a coded entry that rebinds a slot refreshes its byte
+        view.  A data-free shape (a barrier) gets no program.
         """
         refs = st.refs
         if refs.count(None) == len(refs):
