@@ -114,7 +114,8 @@ def _recv(
     (``ANY`` matches any sender); the status names the actual source."""
     ep._peer(source, wildcard=True)
     n = ep._nbytes(nbytes, buf, "recv")
-    return Plan(ep._req("recv", source, n), result=buf)
+    result = ep._landing(buf, "recv")
+    return Plan(ep._req("recv", source, n), result=result)
 
 
 def _put(
@@ -154,13 +155,10 @@ def _get(
 ) -> Plan:
     """dcgn::get — one-sided read of virtual rank ``source``'s window
     region into ``buf``; the source rank never participates."""
-    if not ep._array(buf, "get").flags["C_CONTIGUOUS"]:
-        # The result is written through a flat view: a non-contiguous
-        # buffer would receive into a silent temporary copy.
-        raise CommViolation("get needs a C-contiguous result buffer")
+    result = ep._landing(buf, "get")
     n = ep._window(win, source, buf, nbytes, offset, "get")
     req = ep._req("rma_get", source, n, win=str(win), offset=int(offset))
-    return Plan(req, result=buf, typed=True)
+    return Plan(req, result=result, typed=True)
 
 
 def _barrier(ep: "Endpoint") -> Plan:
@@ -174,10 +172,10 @@ def _broadcast(
     """dcgn::broadcast of ``buf`` from group rank ``root``."""
     root = ep._root(root)
     n = ep._nbytes(nbytes, buf, "broadcast")
-    req = ep._coll("bcast", root, n)
     if ep.vrank == root:
-        return Plan(req, payload=buf, payload_nbytes=n)
-    return Plan(req, result=buf)
+        return Plan(ep._coll("bcast", root, n), payload=buf, payload_nbytes=n)
+    result = ep._landing(buf, "broadcast")
+    return Plan(ep._coll("bcast", root, n), result=result)
 
 
 def _allreduce(
@@ -211,7 +209,9 @@ def _gather(ep: "Endpoint", root: int, sendbuf, recvbuf=None) -> Plan:
     ``root``, assembled in group-rank order."""
     root = ep._root(root)
     chunk = ep._nbytes(None, sendbuf, "gather")
-    result = ep._root_buffer(root, recvbuf, "recv", "gather", chunk)
+    result = ep._landing(
+        ep._root_buffer(root, recvbuf, "recv", "gather", chunk), "gather"
+    )
     req = ep._coll("gather", root, chunk, chunk=chunk)
     return Plan(req, sendbuf, chunk, result)
 
@@ -221,10 +221,11 @@ def _scatter(ep: "Endpoint", root: int, recvbuf, sendbuf=None) -> Plan:
     ``sendbuf`` to every member, in group-rank order."""
     root = ep._root(root)
     chunk = ep._nbytes(None, recvbuf, "scatter")
+    result = ep._landing(recvbuf, "scatter")
     payload = ep._root_buffer(root, sendbuf, "send", "scatter", chunk)
     n = 0 if payload is None else ep._nbytes(None, payload, "scatter")
     req = ep._coll("scatter", root, chunk, chunk=chunk)
-    return Plan(req, payload, n, recvbuf)
+    return Plan(req, payload, n, result)
 
 
 #: Every single-request DCGN operation, by name.  :class:`Endpoint`
@@ -276,27 +277,6 @@ class RequestHandle:
         return status
 
 
-def _writer(arr: np.ndarray, typed: bool) -> Callable[[np.ndarray], None]:
-    """The deliver callback landing an arrived payload in ``arr``."""
-    if typed:
-
-        def deliver(data: np.ndarray) -> None:
-            if data.size == arr.size:
-                arr[...] = data.reshape(arr.shape)
-            else:  # an nbytes-limited get, or unequal reduce buffers
-                arr.flat[: data.size] = data.reshape(-1)[: arr.size]
-
-    else:
-
-        def deliver(data: np.ndarray) -> None:
-            dview = arr.view(np.uint8).reshape(-1)
-            sview = data.view(np.uint8).reshape(-1)
-            m = min(dview.size, sview.size)
-            dview[:m] = sview[:m]
-
-    return deliver
-
-
 class CpuTransport:
     """How a CPU-kernel thread's requests reach its comm thread.
 
@@ -334,7 +314,8 @@ class CpuTransport:
             if plan.payload is not None:
                 req.data = payload_array(plan.payload).copy()
             if plan.result is not None:
-                req.deliver = _writer(payload_array(plan.result), plan.typed)
+                req.result = payload_array(plan.result)
+                req.typed = plan.typed
         yield sim.timeout(us(self.comm.params.cpu.request_overhead_us))
         for plan in plans:
             yield from self.comm.enqueue_from_cpu(plan.req)
@@ -472,6 +453,15 @@ class Endpoint:
                 f"of {arr.nbytes} B"
             )
         return n
+
+    def _landing(self, buf, what: str):
+        """``buf`` (or None), checked as a buffer bytes land in."""
+        if buf is not None and not self._array(buf, what).flags.c_contiguous:
+            raise CommViolation(
+                f"{self._transport.label}{what} needs a C-contiguous "
+                f"result buffer (vrank {self.vrank})"
+            )
+        return buf
 
     def _peer(self, peer: int, wildcard: bool = False) -> None:
         if not (wildcard and peer == ANY):

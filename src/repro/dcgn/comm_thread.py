@@ -41,6 +41,7 @@ from typing import (
 
 import numpy as np
 
+from ..hw.memory import as_bytes_view, land_bytes
 from ..hw.node import Node
 from ..mpi.communicator import MpiContext, Request
 from ..mpi.datatypes import ReduceOp
@@ -312,7 +313,7 @@ class CommThread:
         )
         payload = None
         if req.nbytes > 0:
-            payload = req.payload().view(np.uint8).reshape(-1)[: req.nbytes]
+            payload = as_bytes_view(req.payload())[: req.nbytes]
         self._inflight_sends += 1
         self._bump("wire_sends")
 
@@ -393,7 +394,8 @@ class CommThread:
     def _deliver_p2p(
         self, req: CommRequest, entry: _Unexpected
     ) -> Generator[Event, Any, None]:
-        """Land a matched message in the receiver (and finish the sender)."""
+        """Land a matched message in the receiver, at most its count,
+        which its status reports (and finish the sender)."""
         if entry.nbytes > 0 and (entry.local_send is not None or entry.buffered):
             # Bounce-buffer memcpy: local sends always stage through host
             # memory (paper §6.2), and unexpected remote messages are
@@ -401,9 +403,10 @@ class CommThread:
             # land zero-copy (rendezvous into the posted buffer), which
             # is what keeps 1 MB CPU:CPU within a few percent of MPI.
             yield from self.node.memcpy.copy(None, None, nbytes=entry.nbytes)
-        status = CommStatus(source=entry.src_vrank, nbytes=entry.nbytes)
-        req.land(entry.data)
-        self._complete(req, status)
+        n = min(entry.nbytes, req.nbytes)
+        if entry.data is not None:
+            req.land(as_bytes_view(entry.data)[:n])
+        self._complete(req, CommStatus(source=entry.src_vrank, nbytes=n))
         if entry.local_send is not None:
             self._complete(
                 entry.local_send,
@@ -650,8 +653,7 @@ class CommThread:
         yield from ()
         root = self._root_entry(state)
         if root is not None:
-            buf = root.payload().view(np.uint8).reshape(-1)[: state.sig.nbytes]
-            buf = buf.copy()
+            buf = as_bytes_view(root.payload())[: state.sig.nbytes].copy()
         else:
             # "one buffer is selected at random from those specified" —
             # we use a staging buffer, equivalent cost-wise; zeroed, so
@@ -726,8 +728,7 @@ class CommThread:
         local = self._by_group_rank(state, info)
         sendbuf = np.zeros(chunk * len(local), dtype=np.uint8)
         for i, e in enumerate(local):
-            view = e.payload().view(np.uint8).reshape(-1)[:chunk]
-            sendbuf[i * chunk : i * chunk + view.size] = view
+            land_bytes(sendbuf[i * chunk :], as_bytes_view(e.payload())[:chunk])
         yield from self._copy_waves(len(local), chunk)
         root = self._root_entry(state)
         recvbufs = None
@@ -750,9 +751,8 @@ class CommThread:
                 for i, node in enumerate(info.nodes):
                     for j, member in enumerate(info.local_vranks(node)):
                         g = info.group.rank_of(member)
-                        total[g * chunk : (g + 1) * chunk] = recvbufs[i][
-                            j * chunk : (j + 1) * chunk
-                        ]
+                        land_bytes(total[g * chunk :],
+                                   recvbufs[i][j * chunk : (j + 1) * chunk])
             yield from self._disperse(
                 state.entries,
                 [total if e is root else None for e in state.entries],
@@ -773,7 +773,7 @@ class CommThread:
         root = self._root_entry(state)
         sendbufs = None
         if root is not None:
-            full = root.payload().view(np.uint8).reshape(-1)
+            full = as_bytes_view(root.payload())
             sendbufs = [
                 np.concatenate([
                     full[g * chunk : (g + 1) * chunk]

@@ -29,12 +29,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
-import numpy as np
-
 from ..gpusim.device import GpuDevice
 from ..gpusim.kernel import BlockContext, KernelHandle, LaunchConfig, launch_kernel
 from ..gpusim.mailbox import MailboxRequest, SlotMailboxes
 from ..gpusim.memory import DeviceBuffer
+from ..hw.memory import as_bytes_view, land_bytes
 from ..sim.core import Event, Simulator, us
 from ..sim.sync import Signal, Wake
 from .comm_thread import CommThread
@@ -298,20 +297,16 @@ class GpuKernelThread:
         if entry.dbuf is not None and creq.data is not None:
             # Payload write (recv / bcast non-root / allreduce result /
             # gather root / scatter piece).
-            n = min(creq.status.nbytes if creq.status else creq.nbytes,
-                    creq.nbytes)
-            if creq.op == "gather":
-                # The root's result is the whole group's contribution
-                # set, not one chunk.
-                n = int(creq.data.view(np.uint8).reshape(-1).size)
+            data = as_bytes_view(creq.data)
+            if creq.op != "gather":
+                # A gather root's result is the whole group's
+                # contribution set, not one chunk.
+                data = data[: min(creq.status.nbytes, creq.nbytes)]
             if not self.params.dcgn.future_gpu_direct:
-                yield from self.device.pcie.write(n)
+                yield from self.device.pcie.write(data.size)
             # else: future hardware — incoming payloads land in device
             # memory directly from the NIC.
-            dview = entry.dbuf.bytes_view()
-            sview = creq.data.view(np.uint8).reshape(-1)
-            m = min(dview.size, sview.size, n if n > 0 else sview.size)
-            dview[:m] = sview[:m]
+            land_bytes(entry.dbuf.bytes_view(), data)
         # Completion flag write.
         yield from self.device.pcie.write(_FLAG_BYTES)
         creq.mark(self.sim, "written_back", self.name)

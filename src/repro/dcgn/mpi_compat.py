@@ -26,6 +26,7 @@ from typing import Any, Dict, Generator, Optional, Sequence
 
 import numpy as np
 
+from ..hw.memory import as_bytes_view, land_bytes
 from ..mpi.status import ANY_SOURCE, ANY_TAG, Status
 from ..sim.core import Event
 from .api import CpuKernelContext
@@ -149,17 +150,13 @@ class DcgnMpiAdapter:
         if self.rank == root:
             if recvbufs is None:
                 raise CommViolation("root needs recv buffers for gather")
-            flat = np.zeros(
-                sum(int(np.asarray(b).nbytes) for b in recvbufs),
-                dtype=np.uint8,
-            )
+            arrs = [self._ctx._landing(np.asarray(b), "gather")
+                    for b in recvbufs]
+            flat = np.zeros(sum(a.nbytes for a in arrs), dtype=np.uint8)
             yield from self._ctx.gather(root, sendbuf, flat)
             offset = 0
-            for b in recvbufs:
-                arr = np.asarray(b)
-                view = arr.view(np.uint8).reshape(-1)
-                view[:] = flat[offset : offset + view.size]
-                offset += view.size
+            for arr in arrs:
+                offset += land_bytes(arr, flat[offset : offset + arr.nbytes])
         else:
             yield from self._ctx.gather(root, sendbuf)
 
@@ -173,9 +170,10 @@ class DcgnMpiAdapter:
         if self.rank == root:
             if sendbufs is None:
                 raise CommViolation("root needs send buffers for scatter")
-            flat = np.concatenate(
-                [np.asarray(b).view(np.uint8).reshape(-1) for b in sendbufs]
-            )
+            # Read by value: a strided send buffer is copied first.
+            flat = np.concatenate([
+                as_bytes_view(np.ascontiguousarray(b)) for b in sendbufs
+            ])
             yield from self._ctx.scatter(root, recvbuf, flat)
         else:
             yield from self._ctx.scatter(root, recvbuf)

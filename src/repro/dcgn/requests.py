@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Dict, Optional
 
 import numpy as np
 
+from ..hw.memory import land_bytes
 from ..sim.core import Event, Simulator
 from .errors import DcgnError
 
@@ -15,7 +16,11 @@ __all__ = ["CommRequest", "CommStatus"]
 
 @dataclass(frozen=True)
 class CommStatus:
-    """Completion record handed back to kernels (dcgn::CommStatus)."""
+    """Completion record handed back to kernels (dcgn::CommStatus).
+
+    ``nbytes`` counts the bytes that landed in the requester's buffer
+    (for a send: the bytes sent).  A receive lands at most its own
+    count, so a longer message reports the count, not its length."""
 
     source: int
     nbytes: int
@@ -28,7 +33,7 @@ class CommRequest:
     ``data`` carries a snapshot of the payload for sends (taken at request
     creation for CPU kernels, at mailbox harvest — after the PCIe read —
     for GPU kernels).  Whatever arrives for the requester goes through
-    :meth:`land`.
+    :meth:`land`, into ``result`` (CPU kernels) or ``data`` (GPU slots).
 
     The request carries no timestamps: each thread that moves it
     through a lifecycle stage records that stage with :meth:`mark` on
@@ -42,10 +47,12 @@ class CommRequest:
     peer: int = -1
     nbytes: int = 0
     data: Optional[np.ndarray] = None
-    #: Callable(data: ndarray) that writes into the requester's buffer.
-    #: For CPU ranks this copies into host memory; for GPU slots the GPU
-    #: thread performs the PCIe write instead and this stays None.
-    deliver: Optional[Callable[[np.ndarray], None]] = None
+    #: The CPU requester's array that arrived data lands in.  For GPU
+    #: slots the GPU thread performs the PCIe write instead and this
+    #: stays None.
+    result: Optional[np.ndarray] = None
+    #: Land element-wise (reductions, get) rather than as raw bytes.
+    typed: bool = False
     #: Completion event fired by the comm thread (or GPU thread).
     done: Optional[Event] = None
     #: Status/result for the requester (set at completion).
@@ -88,16 +95,22 @@ class CommRequest:
         return self.data
 
     def land(self, data: Optional[np.ndarray]) -> None:
-        """Land arrived ``data`` (None: nothing) in the requester:
-        through ``deliver`` (CPU ranks) or as a private copy in
-        ``data`` for the GPU thread's PCIe write-back — private, since
-        collective siblings share one array."""
+        """Land arrived ``data`` (None: nothing) in the requester: in
+        ``result`` (CPU ranks) or as a private copy in ``data`` for the
+        GPU thread's PCIe write-back — private, since collective
+        siblings share one array.  Callers bound the byte count by
+        slicing ``data``."""
         if data is None:
             return
-        if self.deliver is not None:
-            self.deliver(data)
-        else:
+        arr = self.result
+        if arr is None:
             self.data = data.copy()
+        elif not self.typed:
+            land_bytes(arr, data)
+        elif data.size == arr.size:
+            arr[...] = data.reshape(arr.shape)
+        else:  # an nbytes-limited get, or unequal reduce buffers
+            arr.flat[: data.size] = data.reshape(-1)[: arr.size]
 
     def complete(self, status: Optional[CommStatus] = None) -> None:
         """Mark the request done (idempotence is an error by design)."""

@@ -10,7 +10,7 @@ from typing import Any, Generator, Optional, Sequence, Union
 
 import numpy as np
 
-from ..hw.memory import HostBuffer, as_bytes_view
+from ..hw.memory import HostBuffer, as_bytes_view, land_bytes
 from ..sim.core import Event, us
 from .device import GpuDevice
 from .errors import InvalidMemorySpace
@@ -38,6 +38,14 @@ def _device_view(device: GpuDevice, obj: DeviceBuffer) -> np.ndarray:
     return obj.bytes_view()
 
 
+def _count(nbytes: Optional[int], sview: np.ndarray, dview: np.ndarray) -> int:
+    """Bytes a copy moves: ``nbytes``, or as many as both ends hold."""
+    n = int(nbytes) if nbytes is not None else min(sview.size, dview.size)
+    if n > dview.size or n > sview.size:
+        raise ValueError(f"copy of {n} B exceeds endpoint sizes")
+    return n
+
+
 def memcpy_h2d(
     device: GpuDevice,
     dst: DeviceBuffer,
@@ -47,11 +55,9 @@ def memcpy_h2d(
     """Host-to-device copy over PCIe; returns bytes moved."""
     dview = _device_view(device, dst)
     sview = _host_view(src)
-    n = int(nbytes) if nbytes is not None else min(sview.size, dview.size)
-    if n > dview.size or n > sview.size:
-        raise ValueError(f"copy of {n} B exceeds endpoint sizes")
+    n = _count(nbytes, sview, dview)
     yield from device.pcie.write(n)
-    dview[:n] = sview[:n]
+    land_bytes(dview, sview[:n])
     return n
 
 
@@ -64,11 +70,9 @@ def memcpy_d2h(
     """Device-to-host copy over PCIe; returns bytes moved."""
     sview = _device_view(device, src)
     dview = _host_view(dst)
-    n = int(nbytes) if nbytes is not None else min(sview.size, dview.size)
-    if n > dview.size or n > sview.size:
-        raise ValueError(f"copy of {n} B exceeds endpoint sizes")
+    n = _count(nbytes, sview, dview)
     yield from device.pcie.read(n)
-    dview[:n] = sview[:n]
+    land_bytes(dview, sview[:n])
     return n
 
 
@@ -81,14 +85,12 @@ def memcpy_d2d(
     """Device-to-device copy within one GPU (device memory bandwidth)."""
     dview = _device_view(device, dst)
     sview = _device_view(device, src)
-    n = int(nbytes) if nbytes is not None else min(sview.size, dview.size)
-    if n > dview.size or n > sview.size:
-        raise ValueError(f"copy of {n} B exceeds endpoint sizes")
+    n = _count(nbytes, sview, dview)
     # Read + write through device memory: 2n bytes of traffic.
     t = 2.0 * n / (device.params.mem_bw_GBps * 1e9)
     if t > 0:
         yield device.sim.timeout(t)
-    dview[:n] = sview[:n]
+    land_bytes(dview, sview[:n])
     return n
 
 

@@ -14,6 +14,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
+from ..hw.memory import as_bytes_view
 from .errors import GpuOutOfMemory, InvalidMemorySpace
 
 __all__ = ["DeviceBuffer", "DeviceAllocator"]
@@ -69,7 +70,7 @@ class DeviceBuffer:
     def bytes_view(self) -> np.ndarray:
         """Flat uint8 view of the storage."""
         self.check_usable()
-        return self.data.view(np.uint8).reshape(-1)
+        return as_bytes_view(self.data)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

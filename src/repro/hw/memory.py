@@ -1,9 +1,27 @@
-"""Host memory: typed buffers backed by NumPy, and the memcpy engine.
+"""Host memory: typed buffers backed by NumPy, the memcpy engine, and
+the data plane every layer moves message bytes through.
 
 Message payloads in the whole system are real bytes: sends snapshot the
 source array, receives write into the destination array.  Only *time* is
 simulated; data movement is executed eagerly so applications can verify
 numerical results against sequential references.
+
+**Data plane.**  No other module views or lands a buffer's bytes.
+:func:`as_bytes_view` never copies and raises on a non-C-contiguous
+array (numpy would make a strided array's byte view a copy, and bytes
+written into it would be lost); :func:`land_bytes` copies a payload's
+bytes into the head of a buffer and raises when they do not fit (a
+caller that bounds a count slices the source first).
+
+**Buffers.**  A buffer bytes land in must be C-contiguous, checked at
+issue with the layer's typed error: ``MpiError`` for MPI
+``recv``/``irecv``/``sendrecv``/``sendrecv_replace`` and collective
+receives, ``CommViolation`` for DCGN ``recv``, a non-root
+``broadcast``, ``gather``'s root result and ``scatter``'s results.
+Sends may be strided: the snapshot copies them (not ``allgather``/
+``alltoall`` sends, which some algorithms pack bytewise).  Reductions
+land by value, so their receive may be strided (not under the
+``reduce_bcast`` allreduce, which broadcasts into it).
 """
 
 from __future__ import annotations
@@ -15,7 +33,8 @@ import numpy as np
 from ..sim.core import Event, Simulator, us
 from ..sim.resources import BandwidthChannel
 
-__all__ = ["HostBuffer", "MemcpyEngine", "as_bytes_view", "nbytes_of"]
+__all__ = ["HostBuffer", "MemcpyEngine", "as_bytes_view", "land_bytes",
+           "nbytes_of"]
 
 
 def as_bytes_view(obj: Union[np.ndarray, "HostBuffer"]) -> np.ndarray:
@@ -23,9 +42,24 @@ def as_bytes_view(obj: Union[np.ndarray, "HostBuffer"]) -> np.ndarray:
     arr = obj.data if isinstance(obj, HostBuffer) else obj
     if not isinstance(arr, np.ndarray):
         raise TypeError(f"expected ndarray or HostBuffer, got {type(obj)}")
-    if not arr.flags["C_CONTIGUOUS"]:
+    if not arr.flags.c_contiguous:
         raise ValueError("buffers must be C-contiguous")
-    return arr.view(np.uint8).reshape(-1)
+    return arr.reshape(-1).view(np.uint8)
+
+
+def land_bytes(
+    dst: Union[np.ndarray, "HostBuffer"], src: Union[np.ndarray, "HostBuffer"]
+) -> int:
+    """Copy the bytes of ``src`` into the head of ``dst`` and return
+    how many landed; the rest of ``dst`` is left as it was.  Raises
+    ``ValueError`` when they do not fit."""
+    dview = as_bytes_view(dst)
+    sview = as_bytes_view(src)
+    n = sview.size
+    if n > dview.size:
+        raise ValueError(f"payload of {n} B exceeds buffer of {dview.size} B")
+    dview[:n] = sview
+    return n
 
 
 def nbytes_of(obj: Union[np.ndarray, "HostBuffer", int]) -> int:
@@ -75,16 +109,6 @@ class HostBuffer:
     def dtype(self) -> np.dtype:
         return self.data.dtype
 
-    def copy_from(self, src: np.ndarray) -> None:
-        """Copy payload bytes in (shapes/dtypes must be compatible)."""
-        view = as_bytes_view(self.data)
-        sview = as_bytes_view(src)
-        if sview.size > view.size:
-            raise ValueError(
-                f"payload {sview.size} B exceeds buffer {view.size} B"
-            )
-        view[: sview.size] = sview
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"<HostBuffer {self.name!r} node={self.node_id} "
@@ -114,10 +138,6 @@ class MemcpyEngine:
             name=name or "memcpy",
         )
 
-    def copy_time(self, nbytes: int) -> float:
-        """Service time of a copy of ``nbytes``."""
-        return self.channel.transfer_time(nbytes)
-
     def copy(
         self,
         dst: Optional[Union[np.ndarray, HostBuffer]],
@@ -126,8 +146,9 @@ class MemcpyEngine:
     ) -> Generator[Event, Any, int]:
         """``yield from`` a host-to-host copy; returns bytes moved.
 
-        Either real arrays (data actually copied) or ``None`` endpoints
-        with an explicit ``nbytes`` (time-only accounting).
+        Either real arrays (the first ``nbytes`` of ``src`` land in
+        ``dst``, which must hold them) or ``None`` endpoints with an
+        explicit ``nbytes`` (time-only accounting).
         """
         if nbytes is None:
             if src is None:
@@ -135,8 +156,5 @@ class MemcpyEngine:
             nbytes = nbytes_of(src)
         yield from self.channel.transfer(nbytes)
         if dst is not None and src is not None:
-            dview = as_bytes_view(dst)
-            sview = as_bytes_view(src)
-            n = min(nbytes, sview.size, dview.size)
-            dview[:n] = sview[:n]
+            land_bytes(dst, as_bytes_view(src)[:nbytes])
         return nbytes

@@ -54,6 +54,7 @@ from typing import Any, Callable, Generator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ...hw.memory import as_bytes_view, land_bytes
 from ...sim.core import GO, NORMAL, PENDING, URGENT, Event, resume
 from ...sim.errors import SimulationError
 from ..communicator import MpiContext, Request
@@ -132,10 +133,6 @@ class Binding:
         return None if self.dtype is None else self.dtype.str
 
 
-def _u8(arr: np.ndarray) -> np.ndarray:
-    return arr.reshape(-1).view(np.uint8)
-
-
 def view(bufs: List[Any], ref) -> Any:
     """Resolve a buffer ref against a bound slot table."""
     if ref.__class__ is int:
@@ -147,14 +144,14 @@ def view(bufs: List[Any], ref) -> Any:
     flat = arr.reshape(-1)
     isz = flat.itemsize
     if lo % isz or hi % isz:
-        return flat.view(np.uint8)[lo:hi]
+        return as_bytes_view(arr)[lo:hi]
     return flat[lo // isz : hi // isz]
 
 
 def payload(bufs: List[Any], ref, flags: int) -> Payload:
     """A send step's payload, resolved at step start."""
     if flags & PACK:
-        parts = [_u8(view(bufs, r)) for r in ref]
+        parts = [as_bytes_view(view(bufs, r)) for r in ref]
         return np.concatenate(parts) if parts else np.zeros(0, np.uint8)
     return None if ref is None else view(bufs, ref)
 
@@ -173,7 +170,7 @@ def run_ops(bufs: List[Any], ops) -> None:
             if code == COPY:
                 dst[...] = src.reshape(dst.shape)
             else:
-                dst.reshape(-1).view(np.uint8)[...] = _u8(src)
+                land_bytes(dst, src)
             continue
         res = op[1].combine(view(bufs, op[2]), view(bufs, op[3]))
         if code == REBIND:
@@ -202,11 +199,10 @@ def materialize(binding: Binding, scratch) -> List[Any]:
             continue
         arr = np.zeros(nbytes // dtype.itemsize, dtype=dtype)
         if init:
-            raw = arr.view(np.uint8)
+            raw = as_bytes_view(arr)
             for src, off in init:
                 # Read by value: a strided send buffer is copied first.
-                data = _u8(np.ascontiguousarray(view(bufs, src)))
-                raw[off : off + data.size] = data
+                land_bytes(raw[off:], np.ascontiguousarray(view(bufs, src)))
         bufs.append(arr)
     return bufs
 

@@ -208,7 +208,7 @@ class AlgorithmSelector:
             and 0 < block_nbytes <= self.tuning.alltoall_bruck_max_bytes
         ):
             return "bruck"
-        if self.tuning.alltoall_pairwise and _is_pof2(size):
+        if _is_pof2(size):
             return "pairwise"
         return "shift"
 

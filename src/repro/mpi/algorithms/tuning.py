@@ -63,11 +63,6 @@ class CollectiveTuning:
     #: P) instead of falling back to the P−1-step ring.
     allgather_bruck_max_bytes: int = 8 * _KB
 
-    #: Use the pairwise (XOR-partner) exchange for alltoall on
-    #: power-of-two communicators; non-power-of-two always uses the
-    #: shift schedule.
-    alltoall_pairwise: bool = True
-
     #: Alltoall blocks at or below this use the Bruck packed schedule —
     #: ⌈log2 P⌉ rounds moving (P/2)·log2 P blocks instead of P−1 rounds
     #: of one block: the winning trade when per-round latency dominates,

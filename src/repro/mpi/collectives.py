@@ -60,23 +60,6 @@ def _size_error(op: str, send: int, what: str, got: int) -> MpiError:
     return MpiError(f"{op}: send buffer is {send} B but {what} is {got} B")
 
 
-def _contiguous(ctx: MpiContext, op: str, what: str, bufs) -> None:
-    """Buffers a collective moves as raw bytes must be C-contiguous: a
-    strided view would fail, or be written through a copy and lose the
-    data.  That is every buffer a collective receives into, and the send
-    buffers of ``allgather`` and ``alltoall`` (some of their algorithms
-    pack or deliver them bytewise); ``reduce``/``allreduce`` read their
-    send buffer into an accumulator by value.  Raised at bind time, the
-    same on every backend."""
-    for buf in bufs:
-        arr = payload_array(buf)
-        if arr is not None and not arr.flags.c_contiguous:
-            raise MpiError(
-                f"{op}: rank {ctx.rank}'s {what} is not C-contiguous; pass "
-                "a contiguous array (np.ascontiguousarray) and copy back"
-            )
-
-
 def _check_reduce_op(op: ReduceOp, what: str) -> None:
     """``REPLACE`` exists for one-sided accumulate only: in a
     reduction tree, which rank's contribution "wins" would depend on
@@ -94,7 +77,7 @@ def _bind_barrier(ctx: MpiContext):
 
 def _bind_bcast(ctx: MpiContext, buf: Payload, root: int = 0):
     ctx.comm._check_rank(root)
-    _contiguous(ctx, "bcast", "buffer", (buf,))
+    ctx._contiguous("bcast", "buffer", (buf,))
     return Binding((buf,)), (root,)
 
 
@@ -131,13 +114,13 @@ def _bind_allgather(ctx: MpiContext, sendbuf: Payload, recvbuf):
     if isinstance(recvbuf, (list, tuple)):
         if len(recvbuf) != P:
             raise MpiError("allgather needs one recv buffer per rank")
-        _contiguous(ctx, "allgather", "buffer", (sendbuf, *recvbuf))
+        ctx._contiguous("allgather", "buffer", (sendbuf, *recvbuf))
         b = Binding((sendbuf, *recvbuf))
         if sendbuf is not None and b.sizes[0] != b.sizes[1 + ctx.rank]:
             raise _size_error("allgather", b.sizes[0],
                               "this rank's recv block", b.sizes[1 + ctx.rank])
     else:
-        _contiguous(ctx, "allgather", "buffer", (sendbuf, recvbuf))
+        ctx._contiguous("allgather", "buffer", (sendbuf, recvbuf))
         b = Binding((sendbuf, recvbuf), flat=True)
         if b.sizes[1] != P * b.sizes[0]:
             raise _size_error("allgather", b.sizes[0],
@@ -151,7 +134,7 @@ def _bind_alltoall(ctx: MpiContext, sendbufs: Sequence[Payload],
     P = ctx.size
     if len(sendbufs) != P or len(recvbufs) != P:
         raise MpiError("alltoall needs one send and recv buffer per rank")
-    _contiguous(ctx, "alltoall", "buffer", (*sendbufs, *recvbufs))
+    ctx._contiguous("alltoall", "buffer", (*sendbufs, *recvbufs))
     b = Binding((*sendbufs, *recvbufs))
     r = ctx.rank
     if b.sizes[r] != b.sizes[P + r]:
@@ -250,7 +233,7 @@ def _allreduce_call(
     if algo == "reduce_bcast":
         # Its broadcast leg receives into the recv buffer; every other
         # algorithm only copies the result into it by value.
-        _contiguous(ctx, "allreduce", "recv buffer", (recvbuf,))
+        ctx._contiguous("allreduce", "recv buffer", (recvbuf,))
     ctx.comm._count(f"allreduce[{algo}]")
     return Call("allreduce", algo, nbytes,
                 ("allreduce", algo, None, nbytes, b.key_dtype(), op), b,
@@ -336,10 +319,10 @@ def _linear_claim(ctx: MpiContext, op: str, root: int, bufs,
             raise _size_error(op, send.nbytes, "the root's own block",
                               got.nbytes)
         if op == "gather":
-            _contiguous(ctx, op, "recv buffer",
-                        [b for i, b in enumerate(bufs) if i != root])
+            ctx._contiguous(op, "recv buffer",
+                            [b for i, b in enumerate(bufs) if i != root])
     elif op == "scatter":
-        _contiguous(ctx, op, "recv buffer", (single,))
+        ctx._contiguous(op, "recv buffer", (single,))
     return _next_tag(ctx)
 
 

@@ -37,7 +37,7 @@ from typing import Any, Dict, Generator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..hw.cluster import Cluster
-from ..hw.memory import nbytes_of
+from ..hw.memory import land_bytes, nbytes_of
 from ..sim.core import Event, Process, Simulator, us
 from ..sim.stores import FilterStore
 from .datatypes import AdoptBuf, Payload, payload_array, snapshot
@@ -780,18 +780,14 @@ class Communicator:
     @staticmethod
     def _deliver(buf: Payload, data: Optional[np.ndarray], nbytes: int) -> None:
         arr = payload_array(buf)
-        if arr is None:
-            return  # timing-only receive
-        if data is None:
-            return
-        dview = arr.view(np.uint8).reshape(-1)
-        sview = data.view(np.uint8).reshape(-1)
-        if sview.size > dview.size:
+        if arr is None or data is None:
+            return  # timing-only receive or message
+        if data.nbytes > arr.nbytes:
             raise TruncationError(
-                f"message of {sview.size} B exceeds recv buffer "
-                f"of {dview.size} B"
+                f"message of {data.nbytes} B exceeds recv buffer "
+                f"of {arr.nbytes} B"
             )
-        dview[: sview.size] = sview
+        land_bytes(arr, data)
 
 
 @dataclass
@@ -1010,12 +1006,28 @@ class MpiContext:
         self.comm._check_tag(tag)
         self.comm._count(op)
 
-    def _recv_args(self, op: str, source: int, tag: int) -> None:
+    def _recv_args(self, op: str, source: int, tag: int, buf) -> None:
         if source != ANY_SOURCE:
             self.comm._check_rank(source)
         if tag != ANY_TAG:
             self.comm._check_tag(tag)
+        self._contiguous(op, "recv buffer", (buf,))
         self.comm._count(op)
+
+    def _contiguous(self, op: str, what: str, bufs) -> None:
+        """Buffers moved as raw bytes must be C-contiguous (see
+        :mod:`repro.hw.memory`): every receive buffer, and the send
+        buffers of ``allgather`` and ``alltoall`` (some of their
+        algorithms pack them bytewise).  Raised at issue, the same on
+        every backend."""
+        for buf in bufs:
+            arr = payload_array(buf)
+            if arr is not None and not arr.flags.c_contiguous:
+                raise MpiError(
+                    f"{op}: rank {self.rank}'s {what} is not C-contiguous; "
+                    "pass a contiguous array (np.ascontiguousarray) and "
+                    "copy back"
+                )
 
     def send(
         self, buf: Payload, dest: int, tag: int = 0
@@ -1034,7 +1046,7 @@ class MpiContext:
         tag: int = ANY_TAG,
     ) -> Generator[Event, Any, Status]:
         """Blocking receive into ``buf``; returns a :class:`Status`."""
-        self._recv_args("recv", source, tag)
+        self._recv_args("recv", source, tag, buf)
         status = yield from self.comm._recv_impl(self.rank, source, buf, tag)
         return status
 
@@ -1060,7 +1072,7 @@ class MpiContext:
         tag: int = ANY_TAG,
     ) -> Request:
         """Non-blocking receive."""
-        self._recv_args("irecv", source, tag)
+        self._recv_args("irecv", source, tag, buf)
         return Request(self.sim.process(
             self.comm._recv_impl(self.rank, source, buf, tag),
             name=f"irecv(r{self.rank}<-{source})",
@@ -1077,6 +1089,7 @@ class MpiContext:
         recvtag: int = ANY_TAG,
     ) -> Generator[Event, Any, Status]:
         """Simultaneous send+receive (deadlock-free)."""
+        self._contiguous("sendrecv", "recv buffer", (recvbuf,))
         self.comm._count("sendrecv")
         sreq = self.isend(sendbuf, dest, sendtag)
         status = yield from self.recv(recvbuf, source, recvtag)
@@ -1092,6 +1105,7 @@ class MpiContext:
         recvtag: int = ANY_TAG,
     ) -> Generator[Event, Any, Status]:
         """The ``MPI_Sendrecv_replace`` used by Cannon's algorithm."""
+        self._contiguous("sendrecv_replace", "buffer", (buf,))
         self.comm._count("sendrecv_replace")
         status = yield from self.sendrecv(
             buf, dest, buf, source, sendtag, recvtag

@@ -37,7 +37,7 @@ from .batch import EventBatch
 from .explore import ExploringSimulator, ScheduleChoice
 from .primitives import AllOf, AnyOf
 from .stats import SimStats
-from .resources import BandwidthChannel, Mutex, Resource, acquire
+from .resources import BandwidthChannel, Mutex, Resource
 from .rng import RngStreams, stable_hash
 from .stores import FilterStore
 from .sync import Latch, Signal, Wake
@@ -66,7 +66,6 @@ __all__ = [
     "AllOf",
     "Resource",
     "Mutex",
-    "acquire",
     "BandwidthChannel",
     "FilterStore",
     "Signal",

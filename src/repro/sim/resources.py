@@ -11,7 +11,7 @@ from typing import Any, Deque, Generator
 
 from .core import Event, Simulator
 
-__all__ = ["Resource", "Mutex", "acquire", "BandwidthChannel"]
+__all__ = ["Resource", "Mutex", "BandwidthChannel"]
 
 
 class _Request(Event):
@@ -86,12 +86,6 @@ class Mutex(Resource):
 
     def __init__(self, sim: Simulator, name: str = "") -> None:
         super().__init__(sim, capacity=1, name=name or "mutex")
-
-
-def acquire(res: Resource) -> Generator[Event, Any, Resource]:
-    """``yield from`` helper acquiring ``res`` and returning it."""
-    yield res.request()
-    return res
 
 
 class BandwidthChannel:

@@ -325,3 +325,21 @@ def test_lint_flags_violations(tmp_path):
     assert proc.stdout.count("set-iteration") == 1
     assert proc.stdout.count("id-ordering") == 1
     assert proc.stdout.count("uninit-alloc") == 1
+
+
+def test_lint_flags_hand_made_byte_views(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text(
+        "import numpy as np\n"
+        "def f(arr, out):\n"
+        "    raw = arr.view(np.uint8)\n"
+        "    ok = out.view(np.uint8)  # det: ok - test suppression\n"
+        "    same = arr.view(np.float64)\n"
+        "    return raw, ok, same\n"
+    )
+    proc = _run_lint(str(bad))
+    assert proc.returncode == 1
+    assert proc.stdout.count("byte-view") == 1
+    assert ":3:" in proc.stdout
+    home = _run_lint("src/repro/hw/memory.py")
+    assert home.returncode == 0, home.stdout + home.stderr

@@ -240,7 +240,7 @@ class TestSelector:
         sel = AlgorithmSelector()
         assert sel.alltoall(1 * KB, 8) == "pairwise"
         assert sel.alltoall(1 * KB, 6) == "shift"
-        off = AlgorithmSelector(CollectiveTuning(alltoall_pairwise=False))
+        off = AlgorithmSelector(CollectiveTuning(force_alltoall="shift"))
         assert off.alltoall(1 * KB, 8) == "shift"
 
     def test_thresholds_config_overridable(self):

@@ -278,7 +278,7 @@ class TestDeliveryAliasing:
                 root=0,
                 nbytes=int(payload.nbytes),
                 data=payload.copy() if (is_root or op == "allreduce") else None,
-                deliver=None,
+                result=None,
                 done=sim.event(),
                 extra=dict({"coll_seq": 0}, **extra_fields),
             )

@@ -17,6 +17,7 @@ from repro.hw import (
     paper_cluster,
     single_node,
 )
+from repro.hw.memory import land_bytes
 from repro.hw.params import IbParams, PcieParams
 from repro.sim import Simulator, us
 
@@ -60,15 +61,15 @@ class TestHostBuffer:
         assert buf.nbytes == 40
         assert buf.dtype == np.int32
 
-    def test_copy_from(self):
+    def test_land_bytes_into_host_buffer(self):
         buf = HostBuffer(np.zeros(4, dtype=np.int32), node_id=0)
-        buf.copy_from(np.array([1, 2, 3, 4], dtype=np.int32))
+        assert land_bytes(buf, np.array([1, 2, 3, 4], dtype=np.int32)) == 16
         assert list(buf.data) == [1, 2, 3, 4]
 
-    def test_copy_from_oversized_payload_rejected(self):
+    def test_land_bytes_rejects_an_oversized_payload(self):
         buf = HostBuffer(np.zeros(2, dtype=np.int32), node_id=0)
-        with pytest.raises(ValueError):
-            buf.copy_from(np.zeros(3, dtype=np.int32))
+        with pytest.raises(ValueError, match="exceeds buffer"):
+            land_bytes(buf, np.zeros(3, dtype=np.int32))
 
     def test_non_contiguous_rejected(self):
         arr = np.zeros((4, 4))[:, ::2]

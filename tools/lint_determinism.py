@@ -7,7 +7,7 @@ reproduce the identical interleaving, which it cannot if the runtime
 consults any ordering source outside the seeded
 :class:`~repro.sim.ExploringSimulator`.  This lint walks the AST of the
 scheduling/matching-critical packages and rejects the three ways that
-property has historically been lost:
+property has historically been lost, plus one data-plane rule:
 
 ``unseeded-rng``
     Calls to the process-global ``random`` module RNG
@@ -36,6 +36,13 @@ property has historically been lost:
     irreproducible (the ``pricing`` backend never writes receive
     buffers at all).  Zero-fill with ``np.zeros``/``np.zeros_like``, or
     say on the line why every byte is written before it is read.
+
+``byte-view``
+    ``.view(np.uint8)`` outside ``src/repro/hw/memory.py``.  A hand-made
+    byte view of a strided array reshapes into a copy, and writes into
+    it are lost: a receive into ``big[::2]`` left ``big`` all zeros.
+    View bytes with ``as_bytes_view`` (it never copies and raises on a
+    strided array) and land them with ``land_bytes``.
 
 Suppression: append ``# det: ok`` (with an optional reason after a
 second ``-``) to the offending line after a human has verified the use
@@ -99,6 +106,9 @@ _NP_RANDOM_OK = {"default_rng", "Generator", "SeedSequence", "BitGenerator",
 SUPPRESS_MARK = "det: ok"
 #: A suppression that gives its reason.
 _REASONED = re.compile(r"det: ok - \S")
+
+#: The one module allowed to view a buffer's bytes by hand.
+_BYTE_VIEW_HOME = "src/repro/hw/memory.py"
 
 #: Allocations that leave their bytes uninitialized.
 _UNINIT_ALLOCS = {"np.empty", "numpy.empty", "np.empty_like",
@@ -220,6 +230,21 @@ class _Linter(ast.NodeVisitor):
                 f"{name}() leaves its bytes uninitialized; zero-fill, or "
                 "annotate '# det: ok - <why every byte is written before "
                 "it is read>'",
+            )
+        if (
+            isinstance(node.func, ast.Attribute)
+            and node.func.attr == "view"
+            and len(node.args) == 1
+            and _dotted(node.args[0]) in ("np.uint8", "numpy.uint8")
+            and not Path(self.path).resolve().as_posix().endswith(
+                _BYTE_VIEW_HOME
+            )
+        ):
+            self._flag(
+                node, "byte-view",
+                ".view(np.uint8) outside hw/memory.py: a strided array's "
+                "byte view is a copy and writes into it are lost; use "
+                "as_bytes_view/land_bytes",
             )
         # id() as an ordering key of sorted/min/max.
         if isinstance(node.func, ast.Name) and node.func.id in (
