@@ -7,12 +7,12 @@ shapes, so a rewrite of the compiler shows up here as a changed
 number, not as a drifting benchmark:
 
 * per (fabric, op, algorithm), over P in {3, 8, 12} and one eager and
-  one rendezvous size, under seeded arrival skew: every rank's
-  completion time of every call (the first two compile, the third
-  replays the retained plan), the ``wire_cost`` hits and misses,
-  ``fastpath_rounds``, ``chan_bytes``, the channels' ``busy_s`` with
-  accounting on (to 12 significant digits) and the recorded span
-  tree;
+  one rendezvous size, under seeded arrival skew: one digest of every
+  rank's completion time of every call, ``fastpath_rounds``,
+  ``chan_bytes``, the channels' ``busy_s`` with accounting on (to 12
+  significant digits) and the recorded span tree; beside it, in the
+  clear, the lookup counts (``wire_cost`` hits and misses, plan hits),
+  which say how often a cache served, not what was priced;
 * the P=1024 pricing points, which also equal their committed
   ``BENCH_scale.json`` records;
 * a stalled shape and a short receive raise their ``MpiError``;
@@ -147,9 +147,11 @@ def _case(fabric, op, algo, P, nbytes):
              for s in rec.spans]
     return {
         "times": [done[k] for k in sorted(done)],
-        "counts": [st.wire_cost_hits, st.wire_cost_misses,
-                   st.fastpath_rounds, st.chan_bytes,
-                   st.fastpath_sched_cache_hits],
+        "counts": [st.fastpath_rounds, st.chan_bytes],
+        # How often a lookup hit: these move with plan retention, never
+        # with what the compiler decides, so they stay out of the digest.
+        "lookups": [st.wire_cost_hits, st.wire_cost_misses,
+                    st.fastpath_sched_cache_hits],
         # To 12 digits: a channel's busy_s sums its legs in the order
         # they are priced, which the compiler picks; the last bits of
         # that float sum say nothing about the model.
@@ -164,15 +166,17 @@ def _digest(obj) -> str:
 
 
 def shape_digest(fabric, op, algo):
-    """One digest over P x size of every output, plus the wire counts
-    in the clear (they say the most when a digest moves)."""
+    """One digest over P x size of every output, plus the lookup counts
+    in the clear: per case the ``wire_cost`` hits and misses and the
+    plan hits."""
     cases = []
     for P in RANKS:
         if (op, algo) in POF2_ONLY and P & (P - 1):
             continue
         for nbytes in SIZES:
             cases.append(_case(fabric, op, algo, P, nbytes))
-    return (_digest(cases), [c["counts"][:2] for c in cases])
+    lookups = [c.pop("lookups") for c in cases]
+    return (_digest(cases), lookups)
 
 
 @pytest.mark.parametrize("fabric", sorted(FABRICS))
@@ -391,150 +395,150 @@ def test_replay_order_structure(fabric, op, algo, monkeypatch):
 
 
 #: (fabric, op, algorithm) -> (digest of every case, per case the
-#: ``wire_cost`` hits and misses).
+#: ``wire_cost`` hits and misses and the plan hits).
 SMALL = {
     ('fattree', 'allreduce', 'reduce_bcast'):
-        ('9a385b84b68d9f01', [[5, 3], [18, 6], [18, 10], [64, 20], [28, 16], [100, 32]]),
+        ('ae95762fd8079e59', [[5, 3, 1], [18, 6, 1], [18, 10, 1], [64, 20, 1], [28, 16, 1], [100, 32, 1]]),
     ('fattree', 'allreduce', 'recursive_doubling'):
-        ('579c15e4caa95c43', [[5, 3], [18, 6], [36, 12], [120, 24], [40, 24], [144, 48]]),
+        ('7fd70291bc6e509f', [[5, 3, 1], [18, 6, 1], [36, 12, 1], [120, 24, 1], [40, 24, 1], [144, 48, 1]]),
     ('fattree', 'allreduce', 'ring'):
-        ('abae703f5e2bf611', [[21, 3], [63, 9], [208, 16], [652, 20], [516, 12], [1542, 42]]),
+        ('4eedf28adef1feb9', [[21, 3, 1], [63, 9, 1], [208, 16, 1], [652, 20, 1], [516, 12, 1], [1542, 42, 1]]),
     ('fattree', 'allreduce', 'hierarchical'):
-        ('2e4a06d799972fdb', [[21, 3], [63, 9], [116, 12], [364, 20], [276, 12], [828, 36]]),
+        ('82f15beb3cb377f6', [[21, 3, 1], [63, 9, 1], [116, 12, 1], [364, 20, 1], [276, 12, 1], [828, 36, 1]]),
     ('fattree', 'allgather', 'ring'):
-        ('bf91a1867de42412', [[9, 3], [30, 6], [104, 8], [316, 20], [252, 12], [762, 30]]),
+        ('87bfaac5448478a9', [[9, 3, 1], [30, 6, 1], [104, 8, 1], [316, 20, 1], [252, 12, 1], [762, 30, 1]]),
     ('fattree', 'allgather', 'recursive_doubling'):
-        ('4ebf9743f4af3b27', [[36, 12], [120, 24]]),
+        ('7a7ed848dc702851', [[36, 12, 1], [120, 24, 1]]),
     ('fattree', 'allgather', 'bruck'):
-        ('45771c4cb1e236b1', [[9, 3], [30, 6], [32, 16], [112, 32], [66, 30], [228, 60]]),
+        ('91d3a792c0ad14f2', [[9, 3, 1], [30, 6, 1], [32, 16, 1], [112, 32, 1], [66, 30, 1], [228, 60, 1]]),
     ('fattree', 'allgather', 'hierarchical'):
-        ('6c957d585f6a2897', [[4, 4], [17, 7], [28, 12], [96, 24], [66, 18], [216, 36]]),
+        ('85b5a60c1fcd8bfa', [[4, 4, 1], [17, 7, 1], [28, 12, 1], [96, 24, 1], [66, 18, 1], [216, 36, 1]]),
     ('fattree', 'alltoall', 'shift'):
-        ('7d375b8efd79f984', [[9, 3], [30, 6], [96, 16], [304, 32], [228, 36], [720, 72]]),
+        ('39f04c0b60bbf892', [[9, 3, 1], [30, 6, 1], [96, 16, 1], [304, 32, 1], [228, 36, 1], [720, 72, 1]]),
     ('fattree', 'alltoall', 'pairwise'):
-        ('d201ca9bccb42b3d', [[96, 16], [304, 32]]),
+        ('44e0f5c680c8a3da', [[96, 16, 1], [304, 32, 1]]),
     ('fattree', 'alltoall', 'bruck'):
-        ('695f45df6e78a39a', [[9, 3], [30, 6], [36, 12], [116, 28], [72, 24], [234, 54]]),
+        ('a3044af72a6e675c', [[9, 3, 1], [30, 6, 1], [36, 12, 1], [116, 28, 1], [72, 24, 1], [234, 54, 1]]),
     ('fattree', 'alltoall', 'hierarchical'):
-        ('b1f9cac4dedf78ac', [[5, 3], [18, 6], [24, 16], [88, 32], [48, 36], [180, 72]]),
+        ('f7ec819f002a37ec', [[5, 3, 1], [18, 6, 1], [24, 16, 1], [88, 32, 1], [48, 36, 1], [180, 72, 1]]),
     ('fattree', 'bcast', 'binomial'):
-        ('f60afbca2908b1d2', [[2, 2], [7, 5], [7, 7], [25, 17], [11, 11], [39, 27]]),
+        ('4be35bcb23ba48bc', [[2, 2, 1], [7, 5, 1], [7, 7, 1], [25, 17, 1], [11, 11, 1], [39, 27, 1]]),
     ('fattree', 'bcast', 'pipelined'):
-        ('2154442aad2d4d7c', [[2, 2], [125, 7], [7, 7], [217, 7], [11, 11], [341, 11]]),
+        ('ac19a793f9a6b30d', [[2, 2, 1], [125, 7, 1], [7, 7, 1], [217, 7, 1], [11, 11, 1], [341, 11, 1]]),
     ('fattree', 'bcast', 'hierarchical'):
-        ('2f5628f3f2bba1ac', [[2, 2], [7, 5], [7, 7], [25, 17], [11, 11], [39, 27]]),
+        ('503198b93dd973c5', [[2, 2, 1], [7, 5, 1], [7, 7, 1], [25, 17, 1], [11, 11, 1], [39, 27, 1]]),
     ('fattree', 'reduce', 'binomial'):
-        ('78a9dd06e55192be', [[3, 1], [9, 3], [9, 5], [27, 15], [14, 8], [42, 24]]),
+        ('1d3aa0b7ff5277e1', [[3, 1, 1], [9, 3, 1], [9, 5, 1], [27, 15, 1], [14, 8, 1], [42, 24, 1]]),
     ('fattree', 'reduce', 'rabenseifner'):
-        ('583126c313793b24', [[5, 3], [19, 5], [38, 24], [154, 32], [41, 29], [167, 43]]),
+        ('4c6e3ee793f6d6b9', [[5, 3, 1], [19, 5, 1], [38, 24, 1], [154, 32, 1], [41, 29, 1], [167, 43, 1]]),
     ('fattree', 'barrier', None):
-        ('d14aa3a664136ddb', [[9, 3], [9, 3], [36, 12], [36, 12], [72, 24], [72, 24]]),
+        ('53503f60473042a6', [[9, 3, 1], [9, 3, 1], [36, 12, 1], [36, 12, 1], [72, 24, 1], [72, 24, 1]]),
     ('flat', 'allreduce', 'reduce_bcast'):
-        ('0d07e8f814b8faaf', [[4, 4], [16, 8], [14, 14], [56, 28], [22, 22], [88, 44]]),
+        ('64f50aa6a5445844', [[4, 4, 1], [16, 8, 1], [14, 14, 1], [56, 28, 1], [22, 22, 1], [88, 44, 1]]),
     ('flat', 'allreduce', 'recursive_doubling'):
-        ('c18af52e2fa4262b', [[4, 4], [16, 8], [24, 24], [96, 48], [32, 32], [128, 64]]),
+        ('727841fc95a8899b', [[4, 4, 1], [16, 8, 1], [24, 24, 1], [96, 48, 1], [32, 32, 1], [128, 64, 1]]),
     ('flat', 'allreduce', 'ring'):
-        ('27a61232079e36ad', [[21, 3], [60, 12], [208, 16], [648, 24], [516, 12], [1536, 48]]),
+        ('60d29355560abd22', [[21, 3, 1], [60, 12, 1], [208, 16, 1], [648, 24, 1], [516, 12, 1], [1536, 48, 1]]),
     ('flat', 'allreduce', 'hierarchical'):
-        ('5fbcb46576c1a7eb', [[21, 3], [60, 12], [208, 16], [648, 24], [516, 12], [1536, 48]]),
+        ('d817bf3d40d42de1', [[21, 3, 1], [60, 12, 1], [208, 16, 1], [648, 24, 1], [516, 12, 1], [1536, 48, 1]]),
     ('flat', 'allgather', 'ring'):
-        ('bad30c6618e12de0', [[9, 3], [27, 9], [104, 8], [312, 24], [252, 12], [756, 36]]),
+        ('34ced000fe4b784f', [[9, 3, 1], [27, 9, 1], [104, 8, 1], [312, 24, 1], [252, 12, 1], [756, 36, 1]]),
     ('flat', 'allgather', 'recursive_doubling'):
-        ('80861bf3cab5149a', [[24, 24], [96, 48]]),
+        ('20442d166af6dc80', [[24, 24, 1], [96, 48, 1]]),
     ('flat', 'allgather', 'bruck'):
-        ('6cf24fd83aa15ef2', [[6, 6], [24, 12], [24, 24], [80, 64], [48, 48], [168, 120]]),
+        ('28552bb2950f4049', [[6, 6, 1], [24, 12, 1], [24, 24, 1], [80, 64, 1], [48, 48, 1], [168, 120, 1]]),
     ('flat', 'allgather', 'hierarchical'):
-        ('69de0fff024bdf2a', [[9, 3], [27, 9], [104, 8], [312, 24], [252, 12], [756, 36]]),
+        ('7f78db0625860c9b', [[9, 3, 1], [27, 9, 1], [104, 8, 1], [312, 24, 1], [252, 12, 1], [756, 36, 1]]),
     ('flat', 'alltoall', 'shift'):
-        ('7045fa49b5421f99', [[6, 6], [24, 12], [56, 56], [224, 112], [132, 132], [528, 264]]),
+        ('6eb14f31ddfdd499', [[6, 6, 1], [24, 12, 1], [56, 56, 1], [224, 112, 1], [132, 132, 1], [528, 264, 1]]),
     ('flat', 'alltoall', 'pairwise'):
-        ('58b2b132d12e0d00', [[56, 56], [224, 112]]),
+        ('f14e928487a85048', [[56, 56, 1], [224, 112, 1]]),
     ('flat', 'alltoall', 'bruck'):
-        ('2afa3fbfa88f3868', [[6, 6], [24, 12], [24, 24], [80, 64], [48, 48], [168, 120]]),
+        ('215d5b885da9f365', [[6, 6, 1], [24, 12, 1], [24, 24, 1], [80, 64, 1], [48, 48, 1], [168, 120, 1]]),
     ('flat', 'alltoall', 'hierarchical'):
-        ('59da6c2c48663874', [[6, 6], [24, 12], [56, 56], [224, 112], [132, 132], [528, 264]]),
+        ('7ecb268dbea281a3', [[6, 6, 1], [24, 12, 1], [56, 56, 1], [224, 112, 1], [132, 132, 1], [528, 264, 1]]),
     ('flat', 'bcast', 'binomial'):
-        ('8114e4f8ad4092b7', [[2, 2], [6, 6], [7, 7], [21, 21], [11, 11], [33, 33]]),
+        ('0cc9a766a4a920e7', [[2, 2, 1], [6, 6, 1], [7, 7, 1], [21, 21, 1], [11, 11, 1], [33, 33, 1]]),
     ('flat', 'bcast', 'pipelined'):
-        ('dec6dbad3623d187', [[2, 2], [124, 8], [7, 7], [217, 7], [11, 11], [341, 11]]),
+        ('d947b2f8e560c664', [[2, 2, 1], [124, 8, 1], [7, 7, 1], [217, 7, 1], [11, 11, 1], [341, 11, 1]]),
     ('flat', 'bcast', 'hierarchical'):
-        ('8569032a2a7fc077', [[2, 2], [6, 6], [7, 7], [21, 21], [11, 11], [33, 33]]),
+        ('5a94506128d99416', [[2, 2, 1], [6, 6, 1], [7, 7, 1], [21, 21, 1], [11, 11, 1], [33, 33, 1]]),
     ('flat', 'reduce', 'binomial'):
-        ('73bf61be27ec5390', [[2, 2], [6, 6], [7, 7], [21, 21], [11, 11], [33, 33]]),
+        ('02ed4cfb625a485c', [[2, 2, 1], [6, 6, 1], [7, 7, 1], [21, 21, 1], [11, 11, 1], [33, 33, 1]]),
     ('flat', 'reduce', 'rabenseifner'):
-        ('bd6db35270409cd5', [[5, 3], [17, 7], [34, 28], [138, 48], [38, 32], [150, 60]]),
+        ('af270dafbc931615', [[5, 3, 1], [17, 7, 1], [34, 28, 1], [138, 48, 1], [38, 32, 1], [150, 60, 1]]),
     ('flat', 'barrier', None):
-        ('ca7d412540827200', [[6, 6], [6, 6], [24, 24], [24, 24], [48, 48], [48, 48]]),
+        ('bb569be8f4be587a', [[6, 6, 1], [6, 6, 1], [24, 24, 1], [24, 24, 1], [48, 48, 1], [48, 48, 1]]),
     ('multirail', 'allreduce', 'reduce_bcast'):
-        ('33d076bb84738dd2', [[4, 4], [16, 8], [14, 14], [56, 28], [22, 22], [88, 44]]),
+        ('3c119655d7eb3f84', [[4, 4, 1], [16, 8, 1], [14, 14, 1], [56, 28, 1], [22, 22, 1], [88, 44, 1]]),
     ('multirail', 'allreduce', 'recursive_doubling'):
-        ('812d8829822cee01', [[4, 4], [16, 8], [24, 24], [96, 48], [32, 32], [128, 64]]),
+        ('f714b0c0ecfc4bc2', [[4, 4, 1], [16, 8, 1], [24, 24, 1], [96, 48, 1], [32, 32, 1], [128, 64, 1]]),
     ('multirail', 'allreduce', 'ring'):
-        ('8a59153c3eb3b7b3', [[21, 3], [60, 12], [208, 16], [648, 24], [516, 12], [1536, 48]]),
+        ('630e00c4a2d2b205', [[21, 3, 1], [60, 12, 1], [208, 16, 1], [648, 24, 1], [516, 12, 1], [1536, 48, 1]]),
     ('multirail', 'allreduce', 'hierarchical'):
-        ('8ede0b9e743a8821', [[21, 3], [60, 12], [208, 16], [648, 24], [516, 12], [1536, 48]]),
+        ('55dff6f8f98726f2', [[21, 3, 1], [60, 12, 1], [208, 16, 1], [648, 24, 1], [516, 12, 1], [1536, 48, 1]]),
     ('multirail', 'allgather', 'ring'):
-        ('81bd5829f6d2841e', [[9, 3], [27, 9], [104, 8], [312, 24], [252, 12], [756, 36]]),
+        ('e8bcb680a7dba1e9', [[9, 3, 1], [27, 9, 1], [104, 8, 1], [312, 24, 1], [252, 12, 1], [756, 36, 1]]),
     ('multirail', 'allgather', 'recursive_doubling'):
-        ('bae4000019c1376c', [[24, 24], [96, 48]]),
+        ('e6c75ff315f61598', [[24, 24, 1], [96, 48, 1]]),
     ('multirail', 'allgather', 'bruck'):
-        ('9074aa6c58f3e300', [[6, 6], [24, 12], [24, 24], [80, 64], [48, 48], [168, 120]]),
+        ('f94e201fe1ccb943', [[6, 6, 1], [24, 12, 1], [24, 24, 1], [80, 64, 1], [48, 48, 1], [168, 120, 1]]),
     ('multirail', 'allgather', 'hierarchical'):
-        ('5a16fb448010e359', [[9, 3], [27, 9], [104, 8], [312, 24], [252, 12], [756, 36]]),
+        ('f6f4e910230f2410', [[9, 3, 1], [27, 9, 1], [104, 8, 1], [312, 24, 1], [252, 12, 1], [756, 36, 1]]),
     ('multirail', 'alltoall', 'shift'):
-        ('56994f76c96f187a', [[6, 6], [24, 12], [56, 56], [224, 112], [132, 132], [528, 264]]),
+        ('e7c2d9993cfa07f4', [[6, 6, 1], [24, 12, 1], [56, 56, 1], [224, 112, 1], [132, 132, 1], [528, 264, 1]]),
     ('multirail', 'alltoall', 'pairwise'):
-        ('4b8f3ba8de0b0043', [[56, 56], [224, 112]]),
+        ('1f11898a5d851d41', [[56, 56, 1], [224, 112, 1]]),
     ('multirail', 'alltoall', 'bruck'):
-        ('61a86618d798622b', [[6, 6], [24, 12], [24, 24], [80, 64], [48, 48], [168, 120]]),
+        ('e20a178ba22c0eaf', [[6, 6, 1], [24, 12, 1], [24, 24, 1], [80, 64, 1], [48, 48, 1], [168, 120, 1]]),
     ('multirail', 'alltoall', 'hierarchical'):
-        ('b322242e5c496269', [[6, 6], [24, 12], [56, 56], [224, 112], [132, 132], [528, 264]]),
+        ('129c1d3d8b0d4982', [[6, 6, 1], [24, 12, 1], [56, 56, 1], [224, 112, 1], [132, 132, 1], [528, 264, 1]]),
     ('multirail', 'bcast', 'binomial'):
-        ('bef6062cdb4104fe', [[2, 2], [6, 6], [7, 7], [21, 21], [11, 11], [33, 33]]),
+        ('89f7fae5fd7a228c', [[2, 2, 1], [6, 6, 1], [7, 7, 1], [21, 21, 1], [11, 11, 1], [33, 33, 1]]),
     ('multirail', 'bcast', 'pipelined'):
-        ('384201fb2d5ddbdc', [[2, 2], [124, 8], [7, 7], [217, 7], [11, 11], [341, 11]]),
+        ('5f6958a75071b848', [[2, 2, 1], [124, 8, 1], [7, 7, 1], [217, 7, 1], [11, 11, 1], [341, 11, 1]]),
     ('multirail', 'bcast', 'hierarchical'):
-        ('9c0cbc663bfe0695', [[2, 2], [6, 6], [7, 7], [21, 21], [11, 11], [33, 33]]),
+        ('092cd0c103a1c1a1', [[2, 2, 1], [6, 6, 1], [7, 7, 1], [21, 21, 1], [11, 11, 1], [33, 33, 1]]),
     ('multirail', 'reduce', 'binomial'):
-        ('6684da64ccfd3aff', [[2, 2], [6, 6], [7, 7], [21, 21], [11, 11], [33, 33]]),
+        ('6cce574fd3b8bd0c', [[2, 2, 1], [6, 6, 1], [7, 7, 1], [21, 21, 1], [11, 11, 1], [33, 33, 1]]),
     ('multirail', 'reduce', 'rabenseifner'):
-        ('c5353a3042ee5759', [[5, 3], [17, 7], [34, 28], [138, 48], [38, 32], [150, 60]]),
+        ('a06c07dfd23a8b35', [[5, 3, 1], [17, 7, 1], [34, 28, 1], [138, 48, 1], [38, 32, 1], [150, 60, 1]]),
     ('multirail', 'barrier', None):
-        ('907f4d1344825e93', [[6, 6], [6, 6], [24, 24], [24, 24], [48, 48], [48, 48]]),
+        ('a7c29fb62ed680ed', [[6, 6, 1], [6, 6, 1], [24, 24, 1], [24, 24, 1], [48, 48, 1], [48, 48, 1]]),
     ('torus', 'allreduce', 'reduce_bcast'):
-        ('0c98a7fd3a61ca87', [[4, 4], [16, 8], [14, 14], [56, 28], [22, 22], [88, 44]]),
+        ('3833d15c5c8a641c', [[4, 4, 1], [16, 8, 1], [14, 14, 1], [56, 28, 1], [22, 22, 1], [88, 44, 1]]),
     ('torus', 'allreduce', 'recursive_doubling'):
-        ('143a756f0b55b2b4', [[4, 4], [16, 8], [24, 24], [96, 48], [32, 32], [128, 64]]),
+        ('0babc732e3bb4daf', [[4, 4, 1], [16, 8, 1], [24, 24, 1], [96, 48, 1], [32, 32, 1], [128, 64, 1]]),
     ('torus', 'allreduce', 'ring'):
-        ('bcd3d3ac4677232c', [[21, 3], [60, 12], [208, 16], [648, 24], [516, 12], [1536, 48]]),
+        ('cced0153b9292962', [[21, 3, 1], [60, 12, 1], [208, 16, 1], [648, 24, 1], [516, 12, 1], [1536, 48, 1]]),
     ('torus', 'allreduce', 'hierarchical'):
-        ('c10449046c1be9e9', [[21, 3], [60, 12], [208, 16], [648, 24], [516, 12], [1536, 48]]),
+        ('ea4254440aaca38c', [[21, 3, 1], [60, 12, 1], [208, 16, 1], [648, 24, 1], [516, 12, 1], [1536, 48, 1]]),
     ('torus', 'allgather', 'ring'):
-        ('89ab639d9adb54a1', [[9, 3], [27, 9], [104, 8], [312, 24], [252, 12], [756, 36]]),
+        ('707e42204c56ac29', [[9, 3, 1], [27, 9, 1], [104, 8, 1], [312, 24, 1], [252, 12, 1], [756, 36, 1]]),
     ('torus', 'allgather', 'recursive_doubling'):
-        ('e14626110fbf69f6', [[24, 24], [96, 48]]),
+        ('598069bd3912decc', [[24, 24, 1], [96, 48, 1]]),
     ('torus', 'allgather', 'bruck'):
-        ('ef258c53ca9ad7c5', [[6, 6], [24, 12], [24, 24], [80, 64], [48, 48], [168, 120]]),
+        ('735ad0418bdb7b71', [[6, 6, 1], [24, 12, 1], [24, 24, 1], [80, 64, 1], [48, 48, 1], [168, 120, 1]]),
     ('torus', 'allgather', 'hierarchical'):
-        ('5cb0ec60a3e9f60d', [[9, 3], [27, 9], [104, 8], [312, 24], [252, 12], [756, 36]]),
+        ('00353d5506916c86', [[9, 3, 1], [27, 9, 1], [104, 8, 1], [312, 24, 1], [252, 12, 1], [756, 36, 1]]),
     ('torus', 'alltoall', 'shift'):
-        ('049dad9073f86dec', [[6, 6], [24, 12], [56, 56], [224, 112], [132, 132], [528, 264]]),
+        ('dc876bc65d6eea93', [[6, 6, 1], [24, 12, 1], [56, 56, 1], [224, 112, 1], [132, 132, 1], [528, 264, 1]]),
     ('torus', 'alltoall', 'pairwise'):
-        ('25eec2935b542ad5', [[56, 56], [224, 112]]),
+        ('8156763e2ee83a66', [[56, 56, 1], [224, 112, 1]]),
     ('torus', 'alltoall', 'bruck'):
-        ('28e18ac81726b901', [[6, 6], [24, 12], [24, 24], [80, 64], [48, 48], [168, 120]]),
+        ('757982e68735ff59', [[6, 6, 1], [24, 12, 1], [24, 24, 1], [80, 64, 1], [48, 48, 1], [168, 120, 1]]),
     ('torus', 'alltoall', 'hierarchical'):
-        ('78b923e7b75467db', [[6, 6], [24, 12], [56, 56], [224, 112], [132, 132], [528, 264]]),
+        ('29246f51b7be92d0', [[6, 6, 1], [24, 12, 1], [56, 56, 1], [224, 112, 1], [132, 132, 1], [528, 264, 1]]),
     ('torus', 'bcast', 'binomial'):
-        ('881f90ba84fa2156', [[2, 2], [6, 6], [7, 7], [21, 21], [11, 11], [33, 33]]),
+        ('83b104dc919c493e', [[2, 2, 1], [6, 6, 1], [7, 7, 1], [21, 21, 1], [11, 11, 1], [33, 33, 1]]),
     ('torus', 'bcast', 'pipelined'):
-        ('ebbc3e85ea249a78', [[2, 2], [124, 8], [7, 7], [217, 7], [11, 11], [341, 11]]),
+        ('a650715283ac9862', [[2, 2, 1], [124, 8, 1], [7, 7, 1], [217, 7, 1], [11, 11, 1], [341, 11, 1]]),
     ('torus', 'bcast', 'hierarchical'):
-        ('f980ab6bc20c6342', [[2, 2], [6, 6], [7, 7], [21, 21], [11, 11], [33, 33]]),
+        ('ec62a78df47d1125', [[2, 2, 1], [6, 6, 1], [7, 7, 1], [21, 21, 1], [11, 11, 1], [33, 33, 1]]),
     ('torus', 'reduce', 'binomial'):
-        ('663af6bdd418607a', [[2, 2], [6, 6], [7, 7], [21, 21], [11, 11], [33, 33]]),
+        ('5b727378f417805b', [[2, 2, 1], [6, 6, 1], [7, 7, 1], [21, 21, 1], [11, 11, 1], [33, 33, 1]]),
     ('torus', 'reduce', 'rabenseifner'):
-        ('affeb10bcc4bedc9', [[5, 3], [17, 7], [34, 28], [138, 48], [38, 32], [150, 60]]),
+        ('1b6b00f106b02c30', [[5, 3, 1], [17, 7, 1], [34, 28, 1], [138, 48, 1], [38, 32, 1], [150, 60, 1]]),
     ('torus', 'barrier', None):
-        ('155e6bc40f032bb7', [[6, 6], [6, 6], [24, 24], [24, 24], [48, 48], [48, 48]]),
+        ('217e8da98357cb9c', [[6, 6, 1], [6, 6, 1], [24, 24, 1], [24, 24, 1], [48, 48, 1], [48, 48, 1]]),
 }
