@@ -18,6 +18,10 @@ Every other view is derived from that one route:
 * ``wire_cost`` interns ``wire_time`` for the fast-path pricers and
   books the leg when accounting is on.
 
+``signature`` says which placements the fabric cannot tell apart; the
+fast path keys the compiled plans it keeps in :attr:`Topology.plans`
+by it, so communicators of one structure compile each shape once.
+
 The *static* view — ``profile`` / ``locality_group`` — feeds the
 collective auto-tuner (:mod:`repro.mpi.algorithms.autotune`), which
 sweeps an analytic cost model over the profile to derive per-cluster
@@ -26,16 +30,17 @@ selection thresholds instead of hardcoded constants.
 
 from __future__ import annotations
 
+import weakref
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Any, Dict, Generator, List, Optional, Tuple
+from typing import Any, Dict, Generator, List, Optional, Sequence, Tuple
 
 from ...sim.core import Event, Simulator, us
 from ...sim.primitives import AllOf
 from ...sim.resources import BandwidthChannel
 from ..params import IbParams
 
-__all__ = ["FabricProfile", "Leg", "Route", "Topology"]
+__all__ = ["FabricProfile", "Leg", "Route", "Topology", "ordinal"]
 
 #: One stage of a route: ``(channel, nbytes, seconds)``.  A leg with
 #: ``nbytes`` set serializes that payload through ``channel``
@@ -48,6 +53,13 @@ Leg = Tuple[Optional[BandwidthChannel], Optional[int], Optional[float]]
 #: A routed transfer: lanes that run in parallel (rail stripes), each a
 #: sequence of legs walked in order.  Single-path fabrics have one lane.
 Route = Tuple[Tuple[Leg, ...], ...]
+
+
+def ordinal(values: Sequence[int]) -> Tuple[int, ...]:
+    """Each value's index among the distinct values, sorted: keeps which
+    values are equal and how they order, forgets the ids."""
+    index = {v: i for i, v in enumerate(sorted(set(values)))}
+    return tuple(index[v] for v in values)
 
 
 @dataclass(frozen=True)
@@ -119,6 +131,12 @@ class Topology(ABC):
         #: Interned uncontended wire times: (src, dst, nbytes) → s.  The
         #: one cache both fast-path pricers (collectives and RMA) share.
         self._wire_cache: Dict[Tuple[int, int, int], float] = {}
+        #: Compiled collective plans by key, shared by the communicators
+        #: on this fabric (see :meth:`signature` and
+        #: :mod:`repro.mpi.algorithms.fastpath`).  Held weakly: a plan
+        #: lives while a communicator that uses it keeps it.
+        self.plans: "weakref.WeakValueDictionary[Tuple, Any]" = (
+            weakref.WeakValueDictionary())
         self._shm: List[BandwidthChannel] = [
             BandwidthChannel(
                 sim,
@@ -242,6 +260,22 @@ class Topology(ABC):
         else:
             self.sim.stats.wire_cost_hits += 1
         return cost
+
+    def signature(self, nodes: Sequence[int]) -> Tuple:
+        """What the fabric can tell of a placement (``nodes[r]``: rank
+        ``r``'s node).
+
+        Contract: two placements of one length with equal signatures
+        price every ordered rank pair alike — ``wire_cost(nodes[i],
+        nodes[j], n)`` is the same float for both at every ``n`` — and
+        order their nodes and locality domains alike, as
+        :func:`ordinal` relabels them (hierarchical sub-communicators
+        are built in domain order).  A structure compiled for one
+        placement (a fast-path plan, with its legs labelled by
+        ``ordinal``) then serves the other.  The base class returns
+        the nodes themselves: it never shares, so it is always right.
+        """
+        return tuple(nodes)
 
     # -- observability -----------------------------------------------------
     def channels(self) -> List[BandwidthChannel]:

@@ -21,12 +21,12 @@ even at 1:1 — use the flat topology for the paper's testbed.
 from __future__ import annotations
 
 import math
-from typing import List
+from typing import List, Sequence, Tuple
 
 from ...sim.core import Simulator, us
 from ...sim.resources import BandwidthChannel
 from ..params import IbParams
-from .base import FabricProfile, Route
+from .base import FabricProfile, Route, ordinal
 from .flat import FlatSwitch
 
 __all__ = ["FatTree"]
@@ -96,6 +96,11 @@ class FatTree(FlatSwitch):
     def locality_group(self, node: int) -> int:
         self._check(node)
         return self.pod(node)
+
+    def signature(self, nodes: Sequence[int]) -> Tuple:
+        # A leg crosses the spine or not; every pod's up- and down-link
+        # has one bandwidth, so nodes and pods relabel alike.
+        return ordinal(nodes), ordinal([self.pod(n) for n in nodes])
 
     def _fabric_channels(self) -> List[BandwidthChannel]:
         return super()._fabric_channels() + list(self._up) + list(self._down)

@@ -9,12 +9,12 @@ every calibrated timing is unchanged.
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Sequence, Tuple
 
 from ...sim.core import Simulator, us
 from ...sim.resources import BandwidthChannel
 from ..params import IbParams
-from .base import FabricProfile, Leg, Route, Topology
+from .base import FabricProfile, Leg, Route, Topology, ordinal
 
 __all__ = ["FlatSwitch"]
 
@@ -54,6 +54,11 @@ class FlatSwitch(Topology):
     def _route(self, src: int, dst: int, nbytes: int) -> Route:
         # Injection: the sender NIC serializes for latency/2 + size/bw.
         return (((self._tx[src], nbytes, None), self._ejects[dst]),)
+
+    def signature(self, nodes: Sequence[int]) -> Tuple:
+        # Every inter-node leg is alike: only which ranks share a node
+        # (and the nodes' order) shows.
+        return ordinal(nodes)
 
     def _fabric_channels(self) -> List[BandwidthChannel]:
         return list(self._tx) + list(self._rx)

@@ -12,12 +12,12 @@ exactly the contention a real rail-striped MPI sees.
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Sequence, Tuple
 
 from ...sim.core import Simulator, us
 from ...sim.resources import BandwidthChannel
 from ..params import IbParams
-from .base import FabricProfile, Route, Topology
+from .base import FabricProfile, Route, Topology, ordinal
 
 __all__ = ["MultiRail"]
 
@@ -78,6 +78,10 @@ class MultiRail(Topology):
                 (self._rx[dst][r], None, self._half_lat),
             ))
         return tuple(lanes)
+
+    def signature(self, nodes: Sequence[int]) -> Tuple:
+        # Every node has the same rails into a non-blocking core.
+        return ordinal(nodes)
 
     def _fabric_channels(self) -> List[BandwidthChannel]:
         return [ch for node in self._tx for ch in node] + [

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from ...sim.core import Simulator, us
 from ..params import IbParams
-from .base import FabricProfile, Route
+from .base import FabricProfile, Route, Topology
 from .flat import FlatSwitch
 
 __all__ = ["Torus2D"]
@@ -81,6 +81,10 @@ class Torus2D(FlatSwitch):
                 self._ejects[dst],
             ),)
         return super()._route(src, dst, nbytes)
+
+    # Hop counts depend on where the nodes sit: only the placement
+    # itself is safe (not the flat switch's relabelling).
+    signature = Topology.signature
 
     def _mean_hops(self) -> float:
         """Average hop count over distinct node pairs (closed form)."""

@@ -78,13 +78,24 @@ packet:
    :class:`~repro.sim.batch.EventBatch`, so 1024 rank completions cost
    a handful of heap operations instead of thousands.
 
-Plans are interned per communicator under the structural key the
-dispatch layer forms from the call's arguments before anything is
-built (``Call.key``: op, algorithm, root, size, dtype, reduction op and
-the receive layout).  A plan is kept from its key's second sighting,
-within :data:`PLAN_STEP_BUDGET`.  A hit is checked, not trusted: every
-rank's binding signature (dtype, layout and slot sizes) must equal the
-one the plan was compiled from.
+Plans live in one store per fabric (``Topology.plans``), keyed by the
+backend (pricing or not), the communicator's tuning, the topology's
+``signature`` of its placement, and the structural key the dispatch
+layer forms from the call's arguments before anything is built
+(``Call.key``: op, algorithm, root, size, dtype, reduction op and the
+receive layout).  Communicators whose placements the fabric cannot tell
+apart therefore share plans: on a flat switch, multi-rail or fat tree
+the signature keeps only which ranks share a node (and a pod) and how
+those order, so two packed jobs on different pods compile a shape
+once; a torus shares only equal placements.  A plan's priced legs are
+kept in those relabelled nodes and booked on the nodes of the
+communicator that runs it.  A plan is published and kept from its
+first sighting.  The store holds it weakly; each communicator's engine
+keeps alive the plans it uses, up to :data:`PLAN_STEP_BUDGET` steps,
+so a plan dies with the last communicator that uses it (``release``,
+``free``).  A hit is checked, not trusted: every rank's binding
+signature (dtype, layout and slot sizes) must equal the one the plan
+was compiled from.
 
 What stays exact: point-to-point (``send``/``recv``/``isend``/...) and
 ``gather``/``scatter``; host-memory RMA epochs take their own analytic
@@ -143,8 +154,9 @@ _NO_MSG = (None, 0)
 #: A ``None`` ref, as a resolved row.
 _NO_REF = (-1, 0, 0)
 
-#: Schedule steps the retained plans of one communicator may hold in
-#: total; shapes past it compile on every call instead.
+#: Schedule steps the plans one communicator keeps alive may hold in
+#: total; shapes past it compile on every call instead, unless another
+#: communicator keeps their plan.
 PLAN_STEP_BUDGET = 1 << 16
 
 
@@ -414,7 +426,9 @@ class Plan:
         self.ins = self.rel = np.zeros(0, dtype=np.intp)
         self.a = self.b = np.zeros(0)
         self.levels: List[Tuple[int, int, int, int]] = []
-        #: ``(src node, dst node, nbytes)`` rows, one per priced leg.
+        #: ``(src, dst, nbytes)`` rows, one per priced leg; a node is
+        #: labelled by its index among the placement's sorted nodes
+        #: (``Topology.signature``'s labels).
         self.legs = np.zeros((0, 3), dtype=np.intp)
         #: Per global step: its tape node (whose inputs are its ready
         #: time), its finish slot and its round.
@@ -464,10 +478,18 @@ class FastPathEngine(ScheduleEngine):
         super().__init__(comm)
         self._claims = [0] * comm.size
         self._instances: Dict[int, _Instance] = {}
-        #: Retained plans by key, the keys sighted once so far, and the
-        #: schedule steps the retained plans hold.
-        self._plans: Dict[Tuple, Plan] = {}
-        self._seen: Set[Tuple] = set()
+        topo = comm.cluster.topology
+        #: The fabric's plan store, and this engine's part of every key
+        #: it looks up there (see the module doc), as one string: a
+        #: string keeps its hash, so a lookup does not rehash the
+        #: tuning and the signature.
+        self._store = topo.plans
+        self._space = repr((price_only, comm.tuning,
+                            topo.signature(comm.placement)))
+        #: The placement's nodes, sorted: a plan's leg labels index it.
+        self._nodes = np.unique(comm.placement)
+        #: The plans this engine keeps alive, and their schedule steps.
+        self._held: Set[Plan] = set()
         self._plan_steps = 0
         #: Skip the replay: price timings only, leave receive buffers
         #: untouched (see module doc).
@@ -482,7 +504,7 @@ class FastPathEngine(ScheduleEngine):
         seq = self._claims[ctx.rank]
         self._claims[ctx.rank] += 1
         key = call.key
-        plan = self._plans.get(key) if key is not None else None
+        plan = self._lookup(key)
         if plan is None:
             sched, tags = call.build(ctx), None
             scratch = sched.scratch
@@ -494,6 +516,9 @@ class FastPathEngine(ScheduleEngine):
         bufs = None if self.price_only else materialize(call.binding,
                                                         scratch)
         return self._run(ctx, (call, sched, bufs, tags), seq, key)
+
+    def _lookup(self, key: Optional[Tuple]) -> Optional[Plan]:
+        return None if key is None else self._store.get((self._space, key))
 
     @staticmethod
     def _replay_claims(plan: Plan, ctx) -> List[int]:
@@ -544,7 +569,7 @@ class FastPathEngine(ScheduleEngine):
         bufs_of = [item[2] for item in items]
         key = inst.key
         retain = key is not None
-        plan = self._plans.get(key) if retain else None
+        plan = self._lookup(key)
         prog = plan.program if plan is not None else None
         if prog is not None and _layout(prog.bound, bufs_of) != prog.layout:
             # The buffers are laid out unlike the call the program was
@@ -571,7 +596,7 @@ class FastPathEngine(ScheduleEngine):
                     raise self._mismatch(plan, r)
             stats.fastpath_sched_cache_hits += 1
             if topo.accounting:
-                for leg in plan.legs.tolist():
+                for leg in zip(*self._on_nodes(plan.legs)):
                     topo.account(*leg)
         if plan.program is not None:
             self._replay(plan.program, bufs_of)
@@ -580,8 +605,8 @@ class FastPathEngine(ScheduleEngine):
         stats.fastpath_rounds += plan.n_rounds
         if spans is not None:
             self._record_spans(inst, plan, V, fins, spans)
-        if fresh and retain:
-            self._retain(plan)
+        if retain:
+            self._keep(plan, fresh)
 
         batch = EventBatch(sim, name="fastpath")
         now = sim.now
@@ -592,18 +617,22 @@ class FastPathEngine(ScheduleEngine):
             batch.add(max(fins[r], now), inst.dones[r], None)
         batch.commit()
 
-    def _retain(self, plan: Plan) -> None:
-        """Keep ``plan`` from its key's second sighting on, while the
-        communicator's step budget allows (one-shot shapes — a 1024-rank
-        ``win_create`` allgather — never grow memory)."""
-        key = plan.key
-        if key not in self._seen:
-            self._seen.add(key)
+    def _keep(self, plan: Plan, fresh: bool) -> None:
+        """Keep ``plan`` alive while this communicator lives, if its
+        step budget allows, and publish a ``fresh`` one to the store."""
+        if (plan in self._held
+                or self._plan_steps + plan.n_steps > PLAN_STEP_BUDGET):
             return
-        if self._plan_steps + plan.n_steps > PLAN_STEP_BUDGET:
-            return
+        self._held.add(plan)
         self._plan_steps += plan.n_steps
-        self._plans[key] = plan
+        if fresh:
+            self._store[self._space, plan.key] = plan
+
+    def _on_nodes(self, legs: np.ndarray) -> Tuple[List[int], ...]:
+        """The columns of a plan's ``legs`` with its labels replaced by
+        this placement's nodes."""
+        return (self._nodes[legs[:, 0]].tolist(),
+                self._nodes[legs[:, 1]].tolist(), legs[:, 2].tolist())
 
     @staticmethod
     def _mismatch(plan: Plan, rank: int) -> MpiError:
@@ -638,8 +667,9 @@ class FastPathEngine(ScheduleEngine):
         count, and the receive's tail would be stale).  Every wire leg is
         priced by :meth:`Topology.wire_cost`, which also books it onto
         the routed channel path when the topology's ``accounting`` flag
-        is on; ``plan.legs`` keeps them for replays.  A shape whose
-        steps cannot all finish (cyclic or unmatched wire steps) raises.
+        is on; ``plan.legs`` keeps them, relabelled, for replays.  A
+        shape whose steps cannot all finish (cyclic or unmatched wire
+        steps) raises.
         """
         ib = self.comm._ib
         sw = us(ib.sw_overhead_us)
@@ -704,8 +734,11 @@ class FastPathEngine(ScheduleEngine):
         leg_lo = n_legs.cumsum() - n_legs
         sent = wire.searchsorted(ps)
         base = np.array(place_lo)[cno[sent]]
-        sn = np.array(places)[base + me[sent]].repeat(n_legs)
-        dn = np.array(places)[base + peer[sent]].repeat(n_legs)
+        # Every communicator's nodes are this placement's (hierarchical
+        # parts are sub-communicators); label them as ``plan.legs`` does.
+        label = self._nodes.searchsorted(places)
+        sn = label[base + me[sent]].repeat(n_legs)
+        dn = label[base + peer[sent]].repeat(n_legs)
         j = _ranges(np.zeros_like(n_legs), n_legs)
         by_sender, leg_n = np.array(list(chain.from_iterable(rows)),
                                     dtype=np.intp).reshape(-1, 2)[
@@ -715,7 +748,7 @@ class FastPathEngine(ScheduleEngine):
                          leg_n)).T
         plan.legs = legs
         cost = np.array(list(map(self.comm.cluster.topology.wire_cost,
-                                 *legs.T.tolist())))
+                                 *self._on_nodes(legs))))
         K = len(ps)
         pair_a = np.zeros(K)
         pair_b = np.zeros(K)

@@ -173,7 +173,7 @@ def _repeated_allreduce(refs=None, calls=3):
 
 class TestPlanLifetime:
     """Retained fast-path plans hold structure only, and die with the
-    communicator's engine."""
+    last communicator engine that uses them."""
 
     def test_plans_keep_no_payloads_or_contexts(self):
         # The tape's index and constant arrays are the only arrays a
@@ -182,7 +182,7 @@ class TestPlanLifetime:
         refs = []
         job.start(_repeated_allreduce(refs, calls=4))
         sim.run()
-        plans = list(job.comm.engine._plans.values())
+        plans = list(job.comm.engine._held)
         assert plans and all(p.levels for p in plans)
         gc.collect()
         assert all(r() is None for r in refs), "a plan kept a payload alive"
@@ -205,7 +205,7 @@ class TestPlanLifetime:
         sim, job = _analytic_job()
         job.start(_repeated_allreduce())
         sim.run()
-        refs = [weakref.ref(p) for p in job.comm.engine._plans.values()]
+        refs = [weakref.ref(p) for p in job.comm.engine._held]
         assert refs
         job.shutdown()
         gc.collect()
@@ -220,7 +220,7 @@ class TestPlanLifetime:
             yield from _repeated_allreduce()(sub)
             if sub.rank == 0:
                 refs.extend(
-                    weakref.ref(p) for p in sub.comm.engine._plans.values()
+                    weakref.ref(p) for p in sub.comm.engine._held
                 )
             yield from sub.free()
 
@@ -230,19 +230,30 @@ class TestPlanLifetime:
         gc.collect()
         assert all(r() is None for r in refs), "freed engine's plan leaked"
 
-    def test_one_shot_shapes_are_not_retained(self):
-        sim, job = _analytic_job()
-
-        def program(ctx):
-            yield from ctx.allreduce(np.ones(8), np.zeros(8))
-            yield from ctx.bcast(np.zeros(8), root=0)
-            yield from ctx.barrier()
-
-        job.start(program)
+    def test_shared_plan_lives_with_its_last_user(self):
+        # Two jobs of one structure on one fabric share the plan: it
+        # outlives the first job's release and dies with the second's.
+        sim = Simulator()
+        cluster = build_cluster(sim, ClusterSpec(nodes=8, gpus_per_node=0))
+        jobs = [MpiJob(cluster, list(range(lo, lo + 4)), backend="analytic")
+                for lo in (0, 4)]
+        for job in jobs:
+            job.start(_repeated_allreduce())
         sim.run()
-        engine = job.comm.engine
-        assert engine._plans == {}
-        assert len(engine._seen) == 3
+        (plan,) = jobs[0].comm.engine._held
+        assert jobs[1].comm.engine._held == {plan}
+        assert sim.stats.fastpath_collectives == 6
+        assert sim.stats.fastpath_sched_cache_hits == 5
+        ref = weakref.ref(plan)
+        del plan
+        jobs[0].shutdown()
+        gc.collect()
+        assert ref() is not None, "a shared plan died with its first user"
+        assert list(cluster.topology.plans.values()) == [ref()]
+        jobs[1].shutdown()
+        gc.collect()
+        assert ref() is None, "released engines' shared plan leaked"
+        assert not cluster.topology.plans
 
 
 class TestDcgnChurn:

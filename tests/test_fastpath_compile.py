@@ -398,147 +398,147 @@ def test_replay_order_structure(fabric, op, algo, monkeypatch):
 #: ``wire_cost`` hits and misses and the plan hits).
 SMALL = {
     ('fattree', 'allreduce', 'reduce_bcast'):
-        ('ae95762fd8079e59', [[5, 3, 1], [18, 6, 1], [18, 10, 1], [64, 20, 1], [28, 16, 1], [100, 32, 1]]),
+        ('ae95762fd8079e59', [[1, 3, 2], [6, 6, 2], [4, 10, 2], [22, 20, 2], [6, 16, 2], [34, 32, 2]]),
     ('fattree', 'allreduce', 'recursive_doubling'):
-        ('7fd70291bc6e509f', [[5, 3, 1], [18, 6, 1], [36, 12, 1], [120, 24, 1], [40, 24, 1], [144, 48, 1]]),
+        ('7fd70291bc6e509f', [[1, 3, 2], [6, 6, 2], [12, 12, 2], [48, 24, 2], [8, 24, 2], [48, 48, 2]]),
     ('fattree', 'allreduce', 'ring'):
-        ('4eedf28adef1feb9', [[21, 3, 1], [63, 9, 1], [208, 16, 1], [652, 20, 1], [516, 12, 1], [1542, 42, 1]]),
+        ('4eedf28adef1feb9', [[9, 3, 2], [27, 9, 2], [96, 16, 2], [316, 20, 2], [252, 12, 2], [750, 42, 2]]),
     ('fattree', 'allreduce', 'hierarchical'):
-        ('82f15beb3cb377f6', [[21, 3, 1], [63, 9, 1], [116, 12, 1], [364, 20, 1], [276, 12, 1], [828, 36, 1]]),
+        ('82f15beb3cb377f6', [[9, 3, 2], [27, 9, 2], [52, 12, 2], [172, 20, 2], [132, 12, 2], [396, 36, 2]]),
     ('fattree', 'allgather', 'ring'):
-        ('87bfaac5448478a9', [[9, 3, 1], [30, 6, 1], [104, 8, 1], [316, 20, 1], [252, 12, 1], [762, 30, 1]]),
+        ('87bfaac5448478a9', [[3, 3, 2], [12, 6, 2], [48, 8, 2], [148, 20, 2], [120, 12, 2], [366, 30, 2]]),
     ('fattree', 'allgather', 'recursive_doubling'):
-        ('7a7ed848dc702851', [[36, 12, 1], [120, 24, 1]]),
+        ('7a7ed848dc702851', [[12, 12, 2], [48, 24, 2]]),
     ('fattree', 'allgather', 'bruck'):
-        ('91d3a792c0ad14f2', [[9, 3, 1], [30, 6, 1], [32, 16, 1], [112, 32, 1], [66, 30, 1], [228, 60, 1]]),
+        ('91d3a792c0ad14f2', [[3, 3, 2], [12, 6, 2], [8, 16, 2], [40, 32, 2], [18, 30, 2], [84, 60, 2]]),
     ('fattree', 'allgather', 'hierarchical'):
-        ('85b5a60c1fcd8bfa', [[4, 4, 1], [17, 7, 1], [28, 12, 1], [96, 24, 1], [66, 18, 1], [216, 36, 1]]),
+        ('85b5a60c1fcd8bfa', [[0, 4, 2], [5, 7, 2], [8, 12, 2], [36, 24, 2], [24, 18, 2], [90, 36, 2]]),
     ('fattree', 'alltoall', 'shift'):
-        ('39f04c0b60bbf892', [[9, 3, 1], [30, 6, 1], [96, 16, 1], [304, 32, 1], [228, 36, 1], [720, 72, 1]]),
+        ('39f04c0b60bbf892', [[3, 3, 2], [12, 6, 2], [40, 16, 2], [136, 32, 2], [96, 36, 2], [324, 72, 2]]),
     ('fattree', 'alltoall', 'pairwise'):
-        ('44e0f5c680c8a3da', [[96, 16, 1], [304, 32, 1]]),
+        ('44e0f5c680c8a3da', [[40, 16, 2], [136, 32, 2]]),
     ('fattree', 'alltoall', 'bruck'):
-        ('a3044af72a6e675c', [[9, 3, 1], [30, 6, 1], [36, 12, 1], [116, 28, 1], [72, 24, 1], [234, 54, 1]]),
+        ('a3044af72a6e675c', [[3, 3, 2], [12, 6, 2], [12, 12, 2], [44, 28, 2], [24, 24, 2], [90, 54, 2]]),
     ('fattree', 'alltoall', 'hierarchical'):
-        ('f7ec819f002a37ec', [[5, 3, 1], [18, 6, 1], [24, 16, 1], [88, 32, 1], [48, 36, 1], [180, 72, 1]]),
+        ('f7ec819f002a37ec', [[1, 3, 2], [6, 6, 2], [4, 16, 2], [28, 32, 2], [6, 36, 2], [54, 72, 2]]),
     ('fattree', 'bcast', 'binomial'):
-        ('4be35bcb23ba48bc', [[2, 2, 1], [7, 5, 1], [7, 7, 1], [25, 17, 1], [11, 11, 1], [39, 27, 1]]),
+        ('4be35bcb23ba48bc', [[0, 2, 2], [1, 5, 2], [0, 7, 2], [4, 17, 2], [0, 11, 2], [6, 27, 2]]),
     ('fattree', 'bcast', 'pipelined'):
-        ('ac19a793f9a6b30d', [[2, 2, 1], [125, 7, 1], [7, 7, 1], [217, 7, 1], [11, 11, 1], [341, 11, 1]]),
+        ('ac19a793f9a6b30d', [[0, 2, 2], [59, 7, 2], [0, 7, 2], [105, 7, 2], [0, 11, 2], [165, 11, 2]]),
     ('fattree', 'bcast', 'hierarchical'):
-        ('503198b93dd973c5', [[2, 2, 1], [7, 5, 1], [7, 7, 1], [25, 17, 1], [11, 11, 1], [39, 27, 1]]),
+        ('503198b93dd973c5', [[0, 2, 2], [1, 5, 2], [0, 7, 2], [4, 17, 2], [0, 11, 2], [6, 27, 2]]),
     ('fattree', 'reduce', 'binomial'):
-        ('1d3aa0b7ff5277e1', [[3, 1, 1], [9, 3, 1], [9, 5, 1], [27, 15, 1], [14, 8, 1], [42, 24, 1]]),
+        ('1d3aa0b7ff5277e1', [[1, 1, 2], [3, 3, 2], [2, 5, 2], [6, 15, 2], [3, 8, 2], [9, 24, 2]]),
     ('fattree', 'reduce', 'rabenseifner'):
-        ('4c6e3ee793f6d6b9', [[5, 3, 1], [19, 5, 1], [38, 24, 1], [154, 32, 1], [41, 29, 1], [167, 43, 1]]),
+        ('4c6e3ee793f6d6b9', [[1, 3, 2], [7, 5, 2], [7, 24, 2], [61, 32, 2], [6, 29, 2], [62, 43, 2]]),
     ('fattree', 'barrier', None):
-        ('53503f60473042a6', [[9, 3, 1], [9, 3, 1], [36, 12, 1], [36, 12, 1], [72, 24, 1], [72, 24, 1]]),
+        ('53503f60473042a6', [[3, 3, 2], [3, 3, 2], [12, 12, 2], [12, 12, 2], [24, 24, 2], [24, 24, 2]]),
     ('flat', 'allreduce', 'reduce_bcast'):
-        ('64f50aa6a5445844', [[4, 4, 1], [16, 8, 1], [14, 14, 1], [56, 28, 1], [22, 22, 1], [88, 44, 1]]),
+        ('64f50aa6a5445844', [[0, 4, 2], [4, 8, 2], [0, 14, 2], [14, 28, 2], [0, 22, 2], [22, 44, 2]]),
     ('flat', 'allreduce', 'recursive_doubling'):
-        ('727841fc95a8899b', [[4, 4, 1], [16, 8, 1], [24, 24, 1], [96, 48, 1], [32, 32, 1], [128, 64, 1]]),
+        ('727841fc95a8899b', [[0, 4, 2], [4, 8, 2], [0, 24, 2], [24, 48, 2], [0, 32, 2], [32, 64, 2]]),
     ('flat', 'allreduce', 'ring'):
-        ('60d29355560abd22', [[21, 3, 1], [60, 12, 1], [208, 16, 1], [648, 24, 1], [516, 12, 1], [1536, 48, 1]]),
+        ('60d29355560abd22', [[9, 3, 2], [24, 12, 2], [96, 16, 2], [312, 24, 2], [252, 12, 2], [744, 48, 2]]),
     ('flat', 'allreduce', 'hierarchical'):
-        ('d817bf3d40d42de1', [[21, 3, 1], [60, 12, 1], [208, 16, 1], [648, 24, 1], [516, 12, 1], [1536, 48, 1]]),
+        ('d817bf3d40d42de1', [[9, 3, 2], [24, 12, 2], [96, 16, 2], [312, 24, 2], [252, 12, 2], [744, 48, 2]]),
     ('flat', 'allgather', 'ring'):
-        ('34ced000fe4b784f', [[9, 3, 1], [27, 9, 1], [104, 8, 1], [312, 24, 1], [252, 12, 1], [756, 36, 1]]),
+        ('34ced000fe4b784f', [[3, 3, 2], [9, 9, 2], [48, 8, 2], [144, 24, 2], [120, 12, 2], [360, 36, 2]]),
     ('flat', 'allgather', 'recursive_doubling'):
-        ('20442d166af6dc80', [[24, 24, 1], [96, 48, 1]]),
+        ('20442d166af6dc80', [[0, 24, 2], [24, 48, 2]]),
     ('flat', 'allgather', 'bruck'):
-        ('28552bb2950f4049', [[6, 6, 1], [24, 12, 1], [24, 24, 1], [80, 64, 1], [48, 48, 1], [168, 120, 1]]),
+        ('28552bb2950f4049', [[0, 6, 2], [6, 12, 2], [0, 24, 2], [8, 64, 2], [0, 48, 2], [24, 120, 2]]),
     ('flat', 'allgather', 'hierarchical'):
-        ('7f78db0625860c9b', [[9, 3, 1], [27, 9, 1], [104, 8, 1], [312, 24, 1], [252, 12, 1], [756, 36, 1]]),
+        ('7f78db0625860c9b', [[3, 3, 2], [9, 9, 2], [48, 8, 2], [144, 24, 2], [120, 12, 2], [360, 36, 2]]),
     ('flat', 'alltoall', 'shift'):
-        ('6eb14f31ddfdd499', [[6, 6, 1], [24, 12, 1], [56, 56, 1], [224, 112, 1], [132, 132, 1], [528, 264, 1]]),
+        ('6eb14f31ddfdd499', [[0, 6, 2], [6, 12, 2], [0, 56, 2], [56, 112, 2], [0, 132, 2], [132, 264, 2]]),
     ('flat', 'alltoall', 'pairwise'):
-        ('f14e928487a85048', [[56, 56, 1], [224, 112, 1]]),
+        ('f14e928487a85048', [[0, 56, 2], [56, 112, 2]]),
     ('flat', 'alltoall', 'bruck'):
-        ('215d5b885da9f365', [[6, 6, 1], [24, 12, 1], [24, 24, 1], [80, 64, 1], [48, 48, 1], [168, 120, 1]]),
+        ('215d5b885da9f365', [[0, 6, 2], [6, 12, 2], [0, 24, 2], [8, 64, 2], [0, 48, 2], [24, 120, 2]]),
     ('flat', 'alltoall', 'hierarchical'):
-        ('7ecb268dbea281a3', [[6, 6, 1], [24, 12, 1], [56, 56, 1], [224, 112, 1], [132, 132, 1], [528, 264, 1]]),
+        ('7ecb268dbea281a3', [[0, 6, 2], [6, 12, 2], [0, 56, 2], [56, 112, 2], [0, 132, 2], [132, 264, 2]]),
     ('flat', 'bcast', 'binomial'):
-        ('0cc9a766a4a920e7', [[2, 2, 1], [6, 6, 1], [7, 7, 1], [21, 21, 1], [11, 11, 1], [33, 33, 1]]),
+        ('0cc9a766a4a920e7', [[0, 2, 2], [0, 6, 2], [0, 7, 2], [0, 21, 2], [0, 11, 2], [0, 33, 2]]),
     ('flat', 'bcast', 'pipelined'):
-        ('d947b2f8e560c664', [[2, 2, 1], [124, 8, 1], [7, 7, 1], [217, 7, 1], [11, 11, 1], [341, 11, 1]]),
+        ('d947b2f8e560c664', [[0, 2, 2], [58, 8, 2], [0, 7, 2], [105, 7, 2], [0, 11, 2], [165, 11, 2]]),
     ('flat', 'bcast', 'hierarchical'):
-        ('5a94506128d99416', [[2, 2, 1], [6, 6, 1], [7, 7, 1], [21, 21, 1], [11, 11, 1], [33, 33, 1]]),
+        ('5a94506128d99416', [[0, 2, 2], [0, 6, 2], [0, 7, 2], [0, 21, 2], [0, 11, 2], [0, 33, 2]]),
     ('flat', 'reduce', 'binomial'):
-        ('02ed4cfb625a485c', [[2, 2, 1], [6, 6, 1], [7, 7, 1], [21, 21, 1], [11, 11, 1], [33, 33, 1]]),
+        ('02ed4cfb625a485c', [[0, 2, 2], [0, 6, 2], [0, 7, 2], [0, 21, 2], [0, 11, 2], [0, 33, 2]]),
     ('flat', 'reduce', 'rabenseifner'):
-        ('af270dafbc931615', [[5, 3, 1], [17, 7, 1], [34, 28, 1], [138, 48, 1], [38, 32, 1], [150, 60, 1]]),
+        ('af270dafbc931615', [[1, 3, 2], [5, 7, 2], [3, 28, 2], [45, 48, 2], [3, 32, 2], [45, 60, 2]]),
     ('flat', 'barrier', None):
-        ('bb569be8f4be587a', [[6, 6, 1], [6, 6, 1], [24, 24, 1], [24, 24, 1], [48, 48, 1], [48, 48, 1]]),
+        ('bb569be8f4be587a', [[0, 6, 2], [0, 6, 2], [0, 24, 2], [0, 24, 2], [0, 48, 2], [0, 48, 2]]),
     ('multirail', 'allreduce', 'reduce_bcast'):
-        ('3c119655d7eb3f84', [[4, 4, 1], [16, 8, 1], [14, 14, 1], [56, 28, 1], [22, 22, 1], [88, 44, 1]]),
+        ('3c119655d7eb3f84', [[0, 4, 2], [4, 8, 2], [0, 14, 2], [14, 28, 2], [0, 22, 2], [22, 44, 2]]),
     ('multirail', 'allreduce', 'recursive_doubling'):
-        ('f714b0c0ecfc4bc2', [[4, 4, 1], [16, 8, 1], [24, 24, 1], [96, 48, 1], [32, 32, 1], [128, 64, 1]]),
+        ('f714b0c0ecfc4bc2', [[0, 4, 2], [4, 8, 2], [0, 24, 2], [24, 48, 2], [0, 32, 2], [32, 64, 2]]),
     ('multirail', 'allreduce', 'ring'):
-        ('630e00c4a2d2b205', [[21, 3, 1], [60, 12, 1], [208, 16, 1], [648, 24, 1], [516, 12, 1], [1536, 48, 1]]),
+        ('630e00c4a2d2b205', [[9, 3, 2], [24, 12, 2], [96, 16, 2], [312, 24, 2], [252, 12, 2], [744, 48, 2]]),
     ('multirail', 'allreduce', 'hierarchical'):
-        ('55dff6f8f98726f2', [[21, 3, 1], [60, 12, 1], [208, 16, 1], [648, 24, 1], [516, 12, 1], [1536, 48, 1]]),
+        ('55dff6f8f98726f2', [[9, 3, 2], [24, 12, 2], [96, 16, 2], [312, 24, 2], [252, 12, 2], [744, 48, 2]]),
     ('multirail', 'allgather', 'ring'):
-        ('e8bcb680a7dba1e9', [[9, 3, 1], [27, 9, 1], [104, 8, 1], [312, 24, 1], [252, 12, 1], [756, 36, 1]]),
+        ('e8bcb680a7dba1e9', [[3, 3, 2], [9, 9, 2], [48, 8, 2], [144, 24, 2], [120, 12, 2], [360, 36, 2]]),
     ('multirail', 'allgather', 'recursive_doubling'):
-        ('e6c75ff315f61598', [[24, 24, 1], [96, 48, 1]]),
+        ('e6c75ff315f61598', [[0, 24, 2], [24, 48, 2]]),
     ('multirail', 'allgather', 'bruck'):
-        ('f94e201fe1ccb943', [[6, 6, 1], [24, 12, 1], [24, 24, 1], [80, 64, 1], [48, 48, 1], [168, 120, 1]]),
+        ('f94e201fe1ccb943', [[0, 6, 2], [6, 12, 2], [0, 24, 2], [8, 64, 2], [0, 48, 2], [24, 120, 2]]),
     ('multirail', 'allgather', 'hierarchical'):
-        ('f6f4e910230f2410', [[9, 3, 1], [27, 9, 1], [104, 8, 1], [312, 24, 1], [252, 12, 1], [756, 36, 1]]),
+        ('f6f4e910230f2410', [[3, 3, 2], [9, 9, 2], [48, 8, 2], [144, 24, 2], [120, 12, 2], [360, 36, 2]]),
     ('multirail', 'alltoall', 'shift'):
-        ('e7c2d9993cfa07f4', [[6, 6, 1], [24, 12, 1], [56, 56, 1], [224, 112, 1], [132, 132, 1], [528, 264, 1]]),
+        ('e7c2d9993cfa07f4', [[0, 6, 2], [6, 12, 2], [0, 56, 2], [56, 112, 2], [0, 132, 2], [132, 264, 2]]),
     ('multirail', 'alltoall', 'pairwise'):
-        ('1f11898a5d851d41', [[56, 56, 1], [224, 112, 1]]),
+        ('1f11898a5d851d41', [[0, 56, 2], [56, 112, 2]]),
     ('multirail', 'alltoall', 'bruck'):
-        ('e20a178ba22c0eaf', [[6, 6, 1], [24, 12, 1], [24, 24, 1], [80, 64, 1], [48, 48, 1], [168, 120, 1]]),
+        ('e20a178ba22c0eaf', [[0, 6, 2], [6, 12, 2], [0, 24, 2], [8, 64, 2], [0, 48, 2], [24, 120, 2]]),
     ('multirail', 'alltoall', 'hierarchical'):
-        ('129c1d3d8b0d4982', [[6, 6, 1], [24, 12, 1], [56, 56, 1], [224, 112, 1], [132, 132, 1], [528, 264, 1]]),
+        ('129c1d3d8b0d4982', [[0, 6, 2], [6, 12, 2], [0, 56, 2], [56, 112, 2], [0, 132, 2], [132, 264, 2]]),
     ('multirail', 'bcast', 'binomial'):
-        ('89f7fae5fd7a228c', [[2, 2, 1], [6, 6, 1], [7, 7, 1], [21, 21, 1], [11, 11, 1], [33, 33, 1]]),
+        ('89f7fae5fd7a228c', [[0, 2, 2], [0, 6, 2], [0, 7, 2], [0, 21, 2], [0, 11, 2], [0, 33, 2]]),
     ('multirail', 'bcast', 'pipelined'):
-        ('5f6958a75071b848', [[2, 2, 1], [124, 8, 1], [7, 7, 1], [217, 7, 1], [11, 11, 1], [341, 11, 1]]),
+        ('5f6958a75071b848', [[0, 2, 2], [58, 8, 2], [0, 7, 2], [105, 7, 2], [0, 11, 2], [165, 11, 2]]),
     ('multirail', 'bcast', 'hierarchical'):
-        ('092cd0c103a1c1a1', [[2, 2, 1], [6, 6, 1], [7, 7, 1], [21, 21, 1], [11, 11, 1], [33, 33, 1]]),
+        ('092cd0c103a1c1a1', [[0, 2, 2], [0, 6, 2], [0, 7, 2], [0, 21, 2], [0, 11, 2], [0, 33, 2]]),
     ('multirail', 'reduce', 'binomial'):
-        ('6cce574fd3b8bd0c', [[2, 2, 1], [6, 6, 1], [7, 7, 1], [21, 21, 1], [11, 11, 1], [33, 33, 1]]),
+        ('6cce574fd3b8bd0c', [[0, 2, 2], [0, 6, 2], [0, 7, 2], [0, 21, 2], [0, 11, 2], [0, 33, 2]]),
     ('multirail', 'reduce', 'rabenseifner'):
-        ('a06c07dfd23a8b35', [[5, 3, 1], [17, 7, 1], [34, 28, 1], [138, 48, 1], [38, 32, 1], [150, 60, 1]]),
+        ('a06c07dfd23a8b35', [[1, 3, 2], [5, 7, 2], [3, 28, 2], [45, 48, 2], [3, 32, 2], [45, 60, 2]]),
     ('multirail', 'barrier', None):
-        ('a7c29fb62ed680ed', [[6, 6, 1], [6, 6, 1], [24, 24, 1], [24, 24, 1], [48, 48, 1], [48, 48, 1]]),
+        ('a7c29fb62ed680ed', [[0, 6, 2], [0, 6, 2], [0, 24, 2], [0, 24, 2], [0, 48, 2], [0, 48, 2]]),
     ('torus', 'allreduce', 'reduce_bcast'):
-        ('3833d15c5c8a641c', [[4, 4, 1], [16, 8, 1], [14, 14, 1], [56, 28, 1], [22, 22, 1], [88, 44, 1]]),
+        ('3833d15c5c8a641c', [[0, 4, 2], [4, 8, 2], [0, 14, 2], [14, 28, 2], [0, 22, 2], [22, 44, 2]]),
     ('torus', 'allreduce', 'recursive_doubling'):
-        ('0babc732e3bb4daf', [[4, 4, 1], [16, 8, 1], [24, 24, 1], [96, 48, 1], [32, 32, 1], [128, 64, 1]]),
+        ('0babc732e3bb4daf', [[0, 4, 2], [4, 8, 2], [0, 24, 2], [24, 48, 2], [0, 32, 2], [32, 64, 2]]),
     ('torus', 'allreduce', 'ring'):
-        ('cced0153b9292962', [[21, 3, 1], [60, 12, 1], [208, 16, 1], [648, 24, 1], [516, 12, 1], [1536, 48, 1]]),
+        ('cced0153b9292962', [[9, 3, 2], [24, 12, 2], [96, 16, 2], [312, 24, 2], [252, 12, 2], [744, 48, 2]]),
     ('torus', 'allreduce', 'hierarchical'):
-        ('ea4254440aaca38c', [[21, 3, 1], [60, 12, 1], [208, 16, 1], [648, 24, 1], [516, 12, 1], [1536, 48, 1]]),
+        ('ea4254440aaca38c', [[9, 3, 2], [24, 12, 2], [96, 16, 2], [312, 24, 2], [252, 12, 2], [744, 48, 2]]),
     ('torus', 'allgather', 'ring'):
-        ('707e42204c56ac29', [[9, 3, 1], [27, 9, 1], [104, 8, 1], [312, 24, 1], [252, 12, 1], [756, 36, 1]]),
+        ('707e42204c56ac29', [[3, 3, 2], [9, 9, 2], [48, 8, 2], [144, 24, 2], [120, 12, 2], [360, 36, 2]]),
     ('torus', 'allgather', 'recursive_doubling'):
-        ('598069bd3912decc', [[24, 24, 1], [96, 48, 1]]),
+        ('598069bd3912decc', [[0, 24, 2], [24, 48, 2]]),
     ('torus', 'allgather', 'bruck'):
-        ('735ad0418bdb7b71', [[6, 6, 1], [24, 12, 1], [24, 24, 1], [80, 64, 1], [48, 48, 1], [168, 120, 1]]),
+        ('735ad0418bdb7b71', [[0, 6, 2], [6, 12, 2], [0, 24, 2], [8, 64, 2], [0, 48, 2], [24, 120, 2]]),
     ('torus', 'allgather', 'hierarchical'):
-        ('00353d5506916c86', [[9, 3, 1], [27, 9, 1], [104, 8, 1], [312, 24, 1], [252, 12, 1], [756, 36, 1]]),
+        ('00353d5506916c86', [[3, 3, 2], [9, 9, 2], [48, 8, 2], [144, 24, 2], [120, 12, 2], [360, 36, 2]]),
     ('torus', 'alltoall', 'shift'):
-        ('dc876bc65d6eea93', [[6, 6, 1], [24, 12, 1], [56, 56, 1], [224, 112, 1], [132, 132, 1], [528, 264, 1]]),
+        ('dc876bc65d6eea93', [[0, 6, 2], [6, 12, 2], [0, 56, 2], [56, 112, 2], [0, 132, 2], [132, 264, 2]]),
     ('torus', 'alltoall', 'pairwise'):
-        ('8156763e2ee83a66', [[56, 56, 1], [224, 112, 1]]),
+        ('8156763e2ee83a66', [[0, 56, 2], [56, 112, 2]]),
     ('torus', 'alltoall', 'bruck'):
-        ('757982e68735ff59', [[6, 6, 1], [24, 12, 1], [24, 24, 1], [80, 64, 1], [48, 48, 1], [168, 120, 1]]),
+        ('757982e68735ff59', [[0, 6, 2], [6, 12, 2], [0, 24, 2], [8, 64, 2], [0, 48, 2], [24, 120, 2]]),
     ('torus', 'alltoall', 'hierarchical'):
-        ('29246f51b7be92d0', [[6, 6, 1], [24, 12, 1], [56, 56, 1], [224, 112, 1], [132, 132, 1], [528, 264, 1]]),
+        ('29246f51b7be92d0', [[0, 6, 2], [6, 12, 2], [0, 56, 2], [56, 112, 2], [0, 132, 2], [132, 264, 2]]),
     ('torus', 'bcast', 'binomial'):
-        ('83b104dc919c493e', [[2, 2, 1], [6, 6, 1], [7, 7, 1], [21, 21, 1], [11, 11, 1], [33, 33, 1]]),
+        ('83b104dc919c493e', [[0, 2, 2], [0, 6, 2], [0, 7, 2], [0, 21, 2], [0, 11, 2], [0, 33, 2]]),
     ('torus', 'bcast', 'pipelined'):
-        ('a650715283ac9862', [[2, 2, 1], [124, 8, 1], [7, 7, 1], [217, 7, 1], [11, 11, 1], [341, 11, 1]]),
+        ('a650715283ac9862', [[0, 2, 2], [58, 8, 2], [0, 7, 2], [105, 7, 2], [0, 11, 2], [165, 11, 2]]),
     ('torus', 'bcast', 'hierarchical'):
-        ('ec62a78df47d1125', [[2, 2, 1], [6, 6, 1], [7, 7, 1], [21, 21, 1], [11, 11, 1], [33, 33, 1]]),
+        ('ec62a78df47d1125', [[0, 2, 2], [0, 6, 2], [0, 7, 2], [0, 21, 2], [0, 11, 2], [0, 33, 2]]),
     ('torus', 'reduce', 'binomial'):
-        ('5b727378f417805b', [[2, 2, 1], [6, 6, 1], [7, 7, 1], [21, 21, 1], [11, 11, 1], [33, 33, 1]]),
+        ('5b727378f417805b', [[0, 2, 2], [0, 6, 2], [0, 7, 2], [0, 21, 2], [0, 11, 2], [0, 33, 2]]),
     ('torus', 'reduce', 'rabenseifner'):
-        ('1b6b00f106b02c30', [[5, 3, 1], [17, 7, 1], [34, 28, 1], [138, 48, 1], [38, 32, 1], [150, 60, 1]]),
+        ('1b6b00f106b02c30', [[1, 3, 2], [5, 7, 2], [3, 28, 2], [45, 48, 2], [3, 32, 2], [45, 60, 2]]),
     ('torus', 'barrier', None):
-        ('217e8da98357cb9c', [[6, 6, 1], [6, 6, 1], [24, 24, 1], [24, 24, 1], [48, 48, 1], [48, 48, 1]]),
+        ('217e8da98357cb9c', [[0, 6, 2], [0, 6, 2], [0, 24, 2], [0, 24, 2], [0, 48, 2], [0, 48, 2]]),
 }

@@ -2,9 +2,10 @@
 
 :class:`repro.mpi.algorithms.fastpath.Plan` holds what a collective
 shape needs beyond its buffers and arrival times: the pricing tape
-and the replay program lowered from its order.  A plan is retained from its key's
-second sighting and replayed from then on, without running any
-schedule builder, so these tests check that a
+and the replay program lowered from its order.  A plan is kept from
+its key's first sighting and replayed from then on, without running
+any schedule builder, by every communicator of the same structure on
+the fabric, so these tests check that a
 replay is indistinguishable from a fresh compile — data, completion
 times, payload counters, link accounting, span trees, and every
 communicator's stats and tag sequence, bit for bit, under random
@@ -23,7 +24,7 @@ from repro.mpi.algorithms import fastpath, selector
 from repro.mpi.algorithms.schedule import Binding, Call, Schedule
 from repro.sim import Simulator
 
-#: Calls per job: the first two compile, the rest replay the plan.
+#: Calls per job: the first compiles, the rest replay the plan.
 CALLS = 3
 
 #: (op, forced algorithm); ``pof2`` algorithms run at powers of two.
@@ -183,7 +184,7 @@ def test_replay_equals_fresh_compile(op, algo, P, monkeypatch):
         monkeypatch.setattr(fastpath, "PLAN_STEP_BUDGET", 0)
         fresh, fresh_hits, _ = run(*args)
         monkeypatch.undo()
-        assert hits == CALLS - 2, args
+        assert hits == CALLS - 1, args
         assert fresh_hits == 0
         assert replayed == fresh, args
 
@@ -195,8 +196,8 @@ def test_large_plans_replay_as_levels():
     for op, nbytes in (("barrier", 0), ("allreduce", 96)):
         replayed, hits, job = run(op, None, 256, np.float64, nbytes,
                                   "analytic", True, calls=4)
-        (plan,) = job.comm.engine._plans.values()
-        assert len(plan.levels) > 1 and hits == 2
+        (plan,) = job.comm.engine._held
+        assert len(plan.levels) > 1 and hits == 3
         assert (plan.program is None) == (op == "barrier")
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(fastpath, "PLAN_STEP_BUDGET", 0)
@@ -207,11 +208,11 @@ def test_large_plans_replay_as_levels():
 
 def test_repeated_data_collectives_hit_the_plan():
     """Data-carrying collectives intern their plans too: every call
-    from the third on is a hit, whatever the arrival skew."""
+    from the second on is a hit, whatever the arrival skew."""
     _, hits, job = run("allreduce", None, 8, np.float64, 4096,
                        "analytic", False, calls=6)
-    assert hits == 4
-    assert len(job.comm.engine._plans) == 1
+    assert hits == 5
+    assert len(job.comm.engine._held) == 1
 
 
 def test_dtype_separates_ring_allreduce_keys():
@@ -234,9 +235,9 @@ def test_dtype_separates_ring_allreduce_keys():
     job.start(prog)
     job.run()
     assert all(np.all(v == 10) for v in got.values())
-    keys = sorted(k[4] for k in job.comm.engine._plans)
+    keys = sorted(p.key[4] for p in job.comm.engine._held)
     assert keys == ["<f4", "<f8"]
-    assert sim.stats.fastpath_sched_cache_hits == 2
+    assert sim.stats.fastpath_sched_cache_hits == 4
 
 
 def test_allgather_layout_separates_keys():
@@ -257,9 +258,9 @@ def test_allgather_layout_separates_keys():
     job.start(prog)
     job.run()
     assert all(ok) and len(ok) == 24
-    keys = {k[-1] for k in job.comm.engine._plans}
+    keys = {p.key[-1] for p in job.comm.engine._held}
     assert keys == {"flat", np.dtype(np.int64).str}
-    assert sim.stats.fastpath_sched_cache_hits == 2
+    assert sim.stats.fastpath_sched_cache_hits == 4
 
 
 def _gather_once(ctx, flat):
@@ -295,7 +296,7 @@ def test_mixed_layouts_after_a_retained_plan():
     job.start(prog)
     job.run()
     assert all(ok) and len(ok) == 16
-    assert sim.stats.fastpath_sched_cache_hits == 0
+    assert sim.stats.fastpath_sched_cache_hits == 1
     assert job.comm._coll_seq == [5] * 4
 
 
@@ -315,7 +316,7 @@ def test_vector_allgather_is_never_interned():
     engine = job.comm.engine
     assert sim.stats.fastpath_collectives == 4
     assert sim.stats.fastpath_sched_cache_hits == 0
-    assert not engine._plans and not engine._seen
+    assert not engine._held and not cluster.topology.plans
 
 
 def test_wrong_key_builder_raises():
@@ -371,14 +372,14 @@ def _count_builds(monkeypatch):
 @pytest.mark.parametrize("P", [4, 5])
 @pytest.mark.parametrize("op,algo", SHAPES)
 def test_plan_hits_run_no_builder(op, algo, P, backend, monkeypatch):
-    """Six calls of one shape build each rank's schedule twice (the
-    key's two compiling sightings); the four hits bind and replay."""
+    """Six calls of one shape build each rank's schedule once (the
+    key's first sighting compiles); the five hits bind and replay."""
     if (op, algo) in POF2_ONLY and P & (P - 1):
         pytest.skip("power-of-two algorithm")
     counter = _count_builds(monkeypatch)
     _, hits, _ = run(op, algo, P, np.float64, 96, backend, False, calls=6)
-    assert hits == 4
-    assert counter["n"] == 2 * P
+    assert hits == 5
+    assert counter["n"] == P
 
 
 HIER_SHAPES = [
@@ -409,7 +410,7 @@ def test_hierarchical_replay_equals_fresh_compile(op, algo, P, monkeypatch):
         monkeypatch.setattr(fastpath, "PLAN_STEP_BUDGET", 0)
         fresh, fresh_hits, _ = run(*args, hier=True)
         monkeypatch.undo()
-        assert hits == CALLS - 2 and fresh_hits == 0, args
+        assert hits == CALLS - 1 and fresh_hits == 0, args
         assert replayed == fresh, args
 
 
