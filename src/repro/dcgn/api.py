@@ -44,6 +44,7 @@ from typing import (
 import numpy as np
 
 from ..gpusim.memory import DeviceBuffer
+from ..hw.memory import snapshot_head
 from ..mpi.datatypes import ReduceOp, payload_array
 from ..sim.core import Event, us
 from .errors import CommViolation
@@ -68,8 +69,9 @@ class Plan(NamedTuple):
     """One request ready for a transport."""
 
     req: CommRequest
-    #: Buffer whose contents become ``req.data`` (CPU: snapshot at
-    #: issue; GPU: PCIe read of ``payload_nbytes`` at harvest).
+    #: Buffer whose first ``payload_nbytes`` become ``req.data``
+    #: (``snapshot_head``; CPU: at issue; GPU: after the PCIe read of
+    #: ``payload_nbytes`` at harvest).
     payload: Any = None
     payload_nbytes: int = 0
     #: Buffer the delivered data is written into.
@@ -312,7 +314,8 @@ class CpuTransport:
             req.done = sim.event(name=f"req{req.req_id}.done")
             req.mark(sim, "issued", self.comm.name)
             if plan.payload is not None:
-                req.data = payload_array(plan.payload).copy()
+                req.data = snapshot_head(payload_array(plan.payload),
+                                         plan.payload_nbytes)
             if plan.result is not None:
                 req.result = payload_array(plan.result)
                 req.typed = plan.typed

@@ -33,7 +33,7 @@ from ..gpusim.device import GpuDevice
 from ..gpusim.kernel import BlockContext, KernelHandle, LaunchConfig, launch_kernel
 from ..gpusim.mailbox import MailboxRequest, SlotMailboxes
 from ..gpusim.memory import DeviceBuffer
-from ..hw.memory import as_bytes_view, land_bytes
+from ..hw.memory import as_bytes_view, land_bytes, snapshot_head
 from ..sim.core import Event, Simulator, us
 from ..sim.sync import Signal, Wake
 from .comm_thread import CommThread
@@ -280,9 +280,8 @@ class GpuKernelThread:
                 yield from self.device.pcie.read(plan.payload_nbytes)
             # else: future hardware — the GPU pushes payload bytes
             # straight toward the NIC; no host-bounce PCIe charge.
-            # Typed snapshot so reductions see real dtypes.
-            flat = plan.payload.data.reshape(-1)
-            creq.data = flat[: plan.payload_nbytes // flat.itemsize].copy()
+            creq.data = snapshot_head(plan.payload.data,
+                                      plan.payload_nbytes)
         creq.done = self.sim.event(name=f"{self.name}.creq")
         creq.mark(self.sim, "posted", self.name, mreq.posted_at)
         creq.mark(self.sim, "harvested", self.name)

@@ -11,7 +11,8 @@ numerical results against sequential references.
 array (numpy would make a strided array's byte view a copy, and bytes
 written into it would be lost); :func:`land_bytes` copies a payload's
 bytes into the head of a buffer and raises when they do not fit (a
-caller that bounds a count slices the source first).
+caller that bounds a count slices the source first); a count-limited
+send snapshots only the head it sends, with :func:`snapshot_head`.
 
 **Buffers.**  A buffer bytes land in must be C-contiguous, checked at
 issue with the layer's typed error: ``MpiError`` for MPI
@@ -34,7 +35,7 @@ from ..sim.core import Event, Simulator, us
 from ..sim.resources import BandwidthChannel
 
 __all__ = ["HostBuffer", "MemcpyEngine", "as_bytes_view", "land_bytes",
-           "nbytes_of"]
+           "nbytes_of", "snapshot_head"]
 
 
 def as_bytes_view(obj: Union[np.ndarray, "HostBuffer"]) -> np.ndarray:
@@ -60,6 +61,15 @@ def land_bytes(
         raise ValueError(f"payload of {n} B exceeds buffer of {dview.size} B")
     dview[:n] = sview
     return n
+
+
+def snapshot_head(arr: np.ndarray, nbytes: int) -> np.ndarray:
+    """A private flat copy, in ``arr``'s dtype (a reduction sees real
+    values), of the elements that hold its first ``nbytes`` bytes in C
+    order; a count that ends inside an element takes all of it (the
+    landing bounds the bytes)."""
+    flat = arr.reshape(-1)
+    return flat[: -(-nbytes // flat.itemsize)].copy()
 
 
 def nbytes_of(obj: Union[np.ndarray, "HostBuffer", int]) -> int:

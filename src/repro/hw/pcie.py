@@ -52,10 +52,6 @@ class PcieLink:
         self.probe_count += 1
         yield from self.d2h.occupy(us(self.params.probe_lat_us))
 
-    def probe_time(self) -> float:
-        """Pure latency of a single probe."""
-        return us(self.params.probe_lat_us)
-
     def read(
         self, nbytes: int
     ) -> Generator[Event, Any, float]:

@@ -291,3 +291,85 @@ def test_dcgn_send_count_bounds_what_lands(receiver):
     buf, status = _count_limited(receiver, send_nbytes=8)
     np.testing.assert_array_equal(buf, [1.0, -1.0])
     assert status == CommStatus(source=0, nbytes=8)
+
+
+# ---------------------------------------------------------------------------
+# DCGN: a count-limited send or reduction snapshots only its count
+# ---------------------------------------------------------------------------
+
+#: Two members of one node: CPU threads, or slots of one GPU.
+ISSUERS = {
+    "cpu": dict(n_nodes=1, cpu_threads=2),
+    "gpu-slot": dict(n_nodes=1, cpu_threads=0, gpus=1, slots_per_gpu=2),
+}
+
+
+def _on_members(issuer, part):
+    """Run ``part(endpoint, alloc, read)`` on both members; returns what
+    each returned, by vrank."""
+    rt = _dcgn(**ISSUERS[issuer])
+    got = {}
+
+    def cpu_kern(ctx):
+        got[ctx.vrank] = yield from part(ctx, np.array, np.copy)
+
+    def gpu_kern(kctx):
+        def alloc(values):
+            buf = kctx.device.alloc(values.size)
+            buf.data[...] = values
+            return buf
+
+        ep = kctx.comm.endpoint(kctx.block_idx)
+        got[ep.vrank] = yield from part(ep, alloc, lambda b: b.data.copy())
+
+    if issuer == "cpu":
+        rt.launch_cpu(cpu_kern)
+    else:
+        rt.launch_gpu(gpu_kern)
+    rt.run()
+    return got
+
+
+@pytest.mark.parametrize("issuer", sorted(ISSUERS))
+def test_dcgn_allreduce_reduces_its_count(issuer):
+    """``allreduce([1., 2.], out, nbytes=8)`` reduces the first element
+    only: ``out`` (``[1., 2.]`` before) becomes ``[2., 2.]`` with status
+    8 on both transports (two CPU threads used to reduce the whole
+    buffer, ``[2., 4.]``, and report 16)."""
+    def part(ep, alloc, read):
+        out = alloc(np.array([1.0, 2.0]))
+        status = yield from ep.allreduce(alloc(np.array([1.0, 2.0])), out,
+                                         "sum", nbytes=8)
+        return read(out), status.nbytes
+
+    for out, nbytes in _on_members(issuer, part).values():
+        np.testing.assert_array_equal(out, [2.0, 2.0])
+        assert nbytes == 8
+
+
+#: What the send test sends: every byte of its second value is set,
+#: so a landing cut short inside it shows.
+THIRDS = [1.0, 1 / 3]
+
+
+@pytest.mark.parametrize("nbytes", [8, 12])
+@pytest.mark.parametrize("issuer", sorted(ISSUERS))
+def test_dcgn_send_snapshots_its_count(issuer, nbytes):
+    """A send of ``nbytes`` of ``[1., 1/3]`` into ``[-1., -1.]`` lands
+    exactly those bytes with status ``nbytes``, and its request carries
+    only the elements that hold them (a CPU send used to snapshot the
+    whole buffer; a GPU slot's 12-byte send landed 8 bytes)."""
+    def part(ep, alloc, read):
+        if ep.vrank == 0:
+            handle = yield from ep.isend(1, alloc(np.array(THIRDS)), nbytes)
+            yield from handle.wait()
+            return handle.req.data.nbytes
+        buf = alloc(np.full(2, -1.0))
+        status = yield from ep.recv(0, buf)
+        return read(buf).tobytes(), status
+
+    got = _on_members(issuer, part)
+    want = (np.array(THIRDS).tobytes()[:nbytes]
+            + np.full(2, -1.0).tobytes()[nbytes:])
+    assert got[1] == (want, CommStatus(source=0, nbytes=nbytes))
+    assert got[0] == 8 * -(-nbytes // 8)
