@@ -79,23 +79,18 @@ packet:
    a handful of heap operations instead of thousands.
 
 Plans live in one store per fabric (``Topology.plans``), keyed by the
-backend (pricing or not), the communicator's tuning, the topology's
-``signature`` of its placement, and the structural key the dispatch
-layer forms from the call's arguments before anything is built
-(``Call.key``: op, algorithm, root, size, dtype, reduction op and the
-receive layout).  Communicators whose placements the fabric cannot tell
-apart therefore share plans: on a flat switch, multi-rail or fat tree
-the signature keeps only which ranks share a node (and a pod) and how
-those order, so two packed jobs on different pods compile a shape
-once; a torus shares only equal placements.  A plan's priced legs are
-kept in those relabelled nodes and booked on the nodes of the
-communicator that runs it.  A plan is published and kept from its
-first sighting.  The store holds it weakly; each communicator's engine
-keeps alive the plans it uses, up to :data:`PLAN_STEP_BUDGET` steps,
-so a plan dies with the last communicator that uses it (``release``,
-``free``).  A hit is checked, not trusted: every rank's binding
-signature (dtype, layout and slot sizes) must equal the one the plan
-was compiled from.
+backend (pricing or not), the tuning, ``Topology.signature`` of the
+placement and the structural key dispatch forms from the call's
+arguments before anything is built (``Call.key``: op, algorithm, root,
+size, dtype, reduction op and receive layout), so communicators the
+fabric prices and orders alike — two packed jobs on different pods —
+compile a shape once.  A plan's legs are kept in the signature's node
+labels and booked on the running communicator's own nodes.  A plan is
+kept from its first sighting: the store holds it weakly, and each
+engine keeps alive the plans it uses, within :data:`PLAN_STEP_BUDGET`
+steps, so it dies with the last communicator using it.  A hit is
+checked, not trusted: every rank's binding signature (dtype, layout
+and slot sizes) must equal the one the plan was compiled from.
 
 What stays exact: point-to-point (``send``/``recv``/``isend``/...) and
 ``gather``/``scatter``; host-memory RMA epochs take their own analytic
