@@ -786,13 +786,6 @@ class CommThread:
         )
 
         def disperse():
-            status = mreq.event.value  # None at the root's node
-            if status is not None and status.nbytes != recvbuf.nbytes:
-                raise CollectiveMismatch(
-                    f"collective #{state.seq}: node {self.mpi.rank}'s "
-                    f"members expect {recvbuf.nbytes} B but the root "
-                    f"sent {status.nbytes} B (count mismatch)"
-                )
             pieces = [
                 recvbuf[i * chunk : (i + 1) * chunk] for i in range(len(local))
             ]

@@ -31,31 +31,9 @@ and the DCGN comm threads benefit.
 """
 
 from .autotune import autotune_tuning, derive_tuning
-from .barrier import build_barrier_dissemination
-from .schedule import Schedule, ScheduleEngine, blocking
-from .selector import ALGORITHMS, SCHEDULES, AlgorithmSelector, binder
+from .schedule import Schedule, ScheduleEngine
+from .selector import ALGORITHMS, SCHEDULES, AlgorithmSelector
 from .tuning import SEED_TUNING, CollectiveTuning
-
-# Public blocking entry points ARE the registry values — one wrapper
-# object per algorithm, created in selector.py from the schedule
-# builders, so patching either view patches both.
-allreduce_reduce_bcast = ALGORITHMS["allreduce"]["reduce_bcast"]
-allreduce_recursive_doubling = ALGORITHMS["allreduce"]["recursive_doubling"]
-allreduce_ring = ALGORITHMS["allreduce"]["ring"]
-allreduce_hierarchical = ALGORITHMS["allreduce"]["hierarchical"]
-allgather_ring = ALGORITHMS["allgather"]["ring"]
-allgather_recursive_doubling = ALGORITHMS["allgather"]["recursive_doubling"]
-allgather_bruck = ALGORITHMS["allgather"]["bruck"]
-alltoall_shift = ALGORITHMS["alltoall"]["shift"]
-alltoall_pairwise = ALGORITHMS["alltoall"]["pairwise"]
-alltoall_bruck = ALGORITHMS["alltoall"]["bruck"]
-bcast_binomial = ALGORITHMS["bcast"]["binomial"]
-bcast_hierarchical = ALGORITHMS["bcast"]["hierarchical"]
-bcast_pipelined = ALGORITHMS["bcast"]["pipelined"]
-reduce_binomial = ALGORITHMS["reduce"]["binomial"]
-reduce_rabenseifner = ALGORITHMS["reduce"]["rabenseifner"]
-barrier_dissemination = blocking(binder("barrier"),
-                                 build_barrier_dissemination)
 
 __all__ = [
     "ALGORITHMS",
@@ -65,22 +43,6 @@ __all__ = [
     "SEED_TUNING",
     "Schedule",
     "ScheduleEngine",
-    "allgather_bruck",
-    "allgather_recursive_doubling",
-    "allgather_ring",
-    "allreduce_hierarchical",
-    "allreduce_recursive_doubling",
-    "allreduce_reduce_bcast",
-    "allreduce_ring",
-    "alltoall_bruck",
-    "alltoall_pairwise",
-    "alltoall_shift",
     "autotune_tuning",
-    "barrier_dissemination",
-    "bcast_binomial",
-    "bcast_hierarchical",
-    "bcast_pipelined",
     "derive_tuning",
-    "reduce_binomial",
-    "reduce_rabenseifner",
 ]

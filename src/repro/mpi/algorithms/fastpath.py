@@ -93,13 +93,16 @@ checked, not trusted: every rank's binding signature (dtype, layout
 and slot sizes) must equal the one the plan was compiled from.
 
 What stays exact: point-to-point (``send``/``recv``/``isend``/...) and
-``gather``/``scatter``; host-memory RMA epochs take their own analytic
-path in :mod:`repro.mpi.rma` — only schedule-compiled collectives take
-*this* one.  Gather and scatter are linear: the root's P-1 transfers
-share its NIC, which the contention-free tape ignores, so priced here
-they would come out short of exact (gather by 0.1-84%, scatter by
-49-93% at 4-16 ranks and 128 B-1 MB).  Selection thresholds, being
-driven by the same tuning, match the exact backend exactly.
+the linear ``gather``/``scatter``; host-memory RMA epochs take their own
+analytic path in :mod:`repro.mpi.rma`.  Gather and scatter are
+schedules like every collective, but ``execute`` hands them to the
+inherited exact engine, on every fast-path backend (``pricing``
+included, so their data still moves): the root's P-1 transfers share
+its NIC, which the contention-free tape ignores, so priced here they
+would come out short of exact (gather by 0.1-84%, scatter by 49-93% at
+4-16 ranks and 128 B-1 MB).  That one rule goes once the tape prices
+the root's NIC.  Selection thresholds, being driven by the same
+tuning, match the exact backend exactly.
 
 **Pricing-only mode** (``backend="pricing"``): builds no replay program
 and runs only the tape — same critical-path model, bit-identical
@@ -494,7 +497,10 @@ class FastPathEngine(ScheduleEngine):
     def execute(self, ctx, call: Call) -> Generator[Event, Any, None]:
         """Claim the instance slot, and either replay a retained plan's
         claims (no build) or build the call's shape — synchronously, at
-        issue, so tag claims keep issue order."""
+        issue, so tag claims keep issue order.  Gather and scatter run
+        on the exact engine (see the module doc)."""
+        if call.meta["op"] in ("gather", "scatter"):
+            return ScheduleEngine.execute(self, ctx, call)
         self.comm._ensure_alive()
         seq = self._claims[ctx.rank]
         self._claims[ctx.rank] += 1
@@ -510,7 +516,7 @@ class FastPathEngine(ScheduleEngine):
             scratch = plan.scratch[ctx.rank]
         bufs = None if self.price_only else materialize(call.binding,
                                                         scratch)
-        return self._run(ctx, (call, sched, bufs, tags), seq, key)
+        return self._collect(ctx, (call, sched, bufs, tags), seq, key)
 
     def _lookup(self, key: Optional[Tuple]) -> Optional[Plan]:
         return None if key is None else self._store.get((self._space, key))
@@ -525,7 +531,7 @@ class FastPathEngine(ScheduleEngine):
             ctx.comm._count(name)
         return tags
 
-    def _run(
+    def _collect(
         self, ctx, item, seq: int, key: Optional[Tuple]
     ) -> Generator[Event, Any, None]:
         self.active += 1

@@ -120,10 +120,10 @@ class AlgorithmSelector:
     def _forced(self, coll: str, name: Optional[str]) -> Optional[str]:
         if name is None:
             return None
-        if name not in ALGORITHMS[coll]:
+        if name not in SCHEDULES[coll]:
             raise MpiError(
                 f"unknown {coll} algorithm {name!r}; "
-                f"choose from {sorted(ALGORITHMS[coll])}"
+                f"choose from {sorted(SCHEDULES[coll])}"
             )
         return name
 

@@ -1,9 +1,9 @@
 """Collective operations over the simulated point-to-point layer.
 
 Each MPI collective is defined exactly once, in :data:`OPS`: a call
-builder that counts the call, binds and validates its buffers, and —
-for the schedule-compiled collectives — selects the algorithm and keys
-the :class:`~repro.mpi.algorithms.schedule.Call`.  Both
+builder that counts the call, binds and validates its buffers, selects
+the algorithm and keys the
+:class:`~repro.mpi.algorithms.schedule.Call` the engine runs.  Both
 :class:`~repro.mpi.communicator.MpiContext` methods of an operation are
 generated from that entry: the blocking MPI-2 form runs the call to
 completion inline in the calling process (``engine.execute``), the
@@ -20,8 +20,10 @@ message size × communicator size — and, for the hierarchical variants,
 by whether the placement is fragmented across an oversubscribed
 topology.  The chosen algorithm is recorded in ``comm.stats`` as
 ``"<op>[<algo>]"``.  ``gather``/``scatter`` keep the fixed
-linear-at-root shape MVAPICH2-era implementations used: their builders
-return that generator instead of a ``Call``.
+linear-at-root shape MVAPICH2-era implementations used, built here as
+schedules like every other collective; the fast path hands them to the
+exact engine (see :mod:`repro.mpi.algorithms.fastpath`).  A receive
+that lands fewer bytes than its buffer raises, whatever the op.
 
 Every collective call consumes one slot of the internal tag space, kept
 consistent across ranks by the requirement (as in real MPI) that all
@@ -34,21 +36,20 @@ from __future__ import annotations
 
 import functools
 import inspect
-from typing import Any, Callable, Generator, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from ..sim.core import Event
 from .datatypes import Payload, ReduceOp, payload_array
 from .errors import MpiError
 
 __all__ = ["OPS", "BINDERS"]
 
-from .algorithms.base import hier_ok as _hier_ok, next_tag as _next_tag
+from .algorithms.base import hier_ok as _hier_ok
 from .algorithms.barrier import build_barrier_dissemination
-from .algorithms.schedule import Binding, Call
+from .algorithms.schedule import COPY, Binding, Call, Schedule
 from .algorithms.selector import SCHEDULES
-from .communicator import MpiContext, Request
+from .communicator import MpiContext
 
 
 # ---------------------------------------------------------------------------
@@ -69,10 +70,6 @@ def _check_reduce_op(op: ReduceOp, what: str) -> None:
             f"ReduceOp.REPLACE is only valid for one-sided accumulate, "
             f"not {what}"
         )
-
-
-def _bind_barrier(ctx: MpiContext):
-    return Binding(()), ()
 
 
 def _bind_bcast(ctx: MpiContext, buf: Payload, root: int = 0):
@@ -143,10 +140,9 @@ def _bind_alltoall(ctx: MpiContext, sendbufs: Sequence[Payload],
     return b, ()
 
 
-#: Per schedule-compiled collective: its binder (also what the
+#: Per collective with an algorithm menu: its binder (also what the
 #: ``ALGORITHMS`` blocking entry points bind through).
 BINDERS = {
-    "barrier": _bind_barrier,
     "bcast": _bind_bcast,
     "reduce": _bind_reduce,
     "allreduce": _bind_allreduce,
@@ -167,18 +163,16 @@ def _uniform(b: Binding, lo: int, hi: int) -> Optional[int]:
 
 
 # ---------------------------------------------------------------------------
-# The op table: one call builder per collective.  A schedule collective
-# returns its Call (selected and keyed, no schedule built — the engine
-# builds one only on a plan miss); gather/scatter return their linear
-# generator.
+# The op table: one call builder per collective, returning its Call
+# (selected and keyed, no schedule built — the engine builds one only
+# on a plan miss).
 # ---------------------------------------------------------------------------
 
 def _barrier_call(ctx: MpiContext) -> Call:
     """Dissemination barrier across all ranks."""
     ctx.comm._count("barrier")
-    b, _ = _bind_barrier(ctx)
-    return Call("barrier", "dissemination", 0, ("barrier", ctx.size), b,
-                build_barrier_dissemination)
+    return Call("barrier", "dissemination", 0, ("barrier", ctx.size),
+                Binding(()), build_barrier_dissemination)
 
 
 def _bcast_call(ctx: MpiContext, buf: Payload, root: int = 0) -> Call:
@@ -291,46 +285,60 @@ def _alltoall_call(
                 SCHEDULES["alltoall"][algo])
 
 
-# Linear gather/scatter stay off the schedule IR, so every backend,
-# analytic included, runs them on the exact p2p path.  Compiled as
-# linear schedules they would keep every DCGN time, but the root's P-1
-# transfers share its NIC and the fast path's contention-free pricing
-# tape ignores that: against exact at 4-16 ranks and 128 B-1 MB it
-# under-prices gather by 0.1-84% and scatter by 49-93%
-# (tests/test_fastpath.py::test_gather_scatter_stay_exact pins both
-# backends to the same times).
-def _linear_claim(ctx: MpiContext, op: str, root: int, bufs,
-                  single: Payload) -> int:
-    """Count, validate and claim the tag block of a linear collective.
-
-    At the root, ``bufs`` (the per-rank side) needs one buffer per rank
-    and its own block ``bufs[root]`` must match ``single`` (the root's
-    other buffer) in size.  Every block received over the wire must be
-    C-contiguous."""
-    ctx.comm._count(op)
+def _bind_linear(ctx: MpiContext, op: str, root: int, single: Payload,
+                 bufs) -> Binding:
+    """Bind a linear collective: slot 0 is this rank's one buffer
+    (gather's send, scatter's receive); at the root, slots ``1 + r``
+    are ``bufs``, one per rank, whose own block ``bufs[root]`` must
+    match ``single`` in size.  Every block received over the wire must
+    be C-contiguous."""
     ctx.comm._check_rank(root)
-    if ctx.rank == root:
-        if bufs is None or len(bufs) != ctx.size:
-            side = "recv" if op == "gather" else "send"
-            raise MpiError(f"root needs one {side} buffer per rank")
-        a, b = payload_array(single), payload_array(bufs[root])
-        if a is not None and b is not None and a.size != b.size:
-            send, got = (a, b) if op == "gather" else (b, a)
-            raise _size_error(op, send.nbytes, "the root's own block",
-                              got.nbytes)
-        if op == "gather":
-            ctx._contiguous(op, "recv buffer",
-                            [b for i, b in enumerate(bufs) if i != root])
-    elif op == "scatter":
-        ctx._contiguous(op, "recv buffer", (single,))
-    return _next_tag(ctx)
+    if ctx.rank != root:
+        if op == "scatter":
+            ctx._contiguous(op, "recv buffer", (single,))
+        return Binding((single,))
+    if bufs is None or len(bufs) != ctx.size:
+        side = "recv" if op == "gather" else "send"
+        raise MpiError(f"root needs one {side} buffer per rank")
+    a, b = payload_array(single), payload_array(bufs[root])
+    if a is not None and b is not None and a.size != b.size:
+        send, got = (a, b) if op == "gather" else (b, a)
+        raise _size_error(op, send.nbytes, "the root's own block",
+                          got.nbytes)
+    if op == "gather":
+        ctx._contiguous(op, "recv buffer",
+                        [b for i, b in enumerate(bufs) if i != root])
+    return Binding((single, *bufs))
 
 
-def _copy_own(dst: Payload, src: Payload) -> None:
-    """The root's own block moves by direct copy, not over the wire."""
-    own, mine = payload_array(dst), payload_array(src)
-    if own is not None and mine is not None:
-        own[...] = mine.reshape(own.shape)
+def _build_gather(ctx: MpiContext, b: Binding, root: int) -> Schedule:
+    """A non-root sends slot 0 to the root, which receives rank ``r``'s
+    block into slot ``1 + r`` and copies its own."""
+    sched = Schedule(ctx, b)
+    tag = sched.claim()
+    if ctx.rank != root:
+        sched.send(0, root, tag)
+        return sched
+    for r in range(ctx.size):
+        if r != root:
+            sched.recv(1 + r, r, tag)
+    sched.compute(((COPY, 0, 1 + root),))
+    return sched
+
+
+def _build_scatter(ctx: MpiContext, b: Binding, root: int) -> Schedule:
+    """The root sends slot ``1 + r`` to rank ``r`` and copies its own
+    block; a non-root receives into slot 0."""
+    sched = Schedule(ctx, b)
+    tag = sched.claim()
+    if ctx.rank != root:
+        sched.recv(0, root, tag)
+        return sched
+    for r in range(ctx.size):
+        if r != root:
+            sched.send(1 + r, r, tag)
+    sched.compute(((COPY, 1 + root, 0),))
+    return sched
 
 
 def _gather_call(
@@ -338,31 +346,17 @@ def _gather_call(
     sendbuf: Payload,
     recvbufs: Optional[Sequence[Payload]] = None,
     root: int = 0,
-) -> Generator[Event, Any, None]:
+) -> Call:
     """Linear gather: every rank sends its buffer to the root.
 
     At the root, ``recvbufs`` is a sequence of per-rank destination
     buffers (the vector variant — MPI_Gatherv — falls out naturally
     since the buffers may have different sizes); non-root ranks may
     omit it (as in mpi4py)."""
-    tag = _linear_claim(ctx, "gather", root, recvbufs, sendbuf)
-    return _gather(ctx, sendbuf, recvbufs, root, tag)
-
-
-def _gather(ctx: MpiContext, sendbuf: Payload, recvbufs, root: int,
-            tag: int) -> Generator[Event, Any, None]:
-    comm, rank = ctx.comm, ctx.rank
-    if rank != root:
-        yield from comm._send_impl(rank, root, sendbuf, tag)
-        return
-    reqs = [
-        ctx.sim.process(comm._recv_impl(rank, src, recvbufs[src], tag),
-                        name=f"gather.recv({src})")
-        for src in range(ctx.size) if src != root
-    ]
-    _copy_own(recvbufs[root], sendbuf)
-    for r in reqs:
-        yield r
+    ctx.comm._count("gather")
+    b = _bind_linear(ctx, "gather", root, sendbuf, recvbufs)
+    return Call("gather", "linear", b.sizes[0], None, b, _build_gather,
+                (root,))
 
 
 def _scatter_call(
@@ -370,28 +364,13 @@ def _scatter_call(
     sendbufs: Optional[Sequence[Payload]],
     recvbuf: Payload,
     root: int = 0,
-) -> Generator[Event, Any, Any]:
+) -> Call:
     """Linear scatter: the root sends ``sendbufs[i]`` to rank ``i``
-    (vector variant included); a non-root's completion value is the
-    :class:`~repro.mpi.status.Status` of what the root sent it."""
-    tag = _linear_claim(ctx, "scatter", root, sendbufs, recvbuf)
-    return _scatter(ctx, sendbufs, recvbuf, root, tag)
-
-
-def _scatter(ctx: MpiContext, sendbufs, recvbuf: Payload, root: int,
-             tag: int) -> Generator[Event, Any, Any]:
-    comm, rank = ctx.comm, ctx.rank
-    if rank != root:
-        return (yield from comm._recv_impl(rank, root, recvbuf, tag))
-    reqs = [
-        ctx.sim.process(comm._send_impl(rank, dst, sendbufs[dst], tag),
-                        name=f"coll.isend(r{rank}->r{dst})")
-        for dst in range(ctx.size) if dst != root
-    ]
-    _copy_own(recvbuf, sendbufs[root])
-    for r in reqs:
-        yield r
-    return None
+    (vector variant included)."""
+    ctx.comm._count("scatter")
+    b = _bind_linear(ctx, "scatter", root, recvbuf, sendbufs)
+    return Call("scatter", "linear", b.sizes[0], None, b, _build_scatter,
+                (root,))
 
 
 #: Every MPI collective, once: name → call builder.
@@ -427,21 +406,15 @@ def _method(fn: Callable, name: str, build: Callable, returns: str):
 
 def _blocking(name: str, build: Callable):
     def op(self, *args, **kwargs):
-        call = build(self, *args, **kwargs)
-        if isinstance(call, Call):
-            call = self.comm.engine.execute(self, call)
-        yield from call
+        yield from self.comm.engine.execute(self, build(self, *args, **kwargs))
 
     return _method(op, name, build, "Generator[Event, Any, None]")
 
 
 def _nonblocking(name: str, build: Callable):
     def iop(self, *args, **kwargs):
-        call = build(self, *args, **kwargs)
-        pname = f"i{name}(r{self.rank})"
-        if isinstance(call, Call):
-            return self.comm.engine.start(self, call, name=pname)
-        return Request(self.sim.process(call, name=pname))
+        return self.comm.engine.start(self, build(self, *args, **kwargs),
+                                      name=f"i{name}(r{self.rank})")
 
     iop = _method(iop, "i" + name, build, "Request")
     iop.__doc__ = (

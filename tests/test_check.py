@@ -343,3 +343,27 @@ def test_lint_flags_hand_made_byte_views(tmp_path):
     assert ":3:" in proc.stdout
     home = _run_lint("src/repro/hw/memory.py")
     assert home.returncode == 0, home.stdout + home.stderr
+
+
+def test_lint_flags_raw_p2p_outside_its_homes(tmp_path):
+    """A collective driving the wire itself bypasses the schedule IR:
+    a ``_send_impl``/``_recv_impl`` call planted in collectives.py is
+    flagged, the same call in communicator.py is not."""
+    planted = (
+        (REPO / "src/repro/mpi/collectives.py").read_text()
+        + "\n\ndef _linear(ctx, buf, root, tag):\n"
+        "    yield from ctx.comm._send_impl(ctx.rank, root, buf, tag)\n"
+        "    ok = ctx.comm._recv_impl(ctx.rank, root, buf, tag)  "
+        "# det: ok - test suppression\n"
+        "    return ok\n"
+    )
+    for home in ("collectives.py", "communicator.py"):
+        path = tmp_path / "src/repro/mpi" / home
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(planted)
+    proc = _run_lint(str(tmp_path / "src/repro/mpi/collectives.py"))
+    assert proc.returncode == 1
+    assert proc.stdout.count("raw-p2p") == 1
+    assert "_send_impl() outside" in proc.stdout
+    home = _run_lint(str(tmp_path / "src/repro/mpi/communicator.py"))
+    assert home.returncode == 0, home.stdout + home.stderr

@@ -187,23 +187,29 @@ class TestCollectiveMismatches:
             rt.run(max_time=1.0)
 
     @pytest.mark.parametrize("layout", sorted(LAYOUTS))
-    @pytest.mark.parametrize("op", ["gather", "scatter", "allreduce", "bcast"])
+    @pytest.mark.parametrize("op", [
+        "gather", "scatter", "allreduce", "bcast",
+        "gather-short", "scatter-short", "allreduce-short", "bcast-short",
+    ])
     def test_count_disagreement(self, op, layout):
-        """Rank 1 passes 8 elements against everyone else's 4.  On one
-        node the comm thread sees both entries; across nodes the wire
-        carries the disagreement (a too-long message truncates, a
-        too-short scatter piece is caught on arrival, and a too-short
-        bcast is a short collective receive)."""
+        """Rank 1 passes 8 elements (2 for ``-short``) against everyone
+        else's 4.  On one node the comm thread sees both entries;
+        across nodes the wire carries the disagreement: a message
+        longer than its receive truncates, a shorter one is a short
+        collective receive (bcast and scatter receive at rank 1, gather
+        and allreduce at rank 0)."""
+        short = op.endswith("-short")
+        op = op.removesuffix("-short")
         sim, rt = make_runtime(*LAYOUTS[layout])
         rt.launch_cpu(
             lambda ctx: _rooted_or_reduce(
-                ctx, op, 8 if ctx.rank == 1 else 4, 16
+                ctx, op, (2 if short else 8) if ctx.rank == 1 else 4, 16
             )
         )
-        if layout == "1node-2threads" or op == "scatter":
+        if layout == "1node-2threads":
             raises = pytest.raises(CollectiveMismatch)
-        elif op == "bcast":
-            raises = pytest.raises(MpiError, match="bcast: a rank received")
+        elif (op in ("bcast", "scatter")) != short:
+            raises = pytest.raises(MpiError, match=f"{op}: a rank received")
         else:
             raises = pytest.raises(TruncationError)
         with raises:

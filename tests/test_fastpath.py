@@ -33,10 +33,13 @@ COLLECTIVES = ["allreduce", "allgather", "alltoall", "bcast", "reduce",
                "barrier"]
 
 
-def run_job(n_ranks, prog_factory, backend, tuning=None):
+def run_job(n_ranks, prog_factory, backend, tuning=None, traced=False):
     """Build a 1-rank-per-node job, run ``prog_factory(rank)`` on every
-    rank; returns (sim, job, per-rank result dict)."""
+    rank (recording spans into ``sim.spans`` when ``traced``); returns
+    (sim, job, per-rank result dict)."""
     sim = Simulator()
+    if traced:
+        sim.attach_spans()
     cluster = build_cluster(
         sim, paper_cluster(nodes=n_ranks, gpus_per_node=0)
     )
@@ -260,18 +263,30 @@ def gather_scatter_prog(n_ranks, nbytes):
     return factory
 
 
+def span_tree(rec):
+    """Every span as ``(category, name, track, t0, t1, parent name)``,
+    sorted: the tree, without ids or attributes."""
+    names = {s.sid: s.name for s in rec.spans}
+    return sorted(
+        (s.category, s.name, s.track, s.t0, s.t1, names.get(s.parent))
+        for s in rec.spans
+    )
+
+
 @pytest.mark.parametrize("n_ranks", [4, 16])
 @pytest.mark.parametrize("nbytes", [128, 1 * MB])
 def test_gather_scatter_stay_exact(n_ranks, nbytes):
-    """Linear gather/scatter are not schedule-compiled: on the analytic
-    backend they run the exact p2p path, so simulated times and data
-    equal the exact backend's bit for bit.  (The contention-free
-    pricing tape would under-price the root's fan-in/fan-out.)"""
-    _, _, out_e = run_job(
-        n_ranks, gather_scatter_prog(n_ranks, nbytes), "exact"
+    """Linear gather/scatter are schedules the fast path hands to the
+    exact engine: on the analytic backend simulated times, data and
+    span trees equal the exact backend's bit for bit.  (The
+    contention-free pricing tape would under-price the root's
+    fan-in/fan-out.)"""
+    sim_e, _, out_e = run_job(
+        n_ranks, gather_scatter_prog(n_ranks, nbytes), "exact", traced=True
     )
-    _, _, out_a = run_job(
-        n_ranks, gather_scatter_prog(n_ranks, nbytes), "analytic"
+    sim_a, _, out_a = run_job(
+        n_ranks, gather_scatter_prog(n_ranks, nbytes), "analytic",
+        traced=True,
     )
     for r in range(n_ranks):
         t_gather, t_scatter, piece, full = out_a[r]
@@ -280,6 +295,12 @@ def test_gather_scatter_stay_exact(n_ranks, nbytes):
         np.testing.assert_array_equal(piece, r + 1)
         if r == 0:
             np.testing.assert_array_equal(full, out_e[r][3])
+    tree = span_tree(sim_a.spans)
+    assert tree == span_tree(sim_e.spans)
+    for op in ("gather[linear]", "scatter[linear]"):
+        colls = [t for t in tree if t[:2] == ("collective", op)]
+        assert len(colls) == n_ranks
+        assert ("round", "round0") in {t[:2] for t in tree if t[5] == op}
 
 
 # ---------------------------------------------------------------------------

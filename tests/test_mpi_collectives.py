@@ -302,6 +302,35 @@ class TestOpTable:
         )):
             job.run()
 
+    @pytest.mark.parametrize("backend", ["exact", "analytic"])
+    @pytest.mark.parametrize("op", ["gather", "scatter"])
+    def test_short_contribution_raises(self, op, backend):
+        """A rank sending 8 B into a 16 B gather block (or the root
+        sending 8 B into a 16 B scatter receive) used to leave the
+        block's stale tail in place; it is the same short collective
+        receive a bcast raises."""
+        sim = Simulator()
+        cluster = build_cluster(sim, paper_cluster(nodes=2))
+        job = MpiJob(cluster, block_placement(2, 2), backend=backend)
+
+        def prog(ctx):
+            if op == "gather":
+                mine = np.full(1 if ctx.rank else 2, 7.0)
+                full = [np.full(2, -1.0) for _ in range(2)]
+                yield from ctx.gather(mine, full if ctx.rank == 0 else None)
+            else:
+                pieces = [np.full(2, 7.0), np.full(1, 7.0)]
+                recv = np.full(2, -1.0)
+                yield from ctx.scatter(pieces if ctx.rank == 0 else None,
+                                       recv)
+
+        job.start(prog)
+        with pytest.raises(MpiError, match=(
+            rf"{op}: a rank received 8 B into a 16 B buffer \(ranks "
+            r"disagree on the count\)"
+        )):
+            job.run()
+
 
 class TestCollectiveTiming:
     def _barrier_time(self, n_ranks, n_nodes):

@@ -7,7 +7,8 @@ reproduce the identical interleaving, which it cannot if the runtime
 consults any ordering source outside the seeded
 :class:`~repro.sim.ExploringSimulator`.  This lint walks the AST of the
 scheduling/matching-critical packages and rejects the three ways that
-property has historically been lost, plus one data-plane rule:
+property has historically been lost, plus a data-plane rule and a
+dispatch rule:
 
 ``unseeded-rng``
     Calls to the process-global ``random`` module RNG
@@ -43,6 +44,14 @@ property has historically been lost, plus one data-plane rule:
     it are lost: a receive into ``big[::2]`` left ``big`` all zeros.
     View bytes with ``as_bytes_view`` (it never copies and raises on a
     strided array) and land them with ``land_bytes``.
+
+``raw-p2p``
+    A ``._send_impl(``/``._recv_impl(`` call outside
+    ``mpi/communicator.py`` (point-to-point), ``mpi/algorithms/schedule.py``
+    (the collective engine) and ``mpi/rma.py`` (PSCW notifications).  A
+    collective that drives the wire itself bypasses the schedule IR:
+    the fast path cannot see it, and its receives skip the engine's
+    short-receive check.  Build a schedule instead.
 
 Suppression: append ``# det: ok`` (with an optional reason after a
 second ``-``) to the offending line after a human has verified the use
@@ -109,6 +118,11 @@ _REASONED = re.compile(r"det: ok - \S")
 
 #: The one module allowed to view a buffer's bytes by hand.
 _BYTE_VIEW_HOME = "src/repro/hw/memory.py"
+
+#: The modules allowed to drive the point-to-point wire directly.
+_RAW_P2P_HOMES = ("src/repro/mpi/communicator.py",
+                  "src/repro/mpi/algorithms/schedule.py",
+                  "src/repro/mpi/rma.py")
 
 #: Allocations that leave their bytes uninitialized.
 _UNINIT_ALLOCS = {"np.empty", "numpy.empty", "np.empty_like",
@@ -245,6 +259,18 @@ class _Linter(ast.NodeVisitor):
                 ".view(np.uint8) outside hw/memory.py: a strided array's "
                 "byte view is a copy and writes into it are lost; use "
                 "as_bytes_view/land_bytes",
+            )
+        if (
+            isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("_send_impl", "_recv_impl")
+            and not Path(self.path).resolve().as_posix().endswith(
+                _RAW_P2P_HOMES
+            )
+        ):
+            self._flag(
+                node, "raw-p2p",
+                f"{node.func.attr}() outside the p2p layer, the schedule "
+                "engine and RMA: a collective must be a schedule",
             )
         # id() as an ordering key of sorted/min/max.
         if isinstance(node.func, ast.Name) and node.func.id in (
