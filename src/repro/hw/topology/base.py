@@ -15,8 +15,8 @@ Every other view is derived from that one route:
 * ``wire_time`` sums it without queueing (uncontended time);
 * ``account`` books it onto the channels without simulating it (the
   link report of the analytic backends);
-* ``wire_cost`` interns ``wire_time`` for the fast-path pricers and
-  books the leg when accounting is on.
+* ``wire_costs`` interns ``wire_time`` for the fast-path pricers and
+  books the legs when accounting is on.
 
 ``signature`` says which placements the fabric cannot tell apart; the
 fast path keys the compiled plans it keeps in :attr:`Topology.plans`
@@ -124,7 +124,7 @@ class Topology(ABC):
         #: switch traversal) charges.
         self._half_lat = us(params.lat_us) / 2.0
         #: When True, analytic backends charge their priced transfers
-        #: onto the routed channel path (see :meth:`wire_cost`), so the
+        #: onto the routed channel path (see :meth:`wire_costs`), so the
         #: link-utilization report works even when nothing simulates
         #: channel occupancy.  Off by default.
         self.accounting = False
@@ -219,7 +219,7 @@ class Topology(ABC):
         """Charge one priced transfer onto the routed channel path.
 
         The analytic backends never occupy channels — they price wire
-        legs with :meth:`wire_cost` and commit completions directly —
+        legs with :meth:`wire_costs` and commit completions directly —
         so without this hook a fast-path run reports an idle fabric.
         ``account`` books the *uncontended* service demand (bytes and
         busy seconds, no queueing) onto exactly the channels
@@ -243,23 +243,42 @@ class Topology(ABC):
                     ch.busy_s += seconds
 
     def wire_cost(self, src: int, dst: int, nbytes: int) -> float:
-        """Interned :meth:`wire_time` of one priced leg.
+        """Interned :meth:`wire_time` of one priced leg (see
+        :meth:`wire_costs`)."""
+        return self.wire_costs((src,), (dst,), (nbytes,))[0]
 
-        The fast-path backends price every wire leg through here: hits
-        and misses surface as ``sim.stats.wire_cost_hits`` /
-        ``wire_cost_misses``, and with :attr:`accounting` on the leg is
-        also booked onto its channels (:meth:`account`).
+    def wire_costs(
+        self, src: Sequence[int], dst: Sequence[int], nbytes: Sequence[int]
+    ) -> List[float]:
+        """Interned :meth:`wire_time` of priced legs, one per
+        ``(src[i], dst[i], nbytes[i])``.
+
+        The fast-path backends price every wire leg through here, a
+        batch at a time: hits and misses surface as
+        ``sim.stats.wire_cost_hits`` / ``wire_cost_misses``, and with
+        :attr:`accounting` on every leg is also booked onto its
+        channels (:meth:`account`), in order.
         """
+        keys = list(zip(src, dst, nbytes))
         if self.accounting:
-            self.account(src, dst, nbytes)
-        key = (src, dst, nbytes)
-        cost = self._wire_cache.get(key)
-        if cost is None:
-            self.sim.stats.wire_cost_misses += 1
-            cost = self._wire_cache[key] = self.wire_time(src, dst, nbytes)
-        else:
-            self.sim.stats.wire_cost_hits += 1
-        return cost
+            for key in keys:
+                self.account(*key)
+        cache = self._wire_cache
+        costs = list(map(cache.get, keys))
+        stats = self.sim.stats
+        misses = 0
+        if None in costs:
+            for i, cost in enumerate(costs):
+                if cost is None:
+                    key = keys[i]
+                    cost = cache.get(key)
+                    if cost is None:
+                        misses += 1
+                        stats.wire_cost_misses += 1
+                        cost = cache[key] = self.wire_time(*key)
+                    costs[i] = cost
+        stats.wire_cost_hits += len(costs) - misses
+        return costs
 
     def signature(self, nodes: Sequence[int]) -> Tuple:
         """What the fabric can tell of a placement (``nodes[r]``: rank

@@ -19,7 +19,11 @@ packet:
    synchronizing, so nothing can legally complete before the last rank
    shows up).  Each rank's issue time is recorded at deposit, so skewed
    arrivals propagate into the timing exactly as they do in the exact
-   engine.
+   engine.  A rank may deposit with a *deferred* arrival
+   (:meth:`FastPathEngine.defer_arrival`): an RMA fence enters its
+   barrier at once, and the completing instance first prices the
+   window's epoch and resolves the arrival to the instant the rank's
+   own flush would have waited until.
 2. **Compile** (plan miss) — the per-rank shapes compile, once and
    from structure alone, to a buffer-free :class:`Plan`:
 
@@ -32,13 +36,15 @@ packet:
      appearance).  Each pair folds the eager or rendezvous row of
      :mod:`repro.mpi.p2p` — the rows the exact wire walks — once per
      message size.  Every tape node is ``(max of its inputs + a) + b``
-     with wire costs interned from the topology's ``wire_cost``
+     with wire costs interned from the topology's ``wire_costs``
      (hits/misses surface as ``sim.stats.wire_cost_hits``/
      ``wire_cost_misses``), and the plan keeps the priced wire legs to
      book when fabric accounting is on.  A sweep then resolves the
      nodes one dependency level at a time; each sweep iteration is one
      level of the tape, whose nodes never feed each other, so a run is
-     one ``np.maximum.reduceat`` and two adds per level;
+     one ``np.maximum.reduceat`` and two adds per level.  The layout
+     and the sweep are :mod:`repro.mpi.algorithms.tape`'s, which the
+     analytic RMA epochs of :mod:`repro.mpi.rma` run too;
    * the *replay program*, lowered from the tape's order — the steps
      sorted by their node's level, receives first within a level, then
      by slot, so every step runs after the steps it depends on and the
@@ -117,7 +123,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import chain, compress
 from typing import (
-    Any, Dict, Generator, List, NamedTuple, Optional, Set, Tuple,
+    Any, Callable, Dict, Generator, List, NamedTuple, Optional, Set, Tuple,
 )
 
 import numpy as np
@@ -135,6 +141,7 @@ from .schedule import (
     ScheduleEngine, materialize, payload, run_ops, short_recv, sub_ctx,
     view, _round_name,
 )
+from .tape import lay_out, ranges, run_levels
 
 __all__ = ["FastPathEngine", "Plan", "PLAN_STEP_BUDGET"]
 
@@ -167,13 +174,6 @@ def _stalled(pending: Dict[int, int]) -> MpiError:
     )
 
 
-def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """The concatenated index ranges ``[s, s + c)`` (CSR row gather)."""
-    ends = counts.cumsum()
-    total = int(ends[-1]) if len(ends) else 0
-    return np.arange(total) + (starts - ends + counts).repeat(counts)
-
-
 def _column(scheds: List[Schedule], name: str, n: int) -> np.ndarray:
     """One schedule column stacked over all ranks."""
     return np.fromiter(chain.from_iterable(getattr(s, name) for s in scheds),
@@ -202,34 +202,6 @@ def _pair(wire: np.ndarray, side: np.ndarray,
     pr = wire[o[starts[grp[at]] + n_send[grp[at]] + pos[at]]]
     by_send = ps.argsort()
     return ps[by_send], pr[by_send]
-
-
-def _sweep(ins: np.ndarray, cnt: np.ndarray, P: int,
-           never: int) -> List[np.ndarray]:
-    """The tape's nodes by dependency level: node ``k`` (slot ``P + k``)
-    has inputs ``ins`` (CSR, ``cnt`` per node) and resolves once they
-    all have; slots below ``P`` are resolved, ``never`` never is."""
-    node = np.arange(len(cnt)).repeat(cnt)
-    inner = ins >= P
-    missing = np.bincount(node[inner], minlength=len(cnt))
-    edge = inner & (ins < never)
-    out_to = node[edge][ins[edge].argsort(kind="stable")]
-    out_n = np.bincount(ins[edge] - P, minlength=len(cnt))
-    out_lo = out_n.cumsum() - out_n
-    levels = []
-    front = (missing == 0).nonzero()[0]
-    while front.size:
-        levels.append(front)
-        hit = out_to[_ranges(out_lo[front], out_n[front])]
-        np.subtract.at(missing, hit, 1)
-        # The nodes resolved now, each once, in slot order.
-        front = hit[missing[hit] == 0]
-        front.sort()
-        if len(front) > 1:
-            keep = front[1:] != front[:-1]
-            if not keep.all():
-                front = front[np.concatenate(([True], keep))]
-    return levels
 
 
 def _resolve(refs: List[Any], owner: np.ndarray, base: np.ndarray,
@@ -352,7 +324,8 @@ class _Instance:
     """One collective call site: per-rank deposits awaiting the last
     arrival."""
 
-    __slots__ = ("ctxs", "items", "dones", "arrivals", "arrived", "key")
+    __slots__ = ("ctxs", "items", "dones", "arrivals", "arrived", "key",
+                 "deferred")
 
     def __init__(self, size: int) -> None:
         self.ctxs: List[Any] = [None] * size
@@ -363,6 +336,9 @@ class _Instance:
         self.arrived = 0
         #: The plan key every rank formed alike (``None``: not interned).
         self.key: Optional[Tuple] = None
+        #: rank → how its deferred arrival resolves (see
+        #: :meth:`FastPathEngine.defer_arrival`), or ``None``.
+        self.deferred: Optional[Dict[int, Callable]] = None
 
     def deposit(self, rank: int, ctx, item, done: Event) -> None:
         if self.dones[rank] is not None or self.items[rank] is not None:
@@ -445,18 +421,11 @@ class Plan:
         """The ranks' completion times for these arrival times, plus
         every slot's value when ``every_slot`` (span recording)."""
         P = len(arrivals)
-        ins, rel, a, b = self.ins, self.rel, self.a, self.b
         # Arrivals fill the head; every other slot is one node's output,
         # written by its level before any later level reads it.
-        v = np.empty(P + len(a))  # det: ok - written before read (above)
+        v = np.empty(P + len(self.a))  # det: ok - arrivals, then run_levels
         v[:P] = arrivals
-        for lo, hi, p0, p1 in self.levels:
-            t = v[ins[p0:p1]]
-            if p1 - p0 > hi - lo:
-                t = np.maximum.reduceat(t, rel[lo:hi])
-            t += a[lo:hi]
-            t += b[lo:hi]
-            v[P + lo : P + hi] = t
+        run_levels(v, P, self.ins, self.rel, self.a, self.b, self.levels)
         return v[self.rank_fin].tolist(), (v if every_slot else None)
 
 
@@ -476,6 +445,8 @@ class FastPathEngine(ScheduleEngine):
         super().__init__(comm)
         self._claims = [0] * comm.size
         self._instances: Dict[int, _Instance] = {}
+        #: rank → how its next deposit's arrival resolves.
+        self._deferred: Dict[int, Callable[[int, float], float]] = {}
         topo = comm.cluster.topology
         #: The fabric's plan store, and this engine's part of every key
         #: it looks up there (see the module doc), as one string: a
@@ -518,6 +489,17 @@ class FastPathEngine(ScheduleEngine):
                                                         scratch)
         return self._collect(ctx, (call, sched, bufs, tags), seq, key)
 
+    def defer_arrival(
+        self, rank: int, resolve: Callable[[int, float], float]
+    ) -> None:
+        """Let ``rank``'s next deposit arrive at ``resolve(rank, deposit
+        time)``, evaluated when its instance completes, before the tape
+        runs.  A fence deposits into its barrier this way instead of
+        first waiting out its epoch's priced finish: that finish is
+        only known once every rank's operations are logged, which the
+        barrier's last deposit guarantees."""
+        self._deferred[rank] = resolve
+
     def _lookup(self, key: Optional[Tuple]) -> Optional[Plan]:
         return None if key is None else self._store.get((self._space, key))
 
@@ -542,6 +524,12 @@ class FastPathEngine(ScheduleEngine):
                 self._instances[seq] = inst
             done = ctx.sim.event(name=f"fastpath(r{ctx.rank}#{seq})")
             inst.deposit(ctx.rank, ctx, item, done)
+            if self._deferred:
+                resolve = self._deferred.pop(ctx.rank, None)
+                if resolve is not None:
+                    if inst.deferred is None:
+                        inst.deferred = {}
+                    inst.deferred[ctx.rank] = resolve
             if inst.arrived == 1:
                 inst.key = key
             elif inst.key != key:
@@ -555,9 +543,14 @@ class FastPathEngine(ScheduleEngine):
 
     # -- completion ---------------------------------------------------------
     def _complete(self, inst: _Instance) -> None:
-        """Look up or compile the instance's plan, run its replay
-        program on this call's buffers, run its tape on this call's
-        arrivals, and batch-commit the per-rank completions."""
+        """Resolve the deferred arrivals, look up or compile the
+        instance's plan, run its replay program on this call's buffers,
+        run its tape on this call's arrivals, and batch-commit the
+        per-rank completions."""
+        if inst.deferred is not None:
+            arrivals = inst.arrivals
+            for r, resolve in inst.deferred.items():
+                arrivals[r] = resolve(r, arrivals[r])
         comm = self.comm
         sim = comm.sim
         stats = sim.stats
@@ -666,7 +659,7 @@ class FastPathEngine(ScheduleEngine):
         A pair is priced with the send's structural size; a receive
         larger than its send raises here (the ranks disagree on the
         count, and the receive's tail would be stale).  Every wire leg is
-        priced by :meth:`Topology.wire_cost`, which also books it onto
+        priced by :meth:`Topology.wire_costs`, which also books it onto
         the routed channel path when the topology's ``accounting`` flag
         is on; ``plan.legs`` keeps them, relabelled, for replays.  A
         shape whose steps cannot all finish (cyclic or unmatched wire
@@ -722,7 +715,7 @@ class FastPathEngine(ScheduleEngine):
 
         # Fold each message size's row once, lay out every pair's legs
         # (envelope first, then the legs after the match) and price
-        # them all through ``wire_cost``, in pair order.
+        # them all through ``wire_costs``, in pair order.
         sizes = np.unique(nbytes)
         fold = sizes.searchsorted(nbytes)
         rows = []
@@ -740,7 +733,7 @@ class FastPathEngine(ScheduleEngine):
         label = self._nodes.searchsorted(places)
         sn = label[base + me[sent]].repeat(n_legs)
         dn = label[base + peer[sent]].repeat(n_legs)
-        j = _ranges(np.zeros_like(n_legs), n_legs)
+        j = ranges(np.zeros_like(n_legs), n_legs)
         by_sender, leg_n = np.array(list(chain.from_iterable(rows)),
                                     dtype=np.intp).reshape(-1, 2)[
             row_lo[:-1][fold].repeat(n_legs) + j].T
@@ -748,8 +741,8 @@ class FastPathEngine(ScheduleEngine):
         legs = np.array((np.where(fwd, sn, dn), np.where(fwd, dn, sn),
                          leg_n)).T
         plan.legs = legs
-        cost = np.array(list(map(self.comm.cluster.topology.wire_cost,
-                                 *self._on_nodes(legs))))
+        cost = np.array(self.comm.cluster.topology.wire_costs(
+            *self._on_nodes(legs)))
         K = len(ps)
         pair_a = np.zeros(K)
         pair_b = np.zeros(K)
@@ -777,7 +770,7 @@ class FastPathEngine(ScheduleEngine):
         ptr = cnt.cumsum() - cnt
         ins = np.zeros(int(cnt.sum()), dtype=np.intp)
         ins[ptr[:N]] = rank
-        ins[_ranges(ptr[:N] + 1, n_deps)] = fin[deps]
+        ins[ranges(ptr[:N] + 1, n_deps)] = fin[deps]
         ins[ptr[N : N + K]] = step0 + pr
         ins[ptr[N : N + K] + 1] = step0 + ps
         ins[len(ins) - N:] = fin
@@ -787,30 +780,15 @@ class FastPathEngine(ScheduleEngine):
         a = np.concatenate((a, pair_a, np.zeros(len(ranked))))
         b = np.concatenate((b, pair_b, np.zeros(len(ranked))))
 
-        levels = _sweep(ins, cnt, P, never)
-        order = np.concatenate(levels) if levels else np.zeros(0, np.intp)
-        slot = np.full(never + 1, never, dtype=np.intp)
-        slot[:P] = np.arange(P)
-        slot[P + order] = P + np.arange(len(order))
+        tape = lay_out(ins, cnt, a, b, P, never)
+        slot = tape.slot
         plan.step_fin = slot[fin]
         pending = plan.step_fin == never
         if pending.any():
             raise _stalled(dict(enumerate(
                 np.bincount(rank[pending], minlength=P).tolist())))
-
-        # Lay the tape out level by level.
-        width = cnt[order]
-        plan.ins = slot[ins[_ranges(ptr[order], width)]]
-        lo = width.cumsum() - width
-        n_level = [len(lv) for lv in levels]
-        bounds = np.array([0] + n_level).cumsum()
-        plan.rel = lo - lo[bounds[:-1]].repeat(n_level)
-        p = lo.tolist() + [len(plan.ins)]
-        bounds = bounds.tolist()
-        plan.levels = [(h, t, p[h], p[t])
-                       for h, t in zip(bounds[:-1], bounds[1:])]
-        plan.a = a[order]
-        plan.b = b[order]
+        plan.ins, plan.rel = tape.ins, tape.rel
+        plan.a, plan.b, plan.levels = tape.a, tape.b, tape.levels
         plan.step_node = slot[step0 + np.arange(N)]
         plan.rank_fin = np.arange(P)
         plan.rank_fin[ranked] = slot[fin0 + np.arange(len(ranked))]
@@ -902,7 +880,7 @@ class FastPathEngine(ScheduleEngine):
         scratch = list(chain.from_iterable(s.scratch for s in scheds))
         if scratch:
             n_sc = np.array([len(s.scratch) for s in scheds], dtype=np.intp)
-            sc_g = _ranges(base[1:] - n_sc, n_sc)
+            sc_g = ranges(base[1:] - n_sc, n_sc)
             code[sc_g] = [dtypes.setdefault(x[1], len(dtypes))
                           if x[0] % x[1].itemsize == 0 else -1
                           for x in scratch]
@@ -1137,17 +1115,18 @@ class FastPathEngine(ScheduleEngine):
         pricer's own stage markers.  Every timestamp comes from this
         call's tape values, so the tree carries priced durations."""
         comm = self.comm
-        sim = comm.sim
         size = comm.size
         meta = plan.meta or {}
         name = meta.get("op", "collective")
         if meta.get("algo"):
             name = f"{name}[{meta['algo']}]"
         arrivals = inst.arrivals
-        now = sim.now
+        # The last arrival, deferred ones included: the instant the
+        # instance resolves in simulated time.
+        now = max(arrivals)
         ftrack = f"{comm.root_comm.name}.fastpath"
         spans.complete(
-            min(arrivals), max(arrivals), name, "fastpath.collect", ftrack,
+            min(arrivals), now, name, "fastpath.collect", ftrack,
             attrs={"n_ranks": size},
         )
         spans.instant(now, name, "fastpath.interpret", ftrack,
@@ -1170,7 +1149,7 @@ class FastPathEngine(ScheduleEngine):
             k = plan.step_node - size
             n = end[k] - start[k]
             ready = np.maximum.reduceat(
-                V[plan.ins[_ranges(start[k], n)]], np.cumsum(n) - n)
+                V[plan.ins[ranges(start[k], n)]], np.cumsum(n) - n)
             t0 = np.minimum.reduceat(ready[o], first).tolist()
             t1 = np.maximum.reduceat(V[plan.step_fin][o], first).tolist()
         j = 0

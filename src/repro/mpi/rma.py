@@ -51,38 +51,50 @@ would complete out of order, and each element applies atomically (one
 simulated instant).
 
 **One leg table, two walkers.**  Each operation's wire protocol is
-data: a row of ``_PROTOCOLS`` lists its legs in order — request and
-response wire legs, the target staging copy, a device window's PCIe
-read/write, the same-pair order point and the apply point.  A
-coalesced-put batch is the eager put row under its own counter, span
-and process name.  Every op enters through :meth:`Window.start`, which
-checks everything before it touches anything; the exact backend then
-walks the row in one process per op (:meth:`Window._walk`, each leg a
-transfer on the contended channels).  On a ``backend="analytic"`` or
-``"pricing"`` communicator, host-window ops are instead priced at issue
-by :meth:`Window._price`, which folds the same legs through per-node
-*cursors* (the origin's NIC injection path and the target's staging
-channel, the two serialization points of the exact model), each leg's
-end-to-end time taken from the topology's interned ``wire_cost`` — the
-cache the collective fast path shares
-(``sim.stats.wire_cost_hits``/``wire_cost_misses``).  Response legs
-add pure wire time and book no cursor: a future booking there would
-delay traffic the target issues *now*, a start-time inversion the exact
-FIFO channels never exhibit.
+data: a row of :data:`repro.mpi.rma_wire.PROTOCOLS` lists its legs in
+order — request and response wire legs, the target staging copy, a
+device window's PCIe read/write, the same-pair order point and the
+apply point.  A coalesced-put batch is the eager put row under its own
+counter, span and process name.  Every op enters through
+:meth:`Window.start`, which checks everything before it touches
+anything; the exact backend then walks the row in one process per op
+(:meth:`Window._walk`, each leg a transfer on the contended channels).
+On a ``backend="analytic"`` or
+``"pricing"`` communicator, a host-window op's issue instead logs one
+row (origin, target, protocol row, bytes, issue time) and prices
+nothing.  A window's logged rows are priced together, in issue order,
+at the first point that needs a finish time: the barrier of a fence or
+a collective ``free``, a ``flush``/``unlock``/``complete``, or an op
+that needs its own event (``get``/``rput``/``rget``/``get_accumulate``
+and the DCGN comm threads' ops, which price up to and including
+themselves).  :meth:`Window._settle` turns each row's legs into nodes
+of the collective fast path's max-plus tape
+(:mod:`repro.mpi.algorithms.tape`), chained through the two
+serialization points of the exact model — the origin's NIC injection
+path and the target's staging channel — and the same-pair order point,
+each booked in issue order; each leg's end-to-end time comes from the
+topology's interned ``wire_costs`` — the cache the collective fast path
+shares (``sim.stats.wire_cost_hits``/``wire_cost_misses``).  Response
+legs add pure wire time and book no channel: a future booking there
+would delay traffic the target issues *now*, a start-time inversion the
+exact FIFO channels never exhibit.
 
-An analytic epoch is a per-(origin, target) batch of finish times
-committed at the synchronization point: ``fence``/``complete``/
-``unlock``/``flush`` wait for one computed instant per pair instead of
-joining a process per op.  Payload bytes apply at issue (legal: epochs
-forbid conflicting access until the sync point; ``"pricing"`` skips
-data application entirely), and ``get``/``rput``/``rget``/
-``get_accumulate`` get a real event at their computed finish.  The
-order point releases the pair's next accumulate at the apply point on
-the analytic walk and when the op ends on the exact one; no public call
-can tell the two apart.  Device-memory windows keep the exact walk (the
-cursors do not model the contended PCIe hop), as does the lock
-machinery.  What the cursors ignore: receive-side occupancy queueing
-and spine contention — second-order on the modeled fabrics.
+An analytic epoch commits per-(origin, target) finish times at the
+synchronization point: ``complete``/``unlock``/``flush`` wait for one
+computed instant instead of joining a process per op, and a ``fence``
+or collective ``free`` does not wait at all — its rank enters the
+barrier at once, with an arrival the barrier resolves to that instant
+(:meth:`~repro.mpi.algorithms.fastpath.FastPathEngine.defer_arrival`).
+Payload bytes apply at issue (legal: epochs forbid conflicting access
+until the sync point; ``"pricing"`` skips data application entirely),
+and ``get``/``rput``/``rget``/``get_accumulate`` get a real event at
+their computed finish.  The order point releases the pair's next
+accumulate at the apply point on the analytic walk and when the op ends
+on the exact one; no public call can tell the two apart.  Device-memory
+windows keep the exact walk (the tape does not model the contended PCIe
+hop), as does the lock machinery.  What the tape ignores: receive-side
+occupancy queueing and spine contention — second-order on the modeled
+fabrics.
 """
 
 from __future__ import annotations
@@ -92,7 +104,6 @@ from typing import (
     Dict,
     Generator,
     List,
-    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -108,6 +119,7 @@ from .communicator import Communicator, Request
 from .datatypes import ReduceOp
 from .errors import RmaError
 from .p2p import HEADER_BYTES
+from .rma_wire import CODES, COALESCED, ROWS, Protocol, TapePricer
 
 __all__ = ["Window", "WinContext", "RMA_TAG_BASE"]
 
@@ -119,86 +131,6 @@ RMA_TAG_BASE = 1 << 28
 _TAG_STRIDE = 4
 _TAG_POST = 0
 _TAG_COMPLETE = 1
-
-# -- wire protocols as data --------------------------------------------------
-# A leg is ``(kind, carries the payload?)``.  Kinds: ``"req"`` origin →
-# target and ``"rsp"`` target → origin wire transfers (a header, plus
-# the payload when carried); ``"stage"`` the target-host staging copy
-# (shm channel); ``"pcie_r"``/``"pcie_w"`` the target's PCIe hop when
-# its window is device memory; ``"order"`` the same-pair order point
-# (behind the pair's previous accumulate); ``"apply"`` the data
-# application on the target window.
-
-
-class _Protocol(NamedTuple):
-    """One row of the leg table."""
-
-    #: ``comm.stats`` protocol counter (a get has none).
-    counter: Optional[str]
-    #: ``rma.op`` span name.
-    span: str
-    #: Process/event name, formatted with (origin, target).
-    proc: str
-    #: The exact walk's ``proto`` span attribute.
-    proto: Optional[str]
-    legs: Tuple[Tuple[str, bool], ...]
-
-
-#: rkey/validation round-trip, then the zero-copy RDMA write straight
-#: into the registered region.
-_RNDV = (("req", False), ("rsp", False), ("req", True))
-_WRITE = (("pcie_w", True), ("apply", False))
-#: An accumulate's read-modify-write pass through target memory (never
-#: a zero-copy NIC write), in program order per (origin, target).
-_RMW = (
-    ("order", False), ("pcie_r", True), ("stage", True), ("apply", False),
-    ("pcie_w", True),
-)
-
-_PUT = _Protocol(
-    "rma_put[eager]", "put", "put(r{}->r{})", "eager",
-    (("req", True), ("stage", True)) + _WRITE,
-)
-#: A coalesced batch rides the eager put's legs as one transfer: one
-#: header, one fabric traversal, one staging copy of the byte total.
-_COALESCED = _PUT._replace(
-    counter="rma_put[coalesced_flush]", span="put_coalesced",
-    proc="cput(r{}->r{})", proto=None,
-)
-#: A get snapshots the region when the NIC reads it: writes landing
-#: while the payload travels back are not in the result.
-_GET = _Protocol(
-    None, "get", "get(r{}<-r{})", None,
-    (("req", False), ("pcie_r", True), ("apply", False), ("rsp", True)),
-)
-_ACC = _Protocol(
-    "rma_accumulate[eager]", "accumulate", "acc(r{}->r{})", None,
-    (("req", True),) + _RMW,
-)
-_ACC_RNDV = _ACC._replace(
-    counter="rma_accumulate[rendezvous]", legs=_RNDV + _RMW
-)
-#: A get_accumulate's fetched elements travel back to the origin.
-_FETCH = (("rsp", True),)
-
-#: What an op is (``put``/``get``/``accumulate``/``get_accumulate``)
-#: → its (eager, rendezvous) rows.
-_PROTOCOLS: Dict[str, Tuple[_Protocol, _Protocol]] = {
-    "put": (
-        _PUT,
-        _PUT._replace(
-            counter="rma_put[rendezvous]", proto="rndv",
-            legs=_RNDV + _WRITE,
-        ),
-    ),
-    "get": (_GET, _GET),
-    "accumulate": (_ACC, _ACC_RNDV),
-    "get_accumulate": (
-        _ACC._replace(legs=_ACC.legs + _FETCH),
-        _ACC_RNDV._replace(legs=_ACC_RNDV.legs + _FETCH),
-    ),
-}
-
 
 def _apply(
     view: np.ndarray,
@@ -321,33 +253,22 @@ class Window:
         self._pending_puts: List[Dict[int, _Batch]] = [
             dict() for _ in range(size)
         ]
-        #: Analytic fast path (see module doc): price host-window ops
-        #: against per-node cursors instead of spawning wire processes.
+        #: Analytic fast path (see module doc): log host-window ops and
+        #: price them as one tape at their sync point instead of
+        #: spawning wire processes.
         self._an = comm.backend != "exact"
         self._price_only = comm.backend == "pricing"
         if self._an:
-            prof = comm.cluster.topology.profile()
-            #: NIC injection-path occupancy model: alpha/2 + nbytes*beta
-            #: — the tx channel's exact hold time on the modeled fabrics
-            #: (the latency's other half rides the receiver's ejection
-            #: channel, which the pricer folds into the wire time).
-            self._alpha_inj = float(prof.alpha_s) / 2.0
-            self._beta = float(prof.beta_s_per_B)
-            #: node → time its NIC injection path frees up.
-            self._tx_free: Dict[int, float] = {}
-            #: node → time its host staging (shm) channel frees up.
-            self._shm_free: Dict[int, float] = {}
-            #: (origin, target) → apply time of the last accumulate
-            #: (the analytic twin of ``_acc_tail``).
-            self._acc_free: Dict[Tuple[int, int], float] = {}
-            #: origin → target → latest analytic op finish time.
+            self._pricer = TapePricer(comm)
+            #: :meth:`_arrival`, bound once: every fence hands it over.
+            self._arrive = self._arrival
+            #: Unpriced ops in issue order, six entries each: origin,
+            #: target, row number, nbytes, issue time, span extra.
+            self._log: List[Any] = []
+            #: origin → target → latest priced op finish time.
             self._an_fins: List[Dict[int, float]] = [
                 dict() for _ in range(size)
             ]
-            #: Every priced leg, request and response alike: the
-            #: topology's interned wire time, booked onto the link
-            #: report when accounting is on.
-            self._wt = comm.cluster.topology.wire_cost
         comm._windows.append(self)
         comm._count("win_create")
 
@@ -435,7 +356,7 @@ class Window:
                         f"cannot free window {self.name!r} with "
                         "operations in flight (flush first)"
                     )
-        if self._an and any(fins for fins in self._an_fins):
+        if self._an and (self._log or any(fins for fins in self._an_fins)):
             raise RmaError(
                 f"cannot free window {self.name!r} with analytic "
                 "operations unflushed (flush first)"
@@ -516,14 +437,14 @@ class Window:
     # -- building blocks ----------------------------------------------------
     def _op_span(
         self, t0: float, t1: float, origin: int, target: int,
-        row: _Protocol, nbytes: int, proto: Optional[str],
+        row: Protocol, nbytes: int, proto: Optional[str],
         extra: Optional[Tuple[str, Any]],
     ) -> None:
         """Record one one-sided op as a span on the origin's track.
 
         The exact walk records its own lifetime; the analytic one
-        ``[now, priced fin]`` — the span carries the priced duration
-        even though nothing simulates it.
+        ``[issue, priced fin]``, once its batch is priced — the span
+        carries the priced duration even though nothing simulates it.
         """
         spans = self.sim.spans
         if spans is not None:
@@ -559,61 +480,34 @@ class Window:
         procs.append(proc)
         return proc
 
-    # -- the analytic walker's cursors ---------------------------------------
-    def _leg(self, src_node: int, dst_node: int, nbytes: int,
-             t: float) -> float:
-        """One wire leg starting no earlier than ``t``: serializes on
-        the source's injection path, returns the arrival time."""
-        if src_node == dst_node:
-            # Same-node leg rides the staging channel outright.
-            return self._bounce_leg(src_node, nbytes, t)
-        free = self._tx_free.get(src_node, 0.0)
-        s = t if t >= free else free
-        self._tx_free[src_node] = s + self._alpha_inj + nbytes * self._beta
-        return s + self._wt(src_node, dst_node, nbytes)
-
-    def _bounce_leg(self, node: int, nbytes: int, t: float) -> float:
-        """Target-host staging copy: serializes on the shm channel."""
-        free = self._shm_free.get(node, 0.0)
-        s = t if t >= free else free
-        fin = s + self._wt(node, node, nbytes)
-        self._shm_free[node] = fin
-        return fin
-
     # -- the two walkers of a protocol row ----------------------------------
-    def _price(
-        self, row: _Protocol, origin: int, target: int, nbytes: int,
-        t: float,
-    ) -> float:
-        """The analytic walk: fold ``row``'s legs, issued at ``t``,
-        through the cursors; returns the op's finish time."""
-        o_n = self.comm.placement[origin]
-        t_n = self.comm.placement[target]
-        pair = None
-        for leg, carries in row.legs:
-            n = nbytes if carries else 0
-            if leg == "req":
-                t = self._leg(o_n, t_n, HEADER_BYTES + n, t)
-            elif leg == "rsp":
-                # Response leg: its own serialization is inside the
-                # wire time; only its queueing effect on the target's
-                # other traffic is dropped (see module doc).
-                t += self._wt(t_n, o_n, HEADER_BYTES + n)
-            elif leg == "stage":
-                t = self._bounce_leg(t_n, n, t)
-            elif leg == "order":
-                pair = (origin, target)
-                prev = self._acc_free.get(pair, 0.0)
-                if prev > t:
-                    t = prev
-            elif leg == "apply" and pair is not None:
-                self._acc_free[pair] = t
-            # PCIe legs never reach this walk: device windows are exact.
-        return t
+    def _settle(self) -> List[float]:
+        """The analytic walk: price every logged op, in issue order, as
+        one tape (:class:`~repro.mpi.rma_wire.TapePricer`); returns
+        their finish times, in log order.  The fins are booked per
+        (origin, target), and ``rma.op`` spans run from each op's issue
+        to its priced finish."""
+        log = self._log
+        if not log:
+            return []
+        self._log = []
+        o, t, code, nb, t0, extra = (log[i::6] for i in range(6))
+        fins = self._pricer.price(o, t, code, nb, t0)
+        an_fins = self._an_fins
+        for origin, target, f in zip(o, t, fins):
+            booked = an_fins[origin]
+            if f > booked.get(target, 0.0):
+                booked[target] = f
+        if self.sim.spans is not None:
+            for i, c in enumerate(code):
+                self._op_span(t0[i], fins[i], o[i], t[i], ROWS[c], nb[i],
+                              None if c == COALESCED else "analytic",
+                              extra[i])
+        return fins
 
     def _walk(
         self,
-        row: _Protocol,
+        row: Protocol,
         origin: int,
         target: int,
         nbytes: int,
@@ -661,7 +555,7 @@ class Window:
 
     def _launch(
         self,
-        row: _Protocol,
+        code: int,
         origin: int,
         target: int,
         nbytes: int,
@@ -670,24 +564,22 @@ class Window:
         want_event: bool = False,
         extra: Optional[Tuple[str, Any]] = None,
     ) -> Optional[Event]:
-        """Put one protocol row on the wire, now.  On the analytic path
-        it is priced at once (the caller applied its data already) and
-        returns an event only if ``want_event``; on the exact path it
-        returns the tracked process walking it."""
+        """Put protocol row number ``code`` on the wire, now.  On the
+        analytic path it is logged for the next sync point (the caller
+        applied its data already) and returns nothing — unless
+        ``want_event``: then the log is priced through this op, which
+        gets an event at its finish.  On the exact path it returns the
+        tracked process walking the row."""
+        row = ROWS[code]
         if row.counter is not None:
             self.comm._count_unchecked(row.counter)
         if self._an_usable(target):
-            now = self.sim.now
-            fin = self._price(row, origin, target, nbytes, now)
-            # Book the finish into the epoch batch.
-            fins = self._an_fins[origin]
-            if fin > fins.get(target, 0.0):
-                fins[target] = fin
+            self._log.extend(
+                (origin, target, code, nbytes, self.sim.now, extra))
             self.sim.stats.fastpath_rma_ops += 1
-            self._op_span(now, fin, origin, target, row, nbytes,
-                          None if row is _COALESCED else "analytic", extra)
             if not want_event:
                 return None
+            fin = self._settle()[-1]
             # A real event firing at the computed finish.
             ev = self.sim.event(
                 name=f"{self.name}." + row.proc.format(origin, target)
@@ -715,7 +607,7 @@ class Window:
         batch = self._pending_puts[origin].pop(target, None)
         if batch is not None:
             self._launch(
-                _COALESCED, origin, target, batch.nbytes, batch,
+                COALESCED, origin, target, batch.nbytes, batch,
                 extra=("n_ops", len(batch)),
             )
 
@@ -753,8 +645,8 @@ class Window:
 
         Returns a waitable completion: always on the exact path and for
         a get or get_accumulate; on the analytic path only if
-        ``want_event`` (``rput``) — otherwise it books the finish time
-        alone, no per-op event, no heap entry.
+        ``want_event`` (``rput``) — otherwise it logs the op for its
+        sync point, no per-op event, no heap entry.
         """
         what = kind if fetch_into is None else "get_accumulate"
         self._require_access(origin, target, what)
@@ -792,31 +684,26 @@ class Window:
                 # Batch outgrew the eager path: put it on the wire now.
                 self._flush_pending_puts(origin, target)
             return None
-        row = _PROTOCOLS[what][rndv]
+        code = CODES[what][rndv]
         extra = None if rop is None else ("op", rop.value)
         if an:
             if not self._price_only:
                 _apply(view, data, rop, dst)
-            return self._launch(row, origin, target, nbytes,
+            return self._launch(code, origin, target, nbytes,
                                 want_event=want_event or dst is not None,
                                 extra=extra)
         out = None if dst is None else np.zeros_like(view)
         return self._launch(
-            row, origin, target, nbytes, ((view, data, rop, out),),
+            code, origin, target, nbytes, ((view, data, rop, out),),
             None if out is None else (dst, out), want_event, extra,
         )
 
     # -- completion --------------------------------------------------------
-    def flush_ops(
+    def _join(
         self, origin: int, target: Optional[int] = None
     ) -> Generator[Event, Any, None]:
-        """Wait until this origin's operations (to ``target``, or all)
-        have completed *remotely*.
-
-        Analytic ops resolve to one computed instant per (origin,
-        target) pair — the wait is a single timeout to the latest
-        finish, not a per-op process join.  Device-window ops (exact
-        even on a fast-path backend) still join their processes."""
+        """Put this origin's buffered puts (to ``target``, or all) on
+        the wire and join its exact ops' processes."""
         pending = self._pending_puts[origin]
         for t in [target] if target is not None else list(pending):
             self._flush_pending_puts(origin, t)
@@ -827,16 +714,55 @@ class Window:
                 if proc.is_alive:
                     yield proc
             lists[t] = []
+
+    def _due(self, origin: int, target: Optional[int] = None) -> float:
+        """Price the log, then take the latest finish of this origin's
+        analytic ops (to ``target``, or all) out of the epoch."""
+        if self._log:
+            self._settle()
+        fins = self._an_fins[origin]
+        if target is not None:
+            return fins.pop(target, 0.0)
+        t_max = max(fins.values(), default=0.0)
+        fins.clear()
+        return t_max
+
+    def flush_ops(
+        self, origin: int, target: Optional[int] = None
+    ) -> Generator[Event, Any, None]:
+        """Wait until this origin's operations (to ``target``, or all)
+        have completed *remotely*.
+
+        Analytic ops resolve to one computed instant per (origin,
+        target) pair — the wait is a single timeout to the latest
+        finish, not a per-op process join.  Device-window ops (exact
+        even on a fast-path backend) still join their processes."""
+        yield from self._join(origin, target)
         if self._an:
-            fins = self._an_fins[origin]
-            if target is not None:
-                t_max = fins.pop(target, 0.0)
-            else:
-                t_max = max(fins.values(), default=0.0)
-                fins.clear()
+            t_max = self._due(origin, target)
             now = self.sim.now
             if t_max > now:
                 yield self.sim.timeout(t_max - now)
+
+    def _close(self, origin: int) -> Generator[Event, Any, None]:
+        """:meth:`flush_ops` ahead of a fence's or a collective free's
+        barrier.  On a fast-path communicator the analytic wait folds
+        into the barrier instead: the rank deposits at once, and its
+        arrival resolves, when the barrier completes, to the instant the
+        wait would have ended."""
+        if not self._an:
+            yield from self.flush_ops(origin)
+            return
+        if self._pending_puts[origin] or self._outgoing[origin]:
+            yield from self._join(origin)
+        self.comm.engine.defer_arrival(origin, self._arrive)
+
+    def _arrival(self, origin: int, now: float) -> float:
+        """Where an origin that deposited at ``now`` arrives once its
+        analytic ops have completed (see :meth:`_close`): the float
+        :meth:`flush_ops`' timeout would end at."""
+        t_max = self._due(origin)
+        return now + (t_max - now) if t_max > now else now
 
     # -- passive-target lock machinery (NIC-side state) --------------------
     def _acquire(
@@ -1022,7 +948,7 @@ class WinContext:
         self.win._ensure_usable()
         self.comm._count("rma_fence")
         sp = self._espan("fence")
-        yield from self.win.flush_ops(self.rank)
+        yield from self.win._close(self.rank)
         yield from self.comm.ctx(self.rank).barrier()
         self.win._mode[self.rank] = None if end else "fence"
         self._espan_end(sp)
@@ -1223,7 +1149,7 @@ class WinContext:
         :class:`~repro.mpi.errors.RmaError`."""
         win = self.win
         win._ensure_usable()
-        yield from win.flush_ops(self.rank)
+        yield from win._close(self.rank)
         yield from self.comm.ctx(self.rank).barrier()
         if not win._freed:
             win.free()

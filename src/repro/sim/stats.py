@@ -38,7 +38,7 @@ Counter glossary
     whose sender donated a private payload).
 ``wire_cost_hits`` / ``wire_cost_misses``
     Interned-wire-cost cache hits vs. analytic cost-model evaluations
-    in the fast-path backends (``Topology.wire_cost``: one cache per
+    in the fast-path backends (``Topology.wire_costs``: one cache per
     cluster topology, shared by collective and RMA pricing) — the hit
     rate is the fast path's memoization health.
 ``fastpath_rma_ops``

@@ -27,7 +27,9 @@ from repro.sim import Simulator
 
 
 def _stencilish(ctx, record):
-    """A little of everything: p2p both protocols + two collectives."""
+    """A little of everything: p2p both protocols, two collectives and
+    one RMA fence epoch (a put to the next rank).  Records the end time,
+    the data and the put's issue time."""
     import numpy as np
 
     r, size = ctx.rank, ctx.size
@@ -50,11 +52,18 @@ def _stencilish(ctx, record):
     out = np.empty_like(big)
     yield from ctx.allreduce(big, out)
     yield from ctx.barrier()
+    win = yield from ctx.win_allocate(8)
+    yield from win.fence()
+    yield from win.put(peer, small)
+    issued = ctx.sim.now
+    yield from win.fence()
     record[r] = (
         ctx.sim.now,
         float(got_s.sum()),
         float(got_b.sum()),
         float(out.sum()),
+        float(win.local.sum()),
+        issued,
     )
 
 
@@ -87,11 +96,24 @@ class TestByteStability:
 
     def test_analytic_backend_identical_traced(self):
         """The fast path commits the same priced times when recording
-        (spans are recorded from the same replayed tape)."""
+        (spans are recorded from the same replayed tape).  An analytic
+        RMA op's span is recorded when its epoch is priced, and runs
+        from the op's issue to its priced finish — the instant its
+        rank's closing fence arrives at the barrier."""
         base, _, _ = _run_stencilish("analytic", traced=False)
-        traced, _, rec = _run_stencilish("analytic", traced=True)
+        traced, sim, rec = _run_stencilish("analytic", traced=True)
         assert traced == base
         assert rec.count("collective") > 0
+        ops = rec.select("rma.op")
+        assert len(ops) == sim.stats.fastpath_rma_ops == len(base)
+        for sp in ops:
+            target = int(sp.name.split("->r")[1])
+            r = (target - 1) % len(base)
+            assert sp.track.endswith(f".r{r}")
+            barrier = [s for s in rec.select("collective", track=sp.track)
+                       if s.name.startswith("barrier")][-1]
+            assert sp.t0 == base[r][5]
+            assert sp.t0 < sp.t1 == pytest.approx(barrier.t0, rel=1e-15)
 
     def test_backends_emit_same_span_tree_shape(self):
         """Exact and analytic agree on the collective/round skeleton."""
