@@ -16,7 +16,9 @@ Every other view is derived from that one route:
 * ``account`` books it onto the channels without simulating it (the
   link report of the analytic backends);
 * ``wire_costs`` interns ``wire_time`` for the fast-path pricers and
-  books the legs when accounting is on.
+  books the legs when accounting is on; it walks one route per
+  ``wire_class`` of a pair and size, since the fabric prices the pairs
+  of a class alike.
 
 ``signature`` says which placements the fabric cannot tell apart; the
 fast path keys the compiled plans it keeps in :attr:`Topology.plans`
@@ -131,6 +133,9 @@ class Topology(ABC):
         #: Interned uncontended wire times: (src, dst, nbytes) → s.  The
         #: one cache both fast-path pricers (collectives and RMA) share.
         self._wire_cache: Dict[Tuple[int, int, int], float] = {}
+        #: What fills its misses: wire times by (:meth:`wire_class` of
+        #: the pair, nbytes).
+        self._class_cache: Dict[Tuple[Any, int], float] = {}
         #: Compiled collective plans by key, shared by the communicators
         #: on this fabric (see :meth:`signature` and
         #: :mod:`repro.mpi.algorithms.fastpath`).  Held weakly: a plan
@@ -268,6 +273,8 @@ class Topology(ABC):
         stats = self.sim.stats
         misses = 0
         if None in costs:
+            by_class = self._class_cache
+            wire_class = self.wire_class
             for i, cost in enumerate(costs):
                 if cost is None:
                     key = keys[i]
@@ -275,10 +282,22 @@ class Topology(ABC):
                     if cost is None:
                         misses += 1
                         stats.wire_cost_misses += 1
-                        cost = cache[key] = self.wire_time(*key)
+                        src, dst, n = key
+                        ckey = (wire_class(src, dst), n)
+                        cost = by_class.get(ckey)
+                        if cost is None:
+                            cost = by_class[ckey] = self.wire_time(*key)
+                        cache[key] = cost
                     costs[i] = cost
         stats.wire_cost_hits += len(costs) - misses
         return costs
+
+    def wire_class(self, src: int, dst: int) -> Any:
+        """What of a node pair the fabric prices: pairs of one class
+        have bit-equal :meth:`wire_time` at every size.  The base class
+        keeps one class per pair, which is always right (the torus
+        prices by hop count)."""
+        return (src, dst)
 
     def signature(self, nodes: Sequence[int]) -> Tuple:
         """What the fabric can tell of a placement (``nodes[r]``: rank

@@ -21,7 +21,7 @@ even at 1:1 — use the flat topology for the paper's testbed.
 from __future__ import annotations
 
 import math
-from typing import List, Sequence, Tuple
+from typing import Any, List, Sequence, Tuple
 
 from ...sim.core import Simulator, us
 from ...sim.resources import BandwidthChannel
@@ -96,6 +96,10 @@ class FatTree(FlatSwitch):
     def locality_group(self, node: int) -> int:
         self._check(node)
         return self.pod(node)
+
+    def wire_class(self, src: int, dst: int) -> Any:
+        # A leg crosses the spine or not; every pod's links are alike.
+        return src == dst, self.pod(src) == self.pod(dst)
 
     def signature(self, nodes: Sequence[int]) -> Tuple:
         # A leg crosses the spine or not; every pod's up- and down-link

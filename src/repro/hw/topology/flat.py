@@ -9,7 +9,7 @@ every calibrated timing is unchanged.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Any, List, Sequence, Tuple
 
 from ...sim.core import Simulator, us
 from ...sim.resources import BandwidthChannel
@@ -54,6 +54,10 @@ class FlatSwitch(Topology):
     def _route(self, src: int, dst: int, nbytes: int) -> Route:
         # Injection: the sender NIC serializes for latency/2 + size/bw.
         return (((self._tx[src], nbytes, None), self._ejects[dst]),)
+
+    def wire_class(self, src: int, dst: int) -> Any:
+        # Every node's NICs and shm channel are alike.
+        return src == dst
 
     def signature(self, nodes: Sequence[int]) -> Tuple:
         # Every inter-node leg is alike: only which ranks share a node

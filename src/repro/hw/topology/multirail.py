@@ -12,7 +12,7 @@ exactly the contention a real rail-striped MPI sees.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Any, List, Sequence, Tuple
 
 from ...sim.core import Simulator, us
 from ...sim.resources import BandwidthChannel
@@ -78,6 +78,10 @@ class MultiRail(Topology):
                 (self._rx[dst][r], None, self._half_lat),
             ))
         return tuple(lanes)
+
+    def wire_class(self, src: int, dst: int) -> Any:
+        # Every node has the same rails and shm channel.
+        return src == dst
 
     def signature(self, nodes: Sequence[int]) -> Tuple:
         # Every node has the same rails into a non-blocking core.

@@ -83,8 +83,10 @@ class Torus2D(FlatSwitch):
         return super()._route(src, dst, nbytes)
 
     # Hop counts depend on where the nodes sit: only the placement
-    # itself is safe (not the flat switch's relabelling).
+    # itself is safe (not the flat switch's relabelling), and each pair
+    # is its own class.
     signature = Topology.signature
+    wire_class = Topology.wire_class
 
     def _mean_hops(self) -> float:
         """Average hop count over distinct node pairs (closed form)."""

@@ -23,11 +23,14 @@ or slots ``1..P``, one buffer per block.
 
 from __future__ import annotations
 
-from typing import List
+from itertools import accumulate
+from typing import List, Union
 
 from ..errors import MpiError
 from .base import is_pof2
-from .schedule import BYTES, COPY, Binding, Schedule
+from .schedule import (
+    BYTES, COPY, Binding, Schedule, Shape, at, open_schedule, wide,
+)
 
 __all__ = [
     "build_allgather_ring",
@@ -80,7 +83,10 @@ def build_allgather_ring(ctx, b: Binding) -> Schedule:
     return sched
 
 
-def build_allgather_recursive_doubling(ctx, b: Binding) -> Schedule:
+@wide
+def build_allgather_recursive_doubling(
+    ctx, b: Binding
+) -> Union[Schedule, Shape]:
     """Recursive-doubling allgather (power-of-two P, equal blocks).
 
     After round ``i`` every rank holds the contiguous run of ``2^(i+1)``
@@ -93,19 +99,22 @@ def build_allgather_recursive_doubling(ctx, b: Binding) -> Schedule:
     and receives straight into the destination run; per-block buffers
     are packed and unpacked around a staging vector instead.  Wire
     traffic — message sizes, tags, rounds, dependencies — is identical
-    either way, so timing is too.
+    either way, so timing is too.  Wide: each round is built for all
+    of ``ctx``'s ranks at once (a
+    :class:`~repro.mpi.algorithms.schedule.Ranks`), or for one rank.
     """
     size, rank = ctx.size, ctx.rank
     if not is_pof2(size):
         raise MpiError("recursive-doubling allgather needs power-of-two P")
-    sched = Schedule(ctx, b)
+    sched = open_schedule(ctx, b)
     tag = sched.claim()
-    # Only this rank's block and log2(P) contiguous runs are read, so
-    # no P-long list of refs or sizes is built (O(P^2) over all ranks).
     deps = [sched.compute(((COPY, 0, block_ref(b, rank)),))]
     if size == 1:
         sched.overhead(after=deps)
         return sched
+    # Per-block slots: block j is slot 1 + j, at byte ``ends[j]`` of the
+    # concatenation of all blocks.
+    ends = list(accumulate(b.sizes[1:], initial=0))
     mask = 1
     rnd = 0
     while mask < size:
@@ -125,21 +134,20 @@ def build_allgather_recursive_doubling(ctx, b: Binding) -> Schedule:
                            partner, tag, after=deps, round=rnd)
             deps = [s, r]
         else:
-            # Per-block slots: block j is slot 1 + j.
-            sizes = b.sizes[1 + peer_lo : 1 + peer_lo + mask]
-            stage = sched.buffer(sum(sizes), adopt=True)
+            first = at(ends, peer_lo)
+            stage = sched.buffer(at(ends, peer_lo + mask) - first,
+                                 adopt=True)
             # donate: the pack is a fresh concatenation nothing else
             # ever writes or reads again.
-            s = sched.send(tuple(range(1 + my_lo, 1 + my_lo + mask)),
+            s = sched.send(tuple(1 + my_lo + j for j in range(mask)),
                            partner, tag, after=deps, round=rnd, donate=True,
                            pack=True)
             r = sched.recv(stage, partner, tag, after=deps, round=rnd)
-            unpack = []
-            off = 0
-            for j, n in enumerate(sizes, 1 + peer_lo):
-                unpack.append((BYTES, (stage, off, off + n), j))
-                off += n
-            deps = [s, sched.compute(tuple(unpack), after=(r,), round=rnd)]
+            unpack = tuple(
+                (BYTES, (stage, at(ends, peer_lo + j) - first,
+                         at(ends, peer_lo + j + 1) - first), 1 + peer_lo + j)
+                for j in range(mask))
+            deps = [s, sched.compute(unpack, after=(r,), round=rnd)]
         mask <<= 1
         rnd += 1
     return sched

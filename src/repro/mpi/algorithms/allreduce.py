@@ -23,13 +23,15 @@ per rank.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List, Tuple, Union
 
 import numpy as np
 
 from ..datatypes import ReduceOp
 from .base import hier_ok as _hier_ok, largest_pof2
-from .schedule import COMBINE, COPY, REBIND, Binding, Schedule
+from .schedule import (
+    COMBINE, COPY, REBIND, Binding, Schedule, Shape, open_schedule, wide,
+)
 
 __all__ = [
     "build_allreduce_reduce_bcast",
@@ -141,18 +143,18 @@ def build_allreduce_recursive_doubling(
     return sched
 
 
-def _ring_chunker(acc: Tuple[int, int, int], dt: np.dtype, size: int):
+def _ring_chunker(acc: Tuple, dt: np.dtype, size: int):
     """Chunk refs for a ring over ``size`` pieces of the byte range
-    ``acc`` (split by elements, like ``np.array_split``)."""
+    ``acc`` (split by elements, like ``np.array_split``); its bounds
+    and the chunk numbers may be arrays over the shape's ranks."""
     slot, lo, hi = acc
     isz = dt.itemsize
     n = (hi - lo) // isz
-    bounds: List[int] = [lo + ((c * n) // size) * isz
-                         for c in range(size + 1)]
 
-    def chunk(c: int) -> Tuple[int, int, int]:
-        c %= size
-        return (slot, bounds[c], bounds[c + 1])
+    def chunk(c) -> Tuple:
+        c = c % size
+        return (slot, lo + (c * n) // size * isz,
+                lo + ((c + 1) * n) // size * isz)
 
     return chunk
 
@@ -160,20 +162,24 @@ def _ring_chunker(acc: Tuple[int, int, int], dt: np.dtype, size: int):
 def append_ring_reduce_scatter(
     sched,
     ctx,
-    acc: Tuple[int, int, int],
+    acc: Tuple,
     dt: np.dtype,
     op: ReduceOp,
-    tag: int,
+    tag,
     after=(),
-    round0: int = 0,
-) -> List[int]:
+    round0=0,
+) -> List:
     """Ring reduce-scatter over ``ctx``'s communicator (tag offsets
     0..3): after P−1 steps rank *r* owns the fully combined chunk
     ``(r+1) mod P`` of the byte range ``acc`` (elements of ``dt``).
 
-    Shared by the flat ring allreduce and — through a
-    :class:`~repro.mpi.algorithms.schedule.SubSchedule` bound to an
-    intra-domain or peer communicator — the hierarchical composition.
+    Wide: ``sched`` is a :class:`~repro.mpi.algorithms.schedule.Shape`,
+    or — for the hierarchical composition — a
+    :class:`~repro.mpi.algorithms.schedule.SubShape` on an intra-domain
+    or peer communicator's members, and each step is built for all of
+    its ranks at once; on one rank's own schedule (or its
+    :class:`~repro.mpi.algorithms.schedule.SubSchedule`), for that
+    rank.
     """
     size, rank = ctx.size, ctx.rank
     chunk = _ring_chunker(acc, dt, size)
@@ -200,15 +206,16 @@ def append_ring_reduce_scatter(
 def append_ring_allgather(
     sched,
     ctx,
-    acc: Tuple[int, int, int],
+    acc: Tuple,
     dt: np.dtype,
-    tag: int,
+    tag,
     after=(),
-    round0: int = 0,
-) -> List[int]:
+    round0=0,
+) -> List:
     """Ring allgather of the chunks a reduce-scatter left behind (tag
     offsets 0..3): circulates from each rank's owned chunk
-    ``(r+1) mod P`` until every rank holds all of ``acc``."""
+    ``(r+1) mod P`` until every rank holds all of ``acc``.  Wide, like
+    :func:`append_ring_reduce_scatter`."""
     size, rank = ctx.size, ctx.rank
     chunk = _ring_chunker(acc, dt, size)
     right = (rank + 1) % size
@@ -226,22 +233,23 @@ def append_ring_allgather(
     return deps
 
 
+@wide
 def build_allreduce_ring(
     ctx, b: Binding, op: ReduceOp = ReduceOp.SUM
-) -> Schedule:
+) -> Union[Schedule, Shape]:
     """Ring allreduce: reduce-scatter then allgather over 1/P chunks.
 
     Works for any P (including non-powers of two) and any element count
-    (trailing chunks may be empty when count < P).
+    (trailing chunks may be empty when count < P).  Wide, like its two
+    appenders.
     """
     size = ctx.size
-    sched = Schedule(ctx, b)
+    sched = open_schedule(ctx, b)
     n, dt = b.sizes[0], b.dtype
     acc = sched.buffer(n, dt, init=((0, 0),))
     out = ((COPY, acc, 1),)
     if size == 1:
-        sched.overhead()
-        sched.compute(out, after=(sched.last,))
+        sched.compute(out, after=(sched.overhead(),))
         return sched
     tag = sched.claim()
     deps = append_ring_reduce_scatter(sched, ctx, (acc, 0, n), dt, op, tag)

@@ -11,10 +11,15 @@ packet:
 1. **Collect** — every rank's ``execute`` forms the call's plan key from
    its arguments and deposits its *binding* (the call's buffers, see
    :class:`~repro.mpi.algorithms.schedule.Binding`) into a shared
-   per-collective *instance*, plus — only on a plan miss — the shape
-   its ``build_*`` produced.  On a hit no builder runs: the plan's
+   per-collective *instance*.  On a hit no builder runs: the plan's
    recorded tag claims and ``comm.stats`` counts are replayed at issue
-   instead, and the binding is checked against the plan's.  The
+   instead, and the binding is checked against the plan's.  On a miss
+   a wide builder (barrier, recursive-doubling allgather, ring and
+   hierarchical allreduce) runs once per instance, for all ranks: the
+   first rank to miss builds the instance's
+   :class:`~repro.mpi.algorithms.schedule.Shape`, and every rank whose
+   call it serves takes its claims and counts from it, as on a hit.
+   Any other builder runs per rank and deposits its own schedule.  The
    last-arriving rank triggers completion (collectives are
    synchronizing, so nothing can legally complete before the last rank
    shows up).  Each rank's issue time is recorded at deposit, so skewed
@@ -24,13 +29,15 @@ packet:
    barrier at once, and the completing instance first prices the
    window's epoch and resolves the arrival to the instant the rank's
    own flush would have waited until.
-2. **Compile** (plan miss) — the per-rank shapes compile, once and
+2. **Compile** (plan miss) — the instance's shape compiles, once and
    from structure alone, to a buffer-free :class:`Plan`:
 
    * the *pricing tape*: the per-step critical path, compiled for all
-     ranks at once over flat arrays (no per-step Python walk).  The
-     ranks' step columns stack into one set of arrays — kind, rank,
-     wire key, size and the dependencies as CSR — and one stable
+     ranks at once over flat arrays (no per-step Python walk).  It
+     reads the shape's columns directly — kind, rank, wire key, ref
+     rows and the dependencies as CSR; the per-rank schedules of the
+     other builders are stacked into those columns first — with each
+     rank's claimed tags in place of the symbolic ones, and one stable
      ``lexsort`` pairs the k-th send on each ``(comm, src, dst, tag)``
      key with the k-th receive (communicators numbered by first
      appearance).  Each pair folds the eager or rendezvous row of
@@ -121,7 +128,7 @@ it communicates.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain, compress
+from itertools import chain
 from typing import (
     Any, Callable, Dict, Generator, List, NamedTuple, Optional, Set, Tuple,
 )
@@ -135,11 +142,10 @@ from ..communicator import Communicator
 from ..datatypes import AdoptBuf, payload_array
 from ..errors import MpiError
 from ..p2p import p2p_row
-from .base import next_tag
 from .schedule import (
-    BYTES, COMPUTE, DONATE, PACK, REBIND, RECV, SEND, Call, Schedule,
-    ScheduleEngine, materialize, payload, run_ops, short_recv, sub_ctx,
-    view, _round_name,
+    BYTES, COMPUTE, DONATE, PACK, REBIND, RECV, SEND, Call, Shape,
+    ScheduleEngine, issue_claims, materialize, payload, run_ops,
+    short_recv, sub_ctx, view, _round_name,
 )
 from .tape import lay_out, ranges, run_levels
 
@@ -156,8 +162,8 @@ _QUEUE = 2    # (_QUEUE, rank, ref, flags, k): queue a send's message
 _TAKE = 3     # (_TAKE, rank, ref, k, u): receive queued message k
 
 _NO_MSG = (None, 0)
-#: A ``None`` ref, as a resolved row.
-_NO_REF = (-1, 0, 0)
+#: A rank's item schedule when it took its instance's shared shape.
+_SHARED = "shared"
 
 #: Schedule steps the plans one communicator keeps alive may hold in
 #: total; shapes past it compile on every call instead, unless another
@@ -172,12 +178,6 @@ def _stalled(pending: Dict[int, int]) -> MpiError:
         "fast-path schedule stalled (cyclic or unmatched "
         f"wire steps); pending steps per rank: {stuck}"
     )
-
-
-def _column(scheds: List[Schedule], name: str, n: int) -> np.ndarray:
-    """One schedule column stacked over all ranks."""
-    return np.fromiter(chain.from_iterable(getattr(s, name) for s in scheds),
-                       np.intp, n)
 
 
 def _pair(wire: np.ndarray, side: np.ndarray,
@@ -204,52 +204,6 @@ def _pair(wire: np.ndarray, side: np.ndarray,
     return ps[by_send], pr[by_send]
 
 
-def _resolve(refs: List[Any], owner: np.ndarray, base: np.ndarray,
-             size: np.ndarray) -> np.ndarray:
-    """Resolve buffer refs (a whole slot ``int``, ``(slot, lo, hi)`` or
-    ``None``) of ranks ``owner`` to byte ranges, as ``(4, n)`` rows:
-    global slot, lo, hi and whole (1 for an ``int`` ref).  Rank ``r``'s
-    slot ``i`` is global slot ``base[r] + i`` of structural ``size``; a
-    ``None`` ref is slot ``-1``, zero bytes."""
-    slot, lo, hi = np.fromiter(chain.from_iterable(
-        [(x, 0, -1) if x.__class__ is int else _NO_REF if x is None else x
-         for x in refs]), np.intp, 3 * len(refs)).reshape(len(refs), 3).T
-    g = np.where(slot >= 0, base[owner] + slot, -1)
-    whole = hi < 0
-    hi = hi.copy()
-    hi[whole] = size[g[whole]]
-    return np.array((g, lo, hi, whole))
-
-
-def _wire_refs(scheds: List[Schedule], kind: np.ndarray,
-               rank: np.ndarray) -> "_Steps":
-    """The steps' refs, with every wire step's resolved for all ranks at
-    once (:func:`_resolve`); a packed send is slot ``-1``, its ``hi``
-    the sum of its parts' sizes."""
-    N = len(kind)
-    refs = list(chain.from_iterable(s.ref for s in scheds))
-    flags = _column(scheds, "flags", N)
-    base = np.array([0] + [len(s.sizes) for s in scheds]).cumsum()
-    size = np.fromiter(chain.from_iterable(s.sizes for s in scheds),
-                       np.intp, int(base[-1]))
-    at = np.zeros((4, N), dtype=np.intp)
-    at[0] = -1
-    packed = (kind <= RECV) & ((flags & PACK) != 0)
-    one = (kind <= RECV) & ~packed
-    at[:, one] = _resolve(list(compress(refs, one.tolist())), rank[one],
-                          base, size)
-    if packed.any():
-        pk = packed.nonzero()[0]
-        parts = list(compress(refs, packed.tolist()))
-        n_parts = np.fromiter(map(len, parts), np.intp, len(parts))
-        part = _resolve(list(chain.from_iterable(parts)),
-                        rank[pk].repeat(n_parts), base, size)
-        at[2, pk] = np.bincount(np.arange(len(pk)).repeat(n_parts),
-                                part[2] - part[1], len(pk))
-    none = np.zeros(0, dtype=np.intp)
-    return _Steps(kind, rank, refs, flags, base, size, at, none, none)
-
-
 @lru_cache(maxsize=None)
 def _byte_view_ok(dtype: np.dtype) -> bool:
     """Whether a C-contiguous array of ``dtype`` has a flat byte
@@ -268,24 +222,6 @@ def _layout(bound: List[Tuple[int, int]], bufs_of: List[List[Any]]) -> List:
     return [(x.dtype if (f := x.flags).c_contiguous and f.writeable
              else True) if x.__class__ is np.ndarray else False
             for x in (bufs_of[r][s] for r, s in bound)]
-
-
-class _Steps(NamedTuple):
-    """A compiled shape's steps, as the lowering reads them: per global
-    step its kind, rank, ref and send flags; the global slot table
-    (``base`` per rank, structural ``size`` per slot); ``at``, every
-    wire step's ref resolved (see :func:`_wire_refs`); and the pairs'
-    send and receive ids, by send."""
-
-    kind: np.ndarray
-    rank: np.ndarray
-    refs: List[Any]
-    flags: np.ndarray
-    base: np.ndarray
-    size: np.ndarray
-    at: np.ndarray
-    ps: np.ndarray
-    pr: np.ndarray
 
 
 class _Program(NamedTuple):
@@ -325,12 +261,18 @@ class _Instance:
     arrival."""
 
     __slots__ = ("ctxs", "items", "dones", "arrivals", "arrived", "key",
-                 "deferred")
+                 "deferred", "shape", "built")
 
     def __init__(self, size: int) -> None:
         self.ctxs: List[Any] = [None] * size
-        #: Per rank: ``(call, shape or None, slot table, claimed tags)``.
+        #: Per rank: ``(call, schedule, slot table, claimed tags)``,
+        #: the schedule ``None`` on a plan hit and :data:`_SHARED` for
+        #: the instance's :attr:`shape`.
         self.items: List[Any] = [None] * size
+        #: A wide builder's shape for all ranks, built by the first rank
+        #: that missed, and the ``(builder, args)`` it was built from.
+        self.shape: Optional[Shape] = None
+        self.built: Optional[Tuple] = None
         self.dones: List[Optional[Event]] = [None] * size
         self.arrivals: List[float] = [0.0] * size
         self.arrived = 0
@@ -373,25 +315,24 @@ class Plan:
         "__weakref__",
     )
 
-    def __init__(self, key: Optional[Tuple], scheds: List[Schedule]) -> None:
+    def __init__(self, key: Optional[Tuple], shape: Shape,
+                 data: bool = True) -> None:
         self.key = key
         #: Step ``i`` of rank ``r`` has global id ``lo[r] + i``.
-        lo = [0]
-        for s in scheds:
-            lo.append(lo[-1] + len(s))
-        self.lo = lo
-        self.rank_rounds = [s.n_rounds for s in scheds]
+        self.lo = shape.lo.tolist()
+        self.rank_rounds = shape.rank_rounds
         self.n_rounds = max(self.rank_rounds, default=0)
-        self.meta = next((s.meta for s in scheds if s.meta), None)
+        self.meta = shape.meta
         #: The replay, lowered to byte moves (:class:`_Program`).
         self.program: Optional[_Program] = None
         #: Per rank, what a hit needs instead of a build: the binding
-        #: signature to check, the scratch slots to bind, and the tag
-        #: claims and stats counts to replay.
-        self.sigs = [s.sig for s in scheds]
-        self.scratch = [tuple(s.scratch) for s in scheds]
-        self.claims = [tuple(s.claims) for s in scheds]
-        self.tallies = [tuple(s.tallies) for s in scheds]
+        #: signature to check, the scratch slots to bind (when ``data``
+        #: moves), and the tag claims and stats counts to replay.
+        self.sigs = shape.sigs
+        self.scratch = ([tuple(x) for x in shape.scratch] if data
+                        else None)
+        self.claims = shape.claims
+        self.tallies = shape.tallies
         #: The tape, node ``k`` in slot order: its input slots
         #: ``ins[p0 + rel[k] : ...]`` (CSR within its level) and the
         #: constants ``a[k]``, ``b[k]`` (kept apart: ``(t + a) + b``
@@ -407,7 +348,7 @@ class Plan:
         #: Per global step: its tape node (whose inputs are its ready
         #: time), its finish slot and its round.
         self.step_node = self.step_fin = np.zeros(0, dtype=np.intp)
-        self.step_round = _column(scheds, "round", lo[-1])
+        self.step_round = shape.round
         #: Per rank: the slot of its completion time.
         self.rank_fin = np.zeros(0, dtype=np.intp)
 
@@ -478,16 +419,41 @@ class FastPathEngine(ScheduleEngine):
         key = call.key
         plan = self._lookup(key)
         if plan is None:
-            sched, tags = call.build(ctx), None
-            scratch = sched.scratch
+            sched, tags, scratch = self._build(ctx, call, seq)
         else:
             if call.binding.sig != plan.sigs[ctx.rank]:
                 raise self._mismatch(plan, ctx.rank)
-            sched, tags = None, self._replay_claims(plan, ctx)
-            scratch = plan.scratch[ctx.rank]
+            sched = None
+            tags = issue_claims(ctx, plan.claims[ctx.rank],
+                                plan.tallies[ctx.rank])
+            scratch = None if self.price_only else plan.scratch[ctx.rank]
         bufs = None if self.price_only else materialize(call.binding,
                                                         scratch)
         return self._collect(ctx, (call, sched, bufs, tags), seq, key)
+
+    def _build(self, ctx, call: Call, seq: int) -> Tuple:
+        """A plan miss at issue: ``(schedule, claimed tags, scratch
+        slots)``.  A wide builder's shape is built once per instance,
+        for all ranks, by its first rank to miss; every rank whose call
+        it serves takes its tag claims and counters from it, as a plan
+        hit does (:data:`_SHARED`).  A per-rank builder — or a wide one
+        on a rank the ranks disagree with — builds the rank's own."""
+        if not call.wide:
+            sched = call.build(ctx)
+            return sched, None, sched.scratch
+        inst = self._instance(seq)
+        if inst.shape is None:
+            inst.shape = call.shape(self.comm, range(self.comm.size))
+            inst.built = (call.builder, call.args)
+        rank = ctx.rank
+        shape = inst.shape
+        if (inst.built != (call.builder, call.args)
+                or shape.sigs[rank] != call.binding.sig):
+            sched = call.build(ctx)
+            return sched, None, sched.scratch
+        tags = issue_claims(ctx, shape.claims[rank], shape.tallies[rank])
+        return _SHARED, tags, (None if self.price_only
+                               else shape.scratch[rank])
 
     def defer_arrival(
         self, rank: int, resolve: Callable[[int, float], float]
@@ -503,25 +469,18 @@ class FastPathEngine(ScheduleEngine):
     def _lookup(self, key: Optional[Tuple]) -> Optional[Plan]:
         return None if key is None else self._store.get((self._space, key))
 
-    @staticmethod
-    def _replay_claims(plan: Plan, ctx) -> List[int]:
-        """What this rank's build would have done to communicator state:
-        its tag claims (by sub-communicator name) and stats counts."""
-        tags = [next_tag(sub_ctx(ctx, name))
-                for name in plan.claims[ctx.rank]]
-        for name in plan.tallies[ctx.rank]:
-            ctx.comm._count(name)
-        return tags
+    def _instance(self, seq: int) -> _Instance:
+        inst = self._instances.get(seq)
+        if inst is None:
+            inst = self._instances[seq] = _Instance(self.comm.size)
+        return inst
 
     def _collect(
         self, ctx, item, seq: int, key: Optional[Tuple]
     ) -> Generator[Event, Any, None]:
         self.active += 1
         try:
-            inst = self._instances.get(seq)
-            if inst is None:
-                inst = _Instance(self.comm.size)
-                self._instances[seq] = inst
+            inst = self._instance(seq)
             done = ctx.sim.event(name=f"fastpath(r{ctx.rank}#{seq})")
             inst.deposit(ctx.rank, ctx, item, done)
             if self._deferred:
@@ -572,18 +531,11 @@ class FastPathEngine(ScheduleEngine):
             plan, retain = None, False
         fresh = plan is None
         if fresh:
-            scheds = []
-            for r, (call, sched, _bufs, tags) in enumerate(items):
-                if sched is None:
-                    # This rank hit a plan the other ranks' keys did not
-                    # share: build its shape on the tags it claimed.
-                    call.binding.tags = tags
-                    sched = call.build(inst.ctxs[r])
-                scheds.append(sched)
-            plan = Plan(key, scheds)
-            steps = self._compile_tape(plan, scheds, inst.ctxs)
+            shape = self._shape(inst)
+            plan = Plan(key, shape, not self.price_only)
+            ps, pr = self._compile_tape(plan, shape, inst.ctxs)
             if not self.price_only:
-                self._lower(plan, scheds, steps, bufs_of)
+                self._lower(plan, shape, ps, pr, bufs_of)
         else:
             for r, (call, sched, _bufs, _tags) in enumerate(items):
                 if sched is not None and call.binding.sig != plan.sigs[r]:
@@ -610,6 +562,25 @@ class FastPathEngine(ScheduleEngine):
             # instance only resolves once every rank has shown up.
             batch.add(max(fins[r], now), inst.dones[r], None)
         batch.commit()
+
+    def _shape(self, inst: _Instance) -> Shape:
+        """The instance's steps for every rank, to compile: its shared
+        shape, if every rank took it, with the tags each claimed; else
+        the ranks' own schedules, stacked."""
+        items = inst.items
+        if all(item[1] is _SHARED for item in items):
+            return inst.shape.resolve([item[3] for item in items])
+        scheds = []
+        for r, (call, sched, _bufs, tags) in enumerate(items):
+            if sched is _SHARED:
+                sched = inst.shape.slice(r, inst.ctxs[r], tags)
+            elif sched is None:
+                # This rank hit a plan the other ranks' keys did not
+                # share: build its schedule on the tags it claimed.
+                call.binding.tags = tags
+                sched = call.build(inst.ctxs[r])
+            scheds.append(sched)
+        return Shape.stack(self.comm, scheds)
 
     def _keep(self, plan: Plan, fresh: bool) -> None:
         """Keep ``plan`` alive while this communicator lives, if its
@@ -638,12 +609,10 @@ class FastPathEngine(ScheduleEngine):
 
     # -- compile ------------------------------------------------------------
     def _compile_tape(
-        self, plan: Plan, scheds: List[Schedule], ctxs: List[Any]
-    ) -> "_Steps":
+        self, plan: Plan, shape: Shape, ctxs: List[Any]
+    ) -> Tuple[np.ndarray, np.ndarray]:
         """Compile the pricing tape for all ranks at once; return what
-        the lowering reuses (:class:`_Steps`): the steps' columns, their
-        refs resolved to byte ranges, and the pairs' send and receive
-        ids, by send.
+        the lowering reuses: the pairs' send and receive ids, by send.
 
         Mirrors the exact engine's concurrency structure: every step
         starts the moment its dependencies finish (wire steps are
@@ -669,15 +638,11 @@ class FastPathEngine(ScheduleEngine):
         sw = us(ib.sw_overhead_us)
         P = self.comm.size
         N = plan.n_steps
-        offs = np.array(plan.lo)
-        lens = offs[1:] - offs[:-1]
-        rank = np.arange(P).repeat(lens)
-        kind = _column(scheds, "kind", N)
-        dep_of = list(chain.from_iterable(s.deps for s in scheds))
-        n_deps = np.fromiter(map(len, dep_of), np.intp, N)
-        deps = np.fromiter(chain.from_iterable(dep_of), np.intp,
-                           int(n_deps.sum()))
-        deps += offs[:-1].repeat(lens).repeat(n_deps)
+        lens = shape.lo[1:] - shape.lo[:-1]
+        rank = shape.rank
+        kind = shape.kind
+        n_deps = shape.dep_n
+        deps = shape.dep
 
         # Wire steps: the context each runs under (communicator, own
         # rank in it, that communicator's placement) and its size.
@@ -685,33 +650,32 @@ class FastPathEngine(ScheduleEngine):
         places: List[int] = []
         place_lo: List[int] = []
         c_lo, c_comm, c_rank = [], [], []
-        for r, s in enumerate(scheds):
+        for r, names in enumerate(shape.via_names):
             c_lo.append(len(c_comm))
-            for v, tctx in enumerate(s.ctxs):
-                tcomm = (tctx if v else ctxs[r]).comm
+            for name in names:
+                tctx = sub_ctx(ctxs[r], name)
+                tcomm = tctx.comm
                 if tcomm not in numbers:
                     numbers[tcomm] = len(numbers)
                     place_lo.append(len(places))
                     places.extend(tcomm.placement)
                 c_comm.append(numbers[tcomm])
-                c_rank.append((tctx if v else ctxs[r]).rank)
+                c_rank.append(tctx.rank)
         wire = (kind <= RECV).nonzero()[0]
-        ctx = np.array(c_lo)[rank[wire]] + _column(scheds, "via", N)[wire]
+        ctx = np.array(c_lo)[rank[wire]] + shape.via[wire]
         cno = np.array(c_comm)[ctx]
         me = np.array(c_rank)[ctx]
-        peer = _column(scheds, "peer", N)[wire]
+        peer = shape.peer[wire]
         side = kind[wire]  # SEND (0) sorts before RECV (1)
-        steps = _wire_refs(scheds, kind, rank)
-        wsize = steps.at[2] - steps.at[1]
+        wsize = shape.at[2] - shape.at[1]
         ps, pr = _pair(wire, side, np.array((
             cno, np.where(side == SEND, me, peer),
-            np.where(side == SEND, peer, me), _column(scheds, "tag", N)[wire])))
+            np.where(side == SEND, peer, me), shape.tag[wire])))
         nbytes = wsize[ps]
         short = (nbytes < wsize[pr]).nonzero()[0]
         if short.size:
             j = short[0]
-            raise short_recv(scheds[rank[pr[j]]], int(nbytes[j]),
-                             int(wsize[pr[j]]))
+            raise short_recv(shape, int(nbytes[j]), int(wsize[pr[j]]))
 
         # Fold each message size's row once, lay out every pair's legs
         # (envelope first, then the legs after the match) and price
@@ -792,10 +756,10 @@ class FastPathEngine(ScheduleEngine):
         plan.step_node = slot[step0 + np.arange(N)]
         plan.rank_fin = np.arange(P)
         plan.rank_fin[ranked] = slot[fin0 + np.arange(len(ranked))]
-        return steps._replace(ps=ps, pr=pr)
+        return ps, pr
 
     @staticmethod
-    def _lower(plan: Plan, scheds: List[Schedule], st: _Steps,
+    def _lower(plan: Plan, shape: Shape, ps: np.ndarray, pr: np.ndarray,
                bufs_of: List[List[Any]]) -> None:
         """Lower the replay to a byte-move program (:class:`_Program`),
         from the tape's order (:func:`_order`) and the layout of the
@@ -822,19 +786,19 @@ class FastPathEngine(ScheduleEngine):
         matcher; a coded entry that rebinds a slot refreshes its byte
         view.  A data-free shape (a barrier) gets no program.
         """
-        refs = st.refs
-        if refs.count(None) == len(refs):
+        if shape.data_free:
             return
-        kind, rank, flags, base, at = (st.kind, st.rank, st.flags, st.base,
-                                       st.at)
-        ps, pr, G = st.ps, st.pr, int(st.base[-1])
+        kind, rank, flags, base, at = (shape.kind, shape.rank, shape.flags,
+                                       shape.base, shape.at)
+        G = int(base[-1])
         pos = _order(plan, kind)
 
         # Compute opcodes, flattened, with the refs of ``COPY``/``BYTES``
         # resolved.  An entry's key is its step's position in the
         # order, then its opcode's within the step.
         comp = (kind == COMPUTE).nonzero()[0]
-        ops_of = [refs[i] for i in comp.tolist()]
+        objs = shape.objs
+        ops_of = [objs[i] for i in comp.tolist()]
         ops = list(chain.from_iterable(ops_of))
         n_ops = np.fromiter(map(len, ops_of), np.intp, len(comp))
         op_step = comp.repeat(n_ops)
@@ -846,10 +810,9 @@ class FastPathEngine(ScheduleEngine):
             op_key = pos[op_step] * M + np.arange(len(ops)) - (
                 n_ops.cumsum() - n_ops).repeat(n_ops)
             cbl = cb.tolist()
-            opnd = _resolve(
+            opnd = shape.resolve_refs(
                 [ops[i][2] for i in cbl] + [ops[i][1] for i in cbl],
-                rank[np.concatenate((op_step[cb], op_step[cb]))], base,
-                st.size)
+                rank[np.concatenate((op_step[cb], op_step[cb]))])
         else:
             op_key = np.zeros(0, dtype=np.intp)
 
@@ -877,14 +840,12 @@ class FastPathEngine(ScheduleEngine):
         adopt = np.zeros(G + 1, dtype=bool)
         bound = np.zeros(G + 1, dtype=bool)
         bound[g2] = True
-        scratch = list(chain.from_iterable(s.scratch for s in scheds))
-        if scratch:
-            n_sc = np.array([len(s.scratch) for s in scheds], dtype=np.intp)
-            sc_g = ranges(base[1:] - n_sc, n_sc)
-            code[sc_g] = [dtypes.setdefault(x[1], len(dtypes))
-                          if x[0] % x[1].itemsize == 0 else -1
-                          for x in scratch]
-            adopt[sc_g] = [x[3] for x in scratch]
+        sc_g = shape.sc_g
+        if len(sc_g):
+            code[sc_g] = [dtypes.setdefault(dt, len(dtypes))
+                          if n % dt.itemsize == 0 else -1
+                          for n, dt in zip(shape.sc_n.tolist(), shape.sc_dt)]
+            adopt[sc_g] = shape.sc_adopt
             bound[sc_g] = False
         bound[G] = False
         bg = bound.nonzero()[0]
@@ -955,8 +916,9 @@ class FastPathEngine(ScheduleEngine):
         coded = (ekind != -1).nonzero()[0]
         if coded.size:
             eidx = np.concatenate((dk, cb, qk, tk, other))[o[coded]].tolist()
-            runs = FastPathEngine._coded(st, ops, op_step, op_code, u_of,
-                                         adopt, coded.tolist(),
+            runs = FastPathEngine._coded(shape, ps, pr, ops, op_step,
+                                         op_code, u_of, adopt,
+                                         coded.tolist(),
                                          ekind[coded].tolist(), eidx, rows)
         elif rows:
             runs = [(rows, None)]
@@ -968,16 +930,17 @@ class FastPathEngine(ScheduleEngine):
             int(move[:D].sum()), at_bound, layout)
 
     @staticmethod
-    def _coded(st: _Steps, ops: List[Tuple], op_step: np.ndarray,
-               op_code: np.ndarray, u_of: np.ndarray, adopt: np.ndarray,
-               coded: List[int], kinds: List[int], idx: List[int],
+    def _coded(shape: Shape, ps: np.ndarray, pr: np.ndarray,
+               ops: List[Tuple], op_step: np.ndarray, op_code: np.ndarray,
+               u_of: np.ndarray, adopt: np.ndarray, coded: List[int],
+               kinds: List[int], idx: List[int],
                rows: List[List[int]]) -> List[Tuple]:
         """The program's runs: the moves between coded entries, each
         coded entry built from its kind and index (a pair for
         ``_SEND``/``_QUEUE``/``_TAKE``, an opcode for ``_RUN``, whose
         consecutive opcodes of one step merge into one entry)."""
-        rank, refs, flags, base, at, ps, pr = (
-            st.rank, st.refs, st.flags, st.base, st.at, st.ps, st.pr)
+        rank, flags, base, at = shape.rank, shape.flags, shape.base, shape.at
+        ref = shape.ref_of
 
         def lands(k):
             """The view a coded delivery refreshes: its receive's adopt
@@ -1009,12 +972,12 @@ class FastPathEngine(ScheduleEngine):
             else:
                 s, rv = int(ps[i]), int(pr[i])
                 if kd == _SEND:
-                    entry = (_SEND, int(rank[s]), refs[s], int(flags[s]),
-                             int(rank[rv]), refs[rv], lands(i))
+                    entry = (_SEND, int(rank[s]), ref(s), int(flags[s]),
+                             int(rank[rv]), ref(rv), lands(i))
                 elif kd == _QUEUE:
-                    entry = (_QUEUE, int(rank[s]), refs[s], int(flags[s]), i)
+                    entry = (_QUEUE, int(rank[s]), ref(s), int(flags[s]), i)
                 else:
-                    entry = (_TAKE, int(rank[rv]), refs[rv], i, lands(i))
+                    entry = (_TAKE, int(rank[rv]), ref(rv), i, lands(i))
             runs.append((rows[done:upto], entry))
             done = upto
             j += 1

@@ -33,13 +33,15 @@ arithmetic is hand-rolled here.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Union
 
 from ..datatypes import ReduceOp
 from ..errors import MpiError
 from .allgather import block_sizes, recv_blocks
 from .allreduce import append_ring_allgather, append_ring_reduce_scatter
-from .schedule import BYTES, COPY, Binding, Schedule
+from .schedule import (
+    BYTES, COPY, Binding, Schedule, Shape, at, open_schedule, wide,
+)
 
 __all__ = [
     "build_allreduce_hierarchical",
@@ -64,27 +66,32 @@ def _hier_setup(ctx):
 # Allreduce
 # ---------------------------------------------------------------------------
 
+@wide
 def build_allreduce_hierarchical(
     ctx, b: Binding, op: ReduceOp = ReduceOp.SUM
-) -> Schedule:
-    """Two-level allreduce over the communicator's locality groups."""
-    sched = Schedule(ctx, b)
+) -> Union[Schedule, Shape]:
+    """Two-level allreduce over the communicator's locality groups.
+
+    Wide: for many ranks, each phase runs the ring appenders once over
+    every member of its kind of sub-communicator (all intra-domain, all
+    peer communicators), each step built for all of them at once.
+    """
+    sched = open_schedule(ctx, b)
     n = b.sizes[0]
     acc = sched.buffer(n, b.dtype, init=((0, 0),))
     if ctx.size == 1:
-        sched.overhead()
-        sched.compute(((COPY, acc, 1),), after=(sched.last,))
+        sched.compute(((COPY, acc, 1),), after=(sched.overhead(),))
         return sched
     hier, _groups = _hier_setup(ctx)
     if hier.equal_groups:
-        deps = _allreduce_equal_pods(sched, ctx, b, acc, op)
+        deps = _allreduce_equal_pods(sched, b, acc, op)
     else:
         deps = _allreduce_unequal_pods(sched, b, acc, op)
     sched.compute(((COPY, acc, 1),), after=deps)
     return sched
 
 
-def _allreduce_equal_pods(sched, ctx, b, acc, op) -> List[int]:
+def _allreduce_equal_pods(sched, b, acc, op) -> List:
     """Equal pods: intra RS → peer-comm ring allreduce → intra AG.
 
     Same message sequence as the PR 2 hand-rolled schedule, but every
@@ -95,7 +102,7 @@ def _allreduce_equal_pods(sched, ctx, b, acc, op) -> List[int]:
     intra_sub = sched.sub("intra")
     intra = intra_sub.ctx
     s = intra.size
-    deps: List[int] = []
+    deps: List = []
     itag = intra_sub.claim()
     if s > 1:
         deps = append_ring_reduce_scatter(
@@ -106,14 +113,14 @@ def _allreduce_equal_pods(sched, ctx, b, acc, op) -> List[int]:
     n = nbytes // dt.itemsize
     bounds = [((c * n) // s) * dt.itemsize for c in range(s + 1)]
     own = (intra.rank + 1) % s if s > 1 else 0
-    mine = (acc, bounds[own], bounds[own + 1])
+    mine = (acc, at(bounds, own), at(bounds, own + 1))
     peer_sub = sched.sub("peer")
     if peer_sub is not None and peer_sub.ctx.size > 1:
         peer = peer_sub.ctx
         ptag = peer_sub.claim()
-        rnd = sched.n_rounds
         deps = append_ring_reduce_scatter(
-            peer_sub, peer, mine, dt, op, ptag, after=deps, round0=rnd
+            peer_sub, peer, mine, dt, op, ptag, after=deps,
+            round0=sched.n_rounds,
         )
         deps = append_ring_allgather(
             peer_sub, peer, mine, dt, ptag + 4, after=deps,
@@ -127,7 +134,7 @@ def _allreduce_equal_pods(sched, ctx, b, acc, op) -> List[int]:
     return deps
 
 
-def _allreduce_unequal_pods(sched, b, acc, op) -> List[int]:
+def _allreduce_unequal_pods(sched, b, acc, op) -> List:
     """Unequal pods: ring allreduce on a locality-reordered comm.
 
     The peer rings of the equal-pod path need member *i* to exist in

@@ -31,6 +31,30 @@ engine runs the shape.  A schedule also records every tag claim (on the
 call's own communicator or a hierarchical sub-communicator, by name)
 and every ``comm._count`` its builder made; a plan hit replays both.
 
+**Arrays over ranks.**  The rank-uniform algorithms — the dissemination
+barrier, the recursive-doubling allgather and the ring reduce-scatter
+and allgather appenders (ring allreduce, the hierarchical allreduce) —
+have *wide* builders (:func:`wide`): in round k rank r talks to a fixed
+function of (r, k), so a builder emits each step for many ranks at once
+into a :class:`Shape`, its peers, tags, byte ranges, rounds and
+dependency pattern as arrays over the ranks (Eijkhout's signature
+function over a whole distribution).  A :class:`SubShape` runs the same
+appenders on every member of one kind of hierarchical sub-communicator.
+A shape lays its steps out as the columns the fast path compiles,
+rank-major; the other builders' per-rank schedules stack into the same
+columns (:meth:`Shape.stack`), one rank wide per step, so there is one
+IR.  A shape is pure: its tags are symbolic (a rank's ``c``-th claim is
+block ``c``) until each rank claims its own at issue
+(:func:`issue_claims`), and :meth:`Shape.slice` turns one rank's part
+back into its :class:`Schedule`.
+
+Who builds: the exact engine runs a wide builder on each rank's own
+context, where the rank is an int and the same calls build that rank's
+:class:`Schedule` (:func:`open_schedule`); the fast path's first rank
+to miss builds the call's shape for every rank of its instance, and the
+compile reads its columns directly.  A rank whose call differs from the
+shape's (the ranks disagree) builds its own schedule instead.
+
 The :class:`ScheduleEngine` executes a schedule by starting each step
 the moment its dependencies are done — never waiting for the whole
 round — so independent wire transfers overlap exactly the way
@@ -47,10 +71,14 @@ costs and the unit span trees and ``describe()`` report.
 
 from __future__ import annotations
 
-from functools import lru_cache
+import weakref
+from functools import cached_property, lru_cache
 from heapq import heappop, heappush
+from itertools import chain
 from operator import itemgetter
-from typing import Any, Callable, Generator, List, Optional, Sequence, Tuple
+from typing import (
+    Any, Callable, Generator, List, NamedTuple, Optional, Sequence, Tuple,
+)
 
 import numpy as np
 
@@ -60,11 +88,14 @@ from ...sim.errors import SimulationError
 from ..communicator import MpiContext, Request
 from ..datatypes import AdoptBuf, Payload, payload_array
 from ..errors import MpiError
-from .base import next_tag
+from .base import TAG_STRIDE, next_tag
+from .tape import ranges
 
 __all__ = [
-    "Binding", "Call", "Schedule", "ScheduleEngine", "SubSchedule",
-    "blocking", "COPY", "BYTES", "COMBINE", "REBIND",
+    "Binding", "Call", "Ranks", "Schedule", "ScheduleEngine", "Shape",
+    "SubSchedule", "SubShape", "at", "blocking", "issue_claims",
+    "open_schedule", "wide",
+    "COPY", "BYTES", "COMBINE", "REBIND",
 ]
 
 SEND, RECV, COMPUTE, OVERHEAD = 0, 1, 2, 3
@@ -424,6 +455,574 @@ class SubSchedule:
 
 
 # ---------------------------------------------------------------------------
+# Shapes: a call's steps for many ranks at once
+# ---------------------------------------------------------------------------
+
+class Ranks(NamedTuple):
+    """Whom a wide builder builds for: ``rank[i]`` is the rank, in a
+    communicator of ``size`` ranks, of the shape's ``i``-th rank (-1
+    where a sub-communicator view does not cover it)."""
+
+    comm: Any
+    rank: np.ndarray
+    size: int
+
+
+def wide(builder: Callable) -> Callable:
+    """Mark ``builder`` as wide: given a :class:`Ranks` in place of a
+    context, it builds a :class:`Shape` for all of them at once (see
+    :func:`open_schedule`)."""
+    builder.wide = True
+    return builder
+
+
+def open_schedule(ctx, binding: Optional[Binding] = None):
+    """What a wide builder builds into: a :class:`Shape` for the ranks
+    of a :class:`Ranks`, or the one rank's own :class:`Schedule` for a
+    context — the same builder calls build either, with the rank an
+    array or an int."""
+    if isinstance(ctx, Ranks):
+        return Shape(ctx, binding)
+    return Schedule(ctx, binding)
+
+
+def at(seq, i):
+    """``seq[i]`` for an int ``i``, or each ``seq[i]`` of an array of
+    them (a wide builder's per-rank index)."""
+    return np.asarray(seq)[i] if i.__class__ is np.ndarray else seq[i]
+
+
+def _sel(x, who):
+    """Per-rank value ``x`` (a scalar, or an array over the shape's
+    ranks) at the ranks ``who`` (``None``: all)."""
+    if x.__class__ is np.ndarray and who is not None:
+        return x[who]
+    return x
+
+
+def _lanes(t, who, m: int) -> List[Any]:
+    """Template ``t`` — nested tuples whose leaves may be arrays over
+    the shape's ranks — as ``m`` plain objects, one per rank of
+    ``who``."""
+    if t.__class__ is np.ndarray:
+        return _sel(t, who).tolist()
+    if t.__class__ is tuple:
+        if not t:
+            return [()] * m
+        return list(zip(*(_lanes(x, who, m) for x in t)))
+    if isinstance(t, np.generic):
+        t = t.item()
+    return [t] * m
+
+
+def _raw(ref, who) -> Tuple:
+    """A wire step's ref as its ``(slot, lo, hi)`` row (``hi`` -1: the
+    whole slot, ``slot`` -1: no ref)."""
+    if ref is None:
+        return (-1, 0, 0)
+    if ref.__class__ is tuple:
+        return tuple(_sel(x, who) for x in ref)
+    return (_sel(ref, who), 0, -1)
+
+
+def _append(rows: List[Tuple], who, name: str) -> List[Tuple]:
+    """Per-rank name tuples with ``name`` appended at the ranks ``who``."""
+    if who is None and rows.count(rows[0]) == len(rows):
+        return [rows[0] + (name,)] * len(rows)
+    rows = list(rows)
+    for i in range(len(rows)) if who is None else who.tolist():
+        rows[i] += (name,)
+    return rows
+
+
+class _View:
+    """The builder-facing calls of a :class:`Shape`, on the ranks
+    ``_who`` (``None``: all) and the context index ``_via``."""
+
+    shape: "Shape"
+    ctx: Ranks
+    _who: Optional[np.ndarray]
+    _via: Any
+    _name: str
+
+    def send(self, ref, peer, tag, after=(), round=0, alias_ok=False,
+             donate=False, pack=False) -> np.ndarray:
+        flags = (ALIAS if alias_ok or donate else 0) | (
+            DONATE if donate else 0) | (PACK if pack else 0)
+        return self.shape._add(self._who, SEND, after, round, peer, tag,
+                               self._via, ref, flags)
+
+    def recv(self, ref, peer, tag, after=(), round=0) -> np.ndarray:
+        return self.shape._add(self._who, RECV, after, round, peer, tag,
+                               self._via, ref)
+
+    def compute(self, ops, after=(), round=0) -> np.ndarray:
+        return self.shape._add(self._who, COMPUTE, after, round, ref=ops)
+
+    def overhead(self, after=(), round=0) -> np.ndarray:
+        return self.shape._add(self._who, OVERHEAD, after, round)
+
+    def buffer(self, nbytes, dtype=np.uint8, init=(), adopt=False):
+        return self.shape._buffer(self._who, nbytes, np.dtype(dtype), init,
+                                  adopt)
+
+    def claim(self):
+        return self.shape._claim(self._who, self._name)
+
+    @property
+    def n_rounds(self) -> np.ndarray:
+        """Each rank's round count so far (over all the shape's ranks)."""
+        return self.shape._rounds.copy()
+
+
+class SubShape(_View):
+    """A :class:`Shape` view on the ranks that are members of one of the
+    communicator's hierarchical sub-communicators (all of one size):
+    what :class:`SubSchedule` is to a :class:`Schedule`."""
+
+    def __init__(self, shape: "Shape", who: np.ndarray, via: np.ndarray,
+                 ctx: Ranks, name: str) -> None:
+        self.shape, self.ctx = shape, ctx
+        self._who, self._via, self._name = who, via, name
+
+
+class Shape(_View):
+    """A call's steps for ranks ``ranks`` of a communicator, as columns.
+
+    A wide builder (:func:`wide`) appends each step to many ranks in one
+    call, through the :class:`Schedule` calls: its arguments are scalars
+    or arrays over the shape's ranks, and the handle it gets back is
+    such an array (the step's index in each rank's own order, -1 where a
+    rank has no such step).  A tag claim returns a symbolic block base,
+    ``c * TAG_STRIDE`` for a rank's ``c``-th claim, which :meth:`resolve`
+    replaces by the tags each rank claimed.
+
+    Read (after :meth:`done`) as columns over all steps, rank-major —
+    rank ``ranks[i]``'s steps are ``lo[i]:lo[i+1]``, in the order a
+    per-rank :class:`Schedule` lists them — with the dependencies as
+    CSR (``dep_n`` per step, ``dep`` global step ids), each wire step's
+    ref as a ``rs`` row (see :func:`_raw`; packs and compute opcodes in
+    :attr:`objs`), and the slot table (``base`` per rank, ``size`` per
+    slot, the scratch slots as ``sc_*`` columns).  :meth:`stack` makes
+    the same columns from per-rank schedules, and :meth:`slice` one
+    rank's :class:`Schedule` back.
+    """
+
+    def __init__(self, ctx: Ranks, binding: Optional[Binding] = None) -> None:
+        self.ctx = ctx
+        self._who, self._via, self._name = None, 0, ""
+        self.comm = ctx.comm
+        self.ranks = np.asarray(ctx.rank, dtype=np.intp)
+        n = self.n = len(self.ranks)
+        self._bsizes = list(binding.sizes) if binding is not None else []
+        self.sigs = [binding.sig if binding is not None else None] * n
+        self.claims: List[Tuple[str, ...]] = [()] * n
+        self.tallies: List[Tuple[str, ...]] = [()] * n
+        self.via_names: List[Tuple[str, ...]] = [("",)] * n
+        self.meta: Optional[dict] = None
+        self.symbolic = True
+        self._count = np.zeros(n, dtype=np.intp)
+        self._slots = np.full(n, len(self._bsizes), dtype=np.intp)
+        self._rounds = np.zeros(n, dtype=np.intp)
+        self._steps: List[Tuple] = []
+        self._scratch: List[Tuple] = []
+        self._objs: List[Tuple] = []
+
+    @property
+    def shape(self) -> "Shape":
+        """The shape its own builder calls write to (no reference
+        cycle: a shape is freed as soon as its last user drops it)."""
+        return self
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __getitem__(self, i: int) -> Schedule:
+        return self.slice(i)
+
+    def __iter__(self):
+        return map(self.slice, range(self.n))
+
+    @property
+    def n_steps(self) -> int:
+        return int(self.lo[-1])
+
+    @property
+    def rank_rounds(self) -> List[int]:
+        return self._rounds.tolist()
+
+    # -- building -----------------------------------------------------------
+    def _add(self, who, kind: int, after, round, peer=-1, tag=-1, via=0,
+             ref=None, flags=0) -> np.ndarray:
+        cnt = self._count
+        if who is None:
+            loc = handle = cnt.copy()
+            cnt += 1
+        else:
+            loc = cnt[who]
+            cnt[who] += 1
+            handle = np.full(self.n, -1, dtype=np.intp)
+            handle[who] = loc
+        rnd = _sel(round, who)
+        if who is None:
+            np.maximum(self._rounds, rnd + 1, out=self._rounds)
+        else:
+            self._rounds[who] = np.maximum(self._rounds[who], rnd + 1)
+        if kind <= RECV and not flags & PACK:
+            ref = _raw(ref, who)
+        elif ref is not None:
+            self._objs.append((len(self._steps), who, ref))
+            ref = None
+        self._steps.append((who, loc, kind, rnd, _sel(peer, who),
+                            _sel(tag, who), _sel(via, who), flags, ref,
+                            [_sel(h, who) for h in after]))
+        return handle
+
+    def _buffer(self, who, nbytes, dtype: np.dtype, init, adopt: bool):
+        sl = self._slots
+        slot = _sel(sl, who).copy()
+        if who is None:
+            sl += 1
+        else:
+            sl[who] += 1
+        self._scratch.append((who, slot, _sel(nbytes, who), dtype, init,
+                              adopt))
+        if slot.min() == slot.max():
+            return int(slot[0])
+        full = np.full(self.n, -1, dtype=np.intp)
+        full[slice(None) if who is None else who] = slot
+        return full
+
+    def _claim(self, who, name: str):
+        n = np.fromiter(map(len, self.claims), np.intp, self.n)
+        self.claims = _append(self.claims, who, name)
+        n *= TAG_STRIDE
+        return int(n[0]) if n.min() == n.max() else n
+
+    def sub(self, name: str) -> Optional[SubShape]:
+        """A view on the shape's ranks that are members of the
+        hierarchical sub-communicator ``name`` (see
+        :meth:`Schedule.sub`), or ``None`` if none is."""
+        hier = self.comm.hier_comms()
+        rank = np.full(self.n, -1, dtype=np.intp)
+        via = np.zeros(self.n, dtype=np.intp)
+        sizes = set()
+        for i, r in enumerate(self.ranks.tolist()):
+            sub = hier.ctx(name, r)
+            if sub is not None:
+                rank[i], via[i] = sub.rank, len(self.via_names[i])
+                sizes.add(sub.size)
+        if not sizes:
+            return None
+        if len(sizes) > 1:
+            raise MpiError(f"sub-communicators {name!r} differ in size")
+        who = (rank >= 0).nonzero()[0]
+        self.via_names = _append(self.via_names, who, name)
+        return SubShape(self, who, via, Ranks(None, rank, sizes.pop()), name)
+
+    # -- the columns ----------------------------------------------------------
+    def done(self) -> "Shape":
+        """Lay the appended steps out as columns (see the class doc)."""
+        n = self.n
+        lo = np.zeros(n + 1, dtype=np.intp)
+        np.cumsum(self._count, out=lo[1:])
+        N = int(lo[-1])
+        self.lo = lo
+        kind = self.kind = np.zeros(N, dtype=np.intp)
+        rnd = self.round = np.zeros(N, dtype=np.intp)
+        peer = self.peer = np.full(N, -1, dtype=np.intp)
+        tag = self.tag = np.full(N, -1, dtype=np.intp)
+        via = self.via = np.zeros(N, dtype=np.intp)
+        flags = self.flags = np.zeros(N, dtype=np.intp)
+        rs = self.rs = np.zeros((3, N), dtype=np.intp)
+        rs[0] = -1
+        dep_n = self.dep_n = np.zeros(N, dtype=np.intp)
+        gids = []
+        for who, loc, k, r, p, t, v, f, ref, deps in self._steps:
+            g = (lo[:-1] if who is None else lo[who]) + loc
+            gids.append(g)
+            kind[g], rnd[g], peer[g], tag[g], via[g], flags[g] = (
+                k, r, p, t, v, f)
+            if ref is not None:
+                rs[0, g], rs[1, g], rs[2, g] = ref
+            for d in deps:
+                dep_n[g] += d >= 0
+        ptr = dep_n.cumsum() - dep_n
+        dep = self.dep = np.zeros(int(dep_n.sum()), dtype=np.intp)
+        for (who, *_, deps), g in zip(self._steps, gids):
+            at = ptr[g]
+            off = lo[:-1] if who is None else lo[who]
+            for d in deps:
+                ok = d >= 0
+                dep[at[ok]] = off[ok] + d[ok]
+                at = at + ok
+        self._gids = gids
+
+        # The slot table: every rank's bound slots, then its scratch.
+        base = self.base = np.zeros(n + 1, dtype=np.intp)
+        np.cumsum(self._slots, out=base[1:])
+        size = self.size = np.zeros(int(base[-1]), dtype=np.intp)
+        nb = len(self._bsizes)
+        if nb:
+            size[(base[:-1, None] + np.arange(nb)).reshape(-1)] = np.tile(
+                self._bsizes, n)
+        sc_g, sc_n, sc_dt, sc_adopt = [], [], [], []
+        for who, slot, nbytes, dt, _init, adopt in self._scratch:
+            g = (base[:-1] if who is None else base[who]) + slot
+            size[g] = nbytes
+            sc_g.append(g)
+            sc_n.append(size[g])
+            sc_dt += [dt] * len(g)
+            sc_adopt.append(np.full(len(g), adopt))
+        if sc_g:
+            g = np.concatenate(sc_g)
+            o = g.argsort(kind="stable")
+            self.sc_g, self.sc_n = g[o], np.concatenate(sc_n)[o]
+            self.sc_dt = [sc_dt[i] for i in o.tolist()]
+            self.sc_adopt = np.concatenate(sc_adopt)[o]
+        else:
+            self.sc_g = self.sc_n = np.zeros(0, dtype=np.intp)
+            self.sc_dt, self.sc_adopt = [], np.zeros(0, dtype=bool)
+        return self
+
+    @cached_property
+    def objs(self) -> List[Any]:
+        """Per global step: its compute opcodes or pack refs (``None``
+        for every other step)."""
+        objs: List[Any] = [None] * self.n_steps
+        for j, who, t in self._objs:
+            g = self._gids[j].tolist()
+            for i, x in zip(g, _lanes(t, who, len(g))):
+                objs[i] = x
+        return objs
+
+    @cached_property
+    def scratch(self) -> List[List[Tuple]]:
+        """Per rank: its scratch slots, as :meth:`Schedule.buffer` lists
+        them."""
+        out: List[List[Tuple]] = [[] for _ in range(self.n)]
+        for who, slot, nbytes, dt, init, adopt in self._scratch:
+            rows = range(self.n) if who is None else who.tolist()
+            m = len(rows)
+            for i, x in zip(rows, _lanes((nbytes, dt, init, adopt), who, m)):
+                out[i].append(x)
+        return out
+
+    @cached_property
+    def dep_ptr(self) -> np.ndarray:
+        """Where each step's dependencies start in :attr:`dep` (and,
+        last, their total)."""
+        ptr = np.zeros(len(self.dep_n) + 1, dtype=np.intp)
+        np.cumsum(self.dep_n, out=ptr[1:])
+        return ptr
+
+    @cached_property
+    def rank(self) -> np.ndarray:
+        """Per global step: the index of its rank among the shape's."""
+        return np.arange(self.n).repeat(np.diff(self.lo))
+
+    def resolve_refs(self, refs: Sequence[Any],
+                     owner: np.ndarray) -> np.ndarray:
+        """Resolve the refs ``refs`` (a whole slot ``int``, ``(slot, lo,
+        hi)`` or ``None``) of ranks ``owner`` to byte ranges, as ``(4,
+        n)`` rows: global slot, lo, hi and whole (1 for a whole slot).
+        Rank ``i``'s slot ``j`` is global slot ``base[i] + j``; no ref
+        is slot ``-1``, zero bytes."""
+        return self._resolve(np.fromiter(chain.from_iterable(
+            [(x, 0, -1) if x.__class__ is int else _NO_REF if x is None
+             else x for x in refs]), np.intp, 3 * len(refs)).reshape(
+                 len(refs), 3).T, owner)
+
+    def _resolve(self, rows: np.ndarray, owner: np.ndarray) -> np.ndarray:
+        slot, lo, hi = rows
+        g = np.where(slot >= 0, self.base[owner] + slot, -1)
+        whole = hi < 0
+        hi = hi.copy()
+        hi[whole] = self.size[g[whole]]
+        return np.array((g, lo, hi, whole))
+
+    @cached_property
+    def at(self) -> np.ndarray:
+        """Every wire step's ref resolved (:meth:`resolve_refs`); a
+        packed send is slot -1, its ``hi`` the sum of its parts'
+        sizes."""
+        kind, rank = self.kind, self.rank
+        at = np.zeros((4, len(kind)), dtype=np.intp)
+        at[0] = -1
+        packed = (kind <= RECV) & ((self.flags & PACK) != 0)
+        one = ((kind <= RECV) & ~packed).nonzero()[0]
+        at[:, one] = self._resolve(self.rs[:, one], rank[one])
+        if packed.any():
+            pk = packed.nonzero()[0]
+            parts = [self.objs[i] for i in pk.tolist()]
+            n_parts = np.fromiter(map(len, parts), np.intp, len(parts))
+            part = self.resolve_refs(list(chain.from_iterable(parts)),
+                                     rank[pk].repeat(n_parts))
+            at[2, pk] = np.bincount(np.arange(len(pk)).repeat(n_parts),
+                                    part[2] - part[1], len(pk))
+        return at
+
+    def ref_of(self, g: int) -> Any:
+        """Global step ``g``'s ref, as a per-rank schedule holds it."""
+        if self.kind[g] > RECV or self.flags[g] & PACK:
+            return self.objs[g]
+        slot, lo, hi = self.rs[:, g].tolist()
+        return None if slot < 0 else slot if hi < 0 else (slot, lo, hi)
+
+    @property
+    def data_free(self) -> bool:
+        """Whether no step moves or touches a byte (a barrier)."""
+        wire = self.kind <= RECV
+        return not ((self.kind == COMPUTE).any()
+                    or (self.rs[0, wire] >= 0).any()
+                    or (self.flags & PACK).any())
+
+    def resolve(self, tags: List[List[int]]) -> "Shape":
+        """Replace the symbolic tags by the tags each rank claimed
+        (``tags[i]``, in claim order)."""
+        if self.symbolic:
+            self.tag = self._tags(self.rank, self.tag, tags)
+            self.symbolic = False
+        return self
+
+    @staticmethod
+    def _tags(rank: np.ndarray, sym: np.ndarray,
+              tags: List[List[int]]) -> np.ndarray:
+        n_claims = np.fromiter(map(len, tags), np.intp, len(tags))
+        flat = np.fromiter(chain.from_iterable(tags), np.intp,
+                           int(n_claims.sum()))
+        off = n_claims.cumsum() - n_claims
+        has = sym >= 0
+        out = sym.copy()
+        out[has] = (flat[off[rank[has]] + sym[has] // TAG_STRIDE]
+                    + sym[has] % TAG_STRIDE)
+        return out
+
+    def _objs_of(self, i: int) -> Any:
+        """Global step → its compute opcodes or pack refs, for the
+        shape's ``i``-th rank alone."""
+        if "objs" in self.__dict__:
+            a, z = int(self.lo[i]), int(self.lo[i + 1])
+            return dict(zip(range(a, z), self.objs[a:z]))
+        out = {}
+        one = np.array([i])
+        for j, who, t in self._objs:
+            k = i if who is None else int(who.searchsorted(i))
+            if who is None or (k < len(who) and who[k] == i):
+                out[int(self._gids[j][k])] = _lanes(t, one, 1)[0]
+        return out
+
+    def slice(self, i: int, ctx: Optional[MpiContext] = None,
+              tags: Optional[List[int]] = None) -> Schedule:
+        """The shape's ``i``-th rank as its own :class:`Schedule`, on
+        ``ctx`` (default: the rank's context on the shape's
+        communicator), its symbolic tags resolved by ``tags``."""
+        if ctx is None:
+            ctx = self.comm.ctx(int(self.ranks[i]))
+        a, z = int(self.lo[i]), int(self.lo[i + 1])
+        sched = Schedule(ctx)
+        sched.kind = self.kind[a:z].tolist()
+        sched.round = self.round[a:z].tolist()
+        sched.peer = self.peer[a:z].tolist()
+        tag = self.tag[a:z]
+        if self.symbolic:
+            tag = self._tags(np.zeros(z - a, dtype=np.intp), tag, [tags])
+        sched.tag = tag.tolist()
+        sched.via = self.via[a:z].tolist()
+        sched.flags = self.flags[a:z].tolist()
+        ptr = self.dep_ptr
+        deps = (self.dep[ptr[a]:ptr[z]] - a).tolist()
+        ends = (ptr[a + 1:z + 1] - ptr[a]).tolist()
+        sched.deps = [tuple(deps[e - k:e]) for e, k in zip(
+            ends, self.dep_n[a:z].tolist())]
+        objs = self._objs_of(i)
+        sched.ref = [
+            objs.get(g) if k > RECV or f & PACK
+            else None if s < 0 else s if h < 0 else (s, l, h)
+            for g, k, f, (s, l, h) in zip(
+                range(a, z), sched.kind, sched.flags,
+                self.rs[:, a:z].T.tolist())
+        ]
+        sched.sizes = self.size[self.base[i]:self.base[i + 1]].tolist()
+        sched.scratch = list(self.scratch[i])
+        sched.claims = list(self.claims[i])
+        sched.tallies = list(self.tallies[i])
+        sched.via_names = list(self.via_names[i])
+        sched.ctxs = [ctx] + [sub_ctx(ctx, name)
+                              for name in sched.via_names[1:]]
+        sched.sig = self.sigs[i]
+        sched.meta = self.meta
+        return sched
+
+    @classmethod
+    def stack(cls, comm, scheds: Sequence[Schedule]) -> "Shape":
+        """The columns of per-rank schedules, rank ``i``'s from
+        ``scheds[i]``: each of their steps is one rank wide."""
+        n = len(scheds)
+        self = cls(Ranks(comm, np.arange(n), n))
+        self.symbolic = False
+        self.sigs = [s.sig for s in scheds]
+        self.claims = [tuple(s.claims) for s in scheds]
+        self.tallies = [tuple(s.tallies) for s in scheds]
+        self.via_names = [tuple(s.via_names) for s in scheds]
+        self.meta = next((s.meta for s in scheds if s.meta), None)
+        self._rounds = np.array([s.n_rounds for s in scheds], dtype=np.intp)
+        lens = [len(s) for s in scheds]
+        lo = self.lo = np.array([0] + lens, dtype=np.intp).cumsum()
+        N = int(lo[-1])
+
+        def column(name):
+            return np.fromiter(chain.from_iterable(
+                getattr(s, name) for s in scheds), np.intp, N)
+
+        self.kind, self.round, self.peer = (column("kind"), column("round"),
+                                            column("peer"))
+        self.tag, self.via, self.flags = (column("tag"), column("via"),
+                                          column("flags"))
+        dep_of = list(chain.from_iterable(s.deps for s in scheds))
+        self.dep_n = np.fromiter(map(len, dep_of), np.intp, N)
+        self.dep = np.fromiter(chain.from_iterable(dep_of), np.intp,
+                               int(self.dep_n.sum()))
+        self.dep += lo[:-1].repeat(lens).repeat(self.dep_n)
+        objs = self.__dict__["objs"] = list(chain.from_iterable(
+            s.ref for s in scheds))
+        self.rs = np.zeros((3, N), dtype=np.intp)
+        self.rs[0] = -1
+        one = ((self.kind <= RECV) & ((self.flags & PACK) == 0)).nonzero()[0]
+        self.rs[:, one] = np.fromiter(chain.from_iterable(
+            [(x, 0, -1) if x.__class__ is int else _NO_REF if x is None
+             else x for x in map(objs.__getitem__, one.tolist())]),
+            np.intp, 3 * len(one)).reshape(-1, 3).T
+        self.base = np.array([0] + [len(s.sizes) for s in scheds],
+                             dtype=np.intp).cumsum()
+        self.size = np.fromiter(chain.from_iterable(s.sizes for s in scheds),
+                                np.intp, int(self.base[-1]))
+        scratch = self.__dict__["scratch"] = [s.scratch for s in scheds]
+        n_sc = np.array([len(s) for s in scratch], dtype=np.intp)
+        flat = list(chain.from_iterable(scratch))
+        self.sc_g = ranges(self.base[1:] - n_sc, n_sc)
+        self.sc_n = np.array([x[0] for x in flat], dtype=np.intp)
+        self.sc_dt = [x[1] for x in flat]
+        self.sc_adopt = np.array([x[3] for x in flat], dtype=bool)
+        return self
+
+
+#: A ``None`` ref, as a ``(slot, lo, hi)`` row.
+_NO_REF = (-1, 0, 0)
+
+
+def issue_claims(ctx: MpiContext, claims: Sequence[str],
+                 tallies: Sequence[str]) -> List[int]:
+    """What a rank's build does to communicator state, done from its
+    recorded shape: claim its tags (on the named sub-communicators, in
+    order) and bump its ``comm.stats`` counters.  Returns the tags."""
+    tags = [next_tag(sub_ctx(ctx, name)) for name in claims]
+    for name in tallies:
+        ctx.comm._count(name)
+    return tags
+
+
+# ---------------------------------------------------------------------------
 # A call, as dispatch sees it
 # ---------------------------------------------------------------------------
 
@@ -443,7 +1042,24 @@ class Call:
         self.builder = builder
         self.args = args
 
+    @property
+    def wide(self) -> bool:
+        """Whether the builder builds for many ranks at once."""
+        return getattr(self.builder, "wide", False)
+
+    def shape(self, comm, ranks: Sequence[int]) -> "Shape":
+        """A wide builder's shape of this call for ``ranks`` of ``comm``,
+        laid out as columns; it claims and counts nothing."""
+        shape = self.builder(Ranks(comm, np.asarray(ranks, dtype=np.intp),
+                                   comm.size), self.binding, *self.args)
+        shape.meta = self.meta
+        return shape.done()
+
     def build(self, ctx: MpiContext) -> Schedule:
+        """This rank's own schedule of the call (a wide builder builds
+        it for the one rank); it claims its tags and bumps its counters
+        as it builds, unless the binding carries tags claimed at
+        issue."""
         sched = self.builder(ctx, self.binding, *self.args)
         sched.meta = self.meta
         return sched
@@ -483,11 +1099,14 @@ class ScheduleEngine:
     their dependents in the event order a process per step gave.  A
     failed step raises its own exception from the engine.  Every call
     builds its shape at issue (claiming its tags in issue order) and
-    binds its scratch slots then.
+    binds its scratch slots then; a wide builder builds for the rank
+    alone, into a :class:`Schedule`, as every other builder does.
     """
 
     def __init__(self, comm) -> None:
-        self.comm = comm
+        #: The communicator, which owns the engine: held by proxy, so
+        #: the pair is freed without the cyclic collector.
+        self.comm = weakref.proxy(comm)
         #: Schedules currently executing (inline or background); the
         #: collective ``Comm_free`` drains this before releasing state.
         self.active = 0

@@ -355,6 +355,7 @@ def _gather_call(
     omit it (as in mpi4py)."""
     ctx.comm._count("gather")
     b = _bind_linear(ctx, "gather", root, sendbuf, recvbufs)
+    ctx.comm._count("gather[linear]")
     return Call("gather", "linear", b.sizes[0], None, b, _build_gather,
                 (root,))
 
@@ -369,6 +370,7 @@ def _scatter_call(
     (vector variant included)."""
     ctx.comm._count("scatter")
     b = _bind_linear(ctx, "scatter", root, recvbuf, sendbufs)
+    ctx.comm._count("scatter[linear]")
     return Call("scatter", "linear", b.sizes[0], None, b, _build_scatter,
                 (root,))
 

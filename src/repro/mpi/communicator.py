@@ -31,6 +31,7 @@ may drive a rank's :class:`MpiContext`.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Any, Dict, Generator, List, Optional, Sequence, Tuple
 
@@ -154,10 +155,9 @@ class Communicator:
         self.size = len(placement)
         #: Parent communicator (None for a world communicator).
         self.parent = parent
-        #: The root (world) communicator this one ultimately derives from.
-        self.root_comm: "Communicator" = (
-            parent.root_comm if parent is not None else self
-        )
+        #: The root (world) communicator this one ultimately derives
+        #: from, ``None`` for the root itself (see :attr:`root_comm`).
+        self._root = parent.root_comm if parent is not None else None
         #: Local rank → rank in the root communicator (identity at root).
         self.world_ranks: Tuple[int, ...] = (
             tuple(range(self.size))
@@ -234,7 +234,8 @@ class Communicator:
         #: Live (not yet freed) windows exposed over this communicator;
         #: :meth:`free` refuses while any remain (a landing RMA transfer
         #: would write through released state).
-        self._windows: List[Any] = []
+        self._windows: "weakref.WeakValueDictionary[int, Any]" = (
+            weakref.WeakValueDictionary())
         #: Operation counters for reports/tests.
         self.stats: Dict[str, int] = {}
         self._ib = cluster.spec.params.ib
@@ -283,9 +284,18 @@ class Communicator:
                 "(MPI_Comm_free); operations on it are erroneous"
             )
 
+    @property
+    def root_comm(self) -> "Communicator":
+        """The world communicator this one derives from (itself for
+        the world): computed, so a world holds no reference to itself
+        and a dropped job is freed without the cyclic collector."""
+        return self if self._root is None else self._root
+
     def live_windows(self) -> List[Any]:
-        """Windows created over this communicator and not yet freed."""
-        return [w for w in self._windows if not w._freed]
+        """Windows created over this communicator and not yet freed
+        (held weakly: a window refers to its communicator, and a window
+        nothing else holds is unreachable anyway)."""
+        return [w for w in self._windows.values() if not w._freed]
 
     def free(self, force: bool = False) -> None:
         """``MPI_Comm_free`` for a *derived* communicator (driver-level;

@@ -260,8 +260,6 @@ class Window:
         self._price_only = comm.backend == "pricing"
         if self._an:
             self._pricer = TapePricer(comm)
-            #: :meth:`_arrival`, bound once: every fence hands it over.
-            self._arrive = self._arrival
             #: Unpriced ops in issue order, six entries each: origin,
             #: target, row number, nbytes, issue time, span extra.
             self._log: List[Any] = []
@@ -269,7 +267,7 @@ class Window:
             self._an_fins: List[Dict[int, float]] = [
                 dict() for _ in range(size)
             ]
-        comm._windows.append(self)
+        comm._windows[self.wid] = self
         comm._count("win_create")
 
     # -- construction helpers ----------------------------------------------
@@ -367,8 +365,7 @@ class Window:
         self._outgoing = []
         self._pending_puts = []
         self._acc_tail.clear()
-        if self in self.comm._windows:
-            self.comm._windows.remove(self)
+        self.comm._windows.pop(self.wid, None)
         self.comm._count("win_free")
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -755,7 +752,7 @@ class Window:
             return
         if self._pending_puts[origin] or self._outgoing[origin]:
             yield from self._join(origin)
-        self.comm.engine.defer_arrival(origin, self._arrive)
+        self.comm.engine.defer_arrival(origin, self._arrival)
 
     def _arrival(self, origin: int, now: float) -> float:
         """Where an origin that deposited at ``now`` arrives once its

@@ -11,8 +11,8 @@ fast-path window logs its ops and prices a batch of them at a sync
 point as one max-plus tape (:mod:`repro.mpi.algorithms.tape`, the
 collective fast path's), chained through the exact model's two
 serialization points — the origin NIC's injection path and the target's
-staging channel — and the same-pair order point, each served in issue
-order.
+staging channel — each served in issue order.  The same-pair order
+point needs no node of its own there (see :class:`TapePricer`).
 """
 
 from __future__ import annotations
@@ -119,14 +119,14 @@ COALESCED = 0
 CODES = {what: tuple(map(ROWS.index, rows))
          for what, rows in PROTOCOLS.items()}
 
-# The analytic tape's view of each row: its legs with the PCIe hops
-# dropped (device windows walk exactly) and the apply point kept only
-# behind an order point, where it books the pair's order channel.
-_KINDS = ("req", "rsp", "stage", "order", "apply")
-_REQ, _RSP, _STAGE, _ORDER, _APPLY = range(len(_KINDS))
+# The analytic tape's view of each row: its timed legs, with the PCIe
+# hops dropped (device windows walk exactly) and the order and apply
+# points dropped (the staging channel absorbs them, see TapePricer).
+_KINDS = ("req", "rsp", "stage")
+_REQ, _RSP, _STAGE = range(len(_KINDS))
 _TAPE_LEGS = [
     [(_KINDS.index(leg), carries) for leg, carries in row.legs
-     if leg in _KINDS and (leg != "apply" or ("order", False) in row.legs)]
+     if leg in _KINDS]
     for row in ROWS
 ]
 #: Per row number: its first tape leg and how many it has.
@@ -139,7 +139,21 @@ _TAPE_KIND, _TAPE_CARRY = np.array(
 
 class TapePricer:
     """The analytic pricer of one window: its channels' carried cursors
-    and the tapes it compiled."""
+    and the tapes it compiled.
+
+    It prices a host window's rows without their same-pair order point,
+    because the staging channel absorbs it.  An accumulate's order point
+    waits for the pair's previous accumulate to apply, and that apply
+    ends where its stage leg ends, on the target's staging channel.  The
+    accumulate's own stage leg then waits for both its order point and
+    the staging channel's previous booking.  Bookings on a channel are
+    made in issue order and never decrease, so the channel's previous
+    booking is at or after the pair's previous stage end.  So the max
+    over the order point adds nothing, and ``max`` is exact in floating
+    point: dropping the order node leaves every time bit for bit as it
+    was.  The same holds across batches, whose carried cursors are
+    those bookings.
+    """
 
     def __init__(self, comm) -> None:
         self._topo = topo = comm.cluster.topology
@@ -151,7 +165,6 @@ class TapePricer:
         self._alpha_inj = float(prof.alpha_s) / 2.0
         self._beta = float(prof.beta_s_per_B)
         self._nodes = np.array(comm.placement)
-        self._size = comm.size
         #: Channel → when its last priced booking frees it (see
         #: :meth:`_compile` for the channel numbering).
         self._free: Dict[int, float] = {}
@@ -205,10 +218,9 @@ class TapePricer:
         previous leg (the issue time, for the first) and the previous
         booking on its channel — its seed, carried over from earlier
         batches, for the first booking.  A channel is the origin NIC's
-        injection path (a request leg between two nodes), a node's
-        staging channel (a same-node request leg, a stage leg) or a
-        pair's order point (an accumulate's order leg reads the pair's
-        last apply point).  The legs book their channels in issue order,
+        injection path (a request leg between two nodes) or a node's
+        staging channel (a same-node request leg, a stage leg).  The legs
+        book their channels in issue order,
         row by row and leg by leg, as the exact FIFO channels serve them:
 
         * a request leg between two nodes starts at ``s``, the max of
@@ -218,8 +230,7 @@ class TapePricer:
           ``(s + wire time) + 0``;
         * a response leg adds its wire time and books nothing: a future
           booking there would delay traffic the target issues *now*, a
-          start-time inversion the exact channels never exhibit;
-        * an order leg ends at ``s``, and the apply point books it.
+          start-time inversion the exact channels never exhibit.
 
         The wire times come from the topology's interned
         ``wire_costs``, once per distinct (source, destination, bytes)
@@ -262,20 +273,17 @@ class TapePricer:
             topo.wire_costs(*(c.tolist() for c in cols)))[inv]
 
         # Nodes: a request between two nodes has two (its booking, then
-        # its arrival), an apply point none (it reads the leg before it),
-        # every other leg one; ``out`` is each leg's output node.
-        apply = kind == _APPLY
-        end = (1 + inj.astype(np.intp) - apply).cumsum()
+        # its arrival), every other leg one; ``out`` is each leg's output
+        # node.
+        end = (1 + inj.astype(np.intp)).cumsum()
         out = end - 1
         M = int(end[-1])
-        # Channels: 3 * node for an injection path, 3 * node + 1 for a
-        # staging channel, 3 * (origin * size + target) + 2 for an order
-        # point, entries in issue order.  Each entry's other input is
-        # its channel's previous booking, or the channel's seed slot.
-        ent = (inj | shm | apply | (kind == _ORDER)).nonzero()[0]
-        chan = np.where(inj[ent], 3 * src[ent], np.where(
-            shm[ent], 3 * dst[ent] + 1,
-            3 * (o_a[ent] * self._size + t_a[ent]) + 2))
+        # Channels: 2 * node for an injection path, 2 * node + 1 for a
+        # staging channel, entries in issue order.  Each entry's other
+        # input is its channel's previous booking, or the channel's seed
+        # slot.
+        ent = (inj | shm).nonzero()[0]
+        chan = np.where(inj[ent], 2 * src[ent], 2 * dst[ent] + 1)
         ent = ent[chan.argsort(kind="stable")]
         chan.sort(kind="stable")
         new = np.ones(len(ent), dtype=bool)
@@ -293,9 +301,8 @@ class TapePricer:
         ins = np.zeros((M, 2), dtype=np.intp)
         a = np.zeros(M)
         b = np.zeros(M)
-        node = ~apply
-        ins[out[node]] = np.array((prev[node], other[node])).T
-        a[out[node]] = wt[node]
+        ins[out] = np.array((prev, other)).T
+        a[out] = wt
         ins[out[inj] - 1] = np.array((prev[inj], other[inj])).T
         a[out[inj] - 1] = self._alpha_inj
         b[out[inj] - 1] = n[inj] * self._beta

@@ -196,6 +196,23 @@ class TestGatherScatter:
         rt.run()
         assert np.allclose(result["all"], [0, 1, 2, 3, 4, 5, 6, 7])
 
+    def test_staged_gather_counts_its_algorithm(self):
+        """A DCGN gather stages one MPI gather per node pair on the node
+        communicator, which counts it as ``gather[linear]``."""
+        sim, rt = make_runtime(n_nodes=2, cpu_threads=2)
+
+        def kernel(ctx):
+            send = np.full(2, float(ctx.rank))
+            if ctx.rank == 0:
+                yield from ctx.gather(0, send, np.zeros(8))
+            else:
+                yield from ctx.gather(0, send)
+
+        rt.launch_cpu(kernel)
+        rt.run()
+        stats = rt.node_comm.stats
+        assert stats["gather[linear]"] == stats["gather"] == 2
+
     def test_scatter_from_cpu_root(self):
         sim, rt = make_runtime(n_nodes=2, cpu_threads=2)
         result = {}

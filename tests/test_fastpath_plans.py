@@ -12,6 +12,8 @@ communicator's stats and tag sequence, bit for bit, under random
 arrival skew — and that keys separate the shapes they must.
 """
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -355,6 +357,7 @@ def _count_builds(monkeypatch):
     counter = {"n": 0}
 
     def counting(fn):
+        @functools.wraps(fn)
         def wrapped(*args, **kwargs):
             counter["n"] += 1
             return fn(*args, **kwargs)
@@ -372,14 +375,18 @@ def _count_builds(monkeypatch):
 @pytest.mark.parametrize("P", [4, 5])
 @pytest.mark.parametrize("op,algo", SHAPES)
 def test_plan_hits_run_no_builder(op, algo, P, backend, monkeypatch):
-    """Six calls of one shape build each rank's schedule once (the
-    key's first sighting compiles); the five hits bind and replay."""
+    """Six calls of one shape build it once (the key's first sighting
+    compiles): a wide builder once for all ranks, a per-rank one once
+    per rank; the five hits bind and replay."""
     if (op, algo) in POF2_ONLY and P & (P - 1):
         pytest.skip("power-of-two algorithm")
     counter = _count_builds(monkeypatch)
     _, hits, _ = run(op, algo, P, np.float64, 96, backend, False, calls=6)
     assert hits == 5
-    assert counter["n"] == P
+    menu = selector.SCHEDULES.get(op, {})
+    builder = (menu[algo] if algo in menu
+               else collectives.build_barrier_dissemination)
+    assert counter["n"] == (1 if getattr(builder, "wide", False) else P)
 
 
 HIER_SHAPES = [

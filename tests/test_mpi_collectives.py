@@ -620,3 +620,24 @@ def test_reduce_bcast_allreduce_rejects_a_strided_recv(backend):
     with pytest.raises(MpiError,
                        match=r"allreduce: rank \d's recv buffer is not"):
         job.run()
+
+
+@pytest.mark.parametrize("backend", ["exact", "analytic"])
+def test_gather_scatter_count_their_algorithm(backend):
+    """Gather and scatter count ``"<op>[linear]"`` beside ``"<op>"``,
+    as every collective with an algorithm menu does, on every rank."""
+    n = 4
+    sim = Simulator()
+    cluster = build_cluster(sim, paper_cluster(nodes=2))
+    job = MpiJob(cluster, block_placement(n, 2), backend=backend)
+
+    def prog(ctx):
+        blocks = [np.zeros(2) for _ in range(n)] if ctx.rank == 1 else None
+        yield from ctx.gather(np.ones(2), blocks, root=1)
+        yield from ctx.scatter(blocks, np.zeros(2), root=1)
+
+    job.start(prog)
+    job.run()
+    for op in ("gather", "scatter"):
+        assert job.comm.stats[op] == n
+        assert job.comm.stats[f"{op}[linear]"] == n

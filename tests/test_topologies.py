@@ -502,3 +502,29 @@ class TestAutotune:
         prof = cluster.topology.profile()
         ib = cluster.spec.params.ib
         assert derive_tuning(prof, ib) == derive_tuning(prof, ib)
+
+
+@pytest.mark.parametrize("spec", [
+    TopologySpec(),
+    TopologySpec(kind="fattree", pod_size=3, oversubscription=2.0),
+    TopologySpec(kind="torus2d"),
+    TopologySpec(kind="multirail", rails=2),
+], ids=["flat", "fattree", "torus", "multirail"])
+def test_wire_class_pairs_price_alike(spec):
+    """Every pair of nodes in one ``wire_class`` has a bit-equal
+    ``wire_time`` at 0 B, 96 B and 256 KB: the class memo that fills the
+    per-pair cache's misses changes no priced time."""
+    sim = Simulator()
+    topo = build_cluster(sim, ClusterSpec(nodes=10, gpus_per_node=0,
+                                          topology=spec)).topology
+    for nbytes in (0, 96, 256 * 1024):
+        seen = {}
+        for src in range(topo.n_nodes):
+            for dst in range(topo.n_nodes):
+                t = topo.wire_time(src, dst, nbytes)
+                assert seen.setdefault(topo.wire_class(src, dst), t) == t
+        fresh = build_cluster(Simulator(), ClusterSpec(
+            nodes=10, gpus_per_node=0, topology=spec)).topology
+        pairs = [(s, d) for s in range(10) for d in range(10)]
+        costs = fresh.wire_costs(*zip(*[(s, d, nbytes) for s, d in pairs]))
+        assert costs == [topo.wire_time(s, d, nbytes) for s, d in pairs]
