@@ -7,7 +7,10 @@ communicator's :class:`~repro.mpi.algorithms.schedule.ScheduleEngine`
 either blockingly (classic MPI-2 calls) or in the background (the
 MPI-3 style ``i``-collectives and DCGN's comm-thread overlap).
 
-The menu (see :data:`~repro.mpi.algorithms.selector.ALGORITHMS`):
+The menu (see :data:`~repro.mpi.algorithms.selector.SCHEDULES`; its
+:data:`~repro.mpi.algorithms.selector.ALGORITHMS` entry points run a
+collective with one of them forced, through the op table's call
+builder like any other call):
 
 ========== ===========================================================
 allreduce  ``reduce_bcast`` (seed), ``recursive_doubling``, ``ring``,

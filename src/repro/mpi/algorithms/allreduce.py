@@ -28,7 +28,7 @@ from typing import List, Tuple, Union
 import numpy as np
 
 from ..datatypes import ReduceOp
-from .base import hier_ok as _hier_ok, largest_pof2
+from .base import largest_pof2
 from .schedule import (
     COMBINE, COPY, REBIND, Binding, Schedule, Shape, open_schedule, wide,
 )
@@ -43,28 +43,23 @@ __all__ = [
 
 
 def build_allreduce_reduce_bcast(
-    ctx, b: Binding, op: ReduceOp = ReduceOp.SUM
+    ctx, b: Binding, op: ReduceOp, bcast: str
 ) -> Schedule:
     """Reduce to rank 0, then broadcast (the seed's fixed algorithm).
 
     Composed from the binomial-reduce and broadcast schedules; the bcast
-    leg is selector-dispatched exactly like a standalone ``bcast`` call
-    (same counters, same tag sequence).
+    leg runs the algorithm ``bcast``, which the call builder picks (and
+    counts) exactly as for a standalone ``bcast`` call.
     """
     from .bcast import append_bcast
     from .reduce import append_reduce_binomial
 
     sched = Schedule(ctx, b)
-    sched.count("reduce")
     ends = append_reduce_binomial(sched, ctx, b, op=op, root=0, after=())
-    sched.count("bcast")
-    algo = ctx.comm.selector.bcast(b.sizes[1], ctx.size,
-                                   hier_ok=_hier_ok(ctx))
-    sched.count(f"bcast[{algo}]")
     # The bcast leg's rounds start past the reduce leg's on EVERY rank:
     # the offset is the binomial tree's global depth, not this rank's
     # own round count (a leaf's reduce part is a single round).
-    append_bcast(algo, sched, ctx, 1, root=0, after=ends,
+    append_bcast(bcast, sched, ctx, 1, root=0, after=ends,
                  round0=(ctx.size - 1).bit_length())
     return sched
 

@@ -237,7 +237,7 @@ def append_bcast_pipelined(
 
 
 #: Builder registry for splicing a broadcast behind another schedule
-#: (reduce+bcast) — mirrors ``ALGORITHMS["bcast"]``.
+#: (reduce+bcast) — mirrors ``SCHEDULES["bcast"]``.
 _APPENDERS = {
     "binomial": append_bcast_binomial,
     "hierarchical": append_bcast_hierarchical,

@@ -11,24 +11,26 @@ packet:
 1. **Collect** — every rank's ``execute`` forms the call's plan key from
    its arguments and deposits its *binding* (the call's buffers, see
    :class:`~repro.mpi.algorithms.schedule.Binding`) into a shared
-   per-collective *instance*.  On a hit no builder runs: the plan's
-   recorded tag claims and ``comm.stats`` counts are replayed at issue
-   instead, and the binding is checked against the plan's.  On a miss
-   a wide builder (barrier, recursive-doubling allgather, ring and
-   hierarchical allreduce) runs once per instance, for all ranks: the
-   first rank to miss builds the instance's
+   per-collective *instance*.  On a hit no builder runs, and the
+   binding is checked against the plan's.  On a miss a wide builder
+   (barrier, recursive-doubling allgather, ring and hierarchical
+   allreduce) runs once per instance, for all ranks: the first rank to
+   miss builds the instance's
    :class:`~repro.mpi.algorithms.schedule.Shape`, and every rank whose
-   call it serves takes its claims and counts from it, as on a hit.
-   Any other builder runs per rank and deposits its own schedule.  The
-   last-arriving rank triggers completion (collectives are
-   synchronizing, so nothing can legally complete before the last rank
-   shows up).  Each rank's issue time is recorded at deposit, so skewed
-   arrivals propagate into the timing exactly as they do in the exact
-   engine.  A rank may deposit with a *deferred* arrival
-   (:meth:`FastPathEngine.defer_arrival`): an RMA fence enters its
-   barrier at once, and the completing instance first prices the
-   window's epoch and resolves the arrival to the instant the rank's
-   own flush would have waited until.
+   call it serves takes its part.  Any other builder runs per rank and
+   deposits its own schedule.  Builds are pure, so every rank then
+   issues alike, as the exact engine does: it claims the tag blocks its
+   plan, shape or schedule recorded
+   (:func:`~repro.mpi.algorithms.schedule.issue_claims`; the call
+   builder already counted the call).  The last-arriving rank triggers
+   completion (collectives are synchronizing, so nothing can legally
+   complete before the last rank shows up).  Each rank's issue time is
+   recorded at deposit, so skewed arrivals propagate into the timing
+   exactly as they do in the exact engine.  A rank may deposit with a
+   *deferred* arrival (:meth:`FastPathEngine.defer_arrival`): an RMA
+   fence enters its barrier at once, and the completing instance first
+   prices the window's epoch and resolves the arrival to the instant
+   the rank's own flush would have waited until.
 2. **Compile** (plan miss) — the instance's shape compiles, once and
    from structure alone, to a buffer-free :class:`Plan`:
 
@@ -36,7 +38,8 @@ packet:
      ranks at once over flat arrays (no per-step Python walk).  It
      reads the shape's columns directly — kind, rank, wire key, ref
      rows and the dependencies as CSR; the per-rank schedules of the
-     other builders are stacked into those columns first — with each
+     other builders, and of a rank that hit a plan its peers missed
+     (built now), are stacked into those columns first — with each
      rank's claimed tags in place of the symbolic ones, and one stable
      ``lexsort`` pairs the k-th send on each ``(comm, src, dst, tag)``
      key with the k-th receive (communicators numbered by first
@@ -266,8 +269,8 @@ class _Instance:
     def __init__(self, size: int) -> None:
         self.ctxs: List[Any] = [None] * size
         #: Per rank: ``(call, schedule, slot table, claimed tags)``,
-        #: the schedule ``None`` on a plan hit and :data:`_SHARED` for
-        #: the instance's :attr:`shape`.
+        #: the schedule symbolic, ``None`` on a plan hit and
+        #: :data:`_SHARED` for the instance's :attr:`shape`.
         self.items: List[Any] = [None] * size
         #: A wide builder's shape for all ranks, built by the first rank
         #: that missed, and the ``(builder, args)`` it was built from.
@@ -310,7 +313,7 @@ class Plan:
 
     __slots__ = (
         "key", "lo", "rank_rounds", "n_rounds", "meta", "program", "sigs",
-        "scratch", "claims", "tallies", "ins", "rel", "a", "b", "levels",
+        "scratch", "claims", "ins", "rel", "a", "b", "levels",
         "legs", "step_node", "step_fin", "step_round", "rank_fin",
         "__weakref__",
     )
@@ -327,12 +330,11 @@ class Plan:
         self.program: Optional[_Program] = None
         #: Per rank, what a hit needs instead of a build: the binding
         #: signature to check, the scratch slots to bind (when ``data``
-        #: moves), and the tag claims and stats counts to replay.
+        #: moves), and the tag claims to issue.
         self.sigs = shape.sigs
         self.scratch = ([tuple(x) for x in shape.scratch] if data
                         else None)
         self.claims = shape.claims
-        self.tallies = shape.tallies
         #: The tape, node ``k`` in slot order: its input slots
         #: ``ins[p0 + rel[k] : ...]`` (CSR within its level) and the
         #: constants ``a[k]``, ``b[k]`` (kept apart: ``(t + a) + b``
@@ -407,10 +409,11 @@ class FastPathEngine(ScheduleEngine):
 
     # -- entry points -------------------------------------------------------
     def execute(self, ctx, call: Call) -> Generator[Event, Any, None]:
-        """Claim the instance slot, and either replay a retained plan's
-        claims (no build) or build the call's shape — synchronously, at
-        issue, so tag claims keep issue order.  Gather and scatter run
-        on the exact engine (see the module doc)."""
+        """Claim the instance slot, take a retained plan's recorded
+        claims (no build) or build the call's shape, and claim its tags
+        — synchronously, at issue, so tag claims keep issue order.
+        Gather and scatter run on the exact engine (see the module
+        doc)."""
         if call.meta["op"] in ("gather", "scatter"):
             return ScheduleEngine.execute(self, ctx, call)
         self.comm._ensure_alive()
@@ -419,41 +422,36 @@ class FastPathEngine(ScheduleEngine):
         key = call.key
         plan = self._lookup(key)
         if plan is None:
-            sched, tags, scratch = self._build(ctx, call, seq)
+            sched, claims, scratch = self._build(ctx, call, seq)
         else:
             if call.binding.sig != plan.sigs[ctx.rank]:
                 raise self._mismatch(plan, ctx.rank)
-            sched = None
-            tags = issue_claims(ctx, plan.claims[ctx.rank],
-                                plan.tallies[ctx.rank])
+            sched, claims = None, plan.claims[ctx.rank]
             scratch = None if self.price_only else plan.scratch[ctx.rank]
+        tags = issue_claims(ctx, claims)
         bufs = None if self.price_only else materialize(call.binding,
                                                         scratch)
         return self._collect(ctx, (call, sched, bufs, tags), seq, key)
 
     def _build(self, ctx, call: Call, seq: int) -> Tuple:
-        """A plan miss at issue: ``(schedule, claimed tags, scratch
+        """A plan miss at issue: ``(schedule, tag claims, scratch
         slots)``.  A wide builder's shape is built once per instance,
         for all ranks, by its first rank to miss; every rank whose call
-        it serves takes its tag claims and counters from it, as a plan
-        hit does (:data:`_SHARED`).  A per-rank builder — or a wide one
-        on a rank the ranks disagree with — builds the rank's own."""
-        if not call.wide:
-            sched = call.build(ctx)
-            return sched, None, sched.scratch
-        inst = self._instance(seq)
-        if inst.shape is None:
-            inst.shape = call.shape(self.comm, range(self.comm.size))
-            inst.built = (call.builder, call.args)
-        rank = ctx.rank
-        shape = inst.shape
-        if (inst.built != (call.builder, call.args)
-                or shape.sigs[rank] != call.binding.sig):
-            sched = call.build(ctx)
-            return sched, None, sched.scratch
-        tags = issue_claims(ctx, shape.claims[rank], shape.tallies[rank])
-        return _SHARED, tags, (None if self.price_only
-                               else shape.scratch[rank])
+        it serves takes its part (:data:`_SHARED`).  A per-rank builder
+        — or a wide one on a rank the ranks disagree with — builds the
+        rank's own."""
+        if call.wide:
+            inst = self._instance(seq)
+            if inst.shape is None:
+                inst.shape = call.shape(self.comm, range(self.comm.size))
+                inst.built = (call.builder, call.args)
+            shape = inst.shape
+            if (inst.built == (call.builder, call.args)
+                    and shape.sigs[ctx.rank] == call.binding.sig):
+                return _SHARED, shape.claims[ctx.rank], (
+                    None if self.price_only else shape.scratch[ctx.rank])
+        sched = call.build(ctx)
+        return sched, sched.claims, sched.scratch
 
     def defer_arrival(
         self, rank: int, resolve: Callable[[int, float], float]
@@ -564,23 +562,18 @@ class FastPathEngine(ScheduleEngine):
         batch.commit()
 
     def _shape(self, inst: _Instance) -> Shape:
-        """The instance's steps for every rank, to compile: its shared
-        shape, if every rank took it, with the tags each claimed; else
-        the ranks' own schedules, stacked."""
+        """The instance's steps for every rank, to compile, with the
+        tags each rank claimed: its shared shape, if every rank took
+        it; else the ranks' own schedules, stacked (a rank that hit a
+        plan its peers missed builds its own now)."""
         items = inst.items
-        if all(item[1] is _SHARED for item in items):
-            return inst.shape.resolve([item[3] for item in items])
-        scheds = []
-        for r, (call, sched, _bufs, tags) in enumerate(items):
-            if sched is _SHARED:
-                sched = inst.shape.slice(r, inst.ctxs[r], tags)
-            elif sched is None:
-                # This rank hit a plan the other ranks' keys did not
-                # share: build its schedule on the tags it claimed.
-                call.binding.tags = tags
-                sched = call.build(inst.ctxs[r])
-            scheds.append(sched)
-        return Shape.stack(self.comm, scheds)
+        shape = inst.shape
+        if not all(item[1] is _SHARED for item in items):
+            shape = Shape.stack(self.comm, [
+                shape.slice(r, inst.ctxs[r]) if sched is _SHARED
+                else call.build(inst.ctxs[r]) if sched is None else sched
+                for r, (call, sched, _bufs, _tags) in enumerate(items)])
+        return shape.resolve([item[3] for item in items])
 
     def _keep(self, plan: Plan, fresh: bool) -> None:
         """Keep ``plan`` alive while this communicator lives, if its

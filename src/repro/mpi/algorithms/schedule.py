@@ -27,9 +27,19 @@ simulated time):
   fresh array, so an earlier donated send of the old one stays intact.
 
 Operand order is the algorithm's, so results are bit-identical whatever
-engine runs the shape.  A schedule also records every tag claim (on the
-call's own communicator or a hierarchical sub-communicator, by name)
-and every ``comm._count`` its builder made; a plan hit replays both.
+engine runs the shape.
+
+**Builds are pure.**  A builder reads the call's context and binding
+and writes only its schedule: it claims no tag and bumps no
+``comm.stats`` counter (the op table's call builders count each call
+before any build).  A tag claim records the communicator it is made on
+(the call's own, or a hierarchical sub-communicator, by name) and
+returns a symbolic block base, ``c * TAG_STRIDE`` for the rank's
+``c``-th claim.  Every engine issues a call the same way: the rank
+claims the recorded tags in order (:func:`issue_claims`) and the
+schedule's tags are resolved before it runs, whether the claims come
+from the rank's own build, a shape built for every rank or a retained
+plan.  A schedule that claims no tag keeps its tags as written.
 
 **Arrays over ranks.**  The rank-uniform algorithms — the dissemination
 barrier, the recursive-doubling allgather and the ring reduce-scatter
@@ -43,10 +53,10 @@ appenders on every member of one kind of hierarchical sub-communicator.
 A shape lays its steps out as the columns the fast path compiles,
 rank-major; the other builders' per-rank schedules stack into the same
 columns (:meth:`Shape.stack`), one rank wide per step, so there is one
-IR.  A shape is pure: its tags are symbolic (a rank's ``c``-th claim is
-block ``c``) until each rank claims its own at issue
-(:func:`issue_claims`), and :meth:`Shape.slice` turns one rank's part
-back into its :class:`Schedule`.
+IR.  Its tags are symbolic (a rank's ``c``-th claim is block ``c``)
+until :meth:`Shape.resolve` replaces them by the tags each rank claimed
+at issue, and :meth:`Shape.slice` turns one rank's part back into its
+:class:`Schedule`.
 
 Who builds: the exact engine runs a wide builder on each rank's own
 context, where the rank is an int and the same calls build that rank's
@@ -93,7 +103,7 @@ from .tape import ranges
 
 __all__ = [
     "Binding", "Call", "Ranks", "Schedule", "ScheduleEngine", "Shape",
-    "SubSchedule", "SubShape", "at", "blocking", "issue_claims",
+    "SubSchedule", "SubShape", "at", "issue_claims",
     "open_schedule", "wide",
     "COPY", "BYTES", "COMBINE", "REBIND",
 ]
@@ -126,7 +136,7 @@ class Binding:
     never the buffers; :attr:`sig` is what a plan hit must repeat.
     """
 
-    __slots__ = ("bufs", "sizes", "dtype", "flat", "sig", "tags")
+    __slots__ = ("bufs", "sizes", "dtype", "flat", "sig")
 
     def __init__(self, payloads: Sequence[Payload], flat: bool = False):
         bufs: List[Any] = []
@@ -156,9 +166,6 @@ class Binding:
         #: One contiguous receive array rather than per-block buffers.
         self.flat = flat
         self.sig = (self.dtype, flat, self.sizes)
-        #: Tag bases claimed when a plan hit was replayed at issue; a
-        #: later build of this call reuses them instead of claiming.
-        self.tags: Optional[List[int]] = None
 
     def key_dtype(self) -> Optional[str]:
         return None if self.dtype is None else self.dtype.str
@@ -274,14 +281,12 @@ class Schedule:
         #: name each was looked up by (``""`` = own).
         self.ctxs: List[Optional[MpiContext]] = [ctx]
         self.via_names: List[str] = [""]
-        #: Bundle name per tag claim, and every stats counter bumped.
+        #: Bundle name per tag claim, in claim order.
         self.claims: List[str] = []
-        self.tallies: List[str] = []
         self.sizes: List[int] = list(binding.sizes) if binding else []
         #: ``(nbytes, dtype, init, adopt)`` per scratch slot.
         self.scratch: List[Tuple] = []
         self.sig = binding.sig if binding is not None else None
-        self._tags = binding.tags if binding is not None else None
         #: Collective identity for observability — ``{"op", "algo",
         #: "nbytes"}`` — labelling the spans the engines emit.
         self.meta: Optional[dict] = None
@@ -374,17 +379,19 @@ class Schedule:
         return self.size_of(ref)
 
     def claim(self, via: int = 0) -> int:
-        """Claim the next collective tag block on context ``via``."""
+        """Claim the next collective tag block on context ``via``: its
+        symbolic base (see the module doc)."""
         self.claims.append(self.via_names[via])
-        if self._tags is not None:
-            return self._tags.pop(0)
-        return next_tag(self.ctxs[via])
+        return (len(self.claims) - 1) * TAG_STRIDE
 
-    def count(self, name: str) -> None:
-        """Bump a ``comm.stats`` counter (replayed on plan hits)."""
-        self.tallies.append(name)
-        if self._tags is None:
-            self.ctxs[0].comm._count(name)
+    def resolve(self, tags: Sequence[int]) -> "Schedule":
+        """Replace the symbolic tags by the tags this rank claimed
+        (``tags``, in claim order)."""
+        if tags:
+            self.tag = [t if t < 0
+                        else tags[t // TAG_STRIDE] + t % TAG_STRIDE
+                        for t in self.tag]
+        return self
 
     def sub(self, name: str) -> Optional["SubSchedule"]:
         """A view of this schedule on one of the communicator's
@@ -617,10 +624,8 @@ class Shape(_View):
         self._bsizes = list(binding.sizes) if binding is not None else []
         self.sigs = [binding.sig if binding is not None else None] * n
         self.claims: List[Tuple[str, ...]] = [()] * n
-        self.tallies: List[Tuple[str, ...]] = [()] * n
         self.via_names: List[Tuple[str, ...]] = [("",)] * n
         self.meta: Optional[dict] = None
-        self.symbolic = True
         self._count = np.zeros(n, dtype=np.intp)
         self._slots = np.full(n, len(self._bsizes), dtype=np.intp)
         self._rounds = np.zeros(n, dtype=np.intp)
@@ -879,24 +884,17 @@ class Shape(_View):
 
     def resolve(self, tags: List[List[int]]) -> "Shape":
         """Replace the symbolic tags by the tags each rank claimed
-        (``tags[i]``, in claim order)."""
-        if self.symbolic:
-            self.tag = self._tags(self.rank, self.tag, tags)
-            self.symbolic = False
-        return self
-
-    @staticmethod
-    def _tags(rank: np.ndarray, sym: np.ndarray,
-              tags: List[List[int]]) -> np.ndarray:
+        (``tags[i]``, in claim order), as :meth:`Schedule.resolve`
+        does for one rank."""
         n_claims = np.fromiter(map(len, tags), np.intp, len(tags))
         flat = np.fromiter(chain.from_iterable(tags), np.intp,
                            int(n_claims.sum()))
         off = n_claims.cumsum() - n_claims
-        has = sym >= 0
-        out = sym.copy()
-        out[has] = (flat[off[rank[has]] + sym[has] // TAG_STRIDE]
+        sym, rank = self.tag, self.rank
+        has = ((sym >= 0) & (n_claims[rank] > 0)).nonzero()[0]
+        sym[has] = (flat[off[rank[has]] + sym[has] // TAG_STRIDE]
                     + sym[has] % TAG_STRIDE)
-        return out
+        return self
 
     def _objs_of(self, i: int) -> Any:
         """Global step → its compute opcodes or pack refs, for the
@@ -912,11 +910,10 @@ class Shape(_View):
                 out[int(self._gids[j][k])] = _lanes(t, one, 1)[0]
         return out
 
-    def slice(self, i: int, ctx: Optional[MpiContext] = None,
-              tags: Optional[List[int]] = None) -> Schedule:
+    def slice(self, i: int, ctx: Optional[MpiContext] = None) -> Schedule:
         """The shape's ``i``-th rank as its own :class:`Schedule`, on
         ``ctx`` (default: the rank's context on the shape's
-        communicator), its symbolic tags resolved by ``tags``."""
+        communicator)."""
         if ctx is None:
             ctx = self.comm.ctx(int(self.ranks[i]))
         a, z = int(self.lo[i]), int(self.lo[i + 1])
@@ -924,10 +921,7 @@ class Shape(_View):
         sched.kind = self.kind[a:z].tolist()
         sched.round = self.round[a:z].tolist()
         sched.peer = self.peer[a:z].tolist()
-        tag = self.tag[a:z]
-        if self.symbolic:
-            tag = self._tags(np.zeros(z - a, dtype=np.intp), tag, [tags])
-        sched.tag = tag.tolist()
+        sched.tag = self.tag[a:z].tolist()
         sched.via = self.via[a:z].tolist()
         sched.flags = self.flags[a:z].tolist()
         ptr = self.dep_ptr
@@ -946,7 +940,6 @@ class Shape(_View):
         sched.sizes = self.size[self.base[i]:self.base[i + 1]].tolist()
         sched.scratch = list(self.scratch[i])
         sched.claims = list(self.claims[i])
-        sched.tallies = list(self.tallies[i])
         sched.via_names = list(self.via_names[i])
         sched.ctxs = [ctx] + [sub_ctx(ctx, name)
                               for name in sched.via_names[1:]]
@@ -960,10 +953,8 @@ class Shape(_View):
         ``scheds[i]``: each of their steps is one rank wide."""
         n = len(scheds)
         self = cls(Ranks(comm, np.arange(n), n))
-        self.symbolic = False
         self.sigs = [s.sig for s in scheds]
         self.claims = [tuple(s.claims) for s in scheds]
-        self.tallies = [tuple(s.tallies) for s in scheds]
         self.via_names = [tuple(s.via_names) for s in scheds]
         self.meta = next((s.meta for s in scheds if s.meta), None)
         self._rounds = np.array([s.n_rounds for s in scheds], dtype=np.intp)
@@ -1011,15 +1002,12 @@ class Shape(_View):
 _NO_REF = (-1, 0, 0)
 
 
-def issue_claims(ctx: MpiContext, claims: Sequence[str],
-                 tallies: Sequence[str]) -> List[int]:
-    """What a rank's build does to communicator state, done from its
-    recorded shape: claim its tags (on the named sub-communicators, in
-    order) and bump its ``comm.stats`` counters.  Returns the tags."""
-    tags = [next_tag(sub_ctx(ctx, name)) for name in claims]
-    for name in tallies:
-        ctx.comm._count(name)
-    return tags
+def issue_claims(ctx: MpiContext, claims: Sequence[str]) -> List[int]:
+    """Claim a rank's recorded tag blocks at issue, in order, each on
+    its named sub-communicator (``""``: the rank's own); returns their
+    bases, what :meth:`Schedule.resolve` and :meth:`Shape.resolve`
+    take."""
+    return [next_tag(sub_ctx(ctx, name)) for name in claims]
 
 
 # ---------------------------------------------------------------------------
@@ -1049,7 +1037,7 @@ class Call:
 
     def shape(self, comm, ranks: Sequence[int]) -> "Shape":
         """A wide builder's shape of this call for ``ranks`` of ``comm``,
-        laid out as columns; it claims and counts nothing."""
+        laid out as columns, its tags symbolic."""
         shape = self.builder(Ranks(comm, np.asarray(ranks, dtype=np.intp),
                                    comm.size), self.binding, *self.args)
         shape.meta = self.meta
@@ -1057,32 +1045,10 @@ class Call:
 
     def build(self, ctx: MpiContext) -> Schedule:
         """This rank's own schedule of the call (a wide builder builds
-        it for the one rank); it claims its tags and bumps its counters
-        as it builds, unless the binding carries tags claimed at
-        issue."""
+        it for the one rank), its tags symbolic."""
         sched = self.builder(ctx, self.binding, *self.args)
         sched.meta = self.meta
         return sched
-
-
-def blocking(bind: Callable, builder: Callable) -> Callable:
-    """Blocking entry point for a schedule builder: ``bind`` turns the
-    MPI arguments into ``(binding, builder args)``, then the shape runs
-    to completion in the calling process — the single adapter behind
-    every name in :data:`~repro.mpi.algorithms.selector.ALGORITHMS`."""
-
-    def run(ctx, *args, **kwargs):
-        b, extra = bind(ctx, *args, **kwargs)
-        name = builder.__name__[len("build_"):]
-        call = Call(name, name, 0, None, b, builder, extra)
-        yield from ctx.comm.engine.execute(ctx, call)
-
-    run.__name__ = builder.__name__.replace("build_", "")
-    run.__qualname__ = run.__name__
-    run.__doc__ = (
-        f"Blocking execution of :func:`{builder.__name__}`'s schedule."
-    )
-    return run
 
 
 # ---------------------------------------------------------------------------
@@ -1098,7 +1064,7 @@ class ScheduleEngine:
     :func:`~repro.sim.core.resume`.  Steps exit into waves that release
     their dependents in the event order a process per step gave.  A
     failed step raises its own exception from the engine.  Every call
-    builds its shape at issue (claiming its tags in issue order) and
+    builds its shape at issue, claims its tags (in issue order) and
     binds its scratch slots then; a wide builder builds for the rank
     alone, into a :class:`Schedule`, as every other builder does.
     """
@@ -1120,9 +1086,10 @@ class ScheduleEngine:
     def execute(
         self, ctx: MpiContext, call: Call
     ) -> Generator[Event, Any, None]:
-        """Build ``call``'s shape now; the returned generator drives it
-        to completion."""
+        """Build ``call``'s shape and claim its tags now; the returned
+        generator drives it to completion."""
         sched = call.build(ctx)
+        sched.resolve(issue_claims(ctx, sched.claims))
         return self._run(ctx, sched, materialize(call.binding,
                                                  sched.scratch))
 

@@ -11,8 +11,10 @@ producing the round-based
 :class:`~repro.mpi.algorithms.schedule.Schedule` — what the call
 builders of the op table (:data:`repro.mpi.collectives.OPS`, behind
 both ``ctx.bcast`` and ``ctx.ibcast``) hand the engine — and
-:data:`ALGORITHMS` one blocking entry point per named algorithm (a
-forced choice, for benchmarks and tests).  The thresholds live in
+:data:`ALGORITHMS` one blocking entry point per named algorithm (for
+benchmarks and tests): the op's own call builder with the algorithm
+forced instead of selected, as a ``CollectiveTuning.force_*`` call
+does.  The thresholds live in
 :class:`~repro.mpi.algorithms.tuning.CollectiveTuning` — autotuned per
 cluster by :mod:`repro.mpi.algorithms.autotune` unless the user pins
 their own — and are plumbed through both the raw-MPI layer
@@ -52,14 +54,13 @@ from .hierarchical import (
     build_alltoall_hierarchical,
 )
 from .reduce import build_reduce_binomial, build_reduce_rabenseifner
-from .schedule import blocking
 from .tuning import CollectiveTuning
 
 __all__ = ["ALGORITHMS", "SCHEDULES", "AlgorithmSelector"]
 
 #: Registry: collective → {algorithm name → schedule builder}; what the
-#: nonblocking collectives hand to the progress engine, and the single
-#: source of truth the blocking registry below derives from.
+#: op table's call builders hand the engine, and the single source of
+#: truth the blocking registry below derives from.
 SCHEDULES: Dict[str, Dict[str, Callable]] = {
     "allreduce": {
         "reduce_bcast": build_allreduce_reduce_bcast,
@@ -90,22 +91,26 @@ SCHEDULES: Dict[str, Dict[str, Callable]] = {
     },
 }
 
-def binder(coll: str) -> Callable:
-    """The dispatch layer's argument binding for ``coll`` (imported
-    late: ``mpi/collectives.py`` imports this module)."""
 
-    def bind(ctx, *args, **kwargs):
-        from .. import collectives
+def _pinned(coll: str, algo: str) -> Callable:
+    """Blocking ``coll`` with ``algo`` forced: the op table's call
+    builder (imported late: ``mpi/collectives.py`` imports this module)
+    run to completion in the calling process."""
 
-        return collectives.BINDERS[coll](ctx, *args, **kwargs)
+    def run(ctx, *args, **kwargs):
+        from ..collectives import MENU
 
-    return bind
+        call = MENU[coll](ctx, algo, *args, **kwargs)
+        yield from ctx.comm.engine.execute(ctx, call)
+
+    run.__name__ = run.__qualname__ = f"{coll}_{algo}"
+    return run
 
 
 #: Registry: collective → {algorithm name → blocking implementation} —
 #: derived from :data:`SCHEDULES`, so the two can never diverge.
 ALGORITHMS: Dict[str, Dict[str, Callable]] = {
-    coll: {name: blocking(binder(coll), b) for name, b in menu.items()}
+    coll: {name: _pinned(coll, name) for name in menu}
     for coll, menu in SCHEDULES.items()
 }
 

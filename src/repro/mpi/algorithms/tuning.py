@@ -118,8 +118,9 @@ class CollectiveTuning:
     #: keeps eager puts longer.
     rma_eager_max_bytes: int = 8 * _KB
 
-    #: Pin an algorithm by name (see ``ALGORITHMS`` in
-    #: :mod:`repro.mpi.algorithms.selector`); ``None`` = size-adaptive.
+    #: Pin an algorithm by name (one of ``SCHEDULES[op]`` in
+    #: :mod:`repro.mpi.algorithms.selector`, as its ``ALGORITHMS``
+    #: entry points do per call); ``None`` = size-adaptive.
     force_allreduce: Optional[str] = None
     force_allgather: Optional[str] = None
     force_alltoall: Optional[str] = None

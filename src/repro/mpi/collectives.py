@@ -18,7 +18,11 @@ dispatch per call through the communicator's
 :class:`~repro.mpi.algorithms.AlgorithmSelector`, which picks by
 message size × communicator size — and, for the hierarchical variants,
 by whether the placement is fragmented across an oversubscribed
-topology.  The chosen algorithm is recorded in ``comm.stats`` as
+topology.  Their call builders (:data:`MENU`) take the algorithm as an
+argument: the op table passes ``None`` (select), and the forced entry
+points of :data:`~repro.mpi.algorithms.selector.ALGORITHMS` a name, so
+a forced call is counted, checked, keyed and traced like any other.
+The chosen algorithm is recorded in ``comm.stats`` as
 ``"<op>[<algo>]"``.  ``gather``/``scatter`` keep the fixed
 linear-at-root shape MVAPICH2-era implementations used, built here as
 schedules like every other collective; the fast path hands them to the
@@ -43,7 +47,7 @@ import numpy as np
 from .datatypes import Payload, ReduceOp, payload_array
 from .errors import MpiError
 
-__all__ = ["OPS", "BINDERS"]
+__all__ = ["OPS", "MENU"]
 
 from .algorithms.base import hier_ok as _hier_ok
 from .algorithms.barrier import build_barrier_dissemination
@@ -53,8 +57,7 @@ from .communicator import MpiContext
 
 
 # ---------------------------------------------------------------------------
-# Binding: MPI arguments -> (binding, builder args), every argument check
-# made before any schedule exists
+# Argument checks, all made before any schedule exists
 # ---------------------------------------------------------------------------
 
 def _size_error(op: str, send: int, what: str, got: int) -> MpiError:
@@ -72,85 +75,6 @@ def _check_reduce_op(op: ReduceOp, what: str) -> None:
         )
 
 
-def _bind_bcast(ctx: MpiContext, buf: Payload, root: int = 0):
-    ctx.comm._check_rank(root)
-    ctx._contiguous("bcast", "buffer", (buf,))
-    return Binding((buf,)), (root,)
-
-
-def _bind_reduce(ctx: MpiContext, sendbuf: Payload,
-                 recvbuf: Optional[Payload], op: ReduceOp = ReduceOp.SUM,
-                 root: int = 0):
-    ctx.comm._check_rank(root)
-    _check_reduce_op(op, "reduce")
-    if payload_array(sendbuf) is None:
-        raise MpiError("reduce requires an array payload")
-    if ctx.rank == root and payload_array(recvbuf) is None:
-        raise MpiError("root needs a recv buffer for reduce")
-    return Binding((sendbuf, recvbuf)), (op, root)
-
-
-def _bind_allreduce(ctx: MpiContext, sendbuf: Payload, recvbuf: Payload,
-                    op: ReduceOp = ReduceOp.SUM):
-    _check_reduce_op(op, "allreduce")
-    if payload_array(recvbuf) is None:
-        raise MpiError("allreduce requires a recv buffer on every rank")
-    if payload_array(sendbuf) is None:
-        raise MpiError("allreduce requires an array payload")
-    b = Binding((sendbuf, recvbuf))
-    if b.sizes[0] != b.sizes[1]:
-        raise _size_error("allreduce", b.sizes[0], "the recv buffer",
-                          b.sizes[1])
-    return b, (op,)
-
-
-def _bind_allgather(ctx: MpiContext, sendbuf: Payload, recvbuf):
-    """A contiguous ``P × block`` recv array binds in O(1); a sequence
-    binds one slot per block (per-block or vector receives)."""
-    P = ctx.size
-    if isinstance(recvbuf, (list, tuple)):
-        if len(recvbuf) != P:
-            raise MpiError("allgather needs one recv buffer per rank")
-        ctx._contiguous("allgather", "buffer", (sendbuf, *recvbuf))
-        b = Binding((sendbuf, *recvbuf))
-        if sendbuf is not None and b.sizes[0] != b.sizes[1 + ctx.rank]:
-            raise _size_error("allgather", b.sizes[0],
-                              "this rank's recv block", b.sizes[1 + ctx.rank])
-    else:
-        ctx._contiguous("allgather", "buffer", (sendbuf, recvbuf))
-        b = Binding((sendbuf, recvbuf), flat=True)
-        if b.sizes[1] != P * b.sizes[0]:
-            raise _size_error("allgather", b.sizes[0],
-                              f"the recv buffer (P = {P} blocks)",
-                              b.sizes[1])
-    return b, ()
-
-
-def _bind_alltoall(ctx: MpiContext, sendbufs: Sequence[Payload],
-                   recvbufs: Sequence[Payload]):
-    P = ctx.size
-    if len(sendbufs) != P or len(recvbufs) != P:
-        raise MpiError("alltoall needs one send and recv buffer per rank")
-    ctx._contiguous("alltoall", "buffer", (*sendbufs, *recvbufs))
-    b = Binding((*sendbufs, *recvbufs))
-    r = ctx.rank
-    if b.sizes[r] != b.sizes[P + r]:
-        raise _size_error("alltoall", b.sizes[r], "the recv block from self",
-                          b.sizes[P + r])
-    return b, ()
-
-
-#: Per collective with an algorithm menu: its binder (also what the
-#: ``ALGORITHMS`` blocking entry points bind through).
-BINDERS = {
-    "bcast": _bind_bcast,
-    "reduce": _bind_reduce,
-    "allreduce": _bind_allreduce,
-    "allgather": _bind_allgather,
-    "alltoall": _bind_alltoall,
-}
-
-
 def _uniform(b: Binding, lo: int, hi: int) -> Optional[int]:
     """The common size of slots ``lo..hi-1`` if all are arrays of one
     size, else ``None`` (the vector variants)."""
@@ -165,7 +89,9 @@ def _uniform(b: Binding, lo: int, hi: int) -> Optional[int]:
 # ---------------------------------------------------------------------------
 # The op table: one call builder per collective, returning its Call
 # (selected and keyed, no schedule built — the engine builds one only
-# on a plan miss).
+# on a plan miss).  A menu op's call builder takes the algorithm after
+# the context: ``None`` lets the communicator's selector pick, a name
+# forces it (the ``ALGORITHMS`` entry points).
 # ---------------------------------------------------------------------------
 
 def _barrier_call(ctx: MpiContext) -> Call:
@@ -175,22 +101,27 @@ def _barrier_call(ctx: MpiContext) -> Call:
                 Binding(()), build_barrier_dissemination)
 
 
-def _bcast_call(ctx: MpiContext, buf: Payload, root: int = 0) -> Call:
+def _bcast_call(ctx: MpiContext, algo: Optional[str], buf: Payload,
+                root: int = 0) -> Call:
     """Broadcast ``buf`` from ``root``: binomial tree, domain-leader
     hierarchical on fragmented oversubscribed fabrics, or a segmented
     pipelined chain for large payloads."""
     ctx.comm._count("bcast")
-    b, args = _bind_bcast(ctx, buf, root)
+    ctx.comm._check_rank(root)
+    ctx._contiguous("bcast", "buffer", (buf,))
+    b = Binding((buf,))
     nbytes = b.sizes[0]
-    algo = ctx.comm.selector.bcast(nbytes, ctx.size, hier_ok=_hier_ok(ctx))
+    algo = algo or ctx.comm.selector.bcast(nbytes, ctx.size,
+                                           hier_ok=_hier_ok(ctx))
     ctx.comm._count(f"bcast[{algo}]")
     return Call("bcast", algo, nbytes,
                 ("bcast", algo, root, nbytes, b.key_dtype()), b,
-                SCHEDULES["bcast"][algo], args)
+                SCHEDULES["bcast"][algo], (root,))
 
 
 def _reduce_call(
     ctx: MpiContext,
+    algo: Optional[str],
     sendbuf: Payload,
     recvbuf: Payload,
     op: "ReduceOp" = ReduceOp.SUM,
@@ -200,17 +131,24 @@ def _reduce_call(
     ``root``: binomial tree, or Rabenseifner reduce-scatter + gather
     for large vectors."""
     ctx.comm._count("reduce")
-    b, args = _bind_reduce(ctx, sendbuf, recvbuf, op, root)
+    ctx.comm._check_rank(root)
+    _check_reduce_op(op, "reduce")
+    if payload_array(sendbuf) is None:
+        raise MpiError("reduce requires an array payload")
+    if ctx.rank == root and payload_array(recvbuf) is None:
+        raise MpiError("root needs a recv buffer for reduce")
+    b = Binding((sendbuf, recvbuf))
     nbytes = b.sizes[0]
-    algo = ctx.comm.selector.reduce(nbytes, ctx.size)
+    algo = algo or ctx.comm.selector.reduce(nbytes, ctx.size)
     ctx.comm._count(f"reduce[{algo}]")
     return Call("reduce", algo, nbytes,
                 ("reduce", algo, root, nbytes, b.key_dtype(), op), b,
-                SCHEDULES["reduce"][algo], args)
+                SCHEDULES["reduce"][algo], (op, root))
 
 
 def _allreduce_call(
     ctx: MpiContext,
+    algo: Optional[str],
     sendbuf: Payload,
     recvbuf: Payload,
     op: "ReduceOp" = ReduceOp.SUM,
@@ -219,22 +157,38 @@ def _allreduce_call(
     ``recvbuf``: reduce + broadcast, recursive doubling, ring, or
     hierarchical on fragmented placements, chosen by size."""
     ctx.comm._count("allreduce")
-    b, args = _bind_allreduce(ctx, sendbuf, recvbuf, op)
+    _check_reduce_op(op, "allreduce")
+    if payload_array(recvbuf) is None:
+        raise MpiError("allreduce requires a recv buffer on every rank")
+    if payload_array(sendbuf) is None:
+        raise MpiError("allreduce requires an array payload")
+    b = Binding((sendbuf, recvbuf))
     nbytes = b.sizes[0]
-    algo = ctx.comm.selector.allreduce(
-        nbytes, ctx.size, hier_ok=_hier_ok(ctx)
-    )
+    if nbytes != b.sizes[1]:
+        raise _size_error("allreduce", nbytes, "the recv buffer",
+                          b.sizes[1])
+    algo = algo or ctx.comm.selector.allreduce(nbytes, ctx.size,
+                                               hier_ok=_hier_ok(ctx))
+    args, legs = (op,), ()
     if algo == "reduce_bcast":
-        # Its broadcast leg receives into the recv buffer; every other
-        # algorithm only copies the result into it by value.
+        # Its broadcast leg receives into the recv buffer (every other
+        # algorithm only copies the result into it by value), and its
+        # legs count as a standalone reduce and bcast would, the bcast's
+        # algorithm picked alike.
         ctx._contiguous("allreduce", "recv buffer", (recvbuf,))
-    ctx.comm._count(f"allreduce[{algo}]")
+        bcast = ctx.comm.selector.bcast(nbytes, ctx.size,
+                                        hier_ok=_hier_ok(ctx))
+        args += (bcast,)
+        legs = ("reduce", "bcast", f"bcast[{bcast}]")
+    for name in (f"allreduce[{algo}]", *legs):
+        ctx.comm._count(name)
     return Call("allreduce", algo, nbytes,
                 ("allreduce", algo, None, nbytes, b.key_dtype(), op), b,
                 SCHEDULES["allreduce"][algo], args)
 
 
-def _allgather_call(ctx: MpiContext, sendbuf: Payload, recvbuf) -> Call:
+def _allgather_call(ctx: MpiContext, algo: Optional[str], sendbuf: Payload,
+                    recvbuf) -> Call:
     """Allgather: ring, recursive doubling, Bruck or hierarchical,
     chosen by size (see :mod:`repro.mpi.algorithms.selector`).
 
@@ -245,13 +199,25 @@ def _allgather_call(ctx: MpiContext, sendbuf: Payload, recvbuf) -> Call:
     ``MPI_Allgatherv`` vector variant).  The send buffer must match
     this rank's block."""
     ctx.comm._count("allgather")
-    b, _ = _bind_allgather(ctx, sendbuf, recvbuf)
     P = ctx.size
-    if b.flat:
-        block = b.sizes[0]
-    else:
+    if isinstance(recvbuf, (list, tuple)):
+        if len(recvbuf) != P:
+            raise MpiError("allgather needs one recv buffer per rank")
+        ctx._contiguous("allgather", "buffer", (sendbuf, *recvbuf))
+        b = Binding((sendbuf, *recvbuf))
+        if sendbuf is not None and b.sizes[0] != b.sizes[1 + ctx.rank]:
+            raise _size_error("allgather", b.sizes[0],
+                              "this rank's recv block", b.sizes[1 + ctx.rank])
         block = _uniform(b, 1, P + 1)
-    algo = ctx.comm.selector.allgather(
+    else:
+        ctx._contiguous("allgather", "buffer", (sendbuf, recvbuf))
+        b = Binding((sendbuf, recvbuf), flat=True)
+        if b.sizes[1] != P * b.sizes[0]:
+            raise _size_error("allgather", b.sizes[0],
+                              f"the recv buffer (P = {P} blocks)",
+                              b.sizes[1])
+        block = b.sizes[0]
+    algo = algo or ctx.comm.selector.allgather(
         block or 0, P, uniform=block is not None, hier_ok=_hier_ok(ctx)
     )
     ctx.comm._count(f"allgather[{algo}]")
@@ -265,17 +231,25 @@ def _allgather_call(ctx: MpiContext, sendbuf: Payload, recvbuf) -> Call:
 
 
 def _alltoall_call(
-    ctx: MpiContext, sendbufs: Sequence[Payload], recvbufs: Sequence[Payload]
+    ctx: MpiContext, algo: Optional[str], sendbufs: Sequence[Payload],
+    recvbufs: Sequence[Payload]
 ) -> Call:
     """All-to-all: ``sendbufs[i]`` goes to rank ``i``, ``recvbufs[i]``
     receives from rank ``i`` (blocks may differ in size, the vector
     variant).  Shift, pairwise, Bruck (small blocks) or hierarchical,
     chosen by size."""
     ctx.comm._count("alltoall")
-    b, _ = _bind_alltoall(ctx, sendbufs, recvbufs)
     P = ctx.size
+    if len(sendbufs) != P or len(recvbufs) != P:
+        raise MpiError("alltoall needs one send and recv buffer per rank")
+    ctx._contiguous("alltoall", "buffer", (*sendbufs, *recvbufs))
+    b = Binding((*sendbufs, *recvbufs))
+    r = ctx.rank
+    if b.sizes[r] != b.sizes[P + r]:
+        raise _size_error("alltoall", b.sizes[r], "the recv block from self",
+                          b.sizes[P + r])
     block = _uniform(b, 0, 2 * P)
-    algo = ctx.comm.selector.alltoall(
+    algo = algo or ctx.comm.selector.alltoall(
         block or 0, P, uniform=block is not None, hier_ok=_hier_ok(ctx)
     )
     ctx.comm._count(f"alltoall[{algo}]")
@@ -375,14 +349,34 @@ def _scatter_call(
                 (root,))
 
 
-#: Every MPI collective, once: name → call builder.
-OPS = {
-    "barrier": _barrier_call,
+def _selects(call: Callable) -> Callable:
+    """A menu op's ``call`` with its algorithm left to the selector, as
+    the op table holds it (its signature without ``algo``)."""
+
+    def select(ctx, *args, **kwargs):
+        return call(ctx, None, *args, **kwargs)
+
+    functools.update_wrapper(select, call)
+    sig = inspect.signature(call)
+    ctx, _algo, *params = sig.parameters.values()
+    select.__signature__ = sig.replace(parameters=[ctx, *params])
+    return select
+
+
+#: The collectives with an algorithm menu: name → call builder taking
+#: the algorithm after the context.
+MENU = {
     "bcast": _bcast_call,
     "reduce": _reduce_call,
     "allreduce": _allreduce_call,
     "allgather": _allgather_call,
     "alltoall": _alltoall_call,
+}
+
+#: Every MPI collective, once: name → call builder.
+OPS = {
+    "barrier": _barrier_call,
+    **{name: _selects(call) for name, call in MENU.items()},
     "gather": _gather_call,
     "scatter": _scatter_call,
 }

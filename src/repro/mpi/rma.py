@@ -71,10 +71,13 @@ themselves).  :meth:`Window._settle` turns each row's legs into nodes
 of the collective fast path's max-plus tape
 (:mod:`repro.mpi.algorithms.tape`), chained through the two
 serialization points of the exact model — the origin's NIC injection
-path and the target's staging channel — and the same-pair order point,
-each booked in issue order; each leg's end-to-end time comes from the
-topology's interned ``wire_costs`` — the cache the collective fast path
-shares (``sim.stats.wire_cost_hits``/``wire_cost_misses``).  Response
+path and the target's staging channel — each booked in issue order.
+The tape needs no node for the same-pair order point: the staging
+channel, booked in issue order, already holds each accumulate behind
+the pair's previous one (see :class:`~repro.mpi.rma_wire.TapePricer`).
+Each leg's end-to-end time comes from the topology's interned
+``wire_costs`` — the cache the collective fast path shares
+(``sim.stats.wire_cost_hits``/``wire_cost_misses``).  Response
 legs add pure wire time and book no channel: a future booking there
 would delay traffic the target issues *now*, a start-time inversion the
 exact FIFO channels never exhibit.
@@ -88,9 +91,8 @@ barrier at once, with an arrival the barrier resolves to that instant
 Payload bytes apply at issue (legal: epochs forbid conflicting access
 until the sync point; ``"pricing"`` skips data application entirely),
 and ``get``/``rput``/``rget``/``get_accumulate`` get a real event at
-their computed finish.  The order point releases the pair's next
-accumulate at the apply point on the analytic walk and when the op ends
-on the exact one; no public call can tell the two apart.  Device-memory
+their computed finish.  The exact walk keeps the order point: it
+releases the pair's next accumulate when the op ends.  Device-memory
 windows keep the exact walk (the tape does not model the contended PCIe
 hop), as does the lock machinery.  What the tape ignores: receive-side
 occupancy queueing and spine contention — second-order on the modeled

@@ -367,3 +367,35 @@ def test_lint_flags_raw_p2p_outside_its_homes(tmp_path):
     assert "_send_impl() outside" in proc.stdout
     home = _run_lint(str(tmp_path / "src/repro/mpi/communicator.py"))
     assert home.returncode == 0, home.stdout + home.stderr
+
+
+def test_lint_flags_impure_builds(tmp_path):
+    """A build that claims a tag or bumps ``comm.stats`` itself: a
+    ``next_tag`` call planted in bcast.py is flagged, the same call in
+    schedule.py is not; a ``comm._count`` call is flagged anywhere
+    under mpi/algorithms/, but not in collectives.py."""
+    planted = (
+        (REPO / "src/repro/mpi/algorithms/bcast.py").read_text()
+        + "\n\ndef _impure(ctx):\n"
+        "    tag = next_tag(ctx)\n"
+        "    ok = next_tag(ctx)  # det: ok - test suppression\n"
+        "    ctx.comm._count('bcast')\n"
+        "    ctx.comm._count_unchecked('x')  # det: ok - test suppression\n"
+        "    return tag, ok\n"
+    )
+    for home in ("algorithms/bcast.py", "algorithms/schedule.py",
+                 "collectives.py"):
+        path = tmp_path / "src/repro/mpi" / home
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(planted)
+    proc = _run_lint(str(tmp_path / "src/repro/mpi/algorithms/bcast.py"))
+    assert proc.returncode == 1
+    assert proc.stdout.count("pure-build") == 2
+    assert "next_tag() outside" in proc.stdout
+    assert "_count() in mpi/algorithms" in proc.stdout
+    home = _run_lint(str(tmp_path / "src/repro/mpi/algorithms/schedule.py"))
+    assert home.stdout.count("pure-build") == 1
+    assert "_count() in mpi/algorithms" in home.stdout
+    calls = _run_lint(str(tmp_path / "src/repro/mpi/collectives.py"))
+    assert calls.stdout.count("pure-build") == 1
+    assert "next_tag() outside" in calls.stdout

@@ -6,9 +6,9 @@ and through the hierarchical allreduce's sub-communicator views) build
 a call's shape for all ranks at once (:class:`Shape`), or one rank's
 own :class:`Schedule`.  The per-rank builders they replaced are kept
 below as the oracle: for every rank, the shape's slice and the one-rank
-build must each equal the oracle's schedule column by column, with the
-oracle claiming its tags on one communicator and the others taking the
-same claims and counters on twins.
+build must each equal the oracle's schedule column by column, symbolic
+tags included, and each issuing its recorded claims on its own twin
+communicator must leave the three in the same state.
 """
 
 import numpy as np
@@ -28,7 +28,7 @@ from repro.mpi.algorithms.schedule import (
 from repro.sim import Simulator
 
 COLUMNS = ("kind", "deps", "round", "peer", "tag", "via", "ref", "flags",
-           "sizes", "scratch", "claims", "tallies", "via_names")
+           "sizes", "scratch", "claims", "via_names")
 
 
 # ---------------------------------------------------------------------------
@@ -230,8 +230,9 @@ def _job(P, fabric="flat"):
 def assert_slices_match(P, wide_builder, oracle, binding, args=(),
                         fabric="flat", ranks=None):
     """Every rank of ``ranks`` (default: all): the wide shape's slice
-    equals the oracle's schedule, column by column; the claims and
-    counters left the same state on both communicators."""
+    and the one-rank build equal the oracle's schedule, column by
+    column; issuing their claims leaves the same state on all three
+    communicators."""
     ranks = range(P) if ranks is None else ranks
     wide_job, oracle_job = _job(P, fabric), _job(P, fabric)
     call = Call("op", "algo", 0, None, binding, wide_builder, args)
@@ -239,14 +240,14 @@ def assert_slices_match(P, wide_builder, oracle, binding, args=(),
     one_job = _job(P, fabric)
     for r in ranks:
         want = oracle(oracle_job.comm.ctx(r), binding, *args)
-        ctx = wide_job.comm.ctx(r)
-        tags = issue_claims(ctx, shape.claims[r], shape.tallies[r])
+        issue_claims(oracle_job.comm.ctx(r), want.claims)
         # The shape's slice, and the same builder run for the one rank.
-        for got in (shape.slice(r, ctx, tags),
-                    call.build(one_job.comm.ctx(r))):
+        for job, got in ((wide_job, shape.slice(r, wide_job.comm.ctx(r))),
+                         (one_job, call.build(one_job.comm.ctx(r)))):
             for col in COLUMNS:
                 assert getattr(got, col) == getattr(want, col), (P, r, col)
             assert got.sig == want.sig and len(got) == len(want)
+            issue_claims(job.comm.ctx(r), got.claims)
     comms = [(wide_job.comm, oracle_job.comm), (one_job.comm, oracle_job.comm)]
     if fabric == "fattree":
         for job in (wide_job, one_job):

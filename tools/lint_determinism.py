@@ -7,8 +7,8 @@ reproduce the identical interleaving, which it cannot if the runtime
 consults any ordering source outside the seeded
 :class:`~repro.sim.ExploringSimulator`.  This lint walks the AST of the
 scheduling/matching-critical packages and rejects the three ways that
-property has historically been lost, plus a data-plane rule and a
-dispatch rule:
+property has historically been lost, plus a data-plane rule and two
+dispatch rules:
 
 ``unseeded-rng``
     Calls to the process-global ``random`` module RNG
@@ -52,6 +52,17 @@ dispatch rule:
     collective that drives the wire itself bypasses the schedule IR:
     the fast path cannot see it, and its receives skip the engine's
     short-receive check.  Build a schedule instead.
+
+``pure-build``
+    A ``next_tag(`` call outside ``mpi/algorithms/schedule.py`` (where
+    :func:`issue_claims` claims a call's recorded tags at issue), or a
+    ``._count(``/``._count_unchecked(`` call under
+    ``src/repro/mpi/algorithms/``.  A schedule build must be pure: the
+    fast path builds a shape once for every rank, rebuilds a rank's
+    schedule at completion and replays retained plans without building,
+    so a build that claims a tag or bumps ``comm.stats`` would do it
+    zero, one or many times per call.  Record claims with
+    ``sched.claim()``; count in the op table's call builders.
 
 Suppression: append ``# det: ok`` (with an optional reason after a
 second ``-``) to the offending line after a human has verified the use
@@ -123,6 +134,11 @@ _BYTE_VIEW_HOME = "src/repro/hw/memory.py"
 _RAW_P2P_HOMES = ("src/repro/mpi/communicator.py",
                   "src/repro/mpi/algorithms/schedule.py",
                   "src/repro/mpi/rma.py")
+
+#: The one module allowed to claim collective tags, and the package
+#: whose code must not bump ``comm.stats``.
+_TAG_CLAIM_HOME = "src/repro/mpi/algorithms/schedule.py"
+_PURE_BUILD_PACKAGE = "/src/repro/mpi/algorithms/"
 
 #: Allocations that leave their bytes uninitialized.
 _UNINIT_ALLOCS = {"np.empty", "numpy.empty", "np.empty_like",
@@ -272,6 +288,7 @@ class _Linter(ast.NodeVisitor):
                 f"{node.func.attr}() outside the p2p layer, the schedule "
                 "engine and RMA: a collective must be a schedule",
             )
+        self._check_pure_build(node)
         # id() as an ordering key of sorted/min/max.
         if isinstance(node.func, ast.Name) and node.func.id in (
             "sorted", "min", "max"
@@ -284,6 +301,26 @@ class _Linter(ast.NodeVisitor):
                         "address; use a stable key (name, index, seq)",
                     )
         self.generic_visit(node)
+
+    def _check_pure_build(self, node: ast.Call) -> None:
+        func = node.func
+        name = (func.id if isinstance(func, ast.Name)
+                else func.attr if isinstance(func, ast.Attribute) else "")
+        where = Path(self.path).resolve().as_posix()
+        if name == "next_tag" and not where.endswith(_TAG_CLAIM_HOME):
+            self._flag(
+                node, "pure-build",
+                "next_tag() outside the schedule module: record the claim "
+                "with sched.claim(), issue_claims() claims it at issue",
+            )
+        elif (isinstance(func, ast.Attribute)
+              and name in ("_count", "_count_unchecked")
+              and _PURE_BUILD_PACKAGE in where):
+            self._flag(
+                node, "pure-build",
+                f"{name}() in mpi/algorithms: a build must not bump "
+                "comm.stats; count in the op table's call builder",
+            )
 
     # -- set iteration -----------------------------------------------------
     def _check_iter(self, it: ast.AST) -> None:
